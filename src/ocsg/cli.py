@@ -13,7 +13,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from . import mdp, oracle, ssg, termination
+from . import oracle, ssg, termination
 from . import reduce as reduce_mod
 from .model import (
     LIMIT_KINDS,
@@ -90,7 +90,7 @@ def _cmd_solve(args, out) -> int:
         if not args.state:
             raise CliError("--threshold requires --state")
         p = _threshold(args.threshold)
-        decision = ssg.decide_threshold(game, objective, args.state, p, args.relation)
+        decision = ssg.threshold_holds(solve.result.values[args.state], p, args.relation)
         _emit(out, "decision", "true" if decision else "false")
         if args.exit_status and not decision:
             return 1
@@ -261,7 +261,7 @@ def run(argv=None, out=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, out)
-    except (CliError, ModelError, oracle.EnumerationTooLarge, mdp.EnumerationTooLarge, ValueError) as exc:
+    except (CliError, ModelError, oracle.EnumerationTooLarge, ValueError) as exc:
         print(f"error = {exc}", file=sys.stderr)
         return 2
 

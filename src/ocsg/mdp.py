@@ -14,7 +14,6 @@ exactly evaluated quantity.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,12 +38,6 @@ from .model import (
 )
 
 INFINITE_CREDIT = math.inf
-
-_ENUMERATION_GUARD = 1 << 20
-
-
-class EnumerationTooLarge(RuntimeError):
-    pass
 
 
 def _controlled_ids(game) -> list[str]:
@@ -343,9 +336,11 @@ def _evaluate_gain_bias(game, policy):
 def expected_mean_payoff(game, direction: str = "max"):
     """Optimal expected mean payoff per state plus a pure memoryless optimiser.
 
-    Gain/bias policy iteration with conservative switching (keep the current
-    edge unless a strictly better one exists); a revisited policy falls back
-    to guarded policy enumeration.
+    Howard's multichain policy iteration (Puterman 1994, section 9.2): switch
+    to an edge of strictly better gain, and only when none exists to a
+    gain-tied edge of strictly better reward plus canonical bias.  Switching
+    is conservative (the current edge stays unless a strictly better one
+    exists), so no policy repeats; a repeat raises AssertionError.
     """
     _require_one_player(game)
     controlled = _controlled_ids(game)
@@ -354,8 +349,7 @@ def expected_mean_payoff(game, direction: str = "max"):
     while True:
         key = tuple(sorted(policy.items()))
         if key in seen:
-            gain, policy = _mean_payoff_by_enumeration(game, direction)
-            return gain, _strategy(game, policy, direction)
+            raise AssertionError("mean-payoff policy iteration revisited a policy")
         seen.add(key)
         gain, bias = _evaluate_gain_bias(game, policy)
         switched = False
@@ -380,37 +374,6 @@ def expected_mean_payoff(game, direction: str = "max"):
                 switched = True
         if not switched:
             return gain, _strategy(game, policy, direction)
-
-
-def _policy_space(game, controlled):
-    sizes = [len(game.state(sid).transitions) for sid in controlled]
-    total = 1
-    for n in sizes:
-        total *= n
-        if total > _ENUMERATION_GUARD:
-            raise EnumerationTooLarge(f"policy space exceeds {_ENUMERATION_GUARD}")
-    return itertools.product(*(range(n) for n in sizes))
-
-
-def _mean_payoff_by_enumeration(game, direction):
-    controlled = _controlled_ids(game)
-    best_gain = None
-    best_policy = None
-    candidates = []
-    for combo in _policy_space(game, controlled):
-        policy = dict(zip(controlled, combo))
-        gain, _ = _evaluate_gain_bias(game, policy)
-        candidates.append((policy, gain))
-    extreme = {
-        sid: _extreme(direction, [g[sid] for (_, g) in candidates]) for sid in game.ids()
-    }
-    for policy, gain in candidates:
-        if all(gain[sid] == extreme[sid] for sid in game.ids()):
-            best_gain, best_policy = gain, policy
-            break
-    if best_policy is None:
-        raise AssertionError("no statewise optimal mean-payoff policy found")
-    return best_gain, best_policy
 
 
 # ---------------------------------------------------------------------------
@@ -668,9 +631,16 @@ def _divergence_core(game, mec: Mec):
     """A policy BSCC inside the MEC that almost surely drives liminf to -inf.
 
     Returns (core_states, core_choice) in original indices, or None.  The
-    quick paths: a MEC with negative minimal gain always qualifies; a MEC
-    whose allowed edges admit a potential function never does.  The zero-gain
-    remainder is settled by enumerating the policies of the sub-MDP.
+    quick paths: a MEC with negative minimal gain always qualifies; one with
+    positive minimal gain, or whose allowed edges admit a potential function,
+    never does.  The zero-gain remainder is decided in polynomial time from
+    the bias h of the min-gain policy.  The slack r(s,k) + h(target) - h(s)
+    is >= 0 on every controlled edge and averages 0 at rand states, so a
+    gain-0 policy BSCC uses only tight (slack-0) controlled edges, and it is
+    potential-consistent exactly when none of its rand states is noisy (has
+    an edge of nonzero slack).  Hence a core exists iff some end component of
+    the tight sub-MDP holds a noisy rand state x; the policy that reaches x
+    almost surely inside it has x in a gain-0, non-degenerate BSCC.
     """
     min_gain, strat, sub, index_map = _mec_gain(game, mec, "min")
     if min_gain < 0:
@@ -679,20 +649,36 @@ def _divergence_core(game, mec: Mec):
         return None
     if _mec_potential_consistent(game, mec):
         return None
-    controlled = _controlled_ids(sub)
-    for combo in _policy_space(sub, controlled):
-        policy = dict(zip(controlled, combo))
-        induced = _fix_policy(sub, policy)
-        bsccs, _ = chain_mod.bscc_decompose(induced)
-        for members in bsccs:
-            analysis = chain_mod.analyze_bscc(induced, members)
-            if analysis.classification["liminf-minus-inf"]:
-                core_choice = {
-                    sid: index_map[sid][policy[sid]]
-                    for sid in members
-                    if sub.state(sid).owner != "rand"
-                }
-                return frozenset(members), core_choice
+    _, bias = _evaluate_gain_bias(sub, {sid: index_map[sid].index(k) for sid, k in strat.items()})
+
+    def slack(s, k):
+        return _per_visit_reward(sub, s, k) + bias[s.transitions[k].target] - bias[s.id]
+
+    allowed = {}
+    noisy = set()
+    for s in sub.states:
+        edges = range(len(s.transitions))
+        if s.owner == "rand":
+            allowed[s.id] = tuple(edges)
+            if any(slack(s, k) != 0 for k in edges):
+                noisy.add(s.id)
+        else:
+            allowed[s.id] = tuple(k for k in edges if slack(s, k) == 0)
+    tight, tight_map = _restrict_to_mec(sub, Mec(frozenset(sub.ids()), allowed))
+    for component in mec_decompose(tight):
+        x = min(component.members & noisy, default=None)
+        if x is None:
+            continue
+        inner, inner_map = _restrict_to_mec(tight, component)
+        choice = almost_sure_reach(inner, {x}).max_choice
+        bsccs, _ = chain_mod.bscc_decompose(_fix_policy(inner, choice))
+        core = next(b for b in bsccs if x in b)
+        core_choice = {
+            sid: index_map[sid][tight_map[sid][inner_map[sid][choice[sid]]]]
+            for sid in core
+            if sid in choice
+        }
+        return core, core_choice
     return None
 
 

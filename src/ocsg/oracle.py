@@ -2,7 +2,11 @@
 
 ``enumerate_solve`` walks every pure memoryless strategy profile (complete
 for the limit objectives, where pure memoryless optima exist for both
-players) and evaluates each induced chain exactly.  ``simulate`` and
+players) and evaluates each induced chain exactly; ``enumerate_mean_payoff``
+does the same for the expected mean payoff of a one-player game.  Both use
+only ``chain``, never the solvers they check.  ``check_enumerable`` is the
+single product-size guard, shared with the two-player solver's fallbacks.
+``simulate`` and
 ``estimate_objective`` are a seeded Monte Carlo sanity layer: deterministic
 given the seed, with the generator identified in the output record.
 """
@@ -27,6 +31,7 @@ from .model import (
     Ssg,
     check_valid,
     fix_strategies,
+    relabel_controlled,
 )
 
 RNG_ALGORITHM = "mt19937-randrange"
@@ -44,12 +49,13 @@ def _profiles(game, owner):
     return ids, sizes
 
 
-def _guard(total_sizes) -> None:
+def check_enumerable(sizes, limit: int = ENUMERATION_GUARD, what: str = "profile space") -> None:
+    """Raise EnumerationTooLarge when the product of ``sizes`` exceeds ``limit``."""
     total = 1
-    for n in total_sizes:
+    for n in sizes:
         total *= n
-        if total > ENUMERATION_GUARD:
-            raise EnumerationTooLarge(f"profile space exceeds {ENUMERATION_GUARD}")
+        if total > limit:
+            raise EnumerationTooLarge(f"{what} exceeds {limit}")
 
 
 def enumerate_solve(game: Ssg, objective: Objective) -> SolveResult:
@@ -70,7 +76,7 @@ def enumerate_reach(game: Ssg, targets) -> SolveResult:
 def _enumerate(game, evaluate) -> SolveResult:
     max_ids, max_sizes = _profiles(game, "max")
     min_ids, min_sizes = _profiles(game, "min")
-    _guard(max_sizes + min_sizes)
+    check_enumerable(max_sizes + min_sizes)
     order = game.ids()
 
     rows = []  # per Max profile: (choices, statewise floor over Min profiles)
@@ -106,6 +112,38 @@ def _enumerate(game, evaluate) -> SolveResult:
     if witness_max is None or witness_min is None:
         raise AssertionError("no statewise optimal memoryless profile found")
     return SolveResult.from_values(values, witness_max, witness_min)
+
+
+def enumerate_mean_payoff(game: Ssg, direction: str = "max"):
+    """Statewise optimal expected mean payoff of a one-player game.
+
+    Every controlled state is optimised in ``direction`` whatever its owner
+    label.  Each policy's gain is the reach-weighted mean payoff of the BSCCs
+    of its induced chain.  Returns the gains and a policy attaining them at
+    every state, as ``mdp.expected_mean_payoff`` does.
+    """
+    if direction not in ("max", "min"):
+        raise ValueError("direction must be max or min")
+    check_valid(game)
+    game = relabel_controlled(game, "max")
+    ids, sizes = _profiles(game, "max")
+    check_enumerable(sizes)
+    candidates = []
+    for combo in itertools.product(*(range(n) for n in sizes)):
+        sigma = PureMemorylessStrategy("max", dict(zip(ids, combo)))
+        induced = fix_strategies(game, sigma)
+        gain = {sid: Fraction(0) for sid in induced.ids()}
+        for members in chain_mod.bscc_decompose(induced)[0]:
+            mean = chain_mod.analyze_bscc(induced, members).mean_payoff
+            for sid, p in chain_mod.reach_probabilities(induced, members).items():
+                gain[sid] += p * mean
+        candidates.append((sigma, gain))
+    pick = max if direction == "max" else min
+    best = {sid: pick(gain[sid] for _, gain in candidates) for sid in game.ids()}
+    for sigma, gain in candidates:
+        if gain == best:
+            return gain, sigma
+    raise AssertionError("no statewise optimal mean-payoff policy found")
 
 
 # ---------------------------------------------------------------------------

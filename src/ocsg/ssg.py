@@ -3,10 +3,11 @@
 Values are pinned down through pure memoryless strategies for both players:
 fixing one side yields a one-player residual that the ``mdp`` module solves
 exactly, so a pair of mutually best responses certifies the game value.  The
-solver improves Min against Max's exact best response and falls back to full
-enumeration of Min's strategies whenever the improvement loop cannot produce
-a certified pair (and always runs the enumeration on small choice spaces as
-a cross-check).
+solver improves Min against Max's exact best response and accepts the result
+only once ``_find_max_witness`` certifies it.  Only when that certificate
+cannot be found does it enumerate Min's strategies, and only while they
+number at most ``ENUMERATION_CUTOFF``; beyond that it refuses with
+``EnumerationTooLarge``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .model import (
     check_valid,
     fix_strategies,
 )
+from .oracle import EnumerationTooLarge, check_enumerable
 
 ENUMERATION_CUTOFF = 1 << 12
 
@@ -59,13 +61,6 @@ def _min_profiles(game):
     return min_ids, sizes
 
 
-def _profile_count(sizes) -> int:
-    count = 1
-    for n in sizes:
-        count *= n
-    return count
-
-
 def _evaluate_min(game, objective, choice) -> SolveResult:
     strat = PureMemorylessStrategy("min", choice)
     return best_response(game, strat, objective)
@@ -82,14 +77,9 @@ def solve_limit_ssg(game: Ssg, objective: Objective) -> SsgSolve:
     min_ids, sizes = _min_profiles(game)
 
     solve = _solve_by_improvement(game, objective, min_ids)
-    if _profile_count(sizes) <= ENUMERATION_CUTOFF:
-        reference = _solve_by_enumeration(game, objective, min_ids, sizes)
-        if solve is None:
-            solve = reference
-        elif solve.result.values != reference.result.values:
-            raise AssertionError("strategy improvement disagrees with enumeration")
-    elif solve is None:
-        raise mdp.EnumerationTooLarge("improvement failed and the instance is too large to enumerate")
+    if solve is None:
+        check_enumerable(sizes, ENUMERATION_CUTOFF, "improvement failed and Min's profile space")
+        solve = _solve_by_enumeration(game, objective, min_ids, sizes)
     return solve
 
 
@@ -171,10 +161,9 @@ def _find_max_witness(game, objective, values, seed) -> PureMemorylessStrategy |
         return PureMemorylessStrategy("max", choice)
 
     sizes = [len(game.state(sid).transitions) for sid in max_ids]
-    total = 1
-    for n in sizes:
-        total *= n
-    if total > mdp._ENUMERATION_GUARD:
+    try:
+        check_enumerable(sizes)
+    except EnumerationTooLarge:
         return None
     for combo in itertools.product(*(range(n) for n in sizes)):
         candidate = dict(zip(max_ids, combo))
@@ -206,13 +195,22 @@ def _solve_by_enumeration(game, objective, min_ids, sizes) -> SsgSolve:
     raise AssertionError("no statewise optimal Min strategy found")
 
 
-def decide_threshold(game: Ssg, objective: Objective, state: str, p: Fraction, relation: str) -> bool:
-    """Exact comparison of the game value at ``state`` against ``p``."""
+def _check_threshold(p: Fraction, relation: str) -> None:
     if relation not in (">", ">=", "gt", "ge"):
         raise ValueError(f"relation must be > or >=, got {relation!r}")
     if not 0 <= p <= 1:
         raise ValueError("threshold must lie in [0,1]")
-    value = solve_limit_ssg(game, objective).result.values[state]
+
+
+def threshold_holds(value: Fraction, p: Fraction, relation: str) -> bool:
+    """Exact comparison of an already computed value against ``p``."""
+    _check_threshold(p, relation)
     if relation in (">", "gt"):
         return value > p
     return value >= p
+
+
+def decide_threshold(game: Ssg, objective: Objective, state: str, p: Fraction, relation: str) -> bool:
+    """Exact comparison of the game value at ``state`` against ``p``."""
+    _check_threshold(p, relation)
+    return threshold_holds(solve_limit_ssg(game, objective).result.values[state], p, relation)

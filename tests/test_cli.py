@@ -66,6 +66,26 @@ def test_solve_threshold_decision(tmp_path):
     assert _record(out)["decision"] == "false"
 
 
+def test_solve_threshold_reuses_the_solve(tmp_path, monkeypatch):
+    from ocsg import ssg
+
+    calls = []
+    solve = ssg.solve_limit_ssg
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(ssg, "solve_limit_ssg", counting)
+    reduced = condon_to_limit(parse_model(FAIR_COIN_TEXT), "s", "t", "u")
+    path = _write(tmp_path, "reduced.ssg", print_model(reduced))
+    out = io.StringIO()
+    argv = ["solve", path, "--objective", "liminf-minus-inf", "--state", "s", "--threshold", "1/2"]
+    assert run(argv, out) == 0
+    assert _record(out)["decision"] == "true"
+    assert len(calls) == 1
+
+
 def test_term_on_appendix_example(tmp_path):
     path = _write(tmp_path, "appendix.ocssg", FIVE_STATE_TEXT)
     out = io.StringIO()

@@ -10,6 +10,9 @@ from ocsg.model import (
     LIMIT_OBJECTIVES,
     MEAN_GT,
     PureMemorylessStrategy,
+    Ssg,
+    State,
+    Transition,
     fix_strategies,
     parse_model,
 )
@@ -184,7 +187,7 @@ def test_mean_payoff_agrees_with_enumeration():
         game = as_mdp(game)
         for direction in ("max", "min"):
             gain, strategy = mdp.expected_mean_payoff(game, direction)
-            ref_gain, _ = mdp._mean_payoff_by_enumeration(game, direction)
+            ref_gain, _ = oracle.enumerate_mean_payoff(game, direction)
             assert gain == ref_gain
             eval_gain, _ = mdp._evaluate_gain_bias(game, strategy.choice)
             assert eval_gain == gain
@@ -394,6 +397,78 @@ def test_spec_divergence_predicate_counterexample():
     assert region == frozenset()
     values = mdp.quantitative_limit(game, LIMINF_MINUS_INF, "max").values
     assert set(values.values()) == {0}
+
+
+def _zero_drift_mdp(rng, n, reward_location):
+    """Max/rand MDP with up to 10 controlled states and mostly nonnegative
+    rewards, so zero minimal gain on an inconsistent MEC is common."""
+    ids = [f"v{i}" for i in range(n)]
+    rewards = (-1, 0, 0, 1, 1)
+    states = []
+    for sid in ids:
+        owner = "rand" if rng.random() < 0.4 else "max"
+        targets = [rng.choice(ids) for _ in range(rng.choice((1, 2, 2, 3)))]
+        probs = [Fraction(1, len(targets))] * len(targets) if owner == "rand" else [None] * len(targets)
+        if reward_location == "states":
+            trans = tuple(Transition(t, prob=p) for t, p in zip(targets, probs))
+            states.append(State(sid, owner, reward=rng.choice(rewards), transitions=trans))
+        else:
+            trans = tuple(Transition(t, prob=p, reward=rng.choice(rewards)) for t, p in zip(targets, probs))
+            states.append(State(sid, owner, transitions=trans))
+    return Ssg(tuple(states), reward_location=reward_location)
+
+
+def _zero_drift_mecs(game):
+    return [
+        mec
+        for mec in mdp.mec_decompose(game)
+        if mdp._mec_gain(game, mec, "min")[0] == 0 and not mdp._mec_potential_consistent(game, mec)
+    ]
+
+
+def test_zero_drift_cores_match_oracle():
+    rng = random.Random(2010)
+    checked = cores = 0
+    while checked < 80:
+        game = _zero_drift_mdp(rng, rng.randint(3, 10), rng.choice(("states", "transitions")))
+        profiles = 1
+        for sid in game.controlled_ids():
+            profiles *= len(game.state(sid).transitions)
+        mecs = _zero_drift_mecs(game) if profiles <= 1024 else []
+        if not mecs:
+            continue
+        checked += 1
+        cores += any(mdp._divergence_core(game, mec) is not None for mec in mecs)
+        result = mdp.quantitative_limit(game, LIMINF_MINUS_INF, "max")
+        assert result.values == oracle.enumerate_solve(game, LIMINF_MINUS_INF).values
+        induced = _fix(game, result.witness_max)
+        assert chain_mod.chain_tail_value(induced, LIMINF_MINUS_INF) == result.values
+    assert 0 < cores < checked
+
+
+def test_zero_drift_ring_has_no_core():
+    # k Max states in a cycle, each with a reward-0 and a reward-+1 edge to
+    # the next: minimal gain 0, no potential, and no prefix sum ever drops.
+    k = 16
+    lines = ["ssg rewards=transitions"] + [f"state r{i} owner=max" for i in range(k)]
+    for i in range(k):
+        lines += [f"trans r{i} -> r{(i + 1) % k} reward=0", f"trans r{i} -> r{(i + 1) % k} reward=1"]
+    game = parse_model("\n".join(lines) + "\n")
+    values = mdp.quantitative_limit(game, LIMINF_MINUS_INF, "max").values
+    assert set(values.values()) == {0}
+
+
+def test_zero_drift_noisy_rand_loop_is_a_core():
+    # Through r the walk steps +-1 with equal odds: gain 0 but no potential,
+    # so liminf=-inf holds almost surely once Max stops taking m's +1 loop.
+    game = parse_model(
+        "ssg rewards=transitions\nstate m owner=max\nstate r owner=rand\n"
+        "trans m -> m reward=1\ntrans m -> r reward=0\n"
+        "trans r -> m p=1/2 reward=1\ntrans r -> m p=1/2 reward=-1\n"
+    )
+    result = mdp.quantitative_limit(game, LIMINF_MINUS_INF, "max")
+    assert result.values == {"m": 1, "r": 1}
+    assert result.witness_max.choice == {"m": 1}
 
 
 def test_quantitative_divergence_two_thirds():

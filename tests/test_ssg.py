@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -175,9 +176,42 @@ def test_solve_matches_oracle_off_grid_probabilities():
             assert solve.result.values == reference.values, objective.kind
 
 
+# Min's single-switch improvement stops at a profile whose values no Max
+# strategy guarantees, so the solver must take the enumeration fallback.
+UNCERTIFIED_IMPROVEMENT = parse_model(
+    "ssg rewards=transitions\n"
+    "state a owner=max\nstate b owner=min\nstate c owner=min\n"
+    "trans a -> a reward=1\ntrans a -> c reward=-1\n"
+    "trans b -> a reward=-1\ntrans b -> c reward=1\n"
+    "trans c -> a reward=-1\ntrans c -> b reward=0\n"
+)
+
+
+def _assert_certified(game, solve, objective):
+    assert ssg.best_response(game, solve.min_witness, objective).values == solve.result.values
+    assert ssg.best_response(game, solve.max_witness, objective).values == solve.result.values
+
+
 def test_enumeration_and_improvement_agree_when_both_run():
-    # solve_limit_ssg already asserts agreement internally on small games;
-    # spot-check the returned method labels stay sane.
-    game = random_games(1, sizes=(3,), seed=50505)[0]
+    solve = ssg.solve_limit_ssg(UNCERTIFIED_IMPROVEMENT, LIMINF_MINUS_INF)
+    assert solve.method == "enumeration"
+    assert solve.result.values == oracle.enumerate_solve(UNCERTIFIED_IMPROVEMENT, LIMINF_MINUS_INF).values
+    _assert_certified(UNCERTIFIED_IMPROVEMENT, solve, LIMINF_MINUS_INF)
+
+    methods = set()
+    for game in random_games(8, sizes=(3,), seed=50505):
+        for objective in LIMIT_OBJECTIVES:
+            solve = ssg.solve_limit_ssg(game, objective)
+            methods.add(solve.method)
+            assert solve.result.values == oracle.enumerate_solve(game, objective).values, objective.kind
+    assert "improvement" in methods
+
+
+def test_dense_n24_solves_with_certificate():
+    # The n=24 dense instance (fseed 7): its 2^10 Min profiles are few enough
+    # to enumerate, but each needs an exact best response, so the answer has
+    # to come from improvement plus the certificate.
+    game = parse_model((Path(__file__).parent / "data" / "dense-n24-f7.ssg").read_text())
     solve = ssg.solve_limit_ssg(game, LIMINF_MINUS_INF)
-    assert solve.method in ("improvement", "enumeration")
+    assert set(solve.result.values.values()) == {1}
+    _assert_certified(game, solve, LIMINF_MINUS_INF)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -251,3 +252,10 @@ def test_min_witness_memory_bound():
                 continue
             _, pi = termination.synthesize_term_strategies(counter, start, j)
             assert pi.memory_size <= len(counter.states)
+
+
+def test_dense_counter_n24_terminates_with_value_one():
+    # The dense n=24 family read as a counter game (fseed 7); the liminf
+    # solve underneath once ran past a minute.
+    game = parse_model((Path(__file__).parent / "data" / "dcounter-n24-f7.ocssg").read_text())
+    assert termination.decide_term_one(game, "s0", 2).value_one
