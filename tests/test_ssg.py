@@ -208,9 +208,7 @@ def test_enumeration_and_improvement_agree_when_both_run():
 
 
 def test_dense_n24_solves_with_certificate():
-    # The n=24 dense instance (fseed 7): its 2^10 Min profiles are few enough
-    # to enumerate, but each needs an exact best response, so the answer has
-    # to come from improvement plus the certificate.
+    # bench/families.py dense(24, 7, None): 8 Max, 10 Min and 6 rand states.
     game = parse_model((Path(__file__).parent / "data" / "dense-n24-f7.ssg").read_text())
     solve = ssg.solve_limit_ssg(game, LIMINF_MINUS_INF)
     assert set(solve.result.values.values()) == {1}

@@ -255,7 +255,7 @@ def test_min_witness_memory_bound():
 
 
 def test_dense_counter_n24_terminates_with_value_one():
-    # The dense n=24 family read as a counter game (fseed 7); the liminf
-    # solve underneath once ran past a minute.
+    # bench/families.py dense_counter(24, 7, None): the dense instance of
+    # test_ssg read as a counter game.
     game = parse_model((Path(__file__).parent / "data" / "dcounter-n24-f7.ocssg").read_text())
     assert termination.decide_term_one(game, "s0", 2).value_one
