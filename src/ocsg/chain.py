@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linsolve
-from .model import LIMIT_KINDS, Objective, Ssg, State, step_reward
+from .model import LIMIT_KINDS, OWNERS, Objective, Ssg, step_reward
 
 
 def _require_chain(chain: Ssg) -> None:
@@ -48,8 +48,14 @@ def bscc_decompose(chain: Ssg) -> tuple[list[frozenset[str]], frozenset[str]]:
     return bsccs, frozenset(transient)
 
 
-def strongly_connected_components(game) -> list[list[str]]:
-    """Iterative Tarjan over the multigraph; components in discovery order."""
+def strongly_connected_components(game, within=None) -> list[list[str]]:
+    """Iterative Tarjan over the multigraph, or over the subgraph induced by
+    ``within``; components in discovery order."""
+
+    def successors(sid):
+        succ = game.successors(sid)
+        return succ if within is None else [t for t in succ if t in within]
+
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     on_stack: set[str] = set()
@@ -58,9 +64,9 @@ def strongly_connected_components(game) -> list[list[str]]:
     counter = [0]
 
     for root in game.ids():
-        if root in index:
+        if root in index or (within is not None and root not in within):
             continue
-        work = [(root, iter(game.successors(root)))]
+        work = [(root, iter(successors(root)))]
         index[root] = low[root] = counter[0]
         counter[0] += 1
         stack.append(root)
@@ -74,7 +80,7 @@ def strongly_connected_components(game) -> list[list[str]]:
                     counter[0] += 1
                     stack.append(succ)
                     on_stack.add(succ)
-                    work.append((succ, iter(game.successors(succ))))
+                    work.append((succ, iter(successors(succ))))
                     advanced = True
                     break
                 if succ in on_stack:
@@ -97,11 +103,44 @@ def strongly_connected_components(game) -> list[list[str]]:
     return components
 
 
-def _edge_probability(state: State) -> dict[str, Fraction]:
-    probs: dict[str, Fraction] = {}
-    for t in state.transitions:
-        probs[t.target] = probs.get(t.target, Fraction(0)) + t.prob
-    return probs
+def attractor(game, seeds, any_owners, within=None, allowed=None):
+    """Least superset W of ``seeds`` inside ``within`` closed under attraction.
+
+    A state whose owner is in ``any_owners`` joins W once one of its counted
+    edges enters W; any other state joins once all of its counted edges do,
+    and it must have at least one.  ``allowed[sid]`` limits the counted edge
+    indices (default: every edge).  Returns (W, choice), where ``choice``
+    maps each controlled ``any_owners`` state outside ``seeds`` to the edge
+    that pulled it in; that edge leads to a state that joined earlier.
+
+    A worklist over ``game.predecessors`` with a counter of edges still
+    outside W per state: O(|V| + |E|).
+    """
+    attracted = set(seeds)
+    queue = [sid for sid in game.by_id if sid in attracted]
+    outside: dict[str, int] = {}
+    choice: dict[str, int] = {}
+    while queue:
+        target = queue.pop()
+        for sid, k in game.predecessors[target]:
+            if sid in attracted or (within is not None and sid not in within):
+                continue
+            if allowed is not None and k not in allowed[sid]:
+                continue
+            s = game.state(sid)
+            if s.owner in any_owners:
+                if s.owner != "rand":
+                    choice[sid] = k
+            else:
+                left = outside.get(sid)
+                if left is None:
+                    left = len(allowed[sid]) if allowed is not None else len(s.transitions)
+                outside[sid] = left = left - 1
+                if left:
+                    continue
+            attracted.add(sid)
+            queue.append(sid)
+    return attracted, choice
 
 
 def _check_bscc(chain: Ssg, members: frozenset[str]) -> None:
@@ -111,18 +150,8 @@ def _check_bscc(chain: Ssg, members: frozenset[str]) -> None:
         for t in chain.state(sid).transitions:
             if t.target not in members:
                 raise ValueError(f"{sid}: component is not bottom (edge to {t.target})")
-    comp_of = {}
-    sub = [sid for sid in chain.ids() if sid in members]
-    for comp in strongly_connected_components(_restrict(chain, members)):
-        for sid in comp:
-            comp_of[sid] = id(comp)
-    if len(set(comp_of[sid] for sid in sub)) != 1:
+    if len(strongly_connected_components(chain, within=members)) != 1:
         raise ValueError("component is not strongly connected")
-
-
-def _restrict(chain: Ssg, members: frozenset[str]) -> Ssg:
-    states = tuple(s for s in chain.states if s.id in members)
-    return Ssg(states, reward_location=chain.reward_location)
 
 
 def analyze_bscc(chain: Ssg, members: frozenset[str]) -> BsccAnalysis:
@@ -139,14 +168,13 @@ def analyze_bscc(chain: Ssg, members: frozenset[str]) -> BsccAnalysis:
     for j in range(n):
         matrix[0][j] = Fraction(1)
     rhs[0] = Fraction(1)
-    for j, sid in enumerate(order):
-        if j == 0:
-            continue
-        matrix[j][j] += Fraction(1)
-        for uid in order:
-            p = _edge_probability(chain.state(uid)).get(sid)
-            if p:
-                matrix[j][pos[uid]] -= p
+    for i, uid in enumerate(order):
+        if i:
+            matrix[i][i] += Fraction(1)
+        for t in chain.state(uid).transitions:
+            j = pos[t.target]
+            if j:
+                matrix[j][i] -= t.prob
     solution, _ = linsolve.solve_linear_system(matrix, rhs)
     stationary = {sid: solution[pos[sid]] for sid in order}
     if any(v <= 0 for v in stationary.values()):
@@ -208,18 +236,7 @@ def reach_probabilities(chain: Ssg, targets, return_pivot: bool = False):
     if unknown:
         raise ValueError(f"unknown target states {sorted(unknown)}")
 
-    predecessors: dict[str, set[str]] = {sid: set() for sid in chain.ids()}
-    for s in chain.states:
-        for t in s.transitions:
-            predecessors[t.target].add(s.id)
-    can_reach = set(targets)
-    frontier = list(targets)
-    while frontier:
-        sid = frontier.pop()
-        for pred in predecessors[sid]:
-            if pred not in can_reach:
-                can_reach.add(pred)
-                frontier.append(pred)
+    can_reach, _ = attractor(chain, targets, OWNERS)
 
     values = {sid: Fraction(0) for sid in chain.ids()}
     for sid in targets:

@@ -40,10 +40,6 @@ from .model import (
 INFINITE_CREDIT = math.inf
 
 
-def _controlled_ids(game) -> list[str]:
-    return [s.id for s in game.states if s.owner != "rand"]
-
-
 def _require_one_player(game) -> None:
     owners = {s.owner for s in game.states if s.owner != "rand" and len(s.transitions) > 1}
     if len(owners) > 1:
@@ -97,11 +93,11 @@ def solve_reachability(game: Ssg, targets, direction: str = "max") -> SolveResul
     missing = targets - set(game.ids())
     if missing:
         raise ValueError(f"unknown target states {sorted(missing)}")
-    controlled = _controlled_ids(game)
+    controlled = game.controlled_ids()
 
-    avoid_region: frozenset[str] = frozenset()
+    avoid_region: set[str] = set()
     if direction == "min":
-        avoid_region = _min_avoid_region(game, targets)
+        avoid_region = set(game.ids()) - chain_mod.attractor(game, targets, ("rand",))[0]
 
     policy: dict[str, int] = {}
     for sid in controlled:
@@ -136,25 +132,6 @@ def solve_reachability(game: Ssg, targets, direction: str = "max") -> SolveResul
     raise AssertionError("policy iteration failed to terminate")
 
 
-def _min_avoid_region(game, targets) -> frozenset[str]:
-    """Greatest region where the controller keeps the play away from targets."""
-    region = set(game.ids()) - targets
-    changed = True
-    while changed:
-        changed = False
-        for sid in list(region):
-            s = game.state(sid)
-            succs = [t.target for t in s.transitions]
-            if s.owner == "rand":
-                ok = all(t in region for t in succs)
-            else:
-                ok = any(t in region for t in succs)
-            if not ok:
-                region.discard(sid)
-                changed = True
-    return frozenset(region)
-
-
 # ---------------------------------------------------------------------------
 # Almost-sure reachability (two-player fixpoint)
 
@@ -164,10 +141,6 @@ class AsrResult:
     winning: frozenset[str]
     max_choice: dict[str, int]
     spoil_choice: dict[str, int]
-    rounds: tuple[tuple[frozenset[str], frozenset[str]], ...]
-
-    def __contains__(self, sid) -> bool:
-        return sid in self.winning
 
 
 def almost_sure_reach(game, targets) -> AsrResult:
@@ -176,7 +149,9 @@ def almost_sure_reach(game, targets) -> AsrResult:
     Classical alternating fixpoint: repeatedly delete the region from which
     Max cannot reach the target with positive probability, together with
     Min's positive-probability attractor into it, until stable.  Target
-    states are treated as absorbing.
+    states are treated as absorbing.  Max states count only their edges
+    that stay in the surviving region, and Max's witness follows the edges
+    that pulled its states into the final positive attractor.
     """
     targets = frozenset(targets) & set(game.ids())
     alive = set(game.ids())
@@ -185,10 +160,9 @@ def almost_sure_reach(game, targets) -> AsrResult:
         for s in game.states
     }
     spoil: dict[str, int] = {}
-    rounds = []
 
     while True:
-        pos = _attr_positive(game, alive, allowed, targets & alive, reach_owner="max")
+        pos, max_choice = chain_mod.attractor(game, targets & alive, ("max", "rand"), alive, allowed)
         blocked = alive - pos
         if not blocked:
             break
@@ -196,72 +170,15 @@ def almost_sure_reach(game, targets) -> AsrResult:
             s = game.state(sid)
             if s.owner == "min" and sid not in spoil:
                 spoil[sid] = next(k for k, t in enumerate(s.transitions) if t.target in blocked)
-        doomed = _attr_positive(game, alive, allowed, blocked, reach_owner="min", record=spoil)
-        rounds.append((frozenset(blocked), frozenset(doomed)))
+        doomed, pulled = chain_mod.attractor(game, blocked, ("min", "rand"), alive, allowed)
+        for sid, k in pulled.items():
+            spoil.setdefault(sid, k)
         alive -= doomed
         for sid in alive:
             if game.state(sid).owner == "max":
                 allowed[sid] = [k for k in allowed[sid] if game.state(sid).transitions[k].target in alive]
 
-    max_choice = _rank_choices(game, alive, allowed, targets & alive)
-    return AsrResult(frozenset(alive), max_choice, spoil, tuple(rounds))
-
-
-def _attr_positive(game, alive, allowed, seeds, reach_owner, record=None):
-    """mu-fixpoint of the positive-probability predecessor operator.
-
-    The attracting side (``reach_owner``, with chance on its side) needs one
-    edge into the attracted set, the opposing player is attracted only when
-    all of its edges lead there.  Max states use their pruned edge list.
-    """
-    attracted = set(seeds)
-    changed = True
-    while changed:
-        changed = False
-        for sid in alive:
-            if sid in attracted:
-                continue
-            s = game.state(sid)
-            indices = allowed[sid] if s.owner == "max" else range(len(s.transitions))
-            if s.owner == "rand" or s.owner == reach_owner:
-                hit = any(s.transitions[k].target in attracted for k in indices)
-            else:
-                hit = len(indices) > 0 and all(s.transitions[k].target in attracted for k in indices)
-            if hit:
-                attracted.add(sid)
-                if record is not None and reach_owner == "min" and s.owner == "min" and sid not in record:
-                    record[sid] = next(k for k, t in enumerate(s.transitions) if t.target in attracted)
-                changed = True
-    return attracted
-
-
-def _rank_choices(game, alive, allowed, seeds) -> dict[str, int]:
-    """Attractor ranks inside the winning region; Max follows decreasing rank."""
-    rank = {sid: 0 for sid in seeds}
-    choice: dict[str, int] = {}
-    changed = True
-    while changed:
-        changed = False
-        for sid in alive:
-            if sid in rank:
-                continue
-            s = game.state(sid)
-            if s.owner == "max":
-                for k in allowed[sid]:
-                    if s.transitions[k].target in rank:
-                        rank[sid] = rank[s.transitions[k].target] + 1
-                        choice[sid] = k
-                        changed = True
-                        break
-            elif s.owner == "rand":
-                if any(t.target in rank for t in s.transitions):
-                    rank[sid] = 1 + min(rank[t.target] for t in s.transitions if t.target in rank)
-                    changed = True
-            else:
-                if all(t.target in rank for t in s.transitions):
-                    rank[sid] = 1 + max(rank[t.target] for t in s.transitions)
-                    changed = True
-    return choice
+    return AsrResult(frozenset(alive), max_choice, spoil)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +260,7 @@ def expected_mean_payoff(game, direction: str = "max"):
     exists), so no policy repeats; a repeat raises AssertionError.
     """
     _require_one_player(game)
-    controlled = _controlled_ids(game)
+    controlled = game.controlled_ids()
     policy = {sid: 0 for sid in controlled}
     seen = set()
     while True:
@@ -392,23 +309,11 @@ def mec_decompose(game) -> list[Mec]:
     mecs: list[Mec] = []
     queue: list[frozenset[str]] = [frozenset(game.ids())]
     while queue:
-        candidate = set(queue.pop())
-        changed = True
-        while changed:
-            changed = False
-            for sid in list(candidate):
-                s = game.state(sid)
-                if s.owner == "rand":
-                    if any(t.target not in candidate for t in s.transitions):
-                        candidate.discard(sid)
-                        changed = True
-                else:
-                    if not any(t.target in candidate for t in s.transitions):
-                        candidate.discard(sid)
-                        changed = True
+        candidate = queue.pop()
+        candidate -= chain_mod.attractor(game, set(game.ids()) - candidate, ("rand",))[0]
         if not candidate:
             continue
-        comps = _scc_within(game, candidate)
+        comps = chain_mod.strongly_connected_components(game, within=candidate)
         if len(comps) == 1 and set(comps[0]) == candidate:
             allowed = {}
             for sid in candidate:
@@ -422,18 +327,6 @@ def mec_decompose(game) -> list[Mec]:
             queue.extend(frozenset(c) for c in comps)
     mecs.sort(key=lambda m: min(m.members))
     return mecs
-
-
-def _scc_within(game, members) -> list[list[str]]:
-    class _View:
-        def ids(self):
-            return tuple(sid for sid in game.ids() if sid in members)
-
-        def successors(self, sid):
-            s = game.state(sid)
-            return tuple(t.target for t in s.transitions if t.target in members)
-
-    return chain_mod.strongly_connected_components(_View())
 
 
 def _restrict_to_mec(game, mec: Mec):
@@ -474,7 +367,7 @@ def procedure_mp(game, start: str):
     index_map = {s.id: list(range(len(s.transitions))) for s in game.states}
     stitched: dict[str, int] = {}
     z_id = None
-    original_controlled = set(_controlled_ids(game))
+    original_controlled = set(game.controlled_ids())
 
     while True:
         if start not in current.by_id:
@@ -563,9 +456,11 @@ def energy_min_credit(game, keeper: str = "max") -> dict[str, int | float]:
     """Minimal initial credit per state in the nonnegative-energy game.
 
     ``keeper`` must keep every prefix sum of edge weights >= 0; the other
-    player and all rand states are adversarial.  Standard lifting fixpoint;
-    weights in {-1,0,+1} cap finite credits at |V|, larger demands are
-    infinite.
+    player and all rand states are adversarial.  Standard lifting fixpoint
+    (Brim, Chaloupka, Doyen, Gentilini, Raskin 2011) run as a worklist: a
+    state is lifted again only after the credit of a successor rose, and
+    lifting is monotone, so this reaches the least fixpoint.  Weights in
+    {-1,0,+1} cap finite credits at |V|, larger demands are infinite.
     """
     if keeper not in ("max", "min"):
         raise ValueError("keeper must be max or min")
@@ -581,15 +476,20 @@ def energy_min_credit(game, keeper: str = "max") -> dict[str, int | float]:
         need = max(0, target - transition.reward)
         return INFINITE_CREDIT if need > cutoff else need
 
-    changed = True
-    while changed:
-        changed = False
-        for s in view.states:
-            demands = [lift_edge(t) for t in s.transitions]
-            candidate = min(demands) if s.owner == keeper else max(demands)
-            if candidate > credit[s.id]:
-                credit[s.id] = candidate
-                changed = True
+    queue = list(view.ids())
+    queued = set(queue)
+    while queue:
+        sid = queue.pop()
+        queued.discard(sid)
+        s = view.state(sid)
+        demands = [lift_edge(t) for t in s.transitions]
+        candidate = min(demands) if s.owner == keeper else max(demands)
+        if candidate > credit[sid]:
+            credit[sid] = candidate
+            for pred, _ in view.predecessors[sid]:
+                if pred not in queued:
+                    queued.add(pred)
+                    queue.append(pred)
     return credit
 
 

@@ -78,6 +78,15 @@ class _GameOps:
     def by_id(self) -> dict[str, State]:
         return {s.id: s for s in self.states}
 
+    @cached_property
+    def predecessors(self) -> dict[str, list[tuple[str, int]]]:
+        """State id -> (source id, edge index) of every edge entering it."""
+        preds: dict[str, list[tuple[str, int]]] = {s.id: [] for s in self.states}
+        for s in self.states:
+            for k, t in enumerate(s.transitions):
+                preds[t.target].append((s.id, k))
+        return preds
+
     def state(self, state_id: str) -> State:
         return self.by_id[state_id]
 
@@ -367,10 +376,9 @@ def parse_model(text: str) -> Ssg | OcSsg:
     """Parse the text format; raises ModelSyntaxError / ModelSemanticError."""
     header = None
     reward_location = None
-    order: list[tuple[str, str, int]] = []  # (id, owner, line)
+    owner_of: dict[str, str] = {}  # declaration order
     state_rewards: dict[str, int | None] = {}
     transitions: dict[str, list[Transition]] = {}
-    declared_lines: dict[str, int] = {}
 
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].rstrip()
@@ -408,9 +416,8 @@ def parse_model(text: str) -> Ssg | OcSsg:
             col, raw = attrs["owner"]
             if raw not in OWNERS:
                 raise ModelSyntaxError(lineno, col, f"expected owner max|min|rand, found {raw!r}")
-            if sid in declared_lines:
+            if sid in owner_of:
                 raise ModelSemanticError(f"{sid}: duplicate state id", lineno)
-            declared_lines[sid] = lineno
             reward = None
             if "reward" in attrs:
                 rcol, rraw = attrs["reward"]
@@ -419,7 +426,7 @@ def parse_model(text: str) -> Ssg | OcSsg:
                     raise ModelSemanticError(f"{sid}: unexpected state reward", lineno)
             elif header == "ssg" and reward_location == ON_STATES:
                 raise ModelSemanticError(f"{sid}: missing state reward", lineno)
-            order.append((sid, raw, lineno))
+            owner_of[sid] = raw
             state_rewards[sid] = reward
             transitions[sid] = []
 
@@ -430,9 +437,9 @@ def parse_model(text: str) -> Ssg | OcSsg:
             _, src = parts[1]
             _, dst = parts[3]
             attrs = _parse_attrs(parts[4:], lineno, {"p", "reward", "delta"})
-            if src not in transitions:
+            owner = owner_of.get(src)
+            if owner is None:
                 raise ModelSemanticError(f"transition from undeclared state {src!r}", lineno)
-            owner = next(o for (i, o, _) in order if i == src)
             prob = reward = delta = None
             if "p" in attrs:
                 pcol, praw = attrs["p"]
@@ -465,7 +472,7 @@ def parse_model(text: str) -> Ssg | OcSsg:
 
     states = tuple(
         State(sid, owner, reward=state_rewards[sid], transitions=tuple(transitions[sid]))
-        for (sid, owner, _) in order
+        for sid, owner in owner_of.items()
     )
     game = OcSsg(states) if header == "ocssg" else Ssg(states, reward_location=reward_location)
     violations = validate(game)
@@ -619,11 +626,3 @@ def step_reward(game: Ssg, source: State, transition: Transition) -> int:
         return transition.reward
     return game.state(transition.target).reward
 
-
-def expected_one_step_reward(game: Ssg, state: State) -> Fraction:
-    """Per-visit reward used by mean-payoff accounting."""
-    if game.reward_location == ON_STATES:
-        return Fraction(state.reward)
-    if state.owner == "rand":
-        return sum((t.prob * t.reward for t in state.transitions), Fraction(0))
-    raise ValueError(f"{state.id}: one-step reward of a controlled state needs a chosen transition")

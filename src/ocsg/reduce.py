@@ -14,7 +14,9 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import mdp
+from .chain import attractor
 from .model import (
+    OWNERS,
     OcSsg,
     Ssg,
     State,
@@ -30,16 +32,7 @@ class NormalizationError(ValueError):
 
 def _route_dead_sinks(game: Ssg, t: str, t_prime: str) -> Ssg:
     """Send states that cannot reach {t, t'} straight to t' instead."""
-    can_reach = {t, t_prime}
-    changed = True
-    while changed:
-        changed = False
-        for s in game.states:
-            if s.id in can_reach:
-                continue
-            if any(tr.target in can_reach for tr in s.transitions):
-                can_reach.add(s.id)
-                changed = True
+    can_reach, _ = attractor(game, {t, t_prime}, OWNERS)
     states = []
     for s in game.states:
         if s.id in can_reach:

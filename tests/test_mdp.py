@@ -125,6 +125,15 @@ def test_asr_positive_but_not_almost_sure():
     assert mdp.almost_sure_reach(game, {"t"}).winning == frozenset({"t"})
 
 
+def test_asr_targets_are_absorbing():
+    game = parse_model(
+        "ssg rewards=states\n"
+        "state m owner=min reward=0\nstate c owner=rand reward=0\nstate sink owner=rand reward=0\n"
+        "trans m -> m\ntrans m -> sink\ntrans c -> c p=1/2\ntrans c -> sink p=1/2\ntrans sink -> sink p=1/1\n"
+    )
+    assert mdp.almost_sure_reach(game, {"m", "c"}).winning == frozenset({"m", "c"})
+
+
 def test_asr_witness_reaches_almost_surely():
     for game in random_games(20, sizes=(4,), seed=2718):
         targets = {game.ids()[0]}
