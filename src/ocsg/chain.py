@@ -117,6 +117,7 @@ def attractor(game, seeds, any_owners, within=None, allowed=None):
     outside W per state: O(|V| + |E|).
     """
     attracted = set(seeds)
+    # Game order, not set order, so ``choice`` does not depend on string hashing.
     queue = [sid for sid in game.by_id if sid in attracted]
     outside: dict[str, int] = {}
     choice: dict[str, int] = {}
