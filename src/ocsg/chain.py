@@ -189,7 +189,7 @@ def analyze_bscc(chain: Ssg, members: frozenset[str]) -> BsccAnalysis:
         else:
             mean += stationary[sid] * sum((t.prob * t.reward for t in s.transitions), Fraction(0))
 
-    potential = _potential(chain, order)
+    h = potential(chain, members)
 
     mu_pos, mu_neg = mean > 0, mean < 0
     classification = {
@@ -197,29 +197,34 @@ def analyze_bscc(chain: Ssg, members: frozenset[str]) -> BsccAnalysis:
         "mean-gt": int(mu_pos),
         "mean-leq": int(not mu_pos),
         "liminf-lt-plus-inf": int(not mu_pos),
-        "liminf-minus-inf": int(mu_neg or (mean == 0 and potential is None)),
-        "liminf-gt-minus-inf": int(mu_pos or (mean == 0 and potential is not None)),
+        "liminf-minus-inf": int(mu_neg or (mean == 0 and h is None)),
+        "liminf-gt-minus-inf": int(mu_pos or (mean == 0 and h is not None)),
     }
-    return BsccAnalysis(frozenset(members), stationary, mean, potential, classification)
+    return BsccAnalysis(frozenset(members), stationary, mean, h, classification)
 
 
-def _potential(chain: Ssg, order: list[str]) -> dict[str, int] | None:
-    """Anchor-zero potential, or None when some cycle has nonzero total reward."""
-    anchor = order[0]
+def potential(game, members, allowed=None) -> dict[str, int] | None:
+    """Potential h with h(v) - h(u) = step reward on every counted edge u -> v.
+
+    ``members`` must be strongly connected under the counted edges, which
+    stay inside it; ``allowed[sid]`` limits them (default: every edge).  h is
+    zero at the first member in game order.  Returns None when some cycle
+    has nonzero total reward.  Each edge is checked once, when its source
+    is expanded.
+    """
+    anchor = next(sid for sid in game.by_id if sid in members)
     h = {anchor: 0}
     queue = [anchor]
     while queue:
         uid = queue.pop()
-        state = chain.state(uid)
-        for t in state.transitions:
-            level = h[uid] + step_reward(chain, state, t)
+        state = game.state(uid)
+        for k in allowed[uid] if allowed is not None else range(len(state.transitions)):
+            t = state.transitions[k]
+            level = h[uid] + step_reward(game, state, t)
             if t.target not in h:
                 h[t.target] = level
                 queue.append(t.target)
-    for uid in order:
-        state = chain.state(uid)
-        for t in state.transitions:
-            if h[t.target] - h[uid] != step_reward(chain, state, t):
+            elif h[t.target] != level:
                 return None
     return h
 

@@ -70,22 +70,26 @@ def _emit_strategy(out, label, strategy):
         _emit(out, f"witness.{label}.{sid}", strategy.choice[sid])
 
 
+def _emit_solution(out, game, objective, method, result, state) -> None:
+    """Objective, method, values (all states or ``state``), value-1 set, witnesses."""
+    _emit(out, "objective", objective.kind)
+    _emit(out, "method", method)
+    for sid in [state] if state else game.ids():
+        if sid not in game.by_id:
+            raise CliError(f"unknown state {sid!r}")
+        _emit(out, sid, _fmt(result.values[sid]))
+    _emit(out, "value1", ",".join(sid for sid in game.ids() if sid in result.value_one_set))
+    _emit_strategy(out, "max", result.witness_max)
+    _emit_strategy(out, "min", result.witness_min)
+
+
 def _cmd_solve(args, out) -> int:
     game = _read_model(args.model)
     if isinstance(game, OcSsg):
         raise CliError("solve expects a reward game; translate the counter model first")
     objective = _objective(args.objective)
     solve = ssg.solve_limit_ssg(game, objective)
-    _emit(out, "objective", objective.kind)
-    _emit(out, "method", solve.method)
-    wanted = [args.state] if args.state else list(game.ids())
-    for sid in wanted:
-        if sid not in game.by_id:
-            raise CliError(f"unknown state {sid!r}")
-        _emit(out, sid, _fmt(solve.result.values[sid]))
-    _emit(out, "value1", ",".join(sid for sid in game.ids() if sid in solve.result.value_one_set))
-    _emit_strategy(out, "max", solve.max_witness)
-    _emit_strategy(out, "min", solve.min_witness)
+    _emit_solution(out, game, objective, solve.method, solve.result, args.state)
     if args.threshold is not None:
         if not args.state:
             raise CliError("--threshold requires --state")
@@ -189,17 +193,7 @@ def _cmd_oracle(args, out) -> int:
     if isinstance(game, OcSsg):
         raise CliError("oracle expects a reward game")
     objective = _objective(args.objective)
-    result = oracle.enumerate_solve(game, objective)
-    _emit(out, "objective", objective.kind)
-    _emit(out, "method", "enumeration")
-    wanted = [args.state] if args.state else list(game.ids())
-    for sid in wanted:
-        if sid not in game.by_id:
-            raise CliError(f"unknown state {sid!r}")
-        _emit(out, sid, _fmt(result.values[sid]))
-    _emit(out, "value1", ",".join(sid for sid in game.ids() if sid in result.value_one_set))
-    _emit_strategy(out, "max", result.witness_max)
-    _emit_strategy(out, "min", result.witness_min)
+    _emit_solution(out, game, objective, "enumeration", oracle.enumerate_solve(game, objective), args.state)
     return 0
 
 

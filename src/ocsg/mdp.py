@@ -32,6 +32,7 @@ from .model import (
     State,
     Transition,
     check_valid,
+    fix_strategies,
     oc_to_reward_ssg,
     relabel_controlled,
     state_to_transition_rewards,
@@ -51,18 +52,12 @@ def _player_label(game, direction: str) -> str:
     return owners.pop() if len(owners) == 1 else direction
 
 
-def _fix_policy(game, policy: dict[str, int]) -> Ssg:
-    """Collapse every controlled state to its chosen edge, yielding a chain."""
-    states = []
-    for s in game.states:
-        if s.owner == "rand":
-            states.append(s)
-            continue
-        t = s.transitions[policy[s.id]]
-        states.append(
-            State(s.id, "rand", reward=s.reward, transitions=(Transition(t.target, prob=Fraction(1), reward=t.reward, delta=t.delta),))
-        )
-    return game.with_states(tuple(states))
+def _induced_chain(game, policy: dict[str, int]) -> Ssg:
+    """The chain left when every controlled state follows ``policy``."""
+    split = {"max": {}, "min": {}}
+    for sid, k in policy.items():
+        split[game.by_id[sid].owner][sid] = k
+    return fix_strategies(game, *(PureMemorylessStrategy(player, choice) for player, choice in split.items()))
 
 
 def _strategy(game, policy: dict[str, int], direction: str) -> PureMemorylessStrategy:
@@ -111,7 +106,7 @@ def solve_reachability(game: Ssg, targets, direction: str = "max") -> SolveResul
     for sid in controlled:
         limit *= len(game.state(sid).transitions)
     for _ in range(limit + 1):
-        values = chain_mod.reach_probabilities(_fix_policy(game, policy), targets)
+        values = chain_mod.reach_probabilities(_induced_chain(game, policy), targets)
         switched = False
         for sid in controlled:
             if sid in targets:
@@ -195,7 +190,7 @@ def _per_visit_reward(game, state: State, index: int | None) -> Fraction:
 
 def _evaluate_gain_bias(game, policy):
     """Exact gain and canonical bias of a fixed policy (multichain evaluation)."""
-    induced = _fix_policy(game, policy)
+    induced = _induced_chain(game, policy)
     bsccs, transient = chain_mod.bscc_decompose(induced)
     gain: dict[str, Fraction] = {}
     bias: dict[str, Fraction] = {}
@@ -375,7 +370,7 @@ def procedure_mp(game, start: str):
         gains, sigma_mp = expected_mean_payoff(current, "max")
         if gains[start] <= 0:
             return None
-        induced = _fix_policy(current, sigma_mp.choice)
+        induced = _induced_chain(current, sigma_mp.choice)
         bsccs, _ = chain_mod.bscc_decompose(induced)
         positive = [b for b in bsccs if chain_mod.analyze_bscc(induced, b).mean_payoff > 0]
         if not positive:
@@ -386,7 +381,7 @@ def procedure_mp(game, start: str):
         targets = set(component) | ({z_id} if z_id is not None else set())
         reach = solve_reachability(current, targets, "max")
         sigma_c = (reach.witness_max or reach.witness_min).choice
-        under_sigma = chain_mod.reach_probabilities(_fix_policy(current, sigma_c), targets)
+        under_sigma = chain_mod.reach_probabilities(_induced_chain(current, sigma_c), targets)
         cut = {sid for sid, v in under_sigma.items() if v == 1 and sid != z_id}
         for sid in cut:
             if sid in original_controlled and sid in current.by_id and current.state(sid).owner != "rand":
@@ -464,25 +459,17 @@ def energy_min_credit(game, keeper: str = "max") -> dict[str, int | float]:
     """
     if keeper not in ("max", "min"):
         raise ValueError("keeper must be max or min")
+    check_valid(game)
     view = _transition_weight_view(game)
-    check_valid(view)
     cutoff = len(view.states)
     credit: dict[str, int | float] = {sid: 0 for sid in view.ids()}
-
-    def lift_edge(transition):
-        target = credit[transition.target]
-        if target == INFINITE_CREDIT:
-            return INFINITE_CREDIT
-        need = max(0, target - transition.reward)
-        return INFINITE_CREDIT if need > cutoff else need
-
     queue = list(view.ids())
     queued = set(queue)
     while queue:
         sid = queue.pop()
         queued.discard(sid)
         s = view.state(sid)
-        demands = [lift_edge(t) for t in s.transitions]
+        demands = [_demand(credit, t, cutoff) for t in s.transitions]
         candidate = min(demands) if s.owner == keeper else max(demands)
         if candidate > credit[sid]:
             credit[sid] = candidate
@@ -493,28 +480,30 @@ def energy_min_credit(game, keeper: str = "max") -> dict[str, int | float]:
     return credit
 
 
+def _demand(credit, transition, cutoff: int) -> int | float:
+    """Credit needed to take ``transition``; a demand above ``cutoff`` is infinite."""
+    target = credit[transition.target]
+    if target == INFINITE_CREDIT:
+        return INFINITE_CREDIT
+    need = max(0, target - transition.reward)
+    return INFINITE_CREDIT if need > cutoff else need
+
+
 def energy_keeper_choice(game, credit, keeper: str = "max") -> dict[str, int]:
     """Keeper's credit-preserving edge at every finite-credit keeper state."""
     view = _transition_weight_view(game)
+    cutoff = len(view.states)
     choice = {}
     for s in view.states:
         if s.owner != keeper or credit[s.id] == INFINITE_CREDIT:
             continue
-        demands = []
-        for t in s.transitions:
-            target = credit[t.target]
-            demands.append(INFINITE_CREDIT if target == INFINITE_CREDIT else max(0, target - t.reward))
-        best = min(demands)
-        choice[s.id] = demands.index(best)
+        demands = [_demand(credit, t, cutoff) for t in s.transitions]
+        choice[s.id] = demands.index(min(demands))
     return choice
 
 
 # ---------------------------------------------------------------------------
 # Qualitative and quantitative limit objectives
-
-
-def _relabel_max(game):
-    return relabel_controlled(game, "max")
 
 
 def _mec_gain(game, mec: Mec, direction: str):
@@ -547,7 +536,7 @@ def _divergence_core(game, mec: Mec):
         return frozenset(mec.members), strat
     if min_gain > 0:
         return None
-    if _mec_potential_consistent(game, mec):
+    if chain_mod.potential(game, mec.members, mec.allowed) is not None:
         return None
     _, bias = _evaluate_gain_bias(sub, {sid: index_map[sid].index(k) for sid, k in strat.items()})
 
@@ -571,7 +560,7 @@ def _divergence_core(game, mec: Mec):
             continue
         inner, inner_map = _restrict_to_mec(tight, component)
         choice = almost_sure_reach(inner, {x}).max_choice
-        bsccs, _ = chain_mod.bscc_decompose(_fix_policy(inner, choice))
+        bsccs, _ = chain_mod.bscc_decompose(_induced_chain(inner, choice))
         core = next(b for b in bsccs if x in b)
         core_choice = {
             sid: index_map[sid][tight_map[sid][inner_map[sid][choice[sid]]]]
@@ -582,27 +571,9 @@ def _divergence_core(game, mec: Mec):
     return None
 
 
-def _mec_potential_consistent(game, mec: Mec) -> bool:
-    view = _transition_weight_view(game)
-    anchor = min(mec.members)
-    level = {anchor: 0}
-    queue = [anchor]
-    edges = []
-    while queue:
-        uid = queue.pop()
-        s = view.state(uid)
-        for k in mec.allowed[uid]:
-            t = s.transitions[k]
-            edges.append((uid, t))
-            if t.target not in level:
-                level[t.target] = level[uid] + t.reward
-                queue.append(t.target)
-    return all(level[t.target] - level[uid] == t.reward for uid, t in edges)
-
-
 def _value_one_region(game, objective: Objective):
     """Maximising value-1 set W plus a witness choice map defined on W."""
-    relabeled = _relabel_max(game)
+    relabeled = relabel_controlled(game, "max")
     kind = objective.kind
     cores: dict[str, int] = {}
     targets: set[str] = set()
@@ -647,17 +618,8 @@ def _value_one_region(game, objective: Objective):
 
 def qualitative_limit(game, objective: Objective, direction: str = "max"):
     """Value-1 set (for the given direction) and a total witness strategy."""
-    _require_one_player(game)
-    if objective.kind not in LIMIT_KINDS:
-        raise ValueError(f"not a limit objective: {objective.kind}")
-    if direction == "min":
-        result = quantitative_limit(game, objective.complement(), "max")
-        winning = frozenset(s for s, v in result.values.items() if v == 0)
-        witness = result.witness_max or result.witness_min
-        return winning, witness
-    result = quantitative_limit(game, objective, "max")
-    witness = result.witness_max or result.witness_min
-    return result.value_one_set, witness
+    result = quantitative_limit(game, objective, direction)
+    return result.value_one_set, result.witness_max or result.witness_min
 
 
 def quantitative_limit(game, objective: Objective, direction: str = "max") -> SolveResult:

@@ -22,7 +22,7 @@ exactly where ``reward_location`` says, ``delta=`` exactly in ocssg files.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -87,6 +87,11 @@ class _GameOps:
                 preds[t.target].append((s.id, k))
         return preds
 
+    @cached_property
+    def violations(self) -> tuple[str, ...]:
+        """``validate`` of this game, computed once; ``check_valid`` reads it."""
+        return tuple(validate(self))
+
     def state(self, state_id: str) -> State:
         return self.by_id[state_id]
 
@@ -131,14 +136,15 @@ class PureMemorylessStrategy:
     choice: dict[str, int]
 
     def validate_for(self, game: Ssg | OcSsg) -> None:
-        owned = set(game.owner_ids(self.player))
-        if set(self.choice) != owned:
-            missing = owned - set(self.choice)
-            extra = set(self.choice) - owned
+        owned = [s for s in game.states if s.owner == self.player]
+        if len(owned) != len(self.choice) or any(s.id not in self.choice for s in owned):
+            ids = {s.id for s in owned}
+            missing = ids - set(self.choice)
+            extra = set(self.choice) - ids
             raise ValueError(f"strategy domain mismatch: missing={sorted(missing)} extra={sorted(extra)}")
-        for sid, k in self.choice.items():
-            if not 0 <= k < len(game.state(sid).transitions):
-                raise ValueError(f"invalid transition index {k} at {sid}")
+        for s in owned:
+            if not 0 <= self.choice[s.id] < len(s.transitions):
+                raise ValueError(f"invalid transition index {self.choice[s.id]} at {s.id}")
 
 
 @dataclass(frozen=True)
@@ -322,9 +328,8 @@ def validate(game: Ssg | OcSsg) -> list[str]:
 
 
 def check_valid(game: Ssg | OcSsg) -> None:
-    violations = validate(game)
-    if violations:
-        raise ModelSemanticError("; ".join(violations))
+    if game.violations:
+        raise ModelSemanticError("; ".join(game.violations))
 
 
 # ---------------------------------------------------------------------------
@@ -475,9 +480,7 @@ def parse_model(text: str) -> Ssg | OcSsg:
         for sid, owner in owner_of.items()
     )
     game = OcSsg(states) if header == "ocssg" else Ssg(states, reward_location=reward_location)
-    violations = validate(game)
-    if violations:
-        raise ModelSemanticError("; ".join(violations))
+    check_valid(game)
     return game
 
 
@@ -525,7 +528,9 @@ def oc_to_reward_ssg(game: OcSsg) -> Ssg:
         )
         for s in game.states
     )
-    return Ssg(states, reward_location=ON_TRANSITIONS)
+    rewards = Ssg(states, reward_location=ON_TRANSITIONS)
+    rewards.__dict__["violations"] = ()  # the reward view of a valid counter game is valid
+    return rewards
 
 
 def _fresh_id(base: str, taken: set[str]) -> str:
@@ -604,10 +609,9 @@ def fix_strategies(
         if strat is None:
             new_states.append(s)
             continue
-        chosen = s.transitions[strat.choice[s.id]]
-        new_states.append(
-            State(s.id, "rand", reward=s.reward, transitions=(replace(chosen, prob=Fraction(1)),))
-        )
+        t = s.transitions[strat.choice[s.id]]
+        collapsed = Transition(t.target, prob=Fraction(1), reward=t.reward, delta=t.delta)
+        new_states.append(State(s.id, "rand", reward=s.reward, transitions=(collapsed,)))
     return game.with_states(tuple(new_states))
 
 

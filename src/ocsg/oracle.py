@@ -43,7 +43,8 @@ class EnumerationTooLarge(RuntimeError):
     pass
 
 
-def _profiles(game, owner):
+def player_profiles(game, owner: str) -> tuple[list[str], list[int]]:
+    """The ``owner`` states in game order and their edge counts."""
     ids = list(game.owner_ids(owner))
     sizes = [len(game.state(sid).transitions) for sid in ids]
     return ids, sizes
@@ -74,8 +75,8 @@ def enumerate_reach(game: Ssg, targets) -> SolveResult:
 
 
 def _enumerate(game, evaluate) -> SolveResult:
-    max_ids, max_sizes = _profiles(game, "max")
-    min_ids, min_sizes = _profiles(game, "min")
+    max_ids, max_sizes = player_profiles(game, "max")
+    min_ids, min_sizes = player_profiles(game, "min")
     check_enumerable(max_sizes + min_sizes)
     order = game.ids()
 
@@ -126,7 +127,7 @@ def enumerate_mean_payoff(game: Ssg, direction: str = "max"):
         raise ValueError("direction must be max or min")
     check_valid(game)
     game = relabel_controlled(game, "max")
-    ids, sizes = _profiles(game, "max")
+    ids, sizes = player_profiles(game, "max")
     check_enumerable(sizes)
     candidates = []
     for combo in itertools.product(*(range(n) for n in sizes)):

@@ -13,17 +13,8 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 
-from . import mdp
 from .chain import attractor
-from .model import (
-    OWNERS,
-    OcSsg,
-    Ssg,
-    State,
-    Transition,
-    check_valid,
-    relabel_controlled,
-)
+from .model import OWNERS, OcSsg, Ssg, State, Transition, check_valid
 
 
 class NormalizationError(ValueError):
@@ -45,10 +36,17 @@ def _route_dead_sinks(game: Ssg, t: str, t_prime: str) -> Ssg:
 
 
 def _check_normalized(game: Ssg, t: str, t_prime: str) -> None:
-    """All strategy pairs must reach {t, t'} with probability 1."""
-    coalition = relabel_controlled(game, "max")
-    worst = mdp.solve_reachability(coalition, {t, t_prime}, "min")
-    offenders = sorted(sid for sid, v in worst.values.items() if v != 1)
+    """All strategy pairs must reach {t, t'} with probability 1.
+
+    ``sure`` holds the states that hit {t, t'} with positive probability
+    whatever the players do (a rand state needs one edge into it, a
+    controlled state all of them).  Outside it the players can keep the play
+    away from {t, t'} forever, so reachability falls below 1 exactly at the
+    states that can reach that trap before {t, t'}.
+    """
+    ids = set(game.ids())
+    sure = attractor(game, {t, t_prime}, ("rand",))[0]
+    offenders = sorted(attractor(game, ids - sure, OWNERS, within=ids - {t, t_prime})[0])
     if offenders:
         raise NormalizationError(
             f"players can avoid {{t, t'}} from {offenders}: reachability is not almost sure"
@@ -91,9 +89,7 @@ def condon_to_limit(game: Ssg, s: str, t: str, t_prime: str) -> Ssg:
         else:
             transitions = tuple(Transition(tr.target, prob=tr.prob) for tr in st.transitions)
             states.append(State(st.id, st.owner, reward=0, transitions=transitions))
-    result = Ssg(tuple(states), reward_location="states")
-    check_valid(result)
-    return result
+    return Ssg(tuple(states), reward_location="states")
 
 
 def condon_to_termination(game: Ssg, s: str, t: str, t_prime: str, j: int | None = None):
@@ -112,7 +108,6 @@ def condon_to_termination(game: Ssg, s: str, t: str, t_prime: str, j: int | None
         )
         states.append(State(st.id, st.owner, transitions=transitions))
     counter_game = OcSsg(tuple(states))
-    check_valid(counter_game)
     if j is None:
         j = len(counter_game.states)
     return counter_game, s, j

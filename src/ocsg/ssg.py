@@ -26,7 +26,7 @@ from .model import (
     check_valid,
     fix_strategies,
 )
-from .oracle import EnumerationTooLarge, check_enumerable
+from .oracle import EnumerationTooLarge, check_enumerable, player_profiles
 
 ENUMERATION_CUTOFF = 1 << 12
 
@@ -47,18 +47,11 @@ def _limit_only(objective: Objective) -> None:
 def best_response(game: Ssg, fixed: PureMemorylessStrategy, objective: Objective) -> SolveResult:
     """Exact best response of the other player against ``fixed``."""
     _limit_only(objective)
-    fixed.validate_for(game)
     if fixed.player == "min":
         residual = fix_strategies(game, min_strategy=fixed)
         return mdp.quantitative_limit(residual, objective, "max")
     residual = fix_strategies(game, max_strategy=fixed)
     return mdp.quantitative_limit(residual, objective, "min")
-
-
-def _min_profiles(game):
-    min_ids = list(game.owner_ids("min"))
-    sizes = [len(game.state(sid).transitions) for sid in min_ids]
-    return min_ids, sizes
 
 
 def _evaluate_min(game, objective, choice) -> SolveResult:
@@ -74,7 +67,7 @@ def solve_limit_ssg(game: Ssg, objective: Objective) -> SsgSolve:
     """Exact values and mutually-best-response pure memoryless witnesses."""
     _limit_only(objective)
     check_valid(game)
-    min_ids, sizes = _min_profiles(game)
+    min_ids, sizes = player_profiles(game, "min")
 
     solve = _solve_by_improvement(game, objective, min_ids)
     if solve is None:
@@ -133,7 +126,7 @@ def _find_max_witness(game, objective, values, seed) -> PureMemorylessStrategy |
     guaranteed vector is bounded by the game values, hence matching them
     certifies optimality.
     """
-    max_ids = list(game.owner_ids("max"))
+    max_ids, sizes = player_profiles(game, "max")
 
     def guaranteed(choice):
         return best_response(game, PureMemorylessStrategy("max", choice), objective).values
@@ -160,7 +153,6 @@ def _find_max_witness(game, objective, values, seed) -> PureMemorylessStrategy |
     if current == values:
         return PureMemorylessStrategy("max", choice)
 
-    sizes = [len(game.state(sid).transitions) for sid in max_ids]
     try:
         check_enumerable(sizes)
     except EnumerationTooLarge:

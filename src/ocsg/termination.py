@@ -39,9 +39,6 @@ class LevelGame:
     targets: frozenset[str]
     to_base: dict[str, tuple[str, int]]
 
-    def level_state(self, state_id: str, level: int) -> str:
-        return _level_id(state_id, level)
-
 
 def build_level_game(base: Ssg, j: int, liminf_value_one, hi: int | None = None) -> LevelGame:
     """Unfold accumulated rewards into levels -j..hi with absorbing boundaries.
@@ -80,7 +77,6 @@ def build_level_game(base: Ssg, j: int, liminf_value_one, hi: int | None = None)
                 )
             states.append(State(lid, s.owner, transitions=transitions))
     game = Ssg(tuple(states), reward_location="transitions")
-    check_valid(game)
     return LevelGame(game, j, hi, frozenset(targets), to_base)
 
 
@@ -95,9 +91,19 @@ class TermDecision:
     start_level_state: str | None = None
 
 
-def _liminf_solve(game: OcSsg):
+def _term_pipeline(game: OcSsg, start: str, j: int):
+    """The liminf=-inf solve of the reward view and, for j < |V|, the level
+    game, its almost-sure reach and the start's level-0 state (else Nones)."""
+    if j < 1:
+        raise ValueError("termination requires j >= 1")
+    if start not in game.by_id:
+        raise ValueError(f"unknown state {start!r}")
     rewards = oc_to_reward_ssg(game)
-    return rewards, ssg.solve_limit_ssg(rewards, LIMINF_MINUS_INF)
+    solve = ssg.solve_limit_ssg(rewards, LIMINF_MINUS_INF)
+    if j >= len(game.states):
+        return solve, None, None, None
+    level = build_level_game(rewards, j, solve.result.value_one_set)
+    return solve, level, mdp.almost_sure_reach(level.game, level.targets), _level_id(start, 0)
 
 
 def decide_term_one(game: OcSsg, start: str, j: int) -> TermDecision:
@@ -106,17 +112,10 @@ def decide_term_one(game: OcSsg, start: str, j: int) -> TermDecision:
     For j >= |V| this is exactly the liminf=-inf value-1 question; below
     that, the level game reduces it to almost-sure reachability.
     """
-    if j < 1:
-        raise ValueError("termination requires j >= 1")
-    if start not in game.by_id:
-        raise ValueError(f"unknown state {start!r}")
-    rewards, solve = _liminf_solve(game)
+    solve, level, asr, entry = _term_pipeline(game, start, j)
     w = solve.result.value_one_set
-    if j >= len(game.states):
+    if level is None:
         return TermDecision(start in w, "limit", start, j, w)
-    level = build_level_game(rewards, j, w)
-    asr = mdp.almost_sure_reach(level.game, level.targets)
-    entry = level.level_state(start, 0)
     return TermDecision(entry in asr.winning, "level", start, j, w, asr.winning, entry)
 
 
@@ -143,23 +142,14 @@ def synthesize_term_strategies(game: OcSsg, start: str, j: int):
     memory is the level index saturating at the window top, where it switches
     to the liminf=-inf witness for Min.
     """
-    if j < 1:
-        raise ValueError("termination requires j >= 1")
-    rewards, solve = _liminf_solve(game)
+    solve, level, asr, entry = _term_pipeline(game, start, j)
     w = solve.result.value_one_set
     sigma_liminf = solve.max_witness
     pi_liminf = solve.min_witness
-    n = len(game.states)
-
-    if j >= n:
+    if level is None:
         if start in w:
             return sigma_liminf, None
         return None, _memoryless_as_finite(pi_liminf)
-
-    level = build_level_game(rewards, j, w)
-    asr = mdp.almost_sure_reach(level.game, level.targets)
-    entry = level.level_state(start, 0)
-
     if entry in asr.winning:
         sigma = _collapse_max_strategy(game, level, asr, entry, w, sigma_liminf)
         return sigma, None
@@ -190,7 +180,7 @@ def _collapse_max_strategy(game, level, asr, entry, safe, sigma_liminf) -> PureM
             lvl = top_level[sid]
             if lvl == level.hi:
                 raise AssertionError("unsafe state reachable at the absorbing top level")
-            choice[sid] = asr.max_choice[level.level_state(sid, lvl)]
+            choice[sid] = asr.max_choice[_level_id(sid, lvl)]
         else:
             choice[sid] = 0
     return PureMemorylessStrategy("max", choice)
@@ -228,7 +218,7 @@ def _level_min_strategy(game, level, asr, pi_liminf) -> FiniteMemoryStrategy:
             if m == hi:
                 choice[(m, sid)] = pi_liminf.choice[sid]
                 continue
-            lid = level.level_state(sid, m)
+            lid = _level_id(sid, m)
             if lid in asr.spoil_choice:
                 choice[(m, sid)] = asr.spoil_choice[lid]
             else:
@@ -264,12 +254,7 @@ def product_with_strategy(game: OcSsg, strategy: FiniteMemoryStrategy, start: st
     while queue:
         sid, memory = queue.pop()
         s = game.state(sid)
-        if s.owner == strategy.player:
-            indices = [strategy.choose(memory, sid)]
-            owner = s.owner
-        else:
-            indices = list(range(len(s.transitions)))
-            owner = s.owner
+        indices = [strategy.choose(memory, sid)] if s.owner == strategy.player else range(len(s.transitions))
         transitions = []
         for k in indices:
             t = s.transitions[k]
@@ -279,7 +264,5 @@ def product_with_strategy(game: OcSsg, strategy: FiniteMemoryStrategy, start: st
                 seen.add(key)
                 queue.append(key)
             transitions.append(Transition(pid(*key), prob=t.prob, delta=t.delta))
-        states.append(State(pid(sid, memory), owner, transitions=tuple(transitions)))
-    product = OcSsg(tuple(states))
-    check_valid(product)
-    return product, pid(*start_key)
+        states.append(State(pid(sid, memory), s.owner, transitions=tuple(transitions)))
+    return OcSsg(tuple(states)), pid(*start_key)

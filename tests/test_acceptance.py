@@ -114,7 +114,7 @@ def test_criterion_4_large_counter_reduces_to_liminf(grid_games, solutions):
             for sid in counter.ids():
                 direct = termination.decide_term_one(counter, sid, j)
                 assert direct.branch == "limit"
-                widened = level.level_state(sid, 0) in asr.winning
+                widened = termination._level_id(sid, 0) in asr.winning
                 assert direct.value_one == widened, (index, sid)
             if len(game.states) <= 3:
                 _, reference = solutions(index, LIMINF_MINUS_INF)

@@ -241,8 +241,7 @@ def test_policy_bsccs_lie_inside_mecs():
         controlled = [s.id for s in game.states if s.owner != "rand"]
         sizes = [len(game.state(sid).transitions) for sid in controlled]
         for combo in itertools.product(*(range(n) for n in sizes)):
-            policy = dict(zip(controlled, combo))
-            induced = mdp._fix_policy(game, policy)
+            induced = fix_strategies(game, PureMemorylessStrategy("max", dict(zip(controlled, combo))))
             bsccs, _ = chain_mod.bscc_decompose(induced)
             for members in bsccs:
                 assert any(members <= m.members for m in mecs), (members, mecs)
@@ -431,7 +430,7 @@ def _zero_drift_mecs(game):
     return [
         mec
         for mec in mdp.mec_decompose(game)
-        if mdp._mec_gain(game, mec, "min")[0] == 0 and not mdp._mec_potential_consistent(game, mec)
+        if mdp._mec_gain(game, mec, "min")[0] == 0 and chain_mod.potential(game, mec.members, mec.allowed) is None
     ]
 
 

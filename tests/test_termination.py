@@ -56,9 +56,9 @@ def test_level_game_value_one_rows_are_targets(five_state_game):
     base = oc_to_reward_ssg(five_state_game)
     level = termination.build_level_game(base, 1, frozenset({"down"}))
     for i in range(-1, 5):
-        assert level.level_state("down", i) in level.targets
-    assert level.level_state("up", 0) not in level.targets
-    assert level.level_state("up", -1) in level.targets
+        assert termination._level_id("down", i) in level.targets
+    assert termination._level_id("up", 0) not in level.targets
+    assert termination._level_id("up", -1) in level.targets
 
 
 def test_level_game_rejects_large_j(five_state_game):
@@ -70,7 +70,7 @@ def test_level_game_rejects_large_j(five_state_game):
 def test_level_game_boundary_absorbing(five_state_game):
     base = oc_to_reward_ssg(five_state_game)
     level = termination.build_level_game(base, 1, frozenset())
-    top = level.game.state(level.level_state("v", 4))
+    top = level.game.state(termination._level_id("v", 4))
     assert len(top.transitions) == 1 and top.transitions[0].target == top.id
 
 
@@ -133,7 +133,7 @@ def test_limit_branch_agrees_with_widened_level_branch():
         for start in counter.ids():
             direct = termination.decide_term_one(counter, start, j)
             assert direct.branch == "limit"
-            widened = level.level_state(start, 0) in asr.winning
+            widened = termination._level_id(start, 0) in asr.winning
             assert direct.value_one == widened, start
 
 
@@ -171,6 +171,12 @@ def test_truncated_termination_monotone_in_j():
 
 
 # -- strategy synthesis --------------------------------------------------------
+
+
+def test_synthesize_rejects_unknown_start(fair_walk):
+    for j in (1, 2):
+        with pytest.raises(ValueError, match="unknown state"):
+            termination.synthesize_term_strategies(fair_walk, "nowhere", j)
 
 
 def test_synthesize_fair_walk_trivial(fair_walk):

@@ -1,17 +1,29 @@
-"""The worklist kernels against the re-sweep fixpoints they replaced.
+"""The linear-time kernels against the slower forms they replaced.
 
 ``sweep_attractor`` and ``sweep_energy`` visit every state per pass until a
 pass changes nothing; they are the reference forms of ``chain.attractor``
-and ``mdp.energy_min_credit``.
+and ``mdp.energy_min_credit``.  ``reference_normalization`` (reachability
+policy iteration) and ``reference_mec_consistent`` (a second potential BFS)
+are the reference forms of the normalization check in ``reduce`` and of
+``chain.potential`` on end-component edges.
 """
 
 import math
 import random
 
-from ocsg import chain, mdp
-from ocsg.model import OcSsg, State, Transition, oc_to_reward_ssg, state_to_transition_rewards
+import pytest
 
-from grids import exhaustive_games, random_games
+from ocsg import chain, mdp, reduce
+from ocsg.model import (
+    OcSsg,
+    State,
+    Transition,
+    oc_to_reward_ssg,
+    relabel_controlled,
+    state_to_transition_rewards,
+)
+
+from grids import as_mdp, exhaustive_games, random_game, random_games
 
 SIDES = (("max", "rand"), ("min", "rand"), ("rand",))
 
@@ -125,3 +137,69 @@ def test_energy_credit_matches_sweep():
     for game in games:
         for keeper in ("max", "min"):
             assert mdp.energy_min_credit(game, keeper) == sweep_energy(game, keeper)
+
+
+def reference_normalization(game, t, t_prime):
+    worst = mdp.solve_reachability(relabel_controlled(game, "max"), {t, t_prime}, "min")
+    offenders = sorted(sid for sid, v in worst.values.items() if v != 1)
+    if offenders:
+        raise reduce.NormalizationError(
+            f"players can avoid {{t, t'}} from {offenders}: reachability is not almost sure"
+        )
+
+
+def _outcome(check, game, t, t_prime):
+    try:
+        check(game, t, t_prime)
+    except reduce.NormalizationError as exc:
+        return str(exc)
+    return None
+
+
+def test_normalization_matches_policy_iteration():
+    rng = random.Random(1992)
+    rejected = 0
+    for _ in range(3000):
+        game = random_game(rng, rng.randint(3, 6), rng.choice(("states", "transitions")))
+        t, t_prime = rng.sample(game.ids(), 2)
+        routed = reduce._route_dead_sinks(game, t, t_prime)
+        expected = _outcome(reference_normalization, routed, t, t_prime)
+        assert _outcome(reduce._check_normalized, routed, t, t_prime) == expected, (routed, t, t_prime)
+        rejected += expected is not None
+    assert rejected >= 1000
+
+
+def reference_mec_consistent(game, mec):
+    view = state_to_transition_rewards(game) if game.reward_location == "states" else game
+    anchor = min(mec.members)
+    level = {anchor: 0}
+    queue = [anchor]
+    edges = []
+    while queue:
+        uid = queue.pop()
+        s = view.state(uid)
+        for k in mec.allowed[uid]:
+            t = s.transitions[k]
+            edges.append((uid, t))
+            if t.target not in level:
+                level[t.target] = level[uid] + t.reward
+                queue.append(t.target)
+    return all(level[t.target] - level[uid] == t.reward for uid, t in edges)
+
+
+@pytest.mark.parametrize("reward_location", ["states", "transitions"])
+def test_potential_matches_mec_bfs(reward_location):
+    games = random_games(300, sizes=(3, 5, 8), seed=2010, reward_location=reward_location)
+    if reward_location == "states":
+        games += exhaustive_games()
+    seen = {True: 0, False: 0}
+    for game in games:
+        game = as_mdp(game)
+        for mec in mdp.mec_decompose(game):
+            consistent = reference_mec_consistent(game, mec)
+            h = chain.potential(game, mec.members, mec.allowed)
+            assert (h is not None) == consistent, (game, mec)
+            seen[consistent] += 1
+            if h is not None:
+                assert set(h) == mec.members
+    assert min(seen.values()) >= 100
