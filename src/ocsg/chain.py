@@ -164,19 +164,15 @@ def analyze_bscc(chain: Ssg, members: frozenset[str]) -> BsccAnalysis:
     n = len(order)
 
     # Balance equations with the first one replaced by normalisation.
-    matrix = [[Fraction(0)] * n for _ in range(n)]
+    rows = [dict.fromkeys(range(n), Fraction(1))] + [{i: Fraction(1)} for i in range(1, n)]
     rhs = [Fraction(0)] * n
-    for j in range(n):
-        matrix[0][j] = Fraction(1)
     rhs[0] = Fraction(1)
     for i, uid in enumerate(order):
-        if i:
-            matrix[i][i] += Fraction(1)
         for t in chain.state(uid).transitions:
             j = pos[t.target]
             if j:
-                matrix[j][i] -= t.prob
-    solution, _ = linsolve.solve_linear_system(matrix, rhs)
+                rows[j][i] = rows[j].get(i, 0) - t.prob
+    solution, _ = linsolve.solve_linear_system(rows, rhs)
     stationary = {sid: solution[pos[sid]] for sid in order}
     if any(v <= 0 for v in stationary.values()):
         raise ValueError("stationary distribution not positive, component is not a BSCC")
@@ -234,7 +230,8 @@ def reach_probabilities(chain: Ssg, targets, return_pivot: bool = False):
 
     States that cannot reach the target get 0, target states get 1, and the
     rest solve the one-step equations restricted to the can-reach region.
-    With ``return_pivot`` also returns the elimination's pivot product.
+    With ``return_pivot`` also returns the elimination's determinant
+    certificate, which every value denominator divides.
     """
     _require_chain(chain)
     targets = frozenset(targets)
@@ -252,16 +249,17 @@ def reach_probabilities(chain: Ssg, targets, return_pivot: bool = False):
     if interior:
         pos = {sid: i for i, sid in enumerate(interior)}
         n = len(interior)
-        matrix = [[Fraction(0)] * n for _ in range(n)]
+        rows = [{i: Fraction(1)} for i in range(n)]
         rhs = [Fraction(0)] * n
         for i, sid in enumerate(interior):
-            matrix[i][i] += Fraction(1)
+            row = rows[i]
             for t in chain.state(sid).transitions:
                 if t.target in targets:
                     rhs[i] += t.prob
                 elif t.target in pos:
-                    matrix[i][pos[t.target]] -= t.prob
-        solution, pivot = linsolve.solve_linear_system(matrix, rhs)
+                    j = pos[t.target]
+                    row[j] = row.get(j, 0) - t.prob
+        solution, pivot = linsolve.solve_linear_system(rows, rhs)
         for sid, v in zip(interior, solution):
             values[sid] = v
     if return_pivot:

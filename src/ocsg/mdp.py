@@ -198,20 +198,17 @@ def _evaluate_gain_bias(game, policy):
         analysis = chain_mod.analyze_bscc(induced, members)
         order = [sid for sid in induced.ids() if sid in members]
         pos = {sid: i for i, sid in enumerate(order)}
-        n = len(order)
-        matrix = [[Fraction(0)] * n for _ in range(n)]
-        rhs = [Fraction(0)] * n
-        for j, sid in enumerate(order):
-            matrix[0][j] = analysis.stationary[sid]
-        for i, sid in enumerate(order):
-            if i == 0:
-                continue
+        rows = [{j: analysis.stationary[sid] for j, sid in enumerate(order)}]
+        rhs = [Fraction(0)]
+        for i, sid in enumerate(order[1:], 1):
             state = induced.state(sid)
-            matrix[i][i] += Fraction(1)
+            row = {i: Fraction(1)}
             for t in state.transitions:
-                matrix[i][pos[t.target]] -= t.prob
-            rhs[i] = _per_visit_reward(induced, state, None) - analysis.mean_payoff
-        solution, _ = solve_linear_system(matrix, rhs)
+                j = pos[t.target]
+                row[j] = row.get(j, 0) - t.prob
+            rows.append(row)
+            rhs.append(_per_visit_reward(induced, state, None) - analysis.mean_payoff)
+        solution, _ = solve_linear_system(rows, rhs)
         for sid in order:
             gain[sid] = analysis.mean_payoff
             bias[sid] = solution[pos[sid]]
@@ -220,16 +217,17 @@ def _evaluate_gain_bias(game, policy):
     if order:
         pos = {sid: i for i, sid in enumerate(order)}
         n = len(order)
-        matrix = [[Fraction(0)] * n for _ in range(n)]
+        rows = [{i: Fraction(1)} for i in range(n)]
         rhs_g = [Fraction(0)] * n
         for i, sid in enumerate(order):
-            matrix[i][i] += Fraction(1)
+            row = rows[i]
             for t in induced.state(sid).transitions:
                 if t.target in pos:
-                    matrix[i][pos[t.target]] -= t.prob
+                    j = pos[t.target]
+                    row[j] = row.get(j, 0) - t.prob
                 else:
                     rhs_g[i] += t.prob * gain[t.target]
-        sol_g, _ = solve_linear_system(matrix, rhs_g)
+        sol_g, _ = solve_linear_system(rows, rhs_g)
         for sid in order:
             gain[sid] = sol_g[pos[sid]]
         rhs_h = [Fraction(0)] * n
@@ -239,20 +237,22 @@ def _evaluate_gain_bias(game, policy):
             for t in state.transitions:
                 if t.target not in pos:
                     rhs_h[i] += t.prob * bias[t.target]
-        sol_h, _ = solve_linear_system(matrix, rhs_h)
+        sol_h, _ = solve_linear_system(rows, rhs_h)
         for sid in order:
             bias[sid] = sol_h[pos[sid]]
     return gain, bias
 
 
-def expected_mean_payoff(game, direction: str = "max"):
+def expected_mean_payoff(game, direction: str = "max", bias_out: dict | None = None):
     """Optimal expected mean payoff per state plus a pure memoryless optimiser.
 
     Howard's multichain policy iteration (Puterman 1994, section 9.2): switch
     to an edge of strictly better gain, and only when none exists to a
     gain-tied edge of strictly better reward plus canonical bias.  Switching
     is conservative (the current edge stays unless a strictly better one
-    exists), so no policy repeats; a repeat raises AssertionError.
+    exists), so no policy repeats; a repeat raises AssertionError.  A
+    ``bias_out`` dict receives the canonical bias of the returned policy,
+    which the last round has already evaluated.
     """
     _require_one_player(game)
     controlled = game.controlled_ids()
@@ -285,6 +285,8 @@ def expected_mean_payoff(game, direction: str = "max"):
                 policy[sid] = next(k for k in tied if qs_bias[k] == best)
                 switched = True
         if not switched:
+            if bias_out is not None:
+                bias_out.update(bias)
             return gain, _strategy(game, policy, direction)
 
 
@@ -507,13 +509,16 @@ def energy_keeper_choice(game, credit, keeper: str = "max") -> dict[str, int]:
 
 
 def _mec_gain(game, mec: Mec, direction: str):
+    """Optimal gain on the MEC, the optimiser's choice in original indices,
+    and the sub-MDP with its index map and the optimiser's bias."""
     sub, index_map = _restrict_to_mec(game, mec)
-    gains, strat = expected_mean_payoff(sub, direction)
+    bias: dict[str, Fraction] = {}
+    gains, strat = expected_mean_payoff(sub, direction, bias)
     values = {gains[sid] for sid in mec.members}
     if len(values) != 1:
         raise AssertionError("gain not constant on an end component")
     original = {sid: index_map[sid][k] for sid, k in strat.choice.items()}
-    return values.pop(), original, sub, index_map
+    return values.pop(), original, sub, index_map, bias
 
 
 def _divergence_core(game, mec: Mec):
@@ -531,14 +536,13 @@ def _divergence_core(game, mec: Mec):
     the tight sub-MDP holds a noisy rand state x; the policy that reaches x
     almost surely inside it has x in a gain-0, non-degenerate BSCC.
     """
-    min_gain, strat, sub, index_map = _mec_gain(game, mec, "min")
+    min_gain, strat, sub, index_map, bias = _mec_gain(game, mec, "min")
     if min_gain < 0:
         return frozenset(mec.members), strat
     if min_gain > 0:
         return None
     if chain_mod.potential(game, mec.members, mec.allowed) is not None:
         return None
-    _, bias = _evaluate_gain_bias(sub, {sid: index_map[sid].index(k) for sid, k in strat.items()})
 
     def slack(s, k):
         return _per_visit_reward(sub, s, k) + bias[s.transitions[k].target] - bias[s.id]
@@ -581,7 +585,7 @@ def _value_one_region(game, objective: Objective):
     if kind in ("mean-gt", "liminf-plus-inf", "mean-leq", "liminf-lt-plus-inf"):
         direction = "max" if kind in ("mean-gt", "liminf-plus-inf") else "min"
         for mec in mec_decompose(relabeled):
-            gain, choice, _, _ = _mec_gain(relabeled, mec, direction)
+            gain, choice, *_ = _mec_gain(relabeled, mec, direction)
             hit = gain > 0 if direction == "max" else gain <= 0
             if hit:
                 targets.update(mec.members)

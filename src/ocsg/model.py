@@ -528,9 +528,18 @@ def oc_to_reward_ssg(game: OcSsg) -> Ssg:
         )
         for s in game.states
     )
-    rewards = Ssg(states, reward_location=ON_TRANSITIONS)
-    rewards.__dict__["violations"] = ()  # the reward view of a valid counter game is valid
-    return rewards
+    return _keep_valid_mark(game, Ssg(states, reward_location=ON_TRANSITIONS))
+
+
+def _keep_valid_mark(source, derived):
+    """Mark ``derived`` valid when ``source`` is already known to be valid.
+
+    Only for builders that preserve validity: the reward view of a counter
+    game, a strategy collapse, a relabelling to one controller.
+    """
+    if source.__dict__.get("violations") == ():
+        derived.__dict__["violations"] = ()
+    return derived
 
 
 def _fresh_id(base: str, taken: set[str]) -> str:
@@ -612,7 +621,7 @@ def fix_strategies(
         t = s.transitions[strat.choice[s.id]]
         collapsed = Transition(t.target, prob=Fraction(1), reward=t.reward, delta=t.delta)
         new_states.append(State(s.id, "rand", reward=s.reward, transitions=(collapsed,)))
-    return game.with_states(tuple(new_states))
+    return _keep_valid_mark(game, game.with_states(tuple(new_states)))
 
 
 def relabel_controlled(game, owner: str):
@@ -621,7 +630,8 @@ def relabel_controlled(game, owner: str):
         State(s.id, owner if s.owner != "rand" else "rand", reward=s.reward, transitions=s.transitions)
         for s in game.states
     )
-    return game.with_states(states)
+    relabeled = game.with_states(states)
+    return _keep_valid_mark(game, relabeled) if owner in ("max", "min") else relabeled
 
 
 def step_reward(game: Ssg, source: State, transition: Transition) -> int:

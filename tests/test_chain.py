@@ -238,3 +238,19 @@ def test_chain_tail_value_appendix_always_low(five_state_game):
     assert values["v"] == 0
     assert values["down"] == 1
     assert values["back"] == Fraction(1, 2)
+
+
+def test_birth_death_walk_of_400_states():
+    # Absorbing ends, fair steps in between: hitting the top from state i has
+    # probability i/(n-1).  A tridiagonal system that sparse elimination
+    # solves without fill-in.
+    n = 400
+    lines = ["ssg rewards=transitions"] + [f"state w{i} owner=rand" for i in range(n)]
+    lines += ["trans w0 -> w0 p=1/1 reward=0", f"trans w{n - 1} -> w{n - 1} p=1/1 reward=0"]
+    for i in range(1, n - 1):
+        lines += [f"trans w{i} -> w{i - 1} p=1/2 reward=0", f"trans w{i} -> w{i + 1} p=1/2 reward=0"]
+    walk = parse_model("\n".join(lines) + "\n")
+    values, pivot = reach_probabilities(walk, {f"w{n - 1}"}, return_pivot=True)
+    assert values == {f"w{i}": Fraction(i, n - 1) for i in range(n)}
+    for value in values.values():
+        assert pivot % value.denominator == 0

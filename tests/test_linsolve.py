@@ -1,17 +1,29 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ocsg.linsolve import SingularMatrixError, solve_linear_system
 
 
+def _rows(matrix):
+    return [{j: a for j, a in enumerate(row) if a} for row in matrix]
+
+
+def _dense(rows, n):
+    return [[Fraction(row.get(j, 0)) for j in range(n)] for row in rows]
+
+
 def _naive_gauss(matrix, rhs):
-    # Independent plain Fraction elimination used as the oracle.
+    # Independent plain Fraction elimination used as the oracle; None when singular.
     n = len(matrix)
     m = [[Fraction(x) for x in row] + [Fraction(r)] for row, r in zip(matrix, rhs)]
     for k in range(n):
-        pivot = next(i for i in range(k, n) if m[i][k] != 0)
+        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if pivot is None:
+            return None
         m[k], m[pivot] = m[pivot], m[k]
         for i in range(n):
             if i != k and m[i][k] != 0:
@@ -20,15 +32,43 @@ def _naive_gauss(matrix, rhs):
     return [m[i][n] / m[i][i] for i in range(n)]
 
 
+def _bareiss_pivot(matrix, rhs):
+    # Reference dense fraction-free (Bareiss) elimination: |det| of the matrix
+    # whose rows, right-hand side included, are scaled by their denominators' lcm.
+    n = len(matrix)
+    if n == 0:
+        return 1
+    m = []
+    for row, r in zip(matrix, rhs):
+        entries = [Fraction(a) for a in row] + [Fraction(r)]
+        scale = lcm(*(e.denominator for e in entries))
+        m.append([int(e * scale) for e in entries[:-1]])
+    prev = 1
+    for k in range(n - 1):
+        pivot_row = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if pivot_row is None:
+            return 0
+        m[k], m[pivot_row] = m[pivot_row], m[k]
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            mik = m[i][k]
+            row_i, row_k = m[i], m[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pivot
+    return abs(m[n - 1][n - 1])
+
+
 def test_small_system():
-    x, pivot = solve_linear_system([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]], [Fraction(5), Fraction(10)])
+    x, pivot = solve_linear_system([{0: Fraction(2), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(3)}], [Fraction(5), Fraction(10)])
     assert x == [Fraction(1), Fraction(3)]
     assert pivot == 5  # |det|
 
 
 def test_singular_raises():
     with pytest.raises(SingularMatrixError):
-        solve_linear_system([[1, 1], [2, 2]], [1, 2])
+        solve_linear_system([{0: 1, 1: 1}, {0: 2, 1: 2}], [1, 2])
 
 
 def test_matches_naive_gauss_on_random_systems():
@@ -41,7 +81,7 @@ def test_matches_naive_gauss_on_random_systems():
             ]
             rhs = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(n)]
             try:
-                x, pivot = solve_linear_system(matrix, rhs)
+                x, pivot = solve_linear_system(_rows(matrix), rhs)
                 break
             except SingularMatrixError:
                 continue
@@ -51,12 +91,98 @@ def test_matches_naive_gauss_on_random_systems():
 
 
 def test_pivot_product_is_scaled_determinant():
-    matrix = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1), Fraction(2)]]
+    rows = [{0: Fraction(1, 2), 1: Fraction(1, 3)}, {0: Fraction(1), 1: Fraction(2)}]
     rhs = [Fraction(1), Fraction(1)]
     # Rows scale by 6 and 1; det of [[3,2],[1,2]] is 4.
-    _, pivot = solve_linear_system(matrix, rhs)
+    _, pivot = solve_linear_system(rows, rhs)
     assert pivot == 4
 
 
 def test_empty_system():
     assert solve_linear_system([], []) == ([], 1)
+
+
+def test_rows_are_not_modified():
+    rows = [{0: Fraction(1), 1: Fraction(-1, 2)}, {0: Fraction(-1, 2), 1: Fraction(1)}]
+    copy = [dict(row) for row in rows]
+    solve_linear_system(rows, [Fraction(0), Fraction(1)])
+    assert rows == copy
+
+
+def test_column_out_of_range_rejected():
+    with pytest.raises(ValueError):
+        solve_linear_system([{0: 1}, {2: 1}], [1, 1])
+
+
+def _entry(rng):
+    return Fraction(rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)), rng.randint(1, 6))
+
+
+@st.composite
+def sparse_systems(draw):
+    """Seeded sparse n x n systems, n <= 60, with a nonzero transversal so
+    most are nonsingular: random patterns, or block upper-triangular ones
+    (hidden by a row permutation), each with up to three dense rows."""
+    n = draw(st.integers(1, 60))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    triangular = draw(st.booleans())
+    cols = list(range(n))
+    rng.shuffle(cols)
+    rows = [{cols[i]: _entry(rng)} for i in range(n)]
+    if triangular:
+        bounds = sorted(rng.sample(range(1, n), min(n - 1, rng.randint(0, 6)))) + [n]
+        start = 0
+        for end in bounds:
+            for i in range(start, end):
+                for _ in range(rng.randint(0, 3)):
+                    rows[i][cols[rng.randrange(start, n)]] = _entry(rng)
+            start = end
+        rng.shuffle(rows)
+    else:
+        for row in rows:
+            for _ in range(rng.randint(0, 3)):
+                row[rng.randrange(n)] = _entry(rng)
+    for i in rng.sample(range(n), min(n, draw(st.integers(0, 3)))):
+        rows[i] = {j: _entry(rng) for j in range(n)}
+    rhs = [Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(n)]
+    return rows, rhs, rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_systems())
+def test_sparse_systems_match_dense_references(system):
+    rows, rhs, _ = system
+    matrix = _dense(rows, len(rows))
+    expected = _naive_gauss(matrix, rhs)
+    if expected is None:
+        with pytest.raises(SingularMatrixError):
+            solve_linear_system(rows, rhs)
+        return
+    x, pivot = solve_linear_system(rows, rhs)
+    assert x == expected
+    assert pivot == _bareiss_pivot(matrix, rhs)
+    for value in x:
+        assert pivot % value.denominator == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_systems())
+def test_empty_column_is_singular(system):
+    rows, rhs, rng = system
+    c = rng.randrange(len(rows))
+    rows = [{j: a for j, a in row.items() if j != c} for row in rows]
+    with pytest.raises(SingularMatrixError):
+        solve_linear_system(rows, rhs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_systems())
+def test_repeated_row_is_singular(system):
+    rows, rhs, rng = system
+    if len(rows) < 2:
+        return
+    i, k = rng.sample(range(len(rows)), 2)
+    factor = _entry(rng)
+    rows[k] = {j: factor * a for j, a in rows[i].items()}
+    with pytest.raises(SingularMatrixError):
+        solve_linear_system(rows, rhs)

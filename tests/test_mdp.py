@@ -202,6 +202,15 @@ def test_mean_payoff_agrees_with_enumeration():
             assert eval_gain == gain
 
 
+def test_mean_payoff_bias_out_is_the_returned_policys_bias():
+    for game in random_games(20, sizes=(3, 4), seed=1618, reward_location="transitions"):
+        game = as_mdp(game)
+        for direction in ("max", "min"):
+            bias = {}
+            gain, strategy = mdp.expected_mean_payoff(game, direction, bias)
+            assert (gain, bias) == mdp._evaluate_gain_bias(game, strategy.choice)
+
+
 # -- MECs ---------------------------------------------------------------------
 
 

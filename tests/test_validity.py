@@ -9,7 +9,19 @@ that.
 import pytest
 
 from ocsg import termination
-from ocsg.model import ModelSemanticError, OcSsg, Ssg, State, Transition, check_valid, oc_to_reward_ssg, validate
+from ocsg.model import (
+    ModelSemanticError,
+    OcSsg,
+    PureMemorylessStrategy,
+    Ssg,
+    State,
+    Transition,
+    check_valid,
+    fix_strategies,
+    oc_to_reward_ssg,
+    relabel_controlled,
+    validate,
+)
 from ocsg.reduce import condon_to_limit, condon_to_termination
 
 from grids import exhaustive_games, random_games, random_reach_instances
@@ -69,3 +81,36 @@ def test_check_valid_raises_on_every_call():
         with pytest.raises(ModelSemanticError) as err:
             check_valid(game)
         assert str(err.value) == "; ".join(expected)
+
+
+def test_collapses_and_relabellings_of_valid_games_are_valid():
+    # fix_strategies and relabel_controlled pass a cached valid mark on, and
+    # the mark is true.
+    checked = 0
+    for game in exhaustive_games(3) + random_games(100, sizes=(4, 5), seed=31):
+        check_valid(game)
+        first = {owner: PureMemorylessStrategy(owner, {sid: 0 for sid in game.owner_ids(owner)}) for owner in ("max", "min")}
+        for derived in (
+            fix_strategies(game, first["max"]),
+            fix_strategies(game, min_strategy=first["min"]),
+            relabel_controlled(game, "max"),
+            relabel_controlled(game, "min"),
+        ):
+            assert derived.__dict__.get("violations") == ()  # marked without a check
+            assert validate(derived) == []
+            checked += 1
+    assert checked > 1000
+
+
+def test_relabelling_an_invalid_game_is_still_rejected():
+    game = Ssg((
+        State("a", "max", reward=0, transitions=(Transition("b"),)),
+        State("b", "rand", reward=2, transitions=(Transition("a", prob=1),)),
+    ))
+    for cached in (False, True):
+        if cached:
+            with pytest.raises(ModelSemanticError):
+                check_valid(game)
+        for derived in (relabel_controlled(game, "max"), fix_strategies(game, PureMemorylessStrategy("max", {"a": 0}))):
+            with pytest.raises(ModelSemanticError, match="state reward 2"):
+                check_valid(derived)
