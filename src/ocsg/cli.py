@@ -255,7 +255,7 @@ def run(argv=None, out=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, out)
-    except (CliError, ModelError, oracle.EnumerationTooLarge, ValueError) as exc:
+    except (CliError, ModelError, oracle.EnumerationTooLarge, ssg.NoCertificate, ValueError) as exc:
         print(f"error = {exc}", file=sys.stderr)
         return 2
 

@@ -4,11 +4,10 @@
 for the limit objectives, where pure memoryless optima exist for both
 players) and evaluates each induced chain exactly; ``enumerate_mean_payoff``
 does the same for the expected mean payoff of a one-player game.  Both use
-only ``chain``, never the solvers they check.  ``check_enumerable`` is the
-single product-size guard, shared with the two-player solver's fallbacks.
-``simulate`` and
-``estimate_objective`` are a seeded Monte Carlo sanity layer: deterministic
-given the seed, with the generator identified in the output record.
+only ``chain``, never the solvers they check, and ``check_enumerable`` is
+their one product-size guard.  ``simulate`` and ``estimate_objective`` are a
+seeded Monte Carlo sanity layer: deterministic given the seed, with the
+generator identified in the output record.
 """
 
 from __future__ import annotations
@@ -50,13 +49,13 @@ def player_profiles(game, owner: str) -> tuple[list[str], list[int]]:
     return ids, sizes
 
 
-def check_enumerable(sizes, limit: int = ENUMERATION_GUARD, what: str = "profile space") -> None:
-    """Raise EnumerationTooLarge when the product of ``sizes`` exceeds ``limit``."""
+def check_enumerable(sizes) -> None:
+    """Raise EnumerationTooLarge when the product of ``sizes`` exceeds ``ENUMERATION_GUARD``."""
     total = 1
     for n in sizes:
         total *= n
-        if total > limit:
-            raise EnumerationTooLarge(f"{what} exceeds {limit}")
+        if total > ENUMERATION_GUARD:
+            raise EnumerationTooLarge(f"profile space exceeds {ENUMERATION_GUARD}")
 
 
 def enumerate_solve(game: Ssg, objective: Objective) -> SolveResult:

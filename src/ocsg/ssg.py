@@ -2,17 +2,18 @@
 
 Values are pinned down through pure memoryless strategies for both players:
 fixing one side yields a one-player residual that the ``mdp`` module solves
-exactly, so a pair of mutually best responses certifies the game value.  The
-solver improves Min against Max's exact best response and accepts the result
-only once ``_find_max_witness`` certifies it.  Only when that certificate
-cannot be found does it enumerate Min's strategies, and only while they
-number at most ``ENUMERATION_CUTOFF``; beyond that it refuses with
-``EnumerationTooLarge``.
+exactly, and by pure memoryless determinacy a pair of mutually best
+responses is optimal and certifies the game value.  ``solve_limit_ssg``
+finds such a pair by alternating single-switch improvement of Min and Max,
+each started from a best response to the other (symmetric strategy
+improvement), and refuses with ``NoCertificate`` only if a Min strategy
+comes back before a pair is found.  Nothing here enumerates strategies;
+exhaustive enumeration lives in ``oracle`` as ground truth.
 """
 
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,9 +27,10 @@ from .model import (
     check_valid,
     fix_strategies,
 )
-from .oracle import EnumerationTooLarge, check_enumerable, player_profiles
 
-ENUMERATION_CUTOFF = 1 << 12
+
+class NoCertificate(RuntimeError):
+    """A Min strategy came back before a mutual best response was found."""
 
 
 @dataclass(frozen=True)
@@ -54,137 +56,76 @@ def best_response(game: Ssg, fixed: PureMemorylessStrategy, objective: Objective
     return mdp.quantitative_limit(residual, objective, "min")
 
 
-def _evaluate_min(game, objective, choice) -> SolveResult:
-    strat = PureMemorylessStrategy("min", choice)
-    return best_response(game, strat, objective)
-
-
 def _vector(game, values) -> tuple:
     return tuple(values[sid] for sid in game.ids())
 
 
 def solve_limit_ssg(game: Ssg, objective: Objective) -> SsgSolve:
-    """Exact values and mutually-best-response pure memoryless witnesses."""
+    """Exact values and mutually-best-response pure memoryless witnesses.
+
+    Each round runs Min's descent, then Max's ascent started from Max's best
+    response to Min's strategy, which stops once Max guarantees Min's
+    vector.  Equal vectors certify the pair: Min's vector bounds the values
+    from above and Max's guaranteed vector bounds them from below.
+    Otherwise the next round starts Min's descent from Min's best response
+    to Max's strategy.
+
+    Termination: descents, ascents and best responses are deterministic.  A
+    descent started from a Min strategy that an earlier round started from
+    or ended at ends where that round's descent ended, so the rounds would
+    repeat forever; the loop raises ``NoCertificate`` instead.  Hence every
+    round starts from a Min strategy no earlier round started from or ended
+    at, and Min has finitely many pure memoryless strategies, so the loop
+    ends.
+    """
     _limit_only(objective)
     check_valid(game)
-    min_ids, sizes = player_profiles(game, "min")
+    tau = {sid: 0 for sid in game.owner_ids("min")}
+    visited = set()
+    while True:
+        visited.add(frozenset(tau.items()))
+        tau, against_tau = _improve(game, objective, "min", tau)
+        visited.add(frozenset(tau.items()))
+        goal = _vector(game, against_tau.values)
+        sigma, against_sigma = _improve(game, objective, "max", dict(against_tau.witness_max.choice), goal)
+        if _vector(game, against_sigma.values) == goal:
+            sigma, tau = PureMemorylessStrategy("max", sigma), PureMemorylessStrategy("min", tau)
+            return SsgSolve(SolveResult.from_values(against_tau.values, sigma, tau), sigma, tau, "improvement")
+        tau = dict(against_sigma.witness_min.choice)
+        if frozenset(tau.items()) in visited:
+            raise NoCertificate("alternating improvement revisited a Min strategy without a certified pair")
 
-    solve = _solve_by_improvement(game, objective, min_ids)
-    if solve is None:
-        check_enumerable(sizes, ENUMERATION_CUTOFF, "improvement failed and Min's profile space")
-        solve = _solve_by_enumeration(game, objective, min_ids, sizes)
-    return solve
 
+def _improve(game, objective, player, choice, goal=None):
+    """Single-switch improvement of ``player``'s pure memoryless ``choice``.
 
-def _solve_by_improvement(game, objective, min_ids) -> SsgSolve | None:
-    """Pointwise-improving switches for Min against Max best responses.
-
-    Every accepted switch strictly lowers the value vector, so no profile
-    repeats.  The result counts only when a mutually-best-response pair is
-    found; otherwise the caller falls back to enumeration.
+    A strategy is scored by the values of the opponent's exact best response
+    to it.  The first switch that moves that vector in ``player``'s favour
+    at some state and against it at none is taken, and the scan starts
+    over; it ends when no switch improves or the vector equals ``goal``.
+    Returns the final choice and the best response to it.
     """
-    choice = {sid: 0 for sid in min_ids}
-    current = _evaluate_min(game, objective, choice)
-    vec = _vector(game, current.values)
-    improved = True
-    while improved:
-        improved = False
-        for sid in min_ids:
-            for k in range(len(game.state(sid).transitions)):
-                if k == choice[sid]:
-                    continue
-                candidate = dict(choice)
-                candidate[sid] = k
-                result = _evaluate_min(game, objective, candidate)
-                cvec = _vector(game, result.values)
-                if all(a <= b for a, b in zip(cvec, vec)) and cvec != vec:
-                    choice, current, vec = candidate, result, cvec
-                    improved = True
-                    break
-            if improved:
+    better = operator.ge if player == "max" else operator.le
+    result = best_response(game, PureMemorylessStrategy(player, choice), objective)
+    vec = _vector(game, result.values)
+    while vec != goal:
+        for candidate in _switches(game, player, choice):
+            reply = best_response(game, PureMemorylessStrategy(player, candidate), objective)
+            cvec = _vector(game, reply.values)
+            if cvec != vec and all(map(better, cvec, vec)):
+                choice, result, vec = candidate, reply, cvec
                 break
-
-    min_witness = PureMemorylessStrategy("min", choice)
-    max_witness = _find_max_witness(game, objective, current.values, current.witness_max)
-    if max_witness is None:
-        return None
-    return SsgSolve(
-        SolveResult.from_values(current.values, max_witness, min_witness),
-        max_witness,
-        min_witness,
-        method="improvement",
-    )
-
-
-def _find_max_witness(game, objective, values, seed) -> PureMemorylessStrategy | None:
-    """A Max strategy whose exact Min best response reproduces ``values``.
-
-    A best response to the optimal Min strategy attains the values against
-    that one opponent but need not hold them against every Min strategy, so
-    certification requires this search: pointwise improvement of Max against
-    Min best responses, then guarded enumeration.  Any Max strategy's
-    guaranteed vector is bounded by the game values, hence matching them
-    certifies optimality.
-    """
-    max_ids, sizes = player_profiles(game, "max")
-
-    def guaranteed(choice):
-        return best_response(game, PureMemorylessStrategy("max", choice), objective).values
-
-    choice = dict(seed.choice) if seed is not None else {sid: 0 for sid in max_ids}
-    current = guaranteed(choice)
-    while current != values:
-        improved = False
-        for sid in max_ids:
-            for k in range(len(game.state(sid).transitions)):
-                if k == choice[sid]:
-                    continue
-                candidate = dict(choice)
-                candidate[sid] = k
-                result = guaranteed(candidate)
-                if all(result[x] >= current[x] for x in game.ids()) and result != current:
-                    choice, current = candidate, result
-                    improved = True
-                    break
-            if improved:
-                break
-        if not improved:
+        else:
             break
-    if current == values:
-        return PureMemorylessStrategy("max", choice)
-
-    try:
-        check_enumerable(sizes)
-    except EnumerationTooLarge:
-        return None
-    for combo in itertools.product(*(range(n) for n in sizes)):
-        candidate = dict(zip(max_ids, combo))
-        if guaranteed(candidate) == values:
-            return PureMemorylessStrategy("max", candidate)
-    return None
+    return choice, result
 
 
-def _solve_by_enumeration(game, objective, min_ids, sizes) -> SsgSolve:
-    evaluations = []
-    for combo in itertools.product(*(range(n) for n in sizes)):
-        choice = dict(zip(min_ids, combo))
-        evaluations.append((choice, _evaluate_min(game, objective, choice)))
-    floor = {
-        sid: min(result.values[sid] for _, result in evaluations) for sid in game.ids()
-    }
-    for choice, result in evaluations:
-        if all(result.values[sid] == floor[sid] for sid in game.ids()):
-            min_witness = PureMemorylessStrategy("min", choice)
-            max_witness = _find_max_witness(game, objective, result.values, result.witness_max)
-            if max_witness is None:
-                raise AssertionError("no certified Max witness for the enumerated optimum")
-            return SsgSolve(
-                SolveResult.from_values(result.values, max_witness, min_witness),
-                max_witness,
-                min_witness,
-                method="enumeration",
-            )
-    raise AssertionError("no statewise optimal Min strategy found")
+def _switches(game, player, choice):
+    """Every strategy that differs from ``choice`` at one state, in game order."""
+    for sid in game.owner_ids(player):
+        for k in range(len(game.state(sid).transitions)):
+            if k != choice[sid]:
+                yield {**choice, sid: k}
 
 
 def _check_threshold(p: Fraction, relation: str) -> None:

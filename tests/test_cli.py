@@ -172,3 +172,18 @@ def test_unknown_objective_exit_code(tmp_path):
 def test_missing_file_exit_code():
     out = io.StringIO()
     assert run(["solve", "/nonexistent/model.ssg", "--objective", "mean-gt"], out) == 2
+
+
+def test_no_certificate_is_a_typed_refusal(tmp_path, monkeypatch, capsys):
+    from ocsg import ssg
+
+    def refuse(game, objective):
+        raise ssg.NoCertificate("alternating improvement revisited a Min strategy without a certified pair")
+
+    monkeypatch.setattr(ssg, "solve_limit_ssg", refuse)
+    path = _write(tmp_path, "coin.ssg", FAIR_COIN_TEXT)
+    out = io.StringIO()
+    assert run(["solve", path, "--objective", "mean-gt"], out) == 2
+    err = capsys.readouterr().err
+    assert err == "error = alternating improvement revisited a Min strategy without a certified pair\n"
+    assert out.getvalue() == ""

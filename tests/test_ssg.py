@@ -1,3 +1,4 @@
+import importlib.util
 from fractions import Fraction
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 from ocsg import chain as chain_mod
 from ocsg import oracle, ssg
 from ocsg.model import (
+    LIMINF_GT_MINUS_INF,
     LIMINF_MINUS_INF,
     LIMINF_PLUS_INF,
     LIMIT_OBJECTIVES,
@@ -18,7 +20,7 @@ from ocsg.model import (
 )
 from ocsg.reduce import condon_to_limit
 
-from grids import random_games
+from grids import exhaustive_games, random_games
 
 FAIR_COIN_CONDON = parse_model(
     "ssg rewards=states\n"
@@ -176,8 +178,9 @@ def test_solve_matches_oracle_off_grid_probabilities():
             assert solve.result.values == reference.values, objective.kind
 
 
-# Min's single-switch improvement stops at a profile whose values no Max
-# strategy guarantees, so the solver must take the enumeration fallback.
+# Min's single-switch descent stalls at a profile whose values no Max
+# strategy guarantees; the next round, started from Min's best response to
+# Max's ascended strategy, certifies the values.
 UNCERTIFIED_IMPROVEMENT = parse_model(
     "ssg rewards=transitions\n"
     "state a owner=max\nstate b owner=min\nstate c owner=min\n"
@@ -186,30 +189,114 @@ UNCERTIFIED_IMPROVEMENT = parse_model(
     "trans c -> a reward=-1\ntrans c -> b reward=0\n"
 )
 
+# Positions in grids.exhaustive_games() where Min's first descent stalls.
+STALLED_GRID_CASES = (
+    (1731, LIMINF_GT_MINUS_INF),
+    (1797, LIMINF_PLUS_INF),
+    (1797, MEAN_GT),
+    (1817, LIMINF_MINUS_INF),
+    (2398, LIMINF_MINUS_INF),
+)
+
+DATA = Path(__file__).parent / "data"
+
+
+def _dense_family():
+    """``dense`` of ``bench/families.py``, loaded without putting bench/ on sys.path."""
+    path = Path(__file__).parents[1] / "bench" / "families.py"
+    spec = importlib.util.spec_from_file_location("bench_families", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.dense
+
 
 def _assert_certified(game, solve, objective):
     assert ssg.best_response(game, solve.min_witness, objective).values == solve.result.values
     assert ssg.best_response(game, solve.max_witness, objective).values == solve.result.values
 
 
-def test_enumeration_and_improvement_agree_when_both_run():
-    solve = ssg.solve_limit_ssg(UNCERTIFIED_IMPROVEMENT, LIMINF_MINUS_INF)
-    assert solve.method == "enumeration"
-    assert solve.result.values == oracle.enumerate_solve(UNCERTIFIED_IMPROVEMENT, LIMINF_MINUS_INF).values
-    _assert_certified(UNCERTIFIED_IMPROVEMENT, solve, LIMINF_MINUS_INF)
-
-    methods = set()
-    for game in random_games(8, sizes=(3,), seed=50505):
-        for objective in LIMIT_OBJECTIVES:
-            solve = ssg.solve_limit_ssg(game, objective)
-            methods.add(solve.method)
-            assert solve.result.values == oracle.enumerate_solve(game, objective).values, objective.kind
-    assert "improvement" in methods
+def test_alternation_certifies_where_one_descent_stalls():
+    grid = exhaustive_games()
+    cases = [(UNCERTIFIED_IMPROVEMENT, LIMINF_MINUS_INF)]
+    cases += [(grid[position], objective) for position, objective in STALLED_GRID_CASES]
+    cases += [(game, objective) for game in random_games(8, sizes=(3,), seed=50505) for objective in LIMIT_OBJECTIVES]
+    for game, objective in cases:
+        solve = ssg.solve_limit_ssg(game, objective)
+        assert solve.method == "improvement"
+        assert solve.result.values == oracle.enumerate_solve(game, objective).values, objective.kind
+        _assert_certified(game, solve, objective)
 
 
 def test_dense_n24_solves_with_certificate():
     # bench/families.py dense(24, 7, None): 8 Max, 10 Min and 6 rand states.
-    game = parse_model((Path(__file__).parent / "data" / "dense-n24-f7.ssg").read_text())
+    game = parse_model((DATA / "dense-n24-f7.ssg").read_text())
     solve = ssg.solve_limit_ssg(game, LIMINF_MINUS_INF)
     assert set(solve.result.values.values()) == {1}
     _assert_certified(game, solve, LIMINF_MINUS_INF)
+
+
+def test_dense_n32_solves_to_zero_with_certificate():
+    # bench/families.py dense(32, 7, None): 10 Max, 13 Min and 9 rand states.
+    # Min's first descent stalls at value 1 everywhere.
+    game = parse_model((DATA / "dense-n32-f7.ssg").read_text())
+    solve = ssg.solve_limit_ssg(game, LIMINF_MINUS_INF)
+    assert set(solve.result.values.values()) == {0}
+    _assert_certified(game, solve, LIMINF_MINUS_INF)
+
+
+def test_dense_n7_f36_matches_oracle():
+    # bench/families.py dense(7, 36, None).  Min can loop on s0 with reward -1
+    # forever, which never reaches the value-1 set {s3, s5, s6} yet wins the
+    # limit objective for Max, so s0 is worth 1/2 while reaching that set is
+    # worth 0: two-player reachability of the value-1 set is not the value.
+    game = parse_model((DATA / "dense-n7-f36.ssg").read_text())
+    half = Fraction(1, 2)
+    expected = {"s0": half, "s1": 0, "s2": half, "s3": 1, "s4": half, "s5": 1, "s6": 1}
+    assert oracle.enumerate_solve(game, LIMINF_MINUS_INF).values == expected
+    solve = ssg.solve_limit_ssg(game, LIMINF_MINUS_INF)
+    assert solve.result.values == expected
+    _assert_certified(game, solve, LIMINF_MINUS_INF)
+
+
+def test_small_dense_family_matches_oracle():
+    dense = _dense_family()
+    for n in range(4, 9):
+        for fseed in range(1, 13):
+            game = parse_model(dense(n, fseed, None))
+            for objective in LIMIT_OBJECTIVES:
+                solve = ssg.solve_limit_ssg(game, objective)
+                reference = oracle.enumerate_solve(game, objective)
+                assert solve.result.values == reference.values, (n, fseed, objective.kind)
+
+
+def test_dense_family_certificate_sweep():
+    # Past oracle sizes: every solve must come back with a mutual best response.
+    dense = _dense_family()
+    for n in (20, 24, 32, 40):
+        for fseed in range(1, 9):
+            game = parse_model(dense(n, fseed, None))
+            for objective in LIMIT_OBJECTIVES:
+                _assert_certified(game, ssg.solve_limit_ssg(game, objective), objective)
+
+
+# Max's only good move is a -> a with reward -1; Min has one edge.
+FIRST_EDGE_LOSES = parse_model(
+    "ssg rewards=transitions\n"
+    "state a owner=max\nstate b owner=min\n"
+    "trans a -> a reward=0\ntrans a -> a reward=-1\ntrans b -> a reward=0\n"
+)
+
+
+def _first_edges(game, objective, player, choice, goal=None):
+    choice = {sid: 0 for sid in game.owner_ids(player)}
+    return choice, ssg.best_response(game, PureMemorylessStrategy(player, choice), objective)
+
+
+def test_revisited_min_strategy_raises_no_certificate(monkeypatch):
+    solve = ssg.solve_limit_ssg(FIRST_EDGE_LOSES, LIMINF_MINUS_INF)
+    assert solve.result.values == {"a": 1, "b": 1}
+    # With improvement pinned to first edges, Max never reaches Min's vector
+    # and Min's best response to Max is the strategy the loop started from.
+    monkeypatch.setattr(ssg, "_improve", _first_edges)
+    with pytest.raises(ssg.NoCertificate):
+        ssg.solve_limit_ssg(FIRST_EDGE_LOSES, LIMINF_MINUS_INF)
