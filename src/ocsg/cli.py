@@ -4,7 +4,8 @@ Reports are line-oriented ``key = value`` records (probabilities always as
 num/den in lowest terms); the ``reduce`` subcommand emits the transformed
 model in the text format so it can be piped back into ``solve`` or ``term``.
 Exit codes: 0 success, 1 decision-false under ``--exit-status``, 2 input
-error.
+error.  Arguments are checked before any solve or report line, so an input
+error leaves the report empty.
 """
 
 from __future__ import annotations
@@ -70,13 +71,16 @@ def _emit_strategy(out, label, strategy):
         _emit(out, f"witness.{label}.{sid}", strategy.choice[sid])
 
 
+def _check_state(game, state) -> None:
+    if state is not None and state not in game.by_id:
+        raise CliError(f"unknown state {state!r}")
+
+
 def _emit_solution(out, game, objective, method, result, state) -> None:
     """Objective, method, values (all states or ``state``), value-1 set, witnesses."""
     _emit(out, "objective", objective.kind)
     _emit(out, "method", method)
     for sid in [state] if state else game.ids():
-        if sid not in game.by_id:
-            raise CliError(f"unknown state {sid!r}")
         _emit(out, sid, _fmt(result.values[sid]))
     _emit(out, "value1", ",".join(sid for sid in game.ids() if sid in result.value_one_set))
     _emit_strategy(out, "max", result.witness_max)
@@ -88,12 +92,15 @@ def _cmd_solve(args, out) -> int:
     if isinstance(game, OcSsg):
         raise CliError("solve expects a reward game; translate the counter model first")
     objective = _objective(args.objective)
-    solve = ssg.solve_limit_ssg(game, objective)
-    _emit_solution(out, game, objective, solve.method, solve.result, args.state)
+    _check_state(game, args.state)
     if args.threshold is not None:
         if not args.state:
             raise CliError("--threshold requires --state")
         p = _threshold(args.threshold)
+        ssg.check_threshold(p, args.relation)
+    solve = ssg.solve_limit_ssg(game, objective)
+    _emit_solution(out, game, objective, solve.method, solve.result, args.state)
+    if args.threshold is not None:
         decision = ssg.threshold_holds(solve.result.values[args.state], p, args.relation)
         _emit(out, "decision", "true" if decision else "false")
         if args.exit_status and not decision:
@@ -105,8 +112,7 @@ def _cmd_term(args, out) -> int:
     game = _read_model(args.model)
     if not isinstance(game, OcSsg):
         raise CliError("term expects an ocssg model")
-    if args.state not in game.by_id:
-        raise CliError(f"unknown state {args.state!r}")
+    termination.check_query(game, args.state, args.j)
     _emit(out, "j", args.j)
     _emit(out, "state", args.state)
     if args.qual == "zero":
@@ -164,27 +170,26 @@ def _cmd_simulate(args, out) -> int:
         _parse_choices(args.max_choice, game, "max"),
         _parse_choices(args.min_choice, game, "min"),
     )
-    if args.state not in game.by_id:
-        raise CliError(f"unknown state {args.state!r}")
-    _emit(out, "rng", oracle.RNG_ALGORITHM)
-    _emit(out, "seed", args.seed)
-    _emit(out, "trials", args.trials)
-    _emit(out, "steps", args.steps)
+    _check_state(game, args.state)
+    report = [("rng", oracle.RNG_ALGORITHM), ("seed", args.seed), ("trials", args.trials), ("steps", args.steps)]
     if args.objective:
         objective = Objective.term(args.j) if args.objective == "term" else _objective(args.objective)
         freq = oracle.estimate_objective(
             game, strategies, objective, args.threshold_b, args.steps, args.trials, args.seed, args.state
         )
-        _emit(out, "proxy", objective.kind)
-        _emit(out, "frequency", _fmt(freq))
-        return 0
-    stats = oracle.simulate(game, strategies, args.state, args.steps, args.trials, args.seed, j=args.j)
-    if stats.termination_frequency is not None:
-        _emit(out, "terminated", _fmt(stats.termination_frequency))
-    _emit(out, "min_prefix_sum.min", min(r.min_prefix_sum for r in stats.records))
-    _emit(out, "max_prefix_sum.max", max(r.max_prefix_sum for r in stats.records))
-    mean = sum((r.final_mean for r in stats.records), Fraction(0)) / stats.trials
-    _emit(out, "mean_payoff.avg", _fmt(mean))
+        report += [("proxy", objective.kind), ("frequency", _fmt(freq))]
+    else:
+        stats = oracle.simulate(game, strategies, args.state, args.steps, args.trials, args.seed, j=args.j)
+        if stats.termination_frequency is not None:
+            report.append(("terminated", _fmt(stats.termination_frequency)))
+        mean = sum((r.final_mean for r in stats.records), Fraction(0)) / stats.trials
+        report += [
+            ("min_prefix_sum.min", min(r.min_prefix_sum for r in stats.records)),
+            ("max_prefix_sum.max", max(r.max_prefix_sum for r in stats.records)),
+            ("mean_payoff.avg", _fmt(mean)),
+        ]
+    for key, value in report:
+        _emit(out, key, value)
     return 0
 
 
@@ -193,6 +198,7 @@ def _cmd_oracle(args, out) -> int:
     if isinstance(game, OcSsg):
         raise CliError("oracle expects a reward game")
     objective = _objective(args.objective)
+    _check_state(game, args.state)
     _emit_solution(out, game, objective, "enumeration", oracle.enumerate_solve(game, objective), args.state)
     return 0
 

@@ -305,6 +305,8 @@ def simulate(game, strategies, start: str, steps: int, trials: int, seed: int,
     """
     if seed is None:
         raise ValueError("simulation requires an explicit seed")
+    if trials < 1:
+        raise ValueError("simulation requires at least one trial")
     rng = random.Random(seed)
     by_player = _resolve(strategies)
     compiled = _Compiled(game, by_player)
@@ -331,6 +333,8 @@ def estimate_objective(game, strategies, objective: Objective, threshold: int,
         raise ValueError("threshold must be positive")
     if seed is None:
         raise ValueError("estimation requires an explicit seed")
+    if trials < 1:
+        raise ValueError("estimation requires at least one trial")
     rng = random.Random(seed)
     by_player = _resolve(strategies)
     compiled = _Compiled(game, by_player)

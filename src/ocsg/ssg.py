@@ -7,8 +7,11 @@ responses is optimal and certifies the game value.  ``solve_limit_ssg``
 finds such a pair by alternating single-switch improvement of Min and Max,
 each started from a best response to the other (symmetric strategy
 improvement), and refuses with ``NoCertificate`` only if a Min strategy
-comes back before a pair is found.  Nothing here enumerates strategies;
-exhaustive enumeration lives in ``oracle`` as ground truth.
+comes back before a pair is found.  Min's descent tests the pair it holds
+before it scans single switches, so a descent from an optimal strategy
+costs two best responses, and within one solve no strategy is evaluated
+twice.  Nothing here enumerates strategies; exhaustive enumeration lives in
+``oracle`` as ground truth.
 """
 
 from __future__ import annotations
@@ -70,6 +73,15 @@ def solve_limit_ssg(game: Ssg, objective: Objective) -> SsgSolve:
     Otherwise the next round starts Min's descent from Min's best response
     to Max's strategy.
 
+    Min's descent stops early once its τ is certified: at its start and
+    after each accepted switch it takes σ, Max's best response to τ, and
+    checks whether Min's best response to σ has the same value vector.  A
+    certified τ is optimal, so no single switch can lower its vector and a
+    descent without the check would stop at the same τ; Max's ascent, which
+    starts from σ, then meets its goal at its first best response.  Within
+    one call each strategy is evaluated once: best responses are memoized
+    by player and choice for the length of the call.
+
     Termination: descents, ascents and best responses are deterministic.  A
     descent started from a Min strategy that an earlier round started from
     or ended at ends where that round's descent ended, so the rounds would
@@ -80,14 +92,27 @@ def solve_limit_ssg(game: Ssg, objective: Objective) -> SsgSolve:
     """
     _limit_only(objective)
     check_valid(game)
+    replies = {}
+
+    def respond(player, choice):
+        key = (player, frozenset(choice.items()))
+        if key not in replies:
+            replies[key] = best_response(game, PureMemorylessStrategy(player, choice), objective)
+        return replies[key]
+
+    def certified(vec, against_tau):
+        return _vector(game, respond("max", against_tau.witness_max.choice).values) == vec
+
     tau = {sid: 0 for sid in game.owner_ids("min")}
     visited = set()
     while True:
         visited.add(frozenset(tau.items()))
-        tau, against_tau = _improve(game, objective, "min", tau)
+        tau, against_tau = _improve(game, "min", tau, respond, certified)
         visited.add(frozenset(tau.items()))
         goal = _vector(game, against_tau.values)
-        sigma, against_sigma = _improve(game, objective, "max", dict(against_tau.witness_max.choice), goal)
+        sigma, against_sigma = _improve(
+            game, "max", dict(against_tau.witness_max.choice), respond, lambda vec, _: vec == goal
+        )
         if _vector(game, against_sigma.values) == goal:
             sigma, tau = PureMemorylessStrategy("max", sigma), PureMemorylessStrategy("min", tau)
             return SsgSolve(SolveResult.from_values(against_tau.values, sigma, tau), sigma, tau, "improvement")
@@ -96,21 +121,22 @@ def solve_limit_ssg(game: Ssg, objective: Objective) -> SsgSolve:
             raise NoCertificate("alternating improvement revisited a Min strategy without a certified pair")
 
 
-def _improve(game, objective, player, choice, goal=None):
+def _improve(game, player, choice, respond, done):
     """Single-switch improvement of ``player``'s pure memoryless ``choice``.
 
     A strategy is scored by the values of the opponent's exact best response
-    to it.  The first switch that moves that vector in ``player``'s favour
-    at some state and against it at none is taken, and the scan starts
-    over; it ends when no switch improves or the vector equals ``goal``.
-    Returns the final choice and the best response to it.
+    to it, ``respond(player, choice)``.  The first switch that moves that
+    vector in ``player``'s favour at some state and against it at none is
+    taken, and the scan starts over; it ends when no switch improves or
+    ``done(vector, reply)`` holds for the current choice.  Returns the final
+    choice and the best response to it.
     """
     better = operator.ge if player == "max" else operator.le
-    result = best_response(game, PureMemorylessStrategy(player, choice), objective)
+    result = respond(player, choice)
     vec = _vector(game, result.values)
-    while vec != goal:
+    while not done(vec, result):
         for candidate in _switches(game, player, choice):
-            reply = best_response(game, PureMemorylessStrategy(player, candidate), objective)
+            reply = respond(player, candidate)
             cvec = _vector(game, reply.values)
             if cvec != vec and all(map(better, cvec, vec)):
                 choice, result, vec = candidate, reply, cvec
@@ -128,7 +154,8 @@ def _switches(game, player, choice):
                 yield {**choice, sid: k}
 
 
-def _check_threshold(p: Fraction, relation: str) -> None:
+def check_threshold(p: Fraction, relation: str) -> None:
+    """Reject a relation other than > or >= and a threshold outside [0,1]."""
     if relation not in (">", ">=", "gt", "ge"):
         raise ValueError(f"relation must be > or >=, got {relation!r}")
     if not 0 <= p <= 1:
@@ -137,7 +164,7 @@ def _check_threshold(p: Fraction, relation: str) -> None:
 
 def threshold_holds(value: Fraction, p: Fraction, relation: str) -> bool:
     """Exact comparison of an already computed value against ``p``."""
-    _check_threshold(p, relation)
+    check_threshold(p, relation)
     if relation in (">", "gt"):
         return value > p
     return value >= p
@@ -145,5 +172,5 @@ def threshold_holds(value: Fraction, p: Fraction, relation: str) -> bool:
 
 def decide_threshold(game: Ssg, objective: Objective, state: str, p: Fraction, relation: str) -> bool:
     """Exact comparison of the game value at ``state`` against ``p``."""
-    _check_threshold(p, relation)
+    check_threshold(p, relation)
     return threshold_holds(solve_limit_ssg(game, objective).result.values[state], p, relation)

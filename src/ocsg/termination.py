@@ -91,13 +91,18 @@ class TermDecision:
     start_level_state: str | None = None
 
 
-def _term_pipeline(game: OcSsg, start: str, j: int):
-    """The liminf=-inf solve of the reward view and, for j < |V|, the level
-    game, its almost-sure reach and the start's level-0 state (else Nones)."""
+def check_query(game: OcSsg, start: str, j: int) -> None:
+    """Reject a termination query with j < 1 or a start state not in ``game``."""
     if j < 1:
         raise ValueError("termination requires j >= 1")
     if start not in game.by_id:
         raise ValueError(f"unknown state {start!r}")
+
+
+def _term_pipeline(game: OcSsg, start: str, j: int):
+    """The liminf=-inf solve of the reward view and, for j < |V|, the level
+    game, its almost-sure reach and the start's level-0 state (else Nones)."""
+    check_query(game, start, j)
     rewards = oc_to_reward_ssg(game)
     solve = ssg.solve_limit_ssg(rewards, LIMINF_MINUS_INF)
     if j >= len(game.states):
@@ -126,8 +131,7 @@ def decide_term_zero(game: OcSsg, start: str, j: int) -> bool:
     must keep all prefix delta sums >= 1-j, i.e. win the nonnegative-energy
     game with initial credit j-1.
     """
-    if j < 1:
-        raise ValueError("termination requires j >= 1")
+    check_query(game, start, j)
     credit = mdp.energy_min_credit(game, keeper="min")
     return credit[start] <= j - 1
 

@@ -1,7 +1,7 @@
 import io
 
 from ocsg.cli import run
-from ocsg.model import parse_model, print_model
+from ocsg.model import LIMIT_KINDS, parse_model, print_model
 from ocsg.reduce import condon_to_limit
 
 from conftest import FIVE_STATE_TEXT
@@ -187,3 +187,41 @@ def test_no_certificate_is_a_typed_refusal(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err == "error = alternating improvement revisited a Min strategy without a certified pair\n"
     assert out.getvalue() == ""
+
+
+def _forbid_solving(monkeypatch):
+    """Make every solver the CLI can call fail the test if it runs."""
+    from ocsg import oracle, ssg, termination
+
+    def refuse(*args):
+        raise AssertionError("a solver ran")
+
+    for module, name in ((ssg, "solve_limit_ssg"), (oracle, "enumerate_solve"),
+                         (termination, "decide_term_one"), (termination, "decide_term_zero")):
+        monkeypatch.setattr(module, name, refuse)
+
+
+def test_bad_arguments_fail_before_solving_or_reporting(tmp_path, monkeypatch, capsys):
+    _forbid_solving(monkeypatch)
+    coin = _write(tmp_path, "coin.ssg", FAIR_COIN_TEXT)
+    appendix = _write(tmp_path, "appendix.ocssg", FIVE_STATE_TEXT)
+    simulate = ["simulate", appendix, "--state", "v", "--steps", "10", "--trials", "5", "--seed", "1"]
+    cases = [
+        (["solve", coin, "--objective", "mean-gt", "--state", "nowhere"], "unknown state 'nowhere'"),
+        (["oracle", coin, "--objective", "mean-gt", "--state", "nowhere"], "unknown state 'nowhere'"),
+        (["solve", coin, "--objective", "mean-gt", "--threshold", "1/2"], "--threshold requires --state"),
+        (["solve", coin, "--objective", "mean-gt", "--state", "s", "--threshold", "3/2"],
+         "threshold must lie in [0,1]"),
+        (["term", appendix, "--j", "0", "--state", "v"], "termination requires j >= 1"),
+        (["term", appendix, "--j", "0", "--state", "v", "--qual", "zero"], "termination requires j >= 1"),
+        (["term", appendix, "--j", "1", "--state", "nowhere"], "unknown state 'nowhere'"),
+        (simulate + ["--objective", "par"], "unknown objective 'par', expected one of " + ", ".join(LIMIT_KINDS)),
+        (simulate + ["--objective", "term"], "term objective requires j >= 1"),
+        (simulate + ["--trials", "0"], "simulation requires at least one trial"),
+        (simulate + ["--trials", "0", "--objective", "mean-gt"], "estimation requires at least one trial"),
+    ]
+    for argv, message in cases:
+        out = io.StringIO()
+        assert run(argv, out) == 2, argv
+        assert out.getvalue() == "", argv
+        assert capsys.readouterr().err == f"error = {message}\n", argv

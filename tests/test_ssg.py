@@ -1,4 +1,5 @@
 import importlib.util
+import operator
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from ocsg.model import (
     LIMIT_OBJECTIVES,
     MEAN_GT,
     PureMemorylessStrategy,
+    SolveResult,
     Ssg,
     State,
     Transition,
@@ -287,9 +289,9 @@ FIRST_EDGE_LOSES = parse_model(
 )
 
 
-def _first_edges(game, objective, player, choice, goal=None):
+def _first_edges(game, player, choice, respond, done):
     choice = {sid: 0 for sid in game.owner_ids(player)}
-    return choice, ssg.best_response(game, PureMemorylessStrategy(player, choice), objective)
+    return choice, respond(player, choice)
 
 
 def test_revisited_min_strategy_raises_no_certificate(monkeypatch):
@@ -300,3 +302,137 @@ def test_revisited_min_strategy_raises_no_certificate(monkeypatch):
     monkeypatch.setattr(ssg, "_improve", _first_edges)
     with pytest.raises(ssg.NoCertificate):
         ssg.solve_limit_ssg(FIRST_EDGE_LOSES, LIMINF_MINUS_INF)
+
+
+# -- the loop against its reference form ---------------------------------------
+
+
+def _reference_vector(game, values):
+    return tuple(values[sid] for sid in game.ids())
+
+
+def _reference_switches(game, player, choice):
+    for sid in game.owner_ids(player):
+        for k in range(len(game.state(sid).transitions)):
+            if k != choice[sid]:
+                yield {**choice, sid: k}
+
+
+def _reference_improve(game, objective, player, choice, goal=None):
+    better = operator.ge if player == "max" else operator.le
+    result = ssg.best_response(game, PureMemorylessStrategy(player, choice), objective)
+    vec = _reference_vector(game, result.values)
+    while vec != goal:
+        for candidate in _reference_switches(game, player, choice):
+            reply = ssg.best_response(game, PureMemorylessStrategy(player, candidate), objective)
+            cvec = _reference_vector(game, reply.values)
+            if cvec != vec and all(map(better, cvec, vec)):
+                choice, result, vec = candidate, reply, cvec
+                break
+        else:
+            break
+    return choice, result
+
+
+def reference_solve(game, objective):
+    """``solve_limit_ssg`` without the early certificate and the per-solve memo.
+
+    Min's descent scans every single switch until none improves, and every
+    strategy is evaluated afresh each time the scan reaches it.
+    """
+    tau = {sid: 0 for sid in game.owner_ids("min")}
+    visited = set()
+    while True:
+        visited.add(frozenset(tau.items()))
+        tau, against_tau = _reference_improve(game, objective, "min", tau)
+        visited.add(frozenset(tau.items()))
+        goal = _reference_vector(game, against_tau.values)
+        sigma, against_sigma = _reference_improve(game, objective, "max", dict(against_tau.witness_max.choice), goal)
+        if _reference_vector(game, against_sigma.values) == goal:
+            sigma, tau = PureMemorylessStrategy("max", sigma), PureMemorylessStrategy("min", tau)
+            return ssg.SsgSolve(SolveResult.from_values(against_tau.values, sigma, tau), sigma, tau, "improvement")
+        tau = dict(against_sigma.witness_min.choice)
+        if frozenset(tau.items()) in visited:
+            raise ssg.NoCertificate("alternating improvement revisited a Min strategy without a certified pair")
+
+
+def _dense_sweep():
+    dense = _dense_family()
+    for n in (8, 12, 16, 24):
+        for fseed in range(1, 5):
+            game = parse_model(dense(n, fseed, None))
+            for objective in LIMIT_OBJECTIVES:
+                yield game, objective
+
+
+def _reference_cases():
+    grid = exhaustive_games()
+    yield from ((UNCERTIFIED_IMPROVEMENT, objective) for objective in LIMIT_OBJECTIVES)
+    yield from ((grid[position], objective) for position, objective in STALLED_GRID_CASES)
+    for game in random_games(8, sizes=(3,), seed=50505):
+        yield from ((game, objective) for objective in LIMIT_OBJECTIVES)
+    for name in ("dense-n7-f36.ssg", "dense-n24-f7.ssg", "dense-n32-f7.ssg"):
+        game = parse_model((DATA / name).read_text())
+        yield from ((game, objective) for objective in LIMIT_OBJECTIVES)
+    yield from _dense_sweep()
+
+
+def test_solve_matches_reference_loop():
+    for game, objective in _reference_cases():
+        solve = ssg.solve_limit_ssg(game, objective)
+        reference = reference_solve(game, objective)
+        assert solve.result.values == reference.result.values, objective.kind
+        assert solve.max_witness == reference.max_witness, objective.kind
+        assert solve.min_witness == reference.min_witness, objective.kind
+        assert solve.method == reference.method
+
+
+def _count_best_responses(monkeypatch):
+    """Wrap ``ssg.best_response``; returns the list of (player, choice) keys it saw."""
+    seen = []
+    respond = ssg.best_response
+
+    def counting(game, fixed, objective):
+        seen.append((fixed.player, frozenset(fixed.choice.items())))
+        return respond(game, fixed, objective)
+
+    monkeypatch.setattr(ssg, "best_response", counting)
+    return seen
+
+
+# Min's first edges (self-loops with reward +1) are optimal: value 0 everywhere.
+ZERO_TAU_OPTIMAL = parse_model(
+    "ssg rewards=transitions\n"
+    "state a owner=min\nstate b owner=min\nstate c owner=min\n"
+    "trans a -> a reward=1\ntrans a -> b reward=-1\n"
+    "trans b -> b reward=1\ntrans b -> c reward=-1\n"
+    "trans c -> c reward=1\ntrans c -> a reward=-1\n"
+)
+
+
+def test_certified_first_pair_costs_two_best_responses(monkeypatch):
+    # Scanning Min's three switches before testing the pair would cost five.
+    seen = _count_best_responses(monkeypatch)
+    solve = ssg.solve_limit_ssg(ZERO_TAU_OPTIMAL, LIMINF_MINUS_INF)
+    assert solve.result.values == {"a": 0, "b": 0, "c": 0}
+    assert solve.min_witness.choice == {"a": 0, "b": 0, "c": 0}
+    assert len(seen) == 2
+
+
+def test_no_strategy_is_evaluated_twice_in_one_solve(monkeypatch):
+    seen = _count_best_responses(monkeypatch)
+    for game, objective in _dense_sweep():
+        seen.clear()
+        ssg.solve_limit_ssg(game, objective)
+        assert len(seen) == len(set(seen)), objective.kind
+
+
+def test_memo_does_not_outlive_a_solve(monkeypatch):
+    seen = _count_best_responses(monkeypatch)
+    first = ssg.solve_limit_ssg(UNCERTIFIED_IMPROVEMENT, LIMINF_MINUS_INF)
+    calls = len(seen)
+    second = ssg.solve_limit_ssg(UNCERTIFIED_IMPROVEMENT, LIMINF_MINUS_INF)
+    assert calls > 0
+    assert len(seen) == 2 * calls
+    assert seen[calls:] == seen[:calls]
+    assert second == first

@@ -101,6 +101,12 @@ def test_term_zero_fair_walk(fair_walk):
     assert termination.decide_term_zero(fair_walk, "s", 1) is False
 
 
+def test_term_zero_rejects_unknown_start(fair_walk):
+    for j in (1, 2):
+        with pytest.raises(ValueError, match="unknown state 'nowhere'"):
+            termination.decide_term_zero(fair_walk, "nowhere", j)
+
+
 def test_term_zero_min_picks_up_loop():
     game = parse_model(
         "ocssg\nstate m owner=min\nstate d owner=min\nstate u owner=min\n"
