@@ -2,10 +2,10 @@
 the zero-drift degeneracy test, tail-objective classification, and hitting
 probabilities.
 
-A chain here is an ``Ssg`` whose states are all rand.  Rewards may sit on
-states or on transitions; accumulated reward of a step u -> v is r(v) in the
-first case and the edge reward in the second, so cycle sums agree with the
-run prefix sums either way.
+A chain here is a game whose states are all rand.  The weight of a step
+u -> v is ``model.step_reward``: the edge reward, the counter delta, or the
+reward r(v) of the state it arrives at, so cycle sums agree with the run
+prefix sums in every flavour.
 """
 
 from __future__ import annotations
@@ -180,10 +180,7 @@ def analyze_bscc(chain: Ssg, members: frozenset[str]) -> BsccAnalysis:
     mean = Fraction(0)
     for sid in order:
         s = chain.state(sid)
-        if chain.reward_location == "states":
-            mean += stationary[sid] * s.reward
-        else:
-            mean += stationary[sid] * sum((t.prob * t.reward for t in s.transitions), Fraction(0))
+        mean += stationary[sid] * sum((t.prob * step_reward(chain, s, t) for t in s.transitions), Fraction(0))
 
     h = potential(chain, members)
 

@@ -33,9 +33,8 @@ from .model import (
     Transition,
     check_valid,
     fix_strategies,
-    oc_to_reward_ssg,
     relabel_controlled,
-    state_to_transition_rewards,
+    step_reward,
 )
 
 INFINITE_CREDIT = math.inf
@@ -180,12 +179,9 @@ def almost_sure_reach(game, targets) -> AsrResult:
 # Expected mean payoff (gain/bias policy iteration)
 
 
-def _per_visit_reward(game, state: State, index: int | None) -> Fraction:
-    if game.reward_location == ON_STATES:
-        return Fraction(state.reward)
-    if index is not None:
-        return Fraction(state.transitions[index].reward)
-    return sum((t.prob * t.reward for t in state.transitions), Fraction(0))
+def _per_visit_reward(game, state: State) -> Fraction:
+    """Expected weight of the step that leaves rand ``state``."""
+    return sum((t.prob * step_reward(game, state, t) for t in state.transitions), Fraction(0))
 
 
 def _evaluate_gain_bias(game, policy):
@@ -207,7 +203,7 @@ def _evaluate_gain_bias(game, policy):
                 j = pos[t.target]
                 row[j] = row.get(j, 0) - t.prob
             rows.append(row)
-            rhs.append(_per_visit_reward(induced, state, None) - analysis.mean_payoff)
+            rhs.append(_per_visit_reward(induced, state) - analysis.mean_payoff)
         solution, _ = solve_linear_system(rows, rhs)
         for sid in order:
             gain[sid] = analysis.mean_payoff
@@ -233,7 +229,7 @@ def _evaluate_gain_bias(game, policy):
         rhs_h = [Fraction(0)] * n
         for i, sid in enumerate(order):
             state = induced.state(sid)
-            rhs_h[i] = _per_visit_reward(induced, state, None) - gain[sid]
+            rhs_h[i] = _per_visit_reward(induced, state) - gain[sid]
             for t in state.transitions:
                 if t.target not in pos:
                     rhs_h[i] += t.prob * bias[t.target]
@@ -276,13 +272,14 @@ def expected_mean_payoff(game, direction: str = "max", bias_out: dict | None = N
             continue
         for sid in controlled:
             state = game.state(sid)
-            tied = [k for k, t in enumerate(state.transitions) if gain[t.target] == gain[sid]]
             qs_bias = {
-                k: _per_visit_reward(game, state, k) + bias[state.transitions[k].target] for k in tied
+                k: step_reward(game, state, t) + bias[t.target]
+                for k, t in enumerate(state.transitions)
+                if gain[t.target] == gain[sid]
             }
             best = _extreme(direction, qs_bias.values())
             if _better(direction, best, gain[sid] + bias[sid]):
-                policy[sid] = next(k for k in tied if qs_bias[k] == best)
+                policy[sid] = next(k for k, q in qs_bias.items() if q == best)
                 switched = True
         if not switched:
             if bias_out is not None:
@@ -440,19 +437,10 @@ def _remove_states(game, cut, index_map, z_id):
 # Energy games: minimal credit for keeping prefix sums nonnegative
 
 
-def _transition_weight_view(game):
-    """Normalise to per-edge integer weights for the energy analysis."""
-    if isinstance(game, OcSsg):
-        return oc_to_reward_ssg(game)
-    if game.reward_location == ON_STATES:
-        return state_to_transition_rewards(game)
-    return game
-
-
 def energy_min_credit(game, keeper: str = "max") -> dict[str, int | float]:
     """Minimal initial credit per state in the nonnegative-energy game.
 
-    ``keeper`` must keep every prefix sum of edge weights >= 0; the other
+    ``keeper`` must keep every prefix sum of step weights >= 0; the other
     player and all rand states are adversarial.  Standard lifting fixpoint
     (Brim, Chaloupka, Doyen, Gentilini, Raskin 2011) run as a worklist: a
     state is lifted again only after the credit of a successor rose, and
@@ -462,44 +450,38 @@ def energy_min_credit(game, keeper: str = "max") -> dict[str, int | float]:
     if keeper not in ("max", "min"):
         raise ValueError("keeper must be max or min")
     check_valid(game)
-    view = _transition_weight_view(game)
-    cutoff = len(view.states)
-    credit: dict[str, int | float] = {sid: 0 for sid in view.ids()}
-    queue = list(view.ids())
+    credit: dict[str, int | float] = {sid: 0 for sid in game.ids()}
+    queue = list(game.ids())
     queued = set(queue)
     while queue:
         sid = queue.pop()
         queued.discard(sid)
-        s = view.state(sid)
-        demands = [_demand(credit, t, cutoff) for t in s.transitions]
+        s = game.state(sid)
+        demands = _demands(game, credit, s)
         candidate = min(demands) if s.owner == keeper else max(demands)
         if candidate > credit[sid]:
             credit[sid] = candidate
-            for pred, _ in view.predecessors[sid]:
+            for pred, _ in game.predecessors[sid]:
                 if pred not in queued:
                     queued.add(pred)
                     queue.append(pred)
     return credit
 
 
-def _demand(credit, transition, cutoff: int) -> int | float:
-    """Credit needed to take ``transition``; a demand above ``cutoff`` is infinite."""
-    target = credit[transition.target]
-    if target == INFINITE_CREDIT:
-        return INFINITE_CREDIT
-    need = max(0, target - transition.reward)
-    return INFINITE_CREDIT if need > cutoff else need
+def _demands(game, credit, state) -> list[int | float]:
+    """Credit needed at ``state`` to take each edge; a demand above |V| is infinite."""
+    cutoff = len(game.states)
+    needs = (max(0, credit[t.target] - step_reward(game, state, t)) for t in state.transitions)
+    return [INFINITE_CREDIT if need > cutoff else need for need in needs]
 
 
 def energy_keeper_choice(game, credit, keeper: str = "max") -> dict[str, int]:
     """Keeper's credit-preserving edge at every finite-credit keeper state."""
-    view = _transition_weight_view(game)
-    cutoff = len(view.states)
     choice = {}
-    for s in view.states:
+    for s in game.states:
         if s.owner != keeper or credit[s.id] == INFINITE_CREDIT:
             continue
-        demands = [_demand(credit, t, cutoff) for t in s.transitions]
+        demands = _demands(game, credit, s)
         choice[s.id] = demands.index(min(demands))
     return choice
 
@@ -545,7 +527,8 @@ def _divergence_core(game, mec: Mec):
         return None
 
     def slack(s, k):
-        return _per_visit_reward(sub, s, k) + bias[s.transitions[k].target] - bias[s.id]
+        t = s.transitions[k]
+        return step_reward(sub, s, t) + bias[t.target] - bias[s.id]
 
     allowed = {}
     noisy = set()
@@ -618,12 +601,6 @@ def _value_one_region(game, objective: Objective):
     choice = dict(asr.max_choice)
     choice.update({sid: k for sid, k in cores.items() if sid in winning})
     return winning, choice
-
-
-def qualitative_limit(game, objective: Objective, direction: str = "max"):
-    """Value-1 set (for the given direction) and a total witness strategy."""
-    result = quantitative_limit(game, objective, direction)
-    return result.value_one_set, result.witness_max or result.witness_min
 
 
 def quantitative_limit(game, objective: Objective, direction: str = "max") -> SolveResult:

@@ -191,14 +191,13 @@ COMPLEMENT_KIND = {
     "mean-leq": "mean-gt",
 }
 
-_ALL_KINDS = LIMIT_KINDS + ("term", "reach", "all-geq-zero")
+_ALL_KINDS = LIMIT_KINDS + ("term",)
 
 
 @dataclass(frozen=True)
 class Objective:
     kind: str
     j: int | None = None
-    targets: frozenset[str] | None = None
 
     def __post_init__(self):
         if self.kind not in _ALL_KINDS:
@@ -206,15 +205,8 @@ class Objective:
         if self.kind == "term":
             if self.j is None or self.j < 1:
                 raise ValueError("term objective requires j >= 1")
-        elif self.kind == "reach":
-            if not self.targets:
-                raise ValueError("reach objective requires a nonempty target set")
-        elif self.j is not None or self.targets is not None:
+        elif self.j is not None:
             raise ValueError(f"{self.kind} objective takes no parameters")
-
-    @property
-    def is_limit(self) -> bool:
-        return self.kind in LIMIT_KINDS
 
     def complement(self) -> "Objective":
         return Objective(COMPLEMENT_KIND[self.kind])
@@ -223,10 +215,6 @@ class Objective:
     def term(j: int) -> "Objective":
         return Objective("term", j=j)
 
-    @staticmethod
-    def reach(targets) -> "Objective":
-        return Objective("reach", targets=frozenset(targets))
-
 
 LIMINF_MINUS_INF = Objective("liminf-minus-inf")
 LIMINF_PLUS_INF = Objective("liminf-plus-inf")
@@ -234,7 +222,6 @@ LIMINF_GT_MINUS_INF = Objective("liminf-gt-minus-inf")
 LIMINF_LT_PLUS_INF = Objective("liminf-lt-plus-inf")
 MEAN_GT = Objective("mean-gt")
 MEAN_LEQ = Objective("mean-leq")
-ALL_GEQ_ZERO = Objective("all-geq-zero")
 
 LIMIT_OBJECTIVES = (
     LIMINF_MINUS_INF,
@@ -575,28 +562,6 @@ def transition_to_state_rewards(game: Ssg) -> Ssg:
     return Ssg(tuple(new_states) + tuple(aux_states), reward_location=ON_STATES)
 
 
-def state_to_transition_rewards(game: Ssg) -> Ssg:
-    """Move state rewards onto incoming transitions (arrival increments).
-
-    The accumulated sums of a run differ from the state-reward sums only by
-    the constant initial-state reward, which no limit objective observes.
-    """
-    if game.reward_location != ON_STATES:
-        raise ValueError("expects rewards on states")
-    states = tuple(
-        State(
-            s.id,
-            s.owner,
-            reward=None,
-            transitions=tuple(
-                Transition(t.target, prob=t.prob, reward=game.state(t.target).reward) for t in s.transitions
-            ),
-        )
-        for s in game.states
-    )
-    return Ssg(states, reward_location=ON_TRANSITIONS)
-
-
 def fix_strategies(
     game: Ssg | OcSsg,
     max_strategy: PureMemorylessStrategy | None = None,
@@ -634,9 +599,18 @@ def relabel_controlled(game, owner: str):
     return _keep_valid_mark(game, relabeled) if owner in ("max", "min") else relabeled
 
 
-def step_reward(game: Ssg, source: State, transition: Transition) -> int:
-    """Reward collected when the step ``source -> transition.target`` is taken."""
+def step_reward(game: Ssg | OcSsg, source: State, transition: Transition) -> int:
+    """Weight of the step ``source -> transition.target``; the one place that
+    says where a step's weight lives.
+
+    In a counter game it is the counter delta, in a transition-reward game
+    the edge reward, and in a state-reward game the reward of the state the
+    step arrives at.  Prefix sums of a run therefore differ from the
+    state-reward sums only by the initial state's reward, which no limit
+    objective observes.
+    """
+    if isinstance(game, OcSsg):
+        return transition.delta
     if game.reward_location == ON_TRANSITIONS:
         return transition.reward
     return game.state(transition.target).reward
-

@@ -21,16 +21,15 @@ from math import lcm
 from . import chain as chain_mod
 from .model import (
     LIMIT_KINDS,
-    ON_STATES,
     FiniteMemoryStrategy,
     Objective,
-    OcSsg,
     PureMemorylessStrategy,
     SolveResult,
     Ssg,
     check_valid,
     fix_strategies,
     relabel_controlled,
+    step_reward,
 )
 
 RNG_ALGORITHM = "mt19937-randrange"
@@ -182,10 +181,18 @@ def _resolve(strategies):
 
 
 class _Compiled:
-    """Index-based trajectory engine; edge sampling is integer-exact."""
+    """Index-based trajectory engine; edge sampling is integer-exact.
+
+    Every pure memoryless strategy is checked against ``game`` first, so a
+    strategy with a missing state or an edge index out of range is rejected
+    before any trial.
+    """
 
     def __init__(self, game, by_player):
         check_valid(game)
+        for strat in by_player.values():
+            if isinstance(strat, PureMemorylessStrategy):
+                strat.validate_for(game)
         ids = game.ids()
         self.index = {sid: i for i, sid in enumerate(ids)}
         self.ids = ids
@@ -193,20 +200,11 @@ class _Compiled:
         self.tables: list[tuple[int, list[int]] | None] = []
         self.fixed: list[int | None] = []
         self.finite: list[FiniteMemoryStrategy | None] = []
-        on_states = isinstance(game, Ssg) and game.reward_location == ON_STATES
-        self.initial_reward = [s.reward if on_states else 0 for s in game.states]
+        # The start state's own reward opens the running sum (None unless rewards sit on states).
+        self.initial_reward = [s.reward or 0 for s in game.states]
         self.tracks_memory = any(isinstance(s, FiniteMemoryStrategy) for s in by_player.values())
         for s in game.states:
-            row = []
-            for t in s.transitions:
-                if isinstance(game, OcSsg):
-                    inc = t.delta
-                elif on_states:
-                    inc = game.state(t.target).reward
-                else:
-                    inc = t.reward
-                row.append((self.index[t.target], inc))
-            self.edges.append(row)
+            self.edges.append([(self.index[t.target], step_reward(game, s, t)) for t in s.transitions])
             if s.owner == "rand":
                 denom = lcm(*(t.prob.denominator for t in s.transitions))
                 acc = 0
@@ -290,7 +288,7 @@ def _run_trial(compiled, rng, by_player, start_index, steps, j, stop_at_hit, plu
                 break
     if plus_threshold is not None:
         stays_above = exceeded and total > plus_threshold
-    final_mean = Fraction(total, taken) if taken else Fraction(0)
+    final_mean = Fraction(total, taken)
     return TrialRecord(lo, hi, final_mean, hit_time, taken), stays_above
 
 
@@ -307,6 +305,8 @@ def simulate(game, strategies, start: str, steps: int, trials: int, seed: int,
         raise ValueError("simulation requires an explicit seed")
     if trials < 1:
         raise ValueError("simulation requires at least one trial")
+    if steps < 1:
+        raise ValueError("simulation requires at least one step")
     rng = random.Random(seed)
     by_player = _resolve(strategies)
     compiled = _Compiled(game, by_player)
@@ -335,6 +335,8 @@ def estimate_objective(game, strategies, objective: Objective, threshold: int,
         raise ValueError("estimation requires an explicit seed")
     if trials < 1:
         raise ValueError("estimation requires at least one trial")
+    if steps < 1:
+        raise ValueError("estimation requires at least one step")
     rng = random.Random(seed)
     by_player = _resolve(strategies)
     compiled = _Compiled(game, by_player)

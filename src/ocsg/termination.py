@@ -1,8 +1,10 @@
 """Qualitative termination for one-counter games.
 
-The counter is never materialised: large initial values reduce to the
-liminf=-inf question on the reward view, small ones to almost-sure
-reachability on a bounded accumulated-reward unfolding (the level game).
+The counter is never materialised: every solver here runs on the counter
+game as parsed and reads the counter change of a step through
+``model.step_reward``.  Large initial values reduce to the liminf=-inf
+question, small ones to almost-sure reachability on a bounded unfolding of
+the counter (the level game).
 Witness synthesis collapses the level-game strategies back onto the control
 states: Max gets a memoryless counter-oblivious strategy, Min a strategy
 whose memory is the saturated level index (at most |V| memory states).
@@ -23,7 +25,7 @@ from .model import (
     State,
     Transition,
     check_valid,
-    oc_to_reward_ssg,
+    step_reward,
 )
 
 
@@ -40,15 +42,16 @@ class LevelGame:
     to_base: dict[str, tuple[str, int]]
 
 
-def build_level_game(base: Ssg, j: int, liminf_value_one, hi: int | None = None) -> LevelGame:
-    """Unfold accumulated rewards into levels -j..hi with absorbing boundaries.
+def build_level_game(base: Ssg | OcSsg, j: int, liminf_value_one, hi: int | None = None) -> LevelGame:
+    """Unfold the running sum of step weights into levels -j..hi with
+    absorbing boundaries.
 
-    ``liminf_value_one`` is the value-1 set of liminf=-inf on ``base``; the
-    target set collects the bottom boundary and every level copy of those
-    states.  The default window tops out at |V|-j.
+    ``base`` is a counter game or a reward game; each step moves the level
+    by its ``step_reward``, which the level game carries as its transition
+    reward.  ``liminf_value_one`` is the value-1 set of liminf=-inf on
+    ``base``; the target set collects the bottom boundary and every level
+    copy of those states.  The default window tops out at |V|-j.
     """
-    if base.reward_location != "transitions":
-        raise ValueError("level game expects rewards on transitions")
     n = len(base.states)
     if hi is None:
         if not 0 < j < n:
@@ -62,6 +65,7 @@ def build_level_game(base: Ssg, j: int, liminf_value_one, hi: int | None = None)
     to_base = {}
     targets = set()
     for s in base.states:
+        steps = [(t, step_reward(base, s, t)) for t in s.transitions]
         for level in range(-j, hi + 1):
             lid = _level_id(s.id, level)
             to_base[lid] = (s.id, level)
@@ -72,8 +76,7 @@ def build_level_game(base: Ssg, j: int, liminf_value_one, hi: int | None = None)
                 transitions = (Transition(lid, prob=prob, reward=0),)
             else:
                 transitions = tuple(
-                    Transition(_level_id(t.target, level + t.reward), prob=t.prob, reward=t.reward)
-                    for t in s.transitions
+                    Transition(_level_id(t.target, level + w), prob=t.prob, reward=w) for t, w in steps
                 )
             states.append(State(lid, s.owner, transitions=transitions))
     game = Ssg(tuple(states), reward_location="transitions")
@@ -100,14 +103,13 @@ def check_query(game: OcSsg, start: str, j: int) -> None:
 
 
 def _term_pipeline(game: OcSsg, start: str, j: int):
-    """The liminf=-inf solve of the reward view and, for j < |V|, the level
-    game, its almost-sure reach and the start's level-0 state (else Nones)."""
+    """The liminf=-inf solve and, for j < |V|, the level game, its almost-sure
+    reach and the start's level-0 state (else Nones)."""
     check_query(game, start, j)
-    rewards = oc_to_reward_ssg(game)
-    solve = ssg.solve_limit_ssg(rewards, LIMINF_MINUS_INF)
+    solve = ssg.solve_limit_ssg(game, LIMINF_MINUS_INF)
     if j >= len(game.states):
         return solve, None, None, None
-    level = build_level_game(rewards, j, solve.result.value_one_set)
+    level = build_level_game(game, j, solve.result.value_one_set)
     return solve, level, mdp.almost_sure_reach(level.game, level.targets), _level_id(start, 0)
 
 
@@ -233,7 +235,7 @@ def _level_min_strategy(game, level, asr, pi_liminf) -> FiniteMemoryStrategy:
             for m in memory_states:
                 if m == hi:
                     continue
-                nxt = min(max(m + t.delta, lo), hi)
+                nxt = min(max(m + step_reward(game, s, t), lo), hi)
                 if nxt != m:
                     update[(m, s.id, k)] = nxt
     return FiniteMemoryStrategy("min", memory_states, 0, update, choice)

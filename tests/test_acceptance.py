@@ -86,7 +86,7 @@ def test_criterion_3_procedure_mp_cross_validation(grid_games):
     with criterion(3, "procedure MP agrees with the MEC route on all grid MDPs"):
         for index, game in enumerate(grid_games):
             game = as_mdp(game)
-            region, _ = mdp.qualitative_limit(game, MEAN_GT, "max")
+            region = mdp.quantitative_limit(game, MEAN_GT, "max").value_one_set
             for sid in game.ids():
                 answer = mdp.procedure_mp(game, sid) is not None
                 assert answer == (sid in region), (index, sid)

@@ -219,6 +219,10 @@ def test_bad_arguments_fail_before_solving_or_reporting(tmp_path, monkeypatch, c
         (simulate + ["--objective", "term"], "term objective requires j >= 1"),
         (simulate + ["--trials", "0"], "simulation requires at least one trial"),
         (simulate + ["--trials", "0", "--objective", "mean-gt"], "estimation requires at least one trial"),
+        (simulate + ["--steps", "0"], "simulation requires at least one step"),
+        (simulate + ["--steps", "-5", "--objective", "mean-gt"], "estimation requires at least one step"),
+        (simulate + ["--min-choice", "v=7"], "invalid transition index 7 at v"),
+        (simulate + ["--min-choice", "v=-1", "--objective", "mean-gt"], "invalid transition index -1 at v"),
     ]
     for argv, message in cases:
         out = io.StringIO()

@@ -192,7 +192,9 @@ def test_mean_payoff_zero_under_both_choices():
 
 
 def test_mean_payoff_agrees_with_enumeration():
-    for game in random_games(20, sizes=(3, 4), seed=1618, reward_location="transitions"):
+    games = random_games(20, sizes=(3, 4), seed=1618, reward_location="transitions")
+    games += random_games(20, sizes=(3, 4), seed=1618, reward_location="states")
+    for game in games:
         game = as_mdp(game)
         for direction in ("max", "min"):
             gain, strategy = mdp.expected_mean_payoff(game, direction)
@@ -307,7 +309,7 @@ def test_procedure_mp_survives_early_cut_of_one_drift():
 def test_procedure_mp_matches_mean_gt_region():
     for game in random_games(30, sizes=(3, 4), seed=3141, reward_location="transitions"):
         game = as_mdp(game)
-        region, _ = mdp.qualitative_limit(game, MEAN_GT, "max")
+        region = mdp.quantitative_limit(game, MEAN_GT, "max").value_one_set
         for sid in game.ids():
             assert (mdp.procedure_mp(game, sid) is not None) == (sid in region), sid
 
@@ -377,7 +379,7 @@ def test_energy_finite_credits_bounded():
 
 def test_qualitative_negative_loop():
     game = parse_model("ssg rewards=transitions\nstate s owner=rand\ntrans s -> s p=1/1 reward=-1\n")
-    region, _ = mdp.qualitative_limit(game, LIMINF_MINUS_INF, "max")
+    region = mdp.quantitative_limit(game, LIMINF_MINUS_INF, "max").value_one_set
     assert region == frozenset({"s"})
 
 
@@ -386,8 +388,9 @@ def test_qualitative_two_cycle_bounded_below():
         "ssg rewards=transitions\nstate a owner=max\nstate b owner=max\n"
         "trans a -> b reward=1\ntrans b -> a reward=-1\n"
     )
-    region, witness = mdp.qualitative_limit(game, LIMINF_GT_MINUS_INF, "max")
-    assert region == frozenset({"a", "b"})
+    result = mdp.quantitative_limit(game, LIMINF_GT_MINUS_INF, "max")
+    assert result.value_one_set == frozenset({"a", "b"})
+    assert result.witness_max.choice == {"a": 0, "b": 0}
     credit = mdp.energy_min_credit(game, "max")
     assert credit == {"a": 0, "b": 1}
 
@@ -396,8 +399,8 @@ def test_qualitative_fair_walk(fair_walk):
     from ocsg.model import oc_to_reward_ssg
 
     game = oc_to_reward_ssg(fair_walk)
-    minus, _ = mdp.qualitative_limit(game, LIMINF_MINUS_INF, "max")
-    plus, _ = mdp.qualitative_limit(game, LIMINF_PLUS_INF, "max")
+    minus = mdp.quantitative_limit(game, LIMINF_MINUS_INF, "max").value_one_set
+    plus = mdp.quantitative_limit(game, LIMINF_PLUS_INF, "max").value_one_set
     assert minus == frozenset({"s"})
     assert plus == frozenset()
 
@@ -410,7 +413,7 @@ def test_spec_divergence_predicate_counterexample():
         "trans a -> b reward=0\ntrans a -> c reward=0\n"
         "trans b -> a p=1/1 reward=0\ntrans c -> a p=1/1 reward=1\n"
     )
-    region, _ = mdp.qualitative_limit(game, LIMINF_MINUS_INF, "max")
+    region = mdp.quantitative_limit(game, LIMINF_MINUS_INF, "max").value_one_set
     assert region == frozenset()
     values = mdp.quantitative_limit(game, LIMINF_MINUS_INF, "max").values
     assert set(values.values()) == {0}

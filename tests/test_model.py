@@ -211,7 +211,5 @@ def test_objective_validation():
     with pytest.raises(ValueError):
         Objective.term(0)
     with pytest.raises(ValueError):
-        Objective.reach(())
-    with pytest.raises(ValueError):
         Objective("nonsense")
     assert Objective.term(3).j == 3

@@ -7,6 +7,7 @@ import pytest
 from ocsg import mdp, ssg, termination
 from ocsg.model import (
     LIMINF_MINUS_INF,
+    LIMIT_OBJECTIVES,
     OcSsg,
     PureMemorylessStrategy,
     State,
@@ -16,7 +17,7 @@ from ocsg.model import (
     parse_model,
 )
 
-from grids import random_games
+from grids import exhaustive_games, random_games
 
 
 def _as_ocssg(game):
@@ -28,6 +29,23 @@ def _as_ocssg(game):
         )
         states.append(State(s.id, s.owner, transitions=transitions))
     return OcSsg(tuple(states))
+
+
+def test_counter_game_solves_like_its_reward_view():
+    """Solvers read deltas through ``model.step_reward``, so a counter game
+    as parsed and its reward view give the same solve (values, value-1 set,
+    both witnesses, method), energy credits and level game."""
+    for index, game in enumerate(exhaustive_games()):
+        counter = _as_ocssg(game)
+        rewards = oc_to_reward_ssg(counter)
+        solves = {objective: ssg.solve_limit_ssg(counter, objective) for objective in LIMIT_OBJECTIVES}
+        for objective, solve in solves.items():
+            assert solve == ssg.solve_limit_ssg(rewards, objective), (index, objective.kind)
+        for keeper in ("max", "min"):
+            assert mdp.energy_min_credit(counter, keeper) == mdp.energy_min_credit(rewards, keeper), index
+        w = solves[LIMINF_MINUS_INF].result.value_one_set
+        hi = len(counter.states)
+        assert termination.build_level_game(counter, 1, w, hi) == termination.build_level_game(rewards, 1, w, hi)
 
 
 # -- level game construction --------------------------------------------------

@@ -5,7 +5,9 @@ pass changes nothing; they are the reference forms of ``chain.attractor``
 and ``mdp.energy_min_credit``.  ``reference_normalization`` (reachability
 policy iteration) and ``reference_mec_consistent`` (a second potential BFS)
 are the reference forms of the normalization check in ``reduce`` and of
-``chain.potential`` on end-component edges.
+``chain.potential`` on end-component edges.  The references read step
+weights through their own ``arrival_weights``, not ``model.step_reward``,
+so a wrong weight there shows up as a disagreement.
 """
 
 import math
@@ -14,14 +16,7 @@ import random
 import pytest
 
 from ocsg import chain, mdp, reduce
-from ocsg.model import (
-    OcSsg,
-    State,
-    Transition,
-    oc_to_reward_ssg,
-    relabel_controlled,
-    state_to_transition_rewards,
-)
+from ocsg.model import OcSsg, State, Transition, relabel_controlled
 
 from grids import as_mdp, exhaustive_games, random_game, random_games
 
@@ -46,25 +41,33 @@ def sweep_attractor(game, seeds, any_owners, within=None, allowed=None):
     return attracted
 
 
-def sweep_energy(game, keeper):
-    if isinstance(game, OcSsg):
-        view = oc_to_reward_ssg(game)
-    elif game.reward_location == "states":
-        view = state_to_transition_rewards(game)
-    else:
-        view = game
-    cutoff = len(view.states)
-    credit = {sid: 0 for sid in view.ids()}
+def arrival_weights(game):
+    """State id -> weight of each edge: the counter delta, the edge reward,
+    or the reward of the state the edge enters."""
+    def weight(t):
+        if isinstance(game, OcSsg):
+            return t.delta
+        if game.reward_location == "transitions":
+            return t.reward
+        return game.state(t.target).reward
 
-    def lift_edge(t):
-        need = credit[t.target] - t.reward
+    return {s.id: [weight(t) for t in s.transitions] for s in game.states}
+
+
+def sweep_energy(game, keeper):
+    weights = arrival_weights(game)
+    cutoff = len(game.states)
+    credit = {sid: 0 for sid in game.ids()}
+
+    def lift_edge(t, w):
+        need = credit[t.target] - w
         return math.inf if need > cutoff else max(0, need)
 
     changed = True
     while changed:
         changed = False
-        for s in view.states:
-            demands = [lift_edge(t) for t in s.transitions]
+        for s in game.states:
+            demands = [lift_edge(t, w) for t, w in zip(s.transitions, weights[s.id])]
             candidate = min(demands) if s.owner == keeper else max(demands)
             if candidate > credit[s.id]:
                 credit[s.id] = candidate
@@ -170,21 +173,21 @@ def test_normalization_matches_policy_iteration():
 
 
 def reference_mec_consistent(game, mec):
-    view = state_to_transition_rewards(game) if game.reward_location == "states" else game
+    weights = arrival_weights(game)
     anchor = min(mec.members)
     level = {anchor: 0}
     queue = [anchor]
     edges = []
     while queue:
         uid = queue.pop()
-        s = view.state(uid)
+        s = game.state(uid)
         for k in mec.allowed[uid]:
-            t = s.transitions[k]
-            edges.append((uid, t))
+            t, w = s.transitions[k], weights[uid][k]
+            edges.append((uid, t, w))
             if t.target not in level:
-                level[t.target] = level[uid] + t.reward
+                level[t.target] = level[uid] + w
                 queue.append(t.target)
-    return all(level[t.target] - level[uid] == t.reward for uid, t in edges)
+    return all(level[t.target] - level[uid] == w for uid, t, w in edges)
 
 
 @pytest.mark.parametrize("reward_location", ["states", "transitions"])
