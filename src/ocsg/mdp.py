@@ -10,11 +10,21 @@ spoil.
 Probabilities, values, and gains are exact Fractions throughout; policy
 iteration terminates because every accepted switch strictly improves an
 exactly evaluated quantity.
+
+Inside one ``ssg.solve_limit_ssg`` call, ``COMPONENT_MEMO`` holds a dict
+that memoizes end-component results by content: the mean payoff and
+canonical bias of each closed class of an induced chain, keyed on the game
+flavour (type and ``reward_location``) and the class's member states in
+game order, and ``expected_mean_payoff`` on a MEC sub-MDP, keyed on the
+direction, the flavour and the sub-MDP's states.  A closed class's states
+carry every probability and weight its analysis reads, so equal keys mean
+equal results.  Outside a solve the variable is None and nothing is cached.
 """
 
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,6 +48,23 @@ from .model import (
 )
 
 INFINITE_CREDIT = math.inf
+
+COMPONENT_MEMO: ContextVar[dict | None] = ContextVar("COMPONENT_MEMO", default=None)
+
+
+def _memoized(key, compute):
+    """``compute()``, looked up in and stored to ``COMPONENT_MEMO`` when a
+    solve has set it; callers must not mutate what it returns."""
+    memo = COMPONENT_MEMO.get()
+    if memo is None:
+        return compute()
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+def _flavour(game) -> tuple:
+    return type(game), getattr(game, "reward_location", None)
 
 
 def _require_one_player(game) -> None:
@@ -184,6 +211,25 @@ def _per_visit_reward(game, state: State) -> Fraction:
     return sum((t.prob * step_reward(game, state, t) for t in state.transitions), Fraction(0))
 
 
+def _class_gain_bias(induced, members, order):
+    """Mean payoff of the closed class ``members`` of ``induced`` and its
+    canonical bias (stationary average 0), keyed by state id."""
+    analysis = chain_mod.analyze_bscc(induced, members)
+    pos = {sid: i for i, sid in enumerate(order)}
+    rows = [{j: analysis.stationary[sid] for j, sid in enumerate(order)}]
+    rhs = [Fraction(0)]
+    for i, sid in enumerate(order[1:], 1):
+        state = induced.state(sid)
+        row = {i: Fraction(1)}
+        for t in state.transitions:
+            j = pos[t.target]
+            row[j] = row.get(j, 0) - t.prob
+        rows.append(row)
+        rhs.append(_per_visit_reward(induced, state) - analysis.mean_payoff)
+    solution, _ = solve_linear_system(rows, rhs)
+    return analysis.mean_payoff, {sid: solution[pos[sid]] for sid in order}
+
+
 def _evaluate_gain_bias(game, policy):
     """Exact gain and canonical bias of a fixed policy (multichain evaluation)."""
     induced = _induced_chain(game, policy)
@@ -191,23 +237,12 @@ def _evaluate_gain_bias(game, policy):
     gain: dict[str, Fraction] = {}
     bias: dict[str, Fraction] = {}
     for members in bsccs:
-        analysis = chain_mod.analyze_bscc(induced, members)
         order = [sid for sid in induced.ids() if sid in members]
-        pos = {sid: i for i, sid in enumerate(order)}
-        rows = [{j: analysis.stationary[sid] for j, sid in enumerate(order)}]
-        rhs = [Fraction(0)]
-        for i, sid in enumerate(order[1:], 1):
-            state = induced.state(sid)
-            row = {i: Fraction(1)}
-            for t in state.transitions:
-                j = pos[t.target]
-                row[j] = row.get(j, 0) - t.prob
-            rows.append(row)
-            rhs.append(_per_visit_reward(induced, state) - analysis.mean_payoff)
-        solution, _ = solve_linear_system(rows, rhs)
+        key = ("class", _flavour(induced), tuple(induced.state(sid) for sid in order))
+        mean, class_bias = _memoized(key, lambda: _class_gain_bias(induced, members, order))
         for sid in order:
-            gain[sid] = analysis.mean_payoff
-            bias[sid] = solution[pos[sid]]
+            gain[sid] = mean
+        bias.update(class_bias)
 
     order = [sid for sid in induced.ids() if sid in transient]
     if order:
@@ -394,7 +429,8 @@ def procedure_mp(game, start: str):
 
 
 def _remove_states(game, cut, index_map, z_id):
-    """Drop ``cut``; stochastic edges into it are redirected to absorbing z."""
+    """Drop ``cut``; stochastic edges into it are redirected to absorbing z,
+    which is added by the first cut that needs it and kept by later ones."""
     needs_z = any(
         s.id not in cut and s.owner == "rand" and any(t.target in cut for t in s.transitions)
         for s in game.states
@@ -424,7 +460,7 @@ def _remove_states(game, cut, index_map, z_id):
             raise AssertionError(f"{s.id}: all transitions removed")
         states.append(State(s.id, s.owner, reward=s.reward, transitions=tuple(transitions)))
         new_index_map[s.id] = kept
-    if needs_z:
+    if needs_z and not any(s.id == z_id for s in states):
         z_reward = 0 if game.reward_location == ON_STATES else None
         states.append(
             State(z_id, "rand", reward=z_reward, transitions=(Transition(z_id, prob=Fraction(1), reward=zero_reward),))
@@ -490,17 +526,25 @@ def energy_keeper_choice(game, credit, keeper: str = "max") -> dict[str, int]:
 # Qualitative and quantitative limit objectives
 
 
+def _sub_gain(sub, direction: str):
+    """Optimal gain of the end-component sub-MDP, the optimiser's choice in
+    sub-MDP indices, and its bias."""
+    bias: dict[str, Fraction] = {}
+    gains, strat = expected_mean_payoff(sub, direction, bias)
+    values = set(gains.values())
+    if len(values) != 1:
+        raise AssertionError("gain not constant on an end component")
+    return values.pop(), strat.choice, bias
+
+
 def _mec_gain(game, mec: Mec, direction: str):
     """Optimal gain on the MEC, the optimiser's choice in original indices,
     and the sub-MDP with its index map and the optimiser's bias."""
     sub, index_map = _restrict_to_mec(game, mec)
-    bias: dict[str, Fraction] = {}
-    gains, strat = expected_mean_payoff(sub, direction, bias)
-    values = {gains[sid] for sid in mec.members}
-    if len(values) != 1:
-        raise AssertionError("gain not constant on an end component")
-    original = {sid: index_map[sid][k] for sid, k in strat.choice.items()}
-    return values.pop(), original, sub, index_map, bias
+    key = ("mec", direction, _flavour(sub), sub.states)
+    gain, choice, bias = _memoized(key, lambda: _sub_gain(sub, direction))
+    original = {sid: index_map[sid][k] for sid, k in choice.items()}
+    return gain, original, sub, index_map, bias
 
 
 def _divergence_core(game, mec: Mec):

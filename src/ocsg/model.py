@@ -357,8 +357,11 @@ def _parse_prob(lineno, col, raw):
     m = re.fullmatch(r"(\d+)(?:/(\d+))?", raw)
     if not m:
         raise ModelSyntaxError(lineno, col, f"expected probability num/den, found {raw!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    try:
+        num = int(m.group(1))
+        den = int(m.group(2)) if m.group(2) else 1
+    except ValueError:  # more digits than int() converts
+        raise ModelSyntaxError(lineno, col, f"probability numeral too long, found {raw[:20]!r}...") from None
     if den == 0:
         raise ModelSemanticError("zero probability denominator", lineno)
     return Fraction(num, den)

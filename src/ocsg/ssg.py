@@ -80,7 +80,13 @@ def solve_limit_ssg(game: Ssg, objective: Objective) -> SsgSolve:
     descent without the check would stop at the same τ; Max's ascent, which
     starts from σ, then meets its goal at its first best response.  Within
     one call each strategy is evaluated once: best responses are memoized
-    by player and choice for the length of the call.
+    by player and choice for the length of the call.  The call also sets
+    ``mdp.COMPONENT_MEMO`` to a fresh dict and resets it on return or
+    raise, so best responses to strategies that share an end component
+    evaluate it once: the mean payoff and bias of each closed class of an
+    induced chain (keyed on game flavour and the class's states) and the
+    mean-payoff solve of each MEC sub-MDP (keyed on direction, flavour and
+    the sub-MDP's states).
 
     Termination: descents, ascents and best responses are deterministic.  A
     descent started from a Min strategy that an earlier round started from
@@ -92,6 +98,15 @@ def solve_limit_ssg(game: Ssg, objective: Objective) -> SsgSolve:
     """
     _limit_only(objective)
     check_valid(game)
+    scope = mdp.COMPONENT_MEMO.set({})
+    try:
+        return _alternate(game, objective)
+    finally:
+        mdp.COMPONENT_MEMO.reset(scope)
+
+
+def _alternate(game, objective):
+    """The alternating loop of ``solve_limit_ssg``."""
     replies = {}
 
     def respond(player, choice):

@@ -163,6 +163,17 @@ def test_malformed_model_exit_code(tmp_path):
     assert run(["solve", path, "--objective", "mean-gt"], out) == 2
 
 
+def test_oversized_probability_numeral_is_a_positioned_error(tmp_path, capsys):
+    numeral = "1" * 4301
+    text = FAIR_COIN_TEXT.replace("trans t -> t p=1/1", f"trans t -> t p={numeral}/{numeral}")
+    path = _write(tmp_path, "long.ssg", text)
+    out = io.StringIO()
+    assert run(["solve", path, "--objective", "mean-gt"], out) == 2
+    assert out.getvalue() == ""
+    message = "line 7, column 14: probability numeral too long, found '11111111111111111111'..."
+    assert capsys.readouterr().err == f"error = {message}\n"
+
+
 def test_unknown_objective_exit_code(tmp_path):
     path = _write(tmp_path, "coin.ssg", FAIR_COIN_TEXT)
     out = io.StringIO()

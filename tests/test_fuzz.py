@@ -1,0 +1,119 @@
+"""Fuzzing ``parse_model`` with mutated model texts.
+
+Valid texts are mutated by dropping or duplicating tokens and lines,
+swapping keywords, writing long or odd numerals into attributes and
+inserting stray characters.  Every result must be a game or a ``ModelError``
+that says where the fault is: a syntax error carries a line and a column,
+a semantic error found on one line carries that line, and only the
+whole-model check after parsing (dangling targets, missing successors,
+probability sums) may leave the line unset.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from ocsg.model import ModelError, ModelSemanticError, ModelSyntaxError, OcSsg, Ssg, parse_model
+
+from conftest import FAIR_WALK_TEXT, FIVE_STATE_TEXT
+
+SEEDS = (
+    FIVE_STATE_TEXT,
+    FAIR_WALK_TEXT,
+    "ssg rewards=states\n"
+    "state s owner=rand reward=0\nstate t owner=max reward=1\nstate u owner=min reward=-1\n"
+    "trans s -> t p=1/3\ntrans s -> u p=2/3\ntrans t -> t\ntrans t -> s\ntrans u -> u\n",
+    "ssg rewards=transitions  # a comment\n"
+    "state a owner=max\nstate b owner=rand\n"
+    "trans a -> b reward=1\ntrans a -> a reward=-1\n"
+    "trans b -> a p=1/2 reward=0\ntrans b -> b p=1/2 reward=1\n",
+)
+
+KEYWORDS = (
+    "ssg", "ocssg", "state", "trans", "->", "owner=max", "owner=min", "owner=rand",
+    "rewards=states", "rewards=transitions", "p=1/2", "p=1", "reward=1", "reward=0", "delta=-1", "delta=1",
+)
+
+ODD_NUMERALS = (
+    "", "0", "-0", "+1", "-1", "2", "-2", "1_0", "1/0", "0/1", "00/001", "1/", "/1", "1//2", "3/2",
+    "1e3", "0x1", "1.5", " 1", "٣", "٣/٤", "１", "1/½", "²", "nan", "inf",
+)
+
+
+def _long_numeral():
+    digits = st.sampled_from("0123456789")
+    length = st.integers(min_value=4290, max_value=4400)
+    numeral = st.builds(lambda d, first, n: first + d * n, digits, st.sampled_from("0123456789"), length)
+    return st.one_of(
+        numeral,
+        st.builds(lambda a, b: f"{a}/{b}", numeral, st.sampled_from(("1", "2", "7"))),
+        st.builds(lambda a, b: f"{a}/{b}", st.sampled_from(("0", "1", "3")), numeral),
+    )
+
+
+NUMERALS = st.one_of(st.sampled_from(ODD_NUMERALS), _long_numeral())
+
+# Numerals are drawn most often: the other mutations mostly break a line's
+# syntax before any numeral on it is read.
+MUTATIONS = ("numeral",) * 3 + ("drop", "dup", "keyword", "stray", "drop-line", "dup-line")
+
+
+def _mutate(data, lines):
+    """Apply one drawn mutation to ``lines`` (a list of token lists)."""
+    kind = data.draw(st.sampled_from(MUTATIONS))
+    if not lines:
+        lines.append([])
+    if kind == "numeral":
+        i = data.draw(st.sampled_from([i for i, tokens in enumerate(lines) if len(tokens) > 1] or [0]))
+    else:
+        i = data.draw(st.integers(0, len(lines) - 1))
+    tokens = lines[i]
+    if kind == "drop-line":
+        del lines[i]
+    elif kind == "dup-line":
+        lines.insert(i, list(tokens))
+    elif kind == "keyword":
+        j = data.draw(st.integers(0, len(tokens)))
+        word = data.draw(st.sampled_from(KEYWORDS))
+        if j < len(tokens) and data.draw(st.booleans()):
+            tokens[j] = word
+        else:
+            tokens.insert(j, word)
+    elif kind == "numeral":
+        attributes = [j for j, tok in enumerate(tokens) if "=" in tok]
+        value = data.draw(NUMERALS)
+        if attributes:
+            j = data.draw(st.sampled_from(attributes))
+            tokens[j] = tokens[j].partition("=")[0] + "=" + value
+        else:
+            key = data.draw(st.sampled_from(("p", "reward", "delta")))
+            tokens.append(f"{key}={value}")
+    elif kind == "stray":
+        j = data.draw(st.integers(0, len(tokens)))
+        tokens.insert(j, data.draw(st.text(min_size=1, max_size=3)))
+    elif tokens:
+        j = data.draw(st.integers(0, len(tokens) - 1))
+        if kind == "drop":
+            del tokens[j]
+        else:
+            tokens.insert(j, tokens[j])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_models_parse_or_fail_with_a_position(data):
+    text = data.draw(st.sampled_from(SEEDS))
+    lines = [line.split(" ") for line in text.splitlines()]
+    for _ in range(data.draw(st.integers(1, 4))):
+        _mutate(data, lines)
+    text = "\n".join(" ".join(tokens) for tokens in lines) + "\n"
+    try:
+        game = parse_model(text)
+    except ModelError as exc:
+        physical = text.splitlines()
+        if isinstance(exc, ModelSyntaxError):
+            assert 1 <= exc.line <= max(1, len(physical))
+            assert 1 <= exc.column <= max(1, len(physical[exc.line - 1]) if physical else 1)
+        else:
+            assert isinstance(exc, ModelSemanticError)
+            assert exc.line is None or 1 <= exc.line <= len(physical)
+        return
+    assert isinstance(game, (Ssg, OcSsg))

@@ -306,6 +306,23 @@ def test_procedure_mp_survives_early_cut_of_one_drift():
         assert mdp.procedure_mp(game, sid) is not None, sid
 
 
+def test_second_cut_reuses_the_absorbing_state():
+    # A later round cuts b after z exists; a's edge into b must join the
+    # existing z instead of a second state named z.
+    game = parse_model(
+        "ssg rewards=states\n"
+        "state a owner=rand reward=0\nstate b owner=max reward=1\nstate z owner=rand reward=0\n"
+        "trans a -> b p=1/2\ntrans a -> z p=1/2\ntrans b -> b\ntrans b -> a\ntrans z -> z p=1/1\n"
+    )
+    index_map = {s.id: list(range(len(s.transitions))) for s in game.states}
+    cut_game, new_map, z_id = mdp._remove_states(game, {"b"}, index_map, "z")
+    assert z_id == "z"
+    assert cut_game.ids() == ("a", "z")
+    assert [t.target for t in cut_game.state("a").transitions] == ["z", "z"]
+    assert new_map == {"a": [0, 1], "z": [0]}
+    assert cut_game.violations == ()
+
+
 def test_procedure_mp_matches_mean_gt_region():
     for game in random_games(30, sizes=(3, 4), seed=3141, reward_location="transitions"):
         game = as_mdp(game)

@@ -59,6 +59,19 @@ def test_syntax_error_has_position():
 
 
 @pytest.mark.parametrize(
+    "prob",
+    ["7" * 4301 + "/9", "1/" + "3" * 5000, "0" * 4301 + "1"],
+    ids=["long-numerator", "long-denominator", "leading-zeros"],
+)
+def test_oversized_probability_numeral_has_position(prob):
+    text = f"ssg rewards=states\nstate r owner=rand reward=0\ntrans r -> r p={prob}\n"
+    with pytest.raises(ModelSyntaxError) as err:
+        parse_model(text)
+    assert (err.value.line, err.value.column) == (3, 14)
+    assert "probability numeral too long" in str(err.value)
+
+
+@pytest.mark.parametrize(
     "line,needle",
     [
         ("trans a -> b", "dangling"),

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from ocsg import chain as chain_mod
-from ocsg import oracle, ssg
+from ocsg import mdp, oracle, ssg
 from ocsg.model import (
     LIMINF_GT_MINUS_INF,
     LIMINF_MINUS_INF,
@@ -18,6 +18,7 @@ from ocsg.model import (
     Ssg,
     State,
     Transition,
+    fix_strategies,
     parse_model,
 )
 from ocsg.reduce import condon_to_limit
@@ -335,11 +336,13 @@ def _reference_improve(game, objective, player, choice, goal=None):
 
 
 def reference_solve(game, objective):
-    """``solve_limit_ssg`` without the early certificate and the per-solve memo.
+    """``solve_limit_ssg`` without the early certificate and the per-solve memos.
 
     Min's descent scans every single switch until none improves, and every
-    strategy is evaluated afresh each time the scan reaches it.
+    strategy and every end component is evaluated afresh each time the scan
+    reaches it.
     """
+    assert mdp.COMPONENT_MEMO.get() is None
     tau = {sid: 0 for sid in game.owner_ids("min")}
     visited = set()
     while True:
@@ -436,3 +439,58 @@ def test_memo_does_not_outlive_a_solve(monkeypatch):
     assert len(seen) == 2 * calls
     assert seen[calls:] == seen[:calls]
     assert second == first
+
+
+def _flavoured(game, states):
+    return type(game), getattr(game, "reward_location", None), tuple(states)
+
+
+def test_one_solve_evaluates_each_end_component_once(monkeypatch):
+    analyzed, solved = [], []
+    analyze, mean_payoff = chain_mod.analyze_bscc, mdp.expected_mean_payoff
+
+    def spy_analyze(chain, members):
+        analyzed.append(_flavoured(chain, (s for s in chain.states if s.id in members)))
+        return analyze(chain, members)
+
+    def spy_mean_payoff(game, direction="max", bias_out=None):
+        solved.append((direction, _flavoured(game, game.states)))
+        return mean_payoff(game, direction, bias_out)
+
+    monkeypatch.setattr(chain_mod, "analyze_bscc", spy_analyze)
+    monkeypatch.setattr(mdp, "expected_mean_payoff", spy_mean_payoff)
+    totals = [0, 0]
+    for game, objective in _dense_sweep():
+        analyzed.clear()
+        solved.clear()
+        ssg.solve_limit_ssg(game, objective)
+        assert len(analyzed) == len(set(analyzed)), objective.kind
+        assert len(solved) == len(set(solved)), objective.kind
+        totals[0] += len(analyzed)
+        totals[1] += len(solved)
+    assert min(totals) > 0
+
+
+def test_component_memo_lives_only_inside_a_solve(monkeypatch):
+    memos = []
+    mean_payoff = mdp.expected_mean_payoff
+
+    def spy(*args):
+        memos.append(mdp.COMPONENT_MEMO.get())
+        return mean_payoff(*args)
+
+    monkeypatch.setattr(mdp, "expected_mean_payoff", spy)
+    assert mdp.COMPONENT_MEMO.get() is None
+    ssg.solve_limit_ssg(FIRST_EDGE_LOSES, MEAN_GT)
+    assert memos and all(type(memo) is dict and memo is memos[0] for memo in memos)
+    assert mdp.COMPONENT_MEMO.get() is None
+
+    memos.clear()
+    residual = fix_strategies(FIRST_EDGE_LOSES, min_strategy=PureMemorylessStrategy("min", {"b": 0}))
+    mdp.quantitative_limit(residual, MEAN_GT, "max")
+    assert memos and all(memo is None for memo in memos)
+
+    monkeypatch.setattr(ssg, "_improve", _first_edges)
+    with pytest.raises(ssg.NoCertificate):
+        ssg.solve_limit_ssg(FIRST_EDGE_LOSES, LIMINF_MINUS_INF)
+    assert mdp.COMPONENT_MEMO.get() is None
