@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from . import oracle, ssg, termination
 from . import reduce as reduce_mod
@@ -38,7 +39,7 @@ def _fmt(value: Fraction) -> str:
 
 def _read_model(path: str):
     try:
-        text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot read model: {exc}") from None
     return parse_model(text)
@@ -153,12 +154,14 @@ def _parse_choices(pairs, game, player) -> PureMemorylessStrategy | None:
         return None
     choice = {sid: 0 for sid in owned}
     for raw in pairs or ():
-        if "=" not in raw:
-            raise CliError(f"bad choice {raw!r}, expected state=index")
         sid, _, idx = raw.partition("=")
+        try:
+            index = int(idx)
+        except ValueError:
+            raise CliError(f"bad choice {raw!r}, expected state=index") from None
         if sid not in choice:
             raise CliError(f"{sid!r} is not a {player} state")
-        choice[sid] = int(idx)
+        choice[sid] = index
     return PureMemorylessStrategy(player, choice)
 
 

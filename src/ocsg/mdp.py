@@ -41,7 +41,6 @@ from .model import (
     Ssg,
     State,
     Transition,
-    check_valid,
     fix_strategies,
     relabel_controlled,
     step_reward,
@@ -485,7 +484,6 @@ def energy_min_credit(game, keeper: str = "max") -> dict[str, int | float]:
     """
     if keeper not in ("max", "min"):
         raise ValueError("keeper must be max or min")
-    check_valid(game)
     credit: dict[str, int | float] = {sid: 0 for sid in game.ids()}
     queue = list(game.ids())
     queued = set(queue)

@@ -17,6 +17,10 @@ Text format (UTF-8, line oriented, ``#`` starts a comment):
 ``p=`` is required exactly for transitions leaving a rand state, ``reward=``
 exactly where ``reward_location`` says, ``delta=`` exactly in ocssg files.
 ``print_model`` emits this format bit-exactly, probabilities in lowest terms.
+
+These and the other model rules are stated once, in ``validate``;
+``parse_model`` reads tokens and lines and reports a broken rule at its line.
+Input is validated where it enters the program, derived games are not.
 """
 
 from __future__ import annotations
@@ -250,68 +254,75 @@ class SolveResult:
 # Validation
 
 
-def validate(game: Ssg | OcSsg) -> list[str]:
-    """Return human-readable invariant violations, empty list when well formed."""
-    violations = []
+def _violations(game: Ssg | OcSsg):
+    """Yield ``(state position, edge position or None, message)`` per broken
+    model rule, in a fixed order; a whole-game rule has state position None."""
     seen = set()
-    for s in game.states:
+    for i, s in enumerate(game.states):
         if s.id in seen:
-            violations.append(f"{s.id}: duplicate state id")
+            yield i, None, "duplicate state id"
         seen.add(s.id)
-    ids = seen
     is_oc = isinstance(game, OcSsg)
     loc = None if is_oc else game.reward_location
     if not is_oc and loc not in (ON_STATES, ON_TRANSITIONS):
-        violations.append(f"reward location {loc!r} invalid")
+        yield None, None, f"reward location {loc!r} invalid"
 
-    for s in game.states:
+    for i, s in enumerate(game.states):
         if s.owner not in OWNERS:
-            violations.append(f"{s.id}: unknown owner {s.owner!r}")
+            yield i, None, f"unknown owner {s.owner!r}"
         if not s.transitions:
-            violations.append(f"{s.id}: no successor")
-        if not is_oc and loc == ON_STATES:
+            yield i, None, "no successor"
+        if loc == ON_STATES:
             if s.reward is None:
-                violations.append(f"{s.id}: missing state reward")
+                yield i, None, "missing state reward"
             elif s.reward not in REWARD_VALUES:
-                violations.append(f"{s.id}: state reward {s.reward} outside {{-1,0,1}}")
+                yield i, None, f"state reward {s.reward} outside {{-1,0,1}}"
         elif s.reward is not None:
-            violations.append(f"{s.id}: unexpected state reward")
+            yield i, None, "unexpected state reward"
 
         total = Fraction(0)
         for k, t in enumerate(s.transitions):
-            where = f"{s.id}[{k}]"
-            if t.target not in ids:
-                violations.append(f"{where}: dangling target {t.target!r}")
+            if t.target not in seen:
+                yield i, k, f"dangling target {t.target!r}"
             if s.owner == "rand":
                 if t.prob is None:
-                    violations.append(f"{where}: missing probability")
+                    yield i, k, "missing probability"
                 elif t.prob <= 0:
-                    violations.append(f"{where}: positivity violated")
+                    yield i, k, "positivity violated"
                 else:
                     total += t.prob
             elif t.prob is not None:
-                violations.append(f"{where}: probability on a controlled transition")
+                yield i, k, "probability on a controlled transition"
             if is_oc:
                 if t.delta is None:
-                    violations.append(f"{where}: missing delta")
+                    yield i, k, "missing delta"
                 elif t.delta not in REWARD_VALUES:
-                    violations.append(f"{where}: delta {t.delta} outside {{-1,0,1}}")
-                if t.reward is not None:
-                    violations.append(f"{where}: unexpected reward")
-            else:
-                if t.delta is not None:
-                    violations.append(f"{where}: unexpected delta")
-                if loc == ON_TRANSITIONS:
-                    if t.reward is None:
-                        violations.append(f"{where}: missing transition reward")
-                    elif t.reward not in REWARD_VALUES:
-                        violations.append(f"{where}: transition reward {t.reward} outside {{-1,0,1}}")
-                elif t.reward is not None:
-                    violations.append(f"{where}: unexpected transition reward")
+                    yield i, k, f"delta {t.delta} outside {{-1,0,1}}"
+            elif t.delta is not None:
+                yield i, k, "unexpected delta"
+            if loc == ON_TRANSITIONS:
+                if t.reward is None:
+                    yield i, k, "missing transition reward"
+                elif t.reward not in REWARD_VALUES:
+                    yield i, k, f"transition reward {t.reward} outside {{-1,0,1}}"
+            elif t.reward is not None:
+                yield i, k, "unexpected reward"
         if s.owner == "rand" and all(t.prob is not None and t.prob > 0 for t in s.transitions) and s.transitions:
             if total != 1:
-                violations.append(f"{s.id}: probabilities sum {total} != 1")
-    return violations
+                yield i, None, f"probabilities sum {total} != 1"
+
+
+def _describe(game: Ssg | OcSsg, i: int | None, k: int | None, message: str) -> str:
+    """``message`` prefixed with the state (``a: ...``) or edge (``a[k]: ...``) it is about."""
+    if i is None:
+        return message
+    where = game.states[i].id if k is None else f"{game.states[i].id}[{k}]"
+    return f"{where}: {message}"
+
+
+def validate(game: Ssg | OcSsg) -> list[str]:
+    """Return human-readable invariant violations, empty list when well formed."""
+    return [_describe(game, i, k, message) for i, k, message in _violations(game)]
 
 
 def check_valid(game: Ssg | OcSsg) -> None:
@@ -343,36 +354,44 @@ def _parse_attrs(parts, lineno, allowed):
     return attrs
 
 
+def _quoted(raw: str) -> str:
+    """``repr`` of a token, cut after 20 characters so no error echoes a huge numeral."""
+    return repr(raw) if len(raw) <= 20 else f"{raw[:20]!r}..."
+
+
 def _parse_int_reward(lineno, col, raw, what):
     try:
         value = int(raw)
     except ValueError:
-        raise ModelSyntaxError(lineno, col, f"expected integer {what}, found {raw!r}") from None
+        raise ModelSyntaxError(lineno, col, f"expected integer {what}, found {_quoted(raw)}") from None
     if value not in REWARD_VALUES:
-        raise ModelSemanticError(f"{what} {value} outside {{-1,0,1}}", lineno)
+        raise ModelSemanticError(f"{what} {_quoted(raw)} outside {{-1,0,1}}", lineno)
     return value
 
 
 def _parse_prob(lineno, col, raw):
     m = re.fullmatch(r"(\d+)(?:/(\d+))?", raw)
     if not m:
-        raise ModelSyntaxError(lineno, col, f"expected probability num/den, found {raw!r}")
+        raise ModelSyntaxError(lineno, col, f"expected probability num/den, found {_quoted(raw)}")
     try:
         num = int(m.group(1))
         den = int(m.group(2)) if m.group(2) else 1
     except ValueError:  # more digits than int() converts
-        raise ModelSyntaxError(lineno, col, f"probability numeral too long, found {raw[:20]!r}...") from None
+        raise ModelSyntaxError(lineno, col, f"probability numeral too long, found {_quoted(raw)}") from None
     if den == 0:
         raise ModelSemanticError("zero probability denominator", lineno)
     return Fraction(num, den)
 
 
 def parse_model(text: str) -> Ssg | OcSsg:
-    """Parse the text format; raises ModelSyntaxError / ModelSemanticError."""
+    """Parse the text format; raises ModelSyntaxError / ModelSemanticError.
+
+    A broken model rule is reported at the first line it concerns: the
+    ``trans`` line of an edge, the ``state`` line of a state.
+    """
     header = None
     reward_location = None
-    owner_of: dict[str, str] = {}  # declaration order
-    state_rewards: dict[str, int | None] = {}
+    declared: dict[str, tuple[str, int | None, list[int]]] = {}  # id -> owner, reward, its lines
     transitions: dict[str, list[Transition]] = {}
 
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -411,18 +430,10 @@ def parse_model(text: str) -> Ssg | OcSsg:
             col, raw = attrs["owner"]
             if raw not in OWNERS:
                 raise ModelSyntaxError(lineno, col, f"expected owner max|min|rand, found {raw!r}")
-            if sid in owner_of:
+            if sid in declared:
                 raise ModelSemanticError(f"{sid}: duplicate state id", lineno)
-            reward = None
-            if "reward" in attrs:
-                rcol, rraw = attrs["reward"]
-                reward = _parse_int_reward(lineno, rcol, rraw, "reward")
-                if header == "ocssg" or reward_location != ON_STATES:
-                    raise ModelSemanticError(f"{sid}: unexpected state reward", lineno)
-            elif header == "ssg" and reward_location == ON_STATES:
-                raise ModelSemanticError(f"{sid}: missing state reward", lineno)
-            owner_of[sid] = raw
-            state_rewards[sid] = reward
+            reward = _parse_int_reward(lineno, *attrs["reward"], "reward") if "reward" in attrs else None
+            declared[sid] = (raw, reward, [lineno])  # the state line, then one per transition
             transitions[sid] = []
 
         elif keyword == "trans":
@@ -432,32 +443,13 @@ def parse_model(text: str) -> Ssg | OcSsg:
             _, src = parts[1]
             _, dst = parts[3]
             attrs = _parse_attrs(parts[4:], lineno, {"p", "reward", "delta"})
-            owner = owner_of.get(src)
-            if owner is None:
+            if src not in declared:
                 raise ModelSemanticError(f"transition from undeclared state {src!r}", lineno)
-            prob = reward = delta = None
-            if "p" in attrs:
-                pcol, praw = attrs["p"]
-                prob = _parse_prob(lineno, pcol, praw)
-                if owner != "rand":
-                    raise ModelSemanticError(f"{src}: probability on a controlled transition", lineno)
-            elif owner == "rand":
-                raise ModelSemanticError(f"{src}: missing probability", lineno)
-            if "reward" in attrs:
-                rcol, rraw = attrs["reward"]
-                reward = _parse_int_reward(lineno, rcol, rraw, "reward")
-                if header == "ocssg" or reward_location != ON_TRANSITIONS:
-                    raise ModelSemanticError(f"{src}: unexpected reward", lineno)
-            elif header == "ssg" and reward_location == ON_TRANSITIONS:
-                raise ModelSemanticError(f"{src}: missing transition reward", lineno)
-            if "delta" in attrs:
-                dcol, draw = attrs["delta"]
-                delta = _parse_int_reward(lineno, dcol, draw, "delta")
-                if header != "ocssg":
-                    raise ModelSemanticError(f"{src}: unexpected delta", lineno)
-            elif header == "ocssg":
-                raise ModelSemanticError(f"{src}: missing delta", lineno)
+            prob = _parse_prob(lineno, *attrs["p"]) if "p" in attrs else None
+            reward = _parse_int_reward(lineno, *attrs["reward"], "reward") if "reward" in attrs else None
+            delta = _parse_int_reward(lineno, *attrs["delta"], "delta") if "delta" in attrs else None
             transitions[src].append(Transition(dst, prob=prob, reward=reward, delta=delta))
+            declared[src][2].append(lineno)
 
         else:
             raise ModelSyntaxError(lineno, col0, f"expected state|trans, found {keyword!r}")
@@ -466,11 +458,17 @@ def parse_model(text: str) -> Ssg | OcSsg:
         raise ModelSyntaxError(1, 1, "empty input, expected header ssg|ocssg")
 
     states = tuple(
-        State(sid, owner, reward=state_rewards[sid], transitions=tuple(transitions[sid]))
-        for sid, owner in owner_of.items()
+        State(sid, owner, reward=reward, transitions=tuple(transitions[sid]))
+        for sid, (owner, reward, _) in declared.items()
     )
     game = OcSsg(states) if header == "ocssg" else Ssg(states, reward_location=reward_location)
-    check_valid(game)
+    if game.violations:
+        rows = [lines for _, _, lines in declared.values()]
+        line, _, i, k, message = min(
+            (rows[i][0 if k is None else k + 1], order, i, k, message)
+            for order, (i, k, message) in enumerate(_violations(game))
+        )
+        raise ModelSemanticError(_describe(game, i, k, message), line)
     return game
 
 
@@ -518,18 +516,7 @@ def oc_to_reward_ssg(game: OcSsg) -> Ssg:
         )
         for s in game.states
     )
-    return _keep_valid_mark(game, Ssg(states, reward_location=ON_TRANSITIONS))
-
-
-def _keep_valid_mark(source, derived):
-    """Mark ``derived`` valid when ``source`` is already known to be valid.
-
-    Only for builders that preserve validity: the reward view of a counter
-    game, a strategy collapse, a relabelling to one controller.
-    """
-    if source.__dict__.get("violations") == ():
-        derived.__dict__["violations"] = ()
-    return derived
+    return Ssg(states, reward_location=ON_TRANSITIONS)
 
 
 def _fresh_id(base: str, taken: set[str]) -> str:
@@ -589,7 +576,7 @@ def fix_strategies(
         t = s.transitions[strat.choice[s.id]]
         collapsed = Transition(t.target, prob=Fraction(1), reward=t.reward, delta=t.delta)
         new_states.append(State(s.id, "rand", reward=s.reward, transitions=(collapsed,)))
-    return _keep_valid_mark(game, game.with_states(tuple(new_states)))
+    return game.with_states(tuple(new_states))
 
 
 def relabel_controlled(game, owner: str):
@@ -598,8 +585,7 @@ def relabel_controlled(game, owner: str):
         State(s.id, owner if s.owner != "rand" else "rand", reward=s.reward, transitions=s.transitions)
         for s in game.states
     )
-    relabeled = game.with_states(states)
-    return _keep_valid_mark(game, relabeled) if owner in ("max", "min") else relabeled
+    return game.with_states(states)
 
 
 def step_reward(game: Ssg | OcSsg, source: State, transition: Transition) -> int:

@@ -99,6 +99,8 @@ def condon_to_termination(game: Ssg, s: str, t: str, t_prime: str, j: int | None
     j = |V| the termination value is 1 exactly when the reach-t value is
     >= 1/2.
     """
+    if j is not None and j < 1:
+        raise ValueError("termination requires j >= 1")
     limit_game = condon_to_limit(game, s, t, t_prime)
     states = []
     for st in limit_game.states:

@@ -95,7 +95,9 @@ class TermDecision:
 
 
 def check_query(game: OcSsg, start: str, j: int) -> None:
-    """Reject a termination query with j < 1 or a start state not in ``game``."""
+    """Reject a termination query on an invalid game, with j < 1, or with a
+    start state not in ``game``."""
+    check_valid(game)
     if j < 1:
         raise ValueError("termination requires j >= 1")
     if start not in game.by_id:

@@ -1,4 +1,6 @@
+import gc
 import io
+import warnings
 
 from ocsg.cli import run
 from ocsg.model import LIMIT_KINDS, parse_model, print_model
@@ -174,6 +176,15 @@ def test_oversized_probability_numeral_is_a_positioned_error(tmp_path, capsys):
     assert capsys.readouterr().err == f"error = {message}\n"
 
 
+def test_solve_closes_the_model_file(tmp_path):
+    path = _write(tmp_path, "coin.ssg", FAIR_COIN_TEXT)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["solve", path, "--objective", "mean-gt"], io.StringIO()) == 0
+        gc.collect()
+    assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
 def test_unknown_objective_exit_code(tmp_path):
     path = _write(tmp_path, "coin.ssg", FAIR_COIN_TEXT)
     out = io.StringIO()
@@ -217,6 +228,7 @@ def test_bad_arguments_fail_before_solving_or_reporting(tmp_path, monkeypatch, c
     coin = _write(tmp_path, "coin.ssg", FAIR_COIN_TEXT)
     appendix = _write(tmp_path, "appendix.ocssg", FIVE_STATE_TEXT)
     simulate = ["simulate", appendix, "--state", "v", "--steps", "10", "--trials", "5", "--seed", "1"]
+    condon_term = ["reduce", coin, "--kind", "condon-term", "--start", "s", "--t", "t", "--tprime", "u"]
     cases = [
         (["solve", coin, "--objective", "mean-gt", "--state", "nowhere"], "unknown state 'nowhere'"),
         (["oracle", coin, "--objective", "mean-gt", "--state", "nowhere"], "unknown state 'nowhere'"),
@@ -234,6 +246,9 @@ def test_bad_arguments_fail_before_solving_or_reporting(tmp_path, monkeypatch, c
         (simulate + ["--steps", "-5", "--objective", "mean-gt"], "estimation requires at least one step"),
         (simulate + ["--min-choice", "v=7"], "invalid transition index 7 at v"),
         (simulate + ["--min-choice", "v=-1", "--objective", "mean-gt"], "invalid transition index -1 at v"),
+        (simulate + ["--min-choice", "v=x"], "bad choice 'v=x', expected state=index"),
+        (condon_term + ["--j", "0"], "termination requires j >= 1"),
+        (condon_term + ["--j", "-4"], "termination requires j >= 1"),
     ]
     for argv, message in cases:
         out = io.StringIO()

@@ -4,14 +4,19 @@ Valid texts are mutated by dropping or duplicating tokens and lines,
 swapping keywords, writing long or odd numerals into attributes and
 inserting stray characters.  Every result must be a game or a ``ModelError``
 that says where the fault is: a syntax error carries a line and a column,
-a semantic error found on one line carries that line, and only the
-whole-model check after parsing (dangling targets, missing successors,
-probability sums) may leave the line unset.
+a semantic error the line it concerns.  The same mutated texts are fed to
+``ocsg solve`` and ``ocsg term``, which must answer or exit 2 with one
+``error = ...`` line and an empty report.
 """
+
+import io
+import re
+from contextlib import redirect_stderr
 
 from hypothesis import given, settings, strategies as st
 
-from ocsg.model import ModelError, ModelSemanticError, ModelSyntaxError, OcSsg, Ssg, parse_model
+from ocsg.cli import run
+from ocsg.model import LIMIT_KINDS, ModelError, ModelSemanticError, ModelSyntaxError, OcSsg, Ssg, parse_model
 
 from conftest import FAIR_WALK_TEXT, FIVE_STATE_TEXT
 
@@ -97,14 +102,18 @@ def _mutate(data, lines):
             tokens.insert(j, tokens[j])
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_mutated_models_parse_or_fail_with_a_position(data):
+def _mutated_text(data):
     text = data.draw(st.sampled_from(SEEDS))
     lines = [line.split(" ") for line in text.splitlines()]
     for _ in range(data.draw(st.integers(1, 4))):
         _mutate(data, lines)
-    text = "\n".join(" ".join(tokens) for tokens in lines) + "\n"
+    return "\n".join(" ".join(tokens) for tokens in lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_models_parse_or_fail_with_a_position(data):
+    text = _mutated_text(data)
     try:
         game = parse_model(text)
     except ModelError as exc:
@@ -114,6 +123,32 @@ def test_mutated_models_parse_or_fail_with_a_position(data):
             assert 1 <= exc.column <= max(1, len(physical[exc.line - 1]) if physical else 1)
         else:
             assert isinstance(exc, ModelSemanticError)
-            assert exc.line is None or 1 <= exc.line <= len(physical)
+            assert exc.line is not None and 1 <= exc.line <= len(physical)
         return
     assert isinstance(game, (Ssg, OcSsg))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mutated_models_through_the_cli_answer_or_fail_cleanly(tmp_path_factory, data):
+    # Some examples keep a seed as it is, so the solvers run too.
+    text = _mutated_text(data) if data.draw(st.booleans()) else data.draw(st.sampled_from(SEEDS))
+    path = tmp_path_factory.getbasetemp() / "fuzzed-model.txt"
+    path.write_text(text, encoding="utf-8")
+    declared = [tokens[1] for tokens in map(str.split, text.splitlines()) if tokens[:1] == ["state"] and len(tokens) > 1]
+    state = data.draw(st.sampled_from(declared or ["nowhere"]))
+    commands = (
+        ["solve", str(path), "--objective", data.draw(st.sampled_from(LIMIT_KINDS))],
+        ["term", str(path), "--state", state, "--j", str(data.draw(st.integers(0, 3))),
+         "--qual", data.draw(st.sampled_from(("one", "zero")))],
+    )
+    for argv in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stderr(err):
+            code = run(argv, out)
+        assert code in (0, 2), (argv, code)
+        if code == 2:
+            assert out.getvalue() == "", argv
+            assert re.fullmatch(r"error = [^\n]*\n", err.getvalue()), (argv, err.getvalue())
+        else:
+            assert err.getvalue() == "" and out.getvalue(), argv

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from ocsg.model import (
     LIMIT_OBJECTIVES,
+    ModelError,
     ModelSemanticError,
     ModelSyntaxError,
     Objective,
@@ -83,6 +84,59 @@ def test_semantic_errors(line, needle):
     with pytest.raises(ModelSemanticError) as err:
         parse_model(text)
     assert needle in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text,line,message",
+    [
+        ("ssg rewards=states\nstate a owner=max reward=0\ntrans a -> a\ntrans a -> b\n", 4,
+         "a[1]: dangling target 'b'"),
+        ("ssg rewards=states\nstate a owner=max reward=0\nstate b owner=max reward=0\ntrans a -> b\n", 3,
+         "b: no successor"),
+        ("ssg rewards=states\n# comment\nstate r owner=rand reward=0\ntrans r -> r p=1/2\ntrans r -> r p=1/3\n", 3,
+         "r: probabilities sum 5/6 != 1"),
+        ("ocssg\nstate r owner=rand\ntrans r -> r p=1/1 delta=0\ntrans r -> r p=0/1 delta=1\n", 4,
+         "r[1]: positivity violated"),
+    ],
+    ids=["dangling-target", "no-successor", "probability-sum", "positivity"],
+)
+def test_whole_model_rules_report_their_line(text, line, message):
+    with pytest.raises(ModelSemanticError) as err:
+        parse_model(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
+def test_the_first_offending_line_is_reported():
+    # validate lists a's edge before b's; b's edge sits on the earlier line.
+    text = "ssg rewards=states\nstate a owner=max reward=0\nstate b owner=max\ntrans b -> c\ntrans a -> a reward=1\n"
+    with pytest.raises(ModelSemanticError) as err:
+        parse_model(text.replace("state b owner=max", "state b owner=max reward=0"))
+    assert str(err.value) == "line 4: b[0]: dangling target 'c'"
+    # b now has no successor and no reward, both on its state line: validate's
+    # order breaks the tie.
+    with pytest.raises(ModelSemanticError) as err:
+        parse_model(text.replace("trans b -> c\n", ""))
+    assert str(err.value) == "line 3: b: no successor"
+
+
+@pytest.mark.parametrize("digits", [5000, 100])
+@pytest.mark.parametrize(
+    "template,line",
+    [
+        ("ssg rewards=states\nstate a owner=max reward={}\ntrans a -> a\n", 2),
+        ("ssg rewards=transitions\nstate a owner=max\ntrans a -> a reward={}\n", 3),
+        ("ocssg\nstate a owner=max\ntrans a -> a delta={}\n", 3),
+    ],
+    ids=["state-reward", "transition-reward", "delta"],
+)
+def test_long_integer_numerals_give_short_positioned_errors(template, line, digits):
+    with pytest.raises(ModelError) as err:
+        parse_model(template.format("7" * digits))
+    assert err.value.line == line
+    if isinstance(err.value, ModelSyntaxError):
+        assert err.value.column > 1
+    assert len(str(err.value)) < 120
 
 
 def test_missing_delta_rejected():
