@@ -11,6 +11,12 @@ Probabilities, values, and gains are exact Fractions throughout; policy
 iteration terminates because every accepted switch strictly improves an
 exactly evaluated quantity.
 
+A limit objective is decided from the end components, as in the paper:
+each MEC's optimal gain, and at gain 0 its tight sub-MDP (one rule per
+objective, ``_MEC_RULES``), then almost-sure reach of the states they win.
+Energy lifting (``energy_min_credit``) serves only the termination-value-0
+question.
+
 Inside one ``ssg.solve_limit_ssg`` call, ``COMPONENT_MEMO`` holds a dict
 that memoizes end-component results by content: the mean payoff and
 canonical bias of each closed class of an induced chain, keyed on the game
@@ -331,11 +337,12 @@ class Mec:
     allowed: dict[str, tuple[int, ...]]
 
 
-def mec_decompose(game) -> list[Mec]:
-    """Maximal end components by iterated SCC splitting and pruning."""
+def mec_decompose(game, within=None) -> list[Mec]:
+    """Maximal end components by iterated SCC splitting and pruning, of the
+    whole game or of the sub-MDP that the start set ``within`` induces."""
     _require_one_player(game)
     mecs: list[Mec] = []
-    queue: list[frozenset[str]] = [frozenset(game.ids())]
+    queue: list[frozenset[str]] = [frozenset(game.ids() if within is None else within)]
     while queue:
         candidate = queue.pop()
         candidate -= chain_mod.attractor(game, set(game.ids()) - candidate, ("rand",))[0]
@@ -481,9 +488,12 @@ def energy_min_credit(game, keeper: str = "max") -> dict[str, int | float]:
     state is lifted again only after the credit of a successor rose, and
     lifting is monotone, so this reaches the least fixpoint.  Weights in
     {-1,0,+1} cap finite credits at |V|, larger demands are infinite.
+    Only the termination-value-0 question (``termination.decide_term_zero``)
+    needs it; the limit objectives are decided from end components.
     """
     if keeper not in ("max", "min"):
         raise ValueError("keeper must be max or min")
+    cutoff = len(game.states)
     credit: dict[str, int | float] = {sid: 0 for sid in game.ids()}
     queue = list(game.ids())
     queued = set(queue)
@@ -491,8 +501,9 @@ def energy_min_credit(game, keeper: str = "max") -> dict[str, int | float]:
         sid = queue.pop()
         queued.discard(sid)
         s = game.state(sid)
-        demands = _demands(game, credit, s)
-        candidate = min(demands) if s.owner == keeper else max(demands)
+        needs = [max(0, credit[t.target] - step_reward(game, s, t)) for t in s.transitions]
+        need = min(needs) if s.owner == keeper else max(needs)
+        candidate = INFINITE_CREDIT if need > cutoff else need
         if candidate > credit[sid]:
             credit[sid] = candidate
             for pred, _ in game.predecessors[sid]:
@@ -500,24 +511,6 @@ def energy_min_credit(game, keeper: str = "max") -> dict[str, int | float]:
                     queued.add(pred)
                     queue.append(pred)
     return credit
-
-
-def _demands(game, credit, state) -> list[int | float]:
-    """Credit needed at ``state`` to take each edge; a demand above |V| is infinite."""
-    cutoff = len(game.states)
-    needs = (max(0, credit[t.target] - step_reward(game, state, t)) for t in state.transitions)
-    return [INFINITE_CREDIT if need > cutoff else need for need in needs]
-
-
-def energy_keeper_choice(game, credit, keeper: str = "max") -> dict[str, int]:
-    """Keeper's credit-preserving edge at every finite-credit keeper state."""
-    choice = {}
-    for s in game.states:
-        if s.owner != keeper or credit[s.id] == INFINITE_CREDIT:
-            continue
-        demands = _demands(game, credit, s)
-        choice[s.id] = demands.index(min(demands))
-    return choice
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +538,34 @@ def _mec_gain(game, mec: Mec, direction: str):
     return gain, original, sub, index_map, bias
 
 
+def _tight_part(game, mec: Mec, direction: str):
+    """Optimal gain of the MEC in ``direction``, the optimiser's choice in
+    original indices and, at gain 0, the MEC's tight sub-MDP.
+
+    Under the optimiser's bias h the slack r(s,k) + h(target) - h(s) is >= 0
+    (min) or <= 0 (max) on every controlled edge and averages 0 at rand
+    states.  The tight sub-MDP keeps every rand edge and the controlled edges
+    of slack 0; a rand state with an edge of nonzero slack is noisy.
+    Returns (gain, choice, tight, noisy, original), ``original(sid, k)``
+    mapping tight edge k at sid back; the last three are None unless the
+    gain is 0.
+    """
+    gain, choice, sub, index_map, bias = _mec_gain(game, mec, direction)
+    if gain != 0:
+        return gain, choice, None, None, None
+    allowed, noisy = {}, set()
+    for s in sub.states:
+        zero = tuple(k for k, t in enumerate(s.transitions) if step_reward(sub, s, t) + bias[t.target] == bias[s.id])
+        if s.owner != "rand":
+            allowed[s.id] = zero
+        else:
+            allowed[s.id] = tuple(range(len(s.transitions)))
+            if len(zero) < len(s.transitions):
+                noisy.add(s.id)
+    tight, tight_map = _restrict_to_mec(sub, Mec(frozenset(sub.ids()), allowed))
+    return gain, choice, tight, noisy, lambda sid, k: index_map[sid][tight_map[sid][k]]
+
+
 def _divergence_core(game, mec: Mec):
     """A policy BSCC inside the MEC that almost surely drives liminf to -inf.
 
@@ -552,37 +573,18 @@ def _divergence_core(game, mec: Mec):
     quick paths: a MEC with negative minimal gain always qualifies; one with
     positive minimal gain, or whose allowed edges admit a potential function,
     never does.  The zero-gain remainder is decided in polynomial time from
-    the bias h of the min-gain policy.  The slack r(s,k) + h(target) - h(s)
-    is >= 0 on every controlled edge and averages 0 at rand states, so a
-    gain-0 policy BSCC uses only tight (slack-0) controlled edges, and it is
-    potential-consistent exactly when none of its rand states is noisy (has
-    an edge of nonzero slack).  Hence a core exists iff some end component of
-    the tight sub-MDP holds a noisy rand state x; the policy that reaches x
-    almost surely inside it has x in a gain-0, non-degenerate BSCC.
+    the tight sub-MDP under the min-gain bias (``_tight_part``): a gain-0
+    policy BSCC uses only tight controlled edges, and it is
+    potential-consistent exactly when none of its rand states is noisy.
+    Hence a core exists iff some end component of the tight sub-MDP holds a
+    noisy rand state x; the policy that reaches x almost surely inside it
+    has x in a gain-0, non-degenerate BSCC.
     """
-    min_gain, strat, sub, index_map, bias = _mec_gain(game, mec, "min")
+    min_gain, strat, tight, noisy, original = _tight_part(game, mec, "min")
     if min_gain < 0:
         return frozenset(mec.members), strat
-    if min_gain > 0:
+    if min_gain > 0 or chain_mod.potential(game, mec.members, mec.allowed) is not None:
         return None
-    if chain_mod.potential(game, mec.members, mec.allowed) is not None:
-        return None
-
-    def slack(s, k):
-        t = s.transitions[k]
-        return step_reward(sub, s, t) + bias[t.target] - bias[s.id]
-
-    allowed = {}
-    noisy = set()
-    for s in sub.states:
-        edges = range(len(s.transitions))
-        if s.owner == "rand":
-            allowed[s.id] = tuple(edges)
-            if any(slack(s, k) != 0 for k in edges):
-                noisy.add(s.id)
-        else:
-            allowed[s.id] = tuple(k for k in edges if slack(s, k) == 0)
-    tight, tight_map = _restrict_to_mec(sub, Mec(frozenset(sub.ids()), allowed))
     for component in mec_decompose(tight):
         x = min(component.members & noisy, default=None)
         if x is None:
@@ -591,58 +593,83 @@ def _divergence_core(game, mec: Mec):
         choice = almost_sure_reach(inner, {x}).max_choice
         bsccs, _ = chain_mod.bscc_decompose(_induced_chain(inner, choice))
         core = next(b for b in bsccs if x in b)
-        core_choice = {
-            sid: index_map[sid][tight_map[sid][inner_map[sid][choice[sid]]]]
-            for sid in core
-            if sid in choice
-        }
-        return core, core_choice
+        return core, {sid: original(sid, inner_map[sid][choice[sid]]) for sid in core if sid in choice}
     return None
 
 
+def _bounded_part(game, mec: Mec):
+    """The MEC states where Max keeps liminf > -inf by staying inside the
+    MEC, with a choice that does so, or None: the dual of ``_divergence_core``.
+
+    Positive max gain wins the whole MEC, negative gain none of it.  At gain
+    0 the good part is the union of the end components of the tight sub-MDP
+    (``_tight_part``) without noisy rand states, where each controlled state
+    takes its first edge inside its component.  There every slack is 0, so
+    the prefix sum from s to t is h(s) - h(t), which is bounded.  It is all
+    of the good part: let B be a policy BSCC in the MEC with liminf > -inf
+    almost surely.  Its mean is <= 0 (the max gain) and not < 0, so 0.
+    Stationary weights are positive, controlled slacks <= 0 and rand slacks
+    average 0, and the weighted slack sum is the mean, so B uses only tight
+    controlled edges.  B has a potential phi (a mean-0 BSCC with liminf >
+    -inf), so each slack in B is g(t) - g(s) with g = phi + h; g is
+    harmonic on the irreducible chain B, hence constant, and no rand state
+    of B is noisy.
+    """
+    max_gain, choice, tight, noisy, original = _tight_part(game, mec, "max")
+    if max_gain != 0:
+        return (frozenset(mec.members), choice) if max_gain > 0 else None
+    members, keep = set(), {}
+    for component in mec_decompose(tight, within=set(tight.ids()) - noisy):
+        members |= component.members
+        for sid, edges in component.allowed.items():
+            if tight.state(sid).owner != "rand":
+                keep[sid] = original(sid, edges[0])
+    return frozenset(members), keep
+
+
+def _gain_rule(direction: str):
+    """The whole MEC with the optimiser's choice when its optimal gain is
+    > 0 (max: mean-gt, liminf=+inf) or <= 0 (min: their complements)."""
+
+    def rule(game, mec: Mec):
+        gain, choice, *_ = _mec_gain(game, mec, direction)
+        return (frozenset(mec.members), choice) if (gain > 0 if direction == "max" else gain <= 0) else None
+
+    return rule
+
+
+_MEC_RULES = {
+    "mean-gt": _gain_rule("max"),
+    "liminf-plus-inf": _gain_rule("max"),
+    "mean-leq": _gain_rule("min"),
+    "liminf-lt-plus-inf": _gain_rule("min"),
+    "liminf-minus-inf": _divergence_core,
+    "liminf-gt-minus-inf": _bounded_part,
+}
+
+
 def _value_one_region(game, objective: Objective):
-    """Maximising value-1 set W plus a witness choice map defined on W."""
+    """Maximising value-1 set W plus a witness choice map defined on W.
+
+    Each MEC of the game with every controlled state handed to Max yields,
+    by the objective's rule in ``_MEC_RULES``, the states where Max wins by
+    staying in it and a choice that stays; W is almost-sure reach of them.
+    """
+    rule = _MEC_RULES.get(objective.kind)
+    if rule is None:
+        raise ValueError(f"unsupported limit tag {objective.kind}")
     relabeled = relabel_controlled(game, "max")
-    kind = objective.kind
     cores: dict[str, int] = {}
     targets: set[str] = set()
-
-    if kind in ("mean-gt", "liminf-plus-inf", "mean-leq", "liminf-lt-plus-inf"):
-        direction = "max" if kind in ("mean-gt", "liminf-plus-inf") else "min"
-        for mec in mec_decompose(relabeled):
-            gain, choice, *_ = _mec_gain(relabeled, mec, direction)
-            hit = gain > 0 if direction == "max" else gain <= 0
-            if hit:
-                targets.update(mec.members)
-                cores.update(choice)
-    elif kind == "liminf-minus-inf":
-        for mec in mec_decompose(relabeled):
-            core = _divergence_core(relabeled, mec)
-            if core is not None:
-                members, choice = core
-                targets.update(members)
-                cores.update(choice)
-    elif kind == "liminf-gt-minus-inf":
-        w_inf, inf_choice = _value_one_region(game, Objective("liminf-plus-inf"))
-        credit = energy_min_credit(relabeled, keeper="max")
-        keeper = energy_keeper_choice(relabeled, credit, keeper="max")
-        finite = {sid for sid, c in credit.items() if c != INFINITE_CREDIT}
-        targets.update(w_inf)
-        targets.update(sid for sid in finite if credit[sid] == 0)
-        for sid in finite - w_inf:
-            if sid in keeper:
-                cores[sid] = keeper[sid]
-        for sid in w_inf:
-            if sid in inf_choice:
-                cores[sid] = inf_choice[sid]
-    else:
-        raise ValueError(f"unsupported limit tag {kind}")
-
+    for mec in mec_decompose(relabeled):
+        won = rule(relabeled, mec)
+        if won is not None:
+            targets.update(won[0])
+            cores.update(won[1])
     asr = almost_sure_reach(relabeled, targets)
-    winning = asr.winning
     choice = dict(asr.max_choice)
-    choice.update({sid: k for sid, k in cores.items() if sid in winning})
-    return winning, choice
+    choice.update({sid: k for sid, k in cores.items() if sid in asr.winning})
+    return asr.winning, choice
 
 
 def quantitative_limit(game, objective: Objective, direction: str = "max") -> SolveResult:

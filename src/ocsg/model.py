@@ -269,7 +269,7 @@ def _violations(game: Ssg | OcSsg):
 
     for i, s in enumerate(game.states):
         if s.owner not in OWNERS:
-            yield i, None, f"unknown owner {s.owner!r}"
+            yield i, None, f"unknown owner {_quoted(s.owner)}"
         if not s.transitions:
             yield i, None, "no successor"
         if loc == ON_STATES:
@@ -283,7 +283,7 @@ def _violations(game: Ssg | OcSsg):
         total = Fraction(0)
         for k, t in enumerate(s.transitions):
             if t.target not in seen:
-                yield i, k, f"dangling target {t.target!r}"
+                yield i, k, f"dangling target {_quoted(t.target)}"
             if s.owner == "rand":
                 if t.prob is None:
                     yield i, k, "missing probability"
@@ -309,14 +309,15 @@ def _violations(game: Ssg | OcSsg):
                 yield i, k, "unexpected reward"
         if s.owner == "rand" and all(t.prob is not None and t.prob > 0 for t in s.transitions) and s.transitions:
             if total != 1:
-                yield i, None, f"probabilities sum {total} != 1"
+                yield i, None, f"probabilities sum {_clipped(str(total))} != 1"
 
 
 def _describe(game: Ssg | OcSsg, i: int | None, k: int | None, message: str) -> str:
     """``message`` prefixed with the state (``a: ...``) or edge (``a[k]: ...``) it is about."""
     if i is None:
         return message
-    where = game.states[i].id if k is None else f"{game.states[i].id}[{k}]"
+    sid = _clipped(game.states[i].id)
+    where = sid if k is None else f"{sid}[{k}]"
     return f"{where}: {message}"
 
 
@@ -344,18 +345,23 @@ def _parse_attrs(parts, lineno, allowed):
     attrs = {}
     for col, tok in parts:
         if "=" not in tok:
-            raise ModelSyntaxError(lineno, col, f"expected key=value, found {tok!r}")
+            raise ModelSyntaxError(lineno, col, f"expected key=value, found {_quoted(tok)}")
         key, _, raw = tok.partition("=")
         if key not in allowed:
-            raise ModelSyntaxError(lineno, col, f"unknown attribute {key!r}")
+            raise ModelSyntaxError(lineno, col, f"unknown attribute {_quoted(key)}")
         if key in attrs:
-            raise ModelSyntaxError(lineno, col, f"repeated attribute {key!r}")
+            raise ModelSyntaxError(lineno, col, f"repeated attribute {_quoted(key)}")
         attrs[key] = (col, raw)
     return attrs
 
 
+def _clipped(raw: str) -> str:
+    """A token cut after 20 characters, so no error echoes a huge id or numeral."""
+    return raw if len(raw) <= 20 else f"{raw[:20]}..."
+
+
 def _quoted(raw: str) -> str:
-    """``repr`` of a token, cut after 20 characters so no error echoes a huge numeral."""
+    """``repr`` of a token, cut after 20 characters like ``_clipped``."""
     return repr(raw) if len(raw) <= 20 else f"{raw[:20]!r}..."
 
 
@@ -408,13 +414,13 @@ def parse_model(text: str) -> Ssg | OcSsg:
                     raise ModelSyntaxError(lineno, col0, "ssg header requires rewards=states|transitions")
                 col, raw = attrs["rewards"]
                 if raw not in (ON_STATES, ON_TRANSITIONS):
-                    raise ModelSyntaxError(lineno, col, f"expected states|transitions, found {raw!r}")
+                    raise ModelSyntaxError(lineno, col, f"expected states|transitions, found {_quoted(raw)}")
                 reward_location = raw
             elif keyword == "ocssg":
                 if parts[1:]:
                     raise ModelSyntaxError(lineno, parts[1][0], "ocssg header takes no attributes")
             else:
-                raise ModelSyntaxError(lineno, col0, f"expected header ssg|ocssg, found {keyword!r}")
+                raise ModelSyntaxError(lineno, col0, f"expected header ssg|ocssg, found {_quoted(keyword)}")
             header = keyword
             continue
 
@@ -423,15 +429,15 @@ def parse_model(text: str) -> Ssg | OcSsg:
                 raise ModelSyntaxError(lineno, col0, "expected state id")
             col_id, sid = parts[1]
             if not _ID_RE.match(sid):
-                raise ModelSyntaxError(lineno, col_id, f"invalid state id {sid!r}")
+                raise ModelSyntaxError(lineno, col_id, f"invalid state id {_quoted(sid)}")
             attrs = _parse_attrs(parts[2:], lineno, {"owner", "reward"})
             if "owner" not in attrs:
                 raise ModelSyntaxError(lineno, col_id, "state line requires owner=max|min|rand")
             col, raw = attrs["owner"]
             if raw not in OWNERS:
-                raise ModelSyntaxError(lineno, col, f"expected owner max|min|rand, found {raw!r}")
+                raise ModelSyntaxError(lineno, col, f"expected owner max|min|rand, found {_quoted(raw)}")
             if sid in declared:
-                raise ModelSemanticError(f"{sid}: duplicate state id", lineno)
+                raise ModelSemanticError(f"{_clipped(sid)}: duplicate state id", lineno)
             reward = _parse_int_reward(lineno, *attrs["reward"], "reward") if "reward" in attrs else None
             declared[sid] = (raw, reward, [lineno])  # the state line, then one per transition
             transitions[sid] = []
@@ -441,10 +447,12 @@ def parse_model(text: str) -> Ssg | OcSsg:
                 col = parts[2][0] if len(parts) > 2 else col0
                 raise ModelSyntaxError(lineno, col, "expected trans <src> -> <dst>")
             _, src = parts[1]
-            _, dst = parts[3]
+            col_dst, dst = parts[3]
+            if not _ID_RE.match(dst):
+                raise ModelSyntaxError(lineno, col_dst, f"invalid target id {_quoted(dst)}")
             attrs = _parse_attrs(parts[4:], lineno, {"p", "reward", "delta"})
             if src not in declared:
-                raise ModelSemanticError(f"transition from undeclared state {src!r}", lineno)
+                raise ModelSemanticError(f"transition from undeclared state {_quoted(src)}", lineno)
             prob = _parse_prob(lineno, *attrs["p"]) if "p" in attrs else None
             reward = _parse_int_reward(lineno, *attrs["reward"], "reward") if "reward" in attrs else None
             delta = _parse_int_reward(lineno, *attrs["delta"], "delta") if "delta" in attrs else None
@@ -452,7 +460,7 @@ def parse_model(text: str) -> Ssg | OcSsg:
             declared[src][2].append(lineno)
 
         else:
-            raise ModelSyntaxError(lineno, col0, f"expected state|trans, found {keyword!r}")
+            raise ModelSyntaxError(lineno, col0, f"expected state|trans, found {_quoted(keyword)}")
 
     if header is None:
         raise ModelSyntaxError(1, 1, "empty input, expected header ssg|ocssg")
@@ -517,39 +525,6 @@ def oc_to_reward_ssg(game: OcSsg) -> Ssg:
         for s in game.states
     )
     return Ssg(states, reward_location=ON_TRANSITIONS)
-
-
-def _fresh_id(base: str, taken: set[str]) -> str:
-    candidate = base
-    while candidate in taken:
-        candidate += "'"
-    taken.add(candidate)
-    return candidate
-
-
-def transition_to_state_rewards(game: Ssg) -> Ssg:
-    """Push transition rewards onto fresh rand states along each edge.
-
-    Each transition u -> v with reward rho becomes u -> aux -> v where aux
-    carries state reward rho; original states get reward 0.  Accumulated
-    reward sequences of corresponding runs agree at corresponding positions.
-    """
-    if game.reward_location != ON_TRANSITIONS:
-        raise ValueError("expects rewards on transitions")
-    check_valid(game)
-    taken = set(game.ids())
-    new_states: list[State] = []
-    aux_states: list[State] = []
-    for s in game.states:
-        new_transitions = []
-        for k, t in enumerate(s.transitions):
-            aux_id = _fresh_id(f"{s.id}.t{k}", taken)
-            aux_states.append(
-                State(aux_id, "rand", reward=t.reward, transitions=(Transition(t.target, prob=Fraction(1)),))
-            )
-            new_transitions.append(Transition(aux_id, prob=t.prob))
-        new_states.append(State(s.id, s.owner, reward=0, transitions=tuple(new_transitions)))
-    return Ssg(tuple(new_states) + tuple(aux_states), reward_location=ON_STATES)
 
 
 def fix_strategies(

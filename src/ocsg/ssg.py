@@ -183,9 +183,3 @@ def threshold_holds(value: Fraction, p: Fraction, relation: str) -> bool:
     if relation in (">", "gt"):
         return value > p
     return value >= p
-
-
-def decide_threshold(game: Ssg, objective: Objective, state: str, p: Fraction, relation: str) -> bool:
-    """Exact comparison of the game value at ``state`` against ``p``."""
-    check_threshold(p, relation)
-    return threshold_holds(solve_limit_ssg(game, objective).result.values[state], p, relation)

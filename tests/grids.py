@@ -8,9 +8,11 @@ seeded generator so every run sees identical instances.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from ocsg.model import Ssg, State, Transition, relabel_controlled
 
@@ -143,3 +145,12 @@ def random_reach_instances(count: int, seed: int = 62831853, max_core: int = 3):
             continue
         instances.append(instance)
     return instances
+
+
+def bench_families():
+    """``bench/families.py``, loaded without putting bench/ on sys.path."""
+    path = Path(__file__).parents[1] / "bench" / "families.py"
+    spec = importlib.util.spec_from_file_location("bench_families", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

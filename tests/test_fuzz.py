@@ -1,10 +1,11 @@
 """Fuzzing ``parse_model`` with mutated model texts.
 
 Valid texts are mutated by dropping or duplicating tokens and lines,
-swapping keywords, writing long or odd numerals into attributes and
-inserting stray characters.  Every result must be a game or a ``ModelError``
-that says where the fault is: a syntax error carries a line and a column,
-a semantic error the line it concerns.  The same mutated texts are fed to
+swapping keywords, writing long or odd numerals into attributes, long ids
+and keys into tokens, and inserting stray characters.  Every result must be
+a game or a ``ModelError`` that says where the fault is, in under 120
+characters: a syntax error carries a line and a column, a semantic error
+the line it concerns.  The same mutated texts are fed to
 ``ocsg solve`` and ``ocsg term``, which must answer or exit 2 with one
 ``error = ...`` line and an empty report.
 """
@@ -56,9 +57,12 @@ def _long_numeral():
 
 NUMERALS = st.one_of(st.sampled_from(ODD_NUMERALS), _long_numeral())
 
+# Long tokens of valid id characters and of characters no id may hold.
+LONG_TOKENS = st.builds(lambda c, n: c * n, st.sampled_from(("b", "x_1.", "$", "a b")), st.integers(30, 5000))
+
 # Numerals are drawn most often: the other mutations mostly break a line's
 # syntax before any numeral on it is read.
-MUTATIONS = ("numeral",) * 3 + ("drop", "dup", "keyword", "stray", "drop-line", "dup-line")
+MUTATIONS = ("numeral",) * 3 + ("long", "drop", "dup", "keyword", "stray", "drop-line", "dup-line")
 
 
 def _mutate(data, lines):
@@ -91,6 +95,14 @@ def _mutate(data, lines):
         else:
             key = data.draw(st.sampled_from(("p", "reward", "delta")))
             tokens.append(f"{key}={value}")
+    elif kind == "long":
+        # A long id in place of a token, or a long key before an attribute's value.
+        j = data.draw(st.integers(0, max(0, len(tokens) - 1)))
+        value = data.draw(LONG_TOKENS)
+        if j < len(tokens) and "=" in tokens[j] and data.draw(st.booleans()):
+            tokens[j] = value + "=" + tokens[j].partition("=")[2]
+        else:
+            tokens[j:j + 1] = [value]
     elif kind == "stray":
         j = data.draw(st.integers(0, len(tokens)))
         tokens.insert(j, data.draw(st.text(min_size=1, max_size=3)))
@@ -117,6 +129,7 @@ def test_mutated_models_parse_or_fail_with_a_position(data):
     try:
         game = parse_model(text)
     except ModelError as exc:
+        assert len(str(exc)) < 120, str(exc)[:300]
         physical = text.splitlines()
         if isinstance(exc, ModelSyntaxError):
             assert 1 <= exc.line <= max(1, len(physical))

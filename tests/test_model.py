@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ocsg.model import (
-    LIMIT_OBJECTIVES,
     ModelError,
     ModelSemanticError,
     ModelSyntaxError,
@@ -18,10 +17,8 @@ from ocsg.model import (
     oc_to_reward_ssg,
     parse_model,
     print_model,
-    transition_to_state_rewards,
     validate,
 )
-from ocsg import oracle
 
 from grids import random_games
 
@@ -139,6 +136,33 @@ def test_long_integer_numerals_give_short_positioned_errors(template, line, digi
     assert len(str(err.value)) < 120
 
 
+@pytest.mark.parametrize("length", [5000, 100])
+@pytest.mark.parametrize(
+    "template,line,column",
+    [
+        ("ssg rewards=states\nstate a owner=max reward=0\ntrans a -> {ok}\n", 3, None),
+        ("ssg rewards=states\nstate a owner=max reward=0\ntrans a -> {bad}\n", 3, 12),
+        ("ssg rewards=states\nstate {bad} owner=max reward=0\n", 2, 7),
+        ("ssg rewards=states\nstate a owner=max reward=0 {ok}=1\ntrans a -> a\n", 2, 28),
+        ("ssg rewards=states\nstate {ok} owner=max reward=0\n", 2, None),
+        ("ssg rewards=states\nstate {ok} owner=max reward=0\ntrans {ok} -> {ok}\nstate {ok} owner=max reward=0\n", 4, None),
+        ("ssg rewards=states\nstate a owner=max reward=0\ntrans {ok} -> a\n", 3, None),
+        ("ssg rewards=states\nstate a owner=max reward=0\n{ok} a -> a\n", 3, 1),
+    ],
+    ids=["dangling-target", "bad-target", "bad-state-id", "unknown-key", "no-successor", "duplicate-id",
+         "undeclared-source", "unknown-keyword"],
+)
+def test_long_ids_and_keys_give_short_positioned_errors(template, line, column, length):
+    with pytest.raises(ModelError) as err:
+        parse_model(template.format(ok="b" * length, bad="$" * length))
+    assert err.value.line == line
+    if column is None:
+        assert isinstance(err.value, ModelSemanticError)
+    else:
+        assert isinstance(err.value, ModelSyntaxError) and err.value.column == column
+    assert len(str(err.value)) < 120
+
+
 def test_missing_delta_rejected():
     with pytest.raises(ModelSemanticError) as err:
         parse_model("ocssg\nstate a owner=max\ntrans a -> a\n")
@@ -242,27 +266,6 @@ def test_oc_to_reward_appendix_rewards(five_state_game):
     v = rewards.state("v")
     assert [t.reward for t in v.transitions] == [0, -1]
     assert [t.reward for t in rewards.state("back").transitions] == [0, 1]
-
-
-def test_transition_to_state_rewards_counts():
-    game = oc_to_reward_ssg(parse_model("ocssg\nstate a owner=rand\ntrans a -> a p=1/1 delta=-1\n"))
-    moved = transition_to_state_rewards(game)
-    assert moved.reward_location == "states"
-    assert len(moved.states) == 2
-    aux = [s for s in moved.states if s.id != "a"][0]
-    assert aux.reward == -1
-    assert moved.state("a").reward == 0
-
-
-def test_transition_to_state_rewards_preserves_values():
-    # Exact objective-value preservation at original states, oracle on both sides.
-    for game in random_games(12, sizes=(2, 3, 4), seed=5150, reward_location="transitions"):
-        moved = transition_to_state_rewards(game)
-        for objective in LIMIT_OBJECTIVES:
-            before = oracle.enumerate_solve(game, objective).values
-            after = oracle.enumerate_solve(moved, objective).values
-            for sid in game.ids():
-                assert after[sid] == before[sid], (sid, objective.kind)
 
 
 def test_fix_strategies_substitutes_choice(five_state_game):

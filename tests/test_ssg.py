@@ -1,4 +1,3 @@
-import importlib.util
 import operator
 from fractions import Fraction
 from pathlib import Path
@@ -6,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from ocsg import chain as chain_mod
-from ocsg import mdp, oracle, ssg
+from ocsg import mdp, oracle, ssg, termination
 from ocsg.model import (
     LIMINF_GT_MINUS_INF,
     LIMINF_MINUS_INF,
@@ -23,7 +22,7 @@ from ocsg.model import (
 )
 from ocsg.reduce import condon_to_limit
 
-from grids import exhaustive_games, random_games
+from grids import bench_families, exhaustive_games, random_games
 
 FAIR_COIN_CONDON = parse_model(
     "ssg rewards=states\n"
@@ -136,16 +135,22 @@ def test_edge_monotonicity():
 def test_decide_threshold_edges():
     game = FAIR_COIN_CONDON
     reduced = condon_to_limit(game, "s", "t", "u")
-    assert ssg.decide_threshold(reduced, LIMINF_MINUS_INF, "s", Fraction(0), ">=") is True
-    assert ssg.decide_threshold(reduced, LIMINF_MINUS_INF, "s", Fraction(1), ">") is False
-    assert ssg.decide_threshold(reduced, LIMINF_MINUS_INF, "s", Fraction(1, 2), ">") is True
+    value = ssg.solve_limit_ssg(reduced, LIMINF_MINUS_INF).result.values["s"]
+    assert ssg.threshold_holds(value, Fraction(0), ">=") is True
+    assert ssg.threshold_holds(value, Fraction(1), ">") is False
+    assert ssg.threshold_holds(value, Fraction(1, 2), ">") is True
 
 
 def test_decide_threshold_validates_input():
+    value = ssg.solve_limit_ssg(FAIR_COIN_CONDON, LIMINF_MINUS_INF).result.values["s"]
     with pytest.raises(ValueError):
-        ssg.decide_threshold(FAIR_COIN_CONDON, LIMINF_MINUS_INF, "s", Fraction(2), ">")
+        ssg.threshold_holds(value, Fraction(2), ">")
     with pytest.raises(ValueError):
-        ssg.decide_threshold(FAIR_COIN_CONDON, LIMINF_MINUS_INF, "s", Fraction(1, 2), "<")
+        ssg.threshold_holds(value, Fraction(1, 2), "<")
+    with pytest.raises(ValueError):
+        ssg.check_threshold(Fraction(2), ">")
+    with pytest.raises(ValueError):
+        ssg.check_threshold(Fraction(1, 2), "<")
 
 
 def _random_rough_game(rng, n):
@@ -205,12 +210,7 @@ DATA = Path(__file__).parent / "data"
 
 
 def _dense_family():
-    """``dense`` of ``bench/families.py``, loaded without putting bench/ on sys.path."""
-    path = Path(__file__).parents[1] / "bench" / "families.py"
-    spec = importlib.util.spec_from_file_location("bench_families", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.dense
+    return bench_families().dense
 
 
 def _assert_certified(game, solve, objective):
@@ -469,6 +469,27 @@ def test_one_solve_evaluates_each_end_component_once(monkeypatch):
         totals[0] += len(analyzed)
         totals[1] += len(solved)
     assert min(totals) > 0
+
+
+def test_limit_solves_never_lift_energy(monkeypatch, five_state_game):
+    # Limit objectives are decided from end components; only the
+    # termination-value-0 question plays the energy game.
+    lifts = []
+    lift = mdp.energy_min_credit
+
+    def spy(game, keeper="max"):
+        lifts.append(keeper)
+        return lift(game, keeper)
+
+    monkeypatch.setattr(mdp, "energy_min_credit", spy)
+    grid = exhaustive_games()
+    cases = list(_dense_sweep())
+    cases += [(grid[i], objective) for i in range(0, len(grid), 29) for objective in LIMIT_OBJECTIVES]
+    for game, objective in cases:
+        ssg.solve_limit_ssg(game, objective)
+    assert lifts == []
+    termination.decide_term_zero(five_state_game, "v", 1)
+    assert lifts == ["min"]
 
 
 def test_component_memo_lives_only_inside_a_solve(monkeypatch):

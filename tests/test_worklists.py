@@ -5,9 +5,11 @@ pass changes nothing; they are the reference forms of ``chain.attractor``
 and ``mdp.energy_min_credit``.  ``reference_normalization`` (reachability
 policy iteration) and ``reference_mec_consistent`` (a second potential BFS)
 are the reference forms of the normalization check in ``reduce`` and of
-``chain.potential`` on end-component edges.  The references read step
-weights through their own ``arrival_weights``, not ``model.step_reward``,
-so a wrong weight there shows up as a disagreement.
+``chain.potential`` on end-component edges.  ``reference_lifting_region``
+(energy lifting plus the keeper's credit-preserving edges) is the reference
+form of the end-component rule that ``mdp`` uses for liminf > -inf.  The
+references read step weights through their own ``arrival_weights``, not
+``model.step_reward``, so a wrong weight there shows up as a disagreement.
 """
 
 import math
@@ -16,9 +18,19 @@ import random
 import pytest
 
 from ocsg import chain, mdp, reduce
-from ocsg.model import OcSsg, State, Transition, relabel_controlled
+from ocsg.model import (
+    LIMINF_GT_MINUS_INF,
+    LIMINF_PLUS_INF,
+    OcSsg,
+    PureMemorylessStrategy,
+    State,
+    Transition,
+    fix_strategies,
+    parse_model,
+    relabel_controlled,
+)
 
-from grids import as_mdp, exhaustive_games, random_game, random_games
+from grids import as_mdp, bench_families, exhaustive_games, random_game, random_games
 
 SIDES = (("max", "rand"), ("min", "rand"), ("rand",))
 
@@ -206,3 +218,63 @@ def test_potential_matches_mec_bfs(reward_location):
             if h is not None:
                 assert set(h) == mec.members
     assert min(seen.values()) >= 100
+
+
+def reference_lifting_region(game):
+    """Value-1 set of liminf > -inf and a witness choice on it, by energy
+    lifting: almost-sure reach of the liminf=+inf value-1 set and of the
+    states from which Max keeps every prefix sum >= 0.  Max follows the
+    liminf=+inf witness on the former, and a credit-preserving edge of least
+    demand at every other state of finite credit."""
+    relabeled = relabel_controlled(game, "max")
+    w_inf, inf_choice = mdp._value_one_region(game, LIMINF_PLUS_INF)
+    credit = sweep_energy(relabeled, "max")
+    weights = arrival_weights(relabeled)
+    cutoff = len(relabeled.states)
+    keeper = {}
+    for s in relabeled.states:
+        if s.owner == "max" and credit[s.id] != math.inf:
+            needs = [max(0, credit[t.target] - w) for t, w in zip(s.transitions, weights[s.id])]
+            demands = [math.inf if need > cutoff else need for need in needs]
+            keeper[s.id] = demands.index(min(demands))
+    finite = {sid for sid, c in credit.items() if c != math.inf}
+    targets = set(w_inf) | {sid for sid in finite if credit[sid] == 0}
+    cores = {sid: keeper[sid] for sid in finite - w_inf if sid in keeper}
+    cores.update({sid: inf_choice[sid] for sid in w_inf if sid in inf_choice})
+    asr = mdp.almost_sure_reach(relabeled, targets)
+    choice = dict(asr.max_choice)
+    choice.update({sid: k for sid, k in cores.items() if sid in asr.winning})
+    return asr.winning, choice
+
+
+def _wins_almost_surely(game, region, choice):
+    """Max wins liminf > -inf with probability 1 on ``region`` by ``choice``."""
+    relabeled = relabel_controlled(game, "max")
+    policy = {sid: choice.get(sid, 0) for sid in relabeled.owner_ids("max")}
+    induced = fix_strategies(relabeled, PureMemorylessStrategy("max", policy))
+    values = chain.chain_tail_value(induced, LIMINF_GT_MINUS_INF)
+    return all(values[sid] == 1 for sid in region)
+
+
+def _one_player_cases():
+    yield from exhaustive_games()
+    for location in ("states", "transitions"):
+        yield from map(as_mdp, random_games(400, sizes=(4, 6, 9), seed=1011, reward_location=location))
+    counter_sources = random_games(100, sizes=(5, 8), seed=1012, reward_location="transitions")
+    yield from (_counter_game(as_mdp(game)) for game in counter_sources)
+    dense_mdp = bench_families().dense_mdp
+    for n in (20, 30, 40, 50, 60):
+        for fseed in (1, 2):
+            yield parse_model(dense_mdp(n, fseed, None))
+
+
+def test_bounded_region_matches_energy_lifting():
+    nonempty = 0
+    for game in _one_player_cases():
+        region, choice = mdp._value_one_region(game, LIMINF_GT_MINUS_INF)
+        reference, reference_choice = reference_lifting_region(game)
+        assert region == reference, game
+        assert _wins_almost_surely(game, region, choice), game
+        assert _wins_almost_surely(game, reference, reference_choice), game
+        nonempty += bool(region) and region != set(game.ids())
+    assert nonempty >= 300
