@@ -155,32 +155,41 @@ def _check_bscc(chain: Ssg, members: frozenset[str]) -> None:
         raise ValueError("component is not strongly connected")
 
 
-def analyze_bscc(chain: Ssg, members: frozenset[str]) -> BsccAnalysis:
-    """Stationary law, drift, potential, and 0/1 tail classification of a BSCC."""
+def stationary_law(chain: Ssg, members: frozenset[str]) -> tuple[dict[str, Fraction], linsolve.Factorization]:
+    """Stationary law of the BSCC ``members`` and the factorization of its
+    system S.
+
+    S holds the balance equations over the members in game order, with the
+    first replaced by normalisation: row 0 is all ones and row j > 0 has
+    column i equal to [i == j] - P(i, j).  The law is keyed by state id in
+    that order.
+    """
     _require_chain(chain)
     _check_bscc(chain, members)
     order = [sid for sid in chain.ids() if sid in members]
     pos = {sid: i for i, sid in enumerate(order)}
     n = len(order)
 
-    # Balance equations with the first one replaced by normalisation.
     rows = [dict.fromkeys(range(n), Fraction(1))] + [{i: Fraction(1)} for i in range(1, n)]
-    rhs = [Fraction(0)] * n
-    rhs[0] = Fraction(1)
     for i, uid in enumerate(order):
         for t in chain.state(uid).transitions:
             j = pos[t.target]
             if j:
                 rows[j][i] = rows[j].get(i, 0) - t.prob
-    solution, _ = linsolve.solve_linear_system(rows, rhs)
-    stationary = {sid: solution[pos[sid]] for sid in order}
-    if any(v <= 0 for v in stationary.values()):
+    system = linsolve.factor(rows)
+    solution = system.solve([Fraction(1)] + [Fraction(0)] * (n - 1))
+    if any(v <= 0 for v in solution):
         raise ValueError("stationary distribution not positive, component is not a BSCC")
+    return dict(zip(order, solution)), system
 
+
+def analyze_bscc(chain: Ssg, members: frozenset[str]) -> BsccAnalysis:
+    """Stationary law, drift, potential, and 0/1 tail classification of a BSCC."""
+    stationary, _ = stationary_law(chain, members)
     mean = Fraction(0)
-    for sid in order:
+    for sid, weight in stationary.items():
         s = chain.state(sid)
-        mean += stationary[sid] * sum((t.prob * step_reward(chain, s, t) for t in s.transitions), Fraction(0))
+        mean += weight * sum((t.prob * step_reward(chain, s, t) for t in s.transitions), Fraction(0))
 
     h = potential(chain, members)
 

@@ -11,6 +11,7 @@ error leaves the report empty.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -23,6 +24,7 @@ from .model import (
     Objective,
     OcSsg,
     PureMemorylessStrategy,
+    _quoted,
     parse_model,
     print_model,
 )
@@ -30,6 +32,14 @@ from .model import (
 
 class CliError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Turns argparse's usage errors into ``CliError``, so they too end in
+    one ``error = ...`` line; subparsers inherit it as ``parser_class``."""
+
+    def error(self, message):
+        raise CliError(message)
 
 
 def _fmt(value: Fraction) -> str:
@@ -47,7 +57,7 @@ def _read_model(path: str):
 
 def _objective(tag: str) -> Objective:
     if tag not in LIMIT_KINDS:
-        raise CliError(f"unknown objective {tag!r}, expected one of {', '.join(LIMIT_KINDS)}")
+        raise CliError(f"unknown objective {_quoted(tag)}, expected one of {', '.join(LIMIT_KINDS)}")
     return Objective(tag)
 
 
@@ -58,7 +68,7 @@ def _threshold(raw: str) -> Fraction:
             return Fraction(int(num), int(den))
         return Fraction(int(raw))
     except (ValueError, ZeroDivisionError):
-        raise CliError(f"bad threshold {raw!r}, expected num/den") from None
+        raise CliError(f"bad threshold {_quoted(raw)}, expected num/den") from None
 
 
 def _emit(out, key, value):
@@ -74,7 +84,7 @@ def _emit_strategy(out, label, strategy):
 
 def _check_state(game, state) -> None:
     if state is not None and state not in game.by_id:
-        raise CliError(f"unknown state {state!r}")
+        raise CliError(f"unknown state {_quoted(state)}")
 
 
 def _emit_solution(out, game, objective, method, result, state) -> None:
@@ -158,9 +168,9 @@ def _parse_choices(pairs, game, player) -> PureMemorylessStrategy | None:
         try:
             index = int(idx)
         except ValueError:
-            raise CliError(f"bad choice {raw!r}, expected state=index") from None
+            raise CliError(f"bad choice {_quoted(raw)}, expected state=index") from None
         if sid not in choice:
-            raise CliError(f"{sid!r} is not a {player} state")
+            raise CliError(f"{_quoted(sid)} is not a {player} state")
         choice[sid] = index
     return PureMemorylessStrategy(player, choice)
 
@@ -206,8 +216,11 @@ def _cmd_oracle(args, out) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ocsg", description=__doc__)
+    """The parser, built once per process: ``parse_args`` leaves it as it
+    is and returns a fresh namespace."""
+    parser = _Parser(prog="ocsg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="exact values and witnesses for a limit objective")
@@ -260,9 +273,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args, out)
     except (CliError, ModelError, oracle.EnumerationTooLarge, ssg.NoCertificate, ValueError) as exc:
         print(f"error = {exc}", file=sys.stderr)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import chain as chain_mod
-from .linsolve import solve_linear_system
+from . import linsolve
 from .model import (
     LIMIT_KINDS,
     ON_STATES,
@@ -216,23 +216,23 @@ def _per_visit_reward(game, state: State) -> Fraction:
     return sum((t.prob * step_reward(game, state, t) for t in state.transitions), Fraction(0))
 
 
-def _class_gain_bias(induced, members, order):
+def _class_gain_bias(induced, members):
     """Mean payoff of the closed class ``members`` of ``induced`` and its
-    canonical bias (stationary average 0), keyed by state id."""
-    analysis = chain_mod.analyze_bscc(induced, members)
-    pos = {sid: i for i, sid in enumerate(order)}
-    rows = [{j: analysis.stationary[sid] for j, sid in enumerate(order)}]
-    rhs = [Fraction(0)]
-    for i, sid in enumerate(order[1:], 1):
-        state = induced.state(sid)
-        row = {i: Fraction(1)}
-        for t in state.transitions:
-            j = pos[t.target]
-            row[j] = row.get(j, 0) - t.prob
-        rows.append(row)
-        rhs.append(_per_visit_reward(induced, state) - analysis.mean_payoff)
-    solution, _ = solve_linear_system(rows, rhs)
-    return analysis.mean_payoff, {sid: solution[pos[sid]] for sid in order}
+    canonical bias (stationary average 0), keyed by state id.
+
+    With the members in game order, the unichain evaluation g + h(s) -
+    sum_t P(s, t) h(t) = r(s) with h(first member) = 0 is M x = r for x =
+    (g, h without its first entry) and M = [1 | (I - P) without column 0].
+    M^T is the stationary system S of ``chain.stationary_law``, so one
+    factorization gives the law, g and h; the canonical bias is h minus its
+    stationary average.
+    """
+    stationary, system = chain_mod.stationary_law(induced, members)
+    rewards = [_per_visit_reward(induced, induced.state(sid)) for sid in stationary]
+    solution = system.solve_transposed(rewards)
+    mean, h = solution[0], [Fraction(0)] + solution[1:]
+    shift = sum((w * v for w, v in zip(stationary.values(), h)), Fraction(0))
+    return mean, {sid: v - shift for sid, v in zip(stationary, h)}
 
 
 def _evaluate_gain_bias(game, policy):
@@ -244,7 +244,7 @@ def _evaluate_gain_bias(game, policy):
     for members in bsccs:
         order = [sid for sid in induced.ids() if sid in members]
         key = ("class", _flavour(induced), tuple(induced.state(sid) for sid in order))
-        mean, class_bias = _memoized(key, lambda: _class_gain_bias(induced, members, order))
+        mean, class_bias = _memoized(key, lambda: _class_gain_bias(induced, members))
         for sid in order:
             gain[sid] = mean
         bias.update(class_bias)
@@ -263,7 +263,9 @@ def _evaluate_gain_bias(game, policy):
                     row[j] = row.get(j, 0) - t.prob
                 else:
                     rhs_g[i] += t.prob * gain[t.target]
-        sol_g, _ = solve_linear_system(rows, rhs_g)
+        # The gain and the bias solve the same matrix I - P_TT.
+        system = linsolve.factor(rows)
+        sol_g = system.solve(rhs_g)
         for sid in order:
             gain[sid] = sol_g[pos[sid]]
         rhs_h = [Fraction(0)] * n
@@ -273,7 +275,7 @@ def _evaluate_gain_bias(game, policy):
             for t in state.transitions:
                 if t.target not in pos:
                     rhs_h[i] += t.prob * bias[t.target]
-        sol_h, _ = solve_linear_system(rows, rhs_h)
+        sol_h = system.solve(rhs_h)
         for sid in order:
             bias[sid] = sol_h[pos[sid]]
     return gain, bias

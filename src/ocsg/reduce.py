@@ -14,7 +14,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from .chain import attractor
-from .model import OWNERS, OcSsg, Ssg, State, Transition, check_valid
+from .model import OWNERS, OcSsg, Ssg, State, Transition, _quoted, check_valid
 
 
 class NormalizationError(ValueError):
@@ -63,7 +63,7 @@ def normalize_reach_instance(game: Ssg, t: str, t_prime: str) -> Ssg:
         raise ValueError("t and t' must differ")
     for sid in (t, t_prime):
         if sid not in game.by_id:
-            raise ValueError(f"unknown state {sid!r}")
+            raise ValueError(f"unknown state {_quoted(sid)}")
     routed = _route_dead_sinks(game, t, t_prime)
     _check_normalized(routed, t, t_prime)
     return routed
@@ -79,7 +79,7 @@ def condon_to_limit(game: Ssg, s: str, t: str, t_prime: str) -> Ssg:
     reach values taken on the normalized instance.
     """
     if s not in game.by_id:
-        raise ValueError(f"unknown state {s!r}")
+        raise ValueError(f"unknown state {_quoted(s)}")
     routed = normalize_reach_instance(game, t, t_prime)
 
     states = []

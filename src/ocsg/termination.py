@@ -24,6 +24,7 @@ from .model import (
     Ssg,
     State,
     Transition,
+    _quoted,
     check_valid,
     step_reward,
 )
@@ -101,7 +102,7 @@ def check_query(game: OcSsg, start: str, j: int) -> None:
     if j < 1:
         raise ValueError("termination requires j >= 1")
     if start not in game.by_id:
-        raise ValueError(f"unknown state {start!r}")
+        raise ValueError(f"unknown state {_quoted(start)}")
 
 
 def _term_pipeline(game: OcSsg, start: str, j: int):

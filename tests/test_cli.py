@@ -2,6 +2,9 @@ import gc
 import io
 import warnings
 
+import pytest
+
+from ocsg import cli
 from ocsg.cli import run
 from ocsg.model import LIMIT_KINDS, parse_model, print_model
 from ocsg.reduce import condon_to_limit
@@ -255,3 +258,78 @@ def test_bad_arguments_fail_before_solving_or_reporting(tmp_path, monkeypatch, c
         assert run(argv, out) == 2, argv
         assert out.getvalue() == "", argv
         assert capsys.readouterr().err == f"error = {message}\n", argv
+
+
+def test_parser_is_built_once(tmp_path, monkeypatch):
+    parsers = []
+    parse_args = cli._Parser.parse_args
+
+    def spy(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_args", spy)
+    path = _write(tmp_path, "coin.ssg", FAIR_COIN_TEXT)
+    outs = [io.StringIO(), io.StringIO()]
+    for out in outs:
+        assert run(["solve", path, "--objective", "mean-gt", "--state", "s"], out) == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+    assert outs[1].getvalue() == outs[0].getvalue()
+
+
+DASHED_TEXT = """\
+ssg rewards=states
+state -a owner=rand reward=1
+trans -a -> -a p=1/1
+"""
+
+
+def test_argparse_errors_are_one_error_line(tmp_path, capsys):
+    dashed = _write(tmp_path, "dashed.ssg", DASHED_TEXT)
+    appendix = _write(tmp_path, "appendix.ocssg", FIVE_STATE_TEXT)
+    cases = [
+        (["term", appendix, "--state", "->", "--j", "1"], "argument --state: expected one argument"),
+        (["solve", dashed, "--state=-a"], "the following arguments are required: --objective"),
+        (["term", appendix, "--state", "v", "--j", "x"], "argument --j: invalid int value: 'x'"),
+    ]
+    for argv, message in cases:
+        out = io.StringIO()
+        assert run(argv, out) == 2, argv
+        assert out.getvalue() == "", argv
+        assert capsys.readouterr().err == f"error = {message}\n", argv
+    out = io.StringIO()
+    assert run(["solve", dashed, "--objective", "mean-gt", "--state=-a"], out) == 0
+    assert _record(out)["-a"] == "1/1"
+
+
+LONG = "x" * 5000
+ONE_MAX_TEXT = "ssg rewards=states\nstate m owner=max reward=0\ntrans m -> m\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "{coin}", "--objective", "mean-gt", "--state", LONG],
+        ["term", "{appendix}", "--j", "1", "--state", LONG],
+        ["reduce", "{coin}", "--kind", "condon-limit", "--start", LONG, "--t", "t", "--tprime", "u"],
+        ["solve", "{coin}", "--objective", LONG],
+        ["solve", "{coin}", "--objective", "mean-gt", "--state", "s", "--threshold", LONG],
+        ["simulate", "{max}", "--state", "m", "--steps", "1", "--trials", "1", "--seed", "1", "--max-choice", "m=" + LONG],
+        ["simulate", "{max}", "--state", "m", "--steps", "1", "--trials", "1", "--seed", "1", "--max-choice", LONG + "=0"],
+    ],
+    ids=["solve-state", "term-state", "reduce-start", "objective", "threshold", "choice-index", "choice-state"],
+)
+def test_long_arguments_are_cut_in_the_error_line(tmp_path, capsys, argv):
+    paths = {
+        "{coin}": _write(tmp_path, "coin.ssg", FAIR_COIN_TEXT),
+        "{appendix}": _write(tmp_path, "appendix.ocssg", FIVE_STATE_TEXT),
+        "{max}": _write(tmp_path, "max.ssg", ONE_MAX_TEXT),
+    }
+    out = io.StringIO()
+    assert run([paths.get(arg, arg) for arg in argv], out) == 2
+    assert out.getvalue() == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error = ")
+    # The unknown-objective message lists the six objective tags after the cut argument.
+    listing = ", ".join(LIMIT_KINDS) if "unknown objective" in err else ""
+    assert len(err) - len(listing) < 120, err[:200]

@@ -5,7 +5,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ocsg.linsolve import SingularMatrixError, solve_linear_system
+from ocsg.linsolve import SingularMatrixError, factor, solve_linear_system
 
 
 def _rows(matrix):
@@ -186,3 +186,29 @@ def test_repeated_row_is_singular(system):
     rows[k] = {j: factor * a for j, a in rows[i].items()}
     with pytest.raises(SingularMatrixError):
         solve_linear_system(rows, rhs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_systems())
+def test_factorization_solves_the_system_and_its_transpose(system):
+    rows, rhs, rng = system
+    n = len(rows)
+    matrix = _dense(rows, n)
+    if _naive_gauss(matrix, rhs) is None:
+        with pytest.raises(SingularMatrixError):
+            factor(rows)
+        return
+    copy = [dict(row) for row in rows]
+    factorization = factor(rows)
+    assert rows == copy
+    transposed = [list(column) for column in zip(*matrix)]
+    for _ in range(3):
+        b = [Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(n)]
+        assert factorization.solve(b) == _naive_gauss(matrix, b) == solve_linear_system(rows, b)[0]
+        assert factorization.solve_transposed(b) == _naive_gauss(transposed, b)
+    assert rows == copy
+
+
+def test_singular_matrix_raises_at_factor():
+    with pytest.raises(SingularMatrixError):
+        factor([{0: 1, 1: 1}, {0: 2, 1: 2}])

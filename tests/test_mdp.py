@@ -1,8 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
 from ocsg import chain as chain_mod
-from ocsg import mdp, oracle
+from ocsg import linsolve, mdp, oracle
 from ocsg.model import (
     LIMINF_GT_MINUS_INF,
     LIMINF_MINUS_INF,
@@ -17,7 +18,7 @@ from ocsg.model import (
     parse_model,
 )
 
-from grids import as_mdp, random_games
+from grids import as_mdp, bench_families, exhaustive_games, random_games
 
 
 def _fix(game, strategy):
@@ -211,6 +212,74 @@ def test_mean_payoff_bias_out_is_the_returned_policys_bias():
             bias = {}
             gain, strategy = mdp.expected_mean_payoff(game, direction, bias)
             assert (gain, bias) == mdp._evaluate_gain_bias(game, strategy.choice)
+
+
+def reference_class_gain_bias(induced, members):
+    """Two eliminations per class: the stationary law through
+    ``chain.analyze_bscc``, then the bias system whose first row is the
+    normalisation pi . h = 0 in place of the first state's equation."""
+    analysis = chain_mod.analyze_bscc(induced, members)
+    order = list(analysis.stationary)
+    pos = {sid: i for i, sid in enumerate(order)}
+    rows = [{j: analysis.stationary[sid] for j, sid in enumerate(order)}]
+    rhs = [Fraction(0)]
+    for i, sid in enumerate(order[1:], 1):
+        state = induced.state(sid)
+        row = {i: Fraction(1)}
+        for t in state.transitions:
+            j = pos[t.target]
+            row[j] = row.get(j, 0) - t.prob
+        rows.append(row)
+        rhs.append(mdp._per_visit_reward(induced, state) - analysis.mean_payoff)
+    solution, _ = linsolve.solve_linear_system(rows, rhs)
+    return analysis.mean_payoff, {sid: solution[pos[sid]] for sid in order}
+
+
+def _policy_cases():
+    """Every policy of every grid game, and seeded random policies of the
+    dense family (n 8-24)."""
+    for game in exhaustive_games():
+        controlled = game.controlled_ids()
+        ranges = [range(len(game.state(sid).transitions)) for sid in controlled]
+        for picks in itertools.product(*ranges):
+            yield game, dict(zip(controlled, picks))
+    dense = bench_families().dense
+    rng = random.Random(2718)
+    for n in (8, 12, 16, 24):
+        for fseed in range(1, 5):
+            game = parse_model(dense(n, fseed, None))
+            for _ in range(4):
+                yield game, {sid: rng.randrange(len(game.state(sid).transitions)) for sid in game.controlled_ids()}
+
+
+def test_class_gain_bias_matches_two_elimination_reference():
+    classes = 0
+    for game, policy in _policy_cases():
+        induced = mdp._induced_chain(game, policy)
+        for members in chain_mod.bscc_decompose(induced)[0]:
+            assert mdp._class_gain_bias(induced, members) == reference_class_gain_bias(induced, members)
+            classes += 1
+    assert classes > 5000
+
+
+def test_evaluation_factors_each_matrix_once(monkeypatch):
+    sizes = []
+    factor = linsolve.factor
+
+    def spy(rows):
+        sizes.append(len(rows))
+        return factor(rows)
+
+    monkeypatch.setattr(linsolve, "factor", spy)
+    transient_blocks = 0
+    for game, policy in _policy_cases():
+        bsccs, transient = chain_mod.bscc_decompose(mdp._induced_chain(game, policy))
+        sizes.clear()
+        mdp._evaluate_gain_bias(game, policy)
+        # One factorization per closed class, then one for the transient block.
+        assert sizes == [len(members) for members in bsccs] + ([len(transient)] if transient else [])
+        transient_blocks += bool(transient)
+    assert transient_blocks > 2000
 
 
 # -- MECs ---------------------------------------------------------------------

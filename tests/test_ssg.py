@@ -447,17 +447,17 @@ def _flavoured(game, states):
 
 def test_one_solve_evaluates_each_end_component_once(monkeypatch):
     analyzed, solved = [], []
-    analyze, mean_payoff = chain_mod.analyze_bscc, mdp.expected_mean_payoff
+    stationary_law, mean_payoff = chain_mod.stationary_law, mdp.expected_mean_payoff
 
     def spy_analyze(chain, members):
         analyzed.append(_flavoured(chain, (s for s in chain.states if s.id in members)))
-        return analyze(chain, members)
+        return stationary_law(chain, members)
 
     def spy_mean_payoff(game, direction="max", bias_out=None):
         solved.append((direction, _flavoured(game, game.states)))
         return mean_payoff(game, direction, bias_out)
 
-    monkeypatch.setattr(chain_mod, "analyze_bscc", spy_analyze)
+    monkeypatch.setattr(chain_mod, "stationary_law", spy_analyze)
     monkeypatch.setattr(mdp, "expected_mean_payoff", spy_mean_payoff)
     totals = [0, 0]
     for game, objective in _dense_sweep():
