@@ -205,14 +205,13 @@ def analyze_bscc(chain: Ssg, members: frozenset[str]) -> BsccAnalysis:
     return BsccAnalysis(frozenset(members), stationary, mean, h, classification)
 
 
-def potential(game, members, allowed=None) -> dict[str, int] | None:
-    """Potential h with h(v) - h(u) = step reward on every counted edge u -> v.
+def potential(game, members) -> dict[str, int] | None:
+    """Potential h with h(v) - h(u) = step reward on every edge u -> v.
 
-    ``members`` must be strongly connected under the counted edges, which
-    stay inside it; ``allowed[sid]`` limits them (default: every edge).  h is
-    zero at the first member in game order.  Returns None when some cycle
-    has nonzero total reward.  Each edge is checked once, when its source
-    is expanded.
+    ``members`` must be strongly connected, and their edges must stay inside
+    it (a BSCC).  h is zero at the first member in game order.  Returns None
+    when some cycle has nonzero total reward.  Each edge is checked once,
+    when its source is expanded.
     """
     anchor = next(sid for sid in game.by_id if sid in members)
     h = {anchor: 0}
@@ -220,8 +219,7 @@ def potential(game, members, allowed=None) -> dict[str, int] | None:
     while queue:
         uid = queue.pop()
         state = game.state(uid)
-        for k in allowed[uid] if allowed is not None else range(len(state.transitions)):
-            t = state.transitions[k]
+        for t in state.transitions:
             level = h[uid] + step_reward(game, state, t)
             if t.target not in h:
                 h[t.target] = level

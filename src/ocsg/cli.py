@@ -24,6 +24,7 @@ from .model import (
     Objective,
     OcSsg,
     PureMemorylessStrategy,
+    _clipped,
     _quoted,
     parse_model,
     print_model,
@@ -36,10 +37,12 @@ class CliError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """Turns argparse's usage errors into ``CliError``, so they too end in
-    one ``error = ...`` line; subparsers inherit it as ``parser_class``."""
+    one ``error = ...`` line; subparsers inherit it as ``parser_class``.
+    Each token of the message is cut after 20 characters, so a huge
+    argument value is not echoed."""
 
     def error(self, message):
-        raise CliError(message)
+        raise CliError(" ".join(_clipped(token) for token in message.split()))
 
 
 def _fmt(value: Fraction) -> str:

@@ -11,11 +11,13 @@ Probabilities, values, and gains are exact Fractions throughout; policy
 iteration terminates because every accepted switch strictly improves an
 exactly evaluated quantity.
 
-A limit objective is decided from the end components, as in the paper:
-each MEC's optimal gain, and at gain 0 its tight sub-MDP (one rule per
-objective, ``_MEC_RULES``), then almost-sure reach of the states they win.
-Energy lifting (``energy_min_credit``) serves only the termination-value-0
-question.
+A limit objective is decided from the end components, as in the paper, by
+one rule table (``_MEC_RULES``) read by one function (``_mec_part``): the
+sign of each MEC's optimal gain, and at gain 0 one part of its tight
+sub-MDP, the end components with a noisy rand state (liminf = -inf) or
+those without one (liminf > -inf); then almost-sure reach of the states
+they win.  No potential test runs on this path, and energy lifting
+(``energy_min_credit``) serves only the termination-value-0 question.
 
 Inside one ``ssg.solve_limit_ssg`` call, ``COMPONENT_MEMO`` holds a dict
 that memoizes end-component results by content: the mean payoff and
@@ -532,130 +534,119 @@ def _sub_gain(sub, direction: str):
 
 def _mec_gain(game, mec: Mec, direction: str):
     """Optimal gain on the MEC, the optimiser's choice in original indices,
-    and the sub-MDP with its index map and the optimiser's bias."""
+    and its bias."""
     sub, index_map = _restrict_to_mec(game, mec)
     key = ("mec", direction, _flavour(sub), sub.states)
     gain, choice, bias = _memoized(key, lambda: _sub_gain(sub, direction))
-    original = {sid: index_map[sid][k] for sid, k in choice.items()}
-    return gain, original, sub, index_map, bias
+    return gain, {sid: index_map[sid][k] for sid, k in choice.items()}, bias
 
 
-def _tight_part(game, mec: Mec, direction: str):
-    """Optimal gain of the MEC in ``direction``, the optimiser's choice in
-    original indices and, at gain 0, the MEC's tight sub-MDP.
+def _tight_part(game, mec: Mec, bias):
+    """The MEC's tight sub-MDP under the bias h of a gain-0 optimiser, its
+    index map to original edges, and its noisy rand states.
 
-    Under the optimiser's bias h the slack r(s,k) + h(target) - h(s) is >= 0
-    (min) or <= 0 (max) on every controlled edge and averages 0 at rand
-    states.  The tight sub-MDP keeps every rand edge and the controlled edges
-    of slack 0; a rand state with an edge of nonzero slack is noisy.
-    Returns (gain, choice, tight, noisy, original), ``original(sid, k)``
-    mapping tight edge k at sid back; the last three are None unless the
-    gain is 0.
+    The slack r(s,k) + h(target) - h(s) is >= 0 (min) or <= 0 (max) on every
+    controlled edge and averages 0 at rand states.  The tight sub-MDP keeps
+    every rand edge and the controlled edges of slack 0; a rand state with
+    an edge of nonzero slack is noisy.
     """
-    gain, choice, sub, index_map, bias = _mec_gain(game, mec, direction)
-    if gain != 0:
-        return gain, choice, None, None, None
     allowed, noisy = {}, set()
-    for s in sub.states:
-        zero = tuple(k for k, t in enumerate(s.transitions) if step_reward(sub, s, t) + bias[t.target] == bias[s.id])
-        if s.owner != "rand":
-            allowed[s.id] = zero
-        else:
-            allowed[s.id] = tuple(range(len(s.transitions)))
-            if len(zero) < len(s.transitions):
-                noisy.add(s.id)
-    tight, tight_map = _restrict_to_mec(sub, Mec(frozenset(sub.ids()), allowed))
-    return gain, choice, tight, noisy, lambda sid, k: index_map[sid][tight_map[sid][k]]
+    for sid, edges in mec.allowed.items():
+        s = game.state(sid)
+        zero = tuple(
+            k for k in edges if step_reward(game, s, s.transitions[k]) + bias[s.transitions[k].target] == bias[sid]
+        )
+        allowed[sid] = zero if s.owner != "rand" else edges
+        if s.owner == "rand" and len(zero) < len(edges):
+            noisy.add(sid)
+    tight, tight_map = _restrict_to_mec(game, Mec(mec.members, allowed))
+    return tight, tight_map, noisy
 
 
-def _divergence_core(game, mec: Mec):
-    """A policy BSCC inside the MEC that almost surely drives liminf to -inf.
+def _noisy_components(tight, noisy):
+    """The end components C of the min-gain tight sub-MDP that hold a noisy
+    state, each with the choice of the positive attractor toward x = min(C
+    & noisy) inside C: liminf = -inf almost surely on C.
 
-    Returns (core_states, core_choice) in original indices, or None.  The
-    quick paths: a MEC with negative minimal gain always qualifies; one with
-    positive minimal gain, or whose allowed edges admit a potential function,
-    never does.  The zero-gain remainder is decided in polynomial time from
-    the tight sub-MDP under the min-gain bias (``_tight_part``): a gain-0
-    policy BSCC uses only tight controlled edges, and it is
-    potential-consistent exactly when none of its rand states is noisy.
-    Hence a core exists iff some end component of the tight sub-MDP holds a
-    noisy rand state x; the policy that reaches x almost surely inside it
-    has x in a gain-0, non-degenerate BSCC.
+    The attractor pulls in all of C, and C is closed under the choice, so x
+    is reached almost surely and lies in a BSCC B.  B has mean 0: its
+    controlled edges are tight and rand slacks average 0.  B has no
+    potential: if phi were one, each slack in B would be g(t) - g(s) with g
+    = phi + h, g would be harmonic on the irreducible chain B, hence
+    constant, and x would have no edge of nonzero slack.  A mean-0 BSCC
+    without a potential drives liminf to -inf.  Conversely every policy
+    BSCC of mean 0 uses only tight controlled edges, and one with no noisy
+    state has the potential -h, so these components are all the gain-0 MEC
+    offers; with a potential on the MEC no tight component holds a noisy
+    state.
     """
-    min_gain, strat, tight, noisy, original = _tight_part(game, mec, "min")
-    if min_gain < 0:
-        return frozenset(mec.members), strat
-    if min_gain > 0 or chain_mod.potential(game, mec.members, mec.allowed) is not None:
-        return None
+    members, choice = set(), {}
     for component in mec_decompose(tight):
         x = min(component.members & noisy, default=None)
-        if x is None:
-            continue
-        inner, inner_map = _restrict_to_mec(tight, component)
-        choice = almost_sure_reach(inner, {x}).max_choice
-        bsccs, _ = chain_mod.bscc_decompose(_induced_chain(inner, choice))
-        core = next(b for b in bsccs if x in b)
-        return core, {sid: original(sid, inner_map[sid][choice[sid]]) for sid in core if sid in choice}
-    return None
+        if x is not None:
+            members |= component.members
+            choice.update(chain_mod.attractor(tight, {x}, ("max", "rand"), component.members, component.allowed)[1])
+    return members, choice
 
 
-def _bounded_part(game, mec: Mec):
-    """The MEC states where Max keeps liminf > -inf by staying inside the
-    MEC, with a choice that does so, or None: the dual of ``_divergence_core``.
+def _quiet_components(tight, noisy):
+    """The end components of the max-gain tight sub-MDP without noisy
+    states, where each controlled state takes its first edge inside its
+    component: liminf > -inf almost surely there.
 
-    Positive max gain wins the whole MEC, negative gain none of it.  At gain
-    0 the good part is the union of the end components of the tight sub-MDP
-    (``_tight_part``) without noisy rand states, where each controlled state
-    takes its first edge inside its component.  There every slack is 0, so
-    the prefix sum from s to t is h(s) - h(t), which is bounded.  It is all
-    of the good part: let B be a policy BSCC in the MEC with liminf > -inf
-    almost surely.  Its mean is <= 0 (the max gain) and not < 0, so 0.
-    Stationary weights are positive, controlled slacks <= 0 and rand slacks
-    average 0, and the weighted slack sum is the mean, so B uses only tight
-    controlled edges.  B has a potential phi (a mean-0 BSCC with liminf >
-    -inf), so each slack in B is g(t) - g(s) with g = phi + h; g is
-    harmonic on the irreducible chain B, hence constant, and no rand state
-    of B is noisy.
+    Every slack inside is 0, so the prefix sum from s to t is h(s) - h(t),
+    which is bounded.  It is all the gain-0 MEC offers: let B be a policy
+    BSCC in the MEC with liminf > -inf almost surely.  Its mean is <= 0 (the
+    max gain) and not < 0, so 0.  Stationary weights are positive,
+    controlled slacks <= 0 and rand slacks average 0, and the weighted slack
+    sum is the mean, so B uses only tight controlled edges.  B has a
+    potential phi (a mean-0 BSCC with liminf > -inf), so each slack in B is
+    g(t) - g(s) with g = phi + h; g is harmonic on the irreducible chain B,
+    hence constant, and no rand state of B is noisy.
     """
-    max_gain, choice, tight, noisy, original = _tight_part(game, mec, "max")
-    if max_gain != 0:
-        return (frozenset(mec.members), choice) if max_gain > 0 else None
-    members, keep = set(), {}
+    members, choice = set(), {}
     for component in mec_decompose(tight, within=set(tight.ids()) - noisy):
         members |= component.members
-        for sid, edges in component.allowed.items():
-            if tight.state(sid).owner != "rand":
-                keep[sid] = original(sid, edges[0])
-    return frozenset(members), keep
+        choice.update({sid: edges[0] for sid, edges in component.allowed.items() if tight.state(sid).owner != "rand"})
+    return members, choice
 
 
-def _gain_rule(direction: str):
-    """The whole MEC with the optimiser's choice when its optimal gain is
-    > 0 (max: mean-gt, liminf=+inf) or <= 0 (min: their complements)."""
-
-    def rule(game, mec: Mec):
-        gain, choice, *_ = _mec_gain(game, mec, direction)
-        return (frozenset(mec.members), choice) if (gain > 0 if direction == "max" else gain <= 0) else None
-
-    return rule
-
-
+# Per limit objective: the direction of the MEC gain solve, the gain signs
+# that win the whole MEC, and the part a gain-0 MEC wins (None: nothing).
 _MEC_RULES = {
-    "mean-gt": _gain_rule("max"),
-    "liminf-plus-inf": _gain_rule("max"),
-    "mean-leq": _gain_rule("min"),
-    "liminf-lt-plus-inf": _gain_rule("min"),
-    "liminf-minus-inf": _divergence_core,
-    "liminf-gt-minus-inf": _bounded_part,
+    "mean-gt": ("max", {1}, None),
+    "liminf-plus-inf": ("max", {1}, None),
+    "mean-leq": ("min", {-1, 0}, None),
+    "liminf-lt-plus-inf": ("min", {-1, 0}, None),
+    "liminf-minus-inf": ("min", {-1}, _noisy_components),
+    "liminf-gt-minus-inf": ("max", {1}, _quiet_components),
 }
+
+
+def _mec_part(game, mec: Mec, rule):
+    """The MEC states where Max wins by staying in the MEC, with a choice
+    in original indices that does so: the whole MEC with the optimiser's
+    choice when the gain wins, the rule's tight part at gain 0, and nothing
+    otherwise."""
+    direction, winning_signs, zero_part = rule
+    gain, choice, bias = _mec_gain(game, mec, direction)
+    sign = (gain > 0) - (gain < 0)
+    if sign in winning_signs:
+        return frozenset(mec.members), choice
+    if gain != 0 or zero_part is None:
+        return frozenset(), {}
+    tight, tight_map, noisy = _tight_part(game, mec, bias)
+    members, keep = zero_part(tight, noisy)
+    return frozenset(members), {sid: tight_map[sid][k] for sid, k in keep.items()}
 
 
 def _value_one_region(game, objective: Objective):
     """Maximising value-1 set W plus a witness choice map defined on W.
 
     Each MEC of the game with every controlled state handed to Max yields,
-    by the objective's rule in ``_MEC_RULES``, the states where Max wins by
-    staying in it and a choice that stays; W is almost-sure reach of them.
+    by ``_mec_part`` and the objective's row of ``_MEC_RULES``, the states
+    where Max wins by staying in it and a choice that stays; W is
+    almost-sure reach of them, and contains them.
     """
     rule = _MEC_RULES.get(objective.kind)
     if rule is None:
@@ -664,14 +655,11 @@ def _value_one_region(game, objective: Objective):
     cores: dict[str, int] = {}
     targets: set[str] = set()
     for mec in mec_decompose(relabeled):
-        won = rule(relabeled, mec)
-        if won is not None:
-            targets.update(won[0])
-            cores.update(won[1])
+        members, choice = _mec_part(relabeled, mec, rule)
+        targets |= members
+        cores.update(choice)
     asr = almost_sure_reach(relabeled, targets)
-    choice = dict(asr.max_choice)
-    choice.update({sid: k for sid, k in cores.items() if sid in asr.winning})
-    return asr.winning, choice
+    return asr.winning, {**asr.max_choice, **cores}
 
 
 def quantitative_limit(game, objective: Objective, direction: str = "max") -> SolveResult:
@@ -688,9 +676,7 @@ def quantitative_limit(game, objective: Objective, direction: str = "max") -> So
     winning, region_choice = _value_one_region(game, objective)
     reach = solve_reachability(game, winning, "max")
     policy = dict((reach.witness_max or reach.witness_min).choice)
-    for sid, k in region_choice.items():
-        if game.state(sid).owner != "rand":
-            policy[sid] = k
+    policy.update(region_choice)
     witness = _strategy(game, policy, "max")
     return SolveResult.from_values(
         reach.values,

@@ -512,21 +512,6 @@ def print_model(game: Ssg | OcSsg) -> str:
 # Translations
 
 
-def oc_to_reward_ssg(game: OcSsg) -> Ssg:
-    """Turn counter deltas into transition rewards on the identical graph."""
-    check_valid(game)
-    states = tuple(
-        State(
-            s.id,
-            s.owner,
-            reward=None,
-            transitions=tuple(Transition(t.target, prob=t.prob, reward=t.delta) for t in s.transitions),
-        )
-        for s in game.states
-    )
-    return Ssg(states, reward_location=ON_TRANSITIONS)
-
-
 def fix_strategies(
     game: Ssg | OcSsg,
     max_strategy: PureMemorylessStrategy | None = None,

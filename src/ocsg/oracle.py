@@ -307,6 +307,8 @@ def simulate(game, strategies, start: str, steps: int, trials: int, seed: int,
         raise ValueError("simulation requires at least one trial")
     if steps < 1:
         raise ValueError("simulation requires at least one step")
+    if j is not None and j < 1:
+        raise ValueError("simulation requires j >= 1")
     rng = random.Random(seed)
     by_player = _resolve(strategies)
     compiled = _Compiled(game, by_player)

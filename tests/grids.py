@@ -3,7 +3,9 @@
 The exhaustive layers enumerate every game shape for 1 and 2 states and a
 fixed-stride slice of the 3-state space (full enumeration is ~375k games,
 far beyond the intended minutes of runtime).  Random layers draw from a
-seeded generator so every run sees identical instances.
+seeded generator so every run sees identical instances.  ``oc_to_reward_ssg``
+is the reward view of a counter game, a reference the solvers never use:
+they read counter games as parsed.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from ocsg.model import Ssg, State, Transition, relabel_controlled
+from ocsg.model import ON_TRANSITIONS, OcSsg, Ssg, State, Transition, check_valid, relabel_controlled
 
 PROBS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
 SPLITS = ((Fraction(1, 4), Fraction(3, 4)), (Fraction(1, 2), Fraction(1, 2)), (Fraction(3, 4), Fraction(1, 4)))
@@ -154,3 +156,18 @@ def bench_families():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def oc_to_reward_ssg(game: OcSsg) -> Ssg:
+    """Turn counter deltas into transition rewards on the identical graph."""
+    check_valid(game)
+    states = tuple(
+        State(
+            s.id,
+            s.owner,
+            reward=None,
+            transitions=tuple(Transition(t.target, prob=t.prob, reward=t.delta) for t in s.transitions),
+        )
+        for s in game.states
+    )
+    return Ssg(states, reward_location=ON_TRANSITIONS)

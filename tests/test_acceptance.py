@@ -22,12 +22,11 @@ from ocsg.model import (
     State,
     Transition,
     fix_strategies,
-    oc_to_reward_ssg,
     parse_model,
 )
 from ocsg.reduce import condon_to_limit, condon_to_termination, normalize_reach_instance
 
-from grids import as_mdp, exhaustive_games, random_games, random_reach_instances
+from grids import as_mdp, exhaustive_games, oc_to_reward_ssg, random_games, random_reach_instances
 
 RANDOM_SEED = 987654321
 

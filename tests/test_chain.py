@@ -9,9 +9,10 @@ from ocsg.model import (
     LIMINF_PLUS_INF,
     PureMemorylessStrategy,
     fix_strategies,
-    oc_to_reward_ssg,
     parse_model,
 )
+
+from grids import oc_to_reward_ssg, random_games
 
 
 def _chain(text):
@@ -148,8 +149,6 @@ def test_branching_zero_drift_consistent_chain():
 
 
 def test_classification_complementarity():
-    from grids import random_games
-
     fixed = [SELF_LOOP, FAIR_LOOP, TWO_CYCLE]
     random_chains = [
         fix_strategies(

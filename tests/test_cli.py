@@ -250,6 +250,8 @@ def test_bad_arguments_fail_before_solving_or_reporting(tmp_path, monkeypatch, c
         (simulate + ["--min-choice", "v=7"], "invalid transition index 7 at v"),
         (simulate + ["--min-choice", "v=-1", "--objective", "mean-gt"], "invalid transition index -1 at v"),
         (simulate + ["--min-choice", "v=x"], "bad choice 'v=x', expected state=index"),
+        (simulate + ["--j", "0"], "simulation requires j >= 1"),
+        (simulate + ["--j", "-2"], "simulation requires j >= 1"),
         (condon_term + ["--j", "0"], "termination requires j >= 1"),
         (condon_term + ["--j", "-4"], "termination requires j >= 1"),
     ]
@@ -333,3 +335,34 @@ def test_long_arguments_are_cut_in_the_error_line(tmp_path, capsys, argv):
     # The unknown-objective message lists the six objective tags after the cut argument.
     listing = ", ".join(LIMIT_KINDS) if "unknown objective" in err else ""
     assert len(err) - len(listing) < 120, err[:200]
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["solve", "{coin}", "--objective", "mean-gt", "--relation", "{long}"], "argument --relation: invalid choice"),
+        (["term", "{appendix}", "--j", "{long}", "--state", "v"], "argument --j: invalid int value"),
+        (["simulate", "{max}", "--state", "m", "--steps", "{long}", "--trials", "1", "--seed", "1"],
+         "argument --steps: invalid int value"),
+        (["reduce", "{coin}", "--kind", "{long}", "--start", "s", "--t", "t", "--tprime", "u"],
+         "argument --kind: invalid choice"),
+        (["{long}"], "argument command: invalid choice"),
+        (["solve", "{coin}", "--objective", "mean-gt", "{long}"], "unrecognized arguments"),
+    ],
+    ids=["relation", "j", "steps", "kind", "command", "positional"],
+)
+def test_argparse_errors_cut_long_values(tmp_path, capsys, argv, names):
+    paths = {
+        "{coin}": _write(tmp_path, "coin.ssg", FAIR_COIN_TEXT),
+        "{appendix}": _write(tmp_path, "appendix.ocssg", FIVE_STATE_TEXT),
+        "{max}": _write(tmp_path, "max.ssg", ONE_MAX_TEXT),
+    }
+    lengths = []
+    for size in (5_000, 50_000):
+        out = io.StringIO()
+        assert run([paths.get(arg, "x" * size if arg == "{long}" else arg) for arg in argv], out) == 2
+        assert out.getvalue() == ""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error = {names}"), err[:200]
+        lengths.append(len(err))
+    assert lengths[0] == lengths[1] < 200

@@ -18,7 +18,7 @@ from ocsg.model import (
     parse_model,
 )
 
-from grids import as_mdp, bench_families, exhaustive_games, random_games
+from grids import as_mdp, bench_families, exhaustive_games, oc_to_reward_ssg, random_games
 
 
 def _fix(game, strategy):
@@ -305,8 +305,6 @@ def test_mec_two_absorbing_loops():
 
 
 def test_mec_appendix_example(five_state_game):
-    from ocsg.model import oc_to_reward_ssg
-
     game = oc_to_reward_ssg(five_state_game)
     mecs = mdp.mec_decompose(game)
     assert [m.members for m in mecs] == [frozenset({"down"}), frozenset({"up"})]
@@ -482,8 +480,6 @@ def test_qualitative_two_cycle_bounded_below():
 
 
 def test_qualitative_fair_walk(fair_walk):
-    from ocsg.model import oc_to_reward_ssg
-
     game = oc_to_reward_ssg(fair_walk)
     minus = mdp.quantitative_limit(game, LIMINF_MINUS_INF, "max").value_one_set
     plus = mdp.quantitative_limit(game, LIMINF_PLUS_INF, "max").value_one_set
@@ -528,7 +524,8 @@ def _zero_drift_mecs(game):
     return [
         mec
         for mec in mdp.mec_decompose(game)
-        if mdp._mec_gain(game, mec, "min")[0] == 0 and chain_mod.potential(game, mec.members, mec.allowed) is None
+        if mdp._mec_gain(game, mec, "min")[0] == 0
+        and chain_mod.potential(mdp._restrict_to_mec(game, mec)[0], mec.members) is None
     ]
 
 
@@ -544,7 +541,7 @@ def test_zero_drift_cores_match_oracle():
         if not mecs:
             continue
         checked += 1
-        cores += any(mdp._divergence_core(game, mec) is not None for mec in mecs)
+        cores += any(mdp._mec_part(game, mec, mdp._MEC_RULES["liminf-minus-inf"])[0] for mec in mecs)
         result = mdp.quantitative_limit(game, LIMINF_MINUS_INF, "max")
         assert result.values == oracle.enumerate_solve(game, LIMINF_MINUS_INF).values
         induced = _fix(game, result.witness_max)

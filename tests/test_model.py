@@ -14,13 +14,12 @@ from ocsg.model import (
     State,
     Transition,
     fix_strategies,
-    oc_to_reward_ssg,
     parse_model,
     print_model,
     validate,
 )
 
-from grids import random_games
+from grids import oc_to_reward_ssg, random_games
 
 
 def test_parse_minimal_ssg():

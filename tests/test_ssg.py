@@ -22,7 +22,7 @@ from ocsg.model import (
 )
 from ocsg.reduce import condon_to_limit
 
-from grids import bench_families, exhaustive_games, random_games
+from grids import bench_families, exhaustive_games, oc_to_reward_ssg, random_games
 
 FAIR_COIN_CONDON = parse_model(
     "ssg rewards=states\n"
@@ -40,8 +40,6 @@ def test_best_response_on_player_free_game_is_mdp_solve():
 
 
 def test_best_response_appendix_min_back(five_state_game):
-    from ocsg.model import oc_to_reward_ssg
-
     game = oc_to_reward_ssg(five_state_game)
     fixed = PureMemorylessStrategy("min", {"v": 0})  # v -> back
     result = ssg.best_response(game, fixed, LIMINF_MINUS_INF)

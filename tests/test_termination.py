@@ -13,11 +13,10 @@ from ocsg.model import (
     State,
     Transition,
     fix_strategies,
-    oc_to_reward_ssg,
     parse_model,
 )
 
-from grids import exhaustive_games, random_games
+from grids import exhaustive_games, oc_to_reward_ssg, random_games
 
 
 def _as_ocssg(game):

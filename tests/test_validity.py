@@ -1,10 +1,10 @@
 """Games the program builds from a valid game are valid without a re-check.
 
 ``build_level_game``, ``condon_to_limit``, ``condon_to_termination``,
-``product_with_strategy``, ``oc_to_reward_ssg``, ``fix_strategies`` and
-``relabel_controlled`` do not validate what they build, nor does any solver
-that receives it, and a game's violations are computed once and cached;
-these tests hold the builders to that.
+``product_with_strategy``, ``fix_strategies`` and ``relabel_controlled`` do
+not validate what they build, nor does any solver that receives it, and a
+game's violations are computed once and cached; these tests hold the
+builders to that.
 """
 
 import pytest
@@ -19,13 +19,12 @@ from ocsg.model import (
     Transition,
     check_valid,
     fix_strategies,
-    oc_to_reward_ssg,
     relabel_controlled,
     validate,
 )
 from ocsg.reduce import condon_to_limit, condon_to_termination
 
-from grids import exhaustive_games, random_games, random_reach_instances
+from grids import exhaustive_games, oc_to_reward_ssg, random_games, random_reach_instances
 
 
 def _arrival_counter_view(game):

@@ -7,9 +7,12 @@ policy iteration) and ``reference_mec_consistent`` (a second potential BFS)
 are the reference forms of the normalization check in ``reduce`` and of
 ``chain.potential`` on end-component edges.  ``reference_lifting_region``
 (energy lifting plus the keeper's credit-preserving edges) is the reference
-form of the end-component rule that ``mdp`` uses for liminf > -inf.  The
-references read step weights through their own ``arrival_weights``, not
-``model.step_reward``, so a wrong weight there shows up as a disagreement.
+form of the end-component rule that ``mdp`` uses for liminf > -inf, and
+``reference_divergence_core`` (a potential test, then the BSCC around a
+noisy state of the first tight end component) the reference form of the
+rule for liminf = -inf.  The references read step weights through their
+own ``arrival_weights``, not ``model.step_reward``, so a wrong weight there
+shows up as a disagreement.
 """
 
 import math
@@ -20,6 +23,7 @@ import pytest
 from ocsg import chain, mdp, reduce
 from ocsg.model import (
     LIMINF_GT_MINUS_INF,
+    LIMINF_MINUS_INF,
     LIMINF_PLUS_INF,
     OcSsg,
     PureMemorylessStrategy,
@@ -212,7 +216,7 @@ def test_potential_matches_mec_bfs(reward_location):
         game = as_mdp(game)
         for mec in mdp.mec_decompose(game):
             consistent = reference_mec_consistent(game, mec)
-            h = chain.potential(game, mec.members, mec.allowed)
+            h = chain.potential(mdp._restrict_to_mec(game, mec)[0], mec.members)
             assert (h is not None) == consistent, (game, mec)
             seen[consistent] += 1
             if h is not None:
@@ -247,12 +251,50 @@ def reference_lifting_region(game):
     return asr.winning, choice
 
 
-def _wins_almost_surely(game, region, choice):
-    """Max wins liminf > -inf with probability 1 on ``region`` by ``choice``."""
+def reference_divergence_core(game, mec):
+    """A policy BSCC inside the MEC of the Max-labelled one-player ``game``
+    that almost surely drives liminf to -inf, or None.
+
+    A MEC of negative minimal gain is its own core; one of positive minimal
+    gain, or whose edges admit a potential, has none.  At gain 0 the core is
+    the BSCC around x under the almost-sure-reach choice toward x inside the
+    first end component of the tight sub-MDP (min-gain bias, zero-slack
+    controlled edges) that holds a noisy rand state x.
+    """
+    sub, _ = mdp._restrict_to_mec(game, mec)
+    bias = {}
+    gains, _ = mdp.expected_mean_payoff(sub, "min", bias)
+    gain = gains[min(mec.members)]
+    if gain < 0:
+        return frozenset(mec.members)
+    if gain > 0 or reference_mec_consistent(game, mec):
+        return None
+    weights = arrival_weights(sub)
+    allowed, noisy = {}, set()
+    for s in sub.states:
+        zero = [k for k, t in enumerate(s.transitions) if weights[s.id][k] + bias[t.target] == bias[s.id]]
+        allowed[s.id] = zero if s.owner != "rand" else list(range(len(s.transitions)))
+        if s.owner == "rand" and len(zero) < len(s.transitions):
+            noisy.add(s.id)
+    tight, _ = mdp._restrict_to_mec(sub, mdp.Mec(frozenset(sub.ids()), allowed))
+    for component in mdp.mec_decompose(tight):
+        x = min(component.members & noisy, default=None)
+        if x is None:
+            continue
+        inner, _ = mdp._restrict_to_mec(tight, component)
+        choice = mdp.almost_sure_reach(inner, {x}).max_choice
+        induced = fix_strategies(inner, PureMemorylessStrategy("max", choice))
+        bsccs, _ = chain.bscc_decompose(induced)
+        return next(b for b in bsccs if x in b)
+    return None
+
+
+def _wins_almost_surely(game, region, choice, objective=LIMINF_GT_MINUS_INF):
+    """Max wins ``objective`` with probability 1 on ``region`` by ``choice``."""
     relabeled = relabel_controlled(game, "max")
     policy = {sid: choice.get(sid, 0) for sid in relabeled.owner_ids("max")}
     induced = fix_strategies(relabeled, PureMemorylessStrategy("max", policy))
-    values = chain.chain_tail_value(induced, LIMINF_GT_MINUS_INF)
+    values = chain.chain_tail_value(induced, objective)
     return all(values[sid] == 1 for sid in region)
 
 
@@ -278,3 +320,21 @@ def test_bounded_region_matches_energy_lifting():
         assert _wins_almost_surely(game, reference, reference_choice), game
         nonempty += bool(region) and region != set(game.ids())
     assert nonempty >= 300
+
+
+def test_divergence_region_matches_reference_cores():
+    rule = mdp._MEC_RULES["liminf-minus-inf"]
+    noisy_fired = 0
+    for game in _one_player_cases():
+        relabeled = relabel_controlled(game, "max")
+        cores = set()
+        for mec in mdp.mec_decompose(relabeled):
+            core = reference_divergence_core(relabeled, mec)
+            members, _ = mdp._mec_part(relabeled, mec, rule)
+            assert bool(members) == (core is not None), (game, mec)
+            cores |= core or set()
+            noisy_fired += bool(members) and mdp._mec_gain(relabeled, mec, "min")[0] == 0
+        region, choice = mdp._value_one_region(game, LIMINF_MINUS_INF)
+        assert region == mdp.almost_sure_reach(relabeled, cores).winning, game
+        assert _wins_almost_surely(game, region, choice, LIMINF_MINUS_INF), game
+    assert noisy_fired > 0
