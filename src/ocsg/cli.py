@@ -127,19 +127,22 @@ def _cmd_term(args, out) -> int:
     if not isinstance(game, OcSsg):
         raise CliError("term expects an ocssg model")
     termination.check_query(game, args.state, args.j)
-    _emit(out, "j", args.j)
-    _emit(out, "state", args.state)
+    report = [("j", args.j), ("state", args.state)]
     if args.qual == "zero":
         decision = termination.decide_term_zero(game, args.state, args.j)
-        _emit(out, "value0", "true" if decision else "false")
+        report.append(("value0", "true" if decision else "false"))
     else:
         result = termination.decide_term_one(game, args.state, args.j)
         decision = result.value_one
-        _emit(out, "value1", "true" if decision else "false")
-        _emit(out, "branch", result.branch)
-        _emit(out, "certificate.liminf_value1", ",".join(sorted(result.liminf_value_one)))
+        report += [
+            ("value1", "true" if decision else "false"),
+            ("branch", result.branch),
+            ("certificate.liminf_value1", ",".join(sorted(result.liminf_value_one))),
+        ]
         if result.start_level_state is not None:
-            _emit(out, "certificate.start_level", result.start_level_state)
+            report.append(("certificate.start_level", result.start_level_state))
+    for key, value in report:
+        _emit(out, key, value)
     if args.exit_status and not decision:
         return 1
     return 0

@@ -390,9 +390,18 @@ def procedure_mp(game, start: str):
 
     Faithful loop: maximise expected mean payoff, stop with No when the gain
     at ``start`` is not positive, otherwise cut the region that almost surely
-    reaches a positive-drift BSCC (stitching the witness from the mean-payoff
-    policy inside and the reachability policy outside), redirecting severed
-    stochastic edges to a fresh absorbing zero-reward state.
+    reaches a positive-drift BSCC of the mean-payoff policy σ_mp, redirecting
+    severed stochastic edges to a fresh absorbing zero-reward state z.
+
+    The cut comes from almost-sure reach: in a one-player game value-1
+    reachability is almost-sure reachability, so the cut is the winning set
+    of ``almost_sure_reach`` toward the BSCC and z (which stands for earlier
+    cuts, all won almost surely), less z.  The witness keeps σ_mp inside the
+    BSCC and takes the almost-sure reach choice elsewhere in the cut.
+
+    Indices never shift: a controlled state with an edge into the cut could
+    step into it, so it is in the cut itself.  A cut therefore severs only
+    rand edges, and ``_remove_states`` redirects those to z at the same index.
 
     Returns None for No, or the stitched PureMemorylessStrategy.
     """
@@ -403,14 +412,9 @@ def procedure_mp(game, start: str):
         raise ValueError("reward game expected, translate the counter first")
 
     current = game
-    index_map = {s.id: list(range(len(s.transitions))) for s in game.states}
     stitched: dict[str, int] = {}
     z_id = None
-    original_controlled = set(game.controlled_ids())
-
-    while True:
-        if start not in current.by_id:
-            break
+    while start in current.by_id:
         gains, sigma_mp = expected_mean_payoff(current, "max")
         if gains[start] <= 0:
             return None
@@ -420,63 +424,47 @@ def procedure_mp(game, start: str):
         if not positive:
             raise AssertionError("positive gain without a positive-drift BSCC")
         component = min(positive, key=min)
-        # z stands for the already-removed region, which wins almost surely,
-        # so it counts as a target when deciding who reaches a win for sure.
         targets = set(component) | ({z_id} if z_id is not None else set())
-        reach = solve_reachability(current, targets, "max")
-        sigma_c = (reach.witness_max or reach.witness_min).choice
-        under_sigma = chain_mod.reach_probabilities(_induced_chain(current, sigma_c), targets)
-        cut = {sid for sid, v in under_sigma.items() if v == 1 and sid != z_id}
+        asr = almost_sure_reach(relabel_controlled(current, "max"), targets)
+        cut = asr.winning - {z_id}
         for sid in cut:
-            if sid in original_controlled and sid in current.by_id and current.state(sid).owner != "rand":
-                local = sigma_mp.choice[sid] if sid in component else sigma_c[sid]
-                stitched[sid] = index_map[sid][local]
-        current, index_map, z_id = _remove_states(current, cut, index_map, z_id)
+            if current.state(sid).owner != "rand":
+                stitched[sid] = sigma_mp.choice[sid] if sid in component else asr.max_choice[sid]
+        current, z_id = _remove_states(current, cut, z_id)
 
-    for sid in original_controlled - set(stitched):
-        stitched[sid] = 0
+    for sid in game.controlled_ids():
+        stitched.setdefault(sid, 0)
     return PureMemorylessStrategy(_player_label(game, "max"), stitched)
 
 
-def _remove_states(game, cut, index_map, z_id):
-    """Drop ``cut``; stochastic edges into it are redirected to absorbing z,
-    which is added by the first cut that needs it and kept by later ones."""
-    needs_z = any(
-        s.id not in cut and s.owner == "rand" and any(t.target in cut for t in s.transitions)
-        for s in game.states
-    )
-    if needs_z and z_id is None:
-        z_id = "z"
-        while z_id in game.by_id:
-            z_id += "'"
-    zero_reward = 0 if game.reward_location == ON_TRANSITIONS else None
+def _remove_states(game, cut, z_id):
+    """Drop ``cut``; stochastic edges into it are redirected, at the same
+    index, to absorbing z, which the first cut that needs it adds and later
+    ones keep.  A controlled edge into ``cut`` raises AssertionError."""
+    z = z_id
+    if z is None:
+        z = "z"
+        while z in game.by_id:
+            z += "'"
     states = []
-    new_index_map = {}
     for s in game.states:
         if s.id in cut:
             continue
-        transitions = []
-        kept = []
-        for k, t in enumerate(s.transitions):
-            if t.target in cut:
-                if s.owner == "rand":
-                    transitions.append(Transition(z_id, prob=t.prob, reward=t.reward))
-                    kept.append(index_map[s.id][k])
-                continue
-            else:
-                transitions.append(t)
-                kept.append(index_map[s.id][k])
-        if not transitions:
-            raise AssertionError(f"{s.id}: all transitions removed")
-        states.append(State(s.id, s.owner, reward=s.reward, transitions=tuple(transitions)))
-        new_index_map[s.id] = kept
-    if needs_z and not any(s.id == z_id for s in states):
+        if any(t.target in cut for t in s.transitions):
+            if s.owner != "rand":
+                raise AssertionError(f"{s.id}: the cut severs a controlled edge")
+            transitions = tuple(
+                Transition(z, prob=t.prob, reward=t.reward) if t.target in cut else t for t in s.transitions
+            )
+            s = State(s.id, s.owner, reward=s.reward, transitions=transitions)
+            z_id = z
+        states.append(s)
+    if z_id is not None and z_id not in game.by_id:
         z_reward = 0 if game.reward_location == ON_STATES else None
-        states.append(
-            State(z_id, "rand", reward=z_reward, transitions=(Transition(z_id, prob=Fraction(1), reward=zero_reward),))
-        )
-        new_index_map[z_id] = [0]
-    return game.with_states(tuple(states)), new_index_map, z_id
+        zero_reward = 0 if game.reward_location == ON_TRANSITIONS else None
+        loop = Transition(z_id, prob=Fraction(1), reward=zero_reward)
+        states.append(State(z_id, "rand", reward=z_reward, transitions=(loop,)))
+    return game.with_states(tuple(states)), z_id
 
 
 # ---------------------------------------------------------------------------

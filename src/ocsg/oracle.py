@@ -7,7 +7,7 @@ does the same for the expected mean payoff of a one-player game.  Both use
 only ``chain``, never the solvers they check, and ``check_enumerable`` is
 their one product-size guard.  ``simulate`` and ``estimate_objective`` are a
 seeded Monte Carlo sanity layer: deterministic given the seed, with the
-generator identified in the output record.
+generator named by ``RNG_ALGORITHM``.
 """
 
 from __future__ import annotations
@@ -155,15 +155,11 @@ class TrialRecord:
     max_prefix_sum: int
     final_mean: Fraction
     hit_time: int | None
-    steps_taken: int
 
 
 @dataclass(frozen=True)
 class SimulationStats:
     trials: int
-    steps: int
-    seed: int
-    rng: str
     records: tuple[TrialRecord, ...]
     termination_frequency: Fraction | None
 
@@ -171,40 +167,46 @@ class SimulationStats:
         return Fraction(sum(1 for r in self.records if predicate(r)), len(self.records))
 
 
-def _resolve(strategies):
-    by_player = {"max": None, "min": None}
-    if strategies:
-        for strat in strategies:
-            if strat is not None:
-                by_player[strat.player] = strat
-    return by_player
+def _check_run(name: str, seed, trials: int, steps: int) -> None:
+    """The checks every Monte Carlo run makes; ``name`` opens the message."""
+    if seed is None:
+        raise ValueError(f"{name} requires an explicit seed")
+    if trials < 1:
+        raise ValueError(f"{name} requires at least one trial")
+    if steps < 1:
+        raise ValueError(f"{name} requires at least one step")
 
 
 class _Compiled:
-    """Index-based trajectory engine; edge sampling is integer-exact.
+    """Index-based trajectory engine for ``strategies`` from ``start``; edge
+    sampling is integer-exact.
 
+    The last strategy given for a player resolves that player's states.
     Every pure memoryless strategy is checked against ``game`` first, so a
     strategy with a missing state or an edge index out of range is rejected
     before any trial.
     """
 
-    def __init__(self, game, by_player):
+    def __init__(self, game, strategies, start: str):
         check_valid(game)
+        by_player = {"max": None, "min": None}
+        for strat in strategies or ():
+            if strat is not None:
+                by_player[strat.player] = strat
         for strat in by_player.values():
             if isinstance(strat, PureMemorylessStrategy):
                 strat.validate_for(game)
         ids = game.ids()
-        self.index = {sid: i for i, sid in enumerate(ids)}
+        index = {sid: i for i, sid in enumerate(ids)}
         self.ids = ids
         self.edges: list[list[tuple[int, int]]] = []
         self.tables: list[tuple[int, list[int]] | None] = []
         self.fixed: list[int | None] = []
         self.finite: list[FiniteMemoryStrategy | None] = []
-        # The start state's own reward opens the running sum (None unless rewards sit on states).
-        self.initial_reward = [s.reward or 0 for s in game.states]
-        self.tracks_memory = any(isinstance(s, FiniteMemoryStrategy) for s in by_player.values())
+        # The finite-memory strategies whose memory a trial must track.
+        self.tracked = tuple(s for s in by_player.values() if isinstance(s, FiniteMemoryStrategy))
         for s in game.states:
-            self.edges.append([(self.index[t.target], step_reward(game, s, t)) for t in s.transitions])
+            self.edges.append([(index[t.target], step_reward(game, s, t)) for t in s.transitions])
             if s.owner == "rand":
                 denom = lcm(*(t.prob.denominator for t in s.transitions))
                 acc = 0
@@ -226,9 +228,12 @@ class _Compiled:
                 else:
                     self.fixed.append(strat.choice[s.id])
                     self.finite.append(None)
+        self.start = index[start]
+        # The start state's own reward opens the running sum (None unless rewards sit on states).
+        self.opening = game.state(start).reward or 0
 
 
-def _run_trial(compiled, rng, by_player, start_index, steps, j, stop_at_hit, plus_threshold=None):
+def _run_trial(compiled, rng, steps, j, stop_at_hit, plus_threshold=None):
     """One trajectory; returns (record, stays_above_flag).
 
     ``j`` arms the first-hit detector for running sum -j (all step increments
@@ -239,19 +244,16 @@ def _run_trial(compiled, rng, by_player, start_index, steps, j, stop_at_hit, plu
     tables = compiled.tables
     fixed = compiled.fixed
     finite = compiled.finite
+    tracked = compiled.tracked
+    tracks = bool(tracked)  # a bool tests faster than a tuple in the step loop
     randrange = rng.randrange
-    state = start_index
-    total = compiled.initial_reward[state]
-    lo = hi = total
+    state = compiled.start
+    total = lo = hi = compiled.opening
     hit_time = None
     taken = 0
     exceeded = False
     stays_above = False
-    memory = {
-        player: strat.initial_memory if isinstance(strat, FiniteMemoryStrategy) else None
-        for player, strat in by_player.items()
-    }
-    tracks = compiled.tracks_memory
+    memory = {strat.player: strat.initial_memory for strat in tracked}
     for step in range(1, steps + 1):
         table = tables[state]
         if table is not None:
@@ -267,9 +269,8 @@ def _run_trial(compiled, rng, by_player, start_index, steps, j, stop_at_hit, plu
             k = strat.choose(memory[strat.player], compiled.ids[state])
         if tracks:
             sid = compiled.ids[state]
-            for player, strat in by_player.items():
-                if isinstance(strat, FiniteMemoryStrategy):
-                    memory[player] = strat.next_memory(memory[player], sid, k)
+            for strat in tracked:
+                memory[strat.player] = strat.next_memory(memory[strat.player], sid, k)
         state, inc = edges[state][k]
         total += inc
         taken = step
@@ -288,8 +289,7 @@ def _run_trial(compiled, rng, by_player, start_index, steps, j, stop_at_hit, plu
                 break
     if plus_threshold is not None:
         stays_above = exceeded and total > plus_threshold
-    final_mean = Fraction(total, taken)
-    return TrialRecord(lo, hi, final_mean, hit_time, taken), stays_above
+    return TrialRecord(lo, hi, Fraction(total, taken), hit_time), stays_above
 
 
 def simulate(game, strategies, start: str, steps: int, trials: int, seed: int,
@@ -301,26 +301,16 @@ def simulate(game, strategies, start: str, steps: int, trials: int, seed: int,
     time the running sum hits ``-j``.  With ``stop_at_termination`` a trial
     ends at that hit and its record covers the truncated trajectory.
     """
-    if seed is None:
-        raise ValueError("simulation requires an explicit seed")
-    if trials < 1:
-        raise ValueError("simulation requires at least one trial")
-    if steps < 1:
-        raise ValueError("simulation requires at least one step")
+    _check_run("simulation", seed, trials, steps)
     if j is not None and j < 1:
         raise ValueError("simulation requires j >= 1")
     rng = random.Random(seed)
-    by_player = _resolve(strategies)
-    compiled = _Compiled(game, by_player)
-    start_index = compiled.index[start]
-    records = []
-    for _ in range(trials):
-        record, _ = _run_trial(compiled, rng, by_player, start_index, steps, j, stop_at_termination)
-        records.append(record)
+    compiled = _Compiled(game, strategies, start)
+    records = tuple(_run_trial(compiled, rng, steps, j, stop_at_termination)[0] for _ in range(trials))
     termination = None
     if j is not None:
         termination = Fraction(sum(1 for r in records if r.hit_time is not None), trials)
-    return SimulationStats(trials, steps, seed, RNG_ALGORITHM, tuple(records), termination)
+    return SimulationStats(trials, records, termination)
 
 
 def estimate_objective(game, strategies, objective: Objective, threshold: int,
@@ -333,36 +323,20 @@ def estimate_objective(game, strategies, objective: Objective, threshold: int,
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    if seed is None:
-        raise ValueError("estimation requires an explicit seed")
-    if trials < 1:
-        raise ValueError("estimation requires at least one trial")
-    if steps < 1:
-        raise ValueError("estimation requires at least one step")
+    _check_run("estimation", seed, trials, steps)
     rng = random.Random(seed)
-    by_player = _resolve(strategies)
-    compiled = _Compiled(game, by_player)
-    start_index = compiled.index[start]
-
-    kind = objective.kind
-    hits = 0
-    for _ in range(trials):
-        if kind == "term":
-            record, _ = _run_trial(compiled, rng, by_player, start_index, steps, objective.j, True)
-            hits += record.hit_time is not None
-        elif kind == "liminf-minus-inf":
-            # Unit increments never skip a value, so dipping below -B is
-            # exactly hitting -(B+1); the trial can stop there.
-            record, _ = _run_trial(compiled, rng, by_player, start_index, steps, threshold + 1, True)
-            hits += record.hit_time is not None
-        elif kind == "liminf-plus-inf":
-            _, stays_above = _run_trial(
-                compiled, rng, by_player, start_index, steps, None, False, plus_threshold=threshold
-            )
-            hits += stays_above
-        elif kind == "mean-gt":
-            record, _ = _run_trial(compiled, rng, by_player, start_index, steps, None, False)
-            hits += record.final_mean > 0
-        else:
-            raise ValueError(f"no finite proxy for objective {kind}")
+    compiled = _Compiled(game, strategies, start)
+    # Per proxy: the hit level j, the stay-above level, and what counts as
+    # a success.  Unit increments never skip a value, so dipping below -B is
+    # exactly hitting -(B+1); a trial stops at its hit.
+    proxies = {
+        "term": (objective.j, None, lambda record, _: record.hit_time is not None),
+        "liminf-minus-inf": (threshold + 1, None, lambda record, _: record.hit_time is not None),
+        "liminf-plus-inf": (None, threshold, lambda _, stays_above: stays_above),
+        "mean-gt": (None, None, lambda record, _: record.final_mean > 0),
+    }
+    if objective.kind not in proxies:
+        raise ValueError(f"no finite proxy for objective {objective.kind}")
+    j, plus_threshold, success = proxies[objective.kind]
+    hits = sum(success(*_run_trial(compiled, rng, steps, j, True, plus_threshold)) for _ in range(trials))
     return Fraction(hits, trials)

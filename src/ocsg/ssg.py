@@ -39,8 +39,6 @@ class NoCertificate(RuntimeError):
 @dataclass(frozen=True)
 class SsgSolve:
     result: SolveResult
-    max_witness: PureMemorylessStrategy
-    min_witness: PureMemorylessStrategy
     method: str
 
 
@@ -130,7 +128,7 @@ def _alternate(game, objective):
         )
         if _vector(game, against_sigma.values) == goal:
             sigma, tau = PureMemorylessStrategy("max", sigma), PureMemorylessStrategy("min", tau)
-            return SsgSolve(SolveResult.from_values(against_tau.values, sigma, tau), sigma, tau, "improvement")
+            return SsgSolve(SolveResult.from_values(against_tau.values, sigma, tau), "improvement")
         tau = dict(against_sigma.witness_min.choice)
         if frozenset(tau.items()) in visited:
             raise NoCertificate("alternating improvement revisited a Min strategy without a certified pair")

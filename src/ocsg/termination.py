@@ -91,7 +91,6 @@ class TermDecision:
     start: str
     j: int
     liminf_value_one: frozenset[str]
-    level_winning: frozenset[str] | None = None
     start_level_state: str | None = None
 
 
@@ -126,7 +125,7 @@ def decide_term_one(game: OcSsg, start: str, j: int) -> TermDecision:
     w = solve.result.value_one_set
     if level is None:
         return TermDecision(start in w, "limit", start, j, w)
-    return TermDecision(entry in asr.winning, "level", start, j, w, asr.winning, entry)
+    return TermDecision(entry in asr.winning, "level", start, j, w, entry)
 
 
 def decide_term_zero(game: OcSsg, start: str, j: int) -> bool:
@@ -153,8 +152,8 @@ def synthesize_term_strategies(game: OcSsg, start: str, j: int):
     """
     solve, level, asr, entry = _term_pipeline(game, start, j)
     w = solve.result.value_one_set
-    sigma_liminf = solve.max_witness
-    pi_liminf = solve.min_witness
+    sigma_liminf = solve.result.witness_max
+    pi_liminf = solve.result.witness_min
     if level is None:
         if start in w:
             return sigma_liminf, None

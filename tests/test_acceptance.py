@@ -246,7 +246,7 @@ def test_criterion_9_witness_certificates(grid_games, solutions):
             game = grid_games[index]
             for objective in LIMIT_OBJECTIVES:
                 solve, _ = solutions(index, objective)
-                against_min = ssg.best_response(game, solve.min_witness, objective)
+                against_min = ssg.best_response(game, solve.result.witness_min, objective)
                 assert against_min.values == solve.result.values, (index, objective.kind)
-                against_max = ssg.best_response(game, solve.max_witness, objective)
+                against_max = ssg.best_response(game, solve.result.witness_max, objective)
                 assert against_max.values == solve.result.values, (index, objective.kind)

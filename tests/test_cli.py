@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from ocsg import cli
+from ocsg import cli, ssg, termination
 from ocsg.cli import run
 from ocsg.model import LIMIT_KINDS, parse_model, print_model
 from ocsg.reduce import condon_to_limit
@@ -72,8 +72,6 @@ def test_solve_threshold_decision(tmp_path):
 
 
 def test_solve_threshold_reuses_the_solve(tmp_path, monkeypatch):
-    from ocsg import ssg
-
     calls = []
     solve = ssg.solve_limit_ssg
 
@@ -200,8 +198,6 @@ def test_missing_file_exit_code():
 
 
 def test_no_certificate_is_a_typed_refusal(tmp_path, monkeypatch, capsys):
-    from ocsg import ssg
-
     def refuse(game, objective):
         raise ssg.NoCertificate("alternating improvement revisited a Min strategy without a certified pair")
 
@@ -214,9 +210,29 @@ def test_no_certificate_is_a_typed_refusal(tmp_path, monkeypatch, capsys):
     assert out.getvalue() == ""
 
 
+@pytest.mark.parametrize(
+    "qual, module, name, error",
+    [
+        ("one", ssg, "solve_limit_ssg", ssg.NoCertificate),
+        ("zero", termination, "decide_term_zero", ValueError),
+    ],
+    ids=["one", "zero"],
+)
+def test_term_refusal_leaves_the_report_empty(tmp_path, monkeypatch, capsys, qual, module, name, error):
+    def refuse(*args):
+        raise error("refused")
+
+    monkeypatch.setattr(module, name, refuse)
+    path = _write(tmp_path, "appendix.ocssg", FIVE_STATE_TEXT)
+    out = io.StringIO()
+    assert run(["term", path, "--j", "2", "--state", "v", "--qual", qual], out) == 2
+    assert capsys.readouterr().err == "error = refused\n"
+    assert out.getvalue() == ""
+
+
 def _forbid_solving(monkeypatch):
     """Make every solver the CLI can call fail the test if it runs."""
-    from ocsg import oracle, ssg, termination
+    from ocsg import oracle
 
     def refuse(*args):
         raise AssertionError("a solver ran")
@@ -243,6 +259,8 @@ def test_bad_arguments_fail_before_solving_or_reporting(tmp_path, monkeypatch, c
         (["term", appendix, "--j", "1", "--state", "nowhere"], "unknown state 'nowhere'"),
         (simulate + ["--objective", "par"], "unknown objective 'par', expected one of " + ", ".join(LIMIT_KINDS)),
         (simulate + ["--objective", "term"], "term objective requires j >= 1"),
+        (simulate + ["--objective", "mean-leq"], "no finite proxy for objective mean-leq"),
+        (simulate + ["--objective", "mean-gt", "--threshold-b", "0"], "threshold must be positive"),
         (simulate + ["--trials", "0"], "simulation requires at least one trial"),
         (simulate + ["--trials", "0", "--objective", "mean-gt"], "estimation requires at least one trial"),
         (simulate + ["--steps", "0"], "simulation requires at least one step"),

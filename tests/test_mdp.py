@@ -2,6 +2,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from ocsg import chain as chain_mod
 from ocsg import linsolve, mdp, oracle
 from ocsg.model import (
@@ -329,14 +331,16 @@ def test_policy_bsccs_lie_inside_mecs():
 
 
 def test_procedure_mp_picks_positive_loop():
-    game = parse_model(
-        "ssg rewards=transitions\nstate m owner=max\nstate a owner=rand\nstate b owner=rand\n"
-        "trans m -> a reward=0\ntrans m -> b reward=0\n"
-        "trans a -> a p=1/1 reward=1\ntrans b -> b p=1/1 reward=-1\n"
-    )
-    strategy = mdp.procedure_mp(game, "m")
-    assert strategy is not None
-    assert strategy.choice["m"] == 0
+    # m lies outside the positive component, so its choice comes from the cut.
+    for edges, good in (("trans m -> a reward=0\ntrans m -> b reward=0\n", 0),
+                        ("trans m -> b reward=0\ntrans m -> a reward=0\n", 1)):
+        game = parse_model(
+            "ssg rewards=transitions\nstate m owner=max\nstate a owner=rand\nstate b owner=rand\n"
+            + edges + "trans a -> a p=1/1 reward=1\ntrans b -> b p=1/1 reward=-1\n"
+        )
+        strategy = mdp.procedure_mp(game, "m")
+        assert strategy is not None
+        assert strategy.choice["m"] == good
 
 
 def test_procedure_mp_no_when_nonpositive():
@@ -381,13 +385,21 @@ def test_second_cut_reuses_the_absorbing_state():
         "state a owner=rand reward=0\nstate b owner=max reward=1\nstate z owner=rand reward=0\n"
         "trans a -> b p=1/2\ntrans a -> z p=1/2\ntrans b -> b\ntrans b -> a\ntrans z -> z p=1/1\n"
     )
-    index_map = {s.id: list(range(len(s.transitions))) for s in game.states}
-    cut_game, new_map, z_id = mdp._remove_states(game, {"b"}, index_map, "z")
+    cut_game, z_id = mdp._remove_states(game, {"b"}, "z")
     assert z_id == "z"
     assert cut_game.ids() == ("a", "z")
     assert [t.target for t in cut_game.state("a").transitions] == ["z", "z"]
-    assert new_map == {"a": [0, 1], "z": [0]}
     assert cut_game.violations == ()
+
+
+def test_a_cut_never_severs_a_controlled_edge():
+    # m could step into the cut {b}, so a cut without m is not closed.
+    game = parse_model(
+        "ssg rewards=transitions\nstate m owner=max\nstate b owner=rand\n"
+        "trans m -> b reward=0\ntrans m -> m reward=0\ntrans b -> b p=1/1 reward=1\n"
+    )
+    with pytest.raises(AssertionError, match="controlled edge"):
+        mdp._remove_states(game, {"b"}, None)
 
 
 def test_procedure_mp_matches_mean_gt_region():
@@ -395,7 +407,10 @@ def test_procedure_mp_matches_mean_gt_region():
         game = as_mdp(game)
         region = mdp.quantitative_limit(game, MEAN_GT, "max").value_one_set
         for sid in game.ids():
-            assert (mdp.procedure_mp(game, sid) is not None) == (sid in region), sid
+            witness = mdp.procedure_mp(game, sid)
+            assert (witness is not None) == (sid in region), sid
+            if witness is not None:
+                assert chain_mod.chain_tail_value(_fix(game, witness), MEAN_GT)[sid] == 1, sid
 
 
 # -- energy games ------------------------------------------------------------

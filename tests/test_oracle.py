@@ -56,6 +56,11 @@ def test_simulate_requires_seed(fair_walk):
         oracle.simulate(fair_walk, (), "s", 10, 10, seed=None)
 
 
+def test_simulate_needs_a_strategy_for_every_controlled_state(five_state_game):
+    with pytest.raises(ValueError, match="^v: no strategy resolves this state$"):
+        oracle.simulate(five_state_game, (), "v", 10, 10, seed=1)
+
+
 def test_always_increment_min_prefix_zero():
     game = parse_model("ocssg\nstate s owner=rand\ntrans s -> s p=1/1 delta=1\n")
     stats = oracle.simulate(game, (), "s", 100, 50, seed=5)

@@ -90,8 +90,8 @@ def test_mutual_best_response_certificate():
     for game in random_games(10, sizes=(3,), seed=20202):
         for objective in (LIMINF_MINUS_INF, MEAN_GT):
             solve = ssg.solve_limit_ssg(game, objective)
-            against_min = ssg.best_response(game, solve.min_witness, objective)
-            against_max = ssg.best_response(game, solve.max_witness, objective)
+            against_min = ssg.best_response(game, solve.result.witness_min, objective)
+            against_max = ssg.best_response(game, solve.result.witness_max, objective)
             assert against_min.values == solve.result.values
             assert against_max.values == solve.result.values
 
@@ -212,8 +212,8 @@ def _dense_family():
 
 
 def _assert_certified(game, solve, objective):
-    assert ssg.best_response(game, solve.min_witness, objective).values == solve.result.values
-    assert ssg.best_response(game, solve.max_witness, objective).values == solve.result.values
+    assert ssg.best_response(game, solve.result.witness_min, objective).values == solve.result.values
+    assert ssg.best_response(game, solve.result.witness_max, objective).values == solve.result.values
 
 
 def test_alternation_certifies_where_one_descent_stalls():
@@ -351,7 +351,7 @@ def reference_solve(game, objective):
         sigma, against_sigma = _reference_improve(game, objective, "max", dict(against_tau.witness_max.choice), goal)
         if _reference_vector(game, against_sigma.values) == goal:
             sigma, tau = PureMemorylessStrategy("max", sigma), PureMemorylessStrategy("min", tau)
-            return ssg.SsgSolve(SolveResult.from_values(against_tau.values, sigma, tau), sigma, tau, "improvement")
+            return ssg.SsgSolve(SolveResult.from_values(against_tau.values, sigma, tau), "improvement")
         tau = dict(against_sigma.witness_min.choice)
         if frozenset(tau.items()) in visited:
             raise ssg.NoCertificate("alternating improvement revisited a Min strategy without a certified pair")
@@ -383,8 +383,8 @@ def test_solve_matches_reference_loop():
         solve = ssg.solve_limit_ssg(game, objective)
         reference = reference_solve(game, objective)
         assert solve.result.values == reference.result.values, objective.kind
-        assert solve.max_witness == reference.max_witness, objective.kind
-        assert solve.min_witness == reference.min_witness, objective.kind
+        assert solve.result.witness_max == reference.result.witness_max, objective.kind
+        assert solve.result.witness_min == reference.result.witness_min, objective.kind
         assert solve.method == reference.method
 
 
@@ -416,7 +416,7 @@ def test_certified_first_pair_costs_two_best_responses(monkeypatch):
     seen = _count_best_responses(monkeypatch)
     solve = ssg.solve_limit_ssg(ZERO_TAU_OPTIMAL, LIMINF_MINUS_INF)
     assert solve.result.values == {"a": 0, "b": 0, "c": 0}
-    assert solve.min_witness.choice == {"a": 0, "b": 0, "c": 0}
+    assert solve.result.witness_min.choice == {"a": 0, "b": 0, "c": 0}
     assert len(seen) == 2
 
 
