@@ -52,8 +52,10 @@ def strongly_connected_components(game, within=None) -> list[list[str]]:
     """Iterative Tarjan over the multigraph, or over the subgraph induced by
     ``within``; components in discovery order."""
 
+    by_id = game.by_id
+
     def successors(sid):
-        succ = game.successors(sid)
+        succ = [t.target for t in by_id[sid].transitions]
         return succ if within is None else [t for t in succ if t in within]
 
     index: dict[str, int] = {}
@@ -63,7 +65,7 @@ def strongly_connected_components(game, within=None) -> list[list[str]]:
     components: list[list[str]] = []
     counter = [0]
 
-    for root in game.ids():
+    for root in by_id:
         if root in index or (within is not None and root not in within):
             continue
         work = [(root, iter(successors(root)))]
@@ -106,41 +108,45 @@ def strongly_connected_components(game, within=None) -> list[list[str]]:
 def attractor(game, seeds, any_owners, within=None, allowed=None):
     """Least superset W of ``seeds`` inside ``within`` closed under attraction.
 
-    A state whose owner is in ``any_owners`` joins W once one of its counted
-    edges enters W; any other state joins once all of its counted edges do,
-    and it must have at least one.  ``allowed[sid]`` limits the counted edge
+    A node whose owner is in ``any_owners`` joins W once one of its counted
+    edges enters W; any other node joins once all of its counted edges do,
+    and it must have at least one.  ``allowed[v]`` limits the counted edge
     indices (default: every edge).  Returns (W, choice), where ``choice``
-    maps each controlled ``any_owners`` state outside ``seeds`` to the edge
-    that pulled it in; that edge leads to a state that joined earlier.
+    maps each controlled ``any_owners`` node outside ``seeds`` to the edge
+    that pulled it in; that edge leads to a node that joined earlier.
 
-    A worklist over ``game.predecessors`` with a counter of edges still
-    outside W per state: O(|V| + |E|).
+    Reads only ``game.graph``, so ``game`` is a game (nodes are state ids)
+    or a ``model.Graph`` (such as the int-keyed termination level product).
+    A worklist over the predecessors with a counter of edges still outside
+    W per node: O(|V| + |E|).
     """
+    graph = game.graph
+    owner, succ, preds = graph.owner, graph.succ, graph.preds
     attracted = set(seeds)
-    # Game order, not set order, so ``choice`` does not depend on string hashing.
-    queue = [sid for sid in game.by_id if sid in attracted]
-    outside: dict[str, int] = {}
-    choice: dict[str, int] = {}
+    # Node order, not set order, so ``choice`` does not depend on string hashing.
+    queue = [v for v in graph.nodes if v in attracted]
+    outside: dict = {}
+    choice: dict = {}
     while queue:
         target = queue.pop()
-        for sid, k in game.predecessors[target]:
-            if sid in attracted or (within is not None and sid not in within):
+        for v, k in preds[target]:
+            if v in attracted or (within is not None and v not in within):
                 continue
-            if allowed is not None and k not in allowed[sid]:
+            if allowed is not None and k not in allowed[v]:
                 continue
-            s = game.state(sid)
-            if s.owner in any_owners:
-                if s.owner != "rand":
-                    choice[sid] = k
+            who = owner[v]
+            if who in any_owners:
+                if who != "rand":
+                    choice[v] = k
             else:
-                left = outside.get(sid)
+                left = outside.get(v)
                 if left is None:
-                    left = len(allowed[sid]) if allowed is not None else len(s.transitions)
-                outside[sid] = left = left - 1
+                    left = len(allowed[v]) if allowed is not None else len(succ[v])
+                outside[v] = left = left - 1
                 if left:
                     continue
-            attracted.add(sid)
-            queue.append(sid)
+            attracted.add(v)
+            queue.append(v)
     return attracted, choice
 
 

@@ -5,7 +5,7 @@ its nonzero coefficient.  ``factor`` eliminates the matrix once: it picks
 the live column with the fewest nonzeros and, within it, the row with the
 fewest nonzeros, and eliminates that column from the other live rows only.
 Singleton columns go first, so a block-triangular system (a transient
-chain, a level game) needs almost no elimination, and fill-in stays local.
+chain) needs almost no elimination, and fill-in stays local.
 No fraction-free (Bareiss) scaling is used: it multiplies every remaining
 row at every step and destroys sparsity.
 

@@ -49,6 +49,7 @@ from .model import (
     Ssg,
     State,
     Transition,
+    _quoted,
     fix_strategies,
     relabel_controlled,
     step_reward,
@@ -166,9 +167,11 @@ def solve_reachability(game: Ssg, targets, direction: str = "max") -> SolveResul
 
 @dataclass(frozen=True)
 class AsrResult:
-    winning: frozenset[str]
-    max_choice: dict[str, int]
-    spoil_choice: dict[str, int]
+    """Keyed by node: state ids on a game, ints on an int-keyed graph."""
+
+    winning: frozenset
+    max_choice: dict
+    spoil_choice: dict
 
 
 def almost_sure_reach(game, targets) -> AsrResult:
@@ -177,34 +180,36 @@ def almost_sure_reach(game, targets) -> AsrResult:
     Classical alternating fixpoint: repeatedly delete the region from which
     Max cannot reach the target with positive probability, together with
     Min's positive-probability attractor into it, until stable.  Target
-    states are treated as absorbing.  Max states count only their edges
-    that stay in the surviving region, and Max's witness follows the edges
-    that pulled its states into the final positive attractor.
+    nodes are treated as absorbing.  Max nodes count only their edges that
+    stay in the surviving region, and Max's witness follows the edges that
+    pulled its nodes into the final positive attractor.
+
+    Reads only ``game.graph``, like ``chain.attractor``: ``game`` is a game,
+    keyed by state id, or a ``model.Graph`` such as the int-keyed level
+    product of ``termination``.
     """
-    targets = frozenset(targets) & set(game.ids())
-    alive = set(game.ids())
-    allowed = {
-        s.id: list(range(len(s.transitions))) if s.id not in targets else []
-        for s in game.states
-    }
-    spoil: dict[str, int] = {}
+    graph = game.graph
+    owner, succ = graph.owner, graph.succ
+    alive = set(graph.nodes)
+    targets = frozenset(targets) & alive
+    allowed = {v: [] if v in targets else list(range(len(succ[v]))) for v in graph.nodes}
+    spoil: dict = {}
 
     while True:
-        pos, max_choice = chain_mod.attractor(game, targets & alive, ("max", "rand"), alive, allowed)
+        pos, max_choice = chain_mod.attractor(graph, targets & alive, ("max", "rand"), alive, allowed)
         blocked = alive - pos
         if not blocked:
             break
-        for sid in blocked:
-            s = game.state(sid)
-            if s.owner == "min" and sid not in spoil:
-                spoil[sid] = next(k for k, t in enumerate(s.transitions) if t.target in blocked)
-        doomed, pulled = chain_mod.attractor(game, blocked, ("min", "rand"), alive, allowed)
-        for sid, k in pulled.items():
-            spoil.setdefault(sid, k)
+        for v in blocked:
+            if owner[v] == "min" and v not in spoil:
+                spoil[v] = next(k for k, t in enumerate(succ[v]) if t in blocked)
+        doomed, pulled = chain_mod.attractor(graph, blocked, ("min", "rand"), alive, allowed)
+        for v, k in pulled.items():
+            spoil.setdefault(v, k)
         alive -= doomed
-        for sid in alive:
-            if game.state(sid).owner == "max":
-                allowed[sid] = [k for k in allowed[sid] if game.state(sid).transitions[k].target in alive]
+        for v in alive:
+            if owner[v] == "max":
+                allowed[v] = [k for k in allowed[v] if succ[v][k] in alive]
 
     return AsrResult(frozenset(alive), max_choice, spoil)
 
@@ -407,7 +412,7 @@ def procedure_mp(game, start: str):
     """
     _require_one_player(game)
     if start not in game.by_id:
-        raise ValueError(f"unknown state {start!r}")
+        raise ValueError(f"unknown state {_quoted(start)}")
     if isinstance(game, OcSsg):
         raise ValueError("reward game expected, translate the counter first")
 
@@ -498,7 +503,7 @@ def energy_min_credit(game, keeper: str = "max") -> dict[str, int | float]:
         candidate = INFINITE_CREDIT if need > cutoff else need
         if candidate > credit[sid]:
             credit[sid] = candidate
-            for pred, _ in game.predecessors[sid]:
+            for pred, _ in game.graph.preds[sid]:
                 if pred not in queued:
                     queued.add(pred)
                     queue.append(pred)

@@ -73,6 +73,29 @@ class State:
     transitions: tuple[Transition, ...] = ()
 
 
+@dataclass(frozen=True)
+class Graph:
+    """The edge structure the fixpoints read (``chain.attractor``,
+    ``mdp.almost_sure_reach``): the nodes in order, and per node its owner,
+    the targets of its edges in edge order and the (source, edge index) of
+    every edge entering it, sources in node order.
+
+    ``owner``, ``succ`` and ``preds`` are indexed by node: dicts keyed by
+    state id in a game's view, lists when the nodes are ``range(n)``, as in
+    the termination level product.  A graph is its own ``graph``, so code
+    that reads ``game.graph`` takes a game or a graph.
+    """
+
+    nodes: tuple | range
+    owner: dict | list
+    succ: dict | list
+    preds: dict | list
+
+    @property
+    def graph(self) -> "Graph":
+        return self
+
+
 class _GameOps:
     """Shared helpers; subclasses carry a ``states`` tuple."""
 
@@ -83,13 +106,18 @@ class _GameOps:
         return {s.id: s for s in self.states}
 
     @cached_property
-    def predecessors(self) -> dict[str, list[tuple[str, int]]]:
-        """State id -> (source id, edge index) of every edge entering it."""
+    def graph(self) -> "Graph":
+        """This game as a ``Graph`` keyed by state id, built once."""
+        owner = {}
+        succ = {}
         preds: dict[str, list[tuple[str, int]]] = {s.id: [] for s in self.states}
         for s in self.states:
-            for k, t in enumerate(s.transitions):
-                preds[t.target].append((s.id, k))
-        return preds
+            sid = s.id
+            owner[sid] = s.owner
+            succ[sid] = targets = [t.target for t in s.transitions]
+            for k, target in enumerate(targets):
+                preds[target].append((sid, k))
+        return Graph(tuple(preds), owner, succ, preds)
 
     @cached_property
     def violations(self) -> tuple[str, ...]:
@@ -107,9 +135,6 @@ class _GameOps:
 
     def owner_ids(self, owner: str) -> tuple[str, ...]:
         return tuple(s.id for s in self.states if s.owner == owner)
-
-    def successors(self, state_id: str) -> tuple[str, ...]:
-        return tuple(t.target for t in self.by_id[state_id].transitions)
 
     def is_chain(self) -> bool:
         return all(s.owner == "rand" for s in self.states)

@@ -26,6 +26,7 @@ from .model import (
     PureMemorylessStrategy,
     SolveResult,
     Ssg,
+    _quoted,
     check_valid,
     fix_strategies,
     relabel_controlled,
@@ -182,13 +183,15 @@ class _Compiled:
     sampling is integer-exact.
 
     The last strategy given for a player resolves that player's states.
-    Every pure memoryless strategy is checked against ``game`` first, so a
-    strategy with a missing state or an edge index out of range is rejected
-    before any trial.
+    A start state not in ``game`` and every pure memoryless strategy are
+    checked first, so an unknown start, or a strategy with a missing state
+    or an edge index out of range, is rejected before any trial.
     """
 
     def __init__(self, game, strategies, start: str):
         check_valid(game)
+        if start not in game.by_id:
+            raise ValueError(f"unknown state {_quoted(start)}")
         by_player = {"max": None, "min": None}
         for strat in strategies or ():
             if strat is not None:

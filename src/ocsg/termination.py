@@ -3,22 +3,25 @@
 The counter is never materialised: every solver here runs on the counter
 game as parsed and reads the counter change of a step through
 ``model.step_reward``.  Large initial values reduce to the liminf=-inf
-question, small ones to almost-sure reachability on a bounded unfolding of
-the counter (the level game).
-Witness synthesis collapses the level-game strategies back onto the control
-states: Max gets a memoryless counter-oblivious strategy, Min a strategy
-whose memory is the saturated level index (at most |V| memory states).
+question, small ones to almost-sure reachability on the counter unfolded to
+|V|+1 levels.  That unfolding, the level product, is an int-keyed
+``model.Graph`` built from the base game with no ``State`` objects, and
+``mdp.almost_sure_reach`` runs on it as it runs on a game.
+Witness synthesis collapses the level-product strategies back onto the
+control states: Max gets a memoryless counter-oblivious strategy, Min a
+strategy whose memory is the saturated level index (at most |V| memory
+states).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import mdp, ssg
 from .model import (
     LIMINF_MINUS_INF,
     FiniteMemoryStrategy,
+    Graph,
     OcSsg,
     PureMemorylessStrategy,
     Ssg,
@@ -30,66 +33,47 @@ from .model import (
 )
 
 
-def _level_id(state_id: str, level: int) -> str:
-    return f"{state_id}@{level}"
+def _level_product(base: Ssg | OcSsg, liminf_value_one) -> tuple[Graph, frozenset[int]]:
+    """The running sum of step weights unfolded to L = |V|+1 levels with
+    absorbing boundaries, and its targets.
 
-
-@dataclass(frozen=True)
-class LevelGame:
-    game: Ssg
-    j: int
-    hi: int
-    targets: frozenset[str]
-    to_base: dict[str, tuple[str, int]]
-
-
-def build_level_game(base: Ssg | OcSsg, j: int, liminf_value_one, hi: int | None = None) -> LevelGame:
-    """Unfold the running sum of step weights into levels -j..hi with
-    absorbing boundaries.
-
-    ``base`` is a counter game or a reward game; each step moves the level
-    by its ``step_reward``, which the level game carries as its transition
-    reward.  ``liminf_value_one`` is the value-1 set of liminf=-inf on
-    ``base``; the target set collects the bottom boundary and every level
-    copy of those states.  The default window tops out at |V|-j.
+    Node i*L + o is base state i (game order) at offset o in 0..|V|; with
+    initial counter j the offset is the level plus j, so levels run from -j
+    to |V|-j and the start is at offset j.  Offsets 0 and |V| are boundary
+    copies with a self-loop; elsewhere edge k of the base state moves the
+    offset by its ``step_reward``.  The targets are offset 0 and every copy
+    of a state in ``liminf_value_one``, the value-1 set of liminf=-inf on
+    ``base``.  Nothing here depends on j.
     """
     n = len(base.states)
-    if hi is None:
-        if not 0 < j < n:
-            raise ValueError(f"level construction needs 0 < j < |V|, got j={j}, |V|={n}")
-        hi = n - j
-    if j < 1 or hi < 0:
-        raise ValueError("window must contain the start level 0")
-    liminf_value_one = frozenset(liminf_value_one)
-
-    states = []
-    to_base = {}
-    targets = set()
-    for s in base.states:
-        steps = [(t, step_reward(base, s, t)) for t in s.transitions]
-        for level in range(-j, hi + 1):
-            lid = _level_id(s.id, level)
-            to_base[lid] = (s.id, level)
-            if level == -j or s.id in liminf_value_one:
-                targets.add(lid)
-            if level in (-j, hi):
-                prob = Fraction(1) if s.owner == "rand" else None
-                transitions = (Transition(lid, prob=prob, reward=0),)
-            else:
-                transitions = tuple(
-                    Transition(_level_id(t.target, level + w), prob=t.prob, reward=w) for t, w in steps
-                )
-            states.append(State(lid, s.owner, transitions=transitions))
-    game = Ssg(tuple(states), reward_location="transitions")
-    return LevelGame(game, j, hi, frozenset(targets), to_base)
+    width = n + 1
+    index = {sid: i for i, sid in enumerate(base.ids())}
+    owner: list[str] = []
+    succ: list[tuple[int, ...]] = []
+    targets: list[int] = []
+    for i, s in enumerate(base.states):
+        first = i * width
+        # Edge k from offset o leads to node steps[k] + o.
+        steps = [index[t.target] * width + step_reward(base, s, t) for t in s.transitions]
+        owner += [s.owner] * width
+        succ.append((first,))
+        succ += [tuple(step + o for step in steps) for o in range(1, n)]
+        succ.append((first + n,))
+        if s.id in liminf_value_one:
+            targets += range(first, first + width)
+        else:
+            targets.append(first)
+    preds: list[list[tuple[int, int]]] = [[] for _ in succ]
+    for v, nxt in enumerate(succ):
+        for k, t in enumerate(nxt):
+            preds[t].append((v, k))
+    return Graph(range(len(succ)), owner, succ, preds), frozenset(targets)
 
 
 @dataclass(frozen=True)
 class TermDecision:
     value_one: bool
     branch: str
-    start: str
-    j: int
     liminf_value_one: frozenset[str]
     start_level_state: str | None = None
 
@@ -104,28 +88,42 @@ def check_query(game: OcSsg, start: str, j: int) -> None:
         raise ValueError(f"unknown state {_quoted(start)}")
 
 
+@dataclass(frozen=True)
+class _Levels:
+    """Almost-sure reach on the level product for initial counter ``j``;
+    ``entry`` is the start at level 0."""
+
+    graph: Graph
+    targets: frozenset[int]
+    asr: mdp.AsrResult
+    j: int
+    entry: int
+
+
 def _term_pipeline(game: OcSsg, start: str, j: int):
-    """The liminf=-inf solve and, for j < |V|, the level game, its almost-sure
-    reach and the start's level-0 state (else Nones)."""
+    """The liminf=-inf solve and, for j < |V|, almost-sure reach on the level
+    product (else None)."""
     check_query(game, start, j)
     solve = ssg.solve_limit_ssg(game, LIMINF_MINUS_INF)
-    if j >= len(game.states):
-        return solve, None, None, None
-    level = build_level_game(game, j, solve.result.value_one_set)
-    return solve, level, mdp.almost_sure_reach(level.game, level.targets), _level_id(start, 0)
+    n = len(game.states)
+    if j >= n:
+        return solve, None
+    graph, targets = _level_product(game, solve.result.value_one_set)
+    entry = game.ids().index(start) * (n + 1) + j
+    return solve, _Levels(graph, targets, mdp.almost_sure_reach(graph, targets), j, entry)
 
 
 def decide_term_one(game: OcSsg, start: str, j: int) -> TermDecision:
     """Is the termination value 1 from ``start`` with initial counter ``j``?
 
     For j >= |V| this is exactly the liminf=-inf value-1 question; below
-    that, the level game reduces it to almost-sure reachability.
+    that, the level product reduces it to almost-sure reachability.
     """
-    solve, level, asr, entry = _term_pipeline(game, start, j)
+    solve, levels = _term_pipeline(game, start, j)
     w = solve.result.value_one_set
-    if level is None:
-        return TermDecision(start in w, "limit", start, j, w)
-    return TermDecision(entry in asr.winning, "level", start, j, w, entry)
+    if levels is None:
+        return TermDecision(start in w, "limit", w)
+    return TermDecision(levels.entry in levels.asr.winning, "level", w, f"{start}@0")
 
 
 def decide_term_zero(game: OcSsg, start: str, j: int) -> bool:
@@ -145,23 +143,22 @@ def synthesize_term_strategies(game: OcSsg, start: str, j: int):
 
     Value 1: a pure memoryless counter-oblivious Max strategy optimal in
     ``start``; states with liminf=-inf value 1 keep that witness's choice,
-    every other Max state reachable in the level game adopts the level-game
-    choice at its highest reachable level.  Value < 1: a Min strategy whose
-    memory is the level index saturating at the window top, where it switches
-    to the liminf=-inf witness for Min.
+    every other Max state reachable in the level product adopts the
+    level-product choice at its highest reachable level.  Value < 1: a Min
+    strategy whose memory is the level index saturating at the window top,
+    where it switches to the liminf=-inf witness for Min.
     """
-    solve, level, asr, entry = _term_pipeline(game, start, j)
+    solve, levels = _term_pipeline(game, start, j)
     w = solve.result.value_one_set
     sigma_liminf = solve.result.witness_max
     pi_liminf = solve.result.witness_min
-    if level is None:
+    if levels is None:
         if start in w:
             return sigma_liminf, None
         return None, _memoryless_as_finite(pi_liminf)
-    if entry in asr.winning:
-        sigma = _collapse_max_strategy(game, level, asr, entry, w, sigma_liminf)
-        return sigma, None
-    return None, _level_min_strategy(game, level, asr, pi_liminf)
+    if levels.entry in levels.asr.winning:
+        return _collapse_max_strategy(game, levels, w, sigma_liminf), None
+    return None, _level_min_strategy(game, levels, pi_liminf)
 
 
 def _memoryless_as_finite(strategy: PureMemorylessStrategy) -> FiniteMemoryStrategy:
@@ -170,67 +167,70 @@ def _memoryless_as_finite(strategy: PureMemorylessStrategy) -> FiniteMemoryStrat
     return FiniteMemoryStrategy(strategy.player, memory, "-", {}, choice)
 
 
-def _collapse_max_strategy(game, level, asr, entry, safe, sigma_liminf) -> PureMemorylessStrategy:
-    reachable = _reachable_under_witness(level, asr, entry)
-    top_level: dict[str, int] = {}
-    for lid in reachable:
-        base_id, lvl = level.to_base[lid]
-        if base_id in safe or lvl == -level.j:
+def _collapse_max_strategy(game, levels, safe, sigma_liminf) -> PureMemorylessStrategy:
+    width = len(game.states) + 1
+    ids = game.ids()
+    top: dict[int, int] = {}  # base state index -> highest reachable offset
+    for v in _reachable_under_witness(levels):
+        i, offset = divmod(v, width)
+        if ids[i] in safe or offset == 0:
             # Safe states keep their liminf witness; a state first entered at
             # the bottom boundary is only ever seen once the play terminated.
             continue
-        top_level[base_id] = max(top_level.get(base_id, lvl), lvl)
+        top[i] = max(top.get(i, offset), offset)
     choice = {}
-    for sid in game.owner_ids("max"):
-        if sid in safe:
-            choice[sid] = sigma_liminf.choice[sid]
-        elif sid in top_level:
-            lvl = top_level[sid]
-            if lvl == level.hi:
+    for i, s in enumerate(game.states):
+        if s.owner != "max":
+            continue
+        if s.id in safe:
+            choice[s.id] = sigma_liminf.choice[s.id]
+        elif i in top:
+            if top[i] == width - 1:
                 raise AssertionError("unsafe state reachable at the absorbing top level")
-            choice[sid] = asr.max_choice[_level_id(sid, lvl)]
+            choice[s.id] = levels.asr.max_choice[i * width + top[i]]
         else:
-            choice[sid] = 0
+            choice[s.id] = 0
     return PureMemorylessStrategy("max", choice)
 
 
-def _reachable_under_witness(level, asr, entry) -> set[str]:
-    """Level states reachable from the entry when Max follows the witness."""
-    seen = {entry}
-    frontier = [entry]
+def _reachable_under_witness(levels) -> set[int]:
+    """Level-product nodes reachable from the entry when Max follows the witness."""
+    owner, succ = levels.graph.owner, levels.graph.succ
+    max_choice, winning = levels.asr.max_choice, levels.asr.winning
+    seen = {levels.entry}
+    frontier = [levels.entry]
     while frontier:
-        lid = frontier.pop()
-        s = level.game.state(lid)
-        if lid in level.targets:
+        v = frontier.pop()
+        if v in levels.targets:
             continue
-        if s.owner == "max":
-            indices = [asr.max_choice[lid]] if lid in asr.max_choice else []
+        if owner[v] == "max":
+            nxt = [succ[v][max_choice[v]]] if v in max_choice else []
         else:
-            indices = range(len(s.transitions))
-        for k in indices:
-            nxt = s.transitions[k].target
-            if nxt in asr.winning and nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
+            nxt = succ[v]
+        for t in nxt:
+            if t in winning and t not in seen:
+                seen.add(t)
+                frontier.append(t)
     return seen
 
 
-def _level_min_strategy(game, level, asr, pi_liminf) -> FiniteMemoryStrategy:
-    """Memory = saturated level index in [-j+1, hi]; spoil below, liminf at top."""
-    lo = -level.j + 1
-    hi = level.hi
+def _level_min_strategy(game, levels, pi_liminf) -> FiniteMemoryStrategy:
+    """Memory = saturated level index in [-j+1, |V|-j]; spoil below, liminf at top."""
+    j = levels.j
+    width = len(game.states) + 1
+    lo = -j + 1
+    hi = width - 1 - j
     memory_states = tuple(range(lo, hi + 1))
+    spoil = levels.asr.spoil_choice
     choice = {}
-    for sid in game.owner_ids("min"):
+    for i, s in enumerate(game.states):
+        if s.owner != "min":
+            continue
         for m in memory_states:
             if m == hi:
-                choice[(m, sid)] = pi_liminf.choice[sid]
-                continue
-            lid = _level_id(sid, m)
-            if lid in asr.spoil_choice:
-                choice[(m, sid)] = asr.spoil_choice[lid]
+                choice[(m, s.id)] = pi_liminf.choice[s.id]
             else:
-                choice[(m, sid)] = 0
+                choice[(m, s.id)] = spoil.get(i * width + m + j, 0)
     update = {}
     for s in game.states:
         for k, t in enumerate(s.transitions):

@@ -5,7 +5,9 @@ fixed-stride slice of the 3-state space (full enumeration is ~375k games,
 far beyond the intended minutes of runtime).  Random layers draw from a
 seeded generator so every run sees identical instances.  ``oc_to_reward_ssg``
 is the reward view of a counter game, a reference the solvers never use:
-they read counter games as parsed.
+they read counter games as parsed.  ``build_level_game`` is the level game
+of termination built as a full ``Ssg`` with string ids, the reference the
+int-keyed level product of ``ocsg.termination`` is checked against.
 """
 
 from __future__ import annotations
@@ -13,10 +15,20 @@ from __future__ import annotations
 import importlib.util
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from ocsg.model import ON_TRANSITIONS, OcSsg, Ssg, State, Transition, check_valid, relabel_controlled
+from ocsg.model import (
+    ON_TRANSITIONS,
+    OcSsg,
+    Ssg,
+    State,
+    Transition,
+    check_valid,
+    relabel_controlled,
+    step_reward,
+)
 
 PROBS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
 SPLITS = ((Fraction(1, 4), Fraction(3, 4)), (Fraction(1, 2), Fraction(1, 2)), (Fraction(3, 4), Fraction(1, 4)))
@@ -171,3 +183,58 @@ def oc_to_reward_ssg(game: OcSsg) -> Ssg:
         for s in game.states
     )
     return Ssg(states, reward_location=ON_TRANSITIONS)
+
+
+def level_id(state_id: str, level: int) -> str:
+    return f"{state_id}@{level}"
+
+
+@dataclass(frozen=True)
+class LevelGame:
+    game: Ssg
+    j: int
+    hi: int
+    targets: frozenset[str]
+    to_base: dict[str, tuple[str, int]]
+
+
+def build_level_game(base: Ssg | OcSsg, j: int, liminf_value_one, hi: int | None = None) -> LevelGame:
+    """Unfold the running sum of step weights into levels -j..hi with
+    absorbing boundaries, as an ``Ssg`` whose states are ``<id>@<level>``.
+
+    ``base`` is a counter game or a reward game; each step moves the level
+    by its ``step_reward``, which the level game carries as its transition
+    reward.  ``liminf_value_one`` is the value-1 set of liminf=-inf on
+    ``base``; the target set collects the bottom boundary and every level
+    copy of those states.  The default window tops out at |V|-j, the window
+    of ``ocsg.termination``; a wider ``hi`` checks the limit branch.
+    """
+    n = len(base.states)
+    if hi is None:
+        if not 0 < j < n:
+            raise ValueError(f"level construction needs 0 < j < |V|, got j={j}, |V|={n}")
+        hi = n - j
+    if j < 1 or hi < 0:
+        raise ValueError("window must contain the start level 0")
+    liminf_value_one = frozenset(liminf_value_one)
+
+    states = []
+    to_base = {}
+    targets = set()
+    for s in base.states:
+        steps = [(t, step_reward(base, s, t)) for t in s.transitions]
+        for level in range(-j, hi + 1):
+            lid = level_id(s.id, level)
+            to_base[lid] = (s.id, level)
+            if level == -j or s.id in liminf_value_one:
+                targets.add(lid)
+            if level in (-j, hi):
+                prob = Fraction(1) if s.owner == "rand" else None
+                transitions = (Transition(lid, prob=prob, reward=0),)
+            else:
+                transitions = tuple(
+                    Transition(level_id(t.target, level + w), prob=t.prob, reward=w) for t, w in steps
+                )
+            states.append(State(lid, s.owner, transitions=transitions))
+    game = Ssg(tuple(states), reward_location="transitions")
+    return LevelGame(game, j, hi, frozenset(targets), to_base)

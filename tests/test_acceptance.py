@@ -26,7 +26,15 @@ from ocsg.model import (
 )
 from ocsg.reduce import condon_to_limit, condon_to_termination, normalize_reach_instance
 
-from grids import as_mdp, exhaustive_games, oc_to_reward_ssg, random_games, random_reach_instances
+from grids import (
+    as_mdp,
+    build_level_game,
+    exhaustive_games,
+    level_id,
+    oc_to_reward_ssg,
+    random_games,
+    random_reach_instances,
+)
 
 RANDOM_SEED = 987654321
 
@@ -108,12 +116,12 @@ def test_criterion_4_large_counter_reduces_to_liminf(grid_games, solutions):
             j = len(counter.states)
             rewards = oc_to_reward_ssg(counter)
             w = ssg.solve_limit_ssg(rewards, LIMINF_MINUS_INF).result.value_one_set
-            level = termination.build_level_game(rewards, j, w, hi=len(counter.states))
+            level = build_level_game(rewards, j, w, hi=len(counter.states))
             asr = mdp.almost_sure_reach(level.game, level.targets)
             for sid in counter.ids():
                 direct = termination.decide_term_one(counter, sid, j)
                 assert direct.branch == "limit"
-                widened = termination._level_id(sid, 0) in asr.winning
+                widened = level_id(sid, 0) in asr.winning
                 assert direct.value_one == widened, (index, sid)
             if len(game.states) <= 3:
                 _, reference = solutions(index, LIMINF_MINUS_INF)

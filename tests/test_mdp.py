@@ -343,6 +343,13 @@ def test_procedure_mp_picks_positive_loop():
         assert strategy.choice["m"] == good
 
 
+def test_procedure_mp_cuts_an_unknown_start():
+    game = parse_model("ssg rewards=transitions\nstate m owner=max\ntrans m -> m reward=1\n")
+    with pytest.raises(ValueError, match="^unknown state 'xxx") as raised:
+        mdp.procedure_mp(game, "x" * 5000)
+    assert len(str(raised.value)) < 60
+
+
 def test_procedure_mp_no_when_nonpositive():
     game = parse_model(
         "ssg rewards=transitions\nstate m owner=max\ntrans m -> m reward=0\ntrans m -> m reward=-1\n"

@@ -61,6 +61,17 @@ def test_simulate_needs_a_strategy_for_every_controlled_state(five_state_game):
         oracle.simulate(five_state_game, (), "v", 10, 10, seed=1)
 
 
+def test_unknown_start_is_a_typed_error(fair_walk):
+    cases = (("nowhere", "unknown state 'nowhere'"), ("x" * 5000, f"unknown state {'x' * 20!r}..."))
+    for start, message in cases:
+        with pytest.raises(ValueError) as raised:
+            oracle.simulate(fair_walk, (), start, 10, 10, seed=1)
+        assert str(raised.value) == message
+        with pytest.raises(ValueError) as raised:
+            oracle.estimate_objective(fair_walk, (), Objective.term(1), 1, 10, 10, 1, start)
+        assert str(raised.value) == message
+
+
 def test_always_increment_min_prefix_zero():
     game = parse_model("ocssg\nstate s owner=rand\ntrans s -> s p=1/1 delta=1\n")
     stats = oracle.simulate(game, (), "s", 100, 50, seed=5)

@@ -8,15 +8,17 @@ from ocsg import mdp, ssg, termination
 from ocsg.model import (
     LIMINF_MINUS_INF,
     LIMIT_OBJECTIVES,
+    Graph,
     OcSsg,
     PureMemorylessStrategy,
+    Ssg,
     State,
     Transition,
     fix_strategies,
     parse_model,
 )
 
-from grids import exhaustive_games, oc_to_reward_ssg, random_games
+from grids import build_level_game, exhaustive_games, level_id, oc_to_reward_ssg, random_games
 
 
 def _as_ocssg(game):
@@ -33,7 +35,7 @@ def _as_ocssg(game):
 def test_counter_game_solves_like_its_reward_view():
     """Solvers read deltas through ``model.step_reward``, so a counter game
     as parsed and its reward view give the same solve (values, value-1 set,
-    both witnesses, method), energy credits and level game."""
+    both witnesses, method), energy credits and level product."""
     for index, game in enumerate(exhaustive_games()):
         counter = _as_ocssg(game)
         rewards = oc_to_reward_ssg(counter)
@@ -43,11 +45,15 @@ def test_counter_game_solves_like_its_reward_view():
         for keeper in ("max", "min"):
             assert mdp.energy_min_credit(counter, keeper) == mdp.energy_min_credit(rewards, keeper), index
         w = solves[LIMINF_MINUS_INF].result.value_one_set
-        hi = len(counter.states)
-        assert termination.build_level_game(counter, 1, w, hi) == termination.build_level_game(rewards, 1, w, hi)
+        assert termination._level_product(counter, w) == termination._level_product(rewards, w), index
 
 
-# -- level game construction --------------------------------------------------
+# -- level product -------------------------------------------------------------
+
+
+def _node(game, state_id, level, j):
+    """The level-product node of ``state_id`` at ``level`` for initial counter j."""
+    return game.ids().index(state_id) * (len(game.states) + 1) + level + j
 
 
 def test_level_game_counts_two_states():
@@ -57,38 +63,91 @@ def test_level_game_counts_two_states():
             "trans a -> b p=1/1 delta=1\ntrans b -> a p=1/1 delta=-1\n"
         )
     )
-    level = termination.build_level_game(base, 1, frozenset())
-    assert len(level.game.states) == 6
-    levels = {level.to_base[s.id][1] for s in level.game.states}
+    graph, _ = termination._level_product(base, frozenset())
+    assert len(graph.nodes) == 6
+    levels = {divmod(v, 3)[1] - 1 for v in graph.nodes}
     assert levels == {-1, 0, 1}
 
 
 def test_level_game_counts_appendix(five_state_game):
     base = oc_to_reward_ssg(five_state_game)
-    level = termination.build_level_game(base, 1, frozenset())
-    assert len(level.game.states) == 30
+    graph, _ = termination._level_product(base, frozenset())
+    assert len(graph.nodes) == 30
 
 
 def test_level_game_value_one_rows_are_targets(five_state_game):
     base = oc_to_reward_ssg(five_state_game)
-    level = termination.build_level_game(base, 1, frozenset({"down"}))
+    _, targets = termination._level_product(base, frozenset({"down"}))
     for i in range(-1, 5):
-        assert termination._level_id("down", i) in level.targets
-    assert termination._level_id("up", 0) not in level.targets
-    assert termination._level_id("up", -1) in level.targets
+        assert _node(base, "down", i, 1) in targets
+    assert _node(base, "up", 0, 1) not in targets
+    assert _node(base, "up", -1, 1) in targets
 
 
 def test_level_game_rejects_large_j(five_state_game):
+    # The reference; the program sends j >= |V| to the limit branch.
     base = oc_to_reward_ssg(five_state_game)
     with pytest.raises(ValueError):
-        termination.build_level_game(base, 5, frozenset())
+        build_level_game(base, 5, frozenset())
+    assert termination.decide_term_one(five_state_game, "v", 5).branch == "limit"
 
 
 def test_level_game_boundary_absorbing(five_state_game):
     base = oc_to_reward_ssg(five_state_game)
-    level = termination.build_level_game(base, 1, frozenset())
-    top = level.game.state(termination._level_id("v", 4))
-    assert len(top.transitions) == 1 and top.transitions[0].target == top.id
+    graph, _ = termination._level_product(base, frozenset())
+    top = _node(base, "v", 4, 1)
+    assert graph.succ[top] == (top,)
+
+
+def _reference_as_product(game, level):
+    """Almost-sure reach on the reference level game with its ``<id>@<level>``
+    keys mapped to level-product nodes."""
+    asr = mdp.almost_sure_reach(level.game, level.targets)
+
+    def node(lid):
+        return _node(game, *level.to_base[lid], level.j)
+
+    return (
+        {node(lid) for lid in asr.winning},
+        {node(lid): k for lid, k in asr.max_choice.items()},
+        {node(lid): k for lid, k in asr.spoil_choice.items()},
+    )
+
+
+def test_level_product_matches_reference_level_game():
+    """Winning set, Max choices and spoil choices of almost-sure reach on the
+    level product equal those on the reference ``Ssg`` level game, for every
+    1 <= j < |V| (so for every start at level 0)."""
+    games = exhaustive_games() + random_games(60, sizes=(3, 4, 5), seed=1515)
+    compared = 0
+    for index, game in enumerate(games):
+        counter = _as_ocssg(game)
+        w = ssg.solve_limit_ssg(counter, LIMINF_MINUS_INF).result.value_one_set
+        graph, targets = termination._level_product(counter, w)
+        asr = mdp.almost_sure_reach(graph, targets)
+        got = (set(asr.winning), asr.max_choice, asr.spoil_choice)
+        for j in range(1, len(counter.states)):
+            assert got == _reference_as_product(counter, build_level_game(counter, j, w)), (index, j)
+            compared += 1
+    assert compared > 3000
+
+
+def test_decide_term_one_reaches_on_the_int_level_product(five_state_game, monkeypatch):
+    seen = []
+    real = mdp.almost_sure_reach
+
+    def spy(game, targets):
+        seen.append(game)
+        return real(game, targets)
+
+    monkeypatch.setattr(mdp, "almost_sure_reach", spy)
+    assert termination.decide_term_one(five_state_game, "v", 2).value_one is False
+    # The liminf solve calls it on games; the level step is the last call.
+    (graph,) = [g for g in seen if not isinstance(g, Ssg | OcSsg)]
+    assert seen[-1] is graph and isinstance(graph, Graph)
+    assert graph.nodes == range(5 * 6)
+    assert len(graph.owner) == len(graph.succ) == len(graph.preds) == 30
+    assert all(isinstance(t, int) for nxt in graph.succ for t in nxt)
 
 
 # -- qualitative decisions -----------------------------------------------------
@@ -151,12 +210,12 @@ def test_limit_branch_agrees_with_widened_level_branch():
         j = len(counter.states)
         rewards = oc_to_reward_ssg(counter)
         w = ssg.solve_limit_ssg(rewards, LIMINF_MINUS_INF).result.value_one_set
-        level = termination.build_level_game(rewards, j, w, hi=len(counter.states))
+        level = build_level_game(rewards, j, w, hi=len(counter.states))
         asr = mdp.almost_sure_reach(level.game, level.targets)
         for start in counter.ids():
             direct = termination.decide_term_one(counter, start, j)
             assert direct.branch == "limit"
-            widened = termination._level_id(start, 0) in asr.winning
+            widened = level_id(start, 0) in asr.winning
             assert direct.value_one == widened, start
 
 

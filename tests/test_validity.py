@@ -1,10 +1,11 @@
 """Games the program builds from a valid game are valid without a re-check.
 
-``build_level_game``, ``condon_to_limit``, ``condon_to_termination``,
-``product_with_strategy``, ``fix_strategies`` and ``relabel_controlled`` do
-not validate what they build, nor does any solver that receives it, and a
-game's violations are computed once and cached; these tests hold the
-builders to that.
+``condon_to_limit``, ``condon_to_termination``, ``product_with_strategy``,
+``fix_strategies`` and ``relabel_controlled`` do not validate what they
+build, nor does any solver that receives it, and a game's violations are
+computed once and cached; these tests hold the builders to that.  The
+reference level game of ``grids.build_level_game`` is held to it too, since
+the level-product tests run almost-sure reach on it.
 """
 
 import pytest
@@ -24,7 +25,7 @@ from ocsg.model import (
 )
 from ocsg.reduce import condon_to_limit, condon_to_termination
 
-from grids import exhaustive_games, oc_to_reward_ssg, random_games, random_reach_instances
+from grids import build_level_game, exhaustive_games, oc_to_reward_ssg, random_games, random_reach_instances
 
 
 def _arrival_counter_view(game):
@@ -46,7 +47,7 @@ def test_level_games_of_grid_counter_games_are_valid():
         assert validate(rewards) == []
         w = frozenset(rewards.ids()[:1])
         for j in range(1, len(rewards.states)):
-            level = termination.build_level_game(rewards, j, w)
+            level = build_level_game(rewards, j, w)
             assert validate(level.game) == [], (game, j)
             built += 1
     assert built > 1000
