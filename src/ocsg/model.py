@@ -26,6 +26,7 @@ Input is validated where it enters the program, derived games are not.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -334,7 +335,7 @@ def _violations(game: Ssg | OcSsg):
                 yield i, k, "unexpected reward"
         if s.owner == "rand" and all(t.prob is not None and t.prob > 0 for t in s.transitions) and s.transitions:
             if total != 1:
-                yield i, None, f"probabilities sum {_clipped(str(total))} != 1"
+                yield i, None, f"probabilities sum {_clipped_fraction(total)} != 1"
 
 
 def _describe(game: Ssg | OcSsg, i: int | None, k: int | None, message: str) -> str:
@@ -383,6 +384,22 @@ def _parse_attrs(parts, lineno, allowed):
 def _clipped(raw: str) -> str:
     """A token cut after 20 characters, so no error echoes a huge id or numeral."""
     return raw if len(raw) <= 20 else f"{raw[:20]}..."
+
+
+def _clipped_fraction(value: Fraction) -> str:
+    """``value`` as ``num/den`` cut like ``_clipped``.  A part with more
+    digits than ``str`` converts (``sys.get_int_max_str_digits()``) is named
+    by that limit instead."""
+
+    def part(n: int) -> str:
+        try:
+            return str(n)
+        except ValueError:
+            return f"<over {sys.get_int_max_str_digits()} digits>"
+
+    if value.denominator == 1:
+        return _clipped(part(value.numerator))
+    return _clipped(f"{part(value.numerator)}/{part(value.denominator)}")
 
 
 def _quoted(raw: str) -> str:

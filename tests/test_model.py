@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -101,6 +102,17 @@ def test_whole_model_rules_report_their_line(text, line, message):
         parse_model(text)
     assert err.value.line == line
     assert str(err.value) == f"line {line}: {message}"
+
+
+def test_probability_sum_too_long_to_print_gives_a_short_error():
+    # Each numeral converts, but the sum's numerator has one digit more than int() prints.
+    limit = sys.get_int_max_str_digits()
+    text = f"ocssg\nstate r owner=rand\ntrans r -> r p=1/2 delta=1\ntrans r -> r p=5{'0' * (limit - 1)} delta=-1\n"
+    with pytest.raises(ModelSemanticError) as err:
+        parse_model(text)
+    assert err.value.line == 2
+    assert str(err.value).startswith("line 2: r: probabilities sum <over")
+    assert len(str(err.value)) < 120
 
 
 def test_the_first_offending_line_is_reported():
