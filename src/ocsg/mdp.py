@@ -16,15 +16,19 @@ one rule table (``_MEC_RULES``) read by one function (``_mec_part``): the
 sign of each MEC's optimal gain, and at gain 0 one part of its tight
 sub-MDP, the end components with a noisy rand state (liminf = -inf) or
 those without one (liminf > -inf); then almost-sure reach of the states
-they win.  No potential test runs on this path, and energy lifting
+they win.  A MEC's gain policy iteration stops at the first policy whose
+gain has a winning sign at every state, which then wins the whole MEC; only
+a MEC that no policy wins is solved to optimality, so a gain-0 MEC gets the
+optimal bias.  No potential test runs on this path, and energy lifting
 (``energy_min_credit``) serves only the termination-value-0 question.
 
 Inside one ``ssg.solve_limit_ssg`` call, ``COMPONENT_MEMO`` holds a dict
 that memoizes end-component results by content: the mean payoff and
 canonical bias of each closed class of an induced chain, keyed on the game
 flavour (type and ``reward_location``) and the class's member states in
-game order, and ``expected_mean_payoff`` on a MEC sub-MDP, keyed on the
-direction, the flavour and the sub-MDP's states.  A closed class's states
+game order, and the gain policy iteration on a MEC sub-MDP, keyed on the
+direction and the winning signs of the objective's rule (which fix where
+it stops), the flavour and the sub-MDP's states.  A closed class's states
 carry every probability and weight its analysis reads, so equal keys mean
 equal results.  Outside a solve the variable is None and nothing is cached.
 """
@@ -291,15 +295,29 @@ def _evaluate_gain_bias(game, policy):
 def expected_mean_payoff(game, direction: str = "max", bias_out: dict | None = None):
     """Optimal expected mean payoff per state plus a pure memoryless optimiser.
 
-    Howard's multichain policy iteration (Puterman 1994, section 9.2): switch
-    to an edge of strictly better gain, and only when none exists to a
-    gain-tied edge of strictly better reward plus canonical bias.  Switching
-    is conservative (the current edge stays unless a strictly better one
-    exists), so no policy repeats; a repeat raises AssertionError.  A
-    ``bias_out`` dict receives the canonical bias of the returned policy,
-    which the last round has already evaluated.
+    Howard's multichain policy iteration (``_policy_iteration``) run to
+    optimality.  A ``bias_out`` dict receives the canonical bias of the
+    returned policy, which the last round has already evaluated.
     """
     _require_one_player(game)
+    gain, bias, policy = _policy_iteration(game, direction)
+    if bias_out is not None:
+        bias_out.update(bias)
+    return gain, _strategy(game, policy, direction)
+
+
+def _policy_iteration(game, direction: str, stop=None):
+    """Gain, canonical bias and policy of Howard's multichain policy
+    iteration (Puterman 1994, section 9.2) from the all-first-edges policy.
+
+    Each round switches to an edge of strictly better gain, and only when
+    none exists to a gain-tied edge of strictly better reward plus
+    canonical bias.  Switching is conservative (the current edge stays
+    unless a strictly better one exists), so no policy repeats; a repeat
+    raises AssertionError.  The loop returns at the first policy with no
+    improving switch, or earlier at the first evaluated policy whose gain
+    map satisfies ``stop``.
+    """
     controlled = game.controlled_ids()
     policy = {sid: 0 for sid in controlled}
     seen = set()
@@ -309,6 +327,8 @@ def expected_mean_payoff(game, direction: str = "max", bias_out: dict | None = N
             raise AssertionError("mean-payoff policy iteration revisited a policy")
         seen.add(key)
         gain, bias = _evaluate_gain_bias(game, policy)
+        if stop is not None and stop(gain):
+            return gain, bias, policy
         switched = False
         for sid in controlled:
             state = game.state(sid)
@@ -331,9 +351,7 @@ def expected_mean_payoff(game, direction: str = "max", bias_out: dict | None = N
                 policy[sid] = next(k for k, q in qs_bias.items() if q == best)
                 switched = True
         if not switched:
-            if bias_out is not None:
-                bias_out.update(bias)
-            return gain, _strategy(game, policy, direction)
+            return gain, bias, policy
 
 
 # ---------------------------------------------------------------------------
@@ -514,23 +532,37 @@ def energy_min_credit(game, keeper: str = "max") -> dict[str, int | float]:
 # Qualitative and quantitative limit objectives
 
 
-def _sub_gain(sub, direction: str):
-    """Optimal gain of the end-component sub-MDP, the optimiser's choice in
-    sub-MDP indices, and its bias."""
-    bias: dict[str, Fraction] = {}
-    gains, strat = expected_mean_payoff(sub, direction, bias)
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _sub_gain(sub, rule):
+    """Gain policy iteration on the end-component sub-MDP in the rule's
+    direction: a gain, the policy's choice in sub-MDP indices and its bias.
+
+    It stops at the first policy whose gain has a winning sign at every
+    state and returns that policy's least favourable gain.  Such a policy
+    wins the whole MEC, since a BSCC state's gain is its BSCC's mean.  A
+    MEC that no policy wins, a gain-0 one included, is solved to
+    optimality: its gain is constant and the bias is the optimiser's.
+    """
+    direction, winning_signs, _ = rule
+    gains, bias, policy = _policy_iteration(
+        sub, direction, lambda gain: all(_sign(g) in winning_signs for g in gain.values())
+    )
     values = set(gains.values())
-    if len(values) != 1:
+    gain = min(values) if direction == "max" else max(values)
+    if len(values) != 1 and _sign(gain) not in winning_signs:
         raise AssertionError("gain not constant on an end component")
-    return values.pop(), strat.choice, bias
+    return gain, policy, bias
 
 
-def _mec_gain(game, mec: Mec, direction: str):
-    """Optimal gain on the MEC, the optimiser's choice in original indices,
-    and its bias."""
+def _mec_gain(game, mec: Mec, rule):
+    """``_sub_gain`` on the MEC, memoized on the rule's direction and
+    winning signs, with the choice in original indices."""
     sub, index_map = _restrict_to_mec(game, mec)
-    key = ("mec", direction, _flavour(sub), sub.states)
-    gain, choice, bias = _memoized(key, lambda: _sub_gain(sub, direction))
+    key = ("mec", rule[:2], _flavour(sub), sub.states)
+    gain, choice, bias = _memoized(key, lambda: _sub_gain(sub, rule))
     return gain, {sid: index_map[sid][k] for sid, k in choice.items()}, bias
 
 
@@ -606,25 +638,26 @@ def _quiet_components(tight, noisy):
 
 # Per limit objective: the direction of the MEC gain solve, the gain signs
 # that win the whole MEC, and the part a gain-0 MEC wins (None: nothing).
+# The MEC's policy iteration stops at the first policy whose gain has a
+# winning sign at every state, so the memo key holds the first two fields.
 _MEC_RULES = {
-    "mean-gt": ("max", {1}, None),
-    "liminf-plus-inf": ("max", {1}, None),
-    "mean-leq": ("min", {-1, 0}, None),
-    "liminf-lt-plus-inf": ("min", {-1, 0}, None),
-    "liminf-minus-inf": ("min", {-1}, _noisy_components),
-    "liminf-gt-minus-inf": ("max", {1}, _quiet_components),
+    "mean-gt": ("max", (1,), None),
+    "liminf-plus-inf": ("max", (1,), None),
+    "mean-leq": ("min", (-1, 0), None),
+    "liminf-lt-plus-inf": ("min", (-1, 0), None),
+    "liminf-minus-inf": ("min", (-1,), _noisy_components),
+    "liminf-gt-minus-inf": ("max", (1,), _quiet_components),
 }
 
 
 def _mec_part(game, mec: Mec, rule):
     """The MEC states where Max wins by staying in the MEC, with a choice
-    in original indices that does so: the whole MEC with the optimiser's
-    choice when the gain wins, the rule's tight part at gain 0, and nothing
-    otherwise."""
-    direction, winning_signs, zero_part = rule
-    gain, choice, bias = _mec_gain(game, mec, direction)
-    sign = (gain > 0) - (gain < 0)
-    if sign in winning_signs:
+    in original indices that does so: the whole MEC with the choice of a
+    policy whose gain wins at every state, the rule's tight part at gain 0,
+    and nothing otherwise."""
+    _, winning_signs, zero_part = rule
+    gain, choice, bias = _mec_gain(game, mec, rule)
+    if _sign(gain) in winning_signs:
         return frozenset(mec.members), choice
     if gain != 0 or zero_part is None:
         return frozenset(), {}

@@ -83,8 +83,10 @@ def solve_limit_ssg(game: Ssg, objective: Objective) -> SsgSolve:
     raise, so best responses to strategies that share an end component
     evaluate it once: the mean payoff and bias of each closed class of an
     induced chain (keyed on game flavour and the class's states) and the
-    mean-payoff solve of each MEC sub-MDP (keyed on direction, flavour and
-    the sub-MDP's states).
+    gain policy iteration of each MEC sub-MDP (keyed on the direction and
+    winning signs of the objective's ``mdp._MEC_RULES`` row, flavour and the
+    sub-MDP's states; it stops at the first policy whose gain wins at every
+    state, and runs to optimality only when none does).
 
     Termination: descents, ascents and best responses are deterministic.  A
     descent started from a Min strategy that an earlier round started from

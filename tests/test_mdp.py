@@ -327,6 +327,59 @@ def test_policy_bsccs_lie_inside_mecs():
                 assert any(members <= m.members for m in mecs), (members, mecs)
 
 
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _reference_mec_part(game, mec, rule):
+    """``_mec_part``'s members with the MEC's gain solved to optimality,
+    and the optimal gain map when its sign wins the whole MEC (else None)."""
+    direction, winning_signs, zero_part = rule
+    sub, _ = mdp._restrict_to_mec(game, mec)
+    bias = {}
+    gains, _ = mdp.expected_mean_payoff(sub, direction, bias)
+    gain = gains[min(mec.members)]
+    if _sign(gain) in winning_signs:
+        return frozenset(mec.members), gains
+    if gain != 0 or zero_part is None:
+        return frozenset(), None
+    tight, _, noisy = mdp._tight_part(game, mec, bias)
+    return frozenset(zero_part(tight, noisy)[0]), None
+
+
+def _mec_cases():
+    """Grid games, random one-player games of both reward locations and
+    dense games n 8-24, every controlled state handed to Max."""
+    yield from exhaustive_games()
+    for location in ("states", "transitions"):
+        yield from random_games(300, sizes=(4, 6, 9), seed=1617, reward_location=location)
+    dense = bench_families().dense
+    for n in (8, 12, 16, 24):
+        for fseed in range(1, 5):
+            yield parse_model(dense(n, fseed, None))
+
+
+def test_early_stopped_mecs_win_at_every_state():
+    early = 0
+    for game in _mec_cases():
+        game = as_mdp(game)
+        for mec in mdp.mec_decompose(game):
+            sub, index_map = mdp._restrict_to_mec(game, mec)
+            for kind, rule in mdp._MEC_RULES.items():
+                members, choice = mdp._mec_part(game, mec, rule)
+                reference, optimal = _reference_mec_part(game, mec, rule)
+                assert members == reference, (game, mec, kind)
+                if optimal is None:
+                    continue
+                # The choice stays in the MEC and wins at every state of it.
+                policy = {sid: index_map[sid].index(k) for sid, k in choice.items()}
+                assert policy.keys() == set(sub.controlled_ids())
+                gains, _ = mdp._evaluate_gain_bias(sub, policy)
+                assert all(_sign(g) in rule[1] for g in gains.values()), (game, mec, kind)
+                early += gains != optimal
+    assert early > 100
+
+
 # -- procedure MP ------------------------------------------------------------
 
 
@@ -546,7 +599,7 @@ def _zero_drift_mecs(game):
     return [
         mec
         for mec in mdp.mec_decompose(game)
-        if mdp._mec_gain(game, mec, "min")[0] == 0
+        if mdp._mec_gain(game, mec, mdp._MEC_RULES["liminf-minus-inf"])[0] == 0
         and chain_mod.potential(mdp._restrict_to_mec(game, mec)[0], mec.members) is None
     ]
 

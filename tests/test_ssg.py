@@ -245,6 +245,17 @@ def test_dense_n32_solves_to_zero_with_certificate():
     _assert_certified(game, solve, LIMINF_MINUS_INF)
 
 
+def test_dense_n32_evaluation_count(monkeypatch):
+    # Each MEC's policy iteration stops at the first policy whose gain wins
+    # at every state; run to optimality, the same solve evaluates 76 policies.
+    game = parse_model((DATA / "dense-n32-f7.ssg").read_text())
+    evaluations = []
+    evaluate = mdp._evaluate_gain_bias
+    monkeypatch.setattr(mdp, "_evaluate_gain_bias", lambda *args: evaluations.append(args) or evaluate(*args))
+    ssg.solve_limit_ssg(game, LIMINF_MINUS_INF)
+    assert len(evaluations) == 30
+
+
 def test_dense_n7_f36_matches_oracle():
     # bench/families.py dense(7, 36, None).  Min can loop on s0 with reward -1
     # forever, which never reaches the value-1 set {s3, s5, s6} yet wins the
@@ -445,18 +456,18 @@ def _flavoured(game, states):
 
 def test_one_solve_evaluates_each_end_component_once(monkeypatch):
     analyzed, solved = [], []
-    stationary_law, mean_payoff = chain_mod.stationary_law, mdp.expected_mean_payoff
+    stationary_law, sub_gain = chain_mod.stationary_law, mdp._sub_gain
 
     def spy_analyze(chain, members):
         analyzed.append(_flavoured(chain, (s for s in chain.states if s.id in members)))
         return stationary_law(chain, members)
 
-    def spy_mean_payoff(game, direction="max", bias_out=None):
-        solved.append((direction, _flavoured(game, game.states)))
-        return mean_payoff(game, direction, bias_out)
+    def spy_sub_gain(sub, rule):
+        solved.append((rule[:2], _flavoured(sub, sub.states)))
+        return sub_gain(sub, rule)
 
     monkeypatch.setattr(chain_mod, "stationary_law", spy_analyze)
-    monkeypatch.setattr(mdp, "expected_mean_payoff", spy_mean_payoff)
+    monkeypatch.setattr(mdp, "_sub_gain", spy_sub_gain)
     totals = [0, 0]
     for game, objective in _dense_sweep():
         analyzed.clear()
@@ -492,13 +503,13 @@ def test_limit_solves_never_lift_energy(monkeypatch, five_state_game):
 
 def test_component_memo_lives_only_inside_a_solve(monkeypatch):
     memos = []
-    mean_payoff = mdp.expected_mean_payoff
+    sub_gain = mdp._sub_gain
 
     def spy(*args):
         memos.append(mdp.COMPONENT_MEMO.get())
-        return mean_payoff(*args)
+        return sub_gain(*args)
 
-    monkeypatch.setattr(mdp, "expected_mean_payoff", spy)
+    monkeypatch.setattr(mdp, "_sub_gain", spy)
     assert mdp.COMPONENT_MEMO.get() is None
     ssg.solve_limit_ssg(FIRST_EDGE_LOSES, MEAN_GT)
     assert memos and all(type(memo) is dict and memo is memos[0] for memo in memos)

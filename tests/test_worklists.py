@@ -333,7 +333,7 @@ def test_divergence_region_matches_reference_cores():
             members, _ = mdp._mec_part(relabeled, mec, rule)
             assert bool(members) == (core is not None), (game, mec)
             cores |= core or set()
-            noisy_fired += bool(members) and mdp._mec_gain(relabeled, mec, "min")[0] == 0
+            noisy_fired += bool(members) and mdp._mec_gain(relabeled, mec, rule)[0] == 0
         region, choice = mdp._value_one_region(game, LIMINF_MINUS_INF)
         assert region == mdp.almost_sure_reach(relabeled, cores).winning, game
         assert _wins_almost_surely(game, region, choice, LIMINF_MINUS_INF), game
