@@ -62,6 +62,7 @@ from .model import (
 INFINITE_CREDIT = math.inf
 
 COMPONENT_MEMO: ContextVar[dict | None] = ContextVar("COMPONENT_MEMO", default=None)
+_MISSING = object()
 
 
 def _memoized(key, compute):
@@ -70,9 +71,10 @@ def _memoized(key, compute):
     memo = COMPONENT_MEMO.get()
     if memo is None:
         return compute()
-    if key not in memo:
-        memo[key] = compute()
-    return memo[key]
+    value = memo.get(key, _MISSING)
+    if value is _MISSING:
+        value = memo[key] = compute()
+    return value
 
 
 def _flavour(game) -> tuple:
@@ -501,31 +503,36 @@ def energy_min_credit(game, keeper: str = "max") -> dict[str, int | float]:
     player and all rand states are adversarial.  Standard lifting fixpoint
     (Brim, Chaloupka, Doyen, Gentilini, Raskin 2011) run as a worklist: a
     state is lifted again only after the credit of a successor rose, and
-    lifting is monotone, so this reaches the least fixpoint.  Weights in
+    lifting is monotone, so this reaches the least fixpoint.  The lifts
+    read int successor, weight and predecessor lists built once per call.  Weights in
     {-1,0,+1} cap finite credits at |V|, larger demands are infinite.
     Only the termination-value-0 question (``termination.decide_term_zero``)
     needs it; the limit objectives are decided from end components.
     """
     if keeper not in ("max", "min"):
         raise ValueError("keeper must be max or min")
-    cutoff = len(game.states)
-    credit: dict[str, int | float] = {sid: 0 for sid in game.ids()}
-    queue = list(game.ids())
-    queued = set(queue)
+    ids = game.ids()
+    index = {sid: i for i, sid in enumerate(ids)}
+    steps = [[(index[t.target], step_reward(game, s, t)) for t in s.transitions] for s in game.states]
+    preds = [[index[pred] for pred, _ in game.graph.preds[sid]] for sid in ids]
+    keeps = [s.owner == keeper for s in game.states]
+    cutoff = len(ids)
+    credit: list[int | float] = [0] * cutoff
+    queue = list(range(cutoff))
+    queued = [True] * cutoff
     while queue:
-        sid = queue.pop()
-        queued.discard(sid)
-        s = game.state(sid)
-        needs = [max(0, credit[t.target] - step_reward(game, s, t)) for t in s.transitions]
-        need = min(needs) if s.owner == keeper else max(needs)
+        i = queue.pop()
+        queued[i] = False
+        needs = [max(0, credit[t] - w) for t, w in steps[i]]
+        need = min(needs) if keeps[i] else max(needs)
         candidate = INFINITE_CREDIT if need > cutoff else need
-        if candidate > credit[sid]:
-            credit[sid] = candidate
-            for pred, _ in game.graph.preds[sid]:
-                if pred not in queued:
-                    queued.add(pred)
+        if candidate > credit[i]:
+            credit[i] = candidate
+            for pred in preds[i]:
+                if not queued[pred]:
+                    queued[pred] = True
                     queue.append(pred)
-    return credit
+    return dict(zip(ids, credit))
 
 
 # ---------------------------------------------------------------------------

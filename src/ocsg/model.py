@@ -20,7 +20,10 @@ exactly where ``reward_location`` says, ``delta=`` exactly in ocssg files.
 
 These and the other model rules are stated once, in ``validate``;
 ``parse_model`` reads tokens and lines and reports a broken rule at its line.
-Input is validated where it enters the program, derived games are not.
+It reads a text in one pass: tokens are split at whitespace, a syntax
+error's column is computed only when the error is raised, and each distinct
+``p=`` numeral becomes one ``Fraction`` per parse.  Input is validated where
+it enters the program, derived games are not.
 """
 
 from __future__ import annotations
@@ -38,6 +41,11 @@ ON_STATES = "states"
 ON_TRANSITIONS = "transitions"
 
 _ID_RE = re.compile(r"[A-Za-z0-9_.@+'\-]+\Z")
+_TOKEN_RE = re.compile(r"\S+")  # the tokens of str.split(), with their offsets
+_PROB_RE = re.compile(r"(\d+)(?:/(\d+))?")
+_HEADER_KEYS = frozenset({"rewards"})
+_STATE_KEYS = frozenset({"owner", "reward"})
+_TRANS_KEYS = frozenset({"p", "reward", "delta"})
 
 
 class ModelError(ValueError):
@@ -294,6 +302,7 @@ def _violations(game: Ssg | OcSsg):
         yield None, None, f"reward location {loc!r} invalid"
 
     for i, s in enumerate(game.states):
+        rand = s.owner == "rand"
         if s.owner not in OWNERS:
             yield i, None, f"unknown owner {_quoted(s.owner)}"
         if not s.transitions:
@@ -306,18 +315,22 @@ def _violations(game: Ssg | OcSsg):
         elif s.reward is not None:
             yield i, None, "unexpected state reward"
 
-        total = Fraction(0)
+        total = None  # the sum of the positive probabilities, once there is one
+        all_positive = True
         for k, t in enumerate(s.transitions):
             if t.target not in seen:
                 yield i, k, f"dangling target {_quoted(t.target)}"
-            if s.owner == "rand":
-                if t.prob is None:
+            prob = t.prob
+            if rand:
+                if prob is None:
+                    all_positive = False
                     yield i, k, "missing probability"
-                elif t.prob <= 0:
+                elif prob.numerator <= 0:
+                    all_positive = False
                     yield i, k, "positivity violated"
                 else:
-                    total += t.prob
-            elif t.prob is not None:
+                    total = prob if total is None else total + prob
+            elif prob is not None:
                 yield i, k, "probability on a controlled transition"
             if is_oc:
                 if t.delta is None:
@@ -333,9 +346,8 @@ def _violations(game: Ssg | OcSsg):
                     yield i, k, f"transition reward {t.reward} outside {{-1,0,1}}"
             elif t.reward is not None:
                 yield i, k, "unexpected reward"
-        if s.owner == "rand" and all(t.prob is not None and t.prob > 0 for t in s.transitions) and s.transitions:
-            if total != 1:
-                yield i, None, f"probabilities sum {_clipped_fraction(total)} != 1"
+        if rand and all_positive and total is not None and total != 1:
+            yield i, None, f"probabilities sum {_clipped_fraction(total)} != 1"
 
 
 def _describe(game: Ssg | OcSsg, i: int | None, k: int | None, message: str) -> str:
@@ -361,23 +373,28 @@ def check_valid(game: Ssg | OcSsg) -> None:
 # Parsing and printing
 
 
-def _tokens(line: str):
-    """Yield (column, token) pairs, columns 1-based."""
-    for m in re.finditer(r"\S+", line):
-        yield m.start() + 1, m.group()
+def _column(line: str, index: int) -> int:
+    """1-based column of the ``index``-th whitespace-separated token of
+    ``line``.  Only an error reports a column, so it is found only then."""
+    return [m.start() for m in _TOKEN_RE.finditer(line)][index] + 1
 
 
-def _parse_attrs(parts, lineno, allowed):
+def _syntax_error(line: str, lineno: int, index: int, message: str) -> ModelSyntaxError:
+    return ModelSyntaxError(lineno, _column(line, index), message)
+
+
+def _parse_attrs(line, lineno, tokens, start, allowed):
+    """``key -> (token index, raw value)`` for ``tokens[start:]``."""
     attrs = {}
-    for col, tok in parts:
-        if "=" not in tok:
-            raise ModelSyntaxError(lineno, col, f"expected key=value, found {_quoted(tok)}")
-        key, _, raw = tok.partition("=")
+    for index in range(start, len(tokens)):
+        key, eq, raw = tokens[index].partition("=")
+        if not eq:
+            raise _syntax_error(line, lineno, index, f"expected key=value, found {_quoted(tokens[index])}")
         if key not in allowed:
-            raise ModelSyntaxError(lineno, col, f"unknown attribute {_quoted(key)}")
+            raise _syntax_error(line, lineno, index, f"unknown attribute {_quoted(key)}")
         if key in attrs:
-            raise ModelSyntaxError(lineno, col, f"repeated attribute {_quoted(key)}")
-        attrs[key] = (col, raw)
+            raise _syntax_error(line, lineno, index, f"repeated attribute {_quoted(key)}")
+        attrs[key] = (index, raw)
     return attrs
 
 
@@ -407,25 +424,25 @@ def _quoted(raw: str) -> str:
     return repr(raw) if len(raw) <= 20 else f"{raw[:20]!r}..."
 
 
-def _parse_int_reward(lineno, col, raw, what):
+def _parse_int_reward(line, lineno, index, raw, what):
     try:
         value = int(raw)
     except ValueError:
-        raise ModelSyntaxError(lineno, col, f"expected integer {what}, found {_quoted(raw)}") from None
+        raise _syntax_error(line, lineno, index, f"expected integer {what}, found {_quoted(raw)}") from None
     if value not in REWARD_VALUES:
         raise ModelSemanticError(f"{what} {_quoted(raw)} outside {{-1,0,1}}", lineno)
     return value
 
 
-def _parse_prob(lineno, col, raw):
-    m = re.fullmatch(r"(\d+)(?:/(\d+))?", raw)
+def _parse_prob(line, lineno, index, raw):
+    m = _PROB_RE.fullmatch(raw)
     if not m:
-        raise ModelSyntaxError(lineno, col, f"expected probability num/den, found {_quoted(raw)}")
+        raise _syntax_error(line, lineno, index, f"expected probability num/den, found {_quoted(raw)}")
     try:
         num = int(m.group(1))
         den = int(m.group(2)) if m.group(2) else 1
     except ValueError:  # more digits than int() converts
-        raise ModelSyntaxError(lineno, col, f"probability numeral too long, found {_quoted(raw)}") from None
+        raise _syntax_error(line, lineno, index, f"probability numeral too long, found {_quoted(raw)}") from None
     if den == 0:
         raise ModelSemanticError("zero probability denominator", lineno)
     return Fraction(num, den)
@@ -434,6 +451,9 @@ def _parse_prob(lineno, col, raw):
 def parse_model(text: str) -> Ssg | OcSsg:
     """Parse the text format; raises ModelSyntaxError / ModelSemanticError.
 
+    One pass over the lines: tokens are split at whitespace, an error's
+    column is computed only when it is raised, and each distinct ``p=``
+    numeral becomes one ``Fraction``, shared by every edge that writes it.
     A broken model rule is reported at the first line it concerns: the
     ``trans`` line of an edge, the ``state`` line of a state.
     """
@@ -441,68 +461,75 @@ def parse_model(text: str) -> Ssg | OcSsg:
     reward_location = None
     declared: dict[str, tuple[str, int | None, list[int]]] = {}  # id -> owner, reward, its lines
     transitions: dict[str, list[Transition]] = {}
+    probs: dict[str, Fraction] = {}  # raw p= numeral -> its value
 
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].rstrip()
-        if not line.strip():
+        line = raw_line.split("#", 1)[0]
+        tokens = line.split()
+        if not tokens:
             continue
-        parts = list(_tokens(line))
-        col0, keyword = parts[0]
+        keyword = tokens[0]
 
         if header is None:
             if keyword == "ssg":
-                attrs = _parse_attrs(parts[1:], lineno, {"rewards"})
+                attrs = _parse_attrs(line, lineno, tokens, 1, _HEADER_KEYS)
                 if "rewards" not in attrs:
-                    raise ModelSyntaxError(lineno, col0, "ssg header requires rewards=states|transitions")
-                col, raw = attrs["rewards"]
+                    raise _syntax_error(line, lineno, 0, "ssg header requires rewards=states|transitions")
+                index, raw = attrs["rewards"]
                 if raw not in (ON_STATES, ON_TRANSITIONS):
-                    raise ModelSyntaxError(lineno, col, f"expected states|transitions, found {_quoted(raw)}")
+                    raise _syntax_error(line, lineno, index, f"expected states|transitions, found {_quoted(raw)}")
                 reward_location = raw
             elif keyword == "ocssg":
-                if parts[1:]:
-                    raise ModelSyntaxError(lineno, parts[1][0], "ocssg header takes no attributes")
+                if len(tokens) > 1:
+                    raise _syntax_error(line, lineno, 1, "ocssg header takes no attributes")
             else:
-                raise ModelSyntaxError(lineno, col0, f"expected header ssg|ocssg, found {_quoted(keyword)}")
+                raise _syntax_error(line, lineno, 0, f"expected header ssg|ocssg, found {_quoted(keyword)}")
             header = keyword
             continue
 
         if keyword == "state":
-            if len(parts) < 2:
-                raise ModelSyntaxError(lineno, col0, "expected state id")
-            col_id, sid = parts[1]
+            if len(tokens) < 2:
+                raise _syntax_error(line, lineno, 0, "expected state id")
+            sid = tokens[1]
             if not _ID_RE.match(sid):
-                raise ModelSyntaxError(lineno, col_id, f"invalid state id {_quoted(sid)}")
-            attrs = _parse_attrs(parts[2:], lineno, {"owner", "reward"})
+                raise _syntax_error(line, lineno, 1, f"invalid state id {_quoted(sid)}")
+            attrs = _parse_attrs(line, lineno, tokens, 2, _STATE_KEYS)
             if "owner" not in attrs:
-                raise ModelSyntaxError(lineno, col_id, "state line requires owner=max|min|rand")
-            col, raw = attrs["owner"]
-            if raw not in OWNERS:
-                raise ModelSyntaxError(lineno, col, f"expected owner max|min|rand, found {_quoted(raw)}")
+                raise _syntax_error(line, lineno, 1, "state line requires owner=max|min|rand")
+            index, owner = attrs["owner"]
+            if owner not in OWNERS:
+                raise _syntax_error(line, lineno, index, f"expected owner max|min|rand, found {_quoted(owner)}")
             if sid in declared:
                 raise ModelSemanticError(f"{_clipped(sid)}: duplicate state id", lineno)
-            reward = _parse_int_reward(lineno, *attrs["reward"], "reward") if "reward" in attrs else None
-            declared[sid] = (raw, reward, [lineno])  # the state line, then one per transition
+            reward = _parse_int_reward(line, lineno, *attrs["reward"], "reward") if "reward" in attrs else None
+            declared[sid] = (owner, reward, [lineno])  # the state line, then one per transition
             transitions[sid] = []
 
         elif keyword == "trans":
-            if len(parts) < 4 or parts[2][1] != "->":
-                col = parts[2][0] if len(parts) > 2 else col0
-                raise ModelSyntaxError(lineno, col, "expected trans <src> -> <dst>")
-            _, src = parts[1]
-            col_dst, dst = parts[3]
+            if len(tokens) < 4 or tokens[2] != "->":
+                raise _syntax_error(line, lineno, 2 if len(tokens) > 2 else 0, "expected trans <src> -> <dst>")
+            src = tokens[1]
+            dst = tokens[3]
             if not _ID_RE.match(dst):
-                raise ModelSyntaxError(lineno, col_dst, f"invalid target id {_quoted(dst)}")
-            attrs = _parse_attrs(parts[4:], lineno, {"p", "reward", "delta"})
+                raise _syntax_error(line, lineno, 3, f"invalid target id {_quoted(dst)}")
+            attrs = _parse_attrs(line, lineno, tokens, 4, _TRANS_KEYS)
             if src not in declared:
                 raise ModelSemanticError(f"transition from undeclared state {_quoted(src)}", lineno)
-            prob = _parse_prob(lineno, *attrs["p"]) if "p" in attrs else None
-            reward = _parse_int_reward(lineno, *attrs["reward"], "reward") if "reward" in attrs else None
-            delta = _parse_int_reward(lineno, *attrs["delta"], "delta") if "delta" in attrs else None
-            transitions[src].append(Transition(dst, prob=prob, reward=reward, delta=delta))
+            prob = reward = delta = None
+            if "p" in attrs:
+                index, raw = attrs["p"]
+                prob = probs.get(raw)
+                if prob is None:
+                    prob = probs[raw] = _parse_prob(line, lineno, index, raw)
+            if "reward" in attrs:
+                reward = _parse_int_reward(line, lineno, *attrs["reward"], "reward")
+            if "delta" in attrs:
+                delta = _parse_int_reward(line, lineno, *attrs["delta"], "delta")
+            transitions[src].append(Transition(dst, prob, reward, delta))
             declared[src][2].append(lineno)
 
         else:
-            raise ModelSyntaxError(lineno, col0, f"expected state|trans, found {_quoted(keyword)}")
+            raise _syntax_error(line, lineno, 0, f"expected state|trans, found {_quoted(keyword)}")
 
     if header is None:
         raise ModelSyntaxError(1, 1, "empty input, expected header ssg|ocssg")

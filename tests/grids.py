@@ -8,6 +8,9 @@ is the reward view of a counter game, a reference the solvers never use:
 they read counter games as parsed.  ``build_level_game`` is the level game
 of termination built as a full ``Ssg`` with string ids, the reference the
 int-keyed level product of ``ocsg.termination`` is checked against.
+``reference_parse_model`` is the model parser as first written, token
+columns and all, the reference the one-pass ``ocsg.model.parse_model`` is
+checked against.
 """
 
 from __future__ import annotations
@@ -15,16 +18,26 @@ from __future__ import annotations
 import importlib.util
 import itertools
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from ocsg.model import (
+    _ID_RE,
+    ON_STATES,
     ON_TRANSITIONS,
+    REWARD_VALUES,
+    ModelSemanticError,
+    ModelSyntaxError,
     OcSsg,
     Ssg,
     State,
     Transition,
+    _clipped,
+    _clipped_fraction,
+    _describe,
+    _quoted,
     check_valid,
     relabel_controlled,
     step_reward,
@@ -238,3 +251,201 @@ def build_level_game(base: Ssg | OcSsg, j: int, liminf_value_one, hi: int | None
             states.append(State(lid, s.owner, transitions=transitions))
     game = Ssg(tuple(states), reward_location="transitions")
     return LevelGame(game, j, hi, frozenset(targets), to_base)
+
+
+# ---------------------------------------------------------------------------
+# Reference parser
+
+
+def _reference_violations(game: Ssg | OcSsg):
+    """``ocsg.model._violations`` as first written: the same rules, messages
+    and order, checked with ``Fraction`` comparisons and a second pass over
+    a rand state's edges for its probability sum."""
+    seen = set()
+    for i, s in enumerate(game.states):
+        if s.id in seen:
+            yield i, None, "duplicate state id"
+        seen.add(s.id)
+    is_oc = isinstance(game, OcSsg)
+    loc = None if is_oc else game.reward_location
+    if not is_oc and loc not in (ON_STATES, ON_TRANSITIONS):
+        yield None, None, f"reward location {loc!r} invalid"
+
+    for i, s in enumerate(game.states):
+        if s.owner not in OWNERS:
+            yield i, None, f"unknown owner {_quoted(s.owner)}"
+        if not s.transitions:
+            yield i, None, "no successor"
+        if loc == ON_STATES:
+            if s.reward is None:
+                yield i, None, "missing state reward"
+            elif s.reward not in REWARD_VALUES:
+                yield i, None, f"state reward {s.reward} outside {{-1,0,1}}"
+        elif s.reward is not None:
+            yield i, None, "unexpected state reward"
+
+        total = Fraction(0)
+        for k, t in enumerate(s.transitions):
+            if t.target not in seen:
+                yield i, k, f"dangling target {_quoted(t.target)}"
+            if s.owner == "rand":
+                if t.prob is None:
+                    yield i, k, "missing probability"
+                elif t.prob <= 0:
+                    yield i, k, "positivity violated"
+                else:
+                    total += t.prob
+            elif t.prob is not None:
+                yield i, k, "probability on a controlled transition"
+            if is_oc:
+                if t.delta is None:
+                    yield i, k, "missing delta"
+                elif t.delta not in REWARD_VALUES:
+                    yield i, k, f"delta {t.delta} outside {{-1,0,1}}"
+            elif t.delta is not None:
+                yield i, k, "unexpected delta"
+            if loc == ON_TRANSITIONS:
+                if t.reward is None:
+                    yield i, k, "missing transition reward"
+                elif t.reward not in REWARD_VALUES:
+                    yield i, k, f"transition reward {t.reward} outside {{-1,0,1}}"
+            elif t.reward is not None:
+                yield i, k, "unexpected reward"
+        if s.owner == "rand" and all(t.prob is not None and t.prob > 0 for t in s.transitions) and s.transitions:
+            if total != 1:
+                yield i, None, f"probabilities sum {_clipped_fraction(total)} != 1"
+
+
+def _tokens(line: str):
+    """Yield (column, token) pairs, columns 1-based."""
+    for m in re.finditer(r"\S+", line):
+        yield m.start() + 1, m.group()
+
+
+def _parse_attrs(parts, lineno, allowed):
+    attrs = {}
+    for col, tok in parts:
+        if "=" not in tok:
+            raise ModelSyntaxError(lineno, col, f"expected key=value, found {_quoted(tok)}")
+        key, _, raw = tok.partition("=")
+        if key not in allowed:
+            raise ModelSyntaxError(lineno, col, f"unknown attribute {_quoted(key)}")
+        if key in attrs:
+            raise ModelSyntaxError(lineno, col, f"repeated attribute {_quoted(key)}")
+        attrs[key] = (col, raw)
+    return attrs
+
+
+def _parse_int_reward(lineno, col, raw, what):
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ModelSyntaxError(lineno, col, f"expected integer {what}, found {_quoted(raw)}") from None
+    if value not in REWARD_VALUES:
+        raise ModelSemanticError(f"{what} {_quoted(raw)} outside {{-1,0,1}}", lineno)
+    return value
+
+
+def _parse_prob(lineno, col, raw):
+    m = re.fullmatch(r"(\d+)(?:/(\d+))?", raw)
+    if not m:
+        raise ModelSyntaxError(lineno, col, f"expected probability num/den, found {_quoted(raw)}")
+    try:
+        num = int(m.group(1))
+        den = int(m.group(2)) if m.group(2) else 1
+    except ValueError:  # more digits than int() converts
+        raise ModelSyntaxError(lineno, col, f"probability numeral too long, found {_quoted(raw)}") from None
+    if den == 0:
+        raise ModelSemanticError("zero probability denominator", lineno)
+    return Fraction(num, den)
+
+
+def reference_parse_model(text: str) -> Ssg | OcSsg:
+    """``ocsg.model.parse_model`` as first written: a regex scan that keeps
+    every token's column, a fresh ``Fraction`` per ``p=`` token, and
+    ``_reference_violations`` for the model rules.  The differential parser
+    test holds the one-pass parser to it on every error and every game."""
+    header = None
+    reward_location = None
+    declared: dict[str, tuple[str, int | None, list[int]]] = {}  # id -> owner, reward, its lines
+    transitions: dict[str, list[Transition]] = {}
+
+    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+        line = raw_line.split("#", 1)[0].rstrip()
+        if not line.strip():
+            continue
+        parts = list(_tokens(line))
+        col0, keyword = parts[0]
+
+        if header is None:
+            if keyword == "ssg":
+                attrs = _parse_attrs(parts[1:], lineno, {"rewards"})
+                if "rewards" not in attrs:
+                    raise ModelSyntaxError(lineno, col0, "ssg header requires rewards=states|transitions")
+                col, raw = attrs["rewards"]
+                if raw not in (ON_STATES, ON_TRANSITIONS):
+                    raise ModelSyntaxError(lineno, col, f"expected states|transitions, found {_quoted(raw)}")
+                reward_location = raw
+            elif keyword == "ocssg":
+                if parts[1:]:
+                    raise ModelSyntaxError(lineno, parts[1][0], "ocssg header takes no attributes")
+            else:
+                raise ModelSyntaxError(lineno, col0, f"expected header ssg|ocssg, found {_quoted(keyword)}")
+            header = keyword
+            continue
+
+        if keyword == "state":
+            if len(parts) < 2:
+                raise ModelSyntaxError(lineno, col0, "expected state id")
+            col_id, sid = parts[1]
+            if not _ID_RE.match(sid):
+                raise ModelSyntaxError(lineno, col_id, f"invalid state id {_quoted(sid)}")
+            attrs = _parse_attrs(parts[2:], lineno, {"owner", "reward"})
+            if "owner" not in attrs:
+                raise ModelSyntaxError(lineno, col_id, "state line requires owner=max|min|rand")
+            col, raw = attrs["owner"]
+            if raw not in OWNERS:
+                raise ModelSyntaxError(lineno, col, f"expected owner max|min|rand, found {_quoted(raw)}")
+            if sid in declared:
+                raise ModelSemanticError(f"{_clipped(sid)}: duplicate state id", lineno)
+            reward = _parse_int_reward(lineno, *attrs["reward"], "reward") if "reward" in attrs else None
+            declared[sid] = (raw, reward, [lineno])  # the state line, then one per transition
+            transitions[sid] = []
+
+        elif keyword == "trans":
+            if len(parts) < 4 or parts[2][1] != "->":
+                col = parts[2][0] if len(parts) > 2 else col0
+                raise ModelSyntaxError(lineno, col, "expected trans <src> -> <dst>")
+            _, src = parts[1]
+            col_dst, dst = parts[3]
+            if not _ID_RE.match(dst):
+                raise ModelSyntaxError(lineno, col_dst, f"invalid target id {_quoted(dst)}")
+            attrs = _parse_attrs(parts[4:], lineno, {"p", "reward", "delta"})
+            if src not in declared:
+                raise ModelSemanticError(f"transition from undeclared state {_quoted(src)}", lineno)
+            prob = _parse_prob(lineno, *attrs["p"]) if "p" in attrs else None
+            reward = _parse_int_reward(lineno, *attrs["reward"], "reward") if "reward" in attrs else None
+            delta = _parse_int_reward(lineno, *attrs["delta"], "delta") if "delta" in attrs else None
+            transitions[src].append(Transition(dst, prob=prob, reward=reward, delta=delta))
+            declared[src][2].append(lineno)
+
+        else:
+            raise ModelSyntaxError(lineno, col0, f"expected state|trans, found {_quoted(keyword)}")
+
+    if header is None:
+        raise ModelSyntaxError(1, 1, "empty input, expected header ssg|ocssg")
+
+    states = tuple(
+        State(sid, owner, reward=reward, transitions=tuple(transitions[sid]))
+        for sid, (owner, reward, _) in declared.items()
+    )
+    game = OcSsg(states) if header == "ocssg" else Ssg(states, reward_location=reward_location)
+    violations = list(_reference_violations(game))
+    if violations:
+        rows = [lines for _, _, lines in declared.values()]
+        line, _, i, k, message = min(
+            (rows[i][0 if k is None else k + 1], order, i, k, message)
+            for order, (i, k, message) in enumerate(violations)
+        )
+        raise ModelSemanticError(_describe(game, i, k, message), line)
+    return game

@@ -7,7 +7,9 @@ a game or a ``ModelError`` that says where the fault is, in under 120
 characters: a syntax error carries a line and a column, a semantic error
 the line it concerns.  The same mutated texts are fed to
 ``ocsg solve`` and ``ocsg term``, which must answer or exit 2 with one
-``error = ...`` line and an empty report.
+``error = ...`` line and an empty report.  With runs of odd whitespace
+between their tokens, they must also give ``parse_model`` and the
+reference parser of ``grids`` the same game or the same error.
 """
 
 import io
@@ -20,6 +22,7 @@ from ocsg.cli import run
 from ocsg.model import LIMIT_KINDS, ModelError, ModelSemanticError, ModelSyntaxError, OcSsg, Ssg, parse_model
 
 from conftest import FAIR_WALK_TEXT, FIVE_STATE_TEXT
+from grids import reference_parse_model
 
 SEEDS = (
     FIVE_STATE_TEXT,
@@ -139,6 +142,30 @@ def test_mutated_models_parse_or_fail_with_a_position(data):
             assert exc.line is not None and 1 <= exc.line <= len(physical)
         return
     assert isinstance(game, (Ssg, OcSsg))
+
+
+# Whitespace that may stand between tokens; a vertical tab also ends a line.
+SEPARATORS = ("  ", "\t", "\x0b", "\u3000", " \t ")
+
+
+def _respaced(data, text):
+    """``text`` with some of its spaces replaced by drawn separators."""
+    rng = data.draw(st.randoms(use_true_random=False))
+    return "".join(rng.choice(SEPARATORS) if c == " " and rng.random() < 0.3 else c for c in text)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ModelError as exc:
+        return type(exc), str(exc), exc.line, getattr(exc, "column", None)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_parser_agrees_with_the_reference_parser(data):
+    text = _respaced(data, _mutated_text(data) if data.draw(st.booleans()) else data.draw(st.sampled_from(SEEDS)))
+    assert _outcome(parse_model, text) == _outcome(reference_parse_model, text)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,3 +1,4 @@
+import random
 import sys
 from fractions import Fraction
 
@@ -244,6 +245,46 @@ def test_round_trip_random_models(data):
             )
         )
     assert parse_model(print_model(game)) == game
+
+
+def _large_counter_game(n: int, seed: int) -> tuple[OcSsg, str]:
+    """A seeded n-state counter game and its text: rand states step by
+    1/2-1/2 or by one ``p=1/1`` edge, controlled states take 1 or 2 edges."""
+    rng = random.Random(seed)
+    ids = [f"c{i}" for i in range(n)]
+    states = []
+    for sid in ids:
+        owner = rng.choice(("max", "min", "rand"))
+        targets = rng.sample(ids, rng.choice((1, 2)))
+        if owner != "rand":
+            probs = [None] * len(targets)
+        elif len(targets) == 1:
+            probs = [Fraction(1)]
+        else:
+            probs = [Fraction(1, 2)] * 2
+        trans = tuple(Transition(t, prob=p, delta=rng.choice((-1, 0, 1))) for t, p in zip(targets, probs))
+        states.append(State(sid, owner, transitions=trans))
+    lines = ["ocssg"] + [f"state {s.id} owner={s.owner}" for s in states]
+    for s in states:
+        for t in s.transitions:
+            prob = "" if t.prob is None else f" p={t.prob.numerator}/{t.prob.denominator}"
+            lines.append(f"trans {s.id} -> {t.target}{prob} delta={t.delta}")
+    return OcSsg(tuple(states)), "\n".join(lines) + "\n"
+
+
+def test_round_trip_large_counter_game():
+    game, text = _large_counter_game(4000, seed=17)
+    parsed = parse_model(text)
+    assert parsed == game
+    assert print_model(parsed) == text
+    assert parse_model(print_model(game)) == game
+    # Each distinct p= numeral is parsed once per text: equal tokens share one Fraction.
+    shared = {}
+    for s in parsed.states:
+        for t in s.transitions:
+            if t.prob is not None:
+                assert shared.setdefault(t.prob, t.prob) is t.prob
+    assert set(shared) == {Fraction(1, 2), Fraction(1)}
 
 
 def test_probabilities_printed_in_lowest_terms():
