@@ -513,8 +513,12 @@ def energy_min_credit(game, keeper: str = "max") -> dict[str, int | float]:
         raise ValueError("keeper must be max or min")
     ids = game.ids()
     index = {sid: i for i, sid in enumerate(ids)}
-    steps = [[(index[t.target], step_reward(game, s, t)) for t in s.transitions] for s in game.states]
-    preds = [[index[pred] for pred, _ in game.graph.preds[sid]] for sid in ids]
+    succ = [[index[t.target] for t in s.transitions] for s in game.states]
+    weight = [[step_reward(game, s, t) for t in s.transitions] for s in game.states]
+    preds: list[list[int]] = [[] for _ in ids]
+    for i, targets in enumerate(succ):
+        for t in targets:
+            preds[t].append(i)
     keeps = [s.owner == keeper for s in game.states]
     cutoff = len(ids)
     credit: list[int | float] = [0] * cutoff
@@ -523,7 +527,7 @@ def energy_min_credit(game, keeper: str = "max") -> dict[str, int | float]:
     while queue:
         i = queue.pop()
         queued[i] = False
-        needs = [max(0, credit[t] - w) for t, w in steps[i]]
+        needs = [max(0, credit[t] - w) for t, w in zip(succ[i], weight[i])]
         need = min(needs) if keeps[i] else max(needs)
         candidate = INFINITE_CREDIT if need > cutoff else need
         if candidate > credit[i]:
