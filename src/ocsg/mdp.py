@@ -504,8 +504,9 @@ def energy_min_credit(game, keeper: str = "max") -> dict[str, int | float]:
     (Brim, Chaloupka, Doyen, Gentilini, Raskin 2011) run as a worklist: a
     state is lifted again only after the credit of a successor rose, and
     lifting is monotone, so this reaches the least fixpoint.  The lifts
-    read int successor, weight and predecessor lists built once per call.  Weights in
-    {-1,0,+1} cap finite credits at |V|, larger demands are infinite.
+    read int successor, weight and predecessor lists built once per call.
+    Weights in {-1,0,+1} cap finite credits at |V|, larger demands are
+    infinite.
     Only the termination-value-0 question (``termination.decide_term_zero``)
     needs it; the limit objectives are decided from end components.
     """

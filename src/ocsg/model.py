@@ -515,16 +515,14 @@ def parse_model(text: str) -> Ssg | OcSsg:
             attrs = _parse_attrs(line, lineno, tokens, 4, _TRANS_KEYS)
             if src not in declared:
                 raise ModelSemanticError(f"transition from undeclared state {_quoted(src)}", lineno)
-            prob = reward = delta = None
+            prob = None
             if "p" in attrs:
                 index, raw = attrs["p"]
                 prob = probs.get(raw)
                 if prob is None:
                     prob = probs[raw] = _parse_prob(line, lineno, index, raw)
-            if "reward" in attrs:
-                reward = _parse_int_reward(line, lineno, *attrs["reward"], "reward")
-            if "delta" in attrs:
-                delta = _parse_int_reward(line, lineno, *attrs["delta"], "delta")
+            reward = _parse_int_reward(line, lineno, *attrs["reward"], "reward") if "reward" in attrs else None
+            delta = _parse_int_reward(line, lineno, *attrs["delta"], "delta") if "delta" in attrs else None
             transitions[src].append(Transition(dst, prob, reward, delta))
             declared[src][2].append(lineno)
 
