@@ -17,20 +17,26 @@ sign of each MEC's optimal gain, and at gain 0 one part of its tight
 sub-MDP, the end components with a noisy rand state (liminf = -inf) or
 those without one (liminf > -inf); then almost-sure reach of the states
 they win.  A MEC's gain policy iteration stops at the first policy whose
-gain has a winning sign at every state, which then wins the whole MEC; only
-a MEC that no policy wins is solved to optimality, so a gain-0 MEC gets the
-optimal bias.  No potential test runs on this path, and energy lifting
-(``energy_min_credit``) serves only the termination-value-0 question.
+closed classes all have a mean of winning sign, which then wins the whole
+MEC (every state's gain is a convex combination of class means); only a
+MEC that no policy wins is solved to optimality, so a gain-0 MEC gets the
+optimal bias.  Each round evaluates its policy only as far as it reads
+(``_PolicyEvaluation``): class means first, the transient gain when it
+does not stop, the bias when no gain switch exists.  No potential test
+runs on this path, and energy lifting (``energy_min_credit``) serves only
+the termination-value-0 question.
 
 Inside one ``ssg.solve_limit_ssg`` call, ``COMPONENT_MEMO`` holds a dict
-that memoizes end-component results by content: the mean payoff and
-canonical bias of each closed class of an induced chain, keyed on the game
-flavour (type and ``reward_location``) and the class's member states in
-game order, and the gain policy iteration on a MEC sub-MDP, keyed on the
-direction and the winning signs of the objective's rule (which fix where
-it stops), the flavour and the sub-MDP's states.  A closed class's states
-carry every probability and weight its analysis reads, so equal keys mean
-equal results.  Outside a solve the variable is None and nothing is cached.
+that memoizes end-component results by content: each closed class of an
+induced chain (its mean, and the factorization of its stationary system,
+from which its canonical bias is computed on the first read and kept),
+keyed on the game flavour (type and ``reward_location``) and the class's
+member states in game order, and the gain policy iteration on a MEC
+sub-MDP, keyed on the direction and the winning signs of the objective's
+rule (which fix where it stops), the flavour and the sub-MDP's states.  A
+closed class's states carry every probability and weight its analysis
+reads, so equal keys mean equal results.  Outside a solve the variable is
+None and nothing is cached.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ import math
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import chain as chain_mod
 from . import linsolve
@@ -229,69 +236,88 @@ def _per_visit_reward(game, state: State) -> Fraction:
     return sum((t.prob * step_reward(game, state, t) for t in state.transitions), Fraction(0))
 
 
-def _class_gain_bias(induced, members):
-    """Mean payoff of the closed class ``members`` of ``induced`` and its
-    canonical bias (stationary average 0), keyed by state id.
+class _ClosedClass:
+    """A closed class of an induced chain: its mean payoff, and its
+    canonical bias (stationary average 0, keyed by state id) computed on
+    the first read of ``bias`` and kept.
 
-    With the members in game order, the unichain evaluation g + h(s) -
-    sum_t P(s, t) h(t) = r(s) with h(first member) = 0 is M x = r for x =
-    (g, h without its first entry) and M = [1 | (I - P) without column 0].
-    M^T is the stationary system S of ``chain.stationary_law``, so one
-    factorization gives the law, g and h; the canonical bias is h minus its
+    The mean is the stationary average of the per-visit rewards.  With the
+    members in game order, the unichain evaluation g + h(s) - sum_t P(s, t)
+    h(t) = r(s) with h(first member) = 0 is M x = r for x = (g, h without
+    its first entry) and M = [1 | (I - P) without column 0].  M^T is the
+    stationary system S of ``chain.stationary_law``, so the bias reuses the
+    law's factorization: h from ``solve_transposed``, shifted by its
     stationary average.
     """
-    stationary, system = chain_mod.stationary_law(induced, members)
-    rewards = [_per_visit_reward(induced, induced.state(sid)) for sid in stationary]
-    solution = system.solve_transposed(rewards)
-    mean, h = solution[0], [Fraction(0)] + solution[1:]
-    shift = sum((w * v for w, v in zip(stationary.values(), h)), Fraction(0))
-    return mean, {sid: v - shift for sid, v in zip(stationary, h)}
+
+    def __init__(self, induced, members):
+        self.stationary, self._system = chain_mod.stationary_law(induced, members)
+        self._rewards = [_per_visit_reward(induced, induced.state(sid)) for sid in self.stationary]
+        self.mean = sum((w * r for w, r in zip(self.stationary.values(), self._rewards)), Fraction(0))
+
+    @cached_property
+    def bias(self) -> dict[str, Fraction]:
+        h = [Fraction(0)] + self._system.solve_transposed(self._rewards)[1:]
+        shift = sum((w * v for w, v in zip(self.stationary.values(), h)), Fraction(0))
+        return {sid: v - shift for sid, v in zip(self.stationary, h)}
 
 
-def _evaluate_gain_bias(game, policy):
-    """Exact gain and canonical bias of a fixed policy (multichain evaluation)."""
-    induced = _induced_chain(game, policy)
-    bsccs, transient = chain_mod.bscc_decompose(induced)
-    gain: dict[str, Fraction] = {}
-    bias: dict[str, Fraction] = {}
-    for members in bsccs:
-        order = [sid for sid in induced.ids() if sid in members]
-        key = ("class", _flavour(induced), tuple(induced.state(sid) for sid in order))
-        mean, class_bias = _memoized(key, lambda: _class_gain_bias(induced, members))
-        for sid in order:
-            gain[sid] = mean
-        bias.update(class_bias)
+class _PolicyEvaluation:
+    """The gain and canonical bias of a fixed policy (multichain
+    evaluation), computed only as far as they are read, each at most once.
 
-    order = [sid for sid in induced.ids() if sid in transient]
-    if order:
-        pos = {sid: i for i, sid in enumerate(order)}
-        n = len(order)
-        rows = [{i: Fraction(1)} for i in range(n)]
-        rhs_g = [Fraction(0)] * n
-        for i, sid in enumerate(order):
+    ``means`` (the closed classes' mean payoffs) come first, from the
+    classes' stationary laws.  ``gain`` adds the transient states: one
+    factorization of I - P_TT, kept.  ``bias`` adds each class's bias and
+    solves the transient bias with that factorization.  A closed class is
+    memoized in ``COMPONENT_MEMO`` by content, bias included.
+    """
+
+    def __init__(self, game, policy):
+        induced = self._induced = _induced_chain(game, policy)
+        bsccs, transient = chain_mod.bscc_decompose(induced)
+        self._classes = []
+        for members in bsccs:
+            order = [sid for sid in induced.ids() if sid in members]
+            key = ("class", _flavour(induced), tuple(induced.state(sid) for sid in order))
+            self._classes.append(_memoized(key, lambda: _ClosedClass(induced, members)))
+        self.means = [closed.mean for closed in self._classes]
+        self._transient = [sid for sid in induced.ids() if sid in transient]
+
+    @cached_property
+    def _system(self) -> linsolve.Factorization:
+        pos = {sid: i for i, sid in enumerate(self._transient)}
+        rows = [{i: Fraction(1)} for i in range(len(pos))]
+        for i, sid in enumerate(self._transient):
             row = rows[i]
-            for t in induced.state(sid).transitions:
+            for t in self._induced.state(sid).transitions:
                 if t.target in pos:
                     j = pos[t.target]
                     row[j] = row.get(j, 0) - t.prob
-                else:
-                    rhs_g[i] += t.prob * gain[t.target]
-        # The gain and the bias solve the same matrix I - P_TT.
-        system = linsolve.factor(rows)
-        sol_g = system.solve(rhs_g)
-        for sid in order:
-            gain[sid] = sol_g[pos[sid]]
-        rhs_h = [Fraction(0)] * n
-        for i, sid in enumerate(order):
-            state = induced.state(sid)
-            rhs_h[i] = _per_visit_reward(induced, state) - gain[sid]
-            for t in state.transitions:
-                if t.target not in pos:
-                    rhs_h[i] += t.prob * bias[t.target]
-        sol_h = system.solve(rhs_h)
-        for sid in order:
-            bias[sid] = sol_h[pos[sid]]
-    return gain, bias
+        return linsolve.factor(rows)
+
+    def _extend(self, values: dict, rhs) -> dict:
+        """``values`` on the closed classes extended to the transient states:
+        x = rhs + P_TC values, solved against I - P_TT."""
+        if self._transient:
+            exits = [
+                sum((t.prob * values[t.target] for t in self._induced.state(sid).transitions if t.target in values), r)
+                for sid, r in zip(self._transient, rhs)
+            ]
+            values.update(zip(self._transient, self._system.solve(exits)))
+        return values
+
+    @cached_property
+    def gain(self) -> dict[str, Fraction]:
+        gain = {sid: closed.mean for closed in self._classes for sid in closed.stationary}
+        return self._extend(gain, [Fraction(0)] * len(self._transient))
+
+    @cached_property
+    def bias(self) -> dict[str, Fraction]:
+        bias = {sid: v for closed in self._classes for sid, v in closed.bias.items()}
+        gain, induced = self.gain, self._induced
+        rhs = [_per_visit_reward(induced, induced.state(sid)) - gain[sid] for sid in self._transient]
+        return self._extend(bias, rhs)
 
 
 def expected_mean_payoff(game, direction: str = "max", bias_out: dict | None = None):
@@ -302,23 +328,25 @@ def expected_mean_payoff(game, direction: str = "max", bias_out: dict | None = N
     returned policy, which the last round has already evaluated.
     """
     _require_one_player(game)
-    gain, bias, policy = _policy_iteration(game, direction)
+    evaluation, policy = _policy_iteration(game, direction)
     if bias_out is not None:
-        bias_out.update(bias)
-    return gain, _strategy(game, policy, direction)
+        bias_out.update(evaluation.bias)
+    return evaluation.gain, _strategy(game, policy, direction)
 
 
 def _policy_iteration(game, direction: str, stop=None):
-    """Gain, canonical bias and policy of Howard's multichain policy
-    iteration (Puterman 1994, section 9.2) from the all-first-edges policy.
+    """The last ``_PolicyEvaluation`` and the policy of Howard's multichain
+    policy iteration (Puterman 1994, section 9.2) from the all-first-edges
+    policy.
 
     Each round switches to an edge of strictly better gain, and only when
     none exists to a gain-tied edge of strictly better reward plus
     canonical bias.  Switching is conservative (the current edge stays
     unless a strictly better one exists), so no policy repeats; a repeat
     raises AssertionError.  The loop returns at the first policy with no
-    improving switch, or earlier at the first evaluated policy whose gain
-    map satisfies ``stop``.
+    improving switch, or earlier at the first evaluated policy whose
+    closed-class means satisfy ``stop``.  A round reads the gain only when
+    it does not stop, and the bias only when no gain switch exists.
     """
     controlled = game.controlled_ids()
     policy = {sid: 0 for sid in controlled}
@@ -328,9 +356,10 @@ def _policy_iteration(game, direction: str, stop=None):
         if key in seen:
             raise AssertionError("mean-payoff policy iteration revisited a policy")
         seen.add(key)
-        gain, bias = _evaluate_gain_bias(game, policy)
-        if stop is not None and stop(gain):
-            return gain, bias, policy
+        evaluation = _PolicyEvaluation(game, policy)
+        if stop is not None and stop(evaluation.means):
+            return evaluation, policy
+        gain = evaluation.gain
         switched = False
         for sid in controlled:
             state = game.state(sid)
@@ -341,6 +370,7 @@ def _policy_iteration(game, direction: str, stop=None):
                 switched = True
         if switched:
             continue
+        bias = evaluation.bias
         for sid in controlled:
             state = game.state(sid)
             qs_bias = {
@@ -353,7 +383,7 @@ def _policy_iteration(game, direction: str, stop=None):
                 policy[sid] = next(k for k, q in qs_bias.items() if q == best)
                 switched = True
         if not switched:
-            return gain, bias, policy
+            return evaluation, policy
 
 
 # ---------------------------------------------------------------------------
@@ -552,21 +582,30 @@ def _sub_gain(sub, rule):
     """Gain policy iteration on the end-component sub-MDP in the rule's
     direction: a gain, the policy's choice in sub-MDP indices and its bias.
 
-    It stops at the first policy whose gain has a winning sign at every
-    state and returns that policy's least favourable gain.  Such a policy
-    wins the whole MEC, since a BSCC state's gain is its BSCC's mean.  A
-    MEC that no policy wins, a gain-0 one included, is solved to
-    optimality: its gain is constant and the bias is the optimiser's.
+    It stops at the first policy whose closed classes all have a mean of
+    winning sign, and returns the least favourable of those means and no
+    bias.  That test reads no transient gain, and it is exact: a transient
+    state's gain is a convex combination, with positive weights, of the
+    means of the classes it reaches, and each set of winning signs is an
+    interval, so every state's gain wins exactly when every class mean
+    does, and the least favourable gain is the extreme class mean.  Such a
+    policy wins the whole MEC.  A MEC that no policy wins, a gain-0 one
+    included, is solved to optimality: its gain is constant and the bias
+    is the optimiser's.
     """
     direction, winning_signs, _ = rule
-    gains, bias, policy = _policy_iteration(
-        sub, direction, lambda gain: all(_sign(g) in winning_signs for g in gain.values())
-    )
-    values = set(gains.values())
-    gain = min(values) if direction == "max" else max(values)
-    if len(values) != 1 and _sign(gain) not in winning_signs:
+
+    def wins(means):
+        return all(_sign(m) in winning_signs for m in means)
+
+    evaluation, policy = _policy_iteration(sub, direction, wins)
+    least = min if direction == "max" else max
+    if wins(evaluation.means):
+        return least(evaluation.means), policy, None
+    values = set(evaluation.gain.values())
+    if len(values) != 1:
         raise AssertionError("gain not constant on an end component")
-    return gain, policy, bias
+    return least(values), policy, evaluation.bias
 
 
 def _mec_gain(game, mec: Mec, rule):

@@ -81,12 +81,13 @@ def solve_limit_ssg(game: Ssg, objective: Objective) -> SsgSolve:
     by player and choice for the length of the call.  The call also sets
     ``mdp.COMPONENT_MEMO`` to a fresh dict and resets it on return or
     raise, so best responses to strategies that share an end component
-    evaluate it once: the mean payoff and bias of each closed class of an
-    induced chain (keyed on game flavour and the class's states) and the
-    gain policy iteration of each MEC sub-MDP (keyed on the direction and
-    winning signs of the objective's ``mdp._MEC_RULES`` row, flavour and the
-    sub-MDP's states; it stops at the first policy whose gain wins at every
-    state, and runs to optimality only when none does).
+    evaluate it once: the mean payoff of each closed class of an induced
+    chain, with its bias computed on the first read (keyed on game flavour
+    and the class's states), and the gain policy iteration of each MEC
+    sub-MDP (keyed on the direction and winning signs of the objective's
+    ``mdp._MEC_RULES`` row, flavour and the sub-MDP's states; it stops at
+    the first policy whose closed-class means all win, reading no transient
+    gain or bias there, and runs to optimality only when none does).
 
     Termination: descents, ascents and best responses are deterministic.  A
     descent started from a Min strategy that an earlier round started from

@@ -10,19 +10,26 @@ of termination built as a full ``Ssg`` with string ids, the reference the
 int-keyed level product of ``ocsg.termination`` is checked against.
 ``reference_parse_model`` is the model parser as first written, token
 columns and all, the reference the one-pass ``ocsg.model.parse_model`` is
-checked against.
+checked against.  ``class_gain_bias`` and ``evaluate_gain_bias`` are the
+eager policy evaluation, every closed-class mean and bias and the whole
+transient gain and bias solved up front, the reference the lazy
+``ocsg.mdp._PolicyEvaluation`` is checked against; ``eager_sub_gain`` is
+the MEC gain policy iteration on it, stopped on every state's gain.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import itertools
+import operator
 import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+from ocsg import chain as chain_mod
+from ocsg import linsolve, mdp
 from ocsg.model import (
     _ID_RE,
     ON_STATES,
@@ -196,6 +203,113 @@ def oc_to_reward_ssg(game: OcSsg) -> Ssg:
         for s in game.states
     )
     return Ssg(states, reward_location=ON_TRANSITIONS)
+
+
+def class_gain_bias(induced, members):
+    """Mean payoff of the closed class ``members`` of ``induced`` and its
+    canonical bias (stationary average 0), keyed by state id.
+
+    With the members in game order, the unichain evaluation g + h(s) -
+    sum_t P(s, t) h(t) = r(s) with h(first member) = 0 is M x = r for x =
+    (g, h without its first entry) and M = [1 | (I - P) without column 0].
+    M^T is the stationary system S of ``chain.stationary_law``, so one
+    factorization gives the law, g and h; the canonical bias is h minus its
+    stationary average.
+    """
+    stationary, system = chain_mod.stationary_law(induced, members)
+    rewards = [mdp._per_visit_reward(induced, induced.state(sid)) for sid in stationary]
+    solution = system.solve_transposed(rewards)
+    mean, h = solution[0], [Fraction(0)] + solution[1:]
+    shift = sum((w * v for w, v in zip(stationary.values(), h)), Fraction(0))
+    return mean, {sid: v - shift for sid, v in zip(stationary, h)}
+
+
+def evaluate_gain_bias(game, policy):
+    """Exact gain and canonical bias of a fixed policy (multichain evaluation)."""
+    induced = mdp._induced_chain(game, policy)
+    bsccs, transient = chain_mod.bscc_decompose(induced)
+    gain: dict[str, Fraction] = {}
+    bias: dict[str, Fraction] = {}
+    for members in bsccs:
+        mean, class_bias = class_gain_bias(induced, members)
+        for sid in class_bias:
+            gain[sid] = mean
+        bias.update(class_bias)
+
+    order = [sid for sid in induced.ids() if sid in transient]
+    if order:
+        pos = {sid: i for i, sid in enumerate(order)}
+        n = len(order)
+        rows = [{i: Fraction(1)} for i in range(n)]
+        rhs_g = [Fraction(0)] * n
+        for i, sid in enumerate(order):
+            row = rows[i]
+            for t in induced.state(sid).transitions:
+                if t.target in pos:
+                    j = pos[t.target]
+                    row[j] = row.get(j, 0) - t.prob
+                else:
+                    rhs_g[i] += t.prob * gain[t.target]
+        # The gain and the bias solve the same matrix I - P_TT.
+        system = linsolve.factor(rows)
+        sol_g = system.solve(rhs_g)
+        for sid in order:
+            gain[sid] = sol_g[pos[sid]]
+        rhs_h = [Fraction(0)] * n
+        for i, sid in enumerate(order):
+            state = induced.state(sid)
+            rhs_h[i] = mdp._per_visit_reward(induced, state) - gain[sid]
+            for t in state.transitions:
+                if t.target not in pos:
+                    rhs_h[i] += t.prob * bias[t.target]
+        sol_h = system.solve(rhs_h)
+        for sid in order:
+            bias[sid] = sol_h[pos[sid]]
+    return gain, bias
+
+
+def eager_sub_gain(sub, rule, log=None):
+    """``mdp._sub_gain`` with every round evaluated in full by
+    ``evaluate_gain_bias`` and stopped once every state's gain has a
+    winning sign: the least favourable gain, the policy, and the bias (None
+    when it stopped).  ``log`` receives (policy, gain, bias, reads) per
+    round, ``reads`` naming what the round used past its class means:
+    nothing when it stops, the gain when it switches on gain, else also
+    the bias."""
+    direction, winning_signs, _ = rule
+    pick, least, better = (max, min, operator.gt) if direction == "max" else (min, max, operator.lt)
+    controlled = sub.controlled_ids()
+    policy = {sid: 0 for sid in controlled}
+    while True:
+        gain, bias = evaluate_gain_bias(sub, policy)
+        reads = set()
+        if log is not None:
+            log.append((dict(policy), gain, bias, reads))
+        if all((g > 0) - (g < 0) in winning_signs for g in gain.values()):
+            return least(gain.values()), policy, None
+        reads.add("gain")
+        switched = False
+        for sid in controlled:
+            qs = [gain[t.target] for t in sub.state(sid).transitions]
+            if better(pick(qs), gain[sid]):
+                policy[sid] = qs.index(pick(qs))
+                switched = True
+        if switched:
+            continue
+        reads.add("bias")
+        for sid in controlled:
+            state = sub.state(sid)
+            qs = {
+                k: step_reward(sub, state, t) + bias[t.target]
+                for k, t in enumerate(state.transitions)
+                if gain[t.target] == gain[sid]
+            }
+            best = pick(qs.values())
+            if better(best, gain[sid] + bias[sid]):
+                policy[sid] = next(k for k, q in qs.items() if q == best)
+                switched = True
+        if not switched:
+            return least(gain.values()), policy, bias
 
 
 def level_id(state_id: str, level: int) -> str:

@@ -1,6 +1,7 @@
 import gc
 import io
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -384,3 +385,22 @@ def test_argparse_errors_cut_long_values(tmp_path, capsys, argv, names):
         assert err.count("\n") == 1 and err.startswith(f"error = {names}"), err[:200]
         lengths.append(len(err))
     assert lengths[0] == lengths[1] < 200
+
+
+def test_solve_reports_match_golden_file():
+    # Full reports (values, value1, method, witness lines) of the dense
+    # fixtures under every limit objective, pinned byte for byte: a change
+    # that only speeds the solver up leaves them as they are.
+    data = Path(__file__).parent / "data"
+    golden = {}
+    for line in (data / "golden-solve-reports.txt").read_text().splitlines(keepends=True):
+        if line.startswith("# "):
+            case = tuple(line.split()[1:])
+            golden[case] = ""
+        else:
+            golden[case] += line
+    assert len(golden) == 3 * len(LIMIT_KINDS)
+    for (name, kind), expected in golden.items():
+        out = io.StringIO()
+        assert run(["solve", str(data / name), "--objective", kind], out) == 0
+        assert out.getvalue() == expected, (name, kind)

@@ -20,7 +20,16 @@ from ocsg.model import (
     parse_model,
 )
 
-from grids import as_mdp, bench_families, exhaustive_games, oc_to_reward_ssg, random_games
+from grids import (
+    as_mdp,
+    bench_families,
+    class_gain_bias,
+    eager_sub_gain,
+    evaluate_gain_bias,
+    exhaustive_games,
+    oc_to_reward_ssg,
+    random_games,
+)
 
 
 def _fix(game, strategy):
@@ -188,7 +197,7 @@ def test_mean_payoff_zero_under_both_choices():
         "trans a -> b p=1/1 reward=1\ntrans b -> a p=1/1 reward=-1\n"
     )
     for choice in (0, 1):
-        gain, _ = mdp._evaluate_gain_bias(game, {"m": choice})
+        gain = mdp._PolicyEvaluation(game, {"m": choice}).gain
         assert gain["m"] == 0
     gain, _ = mdp.expected_mean_payoff(game, "max")
     assert gain["m"] == 0
@@ -203,7 +212,7 @@ def test_mean_payoff_agrees_with_enumeration():
             gain, strategy = mdp.expected_mean_payoff(game, direction)
             ref_gain, _ = oracle.enumerate_mean_payoff(game, direction)
             assert gain == ref_gain
-            eval_gain, _ = mdp._evaluate_gain_bias(game, strategy.choice)
+            eval_gain = mdp._PolicyEvaluation(game, strategy.choice).gain
             assert eval_gain == gain
 
 
@@ -213,7 +222,7 @@ def test_mean_payoff_bias_out_is_the_returned_policys_bias():
         for direction in ("max", "min"):
             bias = {}
             gain, strategy = mdp.expected_mean_payoff(game, direction, bias)
-            assert (gain, bias) == mdp._evaluate_gain_bias(game, strategy.choice)
+            assert (gain, bias) == evaluate_gain_bias(game, strategy.choice)
 
 
 def reference_class_gain_bias(induced, members):
@@ -259,7 +268,8 @@ def test_class_gain_bias_matches_two_elimination_reference():
     for game, policy in _policy_cases():
         induced = mdp._induced_chain(game, policy)
         for members in chain_mod.bscc_decompose(induced)[0]:
-            assert mdp._class_gain_bias(induced, members) == reference_class_gain_bias(induced, members)
+            closed = mdp._ClosedClass(induced, members)
+            assert (closed.mean, closed.bias) == reference_class_gain_bias(induced, members)
             classes += 1
     assert classes > 5000
 
@@ -277,11 +287,24 @@ def test_evaluation_factors_each_matrix_once(monkeypatch):
     for game, policy in _policy_cases():
         bsccs, transient = chain_mod.bscc_decompose(mdp._induced_chain(game, policy))
         sizes.clear()
-        mdp._evaluate_gain_bias(game, policy)
-        # One factorization per closed class, then one for the transient block.
-        assert sizes == [len(members) for members in bsccs] + ([len(transient)] if transient else [])
+        evaluation = mdp._PolicyEvaluation(game, policy)
+        # One factorization per closed class, one for the transient block
+        # when the gain is read, and none more for the bias.
+        assert sizes == [len(members) for members in bsccs]
+        expected = [len(members) for members in bsccs] + ([len(transient)] if transient else [])
+        assert len(evaluation.gain) == len(game.states) and sizes == expected
+        assert len(evaluation.bias) == len(game.states) and sizes == expected
         transient_blocks += bool(transient)
     assert transient_blocks > 2000
+
+
+def test_lazy_evaluation_matches_eager_reference():
+    for game, policy in _policy_cases():
+        induced = mdp._induced_chain(game, policy)
+        evaluation = mdp._PolicyEvaluation(game, policy)
+        bsccs = chain_mod.bscc_decompose(induced)[0]
+        assert evaluation.means == [class_gain_bias(induced, members)[0] for members in bsccs]
+        assert (evaluation.gain, evaluation.bias) == evaluate_gain_bias(game, policy)
 
 
 # -- MECs ---------------------------------------------------------------------
@@ -374,10 +397,42 @@ def test_early_stopped_mecs_win_at_every_state():
                 # The choice stays in the MEC and wins at every state of it.
                 policy = {sid: index_map[sid].index(k) for sid, k in choice.items()}
                 assert policy.keys() == set(sub.controlled_ids())
-                gains, _ = mdp._evaluate_gain_bias(sub, policy)
+                gains = mdp._PolicyEvaluation(sub, policy).gain
                 assert all(_sign(g) in rule[1] for g in gains.values()), (game, mec, kind)
                 early += gains != optimal
     assert early > 100
+
+
+def test_sub_gain_matches_eager_stop_on_all_gains(monkeypatch):
+    lazy, rounds, stopped = mdp._PolicyEvaluation, [], 0
+
+    def spy(game, policy):
+        rounds.append((dict(policy), lazy(game, policy)))
+        return rounds[-1][1]
+
+    monkeypatch.setattr(mdp, "_PolicyEvaluation", spy)
+    for game in _mec_cases():
+        game = as_mdp(game)
+        for mec in mdp.mec_decompose(game):
+            sub, _ = mdp._restrict_to_mec(game, mec)
+            for kind, rule in mdp._MEC_RULES.items():
+                eager_rounds = []
+                eager = eager_sub_gain(sub, rule, eager_rounds)
+                rounds.clear()
+                result = mdp._sub_gain(sub, rule)
+                assert result == eager, (sub, kind)
+                # Both visit the same policies in the same order.  Each lazy
+                # round's class means equal the eager gains, and it computes
+                # the gain and the bias only where the round uses them, equal
+                # to the eager ones.
+                assert [policy for policy, _ in rounds] == [entry[0] for entry in eager_rounds]
+                for (_, gain, bias, reads), (_, evaluation) in zip(eager_rounds, rounds):
+                    assert all(gain[sid] == c.mean for c in evaluation._classes for sid in c.stationary)
+                    assert {"gain", "bias"} & vars(evaluation).keys() == reads
+                    assert vars(evaluation).get("gain", gain) == gain
+                    assert vars(evaluation).get("bias", bias) == bias
+                stopped += result[2] is None
+    assert stopped > 10000
 
 
 # -- procedure MP ------------------------------------------------------------

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from ocsg import chain as chain_mod
-from ocsg import mdp, oracle, ssg, termination
+from ocsg import linsolve, mdp, oracle, ssg, termination
 from ocsg.model import (
     LIMINF_GT_MINUS_INF,
     LIMINF_MINUS_INF,
@@ -250,10 +250,32 @@ def test_dense_n32_evaluation_count(monkeypatch):
     # at every state; run to optimality, the same solve evaluates 76 policies.
     game = parse_model((DATA / "dense-n32-f7.ssg").read_text())
     evaluations = []
-    evaluate = mdp._evaluate_gain_bias
-    monkeypatch.setattr(mdp, "_evaluate_gain_bias", lambda *args: evaluations.append(args) or evaluate(*args))
+    evaluate = mdp._PolicyEvaluation
+    monkeypatch.setattr(mdp, "_PolicyEvaluation", lambda *args: evaluations.append(args) or evaluate(*args))
     ssg.solve_limit_ssg(game, LIMINF_MINUS_INF)
     assert len(evaluations) == 30
+
+
+def test_dense_n32_linear_solve_counts(monkeypatch):
+    # A round that stops reads only its closed-class means, and one that
+    # switches on gain reads no bias; evaluating every round in full, the
+    # same solve runs 44 factorizations, 71 solves and 17 transposed solves.
+    game = parse_model((DATA / "dense-n32-f7.ssg").read_text())
+    counts = {"factor": 0, "solve": 0, "solve_transposed": 0}
+    factor, solve, solve_transposed = linsolve.factor, linsolve.Factorization.solve, linsolve.Factorization.solve_transposed
+
+    def spy(name, call):
+        def counted(*args):
+            counts[name] += 1
+            return call(*args)
+
+        return counted
+
+    monkeypatch.setattr(linsolve, "factor", spy("factor", factor))
+    monkeypatch.setattr(linsolve.Factorization, "solve", spy("solve", solve))
+    monkeypatch.setattr(linsolve.Factorization, "solve_transposed", spy("solve_transposed", solve_transposed))
+    ssg.solve_limit_ssg(game, LIMINF_MINUS_INF)
+    assert counts == {"factor": 29, "solve": 41, "solve_transposed": 9}
 
 
 def test_dense_n7_f36_matches_oracle():
