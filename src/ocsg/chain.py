@@ -241,7 +241,8 @@ def reach_probabilities(chain: Ssg, targets, return_pivot: bool = False):
     States that cannot reach the target get 0, target states get 1, and the
     rest solve the one-step equations restricted to the can-reach region.
     With ``return_pivot`` also returns the elimination's determinant
-    certificate, which every value denominator divides.
+    certificate, which every value denominator divides; it is built only
+    then.
     """
     _require_chain(chain)
     targets = frozenset(targets)
@@ -269,7 +270,10 @@ def reach_probabilities(chain: Ssg, targets, return_pivot: bool = False):
                 elif t.target in pos:
                     j = pos[t.target]
                     row[j] = row.get(j, 0) - t.prob
-        solution, pivot = linsolve.solve_linear_system(rows, rhs)
+        if return_pivot:
+            solution, pivot = linsolve.solve_linear_system(rows, rhs)
+        else:
+            solution = linsolve.factor(rows).solve(rhs)
         for sid, v in zip(interior, solution):
             values[sid] = v
     if return_pivot:

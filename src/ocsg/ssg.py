@@ -10,8 +10,10 @@ improvement), and refuses with ``NoCertificate`` only if a Min strategy
 comes back before a pair is found.  Min's descent tests the pair it holds
 before it scans single switches, so a descent from an optimal strategy
 costs two best responses, and within one solve no strategy is evaluated
-twice.  Nothing here enumerates strategies; exhaustive enumeration lives in
-``oracle`` as ground truth.
+twice.  When Min has a single strategy (no Min state has a second edge),
+the solve is one best response: Max's to that strategy, which is already a
+best response to anything.  Nothing here enumerates strategies; exhaustive
+enumeration lives in ``oracle`` as ground truth.
 """
 
 from __future__ import annotations
@@ -89,6 +91,19 @@ def solve_limit_ssg(game: Ssg, objective: Objective) -> SsgSolve:
     the first policy whose closed-class means all win, reading no transient
     gain or bias there, and runs to optimality only when none does).
 
+    When Min has a single strategy τ (``_switches`` yields nothing), the
+    call runs one best response, Max's exact best response to τ, and
+    returns its values with σ, its Max witness, and τ.  σ is a best
+    response to τ by construction, and τ, Min's only strategy, is a best
+    response to σ, so the pair is certified and the values are the game's.
+    The loop returns the same result after two more best responses: its
+    check of τ compares Max's values with those of Min's reply to σ, that
+    is the chain of (σ, τ), and equal vectors follow since σ attains Max's
+    optimum; Max's ascent then starts at σ and meets its goal at once.  The
+    mirror case, Max with a single strategy, still runs the loop: a jump to
+    Min's optimal reply would change the Min witness that the descent
+    picks.
+
     Termination: descents, ascents and best responses are deterministic.  A
     descent started from a Min strategy that an earlier round started from
     or ended at ends where that round's descent ended, so the rounds would
@@ -119,7 +134,14 @@ def _alternate(game, objective):
     def certified(vec, against_tau):
         return _vector(game, respond("max", against_tau.witness_max.choice).values) == vec
 
+    def solved(sigma, tau, against_tau):
+        sigma, tau = PureMemorylessStrategy("max", sigma), PureMemorylessStrategy("min", tau)
+        return SsgSolve(SolveResult.from_values(against_tau.values, sigma, tau), "improvement")
+
     tau = {sid: 0 for sid in game.owner_ids("min")}
+    if next(_switches(game, "min", tau), None) is None:
+        against_tau = respond("min", tau)
+        return solved(dict(against_tau.witness_max.choice), tau, against_tau)
     visited = set()
     while True:
         visited.add(frozenset(tau.items()))
@@ -130,8 +152,7 @@ def _alternate(game, objective):
             game, "max", dict(against_tau.witness_max.choice), respond, lambda vec, _: vec == goal
         )
         if _vector(game, against_sigma.values) == goal:
-            sigma, tau = PureMemorylessStrategy("max", sigma), PureMemorylessStrategy("min", tau)
-            return SsgSolve(SolveResult.from_values(against_tau.values, sigma, tau), "improvement")
+            return solved(sigma, tau, against_tau)
         tau = dict(against_sigma.witness_min.choice)
         if frozenset(tau.items()) in visited:
             raise NoCertificate("alternating improvement revisited a Min strategy without a certified pair")

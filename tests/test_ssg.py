@@ -313,11 +313,13 @@ def test_dense_family_certificate_sweep():
                 _assert_certified(game, ssg.solve_limit_ssg(game, objective), objective)
 
 
-# Max's only good move is a -> a with reward -1; Min has one edge.
+# Max's only good move is a -> a with reward -1.  Min's second edge, a loop
+# with reward -1, loses at b; it is there so that the solve runs the
+# alternating loop, which a game where Min has one strategy skips.
 FIRST_EDGE_LOSES = parse_model(
     "ssg rewards=transitions\n"
     "state a owner=max\nstate b owner=min\n"
-    "trans a -> a reward=0\ntrans a -> a reward=-1\ntrans b -> a reward=0\n"
+    "trans a -> a reward=0\ntrans a -> a reward=-1\ntrans b -> a reward=0\ntrans b -> b reward=-1\n"
 )
 
 
@@ -399,6 +401,30 @@ def _dense_sweep():
                 yield game, objective
 
 
+def _min_has_one_strategy(game):
+    return all(len(game.state(sid).transitions) == 1 for sid in game.owner_ids("min"))
+
+
+def _first_min_edges(game):
+    """``game`` with every Min state cut down to its first edge."""
+    states = tuple(
+        State(s.id, s.owner, reward=s.reward, transitions=s.transitions[:1]) if s.owner == "min" else s
+        for s in game.states
+    )
+    return Ssg(states, reward_location=game.reward_location)
+
+
+def _one_strategy_sweep():
+    """Games in which Min has a single strategy, under every objective."""
+    families = bench_families()
+    games = [parse_model(families.dense_mdp(n, fseed, None)) for n in (8, 12, 16, 24) for fseed in range(1, 5)]
+    games.append(parse_model(families.ruin(12, None)))
+    games.append(_first_min_edges(parse_model(families.dense(12, 1, None))))
+    for game in games:
+        assert _min_has_one_strategy(game)
+        yield from ((game, objective) for objective in LIMIT_OBJECTIVES)
+
+
 def _reference_cases():
     grid = exhaustive_games()
     yield from ((UNCERTIFIED_IMPROVEMENT, objective) for objective in LIMIT_OBJECTIVES)
@@ -409,6 +435,7 @@ def _reference_cases():
         game = parse_model((DATA / name).read_text())
         yield from ((game, objective) for objective in LIMIT_OBJECTIVES)
     yield from _dense_sweep()
+    yield from _one_strategy_sweep()
 
 
 def test_solve_matches_reference_loop():
@@ -451,6 +478,28 @@ def test_certified_first_pair_costs_two_best_responses(monkeypatch):
     assert solve.result.values == {"a": 0, "b": 0, "c": 0}
     assert solve.result.witness_min.choice == {"a": 0, "b": 0, "c": 0}
     assert len(seen) == 2
+
+
+def test_single_min_strategy_solve_runs_one_best_response(monkeypatch):
+    # Min's only strategy is a best response to any Max strategy, so Max's
+    # best response to it ends the solve with a certified pair; Min's reply
+    # to Max's witness, which the solve skips, must give the same values.
+    seen = _count_best_responses(monkeypatch)
+    for game, objective in _one_strategy_sweep():
+        seen.clear()
+        solve = ssg.solve_limit_ssg(game, objective)
+        assert [player for player, _ in seen] == ["min"], objective.kind
+        assert ssg.best_response(game, solve.result.witness_max, objective).values == solve.result.values
+    two_player = 0
+    for game, objective in _dense_sweep():
+        seen.clear()
+        ssg.solve_limit_ssg(game, objective)
+        if _min_has_one_strategy(game):
+            assert len(seen) == 1, objective.kind
+        else:
+            assert len(seen) >= 2, objective.kind
+            two_player += 1
+    assert two_player > 0
 
 
 def test_no_strategy_is_evaluated_twice_in_one_solve(monkeypatch):
