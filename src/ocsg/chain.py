@@ -35,73 +35,87 @@ class BsccAnalysis:
 def bscc_decompose(chain: Ssg) -> tuple[list[frozenset[str]], frozenset[str]]:
     """Bottom SCCs plus the transient remainder; together they partition V."""
     _require_chain(chain)
-    sccs = strongly_connected_components(chain)
-    bsccs = []
-    transient = set()
-    for comp in sccs:
-        members = frozenset(comp)
-        closed = all(t.target in members for sid in comp for t in chain.state(sid).transitions)
-        if closed:
-            bsccs.append(members)
-        else:
-            transient.update(comp)
-    return bsccs, frozenset(transient)
+    ids = chain.index.ids
+    bottoms = bottom_sccs(chain.index.succ)
+    closed = {v for members in bottoms for v in members}
+    transient = frozenset(sid for v, sid in enumerate(ids) if v not in closed)
+    return [frozenset(ids[v] for v in members) for members in bottoms], transient
+
+
+def bottom_sccs(succ) -> list[list[int]]:
+    """The bottom SCCs of the graph on nodes 0..len(succ)-1 with successor
+    lists ``succ``, in ``tarjan``'s discovery order, each in node order."""
+    components = tarjan(succ, range(len(succ)))
+    component_of = [0] * len(succ)
+    for c, comp in enumerate(components):
+        for v in comp:
+            component_of[v] = c
+    return [
+        sorted(comp) for c, comp in enumerate(components) if all(component_of[t] == c for v in comp for t in succ[v])
+    ]
 
 
 def strongly_connected_components(game, within=None) -> list[list[str]]:
-    """Iterative Tarjan over the multigraph, or over the subgraph induced by
-    ``within``; components in discovery order."""
+    """SCCs of the multigraph, or of the subgraph induced by ``within``, in
+    ``tarjan``'s discovery order."""
+    index = game.index
+    ids = index.ids
+    if within is None:
+        succ, roots = index.succ, range(len(ids))
+    else:
+        inside = [sid in within for sid in ids]
+        succ = [[t for t in targets if inside[t]] if inside[v] else () for v, targets in enumerate(index.succ)]
+        roots = [v for v in range(len(ids)) if inside[v]]
+    return [[ids[v] for v in comp] for comp in tarjan(succ, roots)]
 
-    by_id = game.by_id
 
-    def successors(sid):
-        succ = [t.target for t in by_id[sid].transitions]
-        return succ if within is None else [t for t in succ if t in within]
+def tarjan(succ, roots) -> list[list[int]]:
+    """Iterative Tarjan on nodes 0..len(succ)-1 with successor lists
+    ``succ``, started from each of ``roots`` in order; the SCCs of the nodes
+    reached, in discovery order.  The one SCC kernel, on lists indexed by
+    node."""
+    index = [-1] * len(succ)
+    low = [0] * len(succ)
+    on_stack = [False] * len(succ)
+    stack: list[int] = []
+    components: list[list[int]] = []
+    counter = 0
 
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    components: list[list[str]] = []
-    counter = [0]
-
-    for root in by_id:
-        if root in index or (within is not None and root not in within):
+    for root in roots:
+        if index[root] >= 0:
             continue
-        work = [(root, iter(successors(root)))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
+        index[root] = low[root] = counter
+        counter += 1
         stack.append(root)
-        on_stack.add(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
         while work:
             node, it = work[-1]
-            advanced = False
-            for succ in it:
-                if succ not in index:
-                    index[succ] = low[succ] = counter[0]
-                    counter[0] += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(successors(succ))))
-                    advanced = True
+            for w in it:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
                     break
-                if succ in on_stack:
-                    low[node] = min(low[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                components.append(comp)
+                if on_stack[w] and index[w] < low[node]:
+                    low[node] = index[w]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
+                if low[node] == index[node]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == node:
+                            break
+                    components.append(comp)
     return components
 
 
@@ -163,30 +177,37 @@ def _check_bscc(chain: Ssg, members: frozenset[str]) -> None:
 
 def stationary_law(chain: Ssg, members: frozenset[str]) -> tuple[dict[str, Fraction], linsolve.Factorization]:
     """Stationary law of the BSCC ``members`` and the factorization of its
-    system S.
-
-    S holds the balance equations over the members in game order, with the
-    first replaced by normalisation: row 0 is all ones and row j > 0 has
-    column i equal to [i == j] - P(i, j).  The law is keyed by state id in
-    that order.
-    """
+    system S (``stationary_system``); the law is keyed by state id, in game
+    order."""
     _require_chain(chain)
     _check_bscc(chain, members)
-    order = [sid for sid in chain.ids() if sid in members]
-    pos = {sid: i for i, sid in enumerate(order)}
-    n = len(order)
-
-    rows = [dict.fromkeys(range(n), Fraction(1))] + [{i: Fraction(1)} for i in range(1, n)]
-    for i, uid in enumerate(order):
-        for t in chain.state(uid).transitions:
-            j = pos[t.target]
-            if j:
-                rows[j][i] = rows[j].get(i, 0) - t.prob
-    system = linsolve.factor(rows)
-    solution = system.solve([Fraction(1)] + [Fraction(0)] * (n - 1))
-    if any(v <= 0 for v in solution):
+    index = chain.index
+    order = [v for v, sid in enumerate(index.ids) if sid in members]
+    law, system = stationary_system(order, index.succ, index.prob)
+    if any(v <= 0 for v in law):
         raise ValueError("stationary distribution not positive, component is not a BSCC")
-    return dict(zip(order, solution)), system
+    return dict(zip((index.ids[v] for v in order), law)), system
+
+
+def stationary_system(members, succ, prob) -> tuple[list[Fraction], linsolve.Factorization]:
+    """Stationary law of the closed class ``members`` (nodes in game order)
+    of the chain whose node v steps to ``succ[v][k]`` with probability
+    ``prob[v][k]``, and the factorization of its system S.
+
+    S holds the balance equations over the members, with the first
+    replaced by normalisation: row 0 is all ones and row j > 0 has column i
+    equal to [i == j] - P(i, j).
+    """
+    pos = {v: i for i, v in enumerate(members)}
+    n = len(members)
+    rows = [dict.fromkeys(range(n), 1)] + [{i: 1} for i in range(1, n)]
+    for i, v in enumerate(members):
+        for t, p in zip(succ[v], prob[v]):
+            j = pos[t]
+            if j:
+                rows[j][i] = rows[j].get(i, 0) - p
+    system = linsolve.factor(rows)
+    return system.solve([1] + [0] * (n - 1)), system
 
 
 def analyze_bscc(chain: Ssg, members: frozenset[str]) -> BsccAnalysis:

@@ -26,17 +26,23 @@ does not stop, the bias when no gain switch exists.  No potential test
 runs on this path, and energy lifting (``energy_min_credit``) serves only
 the termination-value-0 question.
 
+Policy iteration rounds run on the game's int ``model.Index``: a round
+reads its policy's chain as int successor lists, splits it with the one
+Tarjan kernel (``chain.bottom_sccs``) and builds the stationary and
+transient systems from those lists, with no game built.
+
 Inside one ``ssg.solve_limit_ssg`` call, ``COMPONENT_MEMO`` holds a dict
 that memoizes end-component results by content: each closed class of an
 induced chain (its mean, and the factorization of its stationary system,
 from which its canonical bias is computed on the first read and kept),
-keyed on the game flavour (type and ``reward_location``) and the class's
-member states in game order, and the gain policy iteration on a MEC
-sub-MDP, keyed on the direction and the winning signs of the objective's
-rule (which fix where it stops), the flavour and the sub-MDP's states.  A
-closed class's states carry every probability and weight its analysis
-reads, so equal keys mean equal results.  Outside a solve the variable is
-None and nothing is cached.
+keyed on its members' steps in game order, each (id, ((target id,
+numerator, denominator, weight), ...)) in strs and ints, so a lookup hashes
+no ``State``, ``Transition`` or ``Fraction``; and the gain policy
+iteration on a MEC sub-MDP, keyed on the direction and the winning signs
+of the objective's rule (which fix where it stops), the game flavour (type
+and ``reward_location``) and the sub-MDP's states.  A class key holds
+every probability and weight its analysis reads, so equal keys mean equal
+results.  Outside a solve the variable is None and nothing is cached.
 """
 
 from __future__ import annotations
@@ -231,29 +237,27 @@ def almost_sure_reach(game, targets) -> AsrResult:
 # Expected mean payoff (gain/bias policy iteration)
 
 
-def _per_visit_reward(game, state: State) -> Fraction:
-    """Expected weight of the step that leaves rand ``state``."""
-    return sum((t.prob * step_reward(game, state, t) for t in state.transitions), Fraction(0))
-
-
 class _ClosedClass:
     """A closed class of an induced chain: its mean payoff, and its
     canonical bias (stationary average 0, keyed by state id) computed on
     the first read of ``bias`` and kept.
 
-    The mean is the stationary average of the per-visit rewards.  With the
-    members in game order, the unichain evaluation g + h(s) - sum_t P(s, t)
+    ``members`` are nodes of the game index in game order; node v steps to
+    ``succ[v][k]`` with probability ``prob[v][k]`` and has the per-visit
+    reward ``rewards[v]``.  The mean is the stationary average of the
+    per-visit rewards.  The unichain evaluation g + h(s) - sum_t P(s, t)
     h(t) = r(s) with h(first member) = 0 is M x = r for x = (g, h without
     its first entry) and M = [1 | (I - P) without column 0].  M^T is the
-    stationary system S of ``chain.stationary_law``, so the bias reuses the
-    law's factorization: h from ``solve_transposed``, shifted by its
+    stationary system S of ``chain.stationary_system``, so the bias reuses
+    the law's factorization: h from ``solve_transposed``, shifted by its
     stationary average.
     """
 
-    def __init__(self, induced, members):
-        self.stationary, self._system = chain_mod.stationary_law(induced, members)
-        self._rewards = [_per_visit_reward(induced, induced.state(sid)) for sid in self.stationary]
-        self.mean = sum((w * r for w, r in zip(self.stationary.values(), self._rewards)), Fraction(0))
+    def __init__(self, ids, members, succ, prob, rewards):
+        law, self._system = chain_mod.stationary_system(members, succ, prob)
+        self.stationary = dict(zip((ids[v] for v in members), law))
+        self._rewards = [rewards[v] for v in members]
+        self.mean = sum((w * r for w, r in zip(law, self._rewards)), Fraction(0))
 
     @cached_property
     def bias(self) -> dict[str, Fraction]:
@@ -266,58 +270,89 @@ class _PolicyEvaluation:
     """The gain and canonical bias of a fixed policy (multichain
     evaluation), computed only as far as they are read, each at most once.
 
-    ``means`` (the closed classes' mean payoffs) come first, from the
-    classes' stationary laws.  ``gain`` adds the transient states: one
-    factorization of I - P_TT, kept.  ``bias`` adds each class's bias and
-    solves the transient bias with that factorization.  A closed class is
-    memoized in ``COMPONENT_MEMO`` by content, bias included.
+    The induced chain is read from the game's ``index`` as int successor
+    lists (``Index.chain_steps``); no game is built.  Its closed classes
+    are its ``chain.bottom_sccs``.  ``means`` (the closed classes' mean
+    payoffs) come first, from the classes' stationary laws.  ``gain`` adds
+    the transient states: one factorization of I - P_TT, kept.  ``bias`` adds each class's bias and solves the transient bias
+    with that factorization.  ``node_gain`` and ``node_bias`` are the same
+    values indexed by node, ``gain`` and ``bias`` keyed by state id.  A
+    closed class is memoized in ``COMPONENT_MEMO``, bias included, on the
+    content keys of its members' steps.
     """
 
     def __init__(self, game, policy):
-        induced = self._induced = _induced_chain(game, policy)
-        bsccs, transient = chain_mod.bscc_decompose(induced)
-        self._classes = []
-        for members in bsccs:
-            order = [sid for sid in induced.ids() if sid in members]
-            key = ("class", _flavour(induced), tuple(induced.state(sid) for sid in order))
-            self._classes.append(_memoized(key, lambda: _ClosedClass(induced, members)))
+        index = game.index
+        n = len(index.ids)
+        choice = [0] * n
+        for sid, k in policy.items():
+            choice[index.pos[sid]] = k
+        steps = [options[k] for options, k in zip(index.chain_steps, choice)]
+        self._ids = ids = index.ids
+        self._succ = succ = [step[0] for step in steps]
+        self._prob = prob = [step[1] for step in steps]
+        self._rewards = rewards = [step[2] for step in steps]
+        self._members = chain_mod.bottom_sccs(succ)
+        self._classes = [
+            _memoized(
+                ("class", tuple(steps[v][3] for v in members)),
+                lambda: _ClosedClass(ids, members, succ, prob, rewards),
+            )
+            for members in self._members
+        ]
         self.means = [closed.mean for closed in self._classes]
-        self._transient = [sid for sid in induced.ids() if sid in transient]
+        closed = {v for members in self._members for v in members}
+        self._transient = [v for v in range(n) if v not in closed]
 
     @cached_property
     def _system(self) -> linsolve.Factorization:
-        pos = {sid: i for i, sid in enumerate(self._transient)}
-        rows = [{i: Fraction(1)} for i in range(len(pos))]
-        for i, sid in enumerate(self._transient):
+        pos = {v: i for i, v in enumerate(self._transient)}
+        rows = [{i: 1} for i in range(len(pos))]
+        for i, v in enumerate(self._transient):
             row = rows[i]
-            for t in self._induced.state(sid).transitions:
-                if t.target in pos:
-                    j = pos[t.target]
-                    row[j] = row.get(j, 0) - t.prob
+            for t, p in zip(self._succ[v], self._prob[v]):
+                j = pos.get(t)
+                if j is not None:
+                    row[j] = row.get(j, 0) - p
         return linsolve.factor(rows)
 
-    def _extend(self, values: dict, rhs) -> dict:
-        """``values`` on the closed classes extended to the transient states:
-        x = rhs + P_TC values, solved against I - P_TT."""
+    def _extend(self, values: list, rhs) -> list:
+        """``values`` on the closed classes (None elsewhere) extended to the
+        transient states: x = rhs + P_TC values, solved against I - P_TT."""
         if self._transient:
+            succ, prob = self._succ, self._prob
             exits = [
-                sum((t.prob * values[t.target] for t in self._induced.state(sid).transitions if t.target in values), r)
-                for sid, r in zip(self._transient, rhs)
+                sum((p * values[t] for t, p in zip(succ[v], prob[v]) if values[t] is not None), r)
+                for v, r in zip(self._transient, rhs)
             ]
-            values.update(zip(self._transient, self._system.solve(exits)))
+            for v, x in zip(self._transient, self._system.solve(exits)):
+                values[v] = x
         return values
 
     @cached_property
-    def gain(self) -> dict[str, Fraction]:
-        gain = {sid: closed.mean for closed in self._classes for sid in closed.stationary}
+    def node_gain(self) -> list[Fraction]:
+        gain = [None] * len(self._ids)
+        for members, closed in zip(self._members, self._classes):
+            for v in members:
+                gain[v] = closed.mean
         return self._extend(gain, [Fraction(0)] * len(self._transient))
 
     @cached_property
+    def node_bias(self) -> list[Fraction]:
+        bias = [None] * len(self._ids)
+        for members, closed in zip(self._members, self._classes):
+            for v, h in zip(members, closed.bias.values()):
+                bias[v] = h
+        gain = self.node_gain
+        return self._extend(bias, [self._rewards[v] - gain[v] for v in self._transient])
+
+    @cached_property
+    def gain(self) -> dict[str, Fraction]:
+        return dict(zip(self._ids, self.node_gain))
+
+    @cached_property
     def bias(self) -> dict[str, Fraction]:
-        bias = {sid: v for closed in self._classes for sid, v in closed.bias.items()}
-        gain, induced = self.gain, self._induced
-        rhs = [_per_visit_reward(induced, induced.state(sid)) - gain[sid] for sid in self._transient]
-        return self._extend(bias, rhs)
+        return dict(zip(self._ids, self.node_bias))
 
 
 def expected_mean_payoff(game, direction: str = "max", bias_out: dict | None = None):
@@ -346,41 +381,38 @@ def _policy_iteration(game, direction: str, stop=None):
     raises AssertionError.  The loop returns at the first policy with no
     improving switch, or earlier at the first evaluated policy whose
     closed-class means satisfy ``stop``.  A round reads the gain only when
-    it does not stop, and the bias only when no gain switch exists.
+    it does not stop, and the bias only when no gain switch exists.  The
+    rounds read the game's ``index``.
     """
-    controlled = game.controlled_ids()
-    policy = {sid: 0 for sid in controlled}
+    index = game.index
+    ids, succ, weight = index.ids, index.succ, index.weight
+    controlled = [v for v, owner in enumerate(index.owner) if owner != "rand"]
+    policy = {ids[v]: 0 for v in controlled}
     seen = set()
     while True:
-        key = tuple(sorted(policy.items()))
+        key = tuple(policy.values())
         if key in seen:
             raise AssertionError("mean-payoff policy iteration revisited a policy")
         seen.add(key)
         evaluation = _PolicyEvaluation(game, policy)
         if stop is not None and stop(evaluation.means):
             return evaluation, policy
-        gain = evaluation.gain
+        gain = evaluation.node_gain
         switched = False
-        for sid in controlled:
-            state = game.state(sid)
-            qs_gain = [gain[t.target] for t in state.transitions]
+        for v in controlled:
+            qs_gain = [gain[t] for t in succ[v]]
             best_gain = _extreme(direction, qs_gain)
-            if _better(direction, best_gain, gain[sid]):
-                policy[sid] = qs_gain.index(best_gain)
+            if _better(direction, best_gain, gain[v]):
+                policy[ids[v]] = qs_gain.index(best_gain)
                 switched = True
         if switched:
             continue
-        bias = evaluation.bias
-        for sid in controlled:
-            state = game.state(sid)
-            qs_bias = {
-                k: step_reward(game, state, t) + bias[t.target]
-                for k, t in enumerate(state.transitions)
-                if gain[t.target] == gain[sid]
-            }
+        bias = evaluation.node_bias
+        for v in controlled:
+            qs_bias = {k: w + bias[t] for k, (t, w) in enumerate(zip(succ[v], weight[v])) if gain[t] == gain[v]}
             best = _extreme(direction, qs_bias.values())
-            if _better(direction, best, gain[sid] + bias[sid]):
-                policy[sid] = next(k for k, q in qs_bias.items() if q == best)
+            if _better(direction, best, gain[v] + bias[v]):
+                policy[ids[v]] = next(k for k, q in qs_bias.items() if q == best)
                 switched = True
         if not switched:
             return evaluation, policy
@@ -534,7 +566,8 @@ def energy_min_credit(game, keeper: str = "max") -> dict[str, int | float]:
     (Brim, Chaloupka, Doyen, Gentilini, Raskin 2011) run as a worklist: a
     state is lifted again only after the credit of a successor rose, and
     lifting is monotone, so this reaches the least fixpoint.  The lifts
-    read int successor, weight and predecessor lists built once per call.
+    read the successor, weight and predecessor lists of the game's
+    ``index``.
     Weights in {-1,0,+1} cap finite credits at |V|, larger demands are
     infinite.
     Only the termination-value-0 question (``termination.decide_term_zero``)
@@ -542,15 +575,9 @@ def energy_min_credit(game, keeper: str = "max") -> dict[str, int | float]:
     """
     if keeper not in ("max", "min"):
         raise ValueError("keeper must be max or min")
-    ids = game.ids()
-    index = {sid: i for i, sid in enumerate(ids)}
-    succ = [[index[t.target] for t in s.transitions] for s in game.states]
-    weight = [[step_reward(game, s, t) for t in s.transitions] for s in game.states]
-    preds: list[list[int]] = [[] for _ in ids]
-    for i, targets in enumerate(succ):
-        for t in targets:
-            preds[t].append(i)
-    keeps = [s.owner == keeper for s in game.states]
+    index = game.index
+    ids, succ, weight, preds = index.ids, index.succ, index.weight, index.preds
+    keeps = [owner == keeper for owner in index.owner]
     cutoff = len(ids)
     credit: list[int | float] = [0] * cutoff
     queue = list(range(cutoff))
@@ -602,7 +629,7 @@ def _sub_gain(sub, rule):
     least = min if direction == "max" else max
     if wins(evaluation.means):
         return least(evaluation.means), policy, None
-    values = set(evaluation.gain.values())
+    values = set(evaluation.node_gain)
     if len(values) != 1:
         raise AssertionError("gain not constant on an end component")
     return least(values), policy, evaluation.bias

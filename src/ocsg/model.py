@@ -105,6 +105,58 @@ class Graph:
         return self
 
 
+_ONE = Fraction(1)
+
+
+@dataclass(frozen=True, eq=False)
+class Index:
+    """A game on int nodes 0..n-1 in game order, the form the int fixpoints
+    read (``_GameOps.index``): ``ids[v]`` and ``pos`` convert between nodes
+    and state ids; per node its owner and, in edge order, the target nodes,
+    probabilities (None on a controlled edge) and ``step_reward`` weights
+    of its edges.
+    """
+
+    ids: tuple[str, ...]
+    pos: dict[str, int]
+    owner: tuple[str, ...]
+    succ: tuple[tuple[int, ...], ...]
+    prob: tuple[tuple[Fraction | None, ...], ...]
+    weight: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def preds(self) -> list[list[int]]:
+        """Per node, the source of every edge entering it, in node order."""
+        preds: list[list[int]] = [[] for _ in self.ids]
+        for v, targets in enumerate(self.succ):
+            for t in targets:
+                preds[t].append(v)
+        return preds
+
+    @cached_property
+    def chain_steps(self) -> tuple[tuple[tuple, ...], ...]:
+        """Per node and choice, the node's step in the chain where it makes
+        that choice (as ``fix_strategies`` leaves it): (targets,
+        probabilities, expected weight, content key).  A rand node
+        has one choice, its own edges; edge k of a controlled node is a step
+        to its target with probability 1.  The key, (id, ((target id,
+        numerator, denominator, weight), ...)), holds every number the step
+        has, in strs and ints.
+        """
+        ids = self.ids
+        steps = []
+        for v, (sid, targets, probs, weights) in enumerate(zip(ids, self.succ, self.prob, self.weight)):
+            if self.owner[v] == "rand":
+                expected = sum((p * w for p, w in zip(probs, weights)), Fraction(0))
+                key = (sid, tuple((ids[t], p.numerator, p.denominator, w) for t, p, w in zip(targets, probs, weights)))
+                steps.append(((targets, probs, expected, key),))
+            else:
+                steps.append(
+                    tuple(((t,), (_ONE,), w, (sid, ((ids[t], 1, 1, w),))) for t, w in zip(targets, weights))
+                )
+        return tuple(steps)
+
+
 class _GameOps:
     """Shared helpers; subclasses carry a ``states`` tuple."""
 
@@ -113,6 +165,20 @@ class _GameOps:
     @cached_property
     def by_id(self) -> dict[str, State]:
         return {s.id: s for s in self.states}
+
+    @cached_property
+    def index(self) -> Index:
+        """This game as an ``Index``, built once."""
+        ids = tuple(s.id for s in self.states)
+        pos = {sid: v for v, sid in enumerate(ids)}
+        return Index(
+            ids,
+            pos,
+            tuple(s.owner for s in self.states),
+            tuple(tuple(pos[t.target] for t in s.transitions) for s in self.states),
+            tuple(tuple(t.prob for t in s.transitions) for s in self.states),
+            tuple(tuple(step_reward(self, s, t) for t in s.transitions) for s in self.states),
+        )
 
     @cached_property
     def graph(self) -> "Graph":

@@ -41,25 +41,26 @@ def _level_product(base: Ssg | OcSsg, liminf_value_one) -> tuple[Graph, frozense
     initial counter j the offset is the level plus j, so levels run from -j
     to |V|-j and the start is at offset j.  Offsets 0 and |V| are boundary
     copies with a self-loop; elsewhere edge k of the base state moves the
-    offset by its ``step_reward``.  The targets are offset 0 and every copy
-    of a state in ``liminf_value_one``, the value-1 set of liminf=-inf on
-    ``base``.  Nothing here depends on j.
+    offset by its ``step_reward``, read from the base game's ``index``.
+    The targets are offset 0 and every copy of a state in
+    ``liminf_value_one``, the value-1 set of liminf=-inf on ``base``.
+    Nothing here depends on j.
     """
-    n = len(base.states)
+    index = base.index
+    n = len(index.ids)
     width = n + 1
-    index = {sid: i for i, sid in enumerate(base.ids())}
     owner: list[str] = []
     succ: list[tuple[int, ...]] = []
     targets: list[int] = []
-    for i, s in enumerate(base.states):
+    for i, (sid, who, nxt, weights) in enumerate(zip(index.ids, index.owner, index.succ, index.weight)):
         first = i * width
         # Edge k from offset o leads to node steps[k] + o.
-        steps = [index[t.target] * width + step_reward(base, s, t) for t in s.transitions]
-        owner += [s.owner] * width
+        steps = [t * width + w for t, w in zip(nxt, weights)]
+        owner += [who] * width
         succ.append((first,))
         succ += [tuple(step + o for step in steps) for o in range(1, n)]
         succ.append((first + n,))
-        if s.id in liminf_value_one:
+        if sid in liminf_value_one:
             targets += range(first, first + width)
         else:
             targets.append(first)

@@ -15,10 +15,15 @@ eager policy evaluation, every closed-class mean and bias and the whole
 transient gain and bias solved up front, the reference the lazy
 ``ocsg.mdp._PolicyEvaluation`` is checked against; ``eager_sub_gain`` is
 the MEC gain policy iteration on it, stopped on every state's gain.
+``fraction_factor`` and ``fraction_certificate`` are the Markowitz
+elimination and determinant certificate of ``ocsg.linsolve`` done in
+``Fraction`` arithmetic, the reference its integer elimination is checked
+against.
 """
 
 from __future__ import annotations
 
+import heapq
 import importlib.util
 import itertools
 import operator
@@ -26,6 +31,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from pathlib import Path
 
 from ocsg import chain as chain_mod
@@ -205,6 +211,11 @@ def oc_to_reward_ssg(game: OcSsg) -> Ssg:
     return Ssg(states, reward_location=ON_TRANSITIONS)
 
 
+def per_visit_reward(game, state):
+    """Expected weight of the step that leaves rand ``state``."""
+    return sum((t.prob * step_reward(game, state, t) for t in state.transitions), Fraction(0))
+
+
 def class_gain_bias(induced, members):
     """Mean payoff of the closed class ``members`` of ``induced`` and its
     canonical bias (stationary average 0), keyed by state id.
@@ -217,7 +228,7 @@ def class_gain_bias(induced, members):
     stationary average.
     """
     stationary, system = chain_mod.stationary_law(induced, members)
-    rewards = [mdp._per_visit_reward(induced, induced.state(sid)) for sid in stationary]
+    rewards = [per_visit_reward(induced, induced.state(sid)) for sid in stationary]
     solution = system.solve_transposed(rewards)
     mean, h = solution[0], [Fraction(0)] + solution[1:]
     shift = sum((w * v for w, v in zip(stationary.values(), h)), Fraction(0))
@@ -258,7 +269,7 @@ def evaluate_gain_bias(game, policy):
         rhs_h = [Fraction(0)] * n
         for i, sid in enumerate(order):
             state = induced.state(sid)
-            rhs_h[i] = mdp._per_visit_reward(induced, state) - gain[sid]
+            rhs_h[i] = per_visit_reward(induced, state) - gain[sid]
             for t in state.transitions:
                 if t.target not in pos:
                     rhs_h[i] += t.prob * bias[t.target]
@@ -563,3 +574,95 @@ def reference_parse_model(text: str) -> Ssg | OcSsg:
         )
         raise ModelSemanticError(_describe(game, i, k, message), line)
     return game
+
+
+@dataclass(frozen=True)
+class FractionFactorization:
+    """One ``Fraction`` elimination of an n x n matrix.  Each step is (pivot
+    column c, pivot row index p, pivot row, [(row index, multiplier)]); the
+    pivot row is final, with c and later pivot columns only."""
+
+    n: int
+    steps: list
+
+    def solve(self, rhs):
+        b = [Fraction(r) for r in rhs]
+        for _, p, _, multipliers in self.steps:
+            if b[p]:
+                for i, f in multipliers:
+                    b[i] -= f * b[p]
+        x = [Fraction(0)] * self.n
+        for c, p, row, _ in reversed(self.steps):
+            x[c] = (b[p] - sum((a * x[j] for j, a in row.items() if j != c), Fraction(0))) / row[c]
+        return x
+
+    def solve_transposed(self, rhs):
+        d = [Fraction(r) for r in rhs]
+        z = [Fraction(0)] * self.n
+        for c, p, row, _ in self.steps:
+            z[p] = d[c] / row[c]
+            for j, a in row.items():
+                if j != c:
+                    d[j] -= a * z[p]
+        for _, p, _, multipliers in reversed(self.steps):
+            z[p] -= sum((f * z[i] for i, f in multipliers), Fraction(0))
+        return z
+
+
+def fraction_factor(rows) -> FractionFactorization:
+    """Markowitz elimination as in ``ocsg.linsolve.factor`` (sparsest
+    column, then sparsest row in it, lowest index on ties), eliminating
+    with ``Fraction`` multipliers."""
+    n = len(rows)
+    live = [{j: Fraction(a) for j, a in row.items() if a} for row in rows]
+    col_rows = [set() for _ in range(n)]
+    for i, row in enumerate(live):
+        for j in row:
+            col_rows[j].add(i)
+    heap = [(len(col_rows[j]), j) for j in range(n)]
+    heapq.heapify(heap)
+    done = [False] * n
+    steps = []
+    while heap:
+        count, c = heapq.heappop(heap)
+        if done[c] or count != len(col_rows[c]):
+            continue
+        if not count:
+            raise linsolve.SingularMatrixError(f"no pivot in column {c}")
+        done[c] = True
+        p = min(col_rows[c], key=lambda i: (len(live[i]), i))
+        pivot_row = live[p]
+        for j in pivot_row:
+            col_rows[j].discard(p)
+        rest = [(j, a) for j, a in pivot_row.items() if j != c]
+        multipliers = []
+        for i in col_rows[c]:
+            row = live[i]
+            f = row.pop(c) / pivot_row[c]
+            multipliers.append((i, f))
+            for j, a in rest:
+                v = row.get(j, 0) - f * a
+                if v:
+                    if j not in row:
+                        col_rows[j].add(i)
+                    row[j] = v
+                elif j in row:
+                    del row[j]
+                    col_rows[j].discard(i)
+        for j, _ in rest:
+            heapq.heappush(heap, (len(col_rows[j]), j))
+        steps.append((c, p, pivot_row, multipliers))
+    return FractionFactorization(n, steps)
+
+
+def fraction_certificate(rows, rhs) -> int:
+    """|product of the ``fraction_factor`` pivots| times the product over
+    the rows of the lcm of the row's and its right-hand side's
+    denominators: ``solve_linear_system``'s certificate."""
+    scale = prod(
+        lcm(Fraction(r).denominator, *(Fraction(a).denominator for a in row.values())) for row, r in zip(rows, rhs)
+    )
+    pivots = prod((row[c] for c, _, row, _ in fraction_factor(rows).steps), start=Fraction(1))
+    certificate = abs(pivots * scale)
+    assert certificate.denominator == 1
+    return certificate.numerator

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from ocsg.linsolve import SingularMatrixError, factor, solve_linear_system
 
+from grids import fraction_certificate, fraction_factor
+
 
 def _rows(matrix):
     return [{j: a for j, a in enumerate(row) if a} for row in matrix]
@@ -212,3 +214,55 @@ def test_factorization_solves_the_system_and_its_transpose(system):
 def test_singular_matrix_raises_at_factor():
     with pytest.raises(SingularMatrixError):
         factor([{0: 1, 1: 1}, {0: 2, 1: 2}])
+
+
+@st.composite
+def mixed_systems(draw):
+    """Sparse n x n systems, n <= 12, with entries of either sign over
+    denominators such as 97, sometimes with an all-ones normalisation row
+    (as a stationary system has), and about half of them made singular: a
+    row replaced by a combination of two others, or a column emptied."""
+    n = draw(st.integers(1, 12))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def entry():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 200), rng.choice((1, 2, 3, 6, 97, 194, 97 * 89)))
+
+    cols = rng.sample(range(n), n)  # a nonzero transversal, so most unmodified systems are regular
+    rows = [{cols[i]: entry(), **{j: entry() for j in rng.sample(range(n), rng.randint(0, min(n, 3)))}} for i in range(n)]
+    if draw(st.booleans()):
+        rows[rng.randrange(n)] = dict.fromkeys(range(n), 1)
+    kind = draw(st.sampled_from(("any", "combination", "column")))
+    if kind == "combination" and n >= 3:
+        i, k, target = rng.sample(range(n), 3)
+        a, b = entry(), entry()
+        combined = {j: a * v for j, v in rows[i].items()}
+        for j, v in rows[k].items():
+            combined[j] = combined.get(j, 0) + b * v
+        rows[target] = {j: v for j, v in combined.items() if v}
+    elif kind == "column":
+        c = rng.randrange(n)
+        rows = [{j: v for j, v in row.items() if j != c} for row in rows]
+    rhs = [[entry() if rng.random() < 0.7 else Fraction(0) for _ in range(n)] for _ in range(3)]
+    return rows, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_systems())
+def test_integer_elimination_matches_fraction_reference(system):
+    rows, rhs_list = system
+    try:
+        reference = fraction_factor(rows)
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            factor(rows)
+        return
+    factorization = factor(rows)
+    # The same pivots in the same order, and pivot rows with the same nonzeros.
+    assert [(c, p, row.keys()) for c, p, row, _ in factorization.steps] == [
+        (c, p, row.keys()) for c, p, row, _ in reference.steps
+    ]
+    for rhs in rhs_list:
+        assert factorization.solve(rhs) == reference.solve(rhs)
+        assert factorization.solve_transposed(rhs) == reference.solve_transposed(rhs)
+        assert solve_linear_system(rows, rhs) == (reference.solve(rhs), fraction_certificate(rows, rhs))

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from ocsg import chain as chain_mod
-from ocsg import linsolve, mdp, oracle, ssg, termination
+from ocsg import linsolve, mdp, model, oracle, ssg, termination
 from ocsg.model import (
     LIMINF_GT_MINUS_INF,
     LIMINF_MINUS_INF,
@@ -19,6 +19,7 @@ from ocsg.model import (
     Transition,
     fix_strategies,
     parse_model,
+    relabel_controlled,
 )
 from ocsg.reduce import condon_to_limit
 
@@ -278,6 +279,33 @@ def test_dense_n32_linear_solve_counts(monkeypatch):
     assert counts == {"factor": 29, "solve": 41, "solve_transposed": 9}
 
 
+def test_dense_n32_policy_iteration_builds_no_game(monkeypatch):
+    # Each round reads the policy's chain off the game's int index: no
+    # induced chain, no collapsed strategy and no game-level stationary law.
+    game = relabel_controlled(parse_model((DATA / "dense-n32-f7.ssg").read_text()), "max")
+    calls = []
+
+    def spy(name, call):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return call(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(mdp, "_induced_chain", spy("_induced_chain", mdp._induced_chain))
+    monkeypatch.setattr(mdp, "fix_strategies", spy("fix_strategies", mdp.fix_strategies))
+    monkeypatch.setattr(model, "fix_strategies", spy("fix_strategies", model.fix_strategies))
+    monkeypatch.setattr(chain_mod, "stationary_law", spy("stationary_law", chain_mod.stationary_law))
+    monkeypatch.setattr(mdp, "_PolicyEvaluation", spy("round", mdp._PolicyEvaluation))
+    subs = [game] + [mdp._restrict_to_mec(game, mec)[0] for mec in mdp.mec_decompose(game)]
+    for sub in subs:
+        for direction in ("max", "min"):
+            evaluation, _ = mdp._policy_iteration(sub, direction)
+            assert len(evaluation.gain) == len(evaluation.bias) == len(sub.states)
+    assert len(subs) > 1 and calls.count("round") > 2 * len(subs)
+    assert set(calls) == {"round"}
+
+
 def test_dense_n7_f36_matches_oracle():
     # bench/families.py dense(7, 36, None).  Min can loop on s0 with reward -1
     # forever, which never reaches the value-1 set {s3, s5, s6} yet wins the
@@ -527,17 +555,19 @@ def _flavoured(game, states):
 
 def test_one_solve_evaluates_each_end_component_once(monkeypatch):
     analyzed, solved = [], []
-    stationary_law, sub_gain = chain_mod.stationary_law, mdp._sub_gain
+    closed_class, sub_gain = mdp._ClosedClass, mdp._sub_gain
 
-    def spy_analyze(chain, members):
-        analyzed.append(_flavoured(chain, (s for s in chain.states if s.id in members)))
-        return stationary_law(chain, members)
+    def spy_analyze(ids, members, succ, prob, rewards):
+        # A closed class's content: per member its id, targets,
+        # probabilities and per-visit reward, all its evaluation reads.
+        analyzed.append(tuple((ids[v], tuple(ids[t] for t in succ[v]), prob[v], rewards[v]) for v in members))
+        return closed_class(ids, members, succ, prob, rewards)
 
     def spy_sub_gain(sub, rule):
         solved.append((rule[:2], _flavoured(sub, sub.states)))
         return sub_gain(sub, rule)
 
-    monkeypatch.setattr(chain_mod, "stationary_law", spy_analyze)
+    monkeypatch.setattr(mdp, "_ClosedClass", spy_analyze)
     monkeypatch.setattr(mdp, "_sub_gain", spy_sub_gain)
     totals = [0, 0]
     for game, objective in _dense_sweep():
