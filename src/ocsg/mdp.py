@@ -26,23 +26,38 @@ does not stop, the bias when no gain switch exists.  No potential test
 runs on this path, and energy lifting (``energy_min_credit``) serves only
 the termination-value-0 question.
 
-Policy iteration rounds run on the game's int ``model.Index``: a round
-reads its policy's chain as int successor lists, splits it with the one
-Tarjan kernel (``chain.bottom_sccs``) and builds the stationary and
-transient systems from those lists, with no game built.
+Everything here runs on an int ``model.Index``; the public
+``mec_decompose``, ``solve_reachability`` and ``quantitative_limit`` read
+their game's index, and a two-player best response hands
+``limit_on_index`` the residual index that ``Index.fixed`` derives.  No
+game is built per best response, MEC or round:
+
+* MECs (``_mecs``) prune each candidate once with per-node counters over
+  the predecessor lists and split it with one ``chain.tarjan``; an
+  allowed-edge restriction lets the tight parts decompose on the same
+  index.  They read only rand vs controlled, so the value-1 region hands
+  every controlled node to Max without relabelling: its almost-sure reach
+  runs on ``Index.max_graph``.
+* A MEC's policy iteration runs on its sub-index (``Index.restricted``).
+  Each round reads its policy's chain as int successor lists from the
+  chain steps, splits it with ``chain.bottom_sccs`` and builds the
+  stationary and transient systems from those lists.
+* A reachability round (``_chain_reach``) reads its chain from the chain
+  steps too: one backward reach and one linear solve.
 
 Inside one ``ssg.solve_limit_ssg`` call, ``COMPONENT_MEMO`` holds a dict
 that memoizes end-component results by content: each closed class of an
 induced chain (its mean, and the factorization of its stationary system,
 from which its canonical bias is computed on the first read and kept),
 keyed on its members' steps in game order, each (id, ((target id,
-numerator, denominator, weight), ...)) in strs and ints, so a lookup hashes
-no ``State``, ``Transition`` or ``Fraction``; and the gain policy
-iteration on a MEC sub-MDP, keyed on the direction and the winning signs
-of the objective's rule (which fix where it stops), the game flavour (type
-and ``reward_location``) and the sub-MDP's states.  A class key holds
-every probability and weight its analysis reads, so equal keys mean equal
-results.  Outside a solve the variable is None and nothing is cached.
+numerator, denominator, weight), ...)) in strs and ints; and the gain
+policy iteration on a MEC, keyed on the direction and the winning signs of
+the objective's rule (which fix where it stops) and, per member, whether
+it is controlled and the content keys of its allowed steps.  A key holds
+only strs, ints and bools, so a lookup hashes no ``State``, ``Transition``
+or ``Fraction``, and it holds every probability and weight its analysis
+reads, so equal keys mean equal results.  Outside a solve the variable is
+None and nothing is cached.
 """
 
 from __future__ import annotations
@@ -69,13 +84,13 @@ from .model import (
     _quoted,
     fix_strategies,
     relabel_controlled,
-    step_reward,
 )
 
 INFINITE_CREDIT = math.inf
 
 COMPONENT_MEMO: ContextVar[dict | None] = ContextVar("COMPONENT_MEMO", default=None)
 _MISSING = object()
+_ONE = Fraction(1)
 
 
 def _memoized(key, compute):
@@ -90,18 +105,14 @@ def _memoized(key, compute):
     return value
 
 
-def _flavour(game) -> tuple:
-    return type(game), getattr(game, "reward_location", None)
-
-
 def _require_one_player(game) -> None:
     owners = {s.owner for s in game.states if s.owner != "rand" and len(s.transitions) > 1}
     if len(owners) > 1:
         raise ValueError("one-player model expected, both players still have choices")
 
 
-def _player_label(game, direction: str) -> str:
-    owners = {s.owner for s in game.states if s.owner != "rand"}
+def _player_label(owners, direction: str) -> str:
+    owners = {owner for owner in owners if owner != "rand"}
     return owners.pop() if len(owners) == 1 else direction
 
 
@@ -113,8 +124,20 @@ def _induced_chain(game, policy: dict[str, int]) -> Ssg:
     return fix_strategies(game, *(PureMemorylessStrategy(player, choice) for player, choice in split.items()))
 
 
-def _strategy(game, policy: dict[str, int], direction: str) -> PureMemorylessStrategy:
-    return PureMemorylessStrategy(_player_label(game, direction), dict(policy))
+def _strategy(index, policy: dict[str, int], direction: str) -> PureMemorylessStrategy:
+    return PureMemorylessStrategy(_player_label(index.owner, direction), dict(policy))
+
+
+def _one_player_result(index, values: list, policy: dict[int, int], direction: str) -> SolveResult:
+    """Values by node and a policy by node as a ``SolveResult`` keyed by
+    state id, the witness filed under its player."""
+    ids = index.ids
+    witness = _strategy(index, {ids[v]: k for v, k in policy.items()}, direction)
+    return SolveResult.from_values(
+        dict(zip(ids, values)),
+        witness_max=witness if witness.player == "max" else None,
+        witness_min=witness if witness.player == "min" else None,
+    )
 
 
 def _better(direction: str, a, b) -> bool:
@@ -130,54 +153,96 @@ def _extreme(direction: str, values):
 
 
 def solve_reachability(game: Ssg, targets, direction: str = "max") -> SolveResult:
-    """Optimal hitting probabilities by policy iteration with exact evaluation.
-
-    Each candidate policy is evaluated through ``chain.reach_probabilities``
-    (the least fixed point), a switch is accepted only on strict improvement,
-    and the loop stops at a policy with no improving switch.
-    """
+    """Optimal hitting probabilities by policy iteration with exact evaluation
+    (``_reach`` on the game's index)."""
     _require_one_player(game)
     targets = frozenset(targets)
     missing = targets - set(game.ids())
     if missing:
         raise ValueError(f"unknown target states {sorted(missing)}")
-    controlled = game.controlled_ids()
+    index = game.index
+    values, policy = _reach(index, frozenset(index.pos[sid] for sid in targets), direction)
+    return _one_player_result(index, values, policy, direction)
 
-    avoid_region: set[str] = set()
+
+def _reach(index, targets: frozenset[int], direction: str):
+    """Optimal hitting probabilities of the nodes ``targets`` on a
+    one-player index, by node, and an optimal policy (node -> edge) of its
+    controlled nodes in node order.
+
+    Each candidate policy is evaluated exactly (``_chain_reach``), a switch
+    is accepted only on strict improvement, and the loop stops at a policy
+    with no improving switch.  It starts from every first edge; minimising,
+    a node that can avoid the targets starts on an edge that keeps
+    avoiding them.
+    """
+    succ = index.succ
+    controlled = [v for v, owner in enumerate(index.owner) if owner != "rand"]
+    choice = [0] * len(succ)
     if direction == "min":
-        avoid_region = set(game.ids()) - chain_mod.attractor(game, targets, ("rand",))[0]
-
-    policy: dict[str, int] = {}
-    for sid in controlled:
-        trans = game.state(sid).transitions
-        if sid in avoid_region:
-            policy[sid] = next(k for k, t in enumerate(trans) if t.target in avoid_region)
-        else:
-            policy[sid] = 0
+        reaching = chain_mod.attractor(index.max_graph, targets, ("rand",))[0]
+        for v in controlled:
+            if v not in reaching:
+                choice[v] = next(k for k, t in enumerate(succ[v]) if t not in reaching)
 
     limit = 1
-    for sid in controlled:
-        limit *= len(game.state(sid).transitions)
+    for v in controlled:
+        limit *= len(succ[v])
     for _ in range(limit + 1):
-        values = chain_mod.reach_probabilities(_induced_chain(game, policy), targets)
+        values = _chain_reach(index, choice, targets)
         switched = False
-        for sid in controlled:
-            if sid in targets:
+        for v in controlled:
+            if v in targets:
                 continue
-            trans = game.state(sid).transitions
-            qs = [values[t.target] if t.target not in targets else Fraction(1) for t in trans]
+            qs = [values[t] for t in succ[v]]
             best = _extreme(direction, qs)
-            if _better(direction, best, values[sid]):
-                policy[sid] = qs.index(best)
+            if _better(direction, best, values[v]):
+                choice[v] = qs.index(best)
                 switched = True
         if not switched:
-            witness = _strategy(game, policy, direction)
-            return SolveResult.from_values(
-                values,
-                witness_max=witness if witness.player == "max" else None,
-                witness_min=witness if witness.player == "min" else None,
-            )
+            return values, {v: choice[v] for v in controlled}
     raise AssertionError("policy iteration failed to terminate")
+
+
+def _chain_reach(index, choice: list[int], targets: frozenset[int]) -> list[Fraction]:
+    """Exact hitting probabilities of ``targets`` in the chain where each
+    node takes its chain step ``choice[v]`` (``Index.chain_steps``), as
+    ``chain.reach_probabilities`` gives them on that chain: 1 on the
+    targets, 0 where the targets are out of reach, and one linear solve,
+    rows in node order, on the rest."""
+    owner, steps = index.owner, index.chain_steps
+    n = len(steps)
+    reached = [False] * n
+    for t in targets:
+        reached[t] = True
+    stack = list(targets)
+    while stack:
+        t = stack.pop()
+        for v, k in index.preds[t]:
+            if not reached[v] and (owner[v] == "rand" or choice[v] == k):
+                reached[v] = True
+                stack.append(v)
+
+    values = [Fraction(0)] * n
+    for t in targets:
+        values[t] = Fraction(1)
+    interior = [v for v in range(n) if reached[v] and v not in targets]
+    if interior:
+        pos = {v: i for i, v in enumerate(interior)}
+        rows = [{i: _ONE} for i in range(len(interior))]
+        rhs = [Fraction(0)] * len(interior)
+        for i, v in enumerate(interior):
+            row = rows[i]
+            targets_v, probs = steps[v][choice[v]][:2]
+            for t, p in zip(targets_v, probs):
+                if t in targets:
+                    rhs[i] += p
+                elif t in pos:
+                    j = pos[t]
+                    row[j] = row[j] - p if j in row else -p
+        for v, x in zip(interior, linsolve.factor(rows).solve(rhs)):
+            values[v] = x
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +335,8 @@ class _PolicyEvaluation:
     """The gain and canonical bias of a fixed policy (multichain
     evaluation), computed only as far as they are read, each at most once.
 
-    The induced chain is read from the game's ``index`` as int successor
-    lists (``Index.chain_steps``); no game is built.  Its closed classes
+    The induced chain is read from an ``Index`` as int successor lists
+    (``Index.chain_steps``); no game is built.  Its closed classes
     are its ``chain.bottom_sccs``.  ``means`` (the closed classes' mean
     payoffs) come first, from the classes' stationary laws.  ``gain`` adds
     the transient states: one factorization of I - P_TT, kept.  ``bias`` adds each class's bias and solves the transient bias
@@ -281,8 +346,7 @@ class _PolicyEvaluation:
     content keys of its members' steps.
     """
 
-    def __init__(self, game, policy):
-        index = game.index
+    def __init__(self, index, policy):
         n = len(index.ids)
         choice = [0] * n
         for sid, k in policy.items():
@@ -363,13 +427,13 @@ def expected_mean_payoff(game, direction: str = "max", bias_out: dict | None = N
     returned policy, which the last round has already evaluated.
     """
     _require_one_player(game)
-    evaluation, policy = _policy_iteration(game, direction)
+    evaluation, policy = _policy_iteration(game.index, direction)
     if bias_out is not None:
         bias_out.update(evaluation.bias)
-    return evaluation.gain, _strategy(game, policy, direction)
+    return evaluation.gain, _strategy(game.index, policy, direction)
 
 
-def _policy_iteration(game, direction: str, stop=None):
+def _policy_iteration(index, direction: str, stop=None):
     """The last ``_PolicyEvaluation`` and the policy of Howard's multichain
     policy iteration (Puterman 1994, section 9.2) from the all-first-edges
     policy.
@@ -382,9 +446,8 @@ def _policy_iteration(game, direction: str, stop=None):
     improving switch, or earlier at the first evaluated policy whose
     closed-class means satisfy ``stop``.  A round reads the gain only when
     it does not stop, and the bias only when no gain switch exists.  The
-    rounds read the game's ``index``.
+    rounds read ``index``.
     """
-    index = game.index
     ids, succ, weight = index.ids, index.succ, index.weight
     controlled = [v for v, owner in enumerate(index.owner) if owner != "rand"]
     policy = {ids[v]: 0 for v in controlled}
@@ -394,7 +457,7 @@ def _policy_iteration(game, direction: str, stop=None):
         if key in seen:
             raise AssertionError("mean-payoff policy iteration revisited a policy")
         seen.add(key)
-        evaluation = _PolicyEvaluation(game, policy)
+        evaluation = _PolicyEvaluation(index, policy)
         if stop is not None and stop(evaluation.means):
             return evaluation, policy
         gain = evaluation.node_gain
@@ -424,48 +487,91 @@ def _policy_iteration(game, direction: str, stop=None):
 
 @dataclass(frozen=True)
 class Mec:
-    members: frozenset[str]
-    allowed: dict[str, tuple[int, ...]]
+    """A maximal end component: its members and, per member, the edges
+    that stay in it.  State ids from ``mec_decompose``, nodes inside the
+    solve."""
+
+    members: frozenset
+    allowed: dict
 
 
 def mec_decompose(game, within=None) -> list[Mec]:
-    """Maximal end components by iterated SCC splitting and pruning, of the
-    whole game or of the sub-MDP that the start set ``within`` induces."""
+    """Maximal end components of the game, or of the sub-MDP that the start
+    set ``within`` induces (``_mecs`` on the game's index)."""
     _require_one_player(game)
-    mecs: list[Mec] = []
-    queue: list[frozenset[str]] = [frozenset(game.ids() if within is None else within)]
+    index = game.index
+    ids = index.ids
+    nodes = None if within is None else [v for v, sid in enumerate(ids) if sid in within]
+    return [
+        Mec(frozenset(ids[v] for v in mec.members), {ids[v]: edges for v, edges in mec.allowed.items()})
+        for mec in _mecs(index, nodes)
+    ]
+
+
+def _mecs(index, within=None, allowed=None) -> list[Mec]:
+    """The maximal end components on the nodes ``within`` (default: all)
+    of a one-player index, counting only the edges ``allowed[v]`` of each
+    node (default: all), sorted by their least member id.
+
+    Each candidate is pruned once with per-node counters over the
+    predecessor lists: a rand node goes once one of its edges leaves, a
+    controlled node once none of them stays.  A survivor set that is one
+    SCC (``chain.tarjan``) is an end component; otherwise each of its SCCs
+    is a candidate.  Only rand vs controlled is read.  A MEC's allowed
+    edges are, in edge order, every edge of a rand member and the edges of
+    a controlled member that stay in it.
+    """
+    succ, preds, ids = index.succ, index.preds, index.ids
+    rand = [owner == "rand" for owner in index.owner]
+    n = len(succ)
+    if allowed is None:
+        allowed = [range(len(targets)) for targets in succ]
+    mecs = []
+    queue = [range(n) if within is None else within]
     while queue:
         candidate = queue.pop()
-        candidate -= chain_mod.attractor(game, set(game.ids()) - candidate, ("rand",))[0]
-        if not candidate:
+        inside = [False] * n
+        for v in candidate:
+            inside[v] = True
+        staying = {}
+        gone = []
+        for v in candidate:
+            count = sum(inside[succ[v][k]] for k in allowed[v])
+            if count < len(allowed[v]) if rand[v] else not count:
+                gone.append(v)
+            else:
+                staying[v] = count
+        for v in gone:
+            inside[v] = False
+        while gone:
+            u = gone.pop()
+            for v, k in preds[u]:
+                if not inside[v] or k not in allowed[v]:
+                    continue
+                if not rand[v]:
+                    staying[v] -= 1
+                    if staying[v]:
+                        continue
+                inside[v] = False
+                gone.append(v)
+        survivors = sorted(v for v in candidate if inside[v])
+        if not survivors:
             continue
-        comps = chain_mod.strongly_connected_components(game, within=candidate)
-        if len(comps) == 1 and set(comps[0]) == candidate:
-            allowed = {}
-            for sid in candidate:
-                s = game.state(sid)
-                if s.owner == "rand":
-                    allowed[sid] = tuple(range(len(s.transitions)))
-                else:
-                    allowed[sid] = tuple(k for k, t in enumerate(s.transitions) if t.target in candidate)
-            mecs.append(Mec(frozenset(candidate), allowed))
-        else:
-            queue.extend(frozenset(c) for c in comps)
-    mecs.sort(key=lambda m: min(m.members))
+        inner = [()] * n
+        for v in survivors:
+            inner[v] = [t for k in allowed[v] if inside[t := succ[v][k]]]
+        components = chain_mod.tarjan(inner, survivors)
+        if len(components) > 1:
+            queue.extend(components)
+            continue
+        mecs.append(
+            Mec(
+                frozenset(survivors),
+                {v: tuple(k for k in allowed[v] if rand[v] or inside[succ[v][k]]) for v in survivors},
+            )
+        )
+    mecs.sort(key=lambda mec: min(ids[v] for v in mec.members))
     return mecs
-
-
-def _restrict_to_mec(game, mec: Mec):
-    """Sub-MDP on the MEC; controlled transition indices are remapped."""
-    states = []
-    index_map: dict[str, tuple[int, ...]] = {}
-    for s in game.states:
-        if s.id not in mec.members:
-            continue
-        keep = mec.allowed[s.id]
-        index_map[s.id] = tuple(keep)
-        states.append(State(s.id, s.owner, reward=s.reward, transitions=tuple(s.transitions[k] for k in keep)))
-    return game.with_states(tuple(states)), index_map
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +627,7 @@ def procedure_mp(game, start: str):
 
     for sid in game.controlled_ids():
         stitched.setdefault(sid, 0)
-    return PureMemorylessStrategy(_player_label(game, "max"), stitched)
+    return PureMemorylessStrategy(_player_label(game.index.owner, "max"), stitched)
 
 
 def _remove_states(game, cut, z_id):
@@ -590,7 +696,7 @@ def energy_min_credit(game, keeper: str = "max") -> dict[str, int | float]:
         candidate = INFINITE_CREDIT if need > cutoff else need
         if candidate > credit[i]:
             credit[i] = candidate
-            for pred in preds[i]:
+            for pred, _ in preds[i]:
                 if not queued[pred]:
                     queued[pred] = True
                     queue.append(pred)
@@ -606,8 +712,9 @@ def _sign(x) -> int:
 
 
 def _sub_gain(sub, rule):
-    """Gain policy iteration on the end-component sub-MDP in the rule's
-    direction: a gain, the policy's choice in sub-MDP indices and its bias.
+    """Gain policy iteration on the end-component sub-index ``sub`` in the
+    rule's direction: a gain, the policy's choice in sub-index edges and
+    its bias.
 
     It stops at the first policy whose closed classes all have a mean of
     winning sign, and returns the least favourable of those means and no
@@ -635,41 +742,59 @@ def _sub_gain(sub, rule):
     return least(values), policy, evaluation.bias
 
 
-def _mec_gain(game, mec: Mec, rule):
-    """``_sub_gain`` on the MEC, memoized on the rule's direction and
-    winning signs, with the choice in original indices."""
-    sub, index_map = _restrict_to_mec(game, mec)
-    key = ("mec", rule[:2], _flavour(sub), sub.states)
-    gain, choice, bias = _memoized(key, lambda: _sub_gain(sub, rule))
-    return gain, {sid: index_map[sid][k] for sid, k in choice.items()}, bias
+def _mec_gain(index, mec: Mec, rule):
+    """``_sub_gain`` on the MEC's sub-index (``Index.restricted``), with the
+    choice in the index's nodes and edges.
+
+    Memoized on the rule's direction and winning signs and, per member in
+    node order, whether it is controlled and the content keys of the
+    chain steps its allowed edges give (``Index.chain_steps``): strs, ints
+    and bools that hold everything the sub-index's policy iteration reads.
+    """
+    steps, owner = index.chain_steps, index.owner
+    members = sorted(mec.members)
+    key = (
+        "mec",
+        rule[:2],
+        tuple(
+            (True, tuple(steps[v][k][3] for k in mec.allowed[v]))
+            if owner[v] != "rand"
+            else (False, (steps[v][0][3],))
+            for v in members
+        ),
+    )
+    gain, choice, bias = _memoized(key, lambda: _sub_gain(index.restricted(members, mec.allowed), rule))
+    pos = index.pos
+    return gain, {pos[sid]: mec.allowed[pos[sid]][k] for sid, k in choice.items()}, bias
 
 
-def _tight_part(game, mec: Mec, bias):
-    """The MEC's tight sub-MDP under the bias h of a gain-0 optimiser, its
-    index map to original edges, and its noisy rand states.
+def _tight_part(index, mec: Mec, bias):
+    """The allowed edges of the MEC's tight sub-MDP under the bias h (keyed
+    by state id) of a gain-0 optimiser, and its noisy rand nodes.
 
     The slack r(s,k) + h(target) - h(s) is >= 0 (min) or <= 0 (max) on every
     controlled edge and averages 0 at rand states.  The tight sub-MDP keeps
     every rand edge and the controlled edges of slack 0; a rand state with
     an edge of nonzero slack is noisy.
     """
+    ids, succ, weight = index.ids, index.succ, index.weight
     allowed, noisy = {}, set()
-    for sid, edges in mec.allowed.items():
-        s = game.state(sid)
-        zero = tuple(
-            k for k in edges if step_reward(game, s, s.transitions[k]) + bias[s.transitions[k].target] == bias[sid]
-        )
-        allowed[sid] = zero if s.owner != "rand" else edges
-        if s.owner == "rand" and len(zero) < len(edges):
-            noisy.add(sid)
-    tight, tight_map = _restrict_to_mec(game, Mec(mec.members, allowed))
-    return tight, tight_map, noisy
+    for v, edges in mec.allowed.items():
+        zero = tuple(k for k in edges if weight[v][k] + bias[ids[succ[v][k]]] == bias[ids[v]])
+        if index.owner[v] != "rand":
+            allowed[v] = zero
+        else:
+            allowed[v] = edges
+            if len(zero) < len(edges):
+                noisy.add(v)
+    return allowed, noisy
 
 
-def _noisy_components(tight, noisy):
-    """The end components C of the min-gain tight sub-MDP that hold a noisy
-    state, each with the choice of the positive attractor toward x = min(C
-    & noisy) inside C: liminf = -inf almost surely on C.
+def _noisy_components(index, members, allowed, noisy):
+    """The end components C of the min-gain tight sub-MDP (``members`` with
+    the edges ``allowed``) that hold a noisy state, each with the choice of
+    the positive attractor toward x = min(C & noisy) by state id inside C:
+    liminf = -inf almost surely on C.
 
     The attractor pulls in all of C, and C is closed under the choice, so x
     is reached almost surely and lies in a BSCC B.  B has mean 0: its
@@ -683,19 +808,21 @@ def _noisy_components(tight, noisy):
     offers; with a potential on the MEC no tight component holds a noisy
     state.
     """
-    members, choice = set(), {}
-    for component in mec_decompose(tight):
-        x = min(component.members & noisy, default=None)
+    core, choice = set(), {}
+    for component in _mecs(index, members, allowed):
+        x = min(component.members & noisy, key=index.ids.__getitem__, default=None)
         if x is not None:
-            members |= component.members
-            choice.update(chain_mod.attractor(tight, {x}, ("max", "rand"), component.members, component.allowed)[1])
-    return members, choice
+            core |= component.members
+            pulled = chain_mod.attractor(index.max_graph, {x}, ("max", "rand"), component.members, component.allowed)
+            choice.update(pulled[1])
+    return core, choice
 
 
-def _quiet_components(tight, noisy):
-    """The end components of the max-gain tight sub-MDP without noisy
-    states, where each controlled state takes its first edge inside its
-    component: liminf > -inf almost surely there.
+def _quiet_components(index, members, allowed, noisy):
+    """The end components of the max-gain tight sub-MDP (``members`` with
+    the edges ``allowed``) without noisy states, where each controlled
+    state takes its first edge inside its component: liminf > -inf almost
+    surely there.
 
     Every slack inside is 0, so the prefix sum from s to t is h(s) - h(t),
     which is bounded.  It is all the gain-0 MEC offers: let B be a policy
@@ -707,11 +834,11 @@ def _quiet_components(tight, noisy):
     g(t) - g(s) with g = phi + h; g is harmonic on the irreducible chain B,
     hence constant, and no rand state of B is noisy.
     """
-    members, choice = set(), {}
-    for component in mec_decompose(tight, within=set(tight.ids()) - noisy):
-        members |= component.members
-        choice.update({sid: edges[0] for sid, edges in component.allowed.items() if tight.state(sid).owner != "rand"})
-    return members, choice
+    core, choice = set(), {}
+    for component in _mecs(index, members - noisy, allowed):
+        core |= component.members
+        choice.update({v: edges[0] for v, edges in component.allowed.items() if index.owner[v] != "rand"})
+    return core, choice
 
 
 # Per limit objective: the direction of the MEC gain solve, the gain signs
@@ -728,62 +855,64 @@ _MEC_RULES = {
 }
 
 
-def _mec_part(game, mec: Mec, rule):
-    """The MEC states where Max wins by staying in the MEC, with a choice
-    in original indices that does so: the whole MEC with the choice of a
-    policy whose gain wins at every state, the rule's tight part at gain 0,
-    and nothing otherwise."""
+def _mec_part(index, mec: Mec, rule):
+    """The MEC nodes where Max wins by staying in the MEC, with a choice
+    (node -> edge) that does so: the whole MEC with the choice of a policy
+    whose gain wins at every state, the rule's tight part at gain 0, and
+    nothing otherwise."""
     _, winning_signs, zero_part = rule
-    gain, choice, bias = _mec_gain(game, mec, rule)
+    gain, choice, bias = _mec_gain(index, mec, rule)
     if _sign(gain) in winning_signs:
         return frozenset(mec.members), choice
     if gain != 0 or zero_part is None:
         return frozenset(), {}
-    tight, tight_map, noisy = _tight_part(game, mec, bias)
-    members, keep = zero_part(tight, noisy)
-    return frozenset(members), {sid: tight_map[sid][k] for sid, k in keep.items()}
+    allowed, noisy = _tight_part(index, mec, bias)
+    members, choice = zero_part(index, mec.members, allowed, noisy)
+    return frozenset(members), choice
 
 
-def _value_one_region(game, objective: Objective):
-    """Maximising value-1 set W plus a witness choice map defined on W.
+def _value_one_region(index, objective: Objective):
+    """Maximising value-1 set W of a one-player index, by node, plus a
+    witness choice map (node -> edge) defined on W.
 
-    Each MEC of the game with every controlled state handed to Max yields,
-    by ``_mec_part`` and the objective's row of ``_MEC_RULES``, the states
+    Every controlled node is handed to Max.  Each MEC yields, by
+    ``_mec_part`` and the objective's row of ``_MEC_RULES``, the nodes
     where Max wins by staying in it and a choice that stays; W is
-    almost-sure reach of them, and contains them.
+    almost-sure reach of them on ``Index.max_graph``, and contains them.
     """
     rule = _MEC_RULES.get(objective.kind)
     if rule is None:
         raise ValueError(f"unsupported limit tag {objective.kind}")
-    relabeled = relabel_controlled(game, "max")
-    cores: dict[str, int] = {}
-    targets: set[str] = set()
-    for mec in mec_decompose(relabeled):
-        members, choice = _mec_part(relabeled, mec, rule)
+    cores: dict[int, int] = {}
+    targets: set[int] = set()
+    for mec in _mecs(index):
+        members, choice = _mec_part(index, mec, rule)
         targets |= members
         cores.update(choice)
-    asr = almost_sure_reach(relabeled, targets)
+    asr = almost_sure_reach(index.max_graph, targets)
     return asr.winning, {**asr.max_choice, **cores}
 
 
 def quantitative_limit(game, objective: Objective, direction: str = "max") -> SolveResult:
-    """Exact optimal values: reachability of the value-1 region (max form),
-    complemented for the minimising direction."""
+    """Exact optimal values of a one-player game (``limit_on_index`` on its
+    index)."""
     _require_one_player(game)
+    return limit_on_index(game.index, objective, direction)
+
+
+def limit_on_index(index, objective: Objective, direction: str = "max") -> SolveResult:
+    """Exact optimal values on a one-player index, such as the residual
+    ``Index.fixed`` leaves: reachability of the value-1 region (max form),
+    complemented for the minimising direction.  The witness is filed under
+    the owner of the controlled nodes, or under Max when there are none."""
     if objective.kind not in LIMIT_KINDS:
         raise ValueError(f"not a limit objective: {objective.kind}")
     if direction == "min":
-        comp = quantitative_limit(game, objective.complement(), "max")
+        comp = limit_on_index(index, objective.complement(), "max")
         values = {sid: 1 - v for sid, v in comp.values.items()}
         return SolveResult.from_values(values, comp.witness_max, comp.witness_min)
 
-    winning, region_choice = _value_one_region(game, objective)
-    reach = solve_reachability(game, winning, "max")
-    policy = dict((reach.witness_max or reach.witness_min).choice)
+    winning, region_choice = _value_one_region(index, objective)
+    values, policy = _reach(index, winning, "max")
     policy.update(region_choice)
-    witness = _strategy(game, policy, "max")
-    return SolveResult.from_values(
-        reach.values,
-        witness_max=witness if witness.player == "max" else None,
-        witness_min=witness if witness.player == "min" else None,
-    )
+    return _one_player_result(index, values, policy, "max")

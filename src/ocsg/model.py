@@ -115,6 +115,13 @@ class Index:
     and state ids; per node its owner and, in edge order, the target nodes,
     probabilities (None on a controlled edge) and ``step_reward`` weights
     of its edges.
+
+    A two-player solve derives what each best response reads from the
+    game's one index, with no game built: ``fixed`` collapses one player's
+    nodes to their choices, ``restricted`` keeps a node set and some of its
+    edges, and ``max_graph`` is the ``Graph`` with every controlled node
+    owned by Max.  A derived index reuses its parent's chain steps, seeded
+    into its ``chain_steps`` cache.
     """
 
     ids: tuple[str, ...]
@@ -125,13 +132,21 @@ class Index:
     weight: tuple[tuple[int, ...], ...]
 
     @cached_property
-    def preds(self) -> list[list[int]]:
-        """Per node, the source of every edge entering it, in node order."""
-        preds: list[list[int]] = [[] for _ in self.ids]
+    def preds(self) -> list[list[tuple[int, int]]]:
+        """Per node, the (source, edge index) of every edge entering it,
+        sources in node order."""
+        preds: list[list[tuple[int, int]]] = [[] for _ in self.ids]
         for v, targets in enumerate(self.succ):
-            for t in targets:
-                preds[t].append(v)
+            for k, t in enumerate(targets):
+                preds[t].append((v, k))
         return preds
+
+    @cached_property
+    def max_graph(self) -> "Graph":
+        """This index as a ``Graph`` on ``range(n)``, every controlled node
+        owned by Max."""
+        owner = ["rand" if who == "rand" else "max" for who in self.owner]
+        return Graph(range(len(self.ids)), owner, self.succ, self.preds)
 
     @cached_property
     def chain_steps(self) -> tuple[tuple[tuple, ...], ...]:
@@ -155,6 +170,51 @@ class Index:
                     tuple(((t,), (_ONE,), w, (sid, ((ids[t], 1, 1, w),))) for t, w in zip(targets, weights))
                 )
         return tuple(steps)
+
+    def fixed(self, choice: dict[str, int]) -> "Index":
+        """This index with each state of ``choice`` fixed to its edge
+        ``choice[id]``: a rand node with that one edge at probability 1,
+        whose one chain step is this index's step for the choice, as
+        ``fix_strategies`` leaves it."""
+        owner, succ, prob, weight = list(self.owner), list(self.succ), list(self.prob), list(self.weight)
+        steps = list(self.chain_steps)
+        for sid, k in choice.items():
+            v = self.pos[sid]
+            owner[v] = "rand"
+            succ[v] = (succ[v][k],)
+            prob[v] = (_ONE,)
+            weight[v] = (weight[v][k],)
+            steps[v] = (steps[v][k],)
+        derived = Index(self.ids, self.pos, tuple(owner), tuple(succ), tuple(prob), tuple(weight))
+        vars(derived)["chain_steps"] = tuple(steps)
+        return derived
+
+    def restricted(self, members, allowed) -> "Index":
+        """The index on ``members`` (nodes in node order, renumbered from 0)
+        in which node v keeps the edges ``allowed[v]``, in edge order; a
+        rand node must keep all of them, and every kept edge must enter a
+        member.  Chain steps are this index's, with targets renumbered."""
+        local = {v: i for i, v in enumerate(members)}
+        ids = tuple(self.ids[v] for v in members)
+        succ, prob, weight, steps = [], [], [], []
+        for v in members:
+            edges = allowed[v]
+            succ.append(tuple(local[self.succ[v][k]] for k in edges))
+            prob.append(tuple(self.prob[v][k] for k in edges))
+            weight.append(tuple(self.weight[v][k] for k in edges))
+            options = self.chain_steps[v]
+            chosen = options if self.owner[v] == "rand" else [options[k] for k in edges]
+            steps.append(tuple((tuple(local[t] for t in step[0]),) + step[1:] for step in chosen))
+        derived = Index(
+            ids,
+            {sid: i for i, sid in enumerate(ids)},
+            tuple(self.owner[v] for v in members),
+            tuple(succ),
+            tuple(prob),
+            tuple(weight),
+        )
+        vars(derived)["chain_steps"] = tuple(steps)
+        return derived
 
 
 class _GameOps:

@@ -1,8 +1,8 @@
 """Two-player solving of the limit objectives.
 
 Values are pinned down through pure memoryless strategies for both players:
-fixing one side yields a one-player residual that the ``mdp`` module solves
-exactly, and by pure memoryless determinacy a pair of mutually best
+fixing one side yields a one-player residual index that the ``mdp`` module
+solves exactly, and by pure memoryless determinacy a pair of mutually best
 responses is optimal and certifies the game value.  ``solve_limit_ssg``
 finds such a pair by alternating single-switch improvement of Min and Max,
 each started from a best response to the other (symmetric strategy
@@ -30,7 +30,6 @@ from .model import (
     SolveResult,
     Ssg,
     check_valid,
-    fix_strategies,
 )
 
 
@@ -50,13 +49,13 @@ def _limit_only(objective: Objective) -> None:
 
 
 def best_response(game: Ssg, fixed: PureMemorylessStrategy, objective: Objective) -> SolveResult:
-    """Exact best response of the other player against ``fixed``."""
+    """Exact best response of the other player against ``fixed``, solved on
+    the residual index that ``fixed`` leaves of the game's index
+    (``model.Index.fixed``); no game is built."""
     _limit_only(objective)
-    if fixed.player == "min":
-        residual = fix_strategies(game, min_strategy=fixed)
-        return mdp.quantitative_limit(residual, objective, "max")
-    residual = fix_strategies(game, max_strategy=fixed)
-    return mdp.quantitative_limit(residual, objective, "min")
+    fixed.validate_for(game)
+    residual = game.index.fixed(fixed.choice)
+    return mdp.limit_on_index(residual, objective, "max" if fixed.player == "min" else "min")
 
 
 def _vector(game, values) -> tuple:
@@ -80,16 +79,20 @@ def solve_limit_ssg(game: Ssg, objective: Objective) -> SsgSolve:
     descent without the check would stop at the same τ; Max's ascent, which
     starts from σ, then meets its goal at its first best response.  Within
     one call each strategy is evaluated once: best responses are memoized
-    by player and choice for the length of the call.  The call also sets
-    ``mdp.COMPONENT_MEMO`` to a fresh dict and resets it on return or
-    raise, so best responses to strategies that share an end component
-    evaluate it once: the mean payoff of each closed class of an induced
-    chain, with its bias computed on the first read (keyed on game flavour
-    and the class's states), and the gain policy iteration of each MEC
-    sub-MDP (keyed on the direction and winning signs of the objective's
-    ``mdp._MEC_RULES`` row, flavour and the sub-MDP's states; it stops at
-    the first policy whose closed-class means all win, reading no transient
-    gain or bias there, and runs to optimality only when none does).
+    by player and choice for the length of the call.  Every best response
+    solves the residual index that ``model.Index.fixed`` derives from the
+    game's index, compiled once, so no game is built per best response,
+    per MEC or per round.  The call also sets ``mdp.COMPONENT_MEMO`` to a
+    fresh dict and resets it on return or raise, so best responses to
+    strategies that share an end component evaluate it once: the mean
+    payoff of each closed class of an induced chain, with its bias
+    computed on the first read (keyed on its members' chain steps), and
+    the gain policy iteration of each MEC (keyed on the direction and
+    winning signs of the objective's ``mdp._MEC_RULES`` row and, per
+    member, its controlled flag and its allowed steps' content keys, all
+    strs, ints and bools; it stops at the first policy whose closed-class
+    means all win, reading no transient gain or bias there, and runs to
+    optimality only when none does).
 
     When Min has a single strategy τ (``_switches`` yields nothing), the
     call runs one best response, Max's exact best response to τ, and

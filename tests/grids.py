@@ -19,6 +19,13 @@ the MEC gain policy iteration on it, stopped on every state's gain.
 elimination and determinant certificate of ``ocsg.linsolve`` done in
 ``Fraction`` arithmetic, the reference its integer elimination is checked
 against.
+``reference_mec_decompose`` (an attractor over the whole game per
+candidate) and ``reference_solve_reachability`` (a chain built by
+``fix_strategies`` and solved by ``chain.reach_probabilities`` per round)
+are the game-level MEC decomposition and reachability policy iteration,
+the references the int forms ``ocsg.mdp._mecs`` and ``ocsg.mdp._reach``
+are checked against; ``restrict_to_mec`` is a MEC's sub-MDP as a game,
+and ``named_mec`` an int MEC keyed by state id.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ from ocsg.model import (
     ModelSemanticError,
     ModelSyntaxError,
     OcSsg,
+    PureMemorylessStrategy,
     Ssg,
     State,
     Transition,
@@ -321,6 +329,85 @@ def eager_sub_gain(sub, rule, log=None):
                 switched = True
         if not switched:
             return least(gain.values()), policy, bias
+
+
+def restrict_to_mec(game, mec):
+    """The sub-MDP on the MEC (state ids) as a game, and per member the
+    original index of each of its edges."""
+    states = []
+    index_map: dict[str, tuple[int, ...]] = {}
+    for s in game.states:
+        if s.id not in mec.members:
+            continue
+        keep = mec.allowed[s.id]
+        index_map[s.id] = tuple(keep)
+        states.append(State(s.id, s.owner, reward=s.reward, transitions=tuple(s.transitions[k] for k in keep)))
+    return game.with_states(tuple(states)), index_map
+
+
+def named_mec(index, mec):
+    """A MEC of ``mdp._mecs`` (nodes of ``index``) keyed by state id."""
+    ids = index.ids
+    return mdp.Mec(frozenset(ids[v] for v in mec.members), {ids[v]: edges for v, edges in mec.allowed.items()})
+
+
+def reference_mec_decompose(game, within=None):
+    """Maximal end components by iterated SCC splitting: each candidate
+    loses its attractor toward the states outside it (a rand state with an
+    edge out, a controlled state with every edge out), then splits into
+    its SCCs until one SCC is all that is left."""
+    mecs = []
+    queue = [frozenset(game.ids() if within is None else within)]
+    while queue:
+        candidate = queue.pop()
+        candidate -= chain_mod.attractor(game, set(game.ids()) - candidate, ("rand",))[0]
+        if not candidate:
+            continue
+        comps = chain_mod.strongly_connected_components(game, within=candidate)
+        if len(comps) == 1 and set(comps[0]) == candidate:
+            allowed = {}
+            for sid in candidate:
+                s = game.state(sid)
+                if s.owner == "rand":
+                    allowed[sid] = tuple(range(len(s.transitions)))
+                else:
+                    allowed[sid] = tuple(k for k, t in enumerate(s.transitions) if t.target in candidate)
+            mecs.append(mdp.Mec(frozenset(candidate), allowed))
+        else:
+            queue.extend(frozenset(c) for c in comps)
+    mecs.sort(key=lambda m: min(m.members))
+    return mecs
+
+
+def reference_solve_reachability(game, targets, direction="max"):
+    """Reachability policy iteration that builds each round's chain with
+    ``fix_strategies`` and evaluates it with ``chain.reach_probabilities``:
+    the values and the witness (labelled by the controlled states' owner,
+    else by ``direction``)."""
+    targets = frozenset(targets)
+    controlled = game.controlled_ids()
+    avoid = set()
+    if direction == "min":
+        avoid = set(game.ids()) - chain_mod.attractor(game, targets, ("rand",))[0]
+    policy = {
+        sid: next(k for k, t in enumerate(game.state(sid).transitions) if t.target in avoid) if sid in avoid else 0
+        for sid in controlled
+    }
+    owners = {game.state(sid).owner for sid in controlled}
+    player = owners.pop() if len(owners) == 1 else direction
+    pick, better = (max, operator.gt) if direction == "max" else (min, operator.lt)
+    while True:
+        values = chain_mod.reach_probabilities(mdp._induced_chain(game, policy), targets)
+        switched = False
+        for sid in controlled:
+            if sid in targets:
+                continue
+            qs = [values[t.target] for t in game.state(sid).transitions]
+            if better(pick(qs), values[sid]):
+                policy[sid] = qs.index(pick(qs))
+                switched = True
+        if not switched:
+            return values, PureMemorylessStrategy(player, dict(policy))
 
 
 def level_id(state_id: str, level: int) -> str:

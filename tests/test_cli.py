@@ -390,8 +390,9 @@ def test_argparse_errors_cut_long_values(tmp_path, capsys, argv, names):
 def test_solve_reports_match_golden_file():
     # Full reports (values, value1, method, witness lines) of the dense
     # fixtures and of the one-player mdp-n20-f1 under every limit objective,
-    # pinned byte for byte: a change that only speeds the solver up leaves
-    # them as they are.
+    # and of dense-n96-f3 under mean-leq (349 best responses), pinned byte
+    # for byte: a change that only speeds the solver up leaves them as they
+    # are.
     data = Path(__file__).parent / "data"
     golden = {}
     for line in (data / "golden-solve-reports.txt").read_text().splitlines(keepends=True):
@@ -400,7 +401,7 @@ def test_solve_reports_match_golden_file():
             golden[case] = ""
         else:
             golden[case] += line
-    assert len(golden) == 4 * len(LIMIT_KINDS)
+    assert len(golden) == 4 * len(LIMIT_KINDS) + 1
     for (name, kind), expected in golden.items():
         out = io.StringIO()
         assert run(["solve", str(data / name), "--objective", kind], out) == 0

@@ -27,9 +27,11 @@ from grids import (
     eager_sub_gain,
     evaluate_gain_bias,
     exhaustive_games,
+    named_mec,
     oc_to_reward_ssg,
     per_visit_reward,
     random_games,
+    restrict_to_mec,
 )
 
 
@@ -198,7 +200,7 @@ def test_mean_payoff_zero_under_both_choices():
         "trans a -> b p=1/1 reward=1\ntrans b -> a p=1/1 reward=-1\n"
     )
     for choice in (0, 1):
-        gain = mdp._PolicyEvaluation(game, {"m": choice}).gain
+        gain = mdp._PolicyEvaluation(game.index, {"m": choice}).gain
         assert gain["m"] == 0
     gain, _ = mdp.expected_mean_payoff(game, "max")
     assert gain["m"] == 0
@@ -213,7 +215,7 @@ def test_mean_payoff_agrees_with_enumeration():
             gain, strategy = mdp.expected_mean_payoff(game, direction)
             ref_gain, _ = oracle.enumerate_mean_payoff(game, direction)
             assert gain == ref_gain
-            eval_gain = mdp._PolicyEvaluation(game, strategy.choice).gain
+            eval_gain = mdp._PolicyEvaluation(game.index, strategy.choice).gain
             assert eval_gain == gain
 
 
@@ -269,7 +271,7 @@ def test_class_gain_bias_matches_two_elimination_reference():
     for game, policy in _policy_cases():
         induced = mdp._induced_chain(game, policy)
         bsccs = chain_mod.bscc_decompose(induced)[0]
-        evaluation = mdp._PolicyEvaluation(game, policy)
+        evaluation = mdp._PolicyEvaluation(game.index, policy)
         assert [frozenset(closed.stationary) for closed in evaluation._classes] == bsccs
         for members, closed in zip(bsccs, evaluation._classes):
             assert (closed.mean, closed.bias) == reference_class_gain_bias(induced, members)
@@ -290,7 +292,7 @@ def test_evaluation_factors_each_matrix_once(monkeypatch):
     for game, policy in _policy_cases():
         bsccs, transient = chain_mod.bscc_decompose(mdp._induced_chain(game, policy))
         sizes.clear()
-        evaluation = mdp._PolicyEvaluation(game, policy)
+        evaluation = mdp._PolicyEvaluation(game.index, policy)
         # One factorization per closed class, one for the transient block
         # when the gain is read, and none more for the bias.
         assert sizes == [len(members) for members in bsccs]
@@ -304,7 +306,7 @@ def test_evaluation_factors_each_matrix_once(monkeypatch):
 def test_lazy_evaluation_matches_eager_reference():
     for game, policy in _policy_cases():
         induced = mdp._induced_chain(game, policy)
-        evaluation = mdp._PolicyEvaluation(game, policy)
+        evaluation = mdp._PolicyEvaluation(game.index, policy)
         bsccs = chain_mod.bscc_decompose(induced)[0]
         assert evaluation.means == [class_gain_bias(induced, members)[0] for members in bsccs]
         assert (evaluation.gain, evaluation.bias) == evaluate_gain_bias(game, policy)
@@ -358,19 +360,22 @@ def _sign(x):
 
 
 def _reference_mec_part(game, mec, rule):
-    """``_mec_part``'s members with the MEC's gain solved to optimality,
-    and the optimal gain map when its sign wins the whole MEC (else None)."""
+    """``_mec_part``'s members (state ids) with the MEC (nodes of the game's
+    index) solved to optimality on its sub-MDP game, and the optimal gain
+    map when its sign wins the whole MEC (else None)."""
     direction, winning_signs, zero_part = rule
-    sub, _ = mdp._restrict_to_mec(game, mec)
+    index = game.index
+    named = named_mec(index, mec)
+    sub, _ = restrict_to_mec(game, named)
     bias = {}
     gains, _ = mdp.expected_mean_payoff(sub, direction, bias)
-    gain = gains[min(mec.members)]
+    gain = gains[min(named.members)]
     if _sign(gain) in winning_signs:
-        return frozenset(mec.members), gains
+        return frozenset(named.members), gains
     if gain != 0 or zero_part is None:
         return frozenset(), None
-    tight, _, noisy = mdp._tight_part(game, mec, bias)
-    return frozenset(zero_part(tight, noisy)[0]), None
+    allowed, noisy = mdp._tight_part(index, mec, bias)
+    return frozenset(index.ids[v] for v in zero_part(index, mec.members, allowed, noisy)[0]), None
 
 
 def _mec_cases():
@@ -389,18 +394,19 @@ def test_early_stopped_mecs_win_at_every_state():
     early = 0
     for game in _mec_cases():
         game = as_mdp(game)
-        for mec in mdp.mec_decompose(game):
-            sub, index_map = mdp._restrict_to_mec(game, mec)
+        ids = game.index.ids
+        for mec in mdp._mecs(game.index):
+            sub, index_map = restrict_to_mec(game, named_mec(game.index, mec))
             for kind, rule in mdp._MEC_RULES.items():
-                members, choice = mdp._mec_part(game, mec, rule)
+                members, choice = mdp._mec_part(game.index, mec, rule)
                 reference, optimal = _reference_mec_part(game, mec, rule)
-                assert members == reference, (game, mec, kind)
+                assert {ids[v] for v in members} == reference, (game, mec, kind)
                 if optimal is None:
                     continue
                 # The choice stays in the MEC and wins at every state of it.
-                policy = {sid: index_map[sid].index(k) for sid, k in choice.items()}
+                policy = {ids[v]: index_map[ids[v]].index(k) for v, k in choice.items()}
                 assert policy.keys() == set(sub.controlled_ids())
-                gains = mdp._PolicyEvaluation(sub, policy).gain
+                gains = mdp._PolicyEvaluation(sub.index, policy).gain
                 assert all(_sign(g) in rule[1] for g in gains.values()), (game, mec, kind)
                 early += gains != optimal
     assert early > 100
@@ -409,20 +415,23 @@ def test_early_stopped_mecs_win_at_every_state():
 def test_sub_gain_matches_eager_stop_on_all_gains(monkeypatch):
     lazy, rounds, stopped = mdp._PolicyEvaluation, [], 0
 
-    def spy(game, policy):
-        rounds.append((dict(policy), lazy(game, policy)))
+    def spy(index, policy):
+        rounds.append((dict(policy), lazy(index, policy)))
         return rounds[-1][1]
 
     monkeypatch.setattr(mdp, "_PolicyEvaluation", spy)
     for game in _mec_cases():
         game = as_mdp(game)
-        for mec in mdp.mec_decompose(game):
-            sub, _ = mdp._restrict_to_mec(game, mec)
+        for mec in mdp._mecs(game.index):
+            # The lazy loop runs on the MEC's sub-index, the eager one on its
+            # sub-MDP game.
+            sub, _ = restrict_to_mec(game, named_mec(game.index, mec))
+            sub_index = game.index.restricted(sorted(mec.members), mec.allowed)
             for kind, rule in mdp._MEC_RULES.items():
                 eager_rounds = []
                 eager = eager_sub_gain(sub, rule, eager_rounds)
                 rounds.clear()
-                result = mdp._sub_gain(sub, rule)
+                result = mdp._sub_gain(sub_index, rule)
                 assert result == eager, (sub, kind)
                 # Both visit the same policies in the same order.  Each lazy
                 # round's class means equal the eager gains, and it computes
@@ -657,12 +666,16 @@ def _zero_drift_mdp(rng, n, reward_location):
 
 
 def _zero_drift_mecs(game):
-    return [
-        mec
-        for mec in mdp.mec_decompose(game)
-        if mdp._mec_gain(game, mec, mdp._MEC_RULES["liminf-minus-inf"])[0] == 0
-        and chain_mod.potential(mdp._restrict_to_mec(game, mec)[0], mec.members) is None
-    ]
+    """The MECs (nodes of the game's index) of minimal gain 0 without a
+    potential."""
+    rule = mdp._MEC_RULES["liminf-minus-inf"]
+    mecs = []
+    for mec in mdp._mecs(game.index):
+        named = named_mec(game.index, mec)
+        sub, _ = restrict_to_mec(game, named)
+        if mdp._mec_gain(game.index, mec, rule)[0] == 0 and chain_mod.potential(sub, named.members) is None:
+            mecs.append(mec)
+    return mecs
 
 
 def test_zero_drift_cores_match_oracle():
@@ -677,7 +690,7 @@ def test_zero_drift_cores_match_oracle():
         if not mecs:
             continue
         checked += 1
-        cores += any(mdp._mec_part(game, mec, mdp._MEC_RULES["liminf-minus-inf"])[0] for mec in mecs)
+        cores += any(mdp._mec_part(game.index, mec, mdp._MEC_RULES["liminf-minus-inf"])[0] for mec in mecs)
         result = mdp.quantitative_limit(game, LIMINF_MINUS_INF, "max")
         assert result.values == oracle.enumerate_solve(game, LIMINF_MINUS_INF).values
         induced = _fix(game, result.witness_max)

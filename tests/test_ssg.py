@@ -279,11 +279,20 @@ def test_dense_n32_linear_solve_counts(monkeypatch):
     assert counts == {"factor": 29, "solve": 41, "solve_transposed": 9}
 
 
+def _walk(key):
+    """The types of every leaf of a nested tuple."""
+    if type(key) is tuple:
+        return set().union(*map(_walk, key)) if key else set()
+    return {type(key)}
+
+
 def test_dense_n32_policy_iteration_builds_no_game(monkeypatch):
-    # Each round reads the policy's chain off the game's int index: no
-    # induced chain, no collapsed strategy and no game-level stationary law.
-    game = relabel_controlled(parse_model((DATA / "dense-n32-f7.ssg").read_text()), "max")
-    calls = []
+    # A solve compiles the game once: best responses, MECs and rounds read
+    # indexes derived from its index, so no game is built, and every memo
+    # key holds only tuples of strs, ints and bools.
+    game = parse_model((DATA / "dense-n32-f7.ssg").read_text())
+    index = relabel_controlled(game, "max").index
+    calls, keys = [], []
 
     def spy(name, call):
         def counted(*args, **kwargs):
@@ -292,16 +301,30 @@ def test_dense_n32_policy_iteration_builds_no_game(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(mdp, "_induced_chain", spy("_induced_chain", mdp._induced_chain))
-    monkeypatch.setattr(mdp, "fix_strategies", spy("fix_strategies", mdp.fix_strategies))
+    memoized = mdp._memoized
+    monkeypatch.setattr(model.Ssg, "with_states", spy("with_states", model.Ssg.with_states))
     monkeypatch.setattr(model, "fix_strategies", spy("fix_strategies", model.fix_strategies))
+    monkeypatch.setattr(model, "relabel_controlled", spy("relabel_controlled", model.relabel_controlled))
+    monkeypatch.setattr(mdp, "fix_strategies", spy("fix_strategies", mdp.fix_strategies))
+    monkeypatch.setattr(mdp, "relabel_controlled", spy("relabel_controlled", mdp.relabel_controlled))
+    monkeypatch.setattr(mdp, "_induced_chain", spy("_induced_chain", mdp._induced_chain))
+    monkeypatch.setattr(mdp, "_memoized", lambda key, compute: keys.append(key) or memoized(key, compute))
+    for objective in LIMIT_OBJECTIVES:
+        ssg.solve_limit_ssg(game, objective)
+    assert calls == []
+    assert {key[0] for key in keys} == {"class", "mec"}
+    assert set().union(*map(_walk, keys)) == {str, int, bool}
+
+    # Each policy-iteration round reads the policy's chain off the index:
+    # no induced chain, no collapsed strategy and no game-level stationary
+    # law.
     monkeypatch.setattr(chain_mod, "stationary_law", spy("stationary_law", chain_mod.stationary_law))
     monkeypatch.setattr(mdp, "_PolicyEvaluation", spy("round", mdp._PolicyEvaluation))
-    subs = [game] + [mdp._restrict_to_mec(game, mec)[0] for mec in mdp.mec_decompose(game)]
+    subs = [index] + [index.restricted(sorted(mec.members), mec.allowed) for mec in mdp._mecs(index)]
     for sub in subs:
         for direction in ("max", "min"):
             evaluation, _ = mdp._policy_iteration(sub, direction)
-            assert len(evaluation.gain) == len(evaluation.bias) == len(sub.states)
+            assert len(evaluation.gain) == len(evaluation.bias) == len(sub.ids)
     assert len(subs) > 1 and calls.count("round") > 2 * len(subs)
     assert set(calls) == {"round"}
 
@@ -549,10 +572,6 @@ def test_memo_does_not_outlive_a_solve(monkeypatch):
     assert second == first
 
 
-def _flavoured(game, states):
-    return type(game), getattr(game, "reward_location", None), tuple(states)
-
-
 def test_one_solve_evaluates_each_end_component_once(monkeypatch):
     analyzed, solved = [], []
     closed_class, sub_gain = mdp._ClosedClass, mdp._sub_gain
@@ -564,7 +583,10 @@ def test_one_solve_evaluates_each_end_component_once(monkeypatch):
         return closed_class(ids, members, succ, prob, rewards)
 
     def spy_sub_gain(sub, rule):
-        solved.append((rule[:2], _flavoured(sub, sub.states)))
+        # A MEC sub-index's content: its members, which are controlled,
+        # and their edges' targets, probabilities and weights.
+        controlled = tuple(owner != "rand" for owner in sub.owner)
+        solved.append((rule[:2], sub.ids, controlled, sub.succ, sub.prob, sub.weight))
         return sub_gain(sub, rule)
 
     monkeypatch.setattr(mdp, "_ClosedClass", spy_analyze)

@@ -142,8 +142,10 @@ def test_decide_term_one_reaches_on_the_int_level_product(five_state_game, monke
 
     monkeypatch.setattr(mdp, "almost_sure_reach", spy)
     assert termination.decide_term_one(five_state_game, "v", 2).value_one is False
-    # The liminf solve calls it on games; the level step is the last call.
-    (graph,) = [g for g in seen if not isinstance(g, Ssg | OcSsg)]
+    # The liminf solve calls it on the int graphs of its residual indexes
+    # (five nodes); the level step is the last call.
+    (graph,) = [g for g in seen if len(g.nodes) != 5]
+    assert not any(isinstance(g, Ssg | OcSsg) for g in seen)
     assert seen[-1] is graph and isinstance(graph, Graph)
     assert graph.nodes == range(5 * 6)
     assert len(graph.owner) == len(graph.succ) == len(graph.preds) == 30

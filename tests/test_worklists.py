@@ -34,7 +34,7 @@ from ocsg.model import (
     relabel_controlled,
 )
 
-from grids import as_mdp, bench_families, exhaustive_games, random_game, random_games
+from grids import as_mdp, bench_families, exhaustive_games, named_mec, random_game, random_games, restrict_to_mec
 
 SIDES = (("max", "rand"), ("min", "rand"), ("rand",))
 
@@ -216,7 +216,7 @@ def test_potential_matches_mec_bfs(reward_location):
         game = as_mdp(game)
         for mec in mdp.mec_decompose(game):
             consistent = reference_mec_consistent(game, mec)
-            h = chain.potential(mdp._restrict_to_mec(game, mec)[0], mec.members)
+            h = chain.potential(restrict_to_mec(game, mec)[0], mec.members)
             assert (h is not None) == consistent, (game, mec)
             seen[consistent] += 1
             if h is not None:
@@ -231,7 +231,7 @@ def reference_lifting_region(game):
     liminf=+inf witness on the former, and a credit-preserving edge of least
     demand at every other state of finite credit."""
     relabeled = relabel_controlled(game, "max")
-    w_inf, inf_choice = mdp._value_one_region(game, LIMINF_PLUS_INF)
+    w_inf, inf_choice = _value_one_region(game, LIMINF_PLUS_INF)
     credit = sweep_energy(relabeled, "max")
     weights = arrival_weights(relabeled)
     cutoff = len(relabeled.states)
@@ -261,7 +261,7 @@ def reference_divergence_core(game, mec):
     first end component of the tight sub-MDP (min-gain bias, zero-slack
     controlled edges) that holds a noisy rand state x.
     """
-    sub, _ = mdp._restrict_to_mec(game, mec)
+    sub, _ = restrict_to_mec(game, mec)
     bias = {}
     gains, _ = mdp.expected_mean_payoff(sub, "min", bias)
     gain = gains[min(mec.members)]
@@ -276,17 +276,24 @@ def reference_divergence_core(game, mec):
         allowed[s.id] = zero if s.owner != "rand" else list(range(len(s.transitions)))
         if s.owner == "rand" and len(zero) < len(s.transitions):
             noisy.add(s.id)
-    tight, _ = mdp._restrict_to_mec(sub, mdp.Mec(frozenset(sub.ids()), allowed))
+    tight, _ = restrict_to_mec(sub, mdp.Mec(frozenset(sub.ids()), allowed))
     for component in mdp.mec_decompose(tight):
         x = min(component.members & noisy, default=None)
         if x is None:
             continue
-        inner, _ = mdp._restrict_to_mec(tight, component)
+        inner, _ = restrict_to_mec(tight, component)
         choice = mdp.almost_sure_reach(inner, {x}).max_choice
         induced = fix_strategies(inner, PureMemorylessStrategy("max", choice))
         bsccs, _ = chain.bscc_decompose(induced)
         return next(b for b in bsccs if x in b)
     return None
+
+
+def _value_one_region(game, objective):
+    """``mdp._value_one_region`` on the game's index, keyed by state id."""
+    ids = game.index.ids
+    region, choice = mdp._value_one_region(game.index, objective)
+    return {ids[v] for v in region}, {ids[v]: k for v, k in choice.items()}
 
 
 def _wins_almost_surely(game, region, choice, objective=LIMINF_GT_MINUS_INF):
@@ -313,7 +320,7 @@ def _one_player_cases():
 def test_bounded_region_matches_energy_lifting():
     nonempty = 0
     for game in _one_player_cases():
-        region, choice = mdp._value_one_region(game, LIMINF_GT_MINUS_INF)
+        region, choice = _value_one_region(game, LIMINF_GT_MINUS_INF)
         reference, reference_choice = reference_lifting_region(game)
         assert region == reference, game
         assert _wins_almost_surely(game, region, choice), game
@@ -326,15 +333,17 @@ def test_divergence_region_matches_reference_cores():
     rule = mdp._MEC_RULES["liminf-minus-inf"]
     noisy_fired = 0
     for game in _one_player_cases():
+        # The int MECs read the game's index as it is: no relabel.
         relabeled = relabel_controlled(game, "max")
+        index = game.index
         cores = set()
-        for mec in mdp.mec_decompose(relabeled):
-            core = reference_divergence_core(relabeled, mec)
-            members, _ = mdp._mec_part(relabeled, mec, rule)
+        for mec in mdp._mecs(index):
+            core = reference_divergence_core(relabeled, named_mec(index, mec))
+            members, _ = mdp._mec_part(index, mec, rule)
             assert bool(members) == (core is not None), (game, mec)
             cores |= core or set()
-            noisy_fired += bool(members) and mdp._mec_gain(relabeled, mec, rule)[0] == 0
-        region, choice = mdp._value_one_region(game, LIMINF_MINUS_INF)
+            noisy_fired += bool(members) and mdp._mec_gain(index, mec, rule)[0] == 0
+        region, choice = _value_one_region(game, LIMINF_MINUS_INF)
         assert region == mdp.almost_sure_reach(relabeled, cores).winning, game
         assert _wins_almost_surely(game, region, choice, LIMINF_MINUS_INF), game
     assert noisy_fired > 0
