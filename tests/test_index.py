@@ -36,10 +36,6 @@ def _dense(n, fseed):
     return parse_model(bench_families().dense(n, fseed, None))
 
 
-def _one_player(game, owner):
-    return relabel_controlled(game, owner)
-
-
 def _content(index):
     return index.ids, index.pos, index.owner, index.succ, index.prob, index.weight, index.chain_steps
 
@@ -63,7 +59,7 @@ def test_fixed_index_is_the_residual_games_index(game, rng):
 @settings(max_examples=150, deadline=None)
 @given(_games(), st.sampled_from(("max", "min")))
 def test_restricted_index_is_the_mec_games_index(game, owner):
-    game = _one_player(game, owner)
+    game = relabel_controlled(game, owner)
     index = game.index
     for mec in mdp._mecs(index):
         sub, _ = restrict_to_mec(game, named_mec(index, mec))
@@ -84,7 +80,7 @@ def _restriction(game, rng):
 @settings(max_examples=300, deadline=None)
 @given(_games(), st.sampled_from(("max", "min")), st.randoms(use_true_random=False))
 def test_int_mecs_match_the_iterated_attractor(game, owner, rng):
-    game = _one_player(game, owner)
+    game = relabel_controlled(game, owner)
     index = game.index
     assert mdp.mec_decompose(game) == reference_mec_decompose(game)
 
@@ -105,7 +101,7 @@ def test_int_mecs_match_the_iterated_attractor(game, owner, rng):
 @settings(max_examples=200, deadline=None)
 @given(_games(), st.sampled_from(("max", "min")), st.randoms(use_true_random=False))
 def test_int_reachability_matches_per_round_chains(game, owner, rng):
-    game = _one_player(game, owner)
+    game = relabel_controlled(game, owner)
     targets = {sid for sid in game.ids() if rng.random() < 0.3}
     for direction in ("max", "min"):
         result = mdp.solve_reachability(game, targets, direction)
