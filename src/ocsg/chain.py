@@ -119,47 +119,51 @@ def tarjan(succ, roots) -> list[list[int]]:
     return components
 
 
-def attractor(game, seeds, any_owners, within=None, allowed=None):
-    """Least superset W of ``seeds`` inside ``within`` closed under attraction.
+def attractor(graph, seeds, any_owners, alive=None, within=None):
+    """Least superset W of the nodes ``seeds`` closed under attraction, on
+    an int graph (a ``model.Graph`` or ``model.Index``).
 
-    A node whose owner is in ``any_owners`` joins W once one of its counted
-    edges enters W; any other node joins once all of its counted edges do,
-    and it must have at least one.  ``allowed[v]`` limits the counted edge
-    indices (default: every edge).  Returns (W, choice), where ``choice``
-    maps each controlled ``any_owners`` node outside ``seeds`` to the edge
-    that pulled it in; that edge leads to a node that joined earlier.
+    Only nodes of ``within`` (a bool list, default ``alive``) join W, and a
+    node counts only its edges that enter ``alive`` nodes (a bool list,
+    default every node).  A node whose owner is in ``any_owners`` joins
+    once one of its edges enters W; any other node joins once all of its
+    counted edges do, and it must have at least one.  Returns (W as a bool
+    list, choice), where ``choice`` maps each controlled ``any_owners``
+    node outside ``seeds`` to the edge that pulled it in; that edge leads
+    to a node that joined earlier.
 
-    Reads only ``game.graph``, so ``game`` is a game (nodes are state ids)
-    or a ``model.Graph`` (such as the int-keyed termination level product).
-    A worklist over the predecessors with a counter of edges still outside
-    W per node: O(|V| + |E|).
+    A worklist over the predecessors with a count of counted edges still
+    outside W per node, taken on the node's first visit: O(|V| + |E|).
+    Seeds are expanded last to first in node order, so ``choice`` depends
+    on the graph alone.
     """
-    graph = game.graph
     owner, succ, preds = graph.owner, graph.succ, graph.preds
-    attracted = set(seeds)
-    # Node order, not set order, so ``choice`` does not depend on string hashing.
-    queue = [v for v in graph.nodes if v in attracted]
-    outside: dict = {}
-    choice: dict = {}
+    n = len(succ)
+    if within is None:
+        within = alive if alive is not None else [True] * n
+    attracted = [False] * n
+    for v in seeds:
+        attracted[v] = True
+    queue = [v for v in range(n) if attracted[v]]
+    outside = [-1] * n
+    choice: dict[int, int] = {}
     while queue:
         target = queue.pop()
         for v, k in preds[target]:
-            if v in attracted or (within is not None and v not in within):
-                continue
-            if allowed is not None and k not in allowed[v]:
+            if attracted[v] or not within[v]:
                 continue
             who = owner[v]
             if who in any_owners:
                 if who != "rand":
                     choice[v] = k
             else:
-                left = outside.get(v)
-                if left is None:
-                    left = len(allowed[v]) if allowed is not None else len(succ[v])
+                left = outside[v]
+                if left < 0:
+                    left = len(succ[v]) if alive is None else sum(alive[t] for t in succ[v])
                 outside[v] = left = left - 1
                 if left:
                     continue
-            attracted.add(v)
+            attracted[v] = True
             queue.append(v)
     return attracted, choice
 
@@ -271,12 +275,13 @@ def reach_probabilities(chain: Ssg, targets, return_pivot: bool = False):
     if unknown:
         raise ValueError(f"unknown target states {sorted(unknown)}")
 
-    can_reach, _ = attractor(chain, targets, OWNERS)
+    index = chain.index
+    can_reach, _ = attractor(index, [index.pos[sid] for sid in targets], OWNERS)
 
     values = {sid: Fraction(0) for sid in chain.ids()}
     for sid in targets:
         values[sid] = Fraction(1)
-    interior = [sid for sid in chain.ids() if sid in can_reach and sid not in targets]
+    interior = [sid for sid, reached in zip(index.ids, can_reach) if reached and sid not in targets]
     pivot = 1
     if interior:
         pos = {sid: i for i, sid in enumerate(interior)}

@@ -5,7 +5,8 @@ inputs are expected to be one-player models (a residual of ``fix_strategies``
 or a game whose controlled states belong to a single player).  The exception
 is ``almost_sure_reach``, which is a genuine two-player fixpoint keyed on
 owner labels: max-owned states work toward the target, min-owned states
-spoil.
+spoil.  It runs on int graphs (an ``Index`` or a ``model.Graph``, such as
+the termination level product), as ``chain.attractor`` does.
 
 Probabilities, values, and gains are exact Fractions throughout; policy
 iteration terminates because every accepted switch strictly improves an
@@ -83,7 +84,6 @@ from .model import (
     Transition,
     _quoted,
     fix_strategies,
-    relabel_controlled,
 )
 
 INFINITE_CREDIT = math.inf
@@ -180,10 +180,10 @@ def _reach(index, targets: frozenset[int], direction: str):
     controlled = [v for v, owner in enumerate(index.owner) if owner != "rand"]
     choice = [0] * len(succ)
     if direction == "min":
-        reaching = chain_mod.attractor(index.max_graph, targets, ("rand",))[0]
+        reaching, _ = chain_mod.attractor(index, targets, ("rand",))
         for v in controlled:
-            if v not in reaching:
-                choice[v] = next(k for k, t in enumerate(succ[v]) if t not in reaching)
+            if not reaching[v]:
+                choice[v] = next(k for k, t in enumerate(succ[v]) if not reaching[t])
 
     limit = 1
     for v in controlled:
@@ -251,51 +251,53 @@ def _chain_reach(index, choice: list[int], targets: frozenset[int]) -> list[Frac
 
 @dataclass(frozen=True)
 class AsrResult:
-    """Keyed by node: state ids on a game, ints on an int-keyed graph."""
+    """Keyed by node of the int graph."""
 
-    winning: frozenset
-    max_choice: dict
-    spoil_choice: dict
+    winning: frozenset[int]
+    max_choice: dict[int, int]
+    spoil_choice: dict[int, int]
 
 
-def almost_sure_reach(game, targets) -> AsrResult:
-    """Value-1 set for Max reaching ``targets``, with witness and spoiler data.
+def almost_sure_reach(graph, targets) -> AsrResult:
+    """Value-1 set for Max reaching the nodes ``targets`` of an int graph
+    (a ``model.Graph`` or ``model.Index``), with witness and spoiler data.
 
     Classical alternating fixpoint: repeatedly delete the region from which
     Max cannot reach the target with positive probability, together with
     Min's positive-probability attractor into it, until stable.  Target
-    nodes are treated as absorbing.  Max nodes count only their edges that
-    stay in the surviving region, and Max's witness follows the edges that
-    pulled its nodes into the final positive attractor.
-
-    Reads only ``game.graph``, like ``chain.attractor``: ``game`` is a game,
-    keyed by state id, or a ``model.Graph`` such as the int-keyed level
-    product of ``termination``.
+    nodes are treated as absorbing: they count no edges and never join
+    Min's attractor.  Every node counts only its edges into the surviving
+    region (for a live node that is not Max's, that is every edge), and
+    Max's witness follows the edges that pulled its nodes into the final
+    positive attractor.  A dead end that is not a target loses.
     """
-    graph = game.graph
     owner, succ = graph.owner, graph.succ
-    alive = set(graph.nodes)
-    targets = frozenset(targets) & alive
-    allowed = {v: [] if v in targets else list(range(len(succ[v]))) for v in graph.nodes}
-    spoil: dict = {}
+    n = len(succ)
+    target = [False] * n
+    for v in targets:
+        target[v] = True
+    alive = [True] * n
+    spoil: dict[int, int] = {}
 
     while True:
-        pos, max_choice = chain_mod.attractor(graph, targets & alive, ("max", "rand"), alive, allowed)
-        blocked = alive - pos
+        seeds = [v for v in range(n) if target[v] and alive[v]]
+        pos, max_choice = chain_mod.attractor(graph, seeds, ("max", "rand"), alive)
+        blocked = [v for v in range(n) if alive[v] and not pos[v]]
         if not blocked:
             break
         for v in blocked:
             if owner[v] == "min" and v not in spoil:
-                spoil[v] = next(k for k, t in enumerate(succ[v]) if t in blocked)
-        doomed, pulled = chain_mod.attractor(graph, blocked, ("min", "rand"), alive, allowed)
+                # A dead end has no edge to spoil by.
+                k = next((k for k, t in enumerate(succ[v]) if alive[t] and not pos[t]), None)
+                if k is not None:
+                    spoil[v] = k
+        within = [live and not hit for live, hit in zip(alive, target)]
+        doomed, pulled = chain_mod.attractor(graph, blocked, ("min", "rand"), alive, within)
         for v, k in pulled.items():
             spoil.setdefault(v, k)
-        alive -= doomed
-        for v in alive:
-            if owner[v] == "max":
-                allowed[v] = [k for k in allowed[v] if succ[v][k] in alive]
+        alive = [live and not gone for live, gone in zip(alive, doomed)]
 
-    return AsrResult(frozenset(alive), max_choice, spoil)
+    return AsrResult(frozenset(v for v in range(n) if alive[v]), max_choice, spoil)
 
 
 # ---------------------------------------------------------------------------
@@ -618,11 +620,12 @@ def procedure_mp(game, start: str):
             raise AssertionError("positive gain without a positive-drift BSCC")
         component = min(positive, key=min)
         targets = set(component) | ({z_id} if z_id is not None else set())
-        asr = almost_sure_reach(relabel_controlled(current, "max"), targets)
-        cut = asr.winning - {z_id}
+        index = current.index
+        asr = almost_sure_reach(index.max_graph, [index.pos[sid] for sid in targets])
+        cut = {index.ids[v] for v in asr.winning} - {z_id}
         for sid in cut:
             if current.state(sid).owner != "rand":
-                stitched[sid] = sigma_mp.choice[sid] if sid in component else asr.max_choice[sid]
+                stitched[sid] = sigma_mp.choice[sid] if sid in component else asr.max_choice[index.pos[sid]]
         current, z_id = _remove_states(current, cut, z_id)
 
     for sid in game.controlled_ids():
@@ -669,11 +672,13 @@ def energy_min_credit(game, keeper: str = "max") -> dict[str, int | float]:
 
     ``keeper`` must keep every prefix sum of step weights >= 0; the other
     player and all rand states are adversarial.  Standard lifting fixpoint
-    (Brim, Chaloupka, Doyen, Gentilini, Raskin 2011) run as a worklist: a
-    state is lifted again only after the credit of a successor rose, and
-    lifting is monotone, so this reaches the least fixpoint.  The lifts
-    read the successor, weight and predecessor lists of the game's
-    ``index``.
+    (Brim, Chaloupka, Doyen, Gentilini, Raskin 2011) run as a worklist.  A
+    state's lift is the least (keeper) or greatest (adversary) demand
+    max(0, c(t) - w) of its edges, so a rise of c(t) can lift a
+    predecessor only through an edge whose new demand c(t) - w exceeds the
+    predecessor's credit; only such predecessors are queued again.  Lifting
+    is monotone, so this reaches the least fixpoint.  The lifts read the
+    successor, weight and predecessor lists of the game's ``index``.
     Weights in {-1,0,+1} cap finite credits at |V|, larger demands are
     infinite.
     Only the termination-value-0 question (``termination.decide_term_zero``)
@@ -691,13 +696,13 @@ def energy_min_credit(game, keeper: str = "max") -> dict[str, int | float]:
     while queue:
         i = queue.pop()
         queued[i] = False
-        needs = [max(0, credit[t] - w) for t, w in zip(succ[i], weight[i])]
+        # Credits are >= 0, so the demand's floor at 0 never lifts a state.
+        needs = [credit[t] - w for t, w in zip(succ[i], weight[i])]
         need = min(needs) if keeps[i] else max(needs)
-        candidate = INFINITE_CREDIT if need > cutoff else need
-        if candidate > credit[i]:
-            credit[i] = candidate
-            for pred, _ in preds[i]:
-                if not queued[pred]:
+        if need > credit[i]:
+            credit[i] = need = INFINITE_CREDIT if need > cutoff else need
+            for pred, k in preds[i]:
+                if not queued[pred] and need - weight[pred][k] > credit[pred]:
                     queued[pred] = True
                     queue.append(pred)
     return dict(zip(ids, credit))
@@ -813,8 +818,10 @@ def _noisy_components(index, members, allowed, noisy):
         x = min(component.members & noisy, key=index.ids.__getitem__, default=None)
         if x is not None:
             core |= component.members
-            pulled = chain_mod.attractor(index.max_graph, {x}, ("max", "rand"), component.members, component.allowed)
-            choice.update(pulled[1])
+            nodes = sorted(component.members)
+            sub = index.restricted(nodes, component.allowed)
+            _, pulled = chain_mod.attractor(sub.max_graph, (nodes.index(x),), ("max", "rand"))
+            choice.update({nodes[v]: component.allowed[nodes[v]][k] for v, k in pulled.items()})
     return core, choice
 
 

@@ -33,6 +33,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 OWNERS = ("max", "min", "rand")
 REWARD_VALUES = (-1, 0, 1)
@@ -84,28 +85,27 @@ class State:
 
 @dataclass(frozen=True)
 class Graph:
-    """The edge structure the fixpoints read (``chain.attractor``,
-    ``mdp.almost_sure_reach``): the nodes in order, and per node its owner,
-    the targets of its edges in edge order and the (source, edge index) of
-    every edge entering it, sources in node order.
-
-    ``owner``, ``succ`` and ``preds`` are indexed by node: dicts keyed by
-    state id in a game's view, lists when the nodes are ``range(n)``, as in
-    the termination level product.  A graph is its own ``graph``, so code
-    that reads ``game.graph`` takes a game or a graph.
+    """An int graph, the form the fixpoints read (``chain.attractor``,
+    ``mdp.almost_sure_reach``): per node 0..n-1 its owner, the targets of
+    its edges in edge order, and the (source, edge index) of every edge
+    entering it, sources in node order.  An ``Index`` has the same three
+    fields, so the fixpoints read a game's index as they read a graph.
     """
 
-    nodes: tuple | range
-    owner: dict | list
-    succ: dict | list
-    preds: dict | list
-
-    @property
-    def graph(self) -> "Graph":
-        return self
+    owner: list | tuple
+    succ: list | tuple
+    preds: list | tuple
 
 
 _ONE = Fraction(1)
+
+
+def _expected(edges) -> Fraction:
+    """The expected weight of a rand step whose edges are ``edges`` (target
+    id, numerator, denominator, weight): the sum of p * w, added up in
+    integers over the lcm of the denominators and reduced once."""
+    den = lcm(*(q for _, _, q, _ in edges))
+    return Fraction(sum(p * (den // q) * w for _, p, q, w in edges), den)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,10 +143,10 @@ class Index:
 
     @cached_property
     def max_graph(self) -> "Graph":
-        """This index as a ``Graph`` on ``range(n)``, every controlled node
-        owned by Max."""
+        """This index as a ``Graph`` with every controlled node owned by
+        Max."""
         owner = ["rand" if who == "rand" else "max" for who in self.owner]
-        return Graph(range(len(self.ids)), owner, self.succ, self.preds)
+        return Graph(owner, self.succ, self.preds)
 
     @cached_property
     def chain_steps(self) -> tuple[tuple[tuple, ...], ...]:
@@ -162,9 +162,8 @@ class Index:
         steps = []
         for v, (sid, targets, probs, weights) in enumerate(zip(ids, self.succ, self.prob, self.weight)):
             if self.owner[v] == "rand":
-                expected = sum((p * w for p, w in zip(probs, weights)), Fraction(0))
                 key = (sid, tuple((ids[t], p.numerator, p.denominator, w) for t, p, w in zip(targets, probs, weights)))
-                steps.append(((targets, probs, expected, key),))
+                steps.append(((targets, probs, _expected(key[1]), key),))
             else:
                 steps.append(
                     tuple(((t,), (_ONE,), w, (sid, ((ids[t], 1, 1, w),))) for t, w in zip(targets, weights))
@@ -228,31 +227,28 @@ class _GameOps:
 
     @cached_property
     def index(self) -> Index:
-        """This game as an ``Index``, built once."""
-        ids = tuple(s.id for s in self.states)
+        """This game as an ``Index``, built once, column by column: the
+        weights follow ``step_reward``'s rule per flavour with no call per
+        edge."""
+        states = self.states
+        ids = tuple(s.id for s in states)
         pos = {sid: v for v, sid in enumerate(ids)}
+        succ = tuple(tuple(pos[t.target] for t in s.transitions) for s in states)
+        if isinstance(self, OcSsg):
+            weight = tuple(tuple(t.delta for t in s.transitions) for s in states)
+        elif self.reward_location == ON_TRANSITIONS:
+            weight = tuple(tuple(t.reward for t in s.transitions) for s in states)
+        else:
+            reward = [s.reward for s in states]
+            weight = tuple(tuple(reward[t] for t in targets) for targets in succ)
         return Index(
             ids,
             pos,
-            tuple(s.owner for s in self.states),
-            tuple(tuple(pos[t.target] for t in s.transitions) for s in self.states),
-            tuple(tuple(t.prob for t in s.transitions) for s in self.states),
-            tuple(tuple(step_reward(self, s, t) for t in s.transitions) for s in self.states),
+            tuple(s.owner for s in states),
+            succ,
+            tuple(tuple(t.prob for t in s.transitions) for s in states),
+            weight,
         )
-
-    @cached_property
-    def graph(self) -> "Graph":
-        """This game as a ``Graph`` keyed by state id, built once."""
-        owner = {}
-        succ = {}
-        preds: dict[str, list[tuple[str, int]]] = {s.id: [] for s in self.states}
-        for s in self.states:
-            sid = s.id
-            owner[sid] = s.owner
-            succ[sid] = targets = [t.target for t in s.transitions]
-            for k, target in enumerate(targets):
-                preds[target].append((sid, k))
-        return Graph(tuple(preds), owner, succ, preds)
 
     @cached_property
     def violations(self) -> tuple[str, ...]:
@@ -441,7 +437,9 @@ def _violations(game: Ssg | OcSsg):
         elif s.reward is not None:
             yield i, None, "unexpected state reward"
 
-        total = None  # the sum of the positive probabilities, once there is one
+        # The sum of the positive probabilities, num/den over the lcm of
+        # their denominators (num is 0 until there is one).
+        num, den = 0, 1
         all_positive = True
         for k, t in enumerate(s.transitions):
             if t.target not in seen:
@@ -455,7 +453,9 @@ def _violations(game: Ssg | OcSsg):
                     all_positive = False
                     yield i, k, "positivity violated"
                 else:
-                    total = prob if total is None else total + prob
+                    common = lcm(den, prob.denominator)
+                    num = num * (common // den) + prob.numerator * (common // prob.denominator)
+                    den = common
             elif prob is not None:
                 yield i, k, "probability on a controlled transition"
             if is_oc:
@@ -472,8 +472,8 @@ def _violations(game: Ssg | OcSsg):
                     yield i, k, f"transition reward {t.reward} outside {{-1,0,1}}"
             elif t.reward is not None:
                 yield i, k, "unexpected reward"
-        if rand and all_positive and total is not None and total != 1:
-            yield i, None, f"probabilities sum {_clipped_fraction(total)} != 1"
+        if rand and all_positive and num and num != den:
+            yield i, None, f"probabilities sum {_clipped_fraction(Fraction(num, den))} != 1"
 
 
 def _describe(game: Ssg | OcSsg, i: int | None, k: int | None, message: str) -> str:
@@ -743,7 +743,8 @@ def relabel_controlled(game, owner: str):
 
 def step_reward(game: Ssg | OcSsg, source: State, transition: Transition) -> int:
     """Weight of the step ``source -> transition.target``; the one place that
-    says where a step's weight lives.
+    says where a step's weight lives (``_GameOps.index`` applies the same
+    rule a column at a time).
 
     In a counter game it is the counter delta, in a transition-reward game
     the edge reward, and in a state-reward game the reward of the state the

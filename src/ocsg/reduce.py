@@ -23,10 +23,11 @@ class NormalizationError(ValueError):
 
 def _route_dead_sinks(game: Ssg, t: str, t_prime: str) -> Ssg:
     """Send states that cannot reach {t, t'} straight to t' instead."""
-    can_reach, _ = attractor(game, {t, t_prime}, OWNERS)
+    pos = game.index.pos
+    can_reach, _ = attractor(game.index, (pos[t], pos[t_prime]), OWNERS)
     states = []
-    for s in game.states:
-        if s.id in can_reach:
+    for s, reached in zip(game.states, can_reach):
+        if reached:
             states.append(s)
             continue
         prob = Fraction(1) if s.owner == "rand" else None
@@ -44,9 +45,12 @@ def _check_normalized(game: Ssg, t: str, t_prime: str) -> None:
     away from {t, t'} forever, so reachability falls below 1 exactly at the
     states that can reach that trap before {t, t'}.
     """
-    ids = set(game.ids())
-    sure = attractor(game, {t, t_prime}, ("rand",))[0]
-    offenders = sorted(attractor(game, ids - sure, OWNERS, within=ids - {t, t_prime})[0])
+    index = game.index
+    sinks = (index.pos[t], index.pos[t_prime])
+    sure, _ = attractor(index, sinks, ("rand",))
+    within = [v not in sinks for v in range(len(sure))]
+    trapped, _ = attractor(index, [v for v, hit in enumerate(sure) if not hit], OWNERS, within=within)
+    offenders = sorted(sid for sid, hit in zip(index.ids, trapped) if hit)
     if offenders:
         raise NormalizationError(
             f"players can avoid {{t, t'}} from {offenders}: reachability is not almost sure"

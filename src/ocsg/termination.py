@@ -4,9 +4,12 @@ The counter is never materialised: every solver here runs on the counter
 game as parsed and reads the counter change of a step through
 ``model.step_reward``.  Large initial values reduce to the liminf=-inf
 question, small ones to almost-sure reachability on the counter unfolded to
-|V|+1 levels.  That unfolding, the level product, is an int-keyed
-``model.Graph`` built from the base game with no ``State`` objects, and
-``mdp.almost_sure_reach`` runs on it as it runs on a game.
+|V|+1 levels.  That unfolding, the level product, is an int ``model.Graph``
+built from the base game's ``Index`` with no ``State`` objects, and
+``mdp.almost_sure_reach`` runs on it as it runs on a game's index.  A
+start in the liminf=-inf value-1 set is a target of the product, so it
+wins at every j and no product is built for it.  A product of more than
+``MAX_LEVEL_NODES`` nodes is refused before any solve.
 Witness synthesis collapses the level-product strategies back onto the
 control states: Max gets a memoryless counter-oblivious strategy, Min a
 strategy whose memory is the saturated level index (at most |V| memory
@@ -32,19 +35,32 @@ from .model import (
     step_reward,
 )
 
+# The largest level product, |V|·(|V|+1) nodes, that a value-1 query or a
+# synthesis with j < |V| builds.  Building it and its almost-sure reach
+# take about 6 µs and 470 bytes per node on a 2-vCPU host (Python 3.11):
+# a whole query at this size answers in about 7 s, inside a 10 s budget
+# with room for 25% timing noise.
+MAX_LEVEL_NODES = 1_000_000
+
+
+class LevelProductTooLarge(ValueError):
+    """A value-1 query or synthesis with j < |V| whose level product would
+    exceed ``MAX_LEVEL_NODES`` nodes."""
+
 
 def _level_product(base: Ssg | OcSsg, liminf_value_one) -> tuple[Graph, frozenset[int]]:
-    """The running sum of step weights unfolded to L = |V|+1 levels with
-    absorbing boundaries, and its targets.
+    """The running sum of step weights unfolded to L = |V|+1 levels, and its
+    targets.
 
     Node i*L + o is base state i (game order) at offset o in 0..|V|; with
     initial counter j the offset is the level plus j, so levels run from -j
-    to |V|-j and the start is at offset j.  Offsets 0 and |V| are boundary
-    copies with a self-loop; elsewhere edge k of the base state moves the
-    offset by its ``step_reward``, read from the base game's ``index``.
-    The targets are offset 0 and every copy of a state in
-    ``liminf_value_one``, the value-1 set of liminf=-inf on ``base``.
-    Nothing here depends on j.
+    to |V|-j and the start is at offset j.  The targets are offset 0 and
+    every copy of a state in ``liminf_value_one``, the value-1 set of
+    liminf=-inf on ``base``.  Targets have no successors, and neither has
+    the top offset |V|, a dead end that loses, so there are no boundary
+    self-loops; elsewhere edge k of the base state moves the offset by its
+    ``step_reward``, read from the base game's ``index``.  Nothing here
+    depends on j.
     """
     index = base.index
     n = len(index.ids)
@@ -54,21 +70,22 @@ def _level_product(base: Ssg | OcSsg, liminf_value_one) -> tuple[Graph, frozense
     targets: list[int] = []
     for i, (sid, who, nxt, weights) in enumerate(zip(index.ids, index.owner, index.succ, index.weight)):
         first = i * width
+        owner += [who] * width
+        if sid in liminf_value_one:
+            succ += [()] * width
+            targets += range(first, first + width)
+            continue
         # Edge k from offset o leads to node steps[k] + o.
         steps = [t * width + w for t, w in zip(nxt, weights)]
-        owner += [who] * width
-        succ.append((first,))
+        succ.append(())
         succ += [tuple(step + o for step in steps) for o in range(1, n)]
-        succ.append((first + n,))
-        if sid in liminf_value_one:
-            targets += range(first, first + width)
-        else:
-            targets.append(first)
+        succ.append(())
+        targets.append(first)
     preds: list[list[tuple[int, int]]] = [[] for _ in succ]
     for v, nxt in enumerate(succ):
         for k, t in enumerate(nxt):
             preds[t].append((v, k))
-    return Graph(range(len(succ)), owner, succ, preds), frozenset(targets)
+    return Graph(owner, succ, preds), frozenset(targets)
 
 
 @dataclass(frozen=True)
@@ -102,15 +119,20 @@ class _Levels:
 
 
 def _term_pipeline(game: OcSsg, start: str, j: int):
-    """The liminf=-inf solve and, for j < |V|, almost-sure reach on the level
-    product (else None)."""
+    """The liminf=-inf solve and, for j < |V| with ``start`` outside its
+    value-1 set W, almost-sure reach on the level product (else None).  A
+    product too large is refused before the solve."""
     check_query(game, start, j)
-    solve = ssg.solve_limit_ssg(game, LIMINF_MINUS_INF)
     n = len(game.states)
-    if j >= n:
+    if j < n and n * (n + 1) > MAX_LEVEL_NODES:
+        raise LevelProductTooLarge(
+            f"level product too large: {n} states unfold to {n * (n + 1)} nodes, over {MAX_LEVEL_NODES}"
+        )
+    solve = ssg.solve_limit_ssg(game, LIMINF_MINUS_INF)
+    if j >= n or start in solve.result.value_one_set:
         return solve, None
     graph, targets = _level_product(game, solve.result.value_one_set)
-    entry = game.ids().index(start) * (n + 1) + j
+    entry = game.index.pos[start] * (n + 1) + j
     return solve, _Levels(graph, targets, mdp.almost_sure_reach(graph, targets), j, entry)
 
 
@@ -118,21 +140,24 @@ def decide_term_one(game: OcSsg, start: str, j: int) -> TermDecision:
     """Is the termination value 1 from ``start`` with initial counter ``j``?
 
     For j >= |V| this is exactly the liminf=-inf value-1 question; below
-    that, the level product reduces it to almost-sure reachability.
+    that, the level product reduces it to almost-sure reachability.  A
+    start in the liminf=-inf value-1 set W has value 1 at every j (its
+    entry copy is a target), so no product is built for it.
     """
     solve, levels = _term_pipeline(game, start, j)
     w = solve.result.value_one_set
-    if levels is None:
+    if j >= len(game.states):
         return TermDecision(start in w, "limit", w)
-    return TermDecision(levels.entry in levels.asr.winning, "level", w, f"{start}@0")
+    won = levels is None or levels.entry in levels.asr.winning
+    return TermDecision(won, "level", w, f"{start}@0")
 
 
 def decide_term_zero(game: OcSsg, start: str, j: int) -> bool:
     """Is the termination value 0?  Min keeps the counter positive forever.
 
-    Min (also answering for nobody else: random states side with Max here)
-    must keep all prefix delta sums >= 1-j, i.e. win the nonnegative-energy
-    game with initial credit j-1.
+    Random states side with Max here: Min alone must keep every prefix
+    delta sum >= 1-j, that is, win the nonnegative-energy game with
+    initial credit j-1.
     """
     check_query(game, start, j)
     credit = mdp.energy_min_credit(game, keeper="min")
@@ -153,11 +178,11 @@ def synthesize_term_strategies(game: OcSsg, start: str, j: int):
     w = solve.result.value_one_set
     sigma_liminf = solve.result.witness_max
     pi_liminf = solve.result.witness_min
-    if levels is None:
+    if j >= len(game.states):
         if start in w:
             return sigma_liminf, None
         return None, _memoryless_as_finite(pi_liminf)
-    if levels.entry in levels.asr.winning:
+    if levels is None or levels.entry in levels.asr.winning:
         return _collapse_max_strategy(game, levels, w, sigma_liminf), None
     return None, _level_min_strategy(game, levels, pi_liminf)
 
@@ -169,10 +194,12 @@ def _memoryless_as_finite(strategy: PureMemorylessStrategy) -> FiniteMemoryStrat
 
 
 def _collapse_max_strategy(game, levels, safe, sigma_liminf) -> PureMemorylessStrategy:
+    """With ``levels`` None (a start in ``safe``) nothing is reached but
+    the start, and every Max state outside ``safe`` takes edge 0."""
     width = len(game.states) + 1
     ids = game.ids()
     top: dict[int, int] = {}  # base state index -> highest reachable offset
-    for v in _reachable_under_witness(levels):
+    for v in (_reachable_under_witness(levels) if levels is not None else ()):
         i, offset = divmod(v, width)
         if ids[i] in safe or offset == 0:
             # Safe states keep their liminf witness; a state first entered at

@@ -19,6 +19,12 @@ the MEC gain policy iteration on it, stopped on every state's gain.
 elimination and determinant certificate of ``ocsg.linsolve`` done in
 ``Fraction`` arithmetic, the reference its integer elimination is checked
 against.
+``reference_attractor`` and ``reference_almost_sure_reach`` are the
+attractor and almost-sure reach on sets and dicts keyed by state id, with
+``within``/``allowed`` masks, the references the int forms
+``ocsg.chain.attractor`` and ``ocsg.mdp.almost_sure_reach`` are checked
+against; ``named_asr`` is the int form run on a game's index and keyed by
+state id.
 ``reference_mec_decompose`` (an attractor over the whole game per
 candidate) and ``reference_solve_reachability`` (a chain built by
 ``fix_strategies`` and solved by ``chain.reach_probabilities`` per round)
@@ -351,6 +357,99 @@ def named_mec(index, mec):
     return mdp.Mec(frozenset(ids[v] for v in mec.members), {ids[v]: edges for v, edges in mec.allowed.items()})
 
 
+def _id_graph(game):
+    """The game's states in order and, keyed by state id, each state's
+    owner, its edge targets in edge order, and the (source, edge index) of
+    every edge entering it, sources in game order."""
+    owner, succ = {}, {}
+    preds = {s.id: [] for s in game.states}
+    for s in game.states:
+        owner[s.id] = s.owner
+        succ[s.id] = targets = [t.target for t in s.transitions]
+        for k, target in enumerate(targets):
+            preds[target].append((s.id, k))
+    return tuple(preds), owner, succ, preds
+
+
+def reference_attractor(game, seeds, any_owners, within=None, allowed=None):
+    """Least superset W of ``seeds`` inside ``within`` closed under
+    attraction, as sets and dicts keyed by state id.
+
+    A state whose owner is in ``any_owners`` joins W once one of its
+    counted edges enters W; any other state joins once all of its counted
+    edges do, and it must have at least one.  ``allowed[s]`` limits the
+    counted edge indices (default: every edge).  Returns (W, choice), where
+    ``choice`` maps each controlled ``any_owners`` state outside ``seeds``
+    to the edge that pulled it in.
+    """
+    nodes, owner, succ, preds = _id_graph(game)
+    attracted = set(seeds)
+    queue = [v for v in nodes if v in attracted]
+    outside: dict = {}
+    choice: dict = {}
+    while queue:
+        target = queue.pop()
+        for v, k in preds[target]:
+            if v in attracted or (within is not None and v not in within):
+                continue
+            if allowed is not None and k not in allowed[v]:
+                continue
+            who = owner[v]
+            if who in any_owners:
+                if who != "rand":
+                    choice[v] = k
+            else:
+                left = outside.get(v)
+                if left is None:
+                    left = len(allowed[v]) if allowed is not None else len(succ[v])
+                outside[v] = left = left - 1
+                if left:
+                    continue
+            attracted.add(v)
+            queue.append(v)
+    return attracted, choice
+
+
+def reference_almost_sure_reach(game, targets):
+    """Almost-sure reach of ``targets`` by alternating set attractors, with
+    each Max state's ``allowed`` edges cut to the surviving region and the
+    targets given no edges: the winning set, Max's choices and Min's
+    spoiling choices, keyed by state id."""
+    nodes, owner, succ, _ = _id_graph(game)
+    alive = set(nodes)
+    targets = frozenset(targets) & alive
+    allowed = {v: [] if v in targets else list(range(len(succ[v]))) for v in nodes}
+    spoil: dict = {}
+    while True:
+        pos, max_choice = reference_attractor(game, targets & alive, ("max", "rand"), alive, allowed)
+        blocked = alive - pos
+        if not blocked:
+            break
+        for v in blocked:
+            if owner[v] == "min" and v not in spoil:
+                spoil[v] = next(k for k, t in enumerate(succ[v]) if t in blocked)
+        doomed, pulled = reference_attractor(game, blocked, ("min", "rand"), alive, allowed)
+        for v, k in pulled.items():
+            spoil.setdefault(v, k)
+        alive -= doomed
+        for v in alive:
+            if owner[v] == "max":
+                allowed[v] = [k for k in allowed[v] if succ[v][k] in alive]
+    return mdp.AsrResult(frozenset(alive), max_choice, spoil)
+
+
+def named_asr(game, targets):
+    """``mdp.almost_sure_reach`` on the game's index, keyed by state id."""
+    index = game.index
+    ids = index.ids
+    asr = mdp.almost_sure_reach(index, [index.pos[sid] for sid in targets])
+    return mdp.AsrResult(
+        frozenset(ids[v] for v in asr.winning),
+        {ids[v]: k for v, k in asr.max_choice.items()},
+        {ids[v]: k for v, k in asr.spoil_choice.items()},
+    )
+
+
 def reference_mec_decompose(game, within=None):
     """Maximal end components by iterated SCC splitting: each candidate
     loses its attractor toward the states outside it (a rand state with an
@@ -360,7 +459,7 @@ def reference_mec_decompose(game, within=None):
     queue = [frozenset(game.ids() if within is None else within)]
     while queue:
         candidate = queue.pop()
-        candidate -= chain_mod.attractor(game, set(game.ids()) - candidate, ("rand",))[0]
+        candidate -= reference_attractor(game, set(game.ids()) - candidate, ("rand",))[0]
         if not candidate:
             continue
         comps = chain_mod.strongly_connected_components(game, within=candidate)
@@ -388,7 +487,7 @@ def reference_solve_reachability(game, targets, direction="max"):
     controlled = game.controlled_ids()
     avoid = set()
     if direction == "min":
-        avoid = set(game.ids()) - chain_mod.attractor(game, targets, ("rand",))[0]
+        avoid = set(game.ids()) - reference_attractor(game, targets, ("rand",))[0]
     policy = {
         sid: next(k for k, t in enumerate(game.state(sid).transitions) if t.target in avoid) if sid in avoid else 0
         for sid in controlled

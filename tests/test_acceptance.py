@@ -34,6 +34,7 @@ from grids import (
     oc_to_reward_ssg,
     random_games,
     random_reach_instances,
+    reference_almost_sure_reach,
 )
 
 RANDOM_SEED = 987654321
@@ -117,7 +118,7 @@ def test_criterion_4_large_counter_reduces_to_liminf(grid_games, solutions):
             rewards = oc_to_reward_ssg(counter)
             w = ssg.solve_limit_ssg(rewards, LIMINF_MINUS_INF).result.value_one_set
             level = build_level_game(rewards, j, w, hi=len(counter.states))
-            asr = mdp.almost_sure_reach(level.game, level.targets)
+            asr = reference_almost_sure_reach(level.game, level.targets)
             for sid in counter.ids():
                 direct = termination.decide_term_one(counter, sid, j)
                 assert direct.branch == "limit"

@@ -406,3 +406,37 @@ def test_solve_reports_match_golden_file():
         out = io.StringIO()
         assert run(["solve", str(data / name), "--objective", kind], out) == 0
         assert out.getvalue() == expected, (name, kind)
+
+
+def test_term_reports_match_golden_file():
+    # Full `term` reports of the dense counter fixture and of the
+    # drift-balanced one (bench/families.py drift_counter(200, 1, None,
+    # balanced=True)) under both --qual values at j = 1, 2 and |V|, pinned
+    # byte for byte.  On the dense counter fixture the start is in the
+    # liminf=-inf value-1 set, so j < |V| answers without a level product.
+    data = Path(__file__).parent / "data"
+    golden = {}
+    for line in (data / "golden-term-reports.txt").read_text().splitlines(keepends=True):
+        if line.startswith("# "):
+            case = tuple(line.split()[1:])
+            golden[case] = ""
+        else:
+            golden[case] += line
+    assert len(golden) == 2 * 2 * 3
+    for (name, qual, j), expected in golden.items():
+        start = "s0" if name.startswith("dcounter") else "d0"
+        out = io.StringIO()
+        assert run(["term", str(data / name), "--j", j, "--state", start, "--qual", qual], out) == 0
+        assert out.getvalue() == expected, (name, qual, j)
+
+
+def test_oversized_level_product_is_one_error_line(tmp_path, monkeypatch, capsys):
+    # The five-state fixture unfolds to 30 level-product nodes.
+    monkeypatch.setattr(termination, "MAX_LEVEL_NODES", 29)
+    path = _write(tmp_path, "appendix.ocssg", FIVE_STATE_TEXT)
+    out = io.StringIO()
+    assert run(["term", path, "--j", "2", "--state", "v"], out) == 2
+    assert capsys.readouterr().err == "error = level product too large: 5 states unfold to 30 nodes, over 29\n"
+    assert out.getvalue() == ""
+    for argv in (["--j", "5"], ["--j", "2", "--qual", "zero"]):
+        assert run(["term", path, "--state", "v", *argv], io.StringIO()) == 0

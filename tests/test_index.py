@@ -10,11 +10,22 @@ dense games and random node and edge restrictions.
 """
 
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from ocsg import mdp, ssg
-from ocsg.model import LIMIT_OBJECTIVES, PureMemorylessStrategy, fix_strategies, parse_model, relabel_controlled
+from ocsg.model import (
+    LIMIT_OBJECTIVES,
+    OcSsg,
+    PureMemorylessStrategy,
+    State,
+    Transition,
+    fix_strategies,
+    parse_model,
+    relabel_controlled,
+    step_reward,
+)
 
 from grids import (
     bench_families,
@@ -45,6 +56,31 @@ def _games():
     small = st.builds(_random, st.integers(0, 10**6), st.integers(1, 9), LOCATIONS)
     dense = st.builds(_dense, st.sampled_from((8, 12, 16, 24, 32, 40)), st.integers(1, 40))
     return st.one_of(small, small, dense)
+
+
+def _counter_view(game):
+    """The game with each step's weight as its counter delta."""
+    states = []
+    for s in game.states:
+        steps = tuple(Transition(t.target, prob=t.prob, delta=step_reward(game, s, t)) for t in s.transitions)
+        states.append(State(s.id, s.owner, transitions=steps))
+    return OcSsg(tuple(states))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_games(), st.booleans())
+def test_index_columns_follow_step_reward(game, counter):
+    # The index reads weights a column at a time and sums a rand step's
+    # expected weight in integers: the same numbers as ``step_reward`` and
+    # a ``Fraction`` sum.
+    if counter:
+        game = _counter_view(game)
+    index = game.index
+    assert index.weight == tuple(tuple(step_reward(game, s, t) for t in s.transitions) for s in game.states)
+    for s, options in zip(game.states, index.chain_steps):
+        if s.owner == "rand":
+            expected = sum((t.prob * step_reward(game, s, t) for t in s.transitions), Fraction(0))
+            assert type(options[0][2]) is Fraction and options[0][2] == expected
 
 
 @settings(max_examples=150, deadline=None)

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ocsg import chain as chain_mod
 from ocsg import linsolve, mdp, oracle
@@ -27,10 +28,13 @@ from grids import (
     eager_sub_gain,
     evaluate_gain_bias,
     exhaustive_games,
+    named_asr,
     named_mec,
     oc_to_reward_ssg,
     per_visit_reward,
+    random_game,
     random_games,
+    reference_almost_sure_reach,
     restrict_to_mec,
 )
 
@@ -117,7 +121,7 @@ def test_asr_whole_game():
         "ssg rewards=states\nstate a owner=rand reward=0\nstate t owner=rand reward=0\n"
         "trans a -> t p=1/1\ntrans t -> t p=1/1\n"
     )
-    assert mdp.almost_sure_reach(game, {"t"}).winning == frozenset({"a", "t"})
+    assert named_asr(game, {"t"}).winning == frozenset({"a", "t"})
 
 
 def test_asr_min_escape_excluded():
@@ -126,7 +130,7 @@ def test_asr_min_escape_excluded():
         "state n owner=min reward=0\nstate t owner=rand reward=0\nstate sink owner=rand reward=0\n"
         "trans n -> t\ntrans n -> sink\ntrans t -> t p=1/1\ntrans sink -> sink p=1/1\n"
     )
-    result = mdp.almost_sure_reach(game, {"t"})
+    result = named_asr(game, {"t"})
     assert "n" not in result.winning
     assert result.spoil_choice["n"] == 1
 
@@ -137,7 +141,7 @@ def test_asr_positive_but_not_almost_sure():
         "state a owner=rand reward=0\nstate t owner=rand reward=0\nstate sink owner=rand reward=0\n"
         "trans a -> t p=1/2\ntrans a -> sink p=1/2\ntrans t -> t p=1/1\ntrans sink -> sink p=1/1\n"
     )
-    assert mdp.almost_sure_reach(game, {"t"}).winning == frozenset({"t"})
+    assert named_asr(game, {"t"}).winning == frozenset({"t"})
 
 
 def test_asr_targets_are_absorbing():
@@ -146,13 +150,13 @@ def test_asr_targets_are_absorbing():
         "state m owner=min reward=0\nstate c owner=rand reward=0\nstate sink owner=rand reward=0\n"
         "trans m -> m\ntrans m -> sink\ntrans c -> c p=1/2\ntrans c -> sink p=1/2\ntrans sink -> sink p=1/1\n"
     )
-    assert mdp.almost_sure_reach(game, {"m", "c"}).winning == frozenset({"m", "c"})
+    assert named_asr(game, {"m", "c"}).winning == frozenset({"m", "c"})
 
 
 def test_asr_witness_reaches_almost_surely():
     for game in random_games(20, sizes=(4,), seed=2718):
         targets = {game.ids()[0]}
-        result = mdp.almost_sure_reach(game, targets)
+        result = named_asr(game, targets)
         if not result.winning - targets:
             continue
         # Fix the witness for Max and the recorded spoiler (or any) for Min,
@@ -171,6 +175,22 @@ def test_asr_witness_reaches_almost_surely():
             values = chain_mod.reach_probabilities(chain, targets)
             for sid in result.winning:
                 assert values[sid] == 1
+
+
+def _random_game(seed, n, location):
+    return random_game(random.Random(seed), n, location)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.builds(_random_game, st.integers(0, 10**6), st.integers(1, 9), st.sampled_from(("states", "transitions"))),
+    st.randoms(use_true_random=False),
+)
+def test_asr_matches_the_set_based_reference(game, rng):
+    # The int fixpoint on the game's index against the set-based one it
+    # replaced: winning set, Max's choices and Min's spoiling choices.
+    targets = {sid for sid in game.ids() if rng.random() < 0.3}
+    assert named_asr(game, targets) == reference_almost_sure_reach(game, targets)
 
 
 # -- expected mean payoff ----------------------------------------------------

@@ -1,8 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ocsg import mdp, ssg, termination
 from ocsg.model import (
@@ -18,7 +20,16 @@ from ocsg.model import (
     parse_model,
 )
 
-from grids import build_level_game, exhaustive_games, level_id, oc_to_reward_ssg, random_games
+from grids import (
+    bench_families,
+    build_level_game,
+    exhaustive_games,
+    level_id,
+    oc_to_reward_ssg,
+    random_game,
+    random_games,
+    reference_almost_sure_reach,
+)
 
 
 def _as_ocssg(game):
@@ -64,15 +75,15 @@ def test_level_game_counts_two_states():
         )
     )
     graph, _ = termination._level_product(base, frozenset())
-    assert len(graph.nodes) == 6
-    levels = {divmod(v, 3)[1] - 1 for v in graph.nodes}
+    assert len(graph.succ) == 6
+    levels = {divmod(v, 3)[1] - 1 for v in range(len(graph.succ))}
     assert levels == {-1, 0, 1}
 
 
 def test_level_game_counts_appendix(five_state_game):
     base = oc_to_reward_ssg(five_state_game)
     graph, _ = termination._level_product(base, frozenset())
-    assert len(graph.nodes) == 30
+    assert len(graph.succ) == 30
 
 
 def test_level_game_value_one_rows_are_targets(five_state_game):
@@ -93,16 +104,23 @@ def test_level_game_rejects_large_j(five_state_game):
 
 
 def test_level_game_boundary_absorbing(five_state_game):
+    # Play stops at both boundaries: the bottom copies are targets and the
+    # top copies dead ends, none with a successor, and the top loses.
     base = oc_to_reward_ssg(five_state_game)
-    graph, _ = termination._level_product(base, frozenset())
+    graph, targets = termination._level_product(base, frozenset())
     top = _node(base, "v", 4, 1)
-    assert graph.succ[top] == (top,)
+    bottom = _node(base, "v", -1, 1)
+    assert graph.succ[top] == graph.succ[bottom] == ()
+    assert bottom in targets and top not in targets
+    assert top not in mdp.almost_sure_reach(graph, targets).winning
 
 
 def _reference_as_product(game, level):
     """Almost-sure reach on the reference level game with its ``<id>@<level>``
-    keys mapped to level-product nodes."""
-    asr = mdp.almost_sure_reach(level.game, level.targets)
+    keys mapped to level-product nodes.  The reference's top copies keep a
+    self-loop, by which a Min copy there spoils; the product's are dead
+    ends, so those spoil choices are left out."""
+    asr = reference_almost_sure_reach(level.game, level.targets)
 
     def node(lid):
         return _node(game, *level.to_base[lid], level.j)
@@ -110,7 +128,7 @@ def _reference_as_product(game, level):
     return (
         {node(lid) for lid in asr.winning},
         {node(lid): k for lid, k in asr.max_choice.items()},
-        {node(lid): k for lid, k in asr.spoil_choice.items()},
+        {node(lid): k for lid, k in asr.spoil_choice.items() if level.to_base[lid][1] != level.hi},
     )
 
 
@@ -132,6 +150,41 @@ def test_level_product_matches_reference_level_game():
     assert compared > 3000
 
 
+def _random_counter(seed, n):
+    return _as_ocssg(random_game(random.Random(seed), n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.builds(_random_counter, st.integers(0, 10**6), st.integers(2, 7)), st.randoms(use_true_random=False))
+def test_level_product_asr_matches_the_set_based_reference(counter, rng):
+    # The product takes any target set, so W is drawn at random here.
+    w = frozenset(sid for sid in counter.ids() if rng.random() < 0.3)
+    graph, targets = termination._level_product(counter, w)
+    asr = mdp.almost_sure_reach(graph, targets)
+    got = (set(asr.winning), asr.max_choice, asr.spoil_choice)
+    for j in range(1, len(counter.states)):
+        assert got == _reference_as_product(counter, build_level_game(counter, j, w)), j
+
+
+def test_start_in_w_has_value_one_on_the_full_product():
+    # A start in the liminf=-inf value-1 set W answers value 1 with no
+    # product; almost-sure reach on the full reference level game agrees
+    # at every j <= |V|.
+    checked = 0
+    for game in exhaustive_games():
+        counter = _as_ocssg(game)
+        n = len(counter.states)
+        w = ssg.solve_limit_ssg(counter, LIMINF_MINUS_INF).result.value_one_set
+        for j in range(1, n + 1):
+            level = build_level_game(counter, j, w, hi=n if j == n else None)
+            winning = reference_almost_sure_reach(level.game, level.targets).winning
+            for start in w:
+                assert level_id(start, 0) in winning
+                assert termination.decide_term_one(counter, start, j).value_one
+                checked += 1
+    assert checked > 1000
+
+
 def test_decide_term_one_reaches_on_the_int_level_product(five_state_game, monkeypatch):
     seen = []
     real = mdp.almost_sure_reach
@@ -144,12 +197,54 @@ def test_decide_term_one_reaches_on_the_int_level_product(five_state_game, monke
     assert termination.decide_term_one(five_state_game, "v", 2).value_one is False
     # The liminf solve calls it on the int graphs of its residual indexes
     # (five nodes); the level step is the last call.
-    (graph,) = [g for g in seen if len(g.nodes) != 5]
+    (graph,) = [g for g in seen if len(g.succ) != 5]
     assert not any(isinstance(g, Ssg | OcSsg) for g in seen)
     assert seen[-1] is graph and isinstance(graph, Graph)
-    assert graph.nodes == range(5 * 6)
-    assert len(graph.owner) == len(graph.succ) == len(graph.preds) == 30
+    assert len(graph.owner) == len(graph.succ) == len(graph.preds) == 5 * 6
     assert all(isinstance(t, int) for nxt in graph.succ for t in nxt)
+
+
+def test_start_in_the_liminf_value_one_set_builds_no_product(monkeypatch):
+    # Every state of the dense counter fixture has liminf=-inf value 1, so
+    # the entry copy is a target at every j < |V|: value 1, no product.
+    game = parse_model((Path(__file__).parent / "data" / "dcounter-n24-f7.ocssg").read_text())
+
+    def forbidden(*args):
+        raise AssertionError("a level product was built")
+
+    monkeypatch.setattr(termination, "_level_product", forbidden)
+    for j in (1, 2, 23):
+        decision = termination.decide_term_one(game, "s0", j)
+        assert (decision.value_one, decision.branch, decision.start_level_state) == (True, "level", "s0@0")
+        sigma, pi = termination.synthesize_term_strategies(game, "s0", j)
+        assert pi is None and set(sigma.choice) == set(game.owner_ids("max"))
+
+
+def test_oversized_level_product_is_refused_before_any_solve(monkeypatch):
+    n = next(n for n in itertools.count(1) if n * (n + 1) > termination.MAX_LEVEL_NODES)
+    game = parse_model(bench_families().drift_counter(n, 1, None, balanced=True))
+
+    def forbidden(*args):
+        raise AssertionError("ran")
+
+    monkeypatch.setattr(ssg, "solve_limit_ssg", forbidden)
+    monkeypatch.setattr(termination, "_level_product", forbidden)
+    for j in (1, n - 1):
+        for query in (termination.decide_term_one, termination.synthesize_term_strategies):
+            with pytest.raises(termination.LevelProductTooLarge, match=f"{n} states unfold to {n * (n + 1)} nodes"):
+                query(game, "d0", j)
+
+
+def test_level_size_limit_leaves_other_queries(five_state_game, monkeypatch):
+    # The five-state fixture unfolds to 30 nodes.
+    monkeypatch.setattr(termination, "MAX_LEVEL_NODES", 29)
+    with pytest.raises(termination.LevelProductTooLarge):
+        termination.decide_term_one(five_state_game, "v", 4)
+    assert termination.decide_term_one(five_state_game, "v", 5).branch == "limit"
+    assert termination.synthesize_term_strategies(five_state_game, "v", 5)[1] is not None
+    assert termination.decide_term_zero(five_state_game, "v", 1) is False
+    monkeypatch.setattr(termination, "MAX_LEVEL_NODES", 30)
+    assert termination.decide_term_one(five_state_game, "v", 4).value_one is False
 
 
 # -- qualitative decisions -----------------------------------------------------
@@ -213,7 +308,7 @@ def test_limit_branch_agrees_with_widened_level_branch():
         rewards = oc_to_reward_ssg(counter)
         w = ssg.solve_limit_ssg(rewards, LIMINF_MINUS_INF).result.value_one_set
         level = build_level_game(rewards, j, w, hi=len(counter.states))
-        asr = mdp.almost_sure_reach(level.game, level.targets)
+        asr = reference_almost_sure_reach(level.game, level.targets)
         for start in counter.ids():
             direct = termination.decide_term_one(counter, start, j)
             assert direct.branch == "limit"

@@ -2,6 +2,7 @@
 
 ``sweep_attractor`` and ``sweep_energy`` visit every state per pass until a
 pass changes nothing; they are the reference forms of ``chain.attractor``
+(run here on the game's index, or on its graph cut to the allowed edges)
 and ``mdp.energy_min_credit``.  ``reference_normalization`` (reachability
 policy iteration) and ``reference_mec_consistent`` (a second potential BFS)
 are the reference forms of the normalization check in ``reduce`` and of
@@ -19,12 +20,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ocsg import chain, mdp, reduce
 from ocsg.model import (
     LIMINF_GT_MINUS_INF,
     LIMINF_MINUS_INF,
     LIMINF_PLUS_INF,
+    Graph,
     OcSsg,
     PureMemorylessStrategy,
     State,
@@ -34,7 +37,17 @@ from ocsg.model import (
     relabel_controlled,
 )
 
-from grids import as_mdp, bench_families, exhaustive_games, named_mec, random_game, random_games, restrict_to_mec
+from grids import (
+    as_mdp,
+    bench_families,
+    exhaustive_games,
+    named_mec,
+    random_game,
+    random_games,
+    reference_almost_sure_reach,
+    reference_attractor,
+    restrict_to_mec,
+)
 
 SIDES = (("max", "rand"), ("min", "rand"), ("rand",))
 
@@ -105,8 +118,31 @@ def _random_query(rng, game):
     return seeds, within, allowed
 
 
+def masked_attractor(game, seeds, sides, within=None, allowed=None):
+    """``chain.attractor`` on the game's index cut to the ``allowed`` edges
+    (keyed by state id) and joined only inside ``within``, keyed by state
+    id, its choices in the game's edge indices."""
+    index = game.index
+    ids, pos = index.ids, index.pos
+    graph = index
+    if allowed is not None:
+        kept = [tuple(allowed[sid]) for sid in ids]
+        succ = [[targets[k] for k in edges] for targets, edges in zip(index.succ, kept)]
+        preds = [[] for _ in ids]
+        for v, targets in enumerate(succ):
+            for k, t in enumerate(targets):
+                preds[t].append((v, k))
+        graph = Graph(index.owner, succ, preds)
+    inside = None if within is None else [sid in within for sid in ids]
+    won, choice = chain.attractor(graph, [pos[sid] for sid in seeds], sides, within=inside)
+    if allowed is not None:
+        choice = {v: kept[v][k] for v, k in choice.items()}
+    return {ids[v] for v, hit in enumerate(won) if hit}, {ids[v]: k for v, k in choice.items()}
+
+
 def _check_attractor(game, seeds, sides, within, allowed):
-    won, choice = chain.attractor(game, seeds, sides, within, allowed)
+    won, choice = masked_attractor(game, seeds, sides, within, allowed)
+    assert (won, choice) == reference_attractor(game, seeds, sides, within, allowed)
     assert won == sweep_attractor(game, seeds, sides, within, allowed)
     pulled = {sid for sid in won - set(seeds) if game.state(sid).owner in sides and game.state(sid).owner != "rand"}
     assert set(choice) == pulled
@@ -141,6 +177,37 @@ def test_attractor_matches_sweep_on_random_games():
                 _check_attractor(game, seeds, sides, within, allowed)
 
 
+def _random(seed, n, location):
+    return random_game(random.Random(seed), n, location)
+
+
+GAMES = st.builds(_random, st.integers(0, 10**6), st.integers(1, 9), st.sampled_from(("states", "transitions")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(GAMES, st.sampled_from(SIDES), st.randoms(use_true_random=False))
+def test_attractor_matches_reference_with_masks(game, sides, rng):
+    # ``within``/``allowed`` masks: the int attractor on the index cut to
+    # the allowed edges gives the reference's set and choices.
+    seeds, within, allowed = _random_query(rng, game)
+    assert masked_attractor(game, seeds, sides, within, allowed) == reference_attractor(
+        game, seeds, sides, within, allowed
+    )
+    # ``alive`` (and ``within`` inside it): a node counts its edges into
+    # alive nodes, the reference's ``allowed`` cut to them.
+    index = game.index
+    alive = [rng.random() < 0.8 for _ in index.ids]
+    inside = [live and rng.random() < 0.8 for live in alive]
+    seeds = [v for v in range(len(alive)) if inside[v] and rng.random() < 0.3]
+    ids = index.ids
+    cut = {sid: [k for k, t in enumerate(targets) if alive[t]] for sid, targets in zip(ids, index.succ)}
+    for within in (None, inside):
+        won, choice = chain.attractor(index, seeds, sides, alive, within)
+        named_within = {sid for sid, hit in zip(ids, alive if within is None else inside) if hit}
+        expected = reference_attractor(game, {ids[v] for v in seeds}, sides, named_within, cut)
+        assert ({ids[v] for v, hit in enumerate(won) if hit}, {ids[v]: k for v, k in choice.items()}) == expected
+
+
 def _counter_game(game):
     return OcSsg(
         tuple(
@@ -148,6 +215,18 @@ def _counter_game(game):
             for s in game.states
         )
     )
+
+
+COUNTER_GAMES = st.builds(_random, st.integers(0, 10**6), st.integers(1, 9), st.just("transitions")).map(_counter_game)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(GAMES, COUNTER_GAMES))
+def test_energy_lifting_matches_rescanning_reference(game):
+    # Lifting re-queues only the predecessors a lift can raise; the sweep
+    # rescans every state until nothing changes.  Both keepers.
+    for keeper in ("max", "min"):
+        assert mdp.energy_min_credit(game, keeper) == sweep_energy(game, keeper)
 
 
 def test_energy_credit_matches_sweep():
@@ -245,7 +324,7 @@ def reference_lifting_region(game):
     targets = set(w_inf) | {sid for sid in finite if credit[sid] == 0}
     cores = {sid: keeper[sid] for sid in finite - w_inf if sid in keeper}
     cores.update({sid: inf_choice[sid] for sid in w_inf if sid in inf_choice})
-    asr = mdp.almost_sure_reach(relabeled, targets)
+    asr = reference_almost_sure_reach(relabeled, targets)
     choice = dict(asr.max_choice)
     choice.update({sid: k for sid, k in cores.items() if sid in asr.winning})
     return asr.winning, choice
@@ -282,7 +361,7 @@ def reference_divergence_core(game, mec):
         if x is None:
             continue
         inner, _ = restrict_to_mec(tight, component)
-        choice = mdp.almost_sure_reach(inner, {x}).max_choice
+        choice = reference_almost_sure_reach(inner, {x}).max_choice
         induced = fix_strategies(inner, PureMemorylessStrategy("max", choice))
         bsccs, _ = chain.bscc_decompose(induced)
         return next(b for b in bsccs if x in b)
@@ -344,6 +423,6 @@ def test_divergence_region_matches_reference_cores():
             cores |= core or set()
             noisy_fired += bool(members) and mdp._mec_gain(index, mec, rule)[0] == 0
         region, choice = _value_one_region(game, LIMINF_MINUS_INF)
-        assert region == mdp.almost_sure_reach(relabeled, cores).winning, game
+        assert region == reference_almost_sure_reach(relabeled, cores).winning, game
         assert _wins_almost_surely(game, region, choice, LIMINF_MINUS_INF), game
     assert noisy_fired > 0
