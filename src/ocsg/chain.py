@@ -5,7 +5,8 @@ probabilities.
 A chain here is a game whose states are all rand.  The weight of a step
 u -> v is ``model.step_reward``: the edge reward, the counter delta, or the
 reward r(v) of the state it arrives at, so cycle sums agree with the run
-prefix sums in every flavour.
+prefix sums in every flavour.  Every function reads the chain's ``Index``,
+whose weights follow that rule, so none builds a ``State``.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linsolve
-from .model import LIMIT_KINDS, OWNERS, Objective, Ssg, step_reward
+from .model import LIMIT_KINDS, OWNERS, Objective, Ssg
 
 
 def _require_chain(chain: Ssg) -> None:
-    if not chain.is_chain():
-        controlled = [s.id for s in chain.states if s.owner != "rand"]
+    index = chain.index
+    controlled = [sid for sid, who in zip(index.ids, index.owner) if who != "rand"]
+    if controlled:
         raise ValueError(f"not a chain, controlled states remain: {controlled}")
 
 
@@ -169,12 +171,13 @@ def attractor(graph, seeds, any_owners, alive=None, within=None):
 
 
 def _check_bscc(chain: Ssg, members: frozenset[str]) -> None:
+    index = chain.index
     for sid in members:
-        if sid not in chain.by_id:
+        if sid not in index.pos:
             raise ValueError(f"unknown state {sid!r}")
-        for t in chain.state(sid).transitions:
-            if t.target not in members:
-                raise ValueError(f"{sid}: component is not bottom (edge to {t.target})")
+        for t in index.succ[index.pos[sid]]:
+            if index.ids[t] not in members:
+                raise ValueError(f"{sid}: component is not bottom (edge to {index.ids[t]})")
     if len(strongly_connected_components(chain, within=members)) != 1:
         raise ValueError("component is not strongly connected")
 
@@ -217,10 +220,11 @@ def stationary_system(members, succ, prob) -> tuple[list[Fraction], linsolve.Fac
 def analyze_bscc(chain: Ssg, members: frozenset[str]) -> BsccAnalysis:
     """Stationary law, drift, potential, and 0/1 tail classification of a BSCC."""
     stationary, _ = stationary_law(chain, members)
+    index = chain.index
     mean = Fraction(0)
     for sid, weight in stationary.items():
-        s = chain.state(sid)
-        mean += weight * sum((t.prob * step_reward(chain, s, t) for t in s.transitions), Fraction(0))
+        v = index.pos[sid]
+        mean += weight * sum((p * w for p, w in zip(index.prob[v], index.weight[v])), Fraction(0))
 
     h = potential(chain, members)
 
@@ -244,18 +248,19 @@ def potential(game, members) -> dict[str, int] | None:
     when some cycle has nonzero total reward.  Each edge is checked once,
     when its source is expanded.
     """
-    anchor = next(sid for sid in game.by_id if sid in members)
-    h = {anchor: 0}
+    index = game.index
+    ids = index.ids
+    anchor = next(v for v, sid in enumerate(ids) if sid in members)
+    h = {ids[anchor]: 0}
     queue = [anchor]
     while queue:
-        uid = queue.pop()
-        state = game.state(uid)
-        for t in state.transitions:
-            level = h[uid] + step_reward(game, state, t)
-            if t.target not in h:
-                h[t.target] = level
-                queue.append(t.target)
-            elif h[t.target] != level:
+        u = queue.pop()
+        for t, w in zip(index.succ[u], index.weight[u]):
+            level = h[ids[u]] + w
+            if ids[t] not in h:
+                h[ids[t]] = level
+                queue.append(t)
+            elif h[ids[t]] != level:
                 return None
     return h
 
@@ -290,12 +295,13 @@ def reach_probabilities(chain: Ssg, targets, return_pivot: bool = False):
         rhs = [Fraction(0)] * n
         for i, sid in enumerate(interior):
             row = rows[i]
-            for t in chain.state(sid).transitions:
-                if t.target in targets:
-                    rhs[i] += t.prob
-                elif t.target in pos:
-                    j = pos[t.target]
-                    row[j] = row.get(j, 0) - t.prob
+            v = index.pos[sid]
+            for t, p in zip(index.succ[v], index.prob[v]):
+                if index.ids[t] in targets:
+                    rhs[i] += p
+                elif index.ids[t] in pos:
+                    j = pos[index.ids[t]]
+                    row[j] = row.get(j, 0) - p
         if return_pivot:
             solution, pivot = linsolve.solve_linear_system(rows, rhs)
         else:

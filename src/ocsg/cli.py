@@ -46,8 +46,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value: Fraction) -> str:
-    f = Fraction(value)
-    return f"{f.numerator}/{f.denominator}"
+    return f"{value.numerator}/{value.denominator}"
 
 
 def _read_model(path: str):
@@ -74,31 +73,27 @@ def _threshold(raw: str) -> Fraction:
         raise CliError(f"bad threshold {_quoted(raw)}, expected num/den") from None
 
 
-def _emit(out, key, value):
-    print(f"{key} = {value}", file=out)
-
-
-def _emit_strategy(out, label, strategy):
-    if strategy is None:
-        return
-    for sid in sorted(strategy.choice):
-        _emit(out, f"witness.{label}.{sid}", strategy.choice[sid])
+def _write_report(out, report) -> None:
+    """The ``(key, value)`` pairs of ``report`` as ``key = value`` lines, in one write."""
+    out.write("".join(f"{key} = {value}\n" for key, value in report))
 
 
 def _check_state(game, state) -> None:
-    if state is not None and state not in game.by_id:
+    if state is not None and state not in game.index.pos:
         raise CliError(f"unknown state {_quoted(state)}")
 
 
-def _emit_solution(out, game, objective, method, result, state) -> None:
-    """Objective, method, values (all states or ``state``), value-1 set, witnesses."""
-    _emit(out, "objective", objective.kind)
-    _emit(out, "method", method)
-    for sid in [state] if state else game.ids():
-        _emit(out, sid, _fmt(result.values[sid]))
-    _emit(out, "value1", ",".join(sid for sid in game.ids() if sid in result.value_one_set))
-    _emit_strategy(out, "max", result.witness_max)
-    _emit_strategy(out, "min", result.witness_min)
+def _solution(game, objective, method, result, state) -> list[tuple]:
+    """Objective, method, values (all states or ``state``), value-1 set and
+    witnesses, as report pairs."""
+    values, ones = result.values, result.value_one_set
+    report = [("objective", objective.kind), ("method", method)]
+    report += [(sid, _fmt(values[sid])) for sid in ([state] if state else game.ids())]
+    report.append(("value1", ",".join(sid for sid in game.ids() if sid in ones)))
+    for label, strategy in (("max", result.witness_max), ("min", result.witness_min)):
+        if strategy is not None:
+            report += [(f"witness.{label}.{sid}", strategy.choice[sid]) for sid in sorted(strategy.choice)]
+    return report
 
 
 def _cmd_solve(args, out) -> int:
@@ -113,13 +108,13 @@ def _cmd_solve(args, out) -> int:
         p = _threshold(args.threshold)
         ssg.check_threshold(p, args.relation)
     solve = ssg.solve_limit_ssg(game, objective)
-    _emit_solution(out, game, objective, solve.method, solve.result, args.state)
+    report = _solution(game, objective, solve.method, solve.result, args.state)
+    decision = True
     if args.threshold is not None:
         decision = ssg.threshold_holds(solve.result.values[args.state], p, args.relation)
-        _emit(out, "decision", "true" if decision else "false")
-        if args.exit_status and not decision:
-            return 1
-    return 0
+        report.append(("decision", "true" if decision else "false"))
+    _write_report(out, report)
+    return 1 if args.exit_status and not decision else 0
 
 
 def _cmd_term(args, out) -> int:
@@ -141,8 +136,7 @@ def _cmd_term(args, out) -> int:
         ]
         if result.start_level_state is not None:
             report.append(("certificate.start_level", result.start_level_state))
-    for key, value in report:
-        _emit(out, key, value)
+    _write_report(out, report)
     if args.exit_status and not decision:
         return 1
     return 0
@@ -207,8 +201,7 @@ def _cmd_simulate(args, out) -> int:
             ("max_prefix_sum.max", max(r.max_prefix_sum for r in stats.records)),
             ("mean_payoff.avg", _fmt(mean)),
         ]
-    for key, value in report:
-        _emit(out, key, value)
+    _write_report(out, report)
     return 0
 
 
@@ -218,7 +211,7 @@ def _cmd_oracle(args, out) -> int:
         raise CliError("oracle expects a reward game")
     objective = _objective(args.objective)
     _check_state(game, args.state)
-    _emit_solution(out, game, objective, "enumeration", oracle.enumerate_solve(game, objective), args.state)
+    _write_report(out, _solution(game, objective, "enumeration", oracle.enumerate_solve(game, objective), args.state))
     return 0
 
 

@@ -106,7 +106,8 @@ def _memoized(key, compute):
 
 
 def _require_one_player(game) -> None:
-    owners = {s.owner for s in game.states if s.owner != "rand" and len(s.transitions) > 1}
+    index = game.index
+    owners = {who for who, targets in zip(index.owner, index.succ) if who != "rand" and len(targets) > 1}
     if len(owners) > 1:
         raise ValueError("one-player model expected, both players still have choices")
 

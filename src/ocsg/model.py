@@ -24,6 +24,12 @@ It reads a text in one pass: tokens are split at whitespace, a syntax
 error's column is computed only when the error is raised, and each distinct
 ``p=`` numeral becomes one ``Fraction`` per parse.  Input is validated where
 it enters the program, derived games are not.
+
+A model is compiled once: per state a row (id, owner, reward, edges), each
+edge (target, prob, reward, delta), which ``validate`` and the int
+``Index`` read.  A parsed game holds only its rows and builds its ``State``
+and ``Transition`` objects on their first read, so a solve or a
+termination query on a parsed game, which read the index, builds none.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ _PROB_RE = re.compile(r"(\d+)(?:/(\d+))?")
 _HEADER_KEYS = frozenset({"rewards"})
 _STATE_KEYS = frozenset({"owner", "reward"})
 _TRANS_KEYS = frozenset({"p", "reward", "delta"})
+_UNITS = {"-1": -1, "0": 0, "1": 1}  # the spellings of a reward or delta a plain trans line may use
 
 
 class ModelError(ValueError):
@@ -217,9 +224,42 @@ class Index:
 
 
 class _GameOps:
-    """Shared helpers; subclasses carry a ``states`` tuple."""
+    """Shared helpers; subclasses carry a ``states`` tuple.
+
+    A game is read through its two compiled forms, each built once:
+    ``rows``, which ``validate`` and ``index`` read, and the int ``index``.
+    A game built in code derives its rows from its states; a parsed game
+    holds only rows and builds its ``states`` when they are first read.
+    """
 
     states: tuple[State, ...]
+
+    @classmethod
+    def _compiled(cls, rows, **fields):
+        """A game of this type that holds ``rows`` and no states yet."""
+        game = cls.__new__(cls)
+        vars(game).update(fields, rows=rows)
+        return game
+
+    def __getattr__(self, name):
+        # Reached only for a missing attribute: a compiled game's states,
+        # built from its rows on their first read.
+        rows = vars(self).get("rows") if name == "states" else None
+        if rows is None:
+            raise AttributeError(name)
+        states = vars(self)["states"] = tuple(
+            State(sid, owner, reward, tuple(Transition(*edge) for edge in edges)) for sid, owner, reward, edges in rows
+        )
+        return states
+
+    @cached_property
+    def rows(self) -> tuple[tuple, ...]:
+        """Per state (id, owner, reward, edges), each edge (target, prob,
+        reward, delta), in game and edge order."""
+        return tuple(
+            (s.id, s.owner, s.reward, tuple((t.target, t.prob, t.reward, t.delta) for t in s.transitions))
+            for s in self.states
+        )
 
     @cached_property
     def by_id(self) -> dict[str, State]:
@@ -227,28 +267,23 @@ class _GameOps:
 
     @cached_property
     def index(self) -> Index:
-        """This game as an ``Index``, built once, column by column: the
-        weights follow ``step_reward``'s rule per flavour with no call per
-        edge."""
-        states = self.states
-        ids = tuple(s.id for s in states)
+        """This game as an ``Index``, built once from its rows, column by
+        column: the weights follow ``step_reward``'s rule per flavour with
+        no call per edge."""
+        rows = self.rows
+        ids = tuple(row[0] for row in rows)
         pos = {sid: v for v, sid in enumerate(ids)}
-        succ = tuple(tuple(pos[t.target] for t in s.transitions) for s in states)
+        # Per state its edges' columns: targets, probabilities, rewards, deltas.
+        columns = [tuple(zip(*row[3])) or ((),) * 4 for row in rows]
+        succ = tuple(tuple(map(pos.__getitem__, column[0])) for column in columns)
         if isinstance(self, OcSsg):
-            weight = tuple(tuple(t.delta for t in s.transitions) for s in states)
+            weight = tuple(column[3] for column in columns)
         elif self.reward_location == ON_TRANSITIONS:
-            weight = tuple(tuple(t.reward for t in s.transitions) for s in states)
+            weight = tuple(column[2] for column in columns)
         else:
-            reward = [s.reward for s in states]
-            weight = tuple(tuple(reward[t] for t in targets) for targets in succ)
-        return Index(
-            ids,
-            pos,
-            tuple(s.owner for s in states),
-            succ,
-            tuple(tuple(t.prob for t in s.transitions) for s in states),
-            weight,
-        )
+            reward = [row[2] for row in rows]
+            weight = tuple(tuple(map(reward.__getitem__, targets)) for targets in succ)
+        return Index(ids, pos, tuple(row[1] for row in rows), succ, tuple(column[1] for column in columns), weight)
 
     @cached_property
     def violations(self) -> tuple[str, ...]:
@@ -259,16 +294,18 @@ class _GameOps:
         return self.by_id[state_id]
 
     def ids(self) -> tuple[str, ...]:
-        return tuple(s.id for s in self.states)
+        return self.index.ids
 
     def controlled_ids(self) -> tuple[str, ...]:
-        return tuple(s.id for s in self.states if s.owner != "rand")
+        index = self.index
+        return tuple(sid for sid, who in zip(index.ids, index.owner) if who != "rand")
 
     def owner_ids(self, owner: str) -> tuple[str, ...]:
-        return tuple(s.id for s in self.states if s.owner == owner)
+        index = self.index
+        return tuple(sid for sid, who in zip(index.ids, index.owner) if who == owner)
 
     def is_chain(self) -> bool:
-        return all(s.owner == "rand" for s in self.states)
+        return all(who == "rand" for who in self.index.owner)
 
 
 @dataclass(frozen=True, eq=True)
@@ -296,15 +333,17 @@ class PureMemorylessStrategy:
     choice: dict[str, int]
 
     def validate_for(self, game: Ssg | OcSsg) -> None:
-        owned = [s for s in game.states if s.owner == self.player]
-        if len(owned) != len(self.choice) or any(s.id not in self.choice for s in owned):
-            ids = {s.id for s in owned}
+        index = game.index
+        owned = [v for v, who in enumerate(index.owner) if who == self.player]
+        if len(owned) != len(self.choice) or any(index.ids[v] not in self.choice for v in owned):
+            ids = {index.ids[v] for v in owned}
             missing = ids - set(self.choice)
             extra = set(self.choice) - ids
             raise ValueError(f"strategy domain mismatch: missing={sorted(missing)} extra={sorted(extra)}")
-        for s in owned:
-            if not 0 <= self.choice[s.id] < len(s.transitions):
-                raise ValueError(f"invalid transition index {self.choice[s.id]} at {s.id}")
+        for v in owned:
+            k = self.choice[index.ids[v]]
+            if not 0 <= k < len(index.succ[v]):
+                raise ValueError(f"invalid transition index {k} at {index.ids[v]}")
 
 
 @dataclass(frozen=True)
@@ -412,39 +451,40 @@ class SolveResult:
 
 def _violations(game: Ssg | OcSsg):
     """Yield ``(state position, edge position or None, message)`` per broken
-    model rule, in a fixed order; a whole-game rule has state position None."""
+    model rule, in a fixed order; a whole-game rule has state position None.
+    The rules read the game's ``rows``."""
+    rows = game.rows
     seen = set()
-    for i, s in enumerate(game.states):
-        if s.id in seen:
+    for i, row in enumerate(rows):
+        if row[0] in seen:
             yield i, None, "duplicate state id"
-        seen.add(s.id)
+        seen.add(row[0])
     is_oc = isinstance(game, OcSsg)
     loc = None if is_oc else game.reward_location
     if not is_oc and loc not in (ON_STATES, ON_TRANSITIONS):
         yield None, None, f"reward location {loc!r} invalid"
 
-    for i, s in enumerate(game.states):
-        rand = s.owner == "rand"
-        if s.owner not in OWNERS:
-            yield i, None, f"unknown owner {_quoted(s.owner)}"
-        if not s.transitions:
+    for i, (_, owner, state_reward, edges) in enumerate(rows):
+        rand = owner == "rand"
+        if owner not in OWNERS:
+            yield i, None, f"unknown owner {_quoted(owner)}"
+        if not edges:
             yield i, None, "no successor"
         if loc == ON_STATES:
-            if s.reward is None:
+            if state_reward is None:
                 yield i, None, "missing state reward"
-            elif s.reward not in REWARD_VALUES:
-                yield i, None, f"state reward {s.reward} outside {{-1,0,1}}"
-        elif s.reward is not None:
+            elif state_reward not in REWARD_VALUES:
+                yield i, None, f"state reward {state_reward} outside {{-1,0,1}}"
+        elif state_reward is not None:
             yield i, None, "unexpected state reward"
 
         # The sum of the positive probabilities, num/den over the lcm of
         # their denominators (num is 0 until there is one).
         num, den = 0, 1
         all_positive = True
-        for k, t in enumerate(s.transitions):
-            if t.target not in seen:
-                yield i, k, f"dangling target {_quoted(t.target)}"
-            prob = t.prob
+        for k, (target, prob, reward, delta) in enumerate(edges):
+            if target not in seen:
+                yield i, k, f"dangling target {_quoted(target)}"
             if rand:
                 if prob is None:
                     all_positive = False
@@ -459,18 +499,18 @@ def _violations(game: Ssg | OcSsg):
             elif prob is not None:
                 yield i, k, "probability on a controlled transition"
             if is_oc:
-                if t.delta is None:
+                if delta is None:
                     yield i, k, "missing delta"
-                elif t.delta not in REWARD_VALUES:
-                    yield i, k, f"delta {t.delta} outside {{-1,0,1}}"
-            elif t.delta is not None:
+                elif delta not in REWARD_VALUES:
+                    yield i, k, f"delta {delta} outside {{-1,0,1}}"
+            elif delta is not None:
                 yield i, k, "unexpected delta"
             if loc == ON_TRANSITIONS:
-                if t.reward is None:
+                if reward is None:
                     yield i, k, "missing transition reward"
-                elif t.reward not in REWARD_VALUES:
-                    yield i, k, f"transition reward {t.reward} outside {{-1,0,1}}"
-            elif t.reward is not None:
+                elif reward not in REWARD_VALUES:
+                    yield i, k, f"transition reward {reward} outside {{-1,0,1}}"
+            elif reward is not None:
                 yield i, k, "unexpected reward"
         if rand and all_positive and num and num != den:
             yield i, None, f"probabilities sum {_clipped_fraction(Fraction(num, den))} != 1"
@@ -480,7 +520,7 @@ def _describe(game: Ssg | OcSsg, i: int | None, k: int | None, message: str) -> 
     """``message`` prefixed with the state (``a: ...``) or edge (``a[k]: ...``) it is about."""
     if i is None:
         return message
-    sid = _clipped(game.states[i].id)
+    sid = _clipped(game.rows[i][0])
     where = sid if k is None else f"{sid}[{k}]"
     return f"{where}: {message}"
 
@@ -577,16 +617,22 @@ def _parse_prob(line, lineno, index, raw):
 def parse_model(text: str) -> Ssg | OcSsg:
     """Parse the text format; raises ModelSyntaxError / ModelSemanticError.
 
-    One pass over the lines: tokens are split at whitespace, an error's
-    column is computed only when it is raised, and each distinct ``p=``
-    numeral becomes one ``Fraction``, shared by every edge that writes it.
-    A broken model rule is reported at the first line it concerns: the
-    ``trans`` line of an edge, the ``state`` line of a state.
+    One pass over the lines compiles the text into the game's ``rows``; no
+    ``State`` is built until the game's ``states`` are read.  Tokens are
+    split at whitespace, an error's column is computed only when it is
+    raised, and each distinct ``p=`` numeral becomes one ``Fraction``,
+    shared by every edge that writes it.  A plain ``trans`` line (declared
+    source, declared target, distinct attributes, a ``p=`` numeral already
+    read and ``reward=``/``delta=`` spelled -1, 0 or 1) goes straight into
+    the rows; every other line is read attribute by attribute, so every
+    error comes from that code.  A broken model rule is reported at the
+    first line it concerns: the ``trans`` line of an edge, the ``state``
+    line of a state.
     """
     header = None
     reward_location = None
-    declared: dict[str, tuple[str, int | None, list[int]]] = {}  # id -> owner, reward, its lines
-    transitions: dict[str, list[Transition]] = {}
+    # id -> owner, reward, its edges (target, prob, reward, delta), its lines
+    declared: dict[str, tuple[str, int | None, list[tuple], list[int]]] = {}
     probs: dict[str, Fraction] = {}  # raw p= numeral -> its value
 
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -595,6 +641,29 @@ def parse_model(text: str) -> Ssg | OcSsg:
         if not tokens:
             continue
         keyword = tokens[0]
+
+        # A plain trans line goes straight into its source's row; any other
+        # line, and so every error, takes the per-attribute code below.
+        if keyword == "trans" and len(tokens) >= 4 and tokens[2] == "->" and tokens[3] in declared:
+            row = declared.get(tokens[1])
+            if row is not None:
+                prob = reward = delta = None
+                for attr in tokens[4:]:
+                    key, _, raw = attr.partition("=")
+                    if key == "p" and prob is None:
+                        prob = probs.get(raw)
+                        if prob is None:
+                            break
+                    elif key == "reward" and reward is None and raw in _UNITS:
+                        reward = _UNITS[raw]
+                    elif key == "delta" and delta is None and raw in _UNITS:
+                        delta = _UNITS[raw]
+                    else:
+                        break
+                else:
+                    row[2].append((tokens[3], prob, reward, delta))
+                    row[3].append(lineno)
+                    continue
 
         if header is None:
             if keyword == "ssg":
@@ -628,8 +697,7 @@ def parse_model(text: str) -> Ssg | OcSsg:
             if sid in declared:
                 raise ModelSemanticError(f"{_clipped(sid)}: duplicate state id", lineno)
             reward = _parse_int_reward(line, lineno, *attrs["reward"], "reward") if "reward" in attrs else None
-            declared[sid] = (owner, reward, [lineno])  # the state line, then one per transition
-            transitions[sid] = []
+            declared[sid] = (owner, reward, [], [lineno])  # the state line, then one per transition
 
         elif keyword == "trans":
             if len(tokens) < 4 or tokens[2] != "->":
@@ -649,8 +717,8 @@ def parse_model(text: str) -> Ssg | OcSsg:
                     prob = probs[raw] = _parse_prob(line, lineno, index, raw)
             reward = _parse_int_reward(line, lineno, *attrs["reward"], "reward") if "reward" in attrs else None
             delta = _parse_int_reward(line, lineno, *attrs["delta"], "delta") if "delta" in attrs else None
-            transitions[src].append(Transition(dst, prob, reward, delta))
-            declared[src][2].append(lineno)
+            declared[src][2].append((dst, prob, reward, delta))
+            declared[src][3].append(lineno)
 
         else:
             raise _syntax_error(line, lineno, 0, f"expected state|trans, found {_quoted(keyword)}")
@@ -658,15 +726,12 @@ def parse_model(text: str) -> Ssg | OcSsg:
     if header is None:
         raise ModelSyntaxError(1, 1, "empty input, expected header ssg|ocssg")
 
-    states = tuple(
-        State(sid, owner, reward=reward, transitions=tuple(transitions[sid]))
-        for sid, (owner, reward, _) in declared.items()
-    )
-    game = OcSsg(states) if header == "ocssg" else Ssg(states, reward_location=reward_location)
+    rows = tuple((sid, owner, reward, tuple(edges)) for sid, (owner, reward, edges, _) in declared.items())
+    game = OcSsg._compiled(rows) if header == "ocssg" else Ssg._compiled(rows, reward_location=reward_location)
     if game.violations:
-        rows = [lines for _, _, lines in declared.values()]
+        lines = [entry[3] for entry in declared.values()]
         line, _, i, k, message = min(
-            (rows[i][0 if k is None else k + 1], order, i, k, message)
+            (lines[i][0 if k is None else k + 1], order, i, k, message)
             for order, (i, k, message) in enumerate(_violations(game))
         )
         raise ModelSemanticError(_describe(game, i, k, message), line)
@@ -683,20 +748,20 @@ def print_model(game: Ssg | OcSsg) -> str:
         lines.append("ocssg")
     else:
         lines.append(f"ssg rewards={game.reward_location}")
-    for s in game.states:
-        entry = f"state {s.id} owner={s.owner}"
-        if s.reward is not None:
-            entry += f" reward={s.reward}"
+    for sid, owner, reward, _ in game.rows:
+        entry = f"state {sid} owner={owner}"
+        if reward is not None:
+            entry += f" reward={reward}"
         lines.append(entry)
-    for s in game.states:
-        for t in s.transitions:
-            entry = f"trans {s.id} -> {t.target}"
-            if t.prob is not None:
-                entry += f" p={_fmt_prob(t.prob)}"
-            if t.reward is not None:
-                entry += f" reward={t.reward}"
-            if t.delta is not None:
-                entry += f" delta={t.delta}"
+    for sid, _, _, edges in game.rows:
+        for target, prob, reward, delta in edges:
+            entry = f"trans {sid} -> {target}"
+            if prob is not None:
+                entry += f" p={_fmt_prob(prob)}"
+            if reward is not None:
+                entry += f" reward={reward}"
+            if delta is not None:
+                entry += f" delta={delta}"
             lines.append(entry)
     return "\n".join(lines) + "\n"
 

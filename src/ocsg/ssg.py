@@ -188,10 +188,12 @@ def _improve(game, player, choice, respond, done):
 
 def _switches(game, player, choice):
     """Every strategy that differs from ``choice`` at one state, in game order."""
-    for sid in game.owner_ids(player):
-        for k in range(len(game.state(sid).transitions)):
-            if k != choice[sid]:
-                yield {**choice, sid: k}
+    index = game.index
+    for sid, who, targets in zip(index.ids, index.owner, index.succ):
+        if who == player:
+            for k in range(len(targets)):
+                if k != choice[sid]:
+                    yield {**choice, sid: k}
 
 
 def check_threshold(p: Fraction, relation: str) -> None:

@@ -1,8 +1,9 @@
 """Qualitative termination for one-counter games.
 
 The counter is never materialised: every solver here runs on the counter
-game as parsed and reads the counter change of a step through
-``model.step_reward``.  Large initial values reduce to the liminf=-inf
+game as parsed and reads the counter change of a step from the game's
+``Index`` (its ``model.step_reward`` weights), so a query builds no
+``State``.  Large initial values reduce to the liminf=-inf
 question, small ones to almost-sure reachability on the counter unfolded to
 |V|+1 levels.  That unfolding, the level product, is an int ``model.Graph``
 built from the base game's ``Index`` with no ``State`` objects, and
@@ -32,7 +33,6 @@ from .model import (
     Transition,
     _quoted,
     check_valid,
-    step_reward,
 )
 
 # The largest level product, |V|·(|V|+1) nodes, that a value-1 query or a
@@ -102,7 +102,7 @@ def check_query(game: OcSsg, start: str, j: int) -> None:
     check_valid(game)
     if j < 1:
         raise ValueError("termination requires j >= 1")
-    if start not in game.by_id:
+    if start not in game.index.pos:
         raise ValueError(f"unknown state {_quoted(start)}")
 
 
@@ -123,7 +123,7 @@ def _term_pipeline(game: OcSsg, start: str, j: int):
     value-1 set W, almost-sure reach on the level product (else None).  A
     product too large is refused before the solve."""
     check_query(game, start, j)
-    n = len(game.states)
+    n = len(game.index.ids)
     if j < n and n * (n + 1) > MAX_LEVEL_NODES:
         raise LevelProductTooLarge(
             f"level product too large: {n} states unfold to {n * (n + 1)} nodes, over {MAX_LEVEL_NODES}"
@@ -146,7 +146,7 @@ def decide_term_one(game: OcSsg, start: str, j: int) -> TermDecision:
     """
     solve, levels = _term_pipeline(game, start, j)
     w = solve.result.value_one_set
-    if j >= len(game.states):
+    if j >= len(game.index.ids):
         return TermDecision(start in w, "limit", w)
     won = levels is None or levels.entry in levels.asr.winning
     return TermDecision(won, "level", w, f"{start}@0")
@@ -178,7 +178,7 @@ def synthesize_term_strategies(game: OcSsg, start: str, j: int):
     w = solve.result.value_one_set
     sigma_liminf = solve.result.witness_max
     pi_liminf = solve.result.witness_min
-    if j >= len(game.states):
+    if j >= len(game.index.ids):
         if start in w:
             return sigma_liminf, None
         return None, _memoryless_as_finite(pi_liminf)
@@ -196,28 +196,28 @@ def _memoryless_as_finite(strategy: PureMemorylessStrategy) -> FiniteMemoryStrat
 def _collapse_max_strategy(game, levels, safe, sigma_liminf) -> PureMemorylessStrategy:
     """With ``levels`` None (a start in ``safe``) nothing is reached but
     the start, and every Max state outside ``safe`` takes edge 0."""
-    width = len(game.states) + 1
-    ids = game.ids()
+    index = game.index
+    width = len(index.ids) + 1
     top: dict[int, int] = {}  # base state index -> highest reachable offset
     for v in (_reachable_under_witness(levels) if levels is not None else ()):
         i, offset = divmod(v, width)
-        if ids[i] in safe or offset == 0:
+        if index.ids[i] in safe or offset == 0:
             # Safe states keep their liminf witness; a state first entered at
             # the bottom boundary is only ever seen once the play terminated.
             continue
         top[i] = max(top.get(i, offset), offset)
     choice = {}
-    for i, s in enumerate(game.states):
-        if s.owner != "max":
+    for i, (sid, who) in enumerate(zip(index.ids, index.owner)):
+        if who != "max":
             continue
-        if s.id in safe:
-            choice[s.id] = sigma_liminf.choice[s.id]
+        if sid in safe:
+            choice[sid] = sigma_liminf.choice[sid]
         elif i in top:
             if top[i] == width - 1:
                 raise AssertionError("unsafe state reachable at the absorbing top level")
-            choice[s.id] = levels.asr.max_choice[i * width + top[i]]
+            choice[sid] = levels.asr.max_choice[i * width + top[i]]
         else:
-            choice[s.id] = 0
+            choice[sid] = 0
     return PureMemorylessStrategy("max", choice)
 
 
@@ -245,29 +245,30 @@ def _reachable_under_witness(levels) -> set[int]:
 def _level_min_strategy(game, levels, pi_liminf) -> FiniteMemoryStrategy:
     """Memory = saturated level index in [-j+1, |V|-j]; spoil below, liminf at top."""
     j = levels.j
-    width = len(game.states) + 1
+    index = game.index
+    width = len(index.ids) + 1
     lo = -j + 1
     hi = width - 1 - j
     memory_states = tuple(range(lo, hi + 1))
     spoil = levels.asr.spoil_choice
     choice = {}
-    for i, s in enumerate(game.states):
-        if s.owner != "min":
+    for i, (sid, who) in enumerate(zip(index.ids, index.owner)):
+        if who != "min":
             continue
         for m in memory_states:
             if m == hi:
-                choice[(m, s.id)] = pi_liminf.choice[s.id]
+                choice[(m, sid)] = pi_liminf.choice[sid]
             else:
-                choice[(m, s.id)] = spoil.get(i * width + m + j, 0)
+                choice[(m, sid)] = spoil.get(i * width + m + j, 0)
     update = {}
-    for s in game.states:
-        for k, t in enumerate(s.transitions):
+    for sid, weights in zip(index.ids, index.weight):
+        for k, w in enumerate(weights):
             for m in memory_states:
                 if m == hi:
                     continue
-                nxt = min(max(m + step_reward(game, s, t), lo), hi)
+                nxt = min(max(m + w, lo), hi)
                 if nxt != m:
-                    update[(m, s.id, k)] = nxt
+                    update[(m, sid, k)] = nxt
     return FiniteMemoryStrategy("min", memory_states, 0, update, choice)
 
 

@@ -5,7 +5,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from ocsg import model
 from ocsg.model import parse_model
+
+DATA = Path(__file__).parent / "data"
 
 FIVE_STATE_TEXT = """\
 ocssg
@@ -40,3 +43,17 @@ def five_state_game():
 @pytest.fixture(scope="session")
 def fair_walk():
     return parse_model(FAIR_WALK_TEXT)
+
+
+@pytest.fixture
+def built_states(monkeypatch):
+    """Counts, by class name, of the ``State`` and ``Transition`` objects
+    built while the test runs."""
+    calls = {}
+    for cls in (model.State, model.Transition):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return calls

@@ -1,7 +1,6 @@
 import gc
 import io
 import warnings
-from pathlib import Path
 
 import pytest
 
@@ -10,7 +9,7 @@ from ocsg.cli import run
 from ocsg.model import LIMIT_KINDS, parse_model, print_model
 from ocsg.reduce import condon_to_limit
 
-from conftest import FIVE_STATE_TEXT
+from conftest import DATA, FIVE_STATE_TEXT
 
 FAIR_COIN_TEXT = """\
 ssg rewards=states
@@ -387,24 +386,29 @@ def test_argparse_errors_cut_long_values(tmp_path, capsys, argv, names):
     assert lengths[0] == lengths[1] < 200
 
 
+def _golden(name):
+    """The reports of a golden file by case, the words after each ``# ``."""
+    golden = {}
+    for line in (DATA / name).read_text().splitlines(keepends=True):
+        if line.startswith("# "):
+            case = tuple(line.split()[1:])
+            golden[case] = ""
+        else:
+            golden[case] += line
+    return golden
+
+
 def test_solve_reports_match_golden_file():
     # Full reports (values, value1, method, witness lines) of the dense
     # fixtures and of the one-player mdp-n20-f1 under every limit objective,
     # and of dense-n96-f3 under mean-leq (349 best responses), pinned byte
     # for byte: a change that only speeds the solver up leaves them as they
     # are.
-    data = Path(__file__).parent / "data"
-    golden = {}
-    for line in (data / "golden-solve-reports.txt").read_text().splitlines(keepends=True):
-        if line.startswith("# "):
-            case = tuple(line.split()[1:])
-            golden[case] = ""
-        else:
-            golden[case] += line
+    golden = _golden("golden-solve-reports.txt")
     assert len(golden) == 4 * len(LIMIT_KINDS) + 1
     for (name, kind), expected in golden.items():
         out = io.StringIO()
-        assert run(["solve", str(data / name), "--objective", kind], out) == 0
+        assert run(["solve", str(DATA / name), "--objective", kind], out) == 0
         assert out.getvalue() == expected, (name, kind)
 
 
@@ -414,20 +418,35 @@ def test_term_reports_match_golden_file():
     # balanced=True)) under both --qual values at j = 1, 2 and |V|, pinned
     # byte for byte.  On the dense counter fixture the start is in the
     # liminf=-inf value-1 set, so j < |V| answers without a level product.
-    data = Path(__file__).parent / "data"
-    golden = {}
-    for line in (data / "golden-term-reports.txt").read_text().splitlines(keepends=True):
-        if line.startswith("# "):
-            case = tuple(line.split()[1:])
-            golden[case] = ""
-        else:
-            golden[case] += line
+    golden = _golden("golden-term-reports.txt")
     assert len(golden) == 2 * 2 * 3
     for (name, qual, j), expected in golden.items():
         start = "s0" if name.startswith("dcounter") else "d0"
         out = io.StringIO()
-        assert run(["term", str(data / name), "--j", j, "--state", start, "--qual", qual], out) == 0
+        assert run(["term", str(DATA / name), "--j", j, "--state", start, "--qual", qual], out) == 0
         assert out.getvalue() == expected, (name, qual, j)
+
+
+def test_solve_and_term_build_no_state_objects(built_states):
+    # A parsed game is compiled into rows and its index; `solve` and `term`
+    # read only those, so no `State` or `Transition` is built, and the
+    # reports stay those of the golden files.
+    solve, term = _golden("golden-solve-reports.txt"), _golden("golden-term-reports.txt")
+    cases = [
+        (["solve", "mdp-n20-f1.ssg", "--objective", "mean-gt"], solve["mdp-n20-f1.ssg", "mean-gt"]),
+        (["solve", "dense-n32-f7.ssg", "--objective", "liminf-minus-inf"],
+         solve["dense-n32-f7.ssg", "liminf-minus-inf"]),
+        (["term", "dcounter-n24-f7.ocssg", "--j", "2", "--state", "s0"], term["dcounter-n24-f7.ocssg", "one", "2"]),
+        (["term", "dbalanced-n200-f1.ocssg", "--j", "2", "--state", "d0", "--qual", "zero"],
+         term["dbalanced-n200-f1.ocssg", "zero", "2"]),
+    ]
+    for argv, expected in cases:
+        out = io.StringIO()
+        assert run([argv[0], str(DATA / argv[1]), *argv[2:]], out) == 0
+        assert out.getvalue() == expected, argv
+    assert built_states == {}
+    # The spy counts: reading a parsed game's states builds them.
+    assert parse_model(FIVE_STATE_TEXT).states and built_states == {"State": 5, "Transition": 7}
 
 
 def test_oversized_level_product_is_one_error_line(tmp_path, monkeypatch, capsys):

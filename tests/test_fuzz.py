@@ -9,7 +9,8 @@ the line it concerns.  The same mutated texts are fed to
 ``ocsg solve`` and ``ocsg term``, which must answer or exit 2 with one
 ``error = ...`` line and an empty report.  With runs of odd whitespace
 between their tokens, they must also give ``parse_model`` and the
-reference parser of ``grids`` the same game or the same error.
+reference parser of ``grids`` the same game or the same error, and on a
+game the same ``Index`` columns and ``validate`` result.
 """
 
 import io
@@ -19,7 +20,16 @@ from contextlib import redirect_stderr
 from hypothesis import given, settings, strategies as st
 
 from ocsg.cli import run
-from ocsg.model import LIMIT_KINDS, ModelError, ModelSemanticError, ModelSyntaxError, OcSsg, Ssg, parse_model
+from ocsg.model import (
+    LIMIT_KINDS,
+    ModelError,
+    ModelSemanticError,
+    ModelSyntaxError,
+    OcSsg,
+    Ssg,
+    parse_model,
+    validate,
+)
 
 from conftest import FAIR_WALK_TEXT, FIVE_STATE_TEXT
 from grids import reference_parse_model
@@ -157,7 +167,23 @@ DIFFERENTIAL_SEEDS = SEEDS + (
     "trans r -> x delta=1\ntrans r -> r p=2/3 delta=0\ntrans x -> y delta=-1\n",
     "ssg rewards=transitions\nstate r owner=rand\nstate x owner=max\n"
     "trans r -> x p=1/2 reward=0\ntrans r -> r p=2/3 reward=1\ntrans x -> x reward=1 p=1/1\n",
+) + (
+    # Trans lines that leave the parser's plain-line path: a reward or
+    # delta spelled +1 or 01, p= numerals read for the first time, a
+    # repeated p=, an undeclared source, a target declared later, and
+    # trailing comments.
+    "ssg rewards=transitions\nstate a owner=max\nstate b owner=rand\n"
+    "trans a -> b reward=+1\ntrans a -> a reward=-1  # a loop\n"
+    "trans b -> a p=2/4 reward=0\ntrans b -> b p=3/6 reward=1\n",
+    "ocssg\nstate s owner=rand\nstate t owner=max\n"
+    "trans s -> t p=1/2 delta=01\ntrans s -> s p=1/2 delta=-1 # back\ntrans t -> s delta=0\n",
+    "ocssg\nstate s owner=rand\ntrans s -> s p=1/2 delta=1\ntrans s -> s p=1/2 p=1/2 delta=-1\n",
+    "ocssg\nstate s owner=rand\ntrans s -> s p=1/2 delta=1\ntrans q -> s p=1/2 delta=-1\n",
+    "ocssg\nstate s owner=rand\ntrans s -> s p=1/2 delta=1\ntrans s -> t p=1/2 delta=0\n"
+    "state t owner=max\ntrans t -> s delta=1\n",
 )
+
+INDEX_COLUMNS = ("ids", "pos", "owner", "succ", "prob", "weight")
 
 
 def _respaced(data, text):
@@ -181,7 +207,14 @@ def test_parser_agrees_with_the_reference_parser(data):
     else:
         text = data.draw(st.sampled_from(DIFFERENTIAL_SEEDS))
     text = _respaced(data, text)
-    assert _outcome(parse_model, text) == _outcome(reference_parse_model, text)
+    outcome, reference = _outcome(parse_model, text), _outcome(reference_parse_model, text)
+    assert outcome == reference
+    if isinstance(outcome, (Ssg, OcSsg)):
+        # The parsed game's index is compiled from its rows, the reference
+        # game's from its states.
+        for column in INDEX_COLUMNS:
+            assert getattr(outcome.index, column) == getattr(reference.index, column), column
+        assert validate(outcome) == validate(reference) == []
 
 
 @settings(max_examples=100, deadline=None)

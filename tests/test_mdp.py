@@ -21,6 +21,7 @@ from ocsg.model import (
     parse_model,
 )
 
+from conftest import DATA, FAIR_WALK_TEXT
 from grids import (
     as_mdp,
     bench_families,
@@ -785,3 +786,19 @@ def test_witness_self_consistency():
             induced = _fix(game, witness)
             reproduced = chain_mod.chain_tail_value(induced, objective)
             assert reproduced == result.values, objective.kind
+
+
+def test_one_player_calls_on_a_parsed_game_build_no_states(built_states):
+    # The one-player and chain entry points check their input on the
+    # index, so on a parsed game they build no `State` or `Transition`.
+    game = parse_model((DATA / "mdp-n20-f1.ssg").read_text())
+    start = game.ids()[0]
+    values = mdp.quantitative_limit(game, MEAN_GT).values
+    assert set(mdp.solve_reachability(game, [start], "max").values) == set(values)
+    mdp.expected_mean_payoff(game, "max")
+    assert mdp.mec_decompose(game)
+    assert len(mdp.energy_min_credit(game)) == len(values)
+    walk = parse_model(FAIR_WALK_TEXT)
+    assert chain_mod.chain_tail_value(walk, LIMINF_MINUS_INF) == {"s": 1}
+    assert chain_mod.reach_probabilities(walk, ["s"]) == {"s": 1}
+    assert built_states == {}
