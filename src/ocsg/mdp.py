@@ -31,7 +31,7 @@ Everything here runs on an int ``model.Index``; the public
 ``mec_decompose``, ``solve_reachability`` and ``quantitative_limit`` read
 their game's index, and a two-player best response hands
 ``limit_on_index`` the residual index that ``Index.fixed`` derives.  No
-game is built per best response, MEC or round:
+game is built per best response, MEC, round or cut:
 
 * MECs (``_mecs``) prune each candidate once with per-node counters over
   the predecessor lists and split it with one ``chain.tarjan``; an
@@ -45,6 +45,11 @@ game is built per best response, MEC or round:
   stationary and transient systems from those lists.
 * A reachability round (``_chain_reach``) reads its chain from the chain
   steps too: one backward reach and one linear solve.
+* Procedure MP (``procedure_mp``) keeps its cuts on the game's index as
+  weight-0 self-loops (``Index.absorbing``) in place of an absorbing
+  state: each round is one policy iteration, whose last evaluation gives
+  the positive-drift classes, and one almost-sure reach on
+  ``Index.max_graph`` with the cut among the targets.
 
 Inside one ``ssg.solve_limit_ssg`` call, ``COMPONENT_MEMO`` holds a dict
 that memoizes end-component results by content: each closed class of an
@@ -71,20 +76,7 @@ from functools import cached_property
 
 from . import chain as chain_mod
 from . import linsolve
-from .model import (
-    LIMIT_KINDS,
-    ON_STATES,
-    ON_TRANSITIONS,
-    Objective,
-    OcSsg,
-    PureMemorylessStrategy,
-    SolveResult,
-    Ssg,
-    State,
-    Transition,
-    _quoted,
-    fix_strategies,
-)
+from .model import LIMIT_KINDS, Objective, OcSsg, PureMemorylessStrategy, SolveResult, Ssg, _quoted
 
 INFINITE_CREDIT = math.inf
 
@@ -115,14 +107,6 @@ def _require_one_player(game) -> None:
 def _player_label(owners, direction: str) -> str:
     owners = {owner for owner in owners if owner != "rand"}
     return owners.pop() if len(owners) == 1 else direction
-
-
-def _induced_chain(game, policy: dict[str, int]) -> Ssg:
-    """The chain left when every controlled state follows ``policy``."""
-    split = {"max": {}, "min": {}}
-    for sid, k in policy.items():
-        split[game.by_id[sid].owner][sid] = k
-    return fix_strategies(game, *(PureMemorylessStrategy(player, choice) for player, choice in split.items()))
 
 
 def _strategy(index, policy: dict[str, int], direction: str) -> PureMemorylessStrategy:
@@ -339,14 +323,16 @@ class _PolicyEvaluation:
     evaluation), computed only as far as they are read, each at most once.
 
     The induced chain is read from an ``Index`` as int successor lists
-    (``Index.chain_steps``); no game is built.  Its closed classes
-    are its ``chain.bottom_sccs``.  ``means`` (the closed classes' mean
-    payoffs) come first, from the classes' stationary laws.  ``gain`` adds
-    the transient states: one factorization of I - P_TT, kept.  ``bias`` adds each class's bias and solves the transient bias
-    with that factorization.  ``node_gain`` and ``node_bias`` are the same
-    values indexed by node, ``gain`` and ``bias`` keyed by state id.  A
-    closed class is memoized in ``COMPONENT_MEMO``, bias included, on the
-    content keys of its members' steps.
+    (``Index.chain_steps``); no game is built.  Its closed classes,
+    ``members`` (node lists), are its ``chain.bottom_sccs``.  ``means``
+    (the closed classes' mean payoffs) come first, from the classes'
+    stationary laws.  ``gain`` adds the transient states: one factorization
+    of I - P_TT, kept.  ``bias`` adds each class's bias and solves the
+    transient bias with that factorization.  ``node_gain`` and
+    ``node_bias`` are the same values indexed by node, ``gain`` and
+    ``bias`` keyed by state id.  A closed class is memoized in
+    ``COMPONENT_MEMO``, bias included, on the content keys of its members'
+    steps.
     """
 
     def __init__(self, index, policy):
@@ -359,16 +345,16 @@ class _PolicyEvaluation:
         self._succ = succ = [step[0] for step in steps]
         self._prob = prob = [step[1] for step in steps]
         self._rewards = rewards = [step[2] for step in steps]
-        self._members = chain_mod.bottom_sccs(succ)
+        self.members = chain_mod.bottom_sccs(succ)
         self._classes = [
             _memoized(
                 ("class", tuple(steps[v][3] for v in members)),
                 lambda: _ClosedClass(ids, members, succ, prob, rewards),
             )
-            for members in self._members
+            for members in self.members
         ]
         self.means = [closed.mean for closed in self._classes]
-        closed = {v for members in self._members for v in members}
+        closed = {v for members in self.members for v in members}
         self._transient = [v for v in range(n) if v not in closed]
 
     @cached_property
@@ -399,7 +385,7 @@ class _PolicyEvaluation:
     @cached_property
     def node_gain(self) -> list[Fraction]:
         gain = [None] * len(self._ids)
-        for members, closed in zip(self._members, self._classes):
+        for members, closed in zip(self.members, self._classes):
             for v in members:
                 gain[v] = closed.mean
         return self._extend(gain, [Fraction(0)] * len(self._transient))
@@ -407,7 +393,7 @@ class _PolicyEvaluation:
     @cached_property
     def node_bias(self) -> list[Fraction]:
         bias = [None] * len(self._ids)
-        for members, closed in zip(self._members, self._classes):
+        for members, closed in zip(self.members, self._classes):
             for v, h in zip(members, closed.bias.values()):
                 bias[v] = h
         gain = self.node_gain
@@ -422,17 +408,12 @@ class _PolicyEvaluation:
         return dict(zip(self._ids, self.node_bias))
 
 
-def expected_mean_payoff(game, direction: str = "max", bias_out: dict | None = None):
-    """Optimal expected mean payoff per state plus a pure memoryless optimiser.
-
+def expected_mean_payoff(game, direction: str = "max"):
+    """Optimal expected mean payoff per state plus a pure memoryless optimiser:
     Howard's multichain policy iteration (``_policy_iteration``) run to
-    optimality.  A ``bias_out`` dict receives the canonical bias of the
-    returned policy, which the last round has already evaluated.
-    """
+    optimality."""
     _require_one_player(game)
     evaluation, policy = _policy_iteration(game.index, direction)
-    if bias_out is not None:
-        bias_out.update(evaluation.bias)
     return evaluation.gain, _strategy(game.index, policy, direction)
 
 
@@ -586,82 +567,50 @@ def procedure_mp(game, start: str):
 
     Faithful loop: maximise expected mean payoff, stop with No when the gain
     at ``start`` is not positive, otherwise cut the region that almost surely
-    reaches a positive-drift BSCC of the mean-payoff policy σ_mp, redirecting
-    severed stochastic edges to a fresh absorbing zero-reward state z.
+    reaches a positive-drift BSCC of the mean-payoff policy σ_mp, and repeat
+    with the cut made absorbing, until ``start`` is cut.
 
-    The cut comes from almost-sure reach: in a one-player game value-1
-    reachability is almost-sure reachability, so the cut is the winning set
-    of ``almost_sure_reach`` toward the BSCC and z (which stands for earlier
-    cuts, all won almost surely), less z.  The witness keeps σ_mp inside the
-    BSCC and takes the almost-sure reach choice elsewhere in the cut.
-
-    Indices never shift: a controlled state with an edge into the cut could
-    step into it, so it is in the cut itself.  A cut therefore severs only
-    rand edges, and ``_remove_states`` redirects those to z at the same index.
+    Every round runs on the game's index: the nodes cut so far stay in
+    place as weight-0 self-loops (``Index.absorbing``), each standing for
+    the absorbing zero-reward state z of the paper.  The round's policy
+    iteration gives the start's gain, and its last evaluation the closed
+    classes and their means.  In a one-player game value-1 reachability is
+    almost-sure reachability, so the new cut is the winning set of
+    ``almost_sure_reach`` toward the BSCC and the old cut; a target counts
+    no edges, so the cut nodes act as z does.  A controlled node with an edge
+    into the cut could step into it, so it is in the cut itself: a cut
+    severs only rand edges.  The witness keeps σ_mp inside the BSCC and
+    takes the almost-sure reach choice elsewhere in the cut.
 
     Returns None for No, or the stitched PureMemorylessStrategy.
     """
     _require_one_player(game)
-    if start not in game.by_id:
+    index = game.index
+    if start not in index.pos:
         raise ValueError(f"unknown state {_quoted(start)}")
     if isinstance(game, OcSsg):
         raise ValueError("reward game expected, translate the counter first")
 
-    current = game
-    stitched: dict[str, int] = {}
-    z_id = None
-    while start in current.by_id:
-        gains, sigma_mp = expected_mean_payoff(current, "max")
-        if gains[start] <= 0:
+    ids, graph = index.ids, index.max_graph
+    first = index.pos[start]
+    cut: frozenset[int] = frozenset()
+    stitched: dict[int, int] = {}
+    while first not in cut:
+        evaluation, policy = _policy_iteration(index.absorbing(cut), "max")
+        if evaluation.node_gain[first] <= 0:
             return None
-        induced = _induced_chain(current, sigma_mp.choice)
-        bsccs, _ = chain_mod.bscc_decompose(induced)
-        positive = [b for b in bsccs if chain_mod.analyze_bscc(induced, b).mean_payoff > 0]
+        positive = [members for members, mean in zip(evaluation.members, evaluation.means) if mean > 0]
         if not positive:
             raise AssertionError("positive gain without a positive-drift BSCC")
-        component = min(positive, key=min)
-        targets = set(component) | ({z_id} if z_id is not None else set())
-        index = current.index
-        asr = almost_sure_reach(index.max_graph, [index.pos[sid] for sid in targets])
-        cut = {index.ids[v] for v in asr.winning} - {z_id}
-        for sid in cut:
-            if current.state(sid).owner != "rand":
-                stitched[sid] = sigma_mp.choice[sid] if sid in component else asr.max_choice[index.pos[sid]]
-        current, z_id = _remove_states(current, cut, z_id)
+        component = set(min(positive, key=lambda members: min(ids[v] for v in members)))
+        asr = almost_sure_reach(graph, cut | component)
+        for v in asr.winning - cut:
+            if index.owner[v] != "rand":
+                stitched[v] = policy[ids[v]] if v in component else asr.max_choice[v]
+        cut = asr.winning
 
-    for sid in game.controlled_ids():
-        stitched.setdefault(sid, 0)
-    return PureMemorylessStrategy(_player_label(game.index.owner, "max"), stitched)
-
-
-def _remove_states(game, cut, z_id):
-    """Drop ``cut``; stochastic edges into it are redirected, at the same
-    index, to absorbing z, which the first cut that needs it adds and later
-    ones keep.  A controlled edge into ``cut`` raises AssertionError."""
-    z = z_id
-    if z is None:
-        z = "z"
-        while z in game.by_id:
-            z += "'"
-    states = []
-    for s in game.states:
-        if s.id in cut:
-            continue
-        if any(t.target in cut for t in s.transitions):
-            if s.owner != "rand":
-                raise AssertionError(f"{s.id}: the cut severs a controlled edge")
-            transitions = tuple(
-                Transition(z, prob=t.prob, reward=t.reward) if t.target in cut else t for t in s.transitions
-            )
-            s = State(s.id, s.owner, reward=s.reward, transitions=transitions)
-            z_id = z
-        states.append(s)
-    if z_id is not None and z_id not in game.by_id:
-        z_reward = 0 if game.reward_location == ON_STATES else None
-        zero_reward = 0 if game.reward_location == ON_TRANSITIONS else None
-        loop = Transition(z_id, prob=Fraction(1), reward=zero_reward)
-        states.append(State(z_id, "rand", reward=z_reward, transitions=(loop,)))
-    return game.with_states(tuple(states)), z_id
+    choice = {ids[v]: stitched.get(v, 0) for v, owner in enumerate(index.owner) if owner != "rand"}
+    return PureMemorylessStrategy(_player_label(index.owner, "max"), choice)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,9 @@ it enters the program, derived games are not.
 A model is compiled once: per state a row (id, owner, reward, edges), each
 edge (target, prob, reward, delta), which ``validate`` and the int
 ``Index`` read.  A parsed game holds only its rows and builds its ``State``
-and ``Transition`` objects on their first read, so a solve or a
-termination query on a parsed game, which read the index, builds none.
+and ``Transition`` objects on their first read, so a solve, a
+termination query or a simulation on a parsed game, which read the
+index, builds none.
 """
 
 from __future__ import annotations
@@ -127,8 +128,9 @@ class Index:
     game's one index, with no game built: ``fixed`` collapses one player's
     nodes to their choices, ``restricted`` keeps a node set and some of its
     edges, and ``max_graph`` is the ``Graph`` with every controlled node
-    owned by Max.  A derived index reuses its parent's chain steps, seeded
-    into its ``chain_steps`` cache.
+    owned by Max.  Procedure MP's rounds read ``absorbing``, which turns
+    the nodes cut so far into weight-0 self-loops.  A derived index reuses
+    its parent's chain steps, seeded into its ``chain_steps`` cache.
     """
 
     ids: tuple[str, ...]
@@ -191,6 +193,20 @@ class Index:
             prob[v] = (_ONE,)
             weight[v] = (weight[v][k],)
             steps[v] = (steps[v][k],)
+        derived = Index(self.ids, self.pos, tuple(owner), tuple(succ), tuple(prob), tuple(weight))
+        vars(derived)["chain_steps"] = tuple(steps)
+        return derived
+
+    def absorbing(self, nodes) -> "Index":
+        """This index with each of ``nodes`` made a rand node on a weight-0
+        self-loop, which nothing leaves; edges into it are kept as they
+        are, and the other nodes keep this index's chain steps."""
+        owner, succ, prob, weight = list(self.owner), list(self.succ), list(self.prob), list(self.weight)
+        steps = list(self.chain_steps)
+        for v in nodes:
+            sid = self.ids[v]
+            owner[v], succ[v], prob[v], weight[v] = "rand", (v,), (_ONE,), (0,)
+            steps[v] = (((v,), (_ONE,), 0, (sid, ((sid, 1, 1, 0),))),)
         derived = Index(self.ids, self.pos, tuple(owner), tuple(succ), tuple(prob), tuple(weight))
         vars(derived)["chain_steps"] = tuple(steps)
         return derived
@@ -343,7 +359,7 @@ class PureMemorylessStrategy:
         for v in owned:
             k = self.choice[index.ids[v]]
             if not 0 <= k < len(index.succ[v]):
-                raise ValueError(f"invalid transition index {k} at {index.ids[v]}")
+                raise ValueError(f"invalid transition index {k} at {_clipped(index.ids[v])}")
 
 
 @dataclass(frozen=True)
@@ -807,9 +823,10 @@ def relabel_controlled(game, owner: str):
 
 
 def step_reward(game: Ssg | OcSsg, source: State, transition: Transition) -> int:
-    """Weight of the step ``source -> transition.target``; the one place that
-    says where a step's weight lives (``_GameOps.index`` applies the same
-    rule a column at a time).
+    """Weight of the step ``source -> transition.target``: the rule that
+    says where a step's weight lives, stated per edge.  The solvers read
+    ``Index.weight``, which ``_GameOps.index`` fills by this rule a column
+    at a time.
 
     In a counter game it is the counter delta, in a transition-reward game
     the edge reward, and in a state-reward game the reward of the state the

@@ -26,11 +26,11 @@ from .model import (
     PureMemorylessStrategy,
     SolveResult,
     Ssg,
+    _clipped,
     _quoted,
     check_valid,
     fix_strategies,
     relabel_controlled,
-    step_reward,
 )
 
 RNG_ALGORITHM = "mt19937-randrange"
@@ -182,6 +182,8 @@ class _Compiled:
     """Index-based trajectory engine for ``strategies`` from ``start``; edge
     sampling is integer-exact.
 
+    Edges, weights and probabilities are read from the game's ``index``
+    and the start's reward from its ``rows``, so no ``State`` is built.
     The last strategy given for a player resolves that player's states.
     A start state not in ``game`` and every pure memoryless strategy are
     checked first, so an unknown start, or a strategy with a missing state
@@ -190,7 +192,8 @@ class _Compiled:
 
     def __init__(self, game, strategies, start: str):
         check_valid(game)
-        if start not in game.by_id:
+        index = game.index
+        if start not in index.pos:
             raise ValueError(f"unknown state {_quoted(start)}")
         by_player = {"max": None, "min": None}
         for strat in strategies or ():
@@ -199,41 +202,40 @@ class _Compiled:
         for strat in by_player.values():
             if isinstance(strat, PureMemorylessStrategy):
                 strat.validate_for(game)
-        ids = game.ids()
-        index = {sid: i for i, sid in enumerate(ids)}
-        self.ids = ids
-        self.edges: list[list[tuple[int, int]]] = []
+        self.ids = index.ids
+        self.edges: list[list[tuple[int, int]]] = [
+            list(zip(targets, weights)) for targets, weights in zip(index.succ, index.weight)
+        ]
         self.tables: list[tuple[int, list[int]] | None] = []
         self.fixed: list[int | None] = []
         self.finite: list[FiniteMemoryStrategy | None] = []
         # The finite-memory strategies whose memory a trial must track.
         self.tracked = tuple(s for s in by_player.values() if isinstance(s, FiniteMemoryStrategy))
-        for s in game.states:
-            self.edges.append([(index[t.target], step_reward(game, s, t)) for t in s.transitions])
-            if s.owner == "rand":
-                denom = lcm(*(t.prob.denominator for t in s.transitions))
+        for sid, owner, probs in zip(index.ids, index.owner, index.prob):
+            if owner == "rand":
+                denom = lcm(*(p.denominator for p in probs))
                 acc = 0
                 cumulative = []
-                for t in s.transitions:
-                    acc += int(t.prob * denom)
+                for p in probs:
+                    acc += int(p * denom)
                     cumulative.append(acc)
                 self.tables.append((denom, cumulative))
                 self.fixed.append(None)
                 self.finite.append(None)
             else:
                 self.tables.append(None)
-                strat = by_player[s.owner]
+                strat = by_player[owner]
                 if strat is None:
-                    raise ValueError(f"{s.id}: no strategy resolves this state")
+                    raise ValueError(f"{_clipped(sid)}: no strategy resolves this state")
                 if isinstance(strat, FiniteMemoryStrategy):
                     self.fixed.append(None)
                     self.finite.append(strat)
                 else:
-                    self.fixed.append(strat.choice[s.id])
+                    self.fixed.append(strat.choice[sid])
                     self.finite.append(None)
-        self.start = index[start]
+        self.start = index.pos[start]
         # The start state's own reward opens the running sum (None unless rewards sit on states).
-        self.opening = game.state(start).reward or 0
+        self.opening = game.rows[self.start][2] or 0
 
 
 def _run_trial(compiled, rng, steps, j, stop_at_hit, plus_threshold=None):

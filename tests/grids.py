@@ -31,7 +31,11 @@ candidate) and ``reference_solve_reachability`` (a chain built by
 are the game-level MEC decomposition and reachability policy iteration,
 the references the int forms ``ocsg.mdp._mecs`` and ``ocsg.mdp._reach``
 are checked against; ``restrict_to_mec`` is a MEC's sub-MDP as a game,
-and ``named_mec`` an int MEC keyed by state id.
+and ``named_mec`` an int MEC keyed by state id.  ``induced_chain`` is the
+chain a policy leaves, built by ``fix_strategies``.
+``reference_procedure_mp`` is Procedure MP as first written, a game built
+per cut by ``remove_states`` with one absorbing state z, the reference the
+index form ``ocsg.mdp.procedure_mp`` is checked against.
 """
 
 from __future__ import annotations
@@ -66,6 +70,7 @@ from ocsg.model import (
     _describe,
     _quoted,
     check_valid,
+    fix_strategies,
     relabel_controlled,
     step_reward,
 )
@@ -251,7 +256,7 @@ def class_gain_bias(induced, members):
 
 def evaluate_gain_bias(game, policy):
     """Exact gain and canonical bias of a fixed policy (multichain evaluation)."""
-    induced = mdp._induced_chain(game, policy)
+    induced = induced_chain(game, policy)
     bsccs, transient = chain_mod.bscc_decompose(induced)
     gain: dict[str, Fraction] = {}
     bias: dict[str, Fraction] = {}
@@ -496,7 +501,7 @@ def reference_solve_reachability(game, targets, direction="max"):
     player = owners.pop() if len(owners) == 1 else direction
     pick, better = (max, operator.gt) if direction == "max" else (min, operator.lt)
     while True:
-        values = chain_mod.reach_probabilities(mdp._induced_chain(game, policy), targets)
+        values = chain_mod.reach_probabilities(induced_chain(game, policy), targets)
         switched = False
         for sid in controlled:
             if sid in targets:
@@ -507,6 +512,77 @@ def reference_solve_reachability(game, targets, direction="max"):
                 switched = True
         if not switched:
             return values, PureMemorylessStrategy(player, dict(policy))
+
+
+def induced_chain(game, policy: dict[str, int]) -> Ssg:
+    """The chain left when every controlled state follows ``policy``."""
+    split = {"max": {}, "min": {}}
+    for sid, k in policy.items():
+        split[game.by_id[sid].owner][sid] = k
+    return fix_strategies(game, *(PureMemorylessStrategy(player, choice) for player, choice in split.items()))
+
+
+def remove_states(game, cut, z_id):
+    """Drop ``cut``; stochastic edges into it are redirected, at the same
+    index, to absorbing z, which the first cut that needs it adds and later
+    ones keep.  A controlled edge into ``cut`` raises AssertionError."""
+    z = z_id
+    if z is None:
+        z = "z"
+        while z in game.by_id:
+            z += "'"
+    states = []
+    for s in game.states:
+        if s.id in cut:
+            continue
+        if any(t.target in cut for t in s.transitions):
+            if s.owner != "rand":
+                raise AssertionError(f"{s.id}: the cut severs a controlled edge")
+            transitions = tuple(
+                Transition(z, prob=t.prob, reward=t.reward) if t.target in cut else t for t in s.transitions
+            )
+            s = State(s.id, s.owner, reward=s.reward, transitions=transitions)
+            z_id = z
+        states.append(s)
+    if z_id is not None and z_id not in game.by_id:
+        z_reward = 0 if game.reward_location == ON_STATES else None
+        zero_reward = 0 if game.reward_location == ON_TRANSITIONS else None
+        loop = Transition(z_id, prob=Fraction(1), reward=zero_reward)
+        states.append(State(z_id, "rand", reward=z_reward, transitions=(loop,)))
+    return game.with_states(tuple(states)), z_id
+
+
+def reference_procedure_mp(game, start: str):
+    """Procedure MP with a game built per cut: each cut is dropped by
+    ``remove_states``, its severed stochastic edges redirected to one
+    absorbing zero-reward state z, and each round's positive-drift BSCCs
+    come from the induced chain's ``chain.bscc_decompose`` and
+    ``chain.analyze_bscc``.  None for No, else the stitched witness."""
+    current = game
+    stitched: dict[str, int] = {}
+    z_id = None
+    while start in current.by_id:
+        gains, sigma_mp = mdp.expected_mean_payoff(current, "max")
+        if gains[start] <= 0:
+            return None
+        induced = induced_chain(current, sigma_mp.choice)
+        bsccs, _ = chain_mod.bscc_decompose(induced)
+        positive = [b for b in bsccs if chain_mod.analyze_bscc(induced, b).mean_payoff > 0]
+        if not positive:
+            raise AssertionError("positive gain without a positive-drift BSCC")
+        component = min(positive, key=min)
+        targets = set(component) | ({z_id} if z_id is not None else set())
+        index = current.index
+        asr = mdp.almost_sure_reach(index.max_graph, [index.pos[sid] for sid in targets])
+        cut = {index.ids[v] for v in asr.winning} - {z_id}
+        for sid in cut:
+            if current.state(sid).owner != "rand":
+                stitched[sid] = sigma_mp.choice[sid] if sid in component else asr.max_choice[index.pos[sid]]
+        current, z_id = remove_states(current, cut, z_id)
+
+    for sid in game.controlled_ids():
+        stitched.setdefault(sid, 0)
+    return PureMemorylessStrategy(mdp._player_label(game.index.owner, "max"), stitched)
 
 
 def level_id(state_id: str, level: int) -> str:

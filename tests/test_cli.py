@@ -324,6 +324,7 @@ def test_argparse_errors_are_one_error_line(tmp_path, capsys):
 
 LONG = "x" * 5000
 ONE_MAX_TEXT = "ssg rewards=states\nstate m owner=max reward=0\ntrans m -> m\n"
+LONG_MAX_TEXT = f"ssg rewards=states\nstate {LONG} owner=max reward=0\ntrans {LONG} -> {LONG}\n"
 
 
 @pytest.mark.parametrize(
@@ -336,14 +337,17 @@ ONE_MAX_TEXT = "ssg rewards=states\nstate m owner=max reward=0\ntrans m -> m\n"
         ["solve", "{coin}", "--objective", "mean-gt", "--state", "s", "--threshold", LONG],
         ["simulate", "{max}", "--state", "m", "--steps", "1", "--trials", "1", "--seed", "1", "--max-choice", "m=" + LONG],
         ["simulate", "{max}", "--state", "m", "--steps", "1", "--trials", "1", "--seed", "1", "--max-choice", LONG + "=0"],
+        ["simulate", "{long}", "--state", LONG, "--steps", "1", "--trials", "1", "--seed", "1", "--max-choice", LONG + "=3"],
     ],
-    ids=["solve-state", "term-state", "reduce-start", "objective", "threshold", "choice-index", "choice-state"],
+    ids=["solve-state", "term-state", "reduce-start", "objective", "threshold", "choice-index", "choice-state",
+         "choice-range"],
 )
 def test_long_arguments_are_cut_in_the_error_line(tmp_path, capsys, argv):
     paths = {
         "{coin}": _write(tmp_path, "coin.ssg", FAIR_COIN_TEXT),
         "{appendix}": _write(tmp_path, "appendix.ocssg", FIVE_STATE_TEXT),
         "{max}": _write(tmp_path, "max.ssg", ONE_MAX_TEXT),
+        "{long}": _write(tmp_path, "long.ssg", LONG_MAX_TEXT),
     }
     out = io.StringIO()
     assert run([paths.get(arg, arg) for arg in argv], out) == 2

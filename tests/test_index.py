@@ -1,10 +1,11 @@
 """Indexes derived from one game's index against the games they replace.
 
 A best response solves on ``Index.fixed`` of the game's index, and its
-MECs on ``Index.restricted``; ``mdp._mecs`` decomposes on ints and
-``mdp._reach`` runs reachability rounds on chain steps.  Each is checked
-against the game-level form it replaced: ``fix_strategies``,
-``grids.restrict_to_mec``, ``grids.reference_mec_decompose`` and
+MECs on ``Index.restricted``; Procedure MP's rounds run on
+``Index.absorbing``; ``mdp._mecs`` decomposes on ints and ``mdp._reach``
+runs reachability rounds on chain steps.  Each is checked against the
+game-level form it replaced: ``fix_strategies``, ``grids.restrict_to_mec``,
+a game with reward-0 self-loops, ``grids.reference_mec_decompose`` and
 ``grids.reference_solve_reachability``, on random one-player games, seeded
 dense games and random node and edge restrictions.
 """
@@ -100,6 +101,20 @@ def test_restricted_index_is_the_mec_games_index(game, owner):
     for mec in mdp._mecs(index):
         sub, _ = restrict_to_mec(game, named_mec(index, mec))
         assert _content(index.restricted(sorted(mec.members), mec.allowed)) == _content(sub.index)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_games(), st.randoms(use_true_random=False))
+def test_absorbing_index_is_the_self_loop_games_index(game, rng):
+    # Procedure MP's cut nodes: each becomes a rand state on a reward-0
+    # self-loop.  On a state-reward game that loop's weight would be the
+    # state's own reward, so only transition rewards have a game form.
+    if game.reward_location != "transitions":
+        return
+    cut = {sid for sid in game.ids() if rng.random() < 0.4}
+    loop = {sid: State(sid, "rand", transitions=(Transition(sid, prob=Fraction(1), reward=0),)) for sid in cut}
+    absorbed = game.with_states(tuple(loop.get(s.id, s) for s in game.states))
+    assert _content(game.index.absorbing({game.index.pos[sid] for sid in cut})) == _content(absorbed.index)
 
 
 def _restriction(game, rng):

@@ -29,6 +29,7 @@ from grids import (
     eager_sub_gain,
     evaluate_gain_bias,
     exhaustive_games,
+    induced_chain,
     named_asr,
     named_mec,
     oc_to_reward_ssg,
@@ -36,6 +37,8 @@ from grids import (
     random_game,
     random_games,
     reference_almost_sure_reach,
+    reference_procedure_mp,
+    remove_states,
     restrict_to_mec,
 )
 
@@ -240,13 +243,14 @@ def test_mean_payoff_agrees_with_enumeration():
             assert eval_gain == gain
 
 
-def test_mean_payoff_bias_out_is_the_returned_policys_bias():
+def test_mean_payoff_last_evaluation_is_the_returned_policys():
     for game in random_games(20, sizes=(3, 4), seed=1618, reward_location="transitions"):
         game = as_mdp(game)
         for direction in ("max", "min"):
-            bias = {}
-            gain, strategy = mdp.expected_mean_payoff(game, direction, bias)
-            assert (gain, bias) == evaluate_gain_bias(game, strategy.choice)
+            evaluation, policy = mdp._policy_iteration(game.index, direction)
+            gain, strategy = mdp.expected_mean_payoff(game, direction)
+            assert (gain, strategy.choice) == (evaluation.gain, policy)
+            assert (evaluation.gain, evaluation.bias) == evaluate_gain_bias(game, policy)
 
 
 def reference_class_gain_bias(induced, members):
@@ -290,7 +294,7 @@ def _policy_cases():
 def test_class_gain_bias_matches_two_elimination_reference():
     classes = 0
     for game, policy in _policy_cases():
-        induced = mdp._induced_chain(game, policy)
+        induced = induced_chain(game, policy)
         bsccs = chain_mod.bscc_decompose(induced)[0]
         evaluation = mdp._PolicyEvaluation(game.index, policy)
         assert [frozenset(closed.stationary) for closed in evaluation._classes] == bsccs
@@ -311,7 +315,7 @@ def test_evaluation_factors_each_matrix_once(monkeypatch):
     monkeypatch.setattr(linsolve, "factor", spy)
     transient_blocks = 0
     for game, policy in _policy_cases():
-        bsccs, transient = chain_mod.bscc_decompose(mdp._induced_chain(game, policy))
+        bsccs, transient = chain_mod.bscc_decompose(induced_chain(game, policy))
         sizes.clear()
         evaluation = mdp._PolicyEvaluation(game.index, policy)
         # One factorization per closed class, one for the transient block
@@ -326,7 +330,7 @@ def test_evaluation_factors_each_matrix_once(monkeypatch):
 
 def test_lazy_evaluation_matches_eager_reference():
     for game, policy in _policy_cases():
-        induced = mdp._induced_chain(game, policy)
+        induced = induced_chain(game, policy)
         evaluation = mdp._PolicyEvaluation(game.index, policy)
         bsccs = chain_mod.bscc_decompose(induced)[0]
         assert evaluation.means == [class_gain_bias(induced, members)[0] for members in bsccs]
@@ -388,8 +392,8 @@ def _reference_mec_part(game, mec, rule):
     index = game.index
     named = named_mec(index, mec)
     sub, _ = restrict_to_mec(game, named)
-    bias = {}
-    gains, _ = mdp.expected_mean_payoff(sub, direction, bias)
+    evaluation, _ = mdp._policy_iteration(sub.index, direction)
+    gains, bias = evaluation.gain, evaluation.bias
     gain = gains[min(named.members)]
     if _sign(gain) in winning_signs:
         return frozenset(named.members), gains
@@ -536,7 +540,7 @@ def test_second_cut_reuses_the_absorbing_state():
         "state a owner=rand reward=0\nstate b owner=max reward=1\nstate z owner=rand reward=0\n"
         "trans a -> b p=1/2\ntrans a -> z p=1/2\ntrans b -> b\ntrans b -> a\ntrans z -> z p=1/1\n"
     )
-    cut_game, z_id = mdp._remove_states(game, {"b"}, "z")
+    cut_game, z_id = remove_states(game, {"b"}, "z")
     assert z_id == "z"
     assert cut_game.ids() == ("a", "z")
     assert [t.target for t in cut_game.state("a").transitions] == ["z", "z"]
@@ -550,7 +554,7 @@ def test_a_cut_never_severs_a_controlled_edge():
         "trans m -> b reward=0\ntrans m -> m reward=0\ntrans b -> b p=1/1 reward=1\n"
     )
     with pytest.raises(AssertionError, match="controlled edge"):
-        mdp._remove_states(game, {"b"}, None)
+        remove_states(game, {"b"}, None)
 
 
 def test_procedure_mp_matches_mean_gt_region():
@@ -562,6 +566,30 @@ def test_procedure_mp_matches_mean_gt_region():
             assert (witness is not None) == (sid in region), sid
             if witness is not None:
                 assert chain_mod.chain_tail_value(_fix(game, witness), MEAN_GT)[sid] == 1, sid
+
+
+def test_procedure_mp_matches_the_per_cut_reference():
+    # The index form keeps each cut node as a weight-0 self-loop where the
+    # reference builds a game per cut with one absorbing z.  Decisions agree
+    # at every start.  Almost-sure reach expands the cut nodes where the
+    # reference expands z, so a controlled node with two edges into the
+    # region may be pulled in by the other edge; such a witness must win.
+    wins = same = 0
+    for reward_location in ("states", "transitions"):
+        for seed, sizes in ((1, (3, 4)), (2, (5, 6)), (3, (7, 8))):
+            for game in random_games(90, sizes=sizes, seed=seed, reward_location=reward_location):
+                game = as_mdp(game)
+                for sid in game.ids():
+                    witness = mdp.procedure_mp(game, sid)
+                    reference = reference_procedure_mp(game, sid)
+                    assert (witness is None) == (reference is None), sid
+                    if witness is None:
+                        continue
+                    wins += 1
+                    same += witness == reference
+                    if witness != reference:
+                        assert chain_mod.chain_tail_value(_fix(game, witness), MEAN_GT)[sid] == 1, sid
+    assert wins > 1500 and same > 0.99 * wins
 
 
 # -- energy games ------------------------------------------------------------
@@ -798,6 +826,11 @@ def test_one_player_calls_on_a_parsed_game_build_no_states(built_states):
     mdp.expected_mean_payoff(game, "max")
     assert mdp.mec_decompose(game)
     assert len(mdp.energy_min_credit(game)) == len(values)
+    assert (mdp.procedure_mp(game, start) is not None) == (values[start] == 1)
+    sigma = PureMemorylessStrategy("max", dict.fromkeys(game.owner_ids("max"), 0))
+    stats = oracle.simulate(game, [sigma], start, steps=50, trials=3, seed=5, j=2)
+    assert stats.trials == len(stats.records) == 3
+    assert 0 <= oracle.estimate_objective(game, [sigma], MEAN_GT, 5, 50, 3, 5, start) <= 1
     walk = parse_model(FAIR_WALK_TEXT)
     assert chain_mod.chain_tail_value(walk, LIMINF_MINUS_INF) == {"s": 1}
     assert chain_mod.reach_probabilities(walk, ["s"]) == {"s": 1}

@@ -61,6 +61,19 @@ def test_simulate_needs_a_strategy_for_every_controlled_state(five_state_game):
         oracle.simulate(five_state_game, (), "v", 10, 10, seed=1)
 
 
+def test_strategy_errors_cut_a_long_state_id():
+    sid = "x" * 5000
+    game = parse_model(f"ssg rewards=states\nstate {sid} owner=max reward=0\ntrans {sid} -> {sid}\n")
+    cases = (
+        ((), f"{'x' * 20}...: no strategy resolves this state"),
+        ((PureMemorylessStrategy("max", {sid: 3}),), f"invalid transition index 3 at {'x' * 20}..."),
+    )
+    for strategies, message in cases:
+        with pytest.raises(ValueError) as raised:
+            oracle.simulate(game, strategies, sid, 10, 10, seed=1)
+        assert str(raised.value) == message
+
+
 def test_unknown_start_is_a_typed_error(fair_walk):
     cases = (("nowhere", "unknown state 'nowhere'"), ("x" * 5000, f"unknown state {'x' * 20!r}..."))
     for start, message in cases:

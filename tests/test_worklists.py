@@ -341,8 +341,8 @@ def reference_divergence_core(game, mec):
     controlled edges) that holds a noisy rand state x.
     """
     sub, _ = restrict_to_mec(game, mec)
-    bias = {}
-    gains, _ = mdp.expected_mean_payoff(sub, "min", bias)
+    evaluation, _ = mdp._policy_iteration(sub.index, "min")
+    gains, bias = evaluation.gain, evaluation.bias
     gain = gains[min(mec.members)]
     if gain < 0:
         return frozenset(mec.members)
