@@ -17,11 +17,15 @@ one rule table (``_MEC_RULES``) read by one function (``_mec_part``): the
 sign of each MEC's optimal gain, and at gain 0 one part of its tight
 sub-MDP, the end components with a noisy rand state (liminf = -inf) or
 those without one (liminf > -inf); then almost-sure reach of the states
-they win.  A MEC's gain policy iteration stops at the first policy whose
-closed classes all have a mean of winning sign, which then wins the whole
-MEC (every state's gain is a convex combination of class means); only a
-MEC that no policy wins is solved to optimality, so a gain-0 MEC gets the
-optimal bias.  Each round evaluates its policy only as far as it reads
+they win.  Every gain policy iteration (``_policy_iteration``) starts from
+the greedy one-step policy, each controlled state on its first edge of
+extreme step weight; Howard's iteration terminates and is optimal from any
+start, so the start only saves rounds.  A MEC's gain policy iteration
+stops at the first policy whose closed classes all have a mean of winning
+sign, which then wins the whole MEC (every state's gain is a convex
+combination of class means); only a MEC that no policy wins is solved to
+optimality, so a gain-0 MEC gets the optimal bias.  Each round evaluates
+its policy only as far as it reads
 (``_PolicyEvaluation``): class means first, the transient gain when it
 does not stop, the bias when no gain switch exists.  No potential test
 runs on this path, and energy lifting (``energy_min_credit``) serves only
@@ -62,8 +66,9 @@ the objective's rule (which fix where it stops) and, per member, whether
 it is controlled and the content keys of its allowed steps.  A key holds
 only strs, ints and bools, so a lookup hashes no ``State``, ``Transition``
 or ``Fraction``, and it holds every probability and weight its analysis
-reads, so equal keys mean equal results.  Outside a solve the variable is
-None and nothing is cached.
+reads, the step weights the greedy start reads included, so equal keys
+mean equal results.  Outside a solve the variable is None and nothing is
+cached.
 """
 
 from __future__ import annotations
@@ -419,22 +424,28 @@ def expected_mean_payoff(game, direction: str = "max"):
 
 def _policy_iteration(index, direction: str, stop=None):
     """The last ``_PolicyEvaluation`` and the policy of Howard's multichain
-    policy iteration (Puterman 1994, section 9.2) from the all-first-edges
+    policy iteration (Puterman 1994, section 9.2) from the greedy one-step
     policy.
 
-    Each round switches to an edge of strictly better gain, and only when
-    none exists to a gain-tied edge of strictly better reward plus
-    canonical bias.  Switching is conservative (the current edge stays
-    unless a strictly better one exists), so no policy repeats; a repeat
-    raises AssertionError.  The loop returns at the first policy with no
-    improving switch, or earlier at the first evaluated policy whose
-    closed-class means satisfy ``stop``.  A round reads the gain only when
-    it does not stop, and the bias only when no gain switch exists.  The
-    rounds read ``index``.
+    The loop starts each controlled node on its first edge of extreme step
+    weight (the largest when maximising, the smallest when minimising), so
+    a node whose edges all weigh the same starts on edge 0.  Each round
+    switches to an edge of strictly better gain, and only when none exists
+    to a gain-tied edge of strictly better reward plus canonical bias.
+    Switching is conservative (the current edge stays unless a strictly
+    better one exists), so no policy repeats; a repeat raises
+    AssertionError.  Termination (finitely many policies, none repeated)
+    and optimality at a policy with no improving switch hold from any
+    start, so the start decides only how many rounds run and which optimal
+    or winning policy comes back.  The loop returns at the first policy
+    with no improving switch, or earlier at the first evaluated policy
+    whose closed-class means satisfy ``stop``.  A round reads the gain only
+    when it does not stop, and the bias only when no gain switch exists.
+    The rounds read ``index``.
     """
     ids, succ, weight = index.ids, index.succ, index.weight
     controlled = [v for v, owner in enumerate(index.owner) if owner != "rand"]
-    policy = {ids[v]: 0 for v in controlled}
+    policy = {ids[v]: weight[v].index(_extreme(direction, weight[v])) for v in controlled}
     seen = set()
     while True:
         key = tuple(policy.values())
@@ -705,6 +716,8 @@ def _mec_gain(index, mec: Mec, rule):
     node order, whether it is controlled and the content keys of the
     chain steps its allowed edges give (``Index.chain_steps``): strs, ints
     and bools that hold everything the sub-index's policy iteration reads.
+    Each key holds its step's weight, so it also fixes the greedy start,
+    which reads only the allowed steps' weights.
     """
     steps, owner = index.chain_steps, index.owner
     members = sorted(mec.members)

@@ -355,7 +355,7 @@ class PureMemorylessStrategy:
             ids = {index.ids[v] for v in owned}
             missing = ids - set(self.choice)
             extra = set(self.choice) - ids
-            raise ValueError(f"strategy domain mismatch: missing={sorted(missing)} extra={sorted(extra)}")
+            raise ValueError(f"strategy domain mismatch: missing {_sample(missing)}, extra {_sample(extra)}")
         for v in owned:
             k = self.choice[index.ids[v]]
             if not 0 <= k < len(index.succ[v]):
@@ -583,6 +583,14 @@ def _parse_attrs(line, lineno, tokens, start, allowed):
 def _clipped(raw: str) -> str:
     """A token cut after 20 characters, so no error echoes a huge id or numeral."""
     return raw if len(raw) <= 20 else f"{raw[:20]}..."
+
+
+def _sample(ids) -> str:
+    """How many ``ids`` there are and the first 3 in sorted order, each
+    ``_clipped``, so no error echoes a whole state set."""
+    ids = sorted(ids)
+    shown = [_clipped(str(sid)) for sid in ids[:3]] + ["..."] * (len(ids) > 3)
+    return f"{len(ids)} [{', '.join(shown)}]"
 
 
 def _clipped_fraction(value: Fraction) -> str:

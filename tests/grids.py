@@ -302,14 +302,19 @@ def eager_sub_gain(sub, rule, log=None):
     """``mdp._sub_gain`` with every round evaluated in full by
     ``evaluate_gain_bias`` and stopped once every state's gain has a
     winning sign: the least favourable gain, the policy, and the bias (None
-    when it stopped).  ``log`` receives (policy, gain, bias, reads) per
-    round, ``reads`` naming what the round used past its class means:
-    nothing when it stops, the gain when it switches on gain, else also
-    the bias."""
+    when it stopped).  It starts, as ``mdp._policy_iteration`` does, from
+    each controlled state's first edge of extreme step weight.  ``log``
+    receives (policy, gain, bias, reads) per round, ``reads`` naming what
+    the round used past its class means: nothing when it stops, the gain
+    when it switches on gain, else also the bias."""
     direction, winning_signs, _ = rule
     pick, least, better = (max, min, operator.gt) if direction == "max" else (min, max, operator.lt)
     controlled = sub.controlled_ids()
-    policy = {sid: 0 for sid in controlled}
+    policy = {}
+    for sid in controlled:
+        state = sub.state(sid)
+        weights = [step_reward(sub, state, t) for t in state.transitions]
+        policy[sid] = weights.index(pick(weights))
     while True:
         gain, bias = evaluate_gain_bias(sub, policy)
         reads = set()

@@ -1,12 +1,13 @@
 import gc
 import io
 import warnings
+from fractions import Fraction
 
 import pytest
 
 from ocsg import cli, ssg, termination
 from ocsg.cli import run
-from ocsg.model import LIMIT_KINDS, parse_model, print_model
+from ocsg.model import LIMIT_KINDS, Objective, PureMemorylessStrategy, parse_model, print_model
 from ocsg.reduce import condon_to_limit
 
 from conftest import DATA, FIVE_STATE_TEXT
@@ -414,6 +415,25 @@ def test_solve_reports_match_golden_file():
         out = io.StringIO()
         assert run(["solve", str(DATA / name), "--objective", kind], out) == 0
         assert out.getvalue() == expected, (name, kind)
+
+
+def test_golden_witnesses_are_mutual_best_responses():
+    # The witness lines of each golden report certify its values: the best
+    # response to either pinned witness gives exactly the pinned values.
+    for (name, kind), report in _golden("golden-solve-reports.txt").items():
+        game = parse_model((DATA / name).read_text())
+        values, choices = {}, {"max": {}, "min": {}}
+        for line in report.splitlines():
+            key, value = line.split(" = ")
+            if key.startswith("witness."):
+                _, player, sid = key.split(".", 2)
+                choices[player][sid] = int(value)
+            elif key in game.index.pos:
+                values[key] = Fraction(value)
+        assert values.keys() == set(game.index.ids)
+        for player, choice in choices.items():
+            response = ssg.best_response(game, PureMemorylessStrategy(player, choice), Objective(kind))
+            assert response.values == values, (name, kind, player)
 
 
 def test_term_reports_match_golden_file():

@@ -230,6 +230,29 @@ def test_mean_payoff_zero_under_both_choices():
     assert gain["m"] == 0
 
 
+def test_policy_iteration_starts_on_the_first_edge_of_extreme_weight(monkeypatch):
+    # A step weighs the reward of the state it arrives at.  n's edges tie,
+    # so n starts on edge 0 in both directions.
+    game = parse_model(
+        "ssg rewards=states\nstate m owner=max reward=0\nstate n owner=max reward=0\n"
+        "state w owner=rand reward=0\nstate y owner=rand reward=1\n"
+        "state x owner=rand reward=-1\nstate z owner=rand reward=1\n"
+        "trans m -> w\ntrans m -> y\ntrans m -> x\ntrans m -> z\ntrans n -> z\ntrans n -> y\n"
+        "trans w -> m p=1/2\ntrans w -> n p=1/2\ntrans y -> y p=1/1\ntrans x -> x p=1/1\ntrans z -> z p=1/1\n"
+    )
+    starts, evaluate = [], mdp._PolicyEvaluation
+
+    def spy(index, policy):
+        starts.append(dict(policy))
+        return evaluate(index, policy)
+
+    monkeypatch.setattr(mdp, "_PolicyEvaluation", spy)
+    for direction, start in (("max", {"m": 1, "n": 0}), ("min", {"m": 2, "n": 0})):
+        starts.clear()
+        mdp._policy_iteration(game.index, direction)
+        assert starts[0] == start, direction
+
+
 def test_mean_payoff_agrees_with_enumeration():
     games = random_games(20, sizes=(3, 4), seed=1618, reward_location="transitions")
     games += random_games(20, sizes=(3, 4), seed=1618, reward_location="states")

@@ -175,6 +175,32 @@ def test_long_ids_and_keys_give_short_positioned_errors(template, line, column, 
     assert len(str(err.value)) < 120
 
 
+def _cycle_text(ids):
+    states = "".join(f"state {sid} owner=max reward=0\n" for sid in ids)
+    edges = "".join(f"trans {sid} -> {ids[(i + 1) % len(ids)]}\n" for i, sid in enumerate(ids))
+    return "ssg rewards=states\n" + states + edges
+
+
+@pytest.mark.parametrize(
+    "ids, choice, message",
+    [
+        (["x" * 5000], {}, "strategy domain mismatch: missing 1 [xxxxxxxxxxxxxxxxxxxx...], extra 0 []"),
+        ([f"s{i}" for i in range(3000)], {}, "strategy domain mismatch: missing 3000 [s0, s1, s10, ...], extra 0 []"),
+        (
+            [f"s{i}" for i in range(3000)],
+            {"s0": 0, "y" * 5000: 0, "z": 0},
+            "strategy domain mismatch: missing 2999 [s1, s10, s100, ...], extra 2 [yyyyyyyyyyyyyyyyyyyy..., z]",
+        ),
+    ],
+    ids=["long-id", "3000-states", "both-sides"],
+)
+def test_strategy_domain_mismatch_is_counted_and_clipped(ids, choice, message):
+    game = parse_model(_cycle_text(ids))
+    with pytest.raises(ValueError) as err:
+        PureMemorylessStrategy("max", choice).validate_for(game)
+    assert str(err.value) == message and len(message) < 300
+
+
 def test_missing_delta_rejected():
     with pytest.raises(ModelSemanticError) as err:
         parse_model("ocssg\nstate a owner=max\ntrans a -> a\n")

@@ -12,6 +12,7 @@ from ocsg.model import (
     LIMINF_PLUS_INF,
     LIMIT_OBJECTIVES,
     MEAN_GT,
+    Objective,
     PureMemorylessStrategy,
     SolveResult,
     Ssg,
@@ -248,19 +249,19 @@ def test_dense_n32_solves_to_zero_with_certificate():
 
 def test_dense_n32_evaluation_count(monkeypatch):
     # Each MEC's policy iteration stops at the first policy whose gain wins
-    # at every state; run to optimality, the same solve evaluates 76 policies.
+    # at every state; run to optimality, the same solve evaluates 55 policies.
     game = parse_model((DATA / "dense-n32-f7.ssg").read_text())
     evaluations = []
     evaluate = mdp._PolicyEvaluation
     monkeypatch.setattr(mdp, "_PolicyEvaluation", lambda *args: evaluations.append(args) or evaluate(*args))
     ssg.solve_limit_ssg(game, LIMINF_MINUS_INF)
-    assert len(evaluations) == 30
+    assert len(evaluations) == 25
 
 
 def test_dense_n32_linear_solve_counts(monkeypatch):
     # A round that stops reads only its closed-class means, and one that
     # switches on gain reads no bias; evaluating every round in full, the
-    # same solve runs 44 factorizations, 71 solves and 17 transposed solves.
+    # same solve runs 35 factorizations, 56 solves and 14 transposed solves.
     game = parse_model((DATA / "dense-n32-f7.ssg").read_text())
     counts = {"factor": 0, "solve": 0, "solve_transposed": 0}
     factor, solve, solve_transposed = linsolve.factor, linsolve.Factorization.solve, linsolve.Factorization.solve_transposed
@@ -276,7 +277,7 @@ def test_dense_n32_linear_solve_counts(monkeypatch):
     monkeypatch.setattr(linsolve.Factorization, "solve", spy("solve", solve))
     monkeypatch.setattr(linsolve.Factorization, "solve_transposed", spy("solve_transposed", solve_transposed))
     ssg.solve_limit_ssg(game, LIMINF_MINUS_INF)
-    assert counts == {"factor": 29, "solve": 41, "solve_transposed": 9}
+    assert counts == {"factor": 18, "solve": 22, "solve_transposed": 4}
 
 
 def _walk(key):
@@ -360,6 +361,30 @@ def test_dense_family_certificate_sweep():
             game = parse_model(dense(n, fseed, None))
             for objective in LIMIT_OBJECTIVES:
                 _assert_certified(game, ssg.solve_limit_ssg(game, objective), objective)
+
+
+# Dense games (n, fseed), objectives and their value at every state, on
+# which an earlier alternating loop raised NoCertificate: all but dense 64,
+# f33 when every MEC policy iteration started from first edges, dense 64,
+# f33 before MEC policy iterations stopped early.
+FORMER_REFUSALS = (
+    (32, 12, ("mean-gt", "liminf-plus-inf"), 1),
+    (64, 27, ("liminf-minus-inf", "liminf-lt-plus-inf", "mean-leq"), 0),
+    (64, 33, ("mean-gt", "liminf-plus-inf"), 0),
+    (64, 53, ("liminf-gt-minus-inf",), 0),
+    (128, 3, ("mean-leq", "liminf-lt-plus-inf"), 0),
+)
+
+
+def test_former_refusals_answer_with_certificate():
+    dense = _dense_family()
+    for n, fseed, kinds, value in FORMER_REFUSALS:
+        game = parse_model(dense(n, fseed, None))
+        for objective in (Objective(kind) for kind in kinds):
+            solve = ssg.solve_limit_ssg(game, objective)
+            assert solve.method == "improvement"
+            assert set(solve.result.values.values()) == {value}, (n, fseed, objective.kind)
+            _assert_certified(game, solve, objective)
 
 
 # Max's only good move is a -> a with reward -1.  Min's second edge, a loop
