@@ -28,7 +28,8 @@ optimality, so a gain-0 MEC gets the optimal bias.  Each round evaluates
 its policy only as far as it reads
 (``_PolicyEvaluation``): class means first, the transient gain when it
 does not stop, the bias when no gain switch exists.  No potential test
-runs on this path, and energy lifting (``energy_min_credit``) serves only
+runs on this path (only the chains that bound a two-player scan's
+candidates test one), and energy lifting (``energy_min_credit``) serves only
 the termination-value-0 question.
 
 Everything here runs on an int ``model.Index``; the public
@@ -49,6 +50,12 @@ game is built per best response, MEC, round or cut:
   stationary and transient systems from those lists.
 * A reachability round (``_chain_reach``) reads its chain from the chain
   steps too: one backward reach and one linear solve.
+* A two-player scan bounds a switch candidate by the limit values of the
+  chain it makes with the held reply's witness (``_ChainValues``), read
+  from the chain steps: ``chain.bottom_sccs``, the memoized class means, a
+  potential test at mean 0, two backward reaches, one step of the chain
+  against the scan's vector, and one ``_chain_reach`` solve only when
+  those leave the comparison open.
 * Procedure MP (``procedure_mp``) keeps its cuts on the game's index as
   weight-0 self-loops (``Index.absorbing``) in place of an absorbing
   state: each round is one policy iteration, whose last evaluation gives
@@ -74,6 +81,7 @@ cached.
 from __future__ import annotations
 
 import math
+import operator
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
@@ -200,19 +208,9 @@ def _chain_reach(index, choice: list[int], targets: frozenset[int]) -> list[Frac
     ``chain.reach_probabilities`` gives them on that chain: 1 on the
     targets, 0 where the targets are out of reach, and one linear solve,
     rows in node order, on the rest."""
-    owner, steps = index.owner, index.chain_steps
+    steps = index.chain_steps
     n = len(steps)
-    reached = [False] * n
-    for t in targets:
-        reached[t] = True
-    stack = list(targets)
-    while stack:
-        t = stack.pop()
-        for v, k in index.preds[t]:
-            if not reached[v] and (owner[v] == "rand" or choice[v] == k):
-                reached[v] = True
-                stack.append(v)
-
+    reached = _chain_backward(index, choice, targets)
     values = [Fraction(0)] * n
     for t in targets:
         values[t] = Fraction(1)
@@ -233,6 +231,127 @@ def _chain_reach(index, choice: list[int], targets: frozenset[int]) -> list[Frac
         for v, x in zip(interior, linsolve.factor(rows).solve(rhs)):
             values[v] = x
     return values
+
+
+def _chain_backward(index, choice: list[int], seeds) -> list[bool]:
+    """Per node, whether it reaches one of the nodes ``seeds`` in the chain
+    where each node takes its chain step ``choice[v]``."""
+    owner, preds = index.owner, index.preds
+    reached = [False] * len(owner)
+    for t in seeds:
+        reached[t] = True
+    stack = list(seeds)
+    while stack:
+        t = stack.pop()
+        for v, k in preds[t]:
+            if not reached[v] and (owner[v] == "rand" or choice[v] == k):
+                reached[v] = True
+                stack.append(v)
+    return reached
+
+
+# At mean 0 a closed class wins liminf = -inf exactly when it has no
+# potential, and liminf > -inf exactly when it has one; at any other mean,
+# and under the other objectives, the sign of the mean decides.
+_ZERO_MEAN_WINS_WITH_POTENTIAL = {"liminf-minus-inf": False, "liminf-gt-minus-inf": True}
+
+
+def _has_potential(members, succ, weights) -> bool:
+    """Whether the closed class ``members`` has a potential h, h(t) - h(v)
+    = w on each of its edges v -> t of weight w (``chain.potential`` on
+    int lists: no cycle of nonzero weight)."""
+    level = {members[0]: 0}
+    stack = [members[0]]
+    while stack:
+        v = stack.pop()
+        for t, w in zip(succ[v], weights[v]):
+            x = level[v] + w
+            if t not in level:
+                level[t] = x
+                stack.append(t)
+            elif level[t] != x:
+                return False
+    return True
+
+
+class _ChainValues:
+    """The values of a limit objective, by node, in the chain where node v
+    of a game's index takes its chain step ``choice[v]``, computed only as
+    far as they are read: ``chain.chain_tail_value`` of that chain, read
+    off the index.
+
+    A closed class wins by the sign of its mean (``_closed_classes``,
+    memoized as a best response's classes are) and, at mean 0 under the
+    liminf = -inf and liminf > -inf objectives, by a potential test on its
+    edge weights.  ``sure`` comes first, from two backward reaches and no
+    linear solve: per node 0 where no winning class is reachable, 1 where
+    no losing one is, and None where both are, the value then lying
+    strictly between 0 and 1.  ``values`` adds one ``_chain_reach`` solve
+    toward the nodes of value 1.  ``order`` compares the values with a
+    vector and reads ``values`` only when ``sure`` and one step of the
+    chain leave the comparison open.
+    """
+
+    def __init__(self, index, choice: list[int], kind: str):
+        ids, owner, weight = index.ids, index.owner, index.weight
+        self._steps = steps = [options[k] for options, k in zip(index.chain_steps, choice)]
+        succ = [step[0] for step in steps]
+        prob = [step[1] for step in steps]
+        rewards = [step[2] for step in steps]
+        winning_signs = _MEC_RULES[kind][1]
+        with_potential = _ZERO_MEAN_WINS_WITH_POTENTIAL.get(kind)
+        winning, losing = [], []
+        for members, closed in zip(*_closed_classes(ids, steps, succ, prob, rewards)):
+            mean = closed.mean
+            if mean == 0 and with_potential is not None:
+                weights = {v: weight[v] if owner[v] == "rand" else (weight[v][choice[v]],) for v in members}
+                wins = _has_potential(members, succ, weights) == with_potential
+            else:
+                wins = _sign(mean) in winning_signs
+            (winning if wins else losing).extend(members)
+        self._index, self._choice = index, choice
+        reaches_win = _chain_backward(index, choice, winning)
+        self._reaches_loss = reaches_loss = _chain_backward(index, choice, losing)
+        self.sure = [None if won and lost else int(won) for won, lost in zip(reaches_win, reaches_loss)]
+
+    @cached_property
+    def values(self) -> list[Fraction]:
+        ones = frozenset(v for v, lost in enumerate(self._reaches_loss) if not lost)
+        return _chain_reach(self._index, self._choice, ones)
+
+    def order(self, vec) -> tuple[bool, bool]:
+        """Whether the values c are >= ``vec`` at every node, and whether
+        they are <= ``vec`` at every node, for ``vec`` in [0, 1], decided
+        exactly.
+
+        On the nodes of ``sure`` c is known: a node of value 0 is >= only
+        a 0, one of value 1 is <= only a 1.  On the others, the transient
+        nodes, c is the unique solution of c(v) = sum_t P(v, t) c(t) with c
+        fixed on ``sure``, and the chain leaves them almost surely.  So if
+        ``vec`` is at most c on ``sure`` and vec(v) <= sum_t P(v, t) vec(t)
+        on the rest, c - vec is superharmonic there and nonnegative where
+        the chain ends up, hence c >= vec everywhere (the maximum
+        principle); c = vec exactly when both one-step inequalities are
+        equalities and ``vec`` agrees with ``sure``.  The mirror holds for
+        c <= vec.  Only when neither side follows this way, with ``vec``
+        not excluded on ``sure``, are the values solved for.
+        """
+        sure, steps = self.sure, self._steps
+        at_least = not any(c == 0 and x for c, x in zip(sure, vec))
+        at_most = all(c != 1 or x == 1 for c, x in zip(sure, vec))
+        if not (at_least or at_most):
+            return False, False
+        below = above = True
+        for v, c in enumerate(sure):
+            if c is None:
+                targets, probs = steps[v][:2]
+                step = vec[targets[0]] if len(targets) == 1 else sum(p * vec[t] for t, p in zip(targets, probs))
+                below = below and vec[v] <= step
+                above = above and vec[v] >= step
+        if (at_least and below) or (at_most and above):
+            return at_least and below, at_most and above
+        values = self.values
+        return all(map(operator.ge, values, vec)), all(map(operator.le, values, vec))
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +442,22 @@ class _ClosedClass:
         return {sid: v - shift for sid, v in zip(self.stationary, h)}
 
 
+def _closed_classes(ids, steps, succ, prob, rewards):
+    """The closed classes of the chain where node v takes the chain step
+    ``steps[v]``, with its successors, probabilities and per-visit reward
+    in ``succ``, ``prob`` and ``rewards``: its ``chain.bottom_sccs`` (node
+    lists), and each one's ``_ClosedClass``, memoized in ``COMPONENT_MEMO``
+    on the content keys of its members' steps."""
+    bottoms = chain_mod.bottom_sccs(succ)
+    return bottoms, [
+        _memoized(
+            ("class", tuple(steps[v][3] for v in members)),
+            lambda: _ClosedClass(ids, members, succ, prob, rewards),
+        )
+        for members in bottoms
+    ]
+
+
 class _PolicyEvaluation:
     """The gain and canonical bias of a fixed policy (multichain
     evaluation), computed only as far as they are read, each at most once.
@@ -350,14 +485,7 @@ class _PolicyEvaluation:
         self._succ = succ = [step[0] for step in steps]
         self._prob = prob = [step[1] for step in steps]
         self._rewards = rewards = [step[2] for step in steps]
-        self.members = chain_mod.bottom_sccs(succ)
-        self._classes = [
-            _memoized(
-                ("class", tuple(steps[v][3] for v in members)),
-                lambda: _ClosedClass(ids, members, succ, prob, rewards),
-            )
-            for members in self.members
-        ]
+        self.members, self._classes = _closed_classes(ids, steps, succ, prob, rewards)
         self.means = [closed.mean for closed in self._classes]
         closed = {v for members in self.members for v in members}
         self._transient = [v for v in range(n) if v not in closed]

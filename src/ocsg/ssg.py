@@ -10,10 +10,13 @@ improvement), and refuses with ``NoCertificate`` only if a Min strategy
 comes back before a pair is found.  Min's descent tests the pair it holds
 before it scans single switches, so a descent from an optimal strategy
 costs two best responses, and within one solve no strategy is evaluated
-twice.  When Min has a single strategy (no Min state has a second edge),
-the solve is one best response: Max's to that strategy, which is already a
-best response to anything.  Nothing here enumerates strategies; exhaustive
-enumeration lives in ``oracle`` as ground truth.
+twice.  A switch candidate gets its best response only if the chain it
+makes against the held reply's witness passes the vector test; that chain's
+values bound the best response, so the skipped candidates are ones the
+test would reject.  When Min has a single strategy (no Min state has a
+second edge), the solve is one best response: Max's to that strategy,
+which is already a best response to anything.  Nothing here enumerates
+strategies; exhaustive enumeration lives in ``oracle`` as ground truth.
 """
 
 from __future__ import annotations
@@ -94,6 +97,24 @@ def solve_limit_ssg(game: Ssg, objective: Objective) -> SsgSolve:
     means all win, reading no transient gain or bias there, and runs to
     optimality only when none does).
 
+    A scan spends a best response only on a candidate that its chain bound
+    admits.  Min's exact reply to a Max candidate σ′ has values v′ ≤ val(σ′,
+    τ) at every state for every Min strategy τ, since the reply minimizes
+    over all of them; take for τ the Min witness of the reply the scan
+    holds, and let c = val(σ′, τ), the values of the Markov chain the pair
+    makes.  The vector test accepts σ′ only if v′ ≥ vec and v′ ≠ vec.  Then
+    c ≥ v′ ≥ vec, and c ≠ vec, since c = vec would squeeze v′ to vec.  So if
+    c fails "c ≥ vec and c ≠ vec", v′ fails the test too, and σ′ is
+    skipped.  Min's descent is the mirror case: Max's reply to τ′ has v′ ≥
+    val(σ, τ′) for σ the Max witness of the held reply, and the test asks
+    for v′ ≤ vec and v′ ≠ vec.  The bound is exact, c being compared with
+    vec in Fractions (``mdp._ChainValues.order``), so it skips only
+    candidates the scan would reject: the scan order, the accepted switch, the returned
+    strategies and replies do not change, only the number of best
+    responses does.  The held witness is used only when it fixes exactly
+    the opponent's states; an opponent without states has the empty
+    choice, and a witness that misses a state bounds nothing.
+
     When Min has a single strategy τ (``_switches`` yields nothing), the
     call runs one best response, Max's exact best response to τ, and
     returns its values with σ, its Max witness, and τ.  σ is a best
@@ -148,11 +169,11 @@ def _alternate(game, objective):
     visited = set()
     while True:
         visited.add(frozenset(tau.items()))
-        tau, against_tau = _improve(game, "min", tau, respond, certified)
+        tau, against_tau = _improve(game, objective, "min", tau, respond, certified)
         visited.add(frozenset(tau.items()))
         goal = _vector(game, against_tau.values)
         sigma, against_sigma = _improve(
-            game, "max", dict(against_tau.witness_max.choice), respond, lambda vec, _: vec == goal
+            game, objective, "max", dict(against_tau.witness_max.choice), respond, lambda vec, _: vec == goal
         )
         if _vector(game, against_sigma.values) == goal:
             return solved(sigma, tau, against_tau)
@@ -161,7 +182,7 @@ def _alternate(game, objective):
             raise NoCertificate("alternating improvement revisited a Min strategy without a certified pair")
 
 
-def _improve(game, player, choice, respond, done):
+def _improve(game, objective, player, choice, respond, done):
     """Single-switch improvement of ``player``'s pure memoryless ``choice``.
 
     A strategy is scored by the values of the opponent's exact best response
@@ -170,12 +191,20 @@ def _improve(game, player, choice, respond, done):
     taken, and the scan starts over; it ends when no switch improves or
     ``done(vector, reply)`` holds for the current choice.  Returns the final
     choice and the best response to it.
+
+    A candidate gets its best response only if the chain it makes against
+    the current reply's witness passes the same vector test
+    (``_may_improve``); one that fails it would fail with its best response
+    too, so the scan accepts the same switch.
     """
     better = operator.ge if player == "max" else operator.le
     result = respond(player, choice)
     vec = _vector(game, result.values)
     while not done(vec, result):
+        opponent = _opponent_choice(game, player, result)
         for candidate in _switches(game, player, choice):
+            if opponent is not None and not _may_improve(game, objective, player, {**opponent, **candidate}, vec):
+                continue
             reply = respond(player, candidate)
             cvec = _vector(game, reply.values)
             if cvec != vec and all(map(better, cvec, vec)):
@@ -184,6 +213,27 @@ def _improve(game, player, choice, respond, done):
         else:
             break
     return choice, result
+
+
+def _opponent_choice(game, player, reply):
+    """The choice of ``reply``'s witness for ``player``'s opponent, empty
+    when that witness is missing, or None unless it covers exactly the
+    opponent's states."""
+    opponent = "min" if player == "max" else "max"
+    witness = reply.witness_min if opponent == "min" else reply.witness_max
+    choice = {} if witness is None else witness.choice
+    return choice if choice.keys() == set(game.owner_ids(opponent)) else None
+
+
+def _may_improve(game, objective, player, profile, vec):
+    """Whether the chain where every controlled state takes its choice in
+    ``profile`` passes the vector test against ``vec``: its values are
+    better for ``player`` than or equal to ``vec`` at every state and
+    differ at one (``mdp._ChainValues.order``)."""
+    index = game.index
+    chain = mdp._ChainValues(index, [profile.get(sid, 0) for sid in index.ids], objective.kind)
+    at_least, at_most = chain.order(vec)
+    return at_least and not at_most if player == "max" else at_most and not at_least
 
 
 def _switches(game, player, choice):

@@ -406,7 +406,7 @@ def _golden(name):
 def test_solve_reports_match_golden_file():
     # Full reports (values, value1, method, witness lines) of the dense
     # fixtures and of the one-player mdp-n20-f1 under every limit objective,
-    # and of dense-n96-f3 under mean-leq (349 best responses), pinned byte
+    # and of dense-n96-f3 under mean-leq (30 best responses), pinned byte
     # for byte: a change that only speeds the solver up leaves them as they
     # are.
     golden = _golden("golden-solve-reports.txt")

@@ -1,3 +1,4 @@
+import itertools
 import operator
 from fractions import Fraction
 from pathlib import Path
@@ -249,19 +250,19 @@ def test_dense_n32_solves_to_zero_with_certificate():
 
 def test_dense_n32_evaluation_count(monkeypatch):
     # Each MEC's policy iteration stops at the first policy whose gain wins
-    # at every state; run to optimality, the same solve evaluates 55 policies.
+    # at every state; run to optimality, the same solve evaluates 20 policies.
     game = parse_model((DATA / "dense-n32-f7.ssg").read_text())
     evaluations = []
     evaluate = mdp._PolicyEvaluation
     monkeypatch.setattr(mdp, "_PolicyEvaluation", lambda *args: evaluations.append(args) or evaluate(*args))
     ssg.solve_limit_ssg(game, LIMINF_MINUS_INF)
-    assert len(evaluations) == 25
+    assert len(evaluations) == 9
 
 
 def test_dense_n32_linear_solve_counts(monkeypatch):
     # A round that stops reads only its closed-class means, and one that
     # switches on gain reads no bias; evaluating every round in full, the
-    # same solve runs 35 factorizations, 56 solves and 14 transposed solves.
+    # same solve runs 22 factorizations, 30 solves and 6 transposed solves.
     game = parse_model((DATA / "dense-n32-f7.ssg").read_text())
     counts = {"factor": 0, "solve": 0, "solve_transposed": 0}
     factor, solve, solve_transposed = linsolve.factor, linsolve.Factorization.solve, linsolve.Factorization.solve_transposed
@@ -397,7 +398,7 @@ FIRST_EDGE_LOSES = parse_model(
 )
 
 
-def _first_edges(game, player, choice, respond, done):
+def _first_edges(game, objective, player, choice, respond, done):
     choice = {sid: 0 for sid in game.owner_ids(player)}
     return choice, respond(player, choice)
 
@@ -670,3 +671,178 @@ def test_component_memo_lives_only_inside_a_solve(monkeypatch):
     with pytest.raises(ssg.NoCertificate):
         ssg.solve_limit_ssg(FIRST_EDGE_LOSES, LIMINF_MINUS_INF)
     assert mdp.COMPONENT_MEMO.get() is None
+
+
+# -- the chain bound on best responses -----------------------------------------
+
+
+def _profiles(game):
+    """Every pair of pure memoryless choices, as one choice map over the
+    controlled states."""
+    controlled = game.controlled_ids()
+    options = [range(len(game.state(sid).transitions)) for sid in controlled]
+    for picks in itertools.product(*options):
+        yield dict(zip(controlled, picks))
+
+
+def _chain_values(game, profile, objective):
+    index = game.index
+    return mdp._ChainValues(index, [profile.get(sid, 0) for sid in index.ids], objective.kind)
+
+
+def _assert_chain_values(game, profile, objective, vectors):
+    # The kernel against the tail values of the chain fix_strategies
+    # builds, its sure values against those, and its order against each of
+    # ``vectors`` against the order of the exact values.
+    chain = _chain_values(game, profile, objective)
+    sigma = PureMemorylessStrategy("max", {sid: profile[sid] for sid in game.owner_ids("max")})
+    tau = PureMemorylessStrategy("min", {sid: profile[sid] for sid in game.owner_ids("min")})
+    expected = chain_mod.chain_tail_value(fix_strategies(game, sigma, tau), objective)
+    # A fresh kernel for the order, which has not solved for its values.
+    order = _chain_values(game, profile, objective).order
+    assert dict(zip(game.ids(), chain.values)) == expected, objective.kind
+    for sure, value in zip(chain.sure, chain.values):
+        assert (0 < value < 1) if sure is None else value == sure, objective.kind
+    for vec in vectors:
+        exact = (all(map(operator.ge, chain.values, vec)), all(map(operator.le, chain.values, vec)))
+        assert order(vec) == exact, (objective.kind, vec)
+
+
+def _neighbour_vectors(game, profile, objective, rng):
+    """The chain values of every profile that differs from ``profile`` at
+    one state, and a random vector of values in [0, 1]."""
+    vectors = [[rng.choice((0, Fraction(1, 3), Fraction(1, 2), 1)) for _ in game.ids()]]
+    for sid in game.controlled_ids():
+        for k in range(len(game.state(sid).transitions)):
+            if k != profile[sid]:
+                vectors.append(_chain_values(game, {**profile, sid: k}, objective).values)
+    return vectors
+
+
+def test_chain_values_match_chain_tail_value_on_the_grid():
+    # Every profile of every grid game: the kernel's values, read off the
+    # game's index, are the tail values of the chain fix_strategies builds.
+    import random
+
+    rng = random.Random(2718)
+    for game in exhaustive_games():
+        for profile in _profiles(game):
+            for objective in LIMIT_OBJECTIVES:
+                _assert_chain_values(game, profile, objective, _neighbour_vectors(game, profile, objective, rng))
+
+
+def test_chain_values_match_chain_tail_value_on_dense_games():
+    import random
+
+    rng = random.Random(4242)
+    dense = _dense_family()
+    for n in (8, 12, 16):
+        for fseed in range(1, 9):
+            game = parse_model(dense(n, fseed, None))
+            for _ in range(3):
+                profile = {sid: rng.randrange(len(game.state(sid).transitions)) for sid in game.controlled_ids()}
+                for objective in LIMIT_OBJECTIVES:
+                    _assert_chain_values(game, profile, objective, _neighbour_vectors(game, profile, objective, rng))
+
+
+def test_skipped_candidates_fail_the_vector_test(monkeypatch):
+    # A candidate the chain bound skips would have been rejected: the full
+    # best response to it does not improve on the scan's vector.
+    may_improve = ssg._may_improve
+    skipped = []
+
+    def spy(game, objective, player, profile, vec):
+        admitted = may_improve(game, objective, player, profile, vec)
+        if not admitted:
+            better = operator.ge if player == "max" else operator.le
+            candidate = PureMemorylessStrategy(player, {sid: profile[sid] for sid in game.owner_ids(player)})
+            cvec = tuple(ssg.best_response(game, candidate, objective).values[sid] for sid in game.ids())
+            assert cvec == vec or not all(map(better, cvec, vec)), objective.kind
+            skipped.append(player)
+        return admitted
+
+    monkeypatch.setattr(ssg, "_may_improve", spy)
+    for game, objective in _reference_cases():
+        ssg.solve_limit_ssg(game, objective)
+    assert {"max", "min"} <= set(skipped)
+
+
+def _reply(witness_max=None, witness_min=None):
+    return SolveResult.from_values({}, witness_max, witness_min)
+
+
+def test_opponent_choice_covers_every_opponent_state():
+    # The bound reads the reply's witness for the opponent only when it
+    # fixes every opponent state; a missing witness is the empty choice of
+    # an opponent without states.
+    max_only = relabel_controlled(UNCERTIFIED_IMPROVEMENT, "max")
+    assert ssg._opponent_choice(max_only, "max", _reply()) == {}
+    assert ssg._opponent_choice(max_only, "min", _reply()) is None
+    partial = PureMemorylessStrategy("max", {"a": 0, "b": 1})
+    assert ssg._opponent_choice(max_only, "min", _reply(witness_max=partial)) is None
+    full = PureMemorylessStrategy("max", {"a": 0, "b": 1, "c": 0})
+    assert ssg._opponent_choice(max_only, "min", _reply(witness_max=full)) == full.choice
+    extra = PureMemorylessStrategy("min", {"a": 0, "z": 0})
+    assert ssg._opponent_choice(UNCERTIFIED_IMPROVEMENT, "max", _reply(witness_min=extra)) is None
+
+
+def test_bound_without_opponent_states_matches_the_reference(monkeypatch):
+    # With every controlled state Min's, Max has no state: Min's descent
+    # bounds its candidates with Max's empty choice, and the solve is the
+    # reference loop's.
+    profiles = []
+    may_improve = ssg._may_improve
+    monkeypatch.setattr(ssg, "_may_improve", lambda *args: profiles.append(args[3]) or may_improve(*args))
+    games = [UNCERTIFIED_IMPROVEMENT] + random_games(8, sizes=(3, 4), seed=50505)
+    games.append(parse_model(_dense_family()(12, 1, None)))
+    for game in (relabel_controlled(game, "min") for game in games):
+        for objective in LIMIT_OBJECTIVES:
+            solve = ssg.solve_limit_ssg(game, objective)
+            reference = reference_solve(game, objective)
+            assert solve == reference, objective.kind
+            assert solve.result.values == oracle.enumerate_solve(game, objective).values, objective.kind
+    assert profiles
+
+
+# Best responses of one solve, counted as ``ssg.best_response`` calls (the
+# memo misses); without the chain bound they were 27 and 349.
+BEST_RESPONSE_COUNTS = (
+    ("dense-n32-f7.ssg", LIMINF_MINUS_INF, 5),
+    ("dense-n96-f3.ssg", Objective("mean-leq"), 30),
+)
+
+
+def test_best_response_counts(monkeypatch):
+    seen = _count_best_responses(monkeypatch)
+    for name, objective, count in BEST_RESPONSE_COUNTS:
+        seen.clear()
+        ssg.solve_limit_ssg(parse_model((DATA / name).read_text()), objective)
+        assert len(seen) == count, name
+
+
+# Two transient rand states, each a fair coin between a winning and a
+# losing loop under mean-gt: both are worth 1/2.
+TWO_COINS = parse_model(
+    "ssg rewards=transitions\n"
+    "state a owner=rand\nstate b owner=rand\nstate w owner=rand\nstate l owner=rand\n"
+    "trans a -> w p=1/2 reward=0\ntrans a -> l p=1/2 reward=0\n"
+    "trans b -> w p=1/2 reward=0\ntrans b -> l p=1/2 reward=0\n"
+    "trans w -> w p=1/1 reward=1\ntrans l -> l p=1/1 reward=-1\n"
+)
+
+
+def test_chain_order_solves_only_when_one_step_leaves_it_open():
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    cases = (
+        ((third, third, 1, 0), (True, False), False),
+        ((half, half, 1, 0), (True, True), False),
+        ((half, 1, 1, 0), (False, True), False),
+        ((third, 2 * third, 1, 0), (False, False), True),
+        ((third, third, 0, 0), (True, False), True),
+        ((half, half, 0, 1), (False, False), False),
+    )
+    for vec, order, solved in cases:
+        chain = mdp._ChainValues(TWO_COINS.index, [0, 0, 0, 0], MEAN_GT.kind)
+        assert chain.sure == [None, None, 1, 0]
+        assert chain.order(vec) == order, vec
+        assert ("values" in vars(chain)) == solved, vec
