@@ -6,7 +6,7 @@ or a game whose controlled states belong to a single player).  The exception
 is ``almost_sure_reach``, which is a genuine two-player fixpoint keyed on
 owner labels: max-owned states work toward the target, min-owned states
 spoil.  It runs on int graphs (an ``Index`` or a ``model.Graph``, such as
-the termination level product), as ``chain.attractor`` does.
+``Index.max_graph``), as ``chain.attractor`` does.
 
 Probabilities, values, and gains are exact Fractions throughout; policy
 iteration terminates because every accepted switch strictly improves an

@@ -5,13 +5,13 @@ game as parsed and reads the counter change of a step from the game's
 ``Index`` (its ``model.step_reward`` weights), so a query builds no
 ``State``.  Large initial values reduce to the liminf=-inf
 question, small ones to almost-sure reachability on the counter unfolded to
-|V|+1 levels.  That unfolding, the level product, is an int ``model.Graph``
-built from the base game's ``Index`` with no ``State`` objects, and
-``mdp.almost_sure_reach`` runs on it as it runs on a game's index.  A
-start in the liminf=-inf value-1 set is a target of the product, so it
-wins at every j and no product is built for it.  A product of more than
-``MAX_LEVEL_NODES`` nodes is refused before any solve.
-Witness synthesis collapses the level-product strategies back onto the
+|V|+1 offsets, the level product.  No product is built: value 1 is
+downward closed in the offset, so almost-sure reach on the product comes
+out of a fixpoint on one threshold per state of the base game
+(``_value_one_thresholds``).  A start in the liminf=-inf value-1 set wins
+at every j, so no fixpoint runs for it.  A query whose product would have
+more than ``MAX_LEVEL_NODES`` nodes is refused before any solve.
+Witness synthesis collapses the threshold fixpoint's choices back onto the
 control states: Max gets a memoryless counter-oblivious strategy, Min a
 strategy whose memory is the saturated level index (at most |V| memory
 states).
@@ -25,21 +25,19 @@ from . import mdp, ssg
 from .model import (
     LIMINF_MINUS_INF,
     FiniteMemoryStrategy,
-    Graph,
     OcSsg,
     PureMemorylessStrategy,
-    Ssg,
     State,
     Transition,
     _quoted,
     check_valid,
 )
 
-# The largest level product, |V|·(|V|+1) nodes, that a value-1 query or a
-# synthesis with j < |V| builds.  Building it and its almost-sure reach
-# take about 6 µs and 470 bytes per node on a 2-vCPU host (Python 3.11):
-# a whole query at this size answers in about 7 s, inside a 10 s budget
-# with room for 25% timing noise.
+# The largest level product, |V|·(|V|+1) nodes, over which a value-1 query
+# or a synthesis with j < |V| is answered.  The threshold fixpoint builds no
+# product and holds O(|V|) ints, so the limit no longer guards time or
+# memory; it is kept so that the answers and refusals of ``ocsg term`` stay
+# those of the product it replaced.
 MAX_LEVEL_NODES = 1_000_000
 
 
@@ -48,44 +46,152 @@ class LevelProductTooLarge(ValueError):
     exceed ``MAX_LEVEL_NODES`` nodes."""
 
 
-def _level_product(base: Ssg | OcSsg, liminf_value_one) -> tuple[Graph, frozenset[int]]:
-    """The running sum of step weights unfolded to L = |V|+1 levels, and its
-    targets.
+@dataclass(frozen=True)
+class _Thresholds:
+    """Almost-sure reach on the level product, one threshold per state.
 
-    Node i*L + o is base state i (game order) at offset o in 0..|V|; with
-    initial counter j the offset is the level plus j, so levels run from -j
-    to |V|-j and the start is at offset j.  The targets are offset 0 and
-    every copy of a state in ``liminf_value_one``, the value-1 set of
-    liminf=-inf on ``base``.  Targets have no successors, and neither has
-    the top offset |V|, a dead end that loses, so there are no boundary
-    self-loops; elsewhere edge k of the base state moves the offset by its
-    ``step_reward``, read from the base game's ``index``.  Nothing here
-    depends on j.
+    ``top[i]`` is the largest offset from which Max wins at state i (game
+    order), and a number above |V| on the liminf=-inf value-1 set W.
+    ``max_choice[i]`` of a Max state i holds its attractor choice at each
+    offset 1..top[i] (index offset-1), and ``spoil[i]`` of a Min state its
+    spoiling edge at each offset 1..|V|-1 (index offset; 0 where it wins).
     """
-    index = base.index
-    n = len(index.ids)
-    width = n + 1
-    owner: list[str] = []
-    succ: list[tuple[int, ...]] = []
-    targets: list[int] = []
-    for i, (sid, who, nxt, weights) in enumerate(zip(index.ids, index.owner, index.succ, index.weight)):
-        first = i * width
-        owner += [who] * width
-        if sid in liminf_value_one:
-            succ += [()] * width
-            targets += range(first, first + width)
-            continue
-        # Edge k from offset o leads to node steps[k] + o.
-        steps = [t * width + w for t, w in zip(nxt, weights)]
-        succ.append(())
-        succ += [tuple(step + o for step in steps) for o in range(1, n)]
-        succ.append(())
-        targets.append(first)
-    preds: list[list[tuple[int, int]]] = [[] for _ in succ]
-    for v, nxt in enumerate(succ):
-        for k, t in enumerate(nxt):
-            preds[t].append((v, k))
-    return Graph(owner, succ, preds), frozenset(targets)
+
+    top: list[int]
+    max_choice: list[list[int]]
+    spoil: list[list[int]]
+
+
+def _value_one_thresholds(index, safe) -> _Thresholds:
+    """Almost-sure reach on the level product of the game with ``index``,
+    whose liminf=-inf value-1 set W is the bool list ``safe``, without the
+    product.
+
+    Product node (i, o) is state i at offset o in 0..|V|: with initial
+    counter j the offset is the level plus j, and edge k moves it by the
+    edge's weight.  Offset 0 and every copy of a W state are targets; a
+    state outside W at offset |V| is a dead end that loses.  Value 1 from
+    (s, j) holds iff s is in W or j <= top[s].
+
+    The alternating fixpoint of ``mdp.almost_sure_reach`` keeps an alive
+    set, takes Max's positive attractor to the targets within it, and
+    removes the blocked rest with its Min/rand attractor (the doomed set)
+    until nothing is blocked.  Every one of these sets is a threshold set
+    per state, so each is one int per state:
+
+    - the alive set is {o <= a(i)}, downward closed in the offset, and
+      closed under Min and rand edges (a Min or rand node with an edge
+      into the doomed set is doomed itself);
+    - its positive attractor is {o <= p(i)}: with the alive set closed,
+      a Min node needs all its edges in it and a Max or rand node one, and
+      an edge from (i, o) to (t, o + w) enters it iff o <= p(t) - w, so
+      each round of the attractor adds downward-closed offsets;
+    - so the blocked set is {p(i) < o <= a(i)}, and its doomed attractor
+      {d(i) <= o <= a(i)} is upward closed within the alive set: an edge
+      enters it or a removed node iff o >= min(d(t), a(t) + 1) - w.
+
+    Behind this is that steps are +-1: a play shifted down by one offset
+    meets 0 no later and the top no sooner.  So each round is two worklist
+    liftings over the base game's edges, as in ``mdp.energy_min_credit``
+    (Brim, Chaloupka, Doyen, Gentilini, Raskin 2011): p rises from 0 to
+    the least fixpoint of min(a(i), |V|-1, F), F the max over edges of
+    p(t) - w at Max and rand states and the min at Min states; then
+    out = p + 1 falls to the greatest fixpoint of max(1, G), G the min over
+    edges of min(out(t), a(t)+1) - w at Min and rand states and the max at
+    Max states, and a becomes out - 1.  It stops when p = a outside W.
+
+    The choices are those of the product's attractors: a Max state keeps,
+    per offset band, the edge that raised p into it in the last round, and
+    a Min state the edge by which each offset left the alive set, one that
+    leaves the positive attractor where it was blocked and the edge that
+    lowered out where it was pulled.
+    """
+    owner, succ, weight, preds = index.owner, index.succ, index.weight, index.preds
+    n = len(owner)
+    far = n + 2  # above every offset: W is never blocked or pulled
+    top = [far if s else n for s in safe]
+    spoil = [[0] * n if who == "min" else [] for who in owner]
+    while True:
+        cap = [min(a, n - 1) for a in top]
+        bands = [[] for _ in owner]
+        p = _lift(owner, succ, weight, preds, safe, cap, far, bands)
+        if all(s or p[i] >= top[i] for i, s in enumerate(safe)):
+            return _Thresholds(top, bands, spoil)
+        for i, who in enumerate(owner):
+            if who == "min" and not safe[i]:
+                for o in range(p[i] + 1, cap[i] + 1):
+                    spoil[i][o] = next(k for k, (t, w) in enumerate(zip(succ[i], weight[i])) if p[t] < o + w <= top[t])
+        out = _lower(owner, succ, weight, preds, safe, top, [v + 1 for v in p], spoil)
+        top = [a if s else d - 1 for a, s, d in zip(top, safe, out)]
+
+
+def _lift(owner, succ, weight, preds, safe, cap, far, bands):
+    """Max's positive attractor to the targets: per state outside ``safe``
+    the largest offset p(i) <= cap[i] from which Max reaches offset 0 or W
+    with positive probability, lifted from 0 by relaxing edges.  A state
+    whose p rose relaxes the edges into it: a Max or rand predecessor
+    rises to what that edge gives, a Min one to the least over its edges.
+    A Max state records in ``bands`` the edge of each rise once per offset
+    it covers."""
+    p = [far if s else 0 for s in safe]
+    queue = list(range(len(safe)))
+    queued = [True] * len(safe)
+    while queue:
+        t = queue.pop()
+        queued[t] = False
+        reached = p[t]
+        for v, k in preds[t]:
+            rise = reached - weight[v][k]
+            if rise <= p[v] or p[v] >= cap[v]:
+                continue
+            if owner[v] == "min":
+                rise = min(p[u] - w for u, w in zip(succ[v], weight[v]))
+                if rise <= p[v]:
+                    continue
+            if rise > cap[v]:
+                rise = cap[v]
+            if owner[v] == "max":
+                bands[v] += [k] * (rise - p[v])
+            p[v] = rise
+            if not queued[v]:
+                queued[v] = True
+                queue.append(v)
+    return p
+
+
+def _lower(owner, succ, weight, preds, safe, top, out, spoil):
+    """The doomed set: lower ``out``, one above the positive attractor's
+    threshold p, to the least offset from which Min and rand pull the play
+    into the blocked offsets or out of the alive ones, by relaxing edges
+    from the blocked states: a Min or rand predecessor falls to what that
+    edge gives, a Max one to the greatest over its edges.  As p <= a,
+    out(t) is min(d(t), a(t) + 1) all along.  A Min state records in
+    ``spoil`` the edge of each fall at the offsets it covers."""
+    queue = [i for i, s in enumerate(safe) if not s and out[i] <= top[i]]
+    queued = [False] * len(out)
+    for i in queue:
+        queued[i] = True
+    while queue:
+        t = queue.pop()
+        queued[t] = False
+        low = out[t]
+        for v, k in preds[t]:
+            fall = low - weight[v][k]
+            if fall >= out[v] or safe[v]:
+                continue
+            if owner[v] == "max":
+                fall = max(out[u] - w for u, w in zip(succ[v], weight[v]))
+            if fall < 1:
+                fall = 1
+            if fall >= out[v]:
+                continue
+            if owner[v] == "min":
+                spoil[v][fall : out[v]] = [k] * (out[v] - fall)
+            out[v] = fall
+            if not queued[v]:
+                queued[v] = True
+                queue.append(v)
+    return out
 
 
 @dataclass(frozen=True)
@@ -106,49 +212,37 @@ def check_query(game: OcSsg, start: str, j: int) -> None:
         raise ValueError(f"unknown state {_quoted(start)}")
 
 
-@dataclass(frozen=True)
-class _Levels:
-    """Almost-sure reach on the level product for initial counter ``j``;
-    ``entry`` is the start at level 0."""
-
-    graph: Graph
-    targets: frozenset[int]
-    asr: mdp.AsrResult
-    j: int
-    entry: int
-
-
 def _term_pipeline(game: OcSsg, start: str, j: int):
     """The liminf=-inf solve and, for j < |V| with ``start`` outside its
-    value-1 set W, almost-sure reach on the level product (else None).  A
-    product too large is refused before the solve."""
+    value-1 set W, the value-1 thresholds (else None).  A query whose level
+    product is too large is refused before the solve."""
     check_query(game, start, j)
-    n = len(game.index.ids)
+    index = game.index
+    n = len(index.ids)
     if j < n and n * (n + 1) > MAX_LEVEL_NODES:
         raise LevelProductTooLarge(
             f"level product too large: {n} states unfold to {n * (n + 1)} nodes, over {MAX_LEVEL_NODES}"
         )
     solve = ssg.solve_limit_ssg(game, LIMINF_MINUS_INF)
-    if j >= n or start in solve.result.value_one_set:
+    w = solve.result.value_one_set
+    if j >= n or start in w:
         return solve, None
-    graph, targets = _level_product(game, solve.result.value_one_set)
-    entry = game.index.pos[start] * (n + 1) + j
-    return solve, _Levels(graph, targets, mdp.almost_sure_reach(graph, targets), j, entry)
+    return solve, _value_one_thresholds(index, [sid in w for sid in index.ids])
 
 
 def decide_term_one(game: OcSsg, start: str, j: int) -> TermDecision:
     """Is the termination value 1 from ``start`` with initial counter ``j``?
 
     For j >= |V| this is exactly the liminf=-inf value-1 question; below
-    that, the level product reduces it to almost-sure reachability.  A
-    start in the liminf=-inf value-1 set W has value 1 at every j (its
-    entry copy is a target), so no product is built for it.
+    that it is almost-sure reachability on the level product, read off the
+    start's value-1 threshold.  A start in the liminf=-inf value-1 set W
+    has value 1 at every j, so no threshold is computed for it.
     """
-    solve, levels = _term_pipeline(game, start, j)
+    solve, thresholds = _term_pipeline(game, start, j)
     w = solve.result.value_one_set
     if j >= len(game.index.ids):
         return TermDecision(start in w, "limit", w)
-    won = levels is None or levels.entry in levels.asr.winning
+    won = thresholds is None or j <= thresholds.top[game.index.pos[start]]
     return TermDecision(won, "level", w, f"{start}@0")
 
 
@@ -169,12 +263,12 @@ def synthesize_term_strategies(game: OcSsg, start: str, j: int):
 
     Value 1: a pure memoryless counter-oblivious Max strategy optimal in
     ``start``; states with liminf=-inf value 1 keep that witness's choice,
-    every other Max state reachable in the level product adopts the
-    level-product choice at its highest reachable level.  Value < 1: a Min
+    every other Max state reachable in the level product adopts its
+    attractor choice at its highest reachable offset.  Value < 1: a Min
     strategy whose memory is the level index saturating at the window top,
     where it switches to the liminf=-inf witness for Min.
     """
-    solve, levels = _term_pipeline(game, start, j)
+    solve, thresholds = _term_pipeline(game, start, j)
     w = solve.result.value_one_set
     sigma_liminf = solve.result.witness_max
     pi_liminf = solve.result.witness_min
@@ -182,9 +276,9 @@ def synthesize_term_strategies(game: OcSsg, start: str, j: int):
         if start in w:
             return sigma_liminf, None
         return None, _memoryless_as_finite(pi_liminf)
-    if levels is None or levels.entry in levels.asr.winning:
-        return _collapse_max_strategy(game, levels, w, sigma_liminf), None
-    return None, _level_min_strategy(game, levels, pi_liminf)
+    if thresholds is None or j <= thresholds.top[game.index.pos[start]]:
+        return _collapse_max_strategy(game, thresholds, start, j, w, sigma_liminf), None
+    return None, _level_min_strategy(game, thresholds, j, pi_liminf)
 
 
 def _memoryless_as_finite(strategy: PureMemorylessStrategy) -> FiniteMemoryStrategy:
@@ -193,19 +287,11 @@ def _memoryless_as_finite(strategy: PureMemorylessStrategy) -> FiniteMemoryStrat
     return FiniteMemoryStrategy(strategy.player, memory, "-", {}, choice)
 
 
-def _collapse_max_strategy(game, levels, safe, sigma_liminf) -> PureMemorylessStrategy:
-    """With ``levels`` None (a start in ``safe``) nothing is reached but
-    the start, and every Max state outside ``safe`` takes edge 0."""
+def _collapse_max_strategy(game, thresholds, start, j, safe, sigma_liminf) -> PureMemorylessStrategy:
+    """With ``thresholds`` None (a start in ``safe``) nothing is reached
+    but the start, and every Max state outside ``safe`` takes edge 0."""
     index = game.index
-    width = len(index.ids) + 1
-    top: dict[int, int] = {}  # base state index -> highest reachable offset
-    for v in (_reachable_under_witness(levels) if levels is not None else ()):
-        i, offset = divmod(v, width)
-        if index.ids[i] in safe or offset == 0:
-            # Safe states keep their liminf witness; a state first entered at
-            # the bottom boundary is only ever seen once the play terminated.
-            continue
-        top[i] = max(top.get(i, offset), offset)
+    top = _highest_reached(index, thresholds, index.pos[start], j) if thresholds is not None else {}
     choice = {}
     for i, (sid, who) in enumerate(zip(index.ids, index.owner)):
         if who != "max":
@@ -213,44 +299,45 @@ def _collapse_max_strategy(game, levels, safe, sigma_liminf) -> PureMemorylessSt
         if sid in safe:
             choice[sid] = sigma_liminf.choice[sid]
         elif i in top:
-            if top[i] == width - 1:
-                raise AssertionError("unsafe state reachable at the absorbing top level")
-            choice[sid] = levels.asr.max_choice[i * width + top[i]]
+            choice[sid] = thresholds.max_choice[i][top[i] - 1]
         else:
             choice[sid] = 0
     return PureMemorylessStrategy("max", choice)
 
 
-def _reachable_under_witness(levels) -> set[int]:
-    """Level-product nodes reachable from the entry when Max follows the witness."""
-    owner, succ = levels.graph.owner, levels.graph.succ
-    max_choice, winning = levels.asr.max_choice, levels.asr.winning
-    seen = {levels.entry}
-    frontier = [levels.entry]
+def _highest_reached(index, thresholds, entry: int, j: int) -> dict[int, int]:
+    """Per state outside W, the highest offset >= 1 that the play reaches
+    from (``entry``, ``j``) inside the winning region when Max follows its
+    attractor choices, explored over (state, offset) pairs.  The play stops
+    at the targets: a state first entered at offset 0 is only ever seen
+    once the play terminated, and a W state keeps its liminf witness."""
+    owner, succ, weight = index.owner, index.succ, index.weight
+    top, max_choice = thresholds.top, thresholds.max_choice
+    n = len(owner)
+    highest: dict[int, int] = {}
+    seen = {(entry, j)}
+    frontier = [(entry, j)]
     while frontier:
-        v = frontier.pop()
-        if v in levels.targets:
+        i, o = frontier.pop()
+        if o == 0 or top[i] > n:
             continue
-        if owner[v] == "max":
-            nxt = [succ[v][max_choice[v]]] if v in max_choice else []
-        else:
-            nxt = succ[v]
-        for t in nxt:
-            if t in winning and t not in seen:
-                seen.add(t)
-                frontier.append(t)
-    return seen
+        highest[i] = max(highest.get(i, o), o)
+        edges = (max_choice[i][o - 1],) if owner[i] == "max" else range(len(succ[i]))
+        for k in edges:
+            reached = (succ[i][k], o + weight[i][k])
+            if reached[1] <= top[reached[0]] and reached not in seen:
+                seen.add(reached)
+                frontier.append(reached)
+    return highest
 
 
-def _level_min_strategy(game, levels, pi_liminf) -> FiniteMemoryStrategy:
+def _level_min_strategy(game, thresholds, j, pi_liminf) -> FiniteMemoryStrategy:
     """Memory = saturated level index in [-j+1, |V|-j]; spoil below, liminf at top."""
-    j = levels.j
     index = game.index
     width = len(index.ids) + 1
     lo = -j + 1
     hi = width - 1 - j
     memory_states = tuple(range(lo, hi + 1))
-    spoil = levels.asr.spoil_choice
     choice = {}
     for i, (sid, who) in enumerate(zip(index.ids, index.owner)):
         if who != "min":
@@ -259,7 +346,7 @@ def _level_min_strategy(game, levels, pi_liminf) -> FiniteMemoryStrategy:
             if m == hi:
                 choice[(m, sid)] = pi_liminf.choice[sid]
             else:
-                choice[(m, sid)] = spoil.get(i * width + m + j, 0)
+                choice[(m, sid)] = thresholds.spoil[i][m + j]
     update = {}
     for sid, weights in zip(index.ids, index.weight):
         for k, w in enumerate(weights):

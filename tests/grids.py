@@ -6,8 +6,10 @@ far beyond the intended minutes of runtime).  Random layers draw from a
 seeded generator so every run sees identical instances.  ``oc_to_reward_ssg``
 is the reward view of a counter game, a reference the solvers never use:
 they read counter games as parsed.  ``build_level_game`` is the level game
-of termination built as a full ``Ssg`` with string ids, the reference the
-int-keyed level product of ``ocsg.termination`` is checked against.
+of termination built as a full ``Ssg`` with string ids; ``level_product``
+is the same unfolding as an int ``Graph`` for ``mdp.almost_sure_reach``,
+the reference the per-state value-1 thresholds of ``ocsg.termination`` are
+checked against at every state and offset.
 ``reference_parse_model`` is the model parser as first written, token
 columns and all, the reference the one-pass ``ocsg.model.parse_model`` is
 checked against.  ``class_gain_bias`` and ``evaluate_gain_bias`` are the
@@ -58,6 +60,7 @@ from ocsg.model import (
     ON_STATES,
     ON_TRANSITIONS,
     REWARD_VALUES,
+    Graph,
     ModelSemanticError,
     ModelSyntaxError,
     OcSsg,
@@ -643,6 +646,46 @@ def build_level_game(base: Ssg | OcSsg, j: int, liminf_value_one, hi: int | None
             states.append(State(lid, s.owner, transitions=transitions))
     game = Ssg(tuple(states), reward_location="transitions")
     return LevelGame(game, j, hi, frozenset(targets), to_base)
+
+
+def level_product(base: Ssg | OcSsg, liminf_value_one) -> tuple[Graph, frozenset[int]]:
+    """The running sum of step weights unfolded to L = |V|+1 offsets, as an
+    int ``Graph``, and its targets.
+
+    Node i*L + o is base state i (game order) at offset o in 0..|V|; with
+    initial counter j the offset is the level plus j, so levels run from -j
+    to |V|-j and the start is at offset j.  The targets are offset 0 and
+    every copy of a state in ``liminf_value_one``, the value-1 set of
+    liminf=-inf on ``base``.  Targets have no successors, and neither has
+    the top offset |V|, a dead end that loses, so there are no boundary
+    self-loops; elsewhere edge k of the base state moves the offset by its
+    ``step_reward``, read from the base game's ``index``.  Nothing here
+    depends on j.
+    """
+    index = base.index
+    n = len(index.ids)
+    width = n + 1
+    owner: list[str] = []
+    succ: list[tuple[int, ...]] = []
+    targets: list[int] = []
+    for i, (sid, who, nxt, weights) in enumerate(zip(index.ids, index.owner, index.succ, index.weight)):
+        first = i * width
+        owner += [who] * width
+        if sid in liminf_value_one:
+            succ += [()] * width
+            targets += range(first, first + width)
+            continue
+        # Edge k from offset o leads to node steps[k] + o.
+        steps = [t * width + w for t, w in zip(nxt, weights)]
+        succ.append(())
+        succ += [tuple(step + o for step in steps) for o in range(1, n)]
+        succ.append(())
+        targets.append(first)
+    preds: list[list[tuple[int, int]]] = [[] for _ in succ]
+    for v, nxt in enumerate(succ):
+        for k, t in enumerate(nxt):
+            preds[t].append((v, k))
+    return Graph(owner, succ, preds), frozenset(targets)
 
 
 # ---------------------------------------------------------------------------

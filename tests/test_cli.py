@@ -442,10 +442,13 @@ def test_term_reports_match_golden_file():
     # balanced=True)) under both --qual values at j = 1, 2 and |V|, pinned
     # byte for byte.  On the dense counter fixture the start is in the
     # liminf=-inf value-1 set, so j < |V| answers without a level product.
+    # The two chance counters (bench/families.py chance_counter(8, 1, None)
+    # and chance_counter(8, 27, None)) take the level branch with the start
+    # outside that set (empty, then {c2}): value 1 at j = 1, not above.
     golden = _golden("golden-term-reports.txt")
-    assert len(golden) == 2 * 2 * 3
+    assert len(golden) == 2 * 2 * 3 + 3 + 2
     for (name, qual, j), expected in golden.items():
-        start = "s0" if name.startswith("dcounter") else "d0"
+        start = {"dcounter": "s0", "dbalanced": "d0", "chance": "c0"}[name.split("-")[0]]
         out = io.StringIO()
         assert run(["term", str(DATA / name), "--j", j, "--state", start, "--qual", qual], out) == 0
         assert out.getvalue() == expected, (name, qual, j)

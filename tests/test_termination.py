@@ -13,7 +13,6 @@ from ocsg.model import (
     Graph,
     OcSsg,
     PureMemorylessStrategy,
-    Ssg,
     State,
     Transition,
     fix_strategies,
@@ -25,6 +24,7 @@ from grids import (
     build_level_game,
     exhaustive_games,
     level_id,
+    level_product,
     oc_to_reward_ssg,
     random_game,
     random_games,
@@ -46,7 +46,8 @@ def _as_ocssg(game):
 def test_counter_game_solves_like_its_reward_view():
     """Solvers read deltas through ``model.step_reward``, so a counter game
     as parsed and its reward view give the same solve (values, value-1 set,
-    both witnesses, method), energy credits and level product."""
+    both witnesses, method), energy credits and value-1 thresholds, choices
+    included."""
     for index, game in enumerate(exhaustive_games()):
         counter = _as_ocssg(game)
         rewards = oc_to_reward_ssg(counter)
@@ -56,10 +57,12 @@ def test_counter_game_solves_like_its_reward_view():
         for keeper in ("max", "min"):
             assert mdp.energy_min_credit(counter, keeper) == mdp.energy_min_credit(rewards, keeper), index
         w = solves[LIMINF_MINUS_INF].result.value_one_set
-        assert termination._level_product(counter, w) == termination._level_product(rewards, w), index
+        safe = [sid in w for sid in counter.index.ids]
+        thresholds = termination._value_one_thresholds(counter.index, safe)
+        assert thresholds == termination._value_one_thresholds(rewards.index, safe), index
 
 
-# -- level product -------------------------------------------------------------
+# -- level product (the tests/grids.py reference) ------------------------------
 
 
 def _node(game, state_id, level, j):
@@ -74,7 +77,7 @@ def test_level_game_counts_two_states():
             "trans a -> b p=1/1 delta=1\ntrans b -> a p=1/1 delta=-1\n"
         )
     )
-    graph, _ = termination._level_product(base, frozenset())
+    graph, _ = level_product(base, frozenset())
     assert len(graph.succ) == 6
     levels = {divmod(v, 3)[1] - 1 for v in range(len(graph.succ))}
     assert levels == {-1, 0, 1}
@@ -82,13 +85,13 @@ def test_level_game_counts_two_states():
 
 def test_level_game_counts_appendix(five_state_game):
     base = oc_to_reward_ssg(five_state_game)
-    graph, _ = termination._level_product(base, frozenset())
+    graph, _ = level_product(base, frozenset())
     assert len(graph.succ) == 30
 
 
 def test_level_game_value_one_rows_are_targets(five_state_game):
     base = oc_to_reward_ssg(five_state_game)
-    _, targets = termination._level_product(base, frozenset({"down"}))
+    _, targets = level_product(base, frozenset({"down"}))
     for i in range(-1, 5):
         assert _node(base, "down", i, 1) in targets
     assert _node(base, "up", 0, 1) not in targets
@@ -107,7 +110,7 @@ def test_level_game_boundary_absorbing(five_state_game):
     # Play stops at both boundaries: the bottom copies are targets and the
     # top copies dead ends, none with a successor, and the top loses.
     base = oc_to_reward_ssg(five_state_game)
-    graph, targets = termination._level_product(base, frozenset())
+    graph, targets = level_product(base, frozenset())
     top = _node(base, "v", 4, 1)
     bottom = _node(base, "v", -1, 1)
     assert graph.succ[top] == graph.succ[bottom] == ()
@@ -141,7 +144,7 @@ def test_level_product_matches_reference_level_game():
     for index, game in enumerate(games):
         counter = _as_ocssg(game)
         w = ssg.solve_limit_ssg(counter, LIMINF_MINUS_INF).result.value_one_set
-        graph, targets = termination._level_product(counter, w)
+        graph, targets = level_product(counter, w)
         asr = mdp.almost_sure_reach(graph, targets)
         got = (set(asr.winning), asr.max_choice, asr.spoil_choice)
         for j in range(1, len(counter.states)):
@@ -159,7 +162,7 @@ def _random_counter(seed, n):
 def test_level_product_asr_matches_the_set_based_reference(counter, rng):
     # The product takes any target set, so W is drawn at random here.
     w = frozenset(sid for sid in counter.ids() if rng.random() < 0.3)
-    graph, targets = termination._level_product(counter, w)
+    graph, targets = level_product(counter, w)
     asr = mdp.almost_sure_reach(graph, targets)
     got = (set(asr.winning), asr.max_choice, asr.spoil_choice)
     for j in range(1, len(counter.states)):
@@ -185,34 +188,109 @@ def test_start_in_w_has_value_one_on_the_full_product():
     assert checked > 1000
 
 
-def test_decide_term_one_reaches_on_the_int_level_product(five_state_game, monkeypatch):
-    seen = []
-    real = mdp.almost_sure_reach
+def _reference_winning_offsets(counter, w):
+    """Per state, its offsets in 0..|V| that almost-sure reach on the
+    reference level product wins."""
+    n = len(counter.index.ids)
+    graph, targets = level_product(counter, w)
+    winning = mdp.almost_sure_reach(graph, targets).winning
+    return [{o for o in range(n + 1) if i * (n + 1) + o in winning} for i in range(n)]
 
-    def spy(game, targets):
-        seen.append(game)
-        return real(game, targets)
 
-    monkeypatch.setattr(mdp, "almost_sure_reach", spy)
-    assert termination.decide_term_one(five_state_game, "v", 2).value_one is False
-    # The liminf solve calls it on the int graphs of its residual indexes
-    # (five nodes); the level step is the last call.
-    (graph,) = [g for g in seen if len(g.succ) != 5]
-    assert not any(isinstance(g, Ssg | OcSsg) for g in seen)
-    assert seen[-1] is graph and isinstance(graph, Graph)
-    assert len(graph.owner) == len(graph.succ) == len(graph.preds) == 5 * 6
-    assert all(isinstance(t, int) for nxt in graph.succ for t in nxt)
+def _assert_thresholds_match(counter, w):
+    """The thresholds answer every state at every offset 0..|V| as almost-sure
+    reach on the reference product does; returns the pairs compared."""
+    index = counter.index
+    n = len(index.ids)
+    safe = [sid in w for sid in index.ids]
+    top = termination._value_one_thresholds(index, safe).top
+    for i, won in enumerate(_reference_winning_offsets(counter, w)):
+        assert won == {o for o in range(n + 1) if safe[i] or o <= top[i]}, (index.ids[i], top)
+    return n * (n + 1)
+
+
+def test_thresholds_match_the_product_on_the_grid():
+    # W is the liminf=-inf value-1 set, then empty, then a seeded draw.
+    rng = random.Random(2828)
+    compared = 0
+    for game in exhaustive_games() + random_games(60, sizes=(4, 5, 6), seed=2929):
+        counter = _as_ocssg(game)
+        w = ssg.solve_limit_ssg(counter, LIMINF_MINUS_INF).result.value_one_set
+        for safe in (w, frozenset(), frozenset(sid for sid in counter.ids() if rng.random() < 0.3)):
+            compared += _assert_thresholds_match(counter, safe)
+    assert compared > 15000
+
+
+def test_thresholds_match_the_product_on_bench_counters():
+    # Seeded chance (2, 4 or 8 controlled states), dense and drift counters
+    # with n <= 30, each with its own W and with W empty.
+    families = bench_families()
+    rng = random.Random(3030)
+    compared, nonempty = 0, 0
+    for f in range(1, 31):
+        texts = [
+            families.chance_counter(rng.randint(8, 30), f, None, controlled=rng.choice((2, 4, 8))),
+            families.dense_counter(rng.randint(2, 20), f, None),
+            families.drift_counter(rng.randint(2, 30), f, None, balanced=bool(f % 2)),
+        ]
+        for text in texts:
+            counter = parse_model(text)
+            w = ssg.solve_limit_ssg(counter, LIMINF_MINUS_INF).result.value_one_set
+            nonempty += bool(w)
+            for safe in (w, frozenset()):
+                compared += _assert_thresholds_match(counter, safe)
+    assert nonempty >= 20 and compared > 50000
+
+
+def test_value_one_is_downward_closed():
+    # In the reference product each state's winning offsets are 0..a(i),
+    # and decide_term_one's answer never turns true as j grows.
+    for game in random_games(40, sizes=(3, 4, 5), seed=3131):
+        counter = _as_ocssg(game)
+        w = ssg.solve_limit_ssg(counter, LIMINF_MINUS_INF).result.value_one_set
+        for offsets in _reference_winning_offsets(counter, w):
+            assert offsets == set(range(len(offsets))), offsets
+        n = len(counter.states)
+        for start in counter.ids():
+            answers = [termination.decide_term_one(counter, start, j).value_one for j in range(1, n + 2)]
+            assert answers == sorted(answers, reverse=True), (start, answers)
+
+
+def test_term_queries_build_no_graph_and_run_no_reach(five_state_game, monkeypatch):
+    # With the liminf=-inf solve done up front, a value-1 query and a
+    # synthesis on the level branch build no int Graph and run no
+    # almost-sure reach: the thresholds read the base game's index.  The
+    # chance counters have value 1 at j = 1 only, so both witnesses come.
+    data = Path(__file__).parent / "data"
+    games = [(five_state_game, "v")]
+    games += [(parse_model((data / f"chance-n8-f{f}.ocssg").read_text()), "c0") for f in (1, 27)]
+    for counter, start in games:
+        solve = ssg.solve_limit_ssg(counter, LIMINF_MINUS_INF)
+        assert start not in solve.result.value_one_set
+        monkeypatch.setattr(ssg, "solve_limit_ssg", lambda g, objective, _solve=solve: _solve)
+        built = []
+
+        def forbidden(*args):
+            raise AssertionError("almost-sure reach ran")
+
+        monkeypatch.setattr(Graph, "__init__", lambda self, *args: built.append(args))
+        monkeypatch.setattr(mdp, "almost_sure_reach", forbidden)
+        for j in (1, 2):
+            assert termination.decide_term_one(counter, start, j).branch == "level"
+            termination.synthesize_term_strategies(counter, start, j)
+        assert built == []
+        monkeypatch.undo()
 
 
 def test_start_in_the_liminf_value_one_set_builds_no_product(monkeypatch):
     # Every state of the dense counter fixture has liminf=-inf value 1, so
-    # the entry copy is a target at every j < |V|: value 1, no product.
+    # the start wins at every j < |V|: value 1, no threshold fixpoint.
     game = parse_model((Path(__file__).parent / "data" / "dcounter-n24-f7.ocssg").read_text())
 
     def forbidden(*args):
         raise AssertionError("a level product was built")
 
-    monkeypatch.setattr(termination, "_level_product", forbidden)
+    monkeypatch.setattr(termination, "_value_one_thresholds", forbidden)
     for j in (1, 2, 23):
         decision = termination.decide_term_one(game, "s0", j)
         assert (decision.value_one, decision.branch, decision.start_level_state) == (True, "level", "s0@0")
@@ -228,7 +306,7 @@ def test_oversized_level_product_is_refused_before_any_solve(monkeypatch):
         raise AssertionError("ran")
 
     monkeypatch.setattr(ssg, "solve_limit_ssg", forbidden)
-    monkeypatch.setattr(termination, "_level_product", forbidden)
+    monkeypatch.setattr(termination, "_value_one_thresholds", forbidden)
     for j in (1, n - 1):
         for query in (termination.decide_term_one, termination.synthesize_term_strategies):
             with pytest.raises(termination.LevelProductTooLarge, match=f"{n} states unfold to {n * (n + 1)} nodes"):
