@@ -765,11 +765,38 @@ def energy_min_credit(game, keeper: str = "max") -> dict[str, int | float]:
     state's lift is the least (keeper) or greatest (adversary) demand
     max(0, c(t) - w) of its edges, so a rise of c(t) can lift a
     predecessor only through an edge whose new demand c(t) - w exceeds the
-    predecessor's credit; only such predecessors are queued again.  Lifting
-    is monotone, so this reaches the least fixpoint.  The lifts read the
-    successor, weight and predecessor lists of the game's ``index``.
-    Weights in {-1,0,+1} cap finite credits at |V|, larger demands are
-    infinite.
+    predecessor's credit; only such predecessors are queued again.  Every
+    state starts queued in index order, but one whose demand from all-zero
+    credits is not positive is idle, skipped when popped, until such a
+    rise reaches it.  Lifting is monotone, so this reaches the least
+    fixpoint.  The lifts read the successor, weight and predecessor lists
+    of the game's ``index``.  Weights in {-1,0,+1} cap finite credits at
+    |V|, larger demands are infinite.
+
+    A climb ends at the first gap in the finite credits, far below the
+    cap.  Lemma: freeze some states at credits <= θ or at infinity and
+    take the least credits c of the others; their finite values, if any,
+    are θ+1, ..., m with none missing.  Were some k in θ+1..m missing,
+    lowering every finite c(u) > k by one would lower such a state's demand
+    through each edge by one or keep it <= k, so it would give a smaller
+    pre-fixed point.  Soundness: freeze the states whose current credit
+    is <= θ or infinite at that credit.  Every other state rose by plain
+    lifts, each the lifting operator applied to credits at or below c, so
+    the current credits stay at or below c, and c stays at or below the
+    true credits.
+    So if no state holds θ+1 while some finite credits exceed it, those
+    states cannot make up θ+1 in c: they are all infinite.  A lift that
+    empties its level therefore sends itself and every state above that
+    level to infinity.  Any other lift rises to at most the largest
+    finite credit plus one, so the finite credits always fill 0..top with
+    every level held, and top < |V|: a demand above the cap is infinite.
+    One test per lift, whether its old level is empty, replaces counting:
+    a bound from the number of states above θ would have to count every
+    one of them, and could be afforded only at a new largest credit.
+
+    Cost: the states at each finite credit are kept as sets, so a lift
+    does O(1) more than its edges, and a state is swept to infinity once,
+    so the rule adds O(lifts + |V| + |E|) in all.
     Only the termination-value-0 question (``termination.decide_term_zero``)
     needs it; the limit objectives are decided from end components.
     """
@@ -780,20 +807,44 @@ def energy_min_credit(game, keeper: str = "max") -> dict[str, int | float]:
     keeps = [owner == keeper for owner in index.owner]
     cutoff = len(ids)
     credit: list[int | float] = [0] * cutoff
+    level = [set(range(cutoff))]  # the states at each finite credit 0..top
     queue = list(range(cutoff))
     queued = [True] * cutoff
+    # Idle: no demand from all-zero credits and no rise through an edge yet.
+    idle = [(max(ws) if keeps[i] else min(ws)) >= 0 for i, ws in enumerate(weight)]
     while queue:
         i = queue.pop()
         queued[i] = False
+        if idle[i]:
+            continue
         # Credits are >= 0, so the demand's floor at 0 never lifts a state.
         needs = [credit[t] - w for t, w in zip(succ[i], weight[i])]
         need = min(needs) if keeps[i] else max(needs)
-        if need > credit[i]:
-            credit[i] = need = INFINITE_CREDIT if need > cutoff else need
-            for pred, k in preds[i]:
-                if not queued[pred] and need - weight[pred][k] > credit[pred]:
-                    queued[pred] = True
-                    queue.append(pred)
+        if need <= credit[i]:
+            continue
+        old = credit[i]
+        level[old].remove(i)
+        if need <= cutoff and level[old]:
+            if need == len(level):
+                level.append(set())
+            level[need].add(i)
+            risen = [i]
+        else:
+            # Infinite, or the lift empties its level: every credit above
+            # that level is infinite.
+            need, risen = INFINITE_CREDIT, [i]
+            if not level[old]:
+                for above in level[old + 1 :]:
+                    risen += above
+                del level[old:]
+        for u in risen:
+            credit[u] = need
+            for pred, k in preds[u]:
+                if need - weight[pred][k] > credit[pred]:
+                    idle[pred] = False
+                    if not queued[pred]:
+                        queued[pred] = True
+                        queue.append(pred)
     return dict(zip(ids, credit))
 
 

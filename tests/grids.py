@@ -38,6 +38,9 @@ chain a policy leaves, built by ``fix_strategies``.
 ``reference_procedure_mp`` is Procedure MP as first written, a game built
 per cut by ``remove_states`` with one absorbing state z, the reference the
 index form ``ocsg.mdp.procedure_mp`` is checked against.
+``reference_energy_min_credit`` is energy lifting capped only at |V|, the
+reference the gap-cut lifting of ``ocsg.mdp.energy_min_credit`` is checked
+against on counter families whose climbs run long.
 """
 
 from __future__ import annotations
@@ -348,6 +351,30 @@ def eager_sub_gain(sub, rule, log=None):
                 switched = True
         if not switched:
             return least(gain.values()), policy, bias
+
+
+def reference_energy_min_credit(game, keeper: str = "max") -> dict[str, int | float]:
+    """Energy lifting as a worklist capped only at |V|: every state queued
+    at the start, a climb lifted one unit at a time up to the cap."""
+    index = game.index
+    ids, succ, weight, preds = index.ids, index.succ, index.weight, index.preds
+    keeps = [owner == keeper for owner in index.owner]
+    cutoff = len(ids)
+    credit: list[int | float] = [0] * cutoff
+    queue = list(range(cutoff))
+    queued = [True] * cutoff
+    while queue:
+        i = queue.pop()
+        queued[i] = False
+        needs = [credit[t] - w for t, w in zip(succ[i], weight[i])]
+        need = min(needs) if keeps[i] else max(needs)
+        if need > credit[i]:
+            credit[i] = need = mdp.INFINITE_CREDIT if need > cutoff else need
+            for pred, k in preds[i]:
+                if not queued[pred] and need - weight[pred][k] > credit[pred]:
+                    queued[pred] = True
+                    queue.append(pred)
+    return dict(zip(ids, credit))
 
 
 def restrict_to_mec(game, mec):

@@ -3,7 +3,9 @@
 ``sweep_attractor`` and ``sweep_energy`` visit every state per pass until a
 pass changes nothing; they are the reference forms of ``chain.attractor``
 (run here on the game's index, or on its graph cut to the allowed edges)
-and ``mdp.energy_min_credit``.  ``reference_normalization`` (reachability
+and ``mdp.energy_min_credit``; the lifting is also checked against the
+capped worklist ``grids.reference_energy_min_credit`` on counter families
+whose climbs run long.  ``reference_normalization`` (reachability
 policy iteration) and ``reference_mec_consistent`` (a second potential BFS)
 are the reference forms of the normalization check in ``reduce`` and of
 ``chain.potential`` on end-component edges.  ``reference_lifting_region``
@@ -46,6 +48,7 @@ from grids import (
     random_games,
     reference_almost_sure_reach,
     reference_attractor,
+    reference_energy_min_credit,
     restrict_to_mec,
 )
 
@@ -235,6 +238,53 @@ def test_energy_credit_matches_sweep():
     for game in games:
         for keeper in ("max", "min"):
             assert mdp.energy_min_credit(game, keeper) == sweep_energy(game, keeper)
+
+
+def _no_gap(credit):
+    finite = {c for c in credit.values() if c != math.inf}
+    return finite == set(range(len(finite)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(GAMES, COUNTER_GAMES))
+def test_finite_credits_leave_no_gap(game):
+    # The lemma the lifting's gap rule rests on: the least credits' finite
+    # values are {0, ..., m}.
+    for keeper in ("max", "min"):
+        assert _no_gap(sweep_energy(game, keeper))
+
+
+def test_finite_credits_leave_no_gap_on_random_games():
+    games = [_counter_game(g) for g in random_games(200, sizes=(4, 8, 12), seed=33, reward_location="transitions")]
+    games += random_games(200, sizes=(4, 8, 12), seed=34, reward_location="states")
+    for game in games:
+        for keeper in ("max", "min"):
+            assert _no_gap(sweep_energy(game, keeper))
+
+
+@pytest.mark.parametrize("family", ["dense_counter", "chance_counter"])
+def test_energy_lifting_matches_capped_worklist_on_counter_families(family):
+    # Climbs here run long, up to the |V| cap in the capped worklist, and
+    # end at a gap in the credits in the lifting.  Every n in 2-100 (4-100
+    # for chance, which places 4 controlled states) and every f in 1-39,
+    # with a stride of 3 in f that shifts with n.
+    generate = getattr(bench_families(), family)
+    for n in range(4 if family == "chance_counter" else 2, 101):
+        for fseed in range(1 + n % 3, 40, 3):
+            game = parse_model(generate(n, fseed, None))
+            for keeper in ("max", "min"):
+                assert mdp.energy_min_credit(game, keeper) == reference_energy_min_credit(game, keeper), (n, fseed)
+
+
+def test_energy_lifting_matches_capped_worklist_on_drift_counters():
+    drift_counter = bench_families().drift_counter
+    for balanced in (True, False):
+        for n in (50, 200, 500):
+            for fseed in range(1, 11):
+                game = parse_model(drift_counter(n, fseed, None, balanced=balanced))
+                for keeper in ("max", "min"):
+                    expected = reference_energy_min_credit(game, keeper)
+                    assert mdp.energy_min_credit(game, keeper) == expected, (balanced, n, fseed)
 
 
 def reference_normalization(game, t, t_prime):
