@@ -123,7 +123,8 @@ def tarjan(succ, roots) -> list[list[int]]:
 
 def attractor(graph, seeds, any_owners, alive=None, within=None):
     """Least superset W of the nodes ``seeds`` closed under attraction, on
-    an int graph (a ``model.Graph`` or ``model.Index``).
+    an int graph: per node its owner, successors and (source, edge)
+    predecessors, as a ``model.Index`` holds them.
 
     Only nodes of ``within`` (a bool list, default ``alive``) join W, and a
     node counts only its edges that enter ``alive`` nodes (a bool list,

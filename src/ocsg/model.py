@@ -91,20 +91,6 @@ class State:
     transitions: tuple[Transition, ...] = ()
 
 
-@dataclass(frozen=True)
-class Graph:
-    """An int graph, the form the fixpoints read (``chain.attractor``,
-    ``mdp.almost_sure_reach``): per node 0..n-1 its owner, the targets of
-    its edges in edge order, and the (source, edge index) of every edge
-    entering it, sources in node order.  An ``Index`` has the same three
-    fields, so the fixpoints read a game's index as they read a graph.
-    """
-
-    owner: list | tuple
-    succ: list | tuple
-    preds: list | tuple
-
-
 _ONE = Fraction(1)
 
 
@@ -126,9 +112,8 @@ class Index:
 
     A two-player solve derives what each best response reads from the
     game's one index, with no game built: ``fixed`` collapses one player's
-    nodes to their choices, ``restricted`` keeps a node set and some of its
-    edges, and ``max_graph`` is the ``Graph`` with every controlled node
-    owned by Max.  Procedure MP's rounds read ``absorbing``, which turns
+    nodes to their choices, and ``restricted`` keeps a node set and some of
+    its edges.  Procedure MP's rounds read ``absorbing``, which turns
     the nodes cut so far into weight-0 self-loops.  A derived index reuses
     its parent's chain steps, seeded into its ``chain_steps`` cache.
     """
@@ -149,13 +134,6 @@ class Index:
             for k, t in enumerate(targets):
                 preds[t].append((v, k))
         return preds
-
-    @cached_property
-    def max_graph(self) -> "Graph":
-        """This index as a ``Graph`` with every controlled node owned by
-        Max."""
-        owner = ["rand" if who == "rand" else "max" for who in self.owner]
-        return Graph(owner, self.succ, self.preds)
 
     @cached_property
     def chain_steps(self) -> tuple[tuple[tuple, ...], ...]:

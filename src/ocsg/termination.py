@@ -35,9 +35,10 @@ from .model import (
 
 # The largest level product, |V|·(|V|+1) nodes, over which a value-1 query
 # or a synthesis with j < |V| is answered.  The threshold fixpoint builds no
-# product and holds O(|V|) ints, so the limit no longer guards time or
-# memory; it is kept so that the answers and refusals of ``ocsg term`` stay
-# those of the product it replaced.
+# product, but its choice tables grow like it: ``spoil`` holds |V| entries
+# per Min state on every value-1 query, and Max's bands up to |V|-1 per Max
+# state.  The limit bounds these tables, and keeps the answers and refusals
+# of ``ocsg term`` those of the product it replaced.
 MAX_LEVEL_NODES = 1_000_000
 
 
@@ -73,7 +74,7 @@ def _value_one_thresholds(index, safe) -> _Thresholds:
     state outside W at offset |V| is a dead end that loses.  Value 1 from
     (s, j) holds iff s is in W or j <= top[s].
 
-    The alternating fixpoint of ``mdp.almost_sure_reach`` keeps an alive
+    The two-player alternating fixpoint of almost-sure reach keeps an alive
     set, takes Max's positive attractor to the targets within it, and
     removes the blocked rest with its Min/rand attractor (the doomed set)
     until nothing is blocked.  Every one of these sets is a threshold set

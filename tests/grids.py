@@ -7,9 +7,11 @@ seeded generator so every run sees identical instances.  ``oc_to_reward_ssg``
 is the reward view of a counter game, a reference the solvers never use:
 they read counter games as parsed.  ``build_level_game`` is the level game
 of termination built as a full ``Ssg`` with string ids; ``level_product``
-is the same unfolding as an int ``Graph`` for ``mdp.almost_sure_reach``,
-the reference the per-state value-1 thresholds of ``ocsg.termination`` are
-checked against at every state and offset.
+is the same unfolding as an int ``Graph`` for
+``two_player_almost_sure_reach``, the two-player int fixpoint (Max works
+toward the targets, Min spoils), and that pair is the reference the
+per-state value-1 thresholds of ``ocsg.termination`` are checked against
+at every state and offset.
 ``reference_parse_model`` is the model parser as first written, token
 columns and all, the reference the one-pass ``ocsg.model.parse_model`` is
 checked against.  ``class_gain_bias`` and ``evaluate_gain_bias`` are the
@@ -22,11 +24,12 @@ elimination and determinant certificate of ``ocsg.linsolve`` done in
 ``Fraction`` arithmetic, the reference its integer elimination is checked
 against.
 ``reference_attractor`` and ``reference_almost_sure_reach`` are the
-attractor and almost-sure reach on sets and dicts keyed by state id, with
-``within``/``allowed`` masks, the references the int forms
-``ocsg.chain.attractor`` and ``ocsg.mdp.almost_sure_reach`` are checked
-against; ``named_asr`` is the int form run on a game's index and keyed by
-state id.
+attractor and two-player almost-sure reach on sets and dicts keyed by
+state id, with ``within``/``allowed`` masks, the references the int forms
+``ocsg.chain.attractor``, ``two_player_almost_sure_reach`` and, with every
+controlled state handed to Max, the one-player ``ocsg.mdp.almost_sure_reach``
+are checked against; ``named_asr`` and ``named_two_player_asr`` are the int
+forms keyed by state id.
 ``reference_mec_decompose`` (an attractor over the whole game per
 candidate) and ``reference_solve_reachability`` (a chain built by
 ``fix_strategies`` and solved by ``chain.reach_probabilities`` per round)
@@ -63,7 +66,6 @@ from ocsg.model import (
     ON_STATES,
     ON_TRANSITIONS,
     REWARD_VALUES,
-    Graph,
     ModelSemanticError,
     ModelSyntaxError,
     OcSsg,
@@ -450,6 +452,16 @@ def reference_attractor(game, seeds, any_owners, within=None, allowed=None):
     return attracted, choice
 
 
+@dataclass(frozen=True)
+class TwoPlayerAsr:
+    """Two-player almost-sure reach: the winning set, Max's choices and
+    Min's spoiling choices."""
+
+    winning: frozenset
+    max_choice: dict
+    spoil_choice: dict
+
+
 def reference_almost_sure_reach(game, targets):
     """Almost-sure reach of ``targets`` by alternating set attractors, with
     each Max state's ``allowed`` edges cut to the surviving region and the
@@ -475,15 +487,21 @@ def reference_almost_sure_reach(game, targets):
         for v in alive:
             if owner[v] == "max":
                 allowed[v] = [k for k in allowed[v] if succ[v][k] in alive]
-    return mdp.AsrResult(frozenset(alive), max_choice, spoil)
+    return TwoPlayerAsr(frozenset(alive), max_choice, spoil)
 
 
-def named_asr(game, targets):
-    """``mdp.almost_sure_reach`` on the game's index, keyed by state id."""
-    index = game.index
+def named_asr(index, targets):
+    """``mdp.almost_sure_reach`` on ``index``, keyed by state id."""
     ids = index.ids
     asr = mdp.almost_sure_reach(index, [index.pos[sid] for sid in targets])
-    return mdp.AsrResult(
+    return mdp.AsrResult(frozenset(ids[v] for v in asr.winning), {ids[v]: k for v, k in asr.max_choice.items()})
+
+
+def named_two_player_asr(index, targets):
+    """``two_player_almost_sure_reach`` on ``index``, keyed by state id."""
+    ids = index.ids
+    asr = two_player_almost_sure_reach(index, [index.pos[sid] for sid in targets])
+    return TwoPlayerAsr(
         frozenset(ids[v] for v in asr.winning),
         {ids[v]: k for v, k in asr.max_choice.items()},
         {ids[v]: k for v, k in asr.spoil_choice.items()},
@@ -608,7 +626,7 @@ def reference_procedure_mp(game, start: str):
         component = min(positive, key=min)
         targets = set(component) | ({z_id} if z_id is not None else set())
         index = current.index
-        asr = mdp.almost_sure_reach(index.max_graph, [index.pos[sid] for sid in targets])
+        asr = mdp.almost_sure_reach(index, [index.pos[sid] for sid in targets])
         cut = {index.ids[v] for v in asr.winning} - {z_id}
         for sid in cut:
             if current.state(sid).owner != "rand":
@@ -673,6 +691,62 @@ def build_level_game(base: Ssg | OcSsg, j: int, liminf_value_one, hi: int | None
             states.append(State(lid, s.owner, transitions=transitions))
     game = Ssg(tuple(states), reward_location="transitions")
     return LevelGame(game, j, hi, frozenset(targets), to_base)
+
+
+@dataclass(frozen=True)
+class Graph:
+    """An int graph, the form ``chain.attractor`` and
+    ``two_player_almost_sure_reach`` read: per node 0..n-1 its owner, the
+    targets of its edges in edge order, and the (source, edge index) of
+    every edge entering it, sources in node order.  An ``Index`` has the
+    same three fields."""
+
+    owner: list | tuple
+    succ: list | tuple
+    preds: list | tuple
+
+
+def two_player_almost_sure_reach(graph, targets) -> TwoPlayerAsr:
+    """Value-1 set for Max reaching the nodes ``targets`` of an int graph
+    (a ``Graph`` or an ``Index``), with Max's witness and Min's spoiling
+    choices, keyed by node.
+
+    Classical alternating fixpoint: repeatedly delete the region from which
+    Max cannot reach the target with positive probability, together with
+    Min's positive-probability attractor into it, until stable.  Target
+    nodes are treated as absorbing: they count no edges and never join
+    Min's attractor.  Every node counts only its edges into the surviving
+    region (for a live node that is not Max's, that is every edge), and
+    Max's witness follows the edges that pulled its nodes into the final
+    positive attractor.  A dead end that is not a target loses.
+    """
+    owner, succ = graph.owner, graph.succ
+    n = len(succ)
+    target = [False] * n
+    for v in targets:
+        target[v] = True
+    alive = [True] * n
+    spoil: dict[int, int] = {}
+
+    while True:
+        seeds = [v for v in range(n) if target[v] and alive[v]]
+        pos, max_choice = chain_mod.attractor(graph, seeds, ("max", "rand"), alive)
+        blocked = [v for v in range(n) if alive[v] and not pos[v]]
+        if not blocked:
+            break
+        for v in blocked:
+            if owner[v] == "min" and v not in spoil:
+                # A dead end has no edge to spoil by.
+                k = next((k for k, t in enumerate(succ[v]) if alive[t] and not pos[t]), None)
+                if k is not None:
+                    spoil[v] = k
+        within = [live and not hit for live, hit in zip(alive, target)]
+        doomed, pulled = chain_mod.attractor(graph, blocked, ("min", "rand"), alive, within)
+        for v, k in pulled.items():
+            spoil.setdefault(v, k)
+        alive = [live and not gone for live, gone in zip(alive, doomed)]
+
+    return TwoPlayerAsr(frozenset(v for v in range(n) if alive[v]), max_choice, spoil)
 
 
 def level_product(base: Ssg | OcSsg, liminf_value_one) -> tuple[Graph, frozenset[int]]:

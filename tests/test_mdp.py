@@ -19,6 +19,7 @@ from ocsg.model import (
     Transition,
     fix_strategies,
     parse_model,
+    relabel_controlled,
 )
 
 from conftest import DATA, FAIR_WALK_TEXT
@@ -32,6 +33,7 @@ from grids import (
     induced_chain,
     named_asr,
     named_mec,
+    named_two_player_asr,
     oc_to_reward_ssg,
     per_visit_reward,
     random_game,
@@ -125,7 +127,7 @@ def test_asr_whole_game():
         "ssg rewards=states\nstate a owner=rand reward=0\nstate t owner=rand reward=0\n"
         "trans a -> t p=1/1\ntrans t -> t p=1/1\n"
     )
-    assert named_asr(game, {"t"}).winning == frozenset({"a", "t"})
+    assert named_asr(game.index, {"t"}).winning == frozenset({"a", "t"})
 
 
 def test_asr_min_escape_excluded():
@@ -134,7 +136,7 @@ def test_asr_min_escape_excluded():
         "state n owner=min reward=0\nstate t owner=rand reward=0\nstate sink owner=rand reward=0\n"
         "trans n -> t\ntrans n -> sink\ntrans t -> t p=1/1\ntrans sink -> sink p=1/1\n"
     )
-    result = named_asr(game, {"t"})
+    result = named_two_player_asr(game.index, {"t"})
     assert "n" not in result.winning
     assert result.spoil_choice["n"] == 1
 
@@ -145,7 +147,7 @@ def test_asr_positive_but_not_almost_sure():
         "state a owner=rand reward=0\nstate t owner=rand reward=0\nstate sink owner=rand reward=0\n"
         "trans a -> t p=1/2\ntrans a -> sink p=1/2\ntrans t -> t p=1/1\ntrans sink -> sink p=1/1\n"
     )
-    assert named_asr(game, {"t"}).winning == frozenset({"t"})
+    assert named_asr(game.index, {"t"}).winning == frozenset({"t"})
 
 
 def test_asr_targets_are_absorbing():
@@ -154,13 +156,13 @@ def test_asr_targets_are_absorbing():
         "state m owner=min reward=0\nstate c owner=rand reward=0\nstate sink owner=rand reward=0\n"
         "trans m -> m\ntrans m -> sink\ntrans c -> c p=1/2\ntrans c -> sink p=1/2\ntrans sink -> sink p=1/1\n"
     )
-    assert named_asr(game, {"m", "c"}).winning == frozenset({"m", "c"})
+    assert named_asr(game.index, {"m", "c"}).winning == frozenset({"m", "c"})
 
 
 def test_asr_witness_reaches_almost_surely():
     for game in random_games(20, sizes=(4,), seed=2718):
         targets = {game.ids()[0]}
-        result = named_asr(game, targets)
+        result = named_two_player_asr(game.index, targets)
         if not result.winning - targets:
             continue
         # Fix the witness for Max and the recorded spoiler (or any) for Min,
@@ -191,13 +193,49 @@ def _random_game(seed, n, location):
     st.randoms(use_true_random=False),
 )
 def test_asr_matches_the_set_based_reference(game, rng):
-    # The int fixpoint on the game's index against the set-based one it
-    # replaced: winning set, Max's choices and Min's spoiling choices.
+    # The two-player int fixpoint on the game's index against the set-based
+    # one: winning set, Max's choices and Min's spoiling choices.
     targets = {sid for sid in game.ids() if rng.random() < 0.3}
-    assert named_asr(game, targets) == reference_almost_sure_reach(game, targets)
+    assert named_two_player_asr(game.index, targets) == reference_almost_sure_reach(game, targets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.builds(_random_game, st.integers(0, 10**6), st.integers(1, 9), st.sampled_from(("states", "transitions"))),
+    st.randoms(use_true_random=False),
+)
+def test_asr_reads_only_rand_vs_controlled(game, rng):
+    # The one-player fixpoint hands every controlled node to Max, whoever
+    # owns it: on the game's index, and on the residual of fixing one
+    # player, it equals its result with every controlled state relabelled
+    # to Max, and the two-player reference on that relabelled game.
+    targets = {sid for sid in game.ids() if rng.random() < 0.3}
+    player = rng.choice(("max", "min"))
+    fixed = {sid: rng.randrange(len(game.state(sid).transitions)) for sid in game.owner_ids(player)}
+    residual = fix_strategies(game, **{f"{player}_strategy": PureMemorylessStrategy(player, fixed)})
+    for index, view in ((game.index, game), (game.index.fixed(fixed), residual)):
+        relabeled = relabel_controlled(view, "max")
+        got = named_asr(index, targets)
+        assert got == named_asr(relabeled.index, targets)
+        reference = reference_almost_sure_reach(relabeled, targets)
+        assert (got.winning, got.max_choice) == (reference.winning, reference.max_choice)
 
 
 # -- expected mean payoff ----------------------------------------------------
+
+
+def _evaluation(index, policy):
+    """``mdp._PolicyEvaluation`` of a policy keyed by state id."""
+    return mdp._PolicyEvaluation(index, [policy.get(sid, 0) for sid in index.ids])
+
+
+def _by_id(index, values):
+    return dict(zip(index.ids, values))
+
+
+def _policy_by_id(index, choice):
+    """A choice list's controlled entries, keyed by state id."""
+    return {sid: k for sid, owner, k in zip(index.ids, index.owner, choice) if owner != "rand"}
 
 
 def test_mean_payoff_self_loop():
@@ -224,7 +262,7 @@ def test_mean_payoff_zero_under_both_choices():
         "trans a -> b p=1/1 reward=1\ntrans b -> a p=1/1 reward=-1\n"
     )
     for choice in (0, 1):
-        gain = mdp._PolicyEvaluation(game.index, {"m": choice}).gain
+        gain = _by_id(game.index, _evaluation(game.index, {"m": choice}).gain)
         assert gain["m"] == 0
     gain, _ = mdp.expected_mean_payoff(game, "max")
     assert gain["m"] == 0
@@ -242,9 +280,9 @@ def test_policy_iteration_starts_on_the_first_edge_of_extreme_weight(monkeypatch
     )
     starts, evaluate = [], mdp._PolicyEvaluation
 
-    def spy(index, policy):
-        starts.append(dict(policy))
-        return evaluate(index, policy)
+    def spy(index, choice):
+        starts.append(_policy_by_id(index, choice))
+        return evaluate(index, choice)
 
     monkeypatch.setattr(mdp, "_PolicyEvaluation", spy)
     for direction, start in (("max", {"m": 1, "n": 0}), ("min", {"m": 2, "n": 0})):
@@ -262,7 +300,7 @@ def test_mean_payoff_agrees_with_enumeration():
             gain, strategy = mdp.expected_mean_payoff(game, direction)
             ref_gain, _ = oracle.enumerate_mean_payoff(game, direction)
             assert gain == ref_gain
-            eval_gain = mdp._PolicyEvaluation(game.index, strategy.choice).gain
+            eval_gain = _by_id(game.index, _evaluation(game.index, strategy.choice).gain)
             assert eval_gain == gain
 
 
@@ -270,10 +308,12 @@ def test_mean_payoff_last_evaluation_is_the_returned_policys():
     for game in random_games(20, sizes=(3, 4), seed=1618, reward_location="transitions"):
         game = as_mdp(game)
         for direction in ("max", "min"):
-            evaluation, policy = mdp._policy_iteration(game.index, direction)
+            index = game.index
+            evaluation, choice = mdp._policy_iteration(index, direction)
+            policy = _policy_by_id(index, choice)
             gain, strategy = mdp.expected_mean_payoff(game, direction)
-            assert (gain, strategy.choice) == (evaluation.gain, policy)
-            assert (evaluation.gain, evaluation.bias) == evaluate_gain_bias(game, policy)
+            assert (gain, strategy.choice) == (_by_id(index, evaluation.gain), policy)
+            assert (_by_id(index, evaluation.gain), _by_id(index, evaluation.bias)) == evaluate_gain_bias(game, policy)
 
 
 def reference_class_gain_bias(induced, members):
@@ -319,10 +359,12 @@ def test_class_gain_bias_matches_two_elimination_reference():
     for game, policy in _policy_cases():
         induced = induced_chain(game, policy)
         bsccs = chain_mod.bscc_decompose(induced)[0]
-        evaluation = mdp._PolicyEvaluation(game.index, policy)
-        assert [frozenset(closed.stationary) for closed in evaluation._classes] == bsccs
-        for members, closed in zip(bsccs, evaluation._classes):
-            assert (closed.mean, closed.bias) == reference_class_gain_bias(induced, members)
+        ids = game.index.ids
+        evaluation = _evaluation(game.index, policy)
+        assert [frozenset(ids[v] for v in members) for members in evaluation.members] == bsccs
+        for nodes, members, closed in zip(evaluation.members, bsccs, evaluation._classes):
+            bias = {ids[v]: h for v, h in zip(nodes, closed.bias)}
+            assert (closed.mean, bias) == reference_class_gain_bias(induced, members)
             classes += 1
     assert classes > 5000
 
@@ -340,7 +382,7 @@ def test_evaluation_factors_each_matrix_once(monkeypatch):
     for game, policy in _policy_cases():
         bsccs, transient = chain_mod.bscc_decompose(induced_chain(game, policy))
         sizes.clear()
-        evaluation = mdp._PolicyEvaluation(game.index, policy)
+        evaluation = _evaluation(game.index, policy)
         # One factorization per closed class, one for the transient block
         # when the gain is read, and none more for the bias.
         assert sizes == [len(members) for members in bsccs]
@@ -354,10 +396,11 @@ def test_evaluation_factors_each_matrix_once(monkeypatch):
 def test_lazy_evaluation_matches_eager_reference():
     for game, policy in _policy_cases():
         induced = induced_chain(game, policy)
-        evaluation = mdp._PolicyEvaluation(game.index, policy)
+        evaluation = _evaluation(game.index, policy)
         bsccs = chain_mod.bscc_decompose(induced)[0]
         assert evaluation.means == [class_gain_bias(induced, members)[0] for members in bsccs]
-        assert (evaluation.gain, evaluation.bias) == evaluate_gain_bias(game, policy)
+        gain_bias = (_by_id(game.index, evaluation.gain), _by_id(game.index, evaluation.bias))
+        assert gain_bias == evaluate_gain_bias(game, policy)
 
 
 # -- MECs ---------------------------------------------------------------------
@@ -416,13 +459,14 @@ def _reference_mec_part(game, mec, rule):
     named = named_mec(index, mec)
     sub, _ = restrict_to_mec(game, named)
     evaluation, _ = mdp._policy_iteration(sub.index, direction)
-    gains, bias = evaluation.gain, evaluation.bias
+    gains = _by_id(sub.index, evaluation.gain)
     gain = gains[min(named.members)]
     if _sign(gain) in winning_signs:
         return frozenset(named.members), gains
     if gain != 0 or zero_part is None:
         return frozenset(), None
-    allowed, noisy = mdp._tight_part(index, mec, bias)
+    # The sub-MDP keeps the game order, so its nodes are the sorted members.
+    allowed, noisy = mdp._tight_part(index, mec, dict(zip(sorted(mec.members), evaluation.bias)))
     return frozenset(index.ids[v] for v in zero_part(index, mec.members, allowed, noisy)[0]), None
 
 
@@ -454,7 +498,7 @@ def test_early_stopped_mecs_win_at_every_state():
                 # The choice stays in the MEC and wins at every state of it.
                 policy = {ids[v]: index_map[ids[v]].index(k) for v, k in choice.items()}
                 assert policy.keys() == set(sub.controlled_ids())
-                gains = mdp._PolicyEvaluation(sub.index, policy).gain
+                gains = _by_id(sub.index, _evaluation(sub.index, policy).gain)
                 assert all(_sign(g) in rule[1] for g in gains.values()), (game, mec, kind)
                 early += gains != optimal
     assert early > 100
@@ -463,8 +507,8 @@ def test_early_stopped_mecs_win_at_every_state():
 def test_sub_gain_matches_eager_stop_on_all_gains(monkeypatch):
     lazy, rounds, stopped = mdp._PolicyEvaluation, [], 0
 
-    def spy(index, policy):
-        rounds.append((dict(policy), lazy(index, policy)))
+    def spy(index, choice):
+        rounds.append((_policy_by_id(index, choice), lazy(index, choice)))
         return rounds[-1][1]
 
     monkeypatch.setattr(mdp, "_PolicyEvaluation", spy)
@@ -479,7 +523,8 @@ def test_sub_gain_matches_eager_stop_on_all_gains(monkeypatch):
                 eager_rounds = []
                 eager = eager_sub_gain(sub, rule, eager_rounds)
                 rounds.clear()
-                result = mdp._sub_gain(sub_index, rule)
+                least, choice, optimal_bias = mdp._sub_gain(sub_index, rule)
+                result = (least, _policy_by_id(sub_index, choice), optimal_bias and _by_id(sub_index, optimal_bias))
                 assert result == eager, (sub, kind)
                 # Both visit the same policies in the same order.  Each lazy
                 # round's class means equal the eager gains, and it computes
@@ -487,13 +532,12 @@ def test_sub_gain_matches_eager_stop_on_all_gains(monkeypatch):
                 # to the eager ones.
                 assert [policy for policy, _ in rounds] == [entry[0] for entry in eager_rounds]
                 for (_, gain, bias, reads), (_, evaluation) in zip(eager_rounds, rounds):
-                    assert all(gain[sid] == c.mean for c in evaluation._classes for sid in c.stationary)
-                    # A round computes ``node_gain`` and ``node_bias``;
-                    # ``gain`` and ``bias`` are the same values by state id.
-                    computed = {name for name in ("gain", "bias") if f"node_{name}" in vars(evaluation)}
+                    classes = zip(evaluation.members, evaluation._classes)
+                    assert all(gain[sub_index.ids[v]] == c.mean for members, c in classes for v in members)
+                    computed = {name for name in ("gain", "bias") if name in vars(evaluation)}
                     assert computed == reads
-                    assert "gain" not in computed or evaluation.gain == gain
-                    assert "bias" not in computed or evaluation.bias == bias
+                    assert "gain" not in computed or _by_id(sub_index, evaluation.gain) == gain
+                    assert "bias" not in computed or _by_id(sub_index, evaluation.bias) == bias
                 stopped += result[2] is None
     assert stopped > 10000
 

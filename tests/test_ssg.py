@@ -597,14 +597,24 @@ def test_memo_does_not_outlive_a_solve(monkeypatch):
 
 
 def test_one_solve_evaluates_each_end_component_once(monkeypatch):
-    analyzed, solved = [], []
-    closed_class, sub_gain = mdp._ClosedClass, mdp._sub_gain
+    analyzed, solved, chains = [], [], []
+    closed_classes, closed_class, sub_gain = mdp._closed_classes, mdp._ClosedClass, mdp._sub_gain
 
-    def spy_analyze(ids, members, succ, prob, rewards):
+    def spy_classes(steps, succ, prob, rewards):
+        chains.append(steps)
+        return closed_classes(steps, succ, prob, rewards)
+
+    def spy_analyze(members, succ, prob, rewards):
         # A closed class's content: per member its id, targets,
         # probabilities and per-visit reward, all its evaluation reads.
-        analyzed.append(tuple((ids[v], tuple(ids[t] for t in succ[v]), prob[v], rewards[v]) for v in members))
-        return closed_class(ids, members, succ, prob, rewards)
+        # A node's id is the first field of its chain step's content key.
+        steps = chains[-1]
+
+        def sid(v):
+            return steps[v][3][0]
+
+        analyzed.append(tuple((sid(v), tuple(map(sid, succ[v])), prob[v], rewards[v]) for v in members))
+        return closed_class(members, succ, prob, rewards)
 
     def spy_sub_gain(sub, rule):
         # A MEC sub-index's content: its members, which are controlled,
@@ -613,6 +623,7 @@ def test_one_solve_evaluates_each_end_component_once(monkeypatch):
         solved.append((rule[:2], sub.ids, controlled, sub.succ, sub.prob, sub.weight))
         return sub_gain(sub, rule)
 
+    monkeypatch.setattr(mdp, "_closed_classes", spy_classes)
     monkeypatch.setattr(mdp, "_ClosedClass", spy_analyze)
     monkeypatch.setattr(mdp, "_sub_gain", spy_sub_gain)
     totals = [0, 0]

@@ -10,7 +10,6 @@ from ocsg import mdp, ssg, termination
 from ocsg.model import (
     LIMINF_MINUS_INF,
     LIMIT_OBJECTIVES,
-    Graph,
     OcSsg,
     PureMemorylessStrategy,
     State,
@@ -20,6 +19,7 @@ from ocsg.model import (
 )
 
 from grids import (
+    Graph,
     bench_families,
     build_level_game,
     exhaustive_games,
@@ -29,6 +29,7 @@ from grids import (
     random_game,
     random_games,
     reference_almost_sure_reach,
+    two_player_almost_sure_reach,
 )
 
 
@@ -115,7 +116,7 @@ def test_level_game_boundary_absorbing(five_state_game):
     bottom = _node(base, "v", -1, 1)
     assert graph.succ[top] == graph.succ[bottom] == ()
     assert bottom in targets and top not in targets
-    assert top not in mdp.almost_sure_reach(graph, targets).winning
+    assert top not in two_player_almost_sure_reach(graph, targets).winning
 
 
 def _reference_as_product(game, level):
@@ -145,7 +146,7 @@ def test_level_product_matches_reference_level_game():
         counter = _as_ocssg(game)
         w = ssg.solve_limit_ssg(counter, LIMINF_MINUS_INF).result.value_one_set
         graph, targets = level_product(counter, w)
-        asr = mdp.almost_sure_reach(graph, targets)
+        asr = two_player_almost_sure_reach(graph, targets)
         got = (set(asr.winning), asr.max_choice, asr.spoil_choice)
         for j in range(1, len(counter.states)):
             assert got == _reference_as_product(counter, build_level_game(counter, j, w)), (index, j)
@@ -163,7 +164,7 @@ def test_level_product_asr_matches_the_set_based_reference(counter, rng):
     # The product takes any target set, so W is drawn at random here.
     w = frozenset(sid for sid in counter.ids() if rng.random() < 0.3)
     graph, targets = level_product(counter, w)
-    asr = mdp.almost_sure_reach(graph, targets)
+    asr = two_player_almost_sure_reach(graph, targets)
     got = (set(asr.winning), asr.max_choice, asr.spoil_choice)
     for j in range(1, len(counter.states)):
         assert got == _reference_as_product(counter, build_level_game(counter, j, w)), j
@@ -193,7 +194,7 @@ def _reference_winning_offsets(counter, w):
     reference level product wins."""
     n = len(counter.index.ids)
     graph, targets = level_product(counter, w)
-    winning = mdp.almost_sure_reach(graph, targets).winning
+    winning = two_player_almost_sure_reach(graph, targets).winning
     return [{o for o in range(n + 1) if i * (n + 1) + o in winning} for i in range(n)]
 
 

@@ -29,7 +29,6 @@ from ocsg.model import (
     LIMINF_GT_MINUS_INF,
     LIMINF_MINUS_INF,
     LIMINF_PLUS_INF,
-    Graph,
     OcSsg,
     PureMemorylessStrategy,
     State,
@@ -40,6 +39,7 @@ from ocsg.model import (
 )
 
 from grids import (
+    Graph,
     as_mdp,
     bench_families,
     exhaustive_games,
@@ -392,8 +392,9 @@ def reference_divergence_core(game, mec):
     """
     sub, _ = restrict_to_mec(game, mec)
     evaluation, _ = mdp._policy_iteration(sub.index, "min")
-    gains, bias = evaluation.gain, evaluation.bias
-    gain = gains[min(mec.members)]
+    ids = sub.index.ids
+    bias = dict(zip(ids, evaluation.bias))
+    gain = evaluation.gain[ids.index(min(mec.members))]
     if gain < 0:
         return frozenset(mec.members)
     if gain > 0 or reference_mec_consistent(game, mec):
