@@ -7,6 +7,12 @@ u -> v is ``model.step_reward``: the edge reward, the counter delta, or the
 reward r(v) of the state it arrives at, so cycle sums agree with the run
 prefix sums in every flavour.  Every function reads the chain's ``Index``,
 whose weights follow that rule, so none builds a ``State``.
+
+Each chain question has one int kernel, which these id-keyed reference
+functions and the one-player solver (``mdp``) both call: the potential
+test (``node_potential``), the hitting-probability rows (``hitting_rows``)
+and the winning mean signs with the mean-0 potential rule
+(``WINNING_SIGNS``, read by ``class_wins``).
 """
 
 from __future__ import annotations
@@ -16,6 +22,8 @@ from fractions import Fraction
 
 from . import linsolve
 from .model import LIMIT_KINDS, OWNERS, Objective, Ssg
+
+_ONE = Fraction(1)
 
 
 def _require_chain(chain: Ssg) -> None:
@@ -226,92 +234,114 @@ def analyze_bscc(chain: Ssg, members: frozenset[str]) -> BsccAnalysis:
     for sid, weight in stationary.items():
         v = index.pos[sid]
         mean += weight * sum((p * w for p, w in zip(index.prob[v], index.weight[v])), Fraction(0))
-
     h = potential(chain, members)
-
-    mu_pos, mu_neg = mean > 0, mean < 0
-    classification = {
-        "liminf-plus-inf": int(mu_pos),
-        "mean-gt": int(mu_pos),
-        "mean-leq": int(not mu_pos),
-        "liminf-lt-plus-inf": int(not mu_pos),
-        "liminf-minus-inf": int(mu_neg or (mean == 0 and h is None)),
-        "liminf-gt-minus-inf": int(mu_pos or (mean == 0 and h is not None)),
-    }
+    classification = {kind: int(class_wins(kind, mean, lambda: h is not None)) for kind in WINNING_SIGNS}
     return BsccAnalysis(frozenset(members), stationary, mean, h, classification)
 
 
+# Per limit objective: the mean signs with which a closed class wins, and
+# at mean 0 whether it wins exactly when it has a potential (True), exactly
+# when it has none (False), or by the sign alone (None).
+WINNING_SIGNS = {
+    "liminf-plus-inf": ((1,), None),
+    "mean-gt": ((1,), None),
+    "mean-leq": ((-1, 0), None),
+    "liminf-lt-plus-inf": ((-1, 0), None),
+    "liminf-minus-inf": ((-1,), False),
+    "liminf-gt-minus-inf": ((1,), True),
+}
+
+
+def sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def class_wins(kind: str, mean, has_potential) -> bool:
+    """Whether a closed class of mean ``mean`` wins the limit objective
+    ``kind`` (``WINNING_SIGNS``); ``has_potential()`` is called only at
+    mean 0 under the liminf = -inf and liminf > -inf objectives."""
+    signs, with_potential = WINNING_SIGNS[kind]
+    if mean == 0 and with_potential is not None:
+        return has_potential() == with_potential
+    return sign(mean) in signs
+
+
 def potential(game, members) -> dict[str, int] | None:
-    """Potential h with h(v) - h(u) = step reward on every edge u -> v.
+    """Potential h with h(v) - h(u) = step reward on every edge u -> v, by
+    state id (``node_potential`` on the game's index, anchored at the first
+    member in game order)."""
+    index = game.index
+    h = node_potential([v for v, sid in enumerate(index.ids) if sid in members], index.succ, index.weight)
+    return None if h is None else {index.ids[v]: x for v, x in h.items()}
+
+
+def node_potential(members, succ, weights) -> dict[int, int] | None:
+    """Potential h with h(t) - h(v) = w on every edge v -> t of weight w,
+    node v having successors ``succ[v]`` of weights ``weights[v]``.
 
     ``members`` must be strongly connected, and their edges must stay inside
-    it (a BSCC).  h is zero at the first member in game order.  Returns None
-    when some cycle has nonzero total reward.  Each edge is checked once,
-    when its source is expanded.
+    it (a closed class).  h is zero at ``members[0]``.  Returns None when
+    some cycle has nonzero total weight.  Each edge is checked once, when
+    its source is expanded.  The one potential test.
     """
-    index = game.index
-    ids = index.ids
-    anchor = next(v for v, sid in enumerate(ids) if sid in members)
-    h = {ids[anchor]: 0}
-    queue = [anchor]
+    h = {members[0]: 0}
+    queue = [members[0]]
     while queue:
-        u = queue.pop()
-        for t, w in zip(index.succ[u], index.weight[u]):
-            level = h[ids[u]] + w
-            if ids[t] not in h:
-                h[ids[t]] = level
+        v = queue.pop()
+        for t, w in zip(succ[v], weights[v]):
+            level = h[v] + w
+            if t not in h:
+                h[t] = level
                 queue.append(t)
-            elif h[ids[t]] != level:
+            elif h[t] != level:
                 return None
     return h
 
 
-def reach_probabilities(chain: Ssg, targets, return_pivot: bool = False):
+def reach_probabilities(chain: Ssg, targets) -> dict[str, Fraction]:
     """Exact hitting probabilities of ``targets`` from every state.
 
     States that cannot reach the target get 0, target states get 1, and the
-    rest solve the one-step equations restricted to the can-reach region.
-    With ``return_pivot`` also returns the elimination's determinant
-    certificate, which every value denominator divides; it is built only
-    then.
+    rest solve the one-step equations (``hitting_rows``) restricted to the
+    can-reach region.
     """
     _require_chain(chain)
     targets = frozenset(targets)
-    unknown = set(targets) - set(chain.ids())
+    unknown = targets - set(chain.ids())
     if unknown:
         raise ValueError(f"unknown target states {sorted(unknown)}")
-
     index = chain.index
-    can_reach, _ = attractor(index, [index.pos[sid] for sid in targets], OWNERS)
-
-    values = {sid: Fraction(0) for sid in chain.ids()}
-    for sid in targets:
-        values[sid] = Fraction(1)
-    interior = [sid for sid, reached in zip(index.ids, can_reach) if reached and sid not in targets]
-    pivot = 1
+    nodes = frozenset(index.pos[sid] for sid in targets)
+    can_reach, _ = attractor(index, nodes, OWNERS)
+    values = [Fraction(0)] * len(index.ids)
+    for v in nodes:
+        values[v] = _ONE
+    interior = [v for v, reached in enumerate(can_reach) if reached and v not in nodes]
     if interior:
-        pos = {sid: i for i, sid in enumerate(interior)}
-        n = len(interior)
-        rows = [{i: Fraction(1)} for i in range(n)]
-        rhs = [Fraction(0)] * n
-        for i, sid in enumerate(interior):
-            row = rows[i]
-            v = index.pos[sid]
-            for t, p in zip(index.succ[v], index.prob[v]):
-                if index.ids[t] in targets:
-                    rhs[i] += p
-                elif index.ids[t] in pos:
-                    j = pos[index.ids[t]]
-                    row[j] = row.get(j, 0) - p
-        if return_pivot:
-            solution, pivot = linsolve.solve_linear_system(rows, rhs)
-        else:
-            solution = linsolve.factor(rows).solve(rhs)
-        for sid, v in zip(interior, solution):
-            values[sid] = v
-    if return_pivot:
-        return values, pivot
-    return values
+        rows, rhs = hitting_rows(interior, index.succ, index.prob, nodes)
+        for v, x in zip(interior, linsolve.factor(rows).solve(rhs)):
+            values[v] = x
+    return dict(zip(index.ids, values))
+
+
+def hitting_rows(interior, succ, prob, targets) -> tuple[list[dict], list[Fraction]]:
+    """The hitting-probability equations x(v) - sum_t P(v, t) x(t) =
+    P(v, ``targets``) on the nodes ``interior`` (row and column i for
+    ``interior[i]``), node v stepping to ``succ[v][k]`` with probability
+    ``prob[v][k]``; a node neither a target nor interior has value 0.  The
+    one builder of these rows: the caller picks the interior and solves."""
+    pos = {v: i for i, v in enumerate(interior)}
+    rows = [{i: _ONE} for i in range(len(interior))]
+    rhs = [Fraction(0)] * len(interior)
+    for i, v in enumerate(interior):
+        row = rows[i]
+        for t, p in zip(succ[v], prob[v]):
+            if t in targets:
+                rhs[i] += p
+            elif t in pos:
+                j = pos[t]
+                row[j] = row[j] - p if j in row else -p
+    return rows, rhs
 
 
 def chain_tail_value(chain: Ssg, objective: Objective) -> dict[str, Fraction]:

@@ -9,11 +9,11 @@ iteration terminates because every accepted switch strictly improves an
 exactly evaluated quantity.
 
 A limit objective is decided from the end components, as in the paper, by
-one rule table (``_MEC_RULES``) read by one function (``_mec_part``): the
-sign of each MEC's optimal gain, and at gain 0 one part of its tight
-sub-MDP, the end components with a noisy rand state (liminf = -inf) or
-those without one (liminf > -inf); then almost-sure reach of the states
-they win.  Every gain policy iteration (``_policy_iteration``) starts from
+one rule table (``_MEC_RULES``, derived from ``chain.WINNING_SIGNS``) read
+by one function (``_mec_part``): the sign of each MEC's optimal gain, and
+at gain 0 one part of its tight sub-MDP, the end components with a noisy
+rand state (liminf = -inf) or those without one (liminf > -inf); then
+almost-sure reach of the states they win.  Every gain policy iteration (``_policy_iteration``) starts from
 the greedy one-step policy, each controlled state on its first edge of
 extreme step weight; Howard's iteration terminates and is optimal from any
 start, so the start only saves rounds.  A MEC's gain policy iteration
@@ -42,16 +42,16 @@ game is built per best response, MEC, round or cut:
   controlled node to Max without relabelling.
 * A MEC's policy iteration runs on its sub-index (``Index.restricted``).
   Each round reads its policy's chain as int successor lists from the
-  chain steps, splits it with ``chain.bottom_sccs`` and builds the
-  stationary and transient systems from those lists.
-* A reachability round (``_chain_reach``) reads its chain from the chain
-  steps too: one backward reach and one linear solve.
+  chain steps (``_policy_chain``), splits it with ``chain.bottom_sccs``
+  and builds the stationary and transient systems from those lists.
+* A reachability round (``_chain_reach``) reads its chain the same way:
+  one backward reach and one solve of ``chain.hitting_rows``.
 * A two-player scan bounds a switch candidate by the limit values of the
   chain it makes with the held reply's witness (``_ChainValues``), read
-  from the chain steps: ``chain.bottom_sccs``, the memoized class means, a
-  potential test at mean 0, two backward reaches, one step of the chain
-  against the scan's vector, and one ``_chain_reach`` solve only when
-  those leave the comparison open.
+  the same way: ``chain.bottom_sccs``, the memoized class means judged by
+  ``chain.class_wins`` (``chain.node_potential`` at mean 0), two backward
+  reaches, one step of the chain against the scan's vector, and one
+  ``_chain_reach`` solve only when those leave the comparison open.
 * Procedure MP (``procedure_mp``) keeps its cuts on the game's index as
   weight-0 self-loops (``Index.absorbing``) in place of an absorbing
   state: each round is one policy iteration, whose last evaluation gives
@@ -59,19 +59,16 @@ game is built per best response, MEC, round or cut:
   among the targets.
 
 Inside one ``ssg.solve_limit_ssg`` call, ``COMPONENT_MEMO`` holds a dict
-that memoizes end-component results by content: each closed class of an
-induced chain (its mean, and the factorization of its stationary system,
-from which its canonical bias is computed on the first read and kept),
-keyed on its members' steps in game order, each (id, ((target id,
-numerator, denominator, weight), ...)) in strs and ints; and the gain
-policy iteration on a MEC, keyed on the direction and the winning signs of
-the objective's rule (which fix where it stops) and, per member, whether
-it is controlled and the content keys of its allowed steps.  A key holds
-only strs, ints and bools, so a lookup hashes no ``State``, ``Transition``
-or ``Fraction``, and it holds every probability and weight its analysis
-reads, the step weights the greedy start reads included, so equal keys
-mean equal results.  Outside a solve the variable is None and nothing is
-cached.
+that memoizes closed classes of induced chains by content
+(``_closed_classes``): each class's mean, and the factorization of its
+stationary system, from which its canonical bias is computed on the first
+read and kept, keyed on its members' steps in game order, each (id,
+((target id, numerator, denominator, weight), ...)) in strs and ints.  A
+key holds every probability and weight the class's analysis reads, so
+equal keys mean equal results, and a lookup hashes no ``State``,
+``Transition`` or ``Fraction``.  A MEC's gain policy iteration may run
+again, but its rounds find their classes there.  Outside a solve the
+variable is None and nothing is cached.
 """
 
 from __future__ import annotations
@@ -90,20 +87,6 @@ from .model import LIMIT_KINDS, OWNERS, Objective, OcSsg, PureMemorylessStrategy
 INFINITE_CREDIT = math.inf
 
 COMPONENT_MEMO: ContextVar[dict | None] = ContextVar("COMPONENT_MEMO", default=None)
-_MISSING = object()
-_ONE = Fraction(1)
-
-
-def _memoized(key, compute):
-    """``compute()``, looked up in and stored to ``COMPONENT_MEMO`` when a
-    solve has set it; callers must not mutate what it returns."""
-    memo = COMPONENT_MEMO.get()
-    if memo is None:
-        return compute()
-    value = memo.get(key, _MISSING)
-    if value is _MISSING:
-        value = memo[key] = compute()
-    return value
 
 
 def _require_one_player(game) -> None:
@@ -202,30 +185,18 @@ def _reach(index, targets: frozenset[int], direction: str):
 
 def _chain_reach(index, choice: list[int], targets: frozenset[int]) -> list[Fraction]:
     """Exact hitting probabilities of ``targets`` in the chain where each
-    node takes its chain step ``choice[v]`` (``Index.chain_steps``), as
+    node takes its chain step ``choice[v]`` (``_policy_chain``), as
     ``chain.reach_probabilities`` gives them on that chain: 1 on the
-    targets, 0 where the targets are out of reach, and one linear solve,
-    rows in node order, on the rest."""
-    steps = index.chain_steps
-    n = len(steps)
+    targets, 0 where the targets are out of reach, and one linear solve of
+    ``chain.hitting_rows``, rows in node order, on the rest."""
+    _, succ, prob, _ = _policy_chain(index, choice)
     reached = _chain_backward(index, choice, targets)
-    values = [Fraction(0)] * n
+    values = [Fraction(0)] * len(succ)
     for t in targets:
         values[t] = Fraction(1)
-    interior = [v for v in range(n) if reached[v] and v not in targets]
+    interior = [v for v, hit in enumerate(reached) if hit and v not in targets]
     if interior:
-        pos = {v: i for i, v in enumerate(interior)}
-        rows = [{i: _ONE} for i in range(len(interior))]
-        rhs = [Fraction(0)] * len(interior)
-        for i, v in enumerate(interior):
-            row = rows[i]
-            targets_v, probs = steps[v][choice[v]][:2]
-            for t, p in zip(targets_v, probs):
-                if t in targets:
-                    rhs[i] += p
-                elif t in pos:
-                    j = pos[t]
-                    row[j] = row[j] - p if j in row else -p
+        rows, rhs = chain_mod.hitting_rows(interior, succ, prob, targets)
         for v, x in zip(interior, linsolve.factor(rows).solve(rhs)):
             values[v] = x
     return values
@@ -248,64 +219,35 @@ def _chain_backward(index, choice: list[int], seeds) -> list[bool]:
     return reached
 
 
-# At mean 0 a closed class wins liminf = -inf exactly when it has no
-# potential, and liminf > -inf exactly when it has one; at any other mean,
-# and under the other objectives, the sign of the mean decides.
-_ZERO_MEAN_WINS_WITH_POTENTIAL = {"liminf-minus-inf": False, "liminf-gt-minus-inf": True}
-
-
-def _has_potential(members, succ, weights) -> bool:
-    """Whether the closed class ``members`` has a potential h, h(t) - h(v)
-    = w on each of its edges v -> t of weight w (``chain.potential`` on
-    int lists: no cycle of nonzero weight)."""
-    level = {members[0]: 0}
-    stack = [members[0]]
-    while stack:
-        v = stack.pop()
-        for t, w in zip(succ[v], weights[v]):
-            x = level[v] + w
-            if t not in level:
-                level[t] = x
-                stack.append(t)
-            elif level[t] != x:
-                return False
-    return True
-
-
 class _ChainValues:
     """The values of a limit objective, by node, in the chain where node v
     of a game's index takes its chain step ``choice[v]``, computed only as
     far as they are read: ``chain.chain_tail_value`` of that chain, read
     off the index.
 
-    A closed class wins by the sign of its mean (``_closed_classes``,
-    memoized as a best response's classes are) and, at mean 0 under the
-    liminf = -inf and liminf > -inf objectives, by a potential test on its
-    edge weights.  ``sure`` comes first, from two backward reaches and no
-    linear solve: per node 0 where no winning class is reachable, 1 where
-    no losing one is, and None where both are, the value then lying
-    strictly between 0 and 1.  ``values`` adds one ``_chain_reach`` solve
-    toward the nodes of value 1.  ``order`` compares the values with a
-    vector and reads ``values`` only when ``sure`` and one step of the
-    chain leave the comparison open.
+    A closed class (``_closed_classes``, memoized as a best response's
+    classes are) wins by ``chain.class_wins``: the sign of its mean and, at
+    mean 0 under the liminf = -inf and liminf > -inf objectives,
+    ``chain.node_potential`` on its edge weights.  ``sure`` comes first,
+    from two backward reaches and no linear solve: per node 0 where no
+    winning class is reachable, 1 where no losing one is, and None where
+    both are, the value then lying strictly between 0 and 1.  ``values``
+    adds one ``_chain_reach`` solve toward the nodes of value 1.  ``order``
+    compares the values with a vector and reads ``values`` only when
+    ``sure`` and one step of the chain leave the comparison open.
     """
 
     def __init__(self, index, choice: list[int], kind: str):
         owner, weight = index.owner, index.weight
-        self._steps = steps = [options[k] for options, k in zip(index.chain_steps, choice)]
-        succ = [step[0] for step in steps]
-        prob = [step[1] for step in steps]
-        rewards = [step[2] for step in steps]
-        winning_signs = _MEC_RULES[kind][1]
-        with_potential = _ZERO_MEAN_WINS_WITH_POTENTIAL.get(kind)
+        self._steps, succ, prob, rewards = _policy_chain(index, choice)
+
+        def has_potential(members):
+            weights = {v: weight[v] if owner[v] == "rand" else (weight[v][choice[v]],) for v in members}
+            return chain_mod.node_potential(members, succ, weights) is not None
+
         winning, losing = [], []
-        for members, closed in zip(*_closed_classes(steps, succ, prob, rewards)):
-            mean = closed.mean
-            if mean == 0 and with_potential is not None:
-                weights = {v: weight[v] if owner[v] == "rand" else (weight[v][choice[v]],) for v in members}
-                wins = _has_potential(members, succ, weights) == with_potential
-            else:
-                wins = _sign(mean) in winning_signs
+        for members, closed in zip(*_closed_classes(self._steps, succ, prob, rewards)):
+            wins = chain_mod.class_wins(kind, closed.mean, lambda: has_potential(members))
             (winning if wins else losing).extend(members)
         self._index, self._choice = index, choice
         reaches_win = _chain_backward(index, choice, winning)
@@ -427,20 +369,33 @@ class _ClosedClass:
         return [v - shift for v in h]
 
 
+def _policy_chain(index, choice: list[int]):
+    """The chain where node v of ``index`` takes its chain step
+    ``choice[v]`` (``Index.chain_steps``): per node that step, and its
+    successors, probabilities and per-visit reward, as lists."""
+    steps = [options[k] for options, k in zip(index.chain_steps, choice)]
+    return steps, [step[0] for step in steps], [step[1] for step in steps], [step[2] for step in steps]
+
+
 def _closed_classes(steps, succ, prob, rewards):
     """The closed classes of the chain where node v takes the chain step
     ``steps[v]``, with its successors, probabilities and per-visit reward
     in ``succ``, ``prob`` and ``rewards``: its ``chain.bottom_sccs`` (node
-    lists), and each one's ``_ClosedClass``, memoized in ``COMPONENT_MEMO``
-    on the content keys of its members' steps."""
+    lists), and each one's ``_ClosedClass``, looked up in and stored to
+    ``COMPONENT_MEMO`` when a solve has set it, keyed on the content keys
+    of its members' steps; callers must not mutate what comes back."""
+    memo = COMPONENT_MEMO.get()
+    if memo is None:
+        memo = {}
     bottoms = chain_mod.bottom_sccs(succ)
-    return bottoms, [
-        _memoized(
-            ("class", tuple(steps[v][3] for v in members)),
-            lambda: _ClosedClass(members, succ, prob, rewards),
-        )
-        for members in bottoms
-    ]
+    classes = []
+    for members in bottoms:
+        key = tuple(steps[v][3] for v in members)
+        closed = memo.get(key)
+        if closed is None:
+            closed = memo[key] = _ClosedClass(members, succ, prob, rewards)
+        classes.append(closed)
+    return bottoms, classes
 
 
 class _PolicyEvaluation:
@@ -449,7 +404,7 @@ class _PolicyEvaluation:
     only as far as they are read, each at most once.
 
     The induced chain is read from an ``Index`` as int successor lists
-    (``Index.chain_steps``); no game is built.  Its closed classes,
+    (``_policy_chain``); no game is built.  Its closed classes,
     ``members`` (node lists), are its ``chain.bottom_sccs``.  ``means``
     (the closed classes' mean payoffs) come first, from the classes'
     stationary laws.  ``gain`` adds the transient states: one factorization
@@ -460,11 +415,8 @@ class _PolicyEvaluation:
     """
 
     def __init__(self, index, choice: list[int]):
-        steps = [options[k] for options, k in zip(index.chain_steps, choice)]
-        self._succ = succ = [step[0] for step in steps]
-        self._prob = prob = [step[1] for step in steps]
-        self._rewards = rewards = [step[2] for step in steps]
-        self.members, self._classes = _closed_classes(steps, succ, prob, rewards)
+        steps, self._succ, self._prob, self._rewards = _policy_chain(index, choice)
+        self.members, self._classes = _closed_classes(steps, self._succ, self._prob, self._rewards)
         self.means = [closed.mean for closed in self._classes]
         closed = {v for members in self.members for v in members}
         self._transient = [v for v in range(len(steps)) if v not in closed]
@@ -832,10 +784,6 @@ def energy_min_credit(game, keeper: str = "max") -> dict[str, int | float]:
 # Qualitative and quantitative limit objectives
 
 
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
-
-
 def _sub_gain(sub, rule):
     """Gain policy iteration on the end-component sub-index ``sub`` in the
     rule's direction: a gain, the policy's choice list and its bias, by
@@ -855,7 +803,7 @@ def _sub_gain(sub, rule):
     direction, winning_signs, _ = rule
 
     def wins(means):
-        return all(_sign(m) in winning_signs for m in means)
+        return all(chain_mod.sign(m) in winning_signs for m in means)
 
     evaluation, policy = _policy_iteration(sub, direction, wins)
     least = min if direction == "max" else max
@@ -870,29 +818,10 @@ def _sub_gain(sub, rule):
 def _mec_gain(index, mec: Mec, rule):
     """``_sub_gain`` on the MEC's sub-index (``Index.restricted``), with the
     choice (controlled node -> edge) and the bias (node -> value) on the
-    index's nodes and edges.
-
-    Memoized on the rule's direction and winning signs and, per member in
-    node order, whether it is controlled and the content keys of the
-    chain steps its allowed edges give (``Index.chain_steps``): strs, ints
-    and bools that hold everything the sub-index's policy iteration reads.
-    Each key holds its step's weight, so it also fixes the greedy start,
-    which reads only the allowed steps' weights.
-    """
-    steps, owner = index.chain_steps, index.owner
+    index's nodes and edges."""
     members = sorted(mec.members)
-    key = (
-        "mec",
-        rule[:2],
-        tuple(
-            (True, tuple(steps[v][k][3] for k in mec.allowed[v]))
-            if owner[v] != "rand"
-            else (False, (steps[v][0][3],))
-            for v in members
-        ),
-    )
-    gain, choice, bias = _memoized(key, lambda: _sub_gain(index.restricted(members, mec.allowed), rule))
-    edges = {v: mec.allowed[v][k] for v, k in zip(members, choice) if owner[v] != "rand"}
+    gain, choice, bias = _sub_gain(index.restricted(members, mec.allowed), rule)
+    edges = {v: mec.allowed[v][k] for v, k in zip(members, choice) if index.owner[v] != "rand"}
     return gain, edges, None if bias is None else dict(zip(members, bias))
 
 
@@ -971,17 +900,13 @@ def _quiet_components(index, members, allowed, noisy):
     return core, choice
 
 
-# Per limit objective: the direction of the MEC gain solve, the gain signs
-# that win the whole MEC, and the part a gain-0 MEC wins (None: nothing).
-# The MEC's policy iteration stops at the first policy whose gain has a
-# winning sign at every state, so the memo key holds the first two fields.
+# Per limit objective (``chain.WINNING_SIGNS``): the direction of the MEC
+# gain solve, the one that favours a winning sign, the gain signs that win
+# the whole MEC, and the part a gain-0 MEC wins (None: nothing), the end
+# components without a potential (noisy) or with one (quiet).
 _MEC_RULES = {
-    "mean-gt": ("max", (1,), None),
-    "liminf-plus-inf": ("max", (1,), None),
-    "mean-leq": ("min", (-1, 0), None),
-    "liminf-lt-plus-inf": ("min", (-1, 0), None),
-    "liminf-minus-inf": ("min", (-1,), _noisy_components),
-    "liminf-gt-minus-inf": ("max", (1,), _quiet_components),
+    kind: ("max" if 1 in signs else "min", signs, {None: None, False: _noisy_components, True: _quiet_components}[zero])
+    for kind, (signs, zero) in chain_mod.WINNING_SIGNS.items()
 }
 
 
@@ -992,7 +917,7 @@ def _mec_part(index, mec: Mec, rule):
     nothing otherwise."""
     _, winning_signs, zero_part = rule
     gain, choice, bias = _mec_gain(index, mec, rule)
-    if _sign(gain) in winning_signs:
+    if chain_mod.sign(gain) in winning_signs:
         return frozenset(mec.members), choice
     if gain != 0 or zero_part is None:
         return frozenset(), {}

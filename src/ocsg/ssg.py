@@ -87,15 +87,10 @@ def solve_limit_ssg(game: Ssg, objective: Objective) -> SsgSolve:
     game's index, compiled once, so no game is built per best response,
     per MEC or per round.  The call also sets ``mdp.COMPONENT_MEMO`` to a
     fresh dict and resets it on return or raise, so best responses to
-    strategies that share an end component evaluate it once: the mean
-    payoff of each closed class of an induced chain, with its bias
-    computed on the first read (keyed on its members' chain steps), and
-    the gain policy iteration of each MEC (keyed on the direction and
-    winning signs of the objective's ``mdp._MEC_RULES`` row and, per
-    member, its controlled flag and its allowed steps' content keys, all
-    strs, ints and bools; it stops at the first policy whose closed-class
-    means all win, reading no transient gain or bias there, and runs to
-    optimality only when none does).
+    strategies that share a closed class of an induced chain evaluate it
+    once: its mean payoff, with its bias computed on the first read (keyed
+    on its members' chain steps, in strs and ints).  A MEC's gain policy
+    iteration may run again, but its classes are not re-evaluated.
 
     A scan spends a best response only on a candidate that its chain bound
     admits.  Min's exact reply to a Max candidate σ′ has values v′ ≤ val(σ′,

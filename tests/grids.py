@@ -37,7 +37,9 @@ are the game-level MEC decomposition and reachability policy iteration,
 the references the int forms ``ocsg.mdp._mecs`` and ``ocsg.mdp._reach``
 are checked against; ``restrict_to_mec`` is a MEC's sub-MDP as a game,
 and ``named_mec`` an int MEC keyed by state id.  ``induced_chain`` is the
-chain a policy leaves, built by ``fix_strategies``.
+chain a policy leaves, built by ``fix_strategies``.  ``certified_reach``
+is ``chain.reach_probabilities`` solved with the determinant certificate
+that every value's denominator divides.
 ``reference_procedure_mp`` is Procedure MP as first written, a game built
 per cut by ``remove_states`` with one absorbing state z, the reference the
 index form ``ocsg.mdp.procedure_mp`` is checked against.
@@ -573,6 +575,25 @@ def induced_chain(game, policy: dict[str, int]) -> Ssg:
     for sid, k in policy.items():
         split[game.by_id[sid].owner][sid] = k
     return fix_strategies(game, *(PureMemorylessStrategy(player, choice) for player, choice in split.items()))
+
+
+def certified_reach(chain, targets):
+    """The hitting probabilities of the states ``targets`` in ``chain`` by
+    state id, as ``chain.reach_probabilities`` defines them, from one
+    ``linsolve.solve_linear_system`` of the ``chain.hitting_rows`` system
+    on the can-reach region, and that solve's determinant certificate (1
+    when nothing is solved)."""
+    index = chain.index
+    nodes = frozenset(index.pos[sid] for sid in targets)
+    reached, _ = chain_mod.attractor(index, nodes, OWNERS)
+    interior = [v for v, hit in enumerate(reached) if hit and v not in nodes]
+    values = {sid: Fraction(int(v in nodes)) for v, sid in enumerate(index.ids)}
+    pivot = 1
+    if interior:
+        rows, rhs = chain_mod.hitting_rows(interior, index.succ, index.prob, nodes)
+        solution, pivot = linsolve.solve_linear_system(rows, rhs)
+        values.update(zip((index.ids[v] for v in interior), solution))
+    return values, pivot
 
 
 def remove_states(game, cut, z_id):

@@ -29,6 +29,7 @@ from ocsg.reduce import condon_to_limit, condon_to_termination, normalize_reach_
 from grids import (
     as_mdp,
     build_level_game,
+    certified_reach,
     exhaustive_games,
     level_id,
     oc_to_reward_ssg,
@@ -175,9 +176,7 @@ def _pivot_checked_values(game, result, objective):
     for members in bsccs:
         if chain_mod.analyze_bscc(induced, members).classification[objective.kind]:
             winning.update(members)
-    if not winning:
-        return {sid: Fraction(0) for sid in induced.ids()}, 1
-    return chain_mod.reach_probabilities(induced, winning, return_pivot=True)
+    return certified_reach(induced, winning)
 
 
 def test_criterion_7_rationality_and_denominator_bound(grid_games, solutions):

@@ -2,17 +2,21 @@ from fractions import Fraction
 
 import pytest
 
-from ocsg import oracle
+import random
+
+from ocsg import chain as chain_mod
+from ocsg import mdp, oracle
 from ocsg.chain import analyze_bscc, bscc_decompose, chain_tail_value, reach_probabilities
 from ocsg.model import (
     LIMINF_MINUS_INF,
     LIMINF_PLUS_INF,
+    LIMIT_KINDS,
     PureMemorylessStrategy,
     fix_strategies,
     parse_model,
 )
 
-from grids import oc_to_reward_ssg, random_games
+from grids import certified_reach, induced_chain, oc_to_reward_ssg, random_games
 
 
 def _chain(text):
@@ -249,7 +253,83 @@ def test_birth_death_walk_of_400_states():
     for i in range(1, n - 1):
         lines += [f"trans w{i} -> w{i - 1} p=1/2 reward=0", f"trans w{i} -> w{i + 1} p=1/2 reward=0"]
     walk = parse_model("\n".join(lines) + "\n")
-    values, pivot = reach_probabilities(walk, {f"w{n - 1}"}, return_pivot=True)
-    assert values == {f"w{i}": Fraction(i, n - 1) for i in range(n)}
+    values, pivot = certified_reach(walk, {f"w{n - 1}"})
+    assert values == reach_probabilities(walk, {f"w{n - 1}"}) == {f"w{i}": Fraction(i, n - 1) for i in range(n)}
     for value in values.values():
         assert pivot % value.denominator == 0
+
+
+# -- the shared kernels: one winning-signs table, one hitting-rows builder ------
+
+
+def _paper_rule(kind, mean, has_potential):
+    """Whether a closed class of mean ``mean`` wins ``kind``, written out:
+    the sign of the mean, and at mean 0 for the two liminf-vs-minus-infinity
+    objectives whether the class has a potential."""
+    return {
+        "liminf-plus-inf": mean > 0,
+        "mean-gt": mean > 0,
+        "mean-leq": mean <= 0,
+        "liminf-lt-plus-inf": mean <= 0,
+        "liminf-minus-inf": mean < 0 or (mean == 0 and not has_potential),
+        "liminf-gt-minus-inf": mean > 0 or (mean == 0 and has_potential),
+    }[kind]
+
+
+def test_winning_signs_table_is_the_rule_of_chains_and_mecs():
+    zero_parts = {"liminf-minus-inf": mdp._noisy_components, "liminf-gt-minus-inf": mdp._quiet_components}
+    assert set(chain_mod.WINNING_SIGNS) == set(mdp._MEC_RULES) == set(LIMIT_KINDS)
+    for kind in LIMIT_KINDS:
+        direction, signs, zero_part = mdp._MEC_RULES[kind]
+        assert signs == chain_mod.WINNING_SIGNS[kind][0]
+        assert direction == ("max" if kind in ("liminf-plus-inf", "mean-gt", "liminf-gt-minus-inf") else "min")
+        assert zero_part is zero_parts.get(kind)
+        for mean in (Fraction(-1, 3), Fraction(0), Fraction(5, 2)):
+            for has_potential in (False, True):
+                asked = []
+                wins = chain_mod.class_wins(kind, mean, lambda: asked.append(1) or has_potential)
+                assert wins == _paper_rule(kind, mean, has_potential), (kind, mean, has_potential)
+                # The potential is tested only where it decides.
+                assert bool(asked) == (mean == 0 and kind in zero_parts)
+                if zero_part is None or mean != 0:
+                    # A MEC of gain ``mean`` wins whole by its sign alone.
+                    assert (chain_mod.sign(mean) in signs) == wins
+
+
+def test_analyze_bscc_classifies_by_the_table():
+    cases = [
+        (SELF_LOOP, 1, False),
+        (_chain("ssg rewards=transitions\nstate s owner=rand\ntrans s -> s p=1/1 reward=-1\n"), -1, False),
+        (_chain("ssg rewards=transitions\nstate s owner=rand\ntrans s -> s p=1/1 reward=0\n"), 0, True),
+        (TWO_CYCLE, 0, True),
+        (FAIR_LOOP, 0, False),
+    ]
+    for chain, mean, has_potential in cases:
+        analysis = analyze_bscc(chain, frozenset(chain.ids()))
+        assert (analysis.mean_payoff, analysis.potential is not None) == (mean, has_potential)
+        assert analysis.classification == {kind: int(_paper_rule(kind, mean, has_potential)) for kind in LIMIT_KINDS}
+
+
+def test_chain_reach_is_reach_probabilities_of_the_fixed_chain():
+    # ``mdp._chain_reach`` reads the policy's chain off the index, and
+    # ``chain.reach_probabilities`` reads the chain ``fix_strategies``
+    # builds; both solve the rows of ``chain.hitting_rows``.  Target sets
+    # are random, the empty set and targets no node reaches included.
+    rng = random.Random(31)
+    fractional = out_of_reach = empty = 0
+    for reward_location in ("states", "transitions"):
+        for game in random_games(60, sizes=(3, 4, 5, 6), seed=1931, reward_location=reward_location):
+            index = game.index
+            controlled = [v for v, owner in enumerate(index.owner) if owner != "rand"]
+            for _ in range(3):
+                choice = [0] * len(index.ids)
+                for v in controlled:
+                    choice[v] = rng.randrange(len(index.succ[v]))
+                targets = frozenset(v for v in range(len(index.ids)) if rng.random() < 0.3)
+                chain = induced_chain(game, {index.ids[v]: choice[v] for v in controlled})
+                expected = reach_probabilities(chain, {index.ids[v] for v in targets})
+                assert dict(zip(index.ids, mdp._chain_reach(index, choice, targets))) == expected
+                fractional += any(0 < x < 1 for x in expected.values())
+                out_of_reach += any(x == 0 for x in expected.values())
+                empty += not targets
+    assert min(fractional, out_of_reach, empty) >= 10, (fractional, out_of_reach, empty)

@@ -1,7 +1,11 @@
 import gc
 import io
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +44,20 @@ def _record(out):
         key, _, value = line.partition(" = ")
         entries[key] = value
     return entries
+
+
+def test_module_entry_point_prints_the_report():
+    # `python -m ocsg.cli` runs `main`, as the `ocsg` console script does.
+    argv = ["solve", str(DATA / "dense-n7-f36.ssg"), "--objective", "mean-gt"]
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "ocsg.cli", *argv], capture_output=True, text=True, env=env, check=False, timeout=120
+    )
+    expected = io.StringIO()
+    assert run(argv, expected) == 0
+    assert (done.returncode, done.stdout, done.stderr) == (0, expected.getvalue(), "")
+    assert "method = " in done.stdout
 
 
 def test_solve_on_condon_reduction(tmp_path):

@@ -290,11 +290,11 @@ def _walk(key):
 
 def test_dense_n32_policy_iteration_builds_no_game(monkeypatch):
     # A solve compiles the game once: best responses, MECs and rounds read
-    # indexes derived from its index, so no game is built, and every memo
-    # key holds only tuples of strs, ints and bools.
+    # indexes derived from its index, so no game is built.  The memo holds
+    # closed classes only, each keyed on a tuple of strs and ints.
     game = parse_model((DATA / "dense-n32-f7.ssg").read_text())
     index = relabel_controlled(game, "max").index
-    calls, keys = [], []
+    calls, memos = [], {}
 
     def spy(name, call):
         def counted(*args, **kwargs):
@@ -303,17 +303,25 @@ def test_dense_n32_policy_iteration_builds_no_game(monkeypatch):
 
         return counted
 
-    memoized = mdp._memoized
+    closed_classes = mdp._closed_classes
+
+    def spy_classes(*args):
+        memo = mdp.COMPONENT_MEMO.get()
+        memos[id(memo)] = memo
+        return closed_classes(*args)
+
     monkeypatch.setattr(model.Ssg, "with_states", spy("with_states", model.Ssg.with_states))
     monkeypatch.setattr(model, "fix_strategies", spy("fix_strategies", model.fix_strategies))
     monkeypatch.setattr(model, "relabel_controlled", spy("relabel_controlled", model.relabel_controlled))
-    monkeypatch.setattr(mdp, "_memoized", lambda key, compute: keys.append(key) or memoized(key, compute))
+    monkeypatch.setattr(mdp, "_closed_classes", spy_classes)
     for objective in LIMIT_OBJECTIVES:
         ssg.solve_limit_ssg(game, objective)
     assert calls == []
     assert not any(hasattr(mdp, name) for name in ("relabel_controlled", "fix_strategies", "_induced_chain"))
-    assert {key[0] for key in keys} == {"class", "mec"}
-    assert set().union(*map(_walk, keys)) == {str, int, bool}
+    assert len(memos) == len(LIMIT_OBJECTIVES) and None not in memos.values()
+    keys = [key for memo in memos.values() for key in memo]
+    assert keys and all(type(closed) is mdp._ClosedClass for memo in memos.values() for closed in memo.values())
+    assert set().union(*map(_walk, keys)) == {str, int}
 
     # Each policy-iteration round reads the policy's chain off the index:
     # no induced chain, no collapsed strategy and no game-level stationary
@@ -597,8 +605,8 @@ def test_memo_does_not_outlive_a_solve(monkeypatch):
 
 
 def test_one_solve_evaluates_each_end_component_once(monkeypatch):
-    analyzed, solved, chains = [], [], []
-    closed_classes, closed_class, sub_gain = mdp._closed_classes, mdp._ClosedClass, mdp._sub_gain
+    analyzed, chains = [], []
+    closed_classes, closed_class = mdp._closed_classes, mdp._ClosedClass
 
     def spy_classes(steps, succ, prob, rewards):
         chains.append(steps)
@@ -616,26 +624,15 @@ def test_one_solve_evaluates_each_end_component_once(monkeypatch):
         analyzed.append(tuple((sid(v), tuple(map(sid, succ[v])), prob[v], rewards[v]) for v in members))
         return closed_class(members, succ, prob, rewards)
 
-    def spy_sub_gain(sub, rule):
-        # A MEC sub-index's content: its members, which are controlled,
-        # and their edges' targets, probabilities and weights.
-        controlled = tuple(owner != "rand" for owner in sub.owner)
-        solved.append((rule[:2], sub.ids, controlled, sub.succ, sub.prob, sub.weight))
-        return sub_gain(sub, rule)
-
     monkeypatch.setattr(mdp, "_closed_classes", spy_classes)
     monkeypatch.setattr(mdp, "_ClosedClass", spy_analyze)
-    monkeypatch.setattr(mdp, "_sub_gain", spy_sub_gain)
-    totals = [0, 0]
+    total = 0
     for game, objective in _dense_sweep():
         analyzed.clear()
-        solved.clear()
         ssg.solve_limit_ssg(game, objective)
         assert len(analyzed) == len(set(analyzed)), objective.kind
-        assert len(solved) == len(set(solved)), objective.kind
-        totals[0] += len(analyzed)
-        totals[1] += len(solved)
-    assert min(totals) > 0
+        total += len(analyzed)
+    assert total > 0
 
 
 def test_limit_solves_never_lift_energy(monkeypatch, five_state_game):

@@ -18,8 +18,8 @@ from ocsg.model import (
     parse_model,
 )
 
+from conftest import FIVE_STATE_TEXT
 from grids import (
-    Graph,
     bench_families,
     build_level_game,
     exhaustive_games,
@@ -257,30 +257,29 @@ def test_value_one_is_downward_closed():
             assert answers == sorted(answers, reverse=True), (start, answers)
 
 
-def test_term_queries_build_no_graph_and_run_no_reach(five_state_game, monkeypatch):
+def test_level_branch_builds_no_states_and_runs_no_reach(built_states, monkeypatch):
     # With the liminf=-inf solve done up front, a value-1 query and a
-    # synthesis on the level branch build no int Graph and run no
-    # almost-sure reach: the thresholds read the base game's index.  The
-    # chance counters have value 1 at j = 1 only, so both witnesses come.
+    # synthesis on the level branch build no `State` or `Transition` and
+    # run no almost-sure reach: the thresholds read the parsed game's
+    # index.  The chance counters have value 1 at j = 1 only, so both
+    # witnesses come.
     data = Path(__file__).parent / "data"
-    games = [(five_state_game, "v")]
+    games = [(parse_model(FIVE_STATE_TEXT), "v")]
     games += [(parse_model((data / f"chance-n8-f{f}.ocssg").read_text()), "c0") for f in (1, 27)]
+
+    def forbidden(*args):
+        raise AssertionError("almost-sure reach ran")
+
     for counter, start in games:
         solve = ssg.solve_limit_ssg(counter, LIMINF_MINUS_INF)
         assert start not in solve.result.value_one_set
-        monkeypatch.setattr(ssg, "solve_limit_ssg", lambda g, objective, _solve=solve: _solve)
-        built = []
-
-        def forbidden(*args):
-            raise AssertionError("almost-sure reach ran")
-
-        monkeypatch.setattr(Graph, "__init__", lambda self, *args: built.append(args))
-        monkeypatch.setattr(mdp, "almost_sure_reach", forbidden)
-        for j in (1, 2):
-            assert termination.decide_term_one(counter, start, j).branch == "level"
-            termination.synthesize_term_strategies(counter, start, j)
-        assert built == []
-        monkeypatch.undo()
+        with monkeypatch.context() as patch:
+            patch.setattr(ssg, "solve_limit_ssg", lambda g, objective, _solve=solve: _solve)
+            patch.setattr(mdp, "almost_sure_reach", forbidden)
+            for j in (1, 2):
+                assert termination.decide_term_one(counter, start, j).branch == "level"
+                termination.synthesize_term_strategies(counter, start, j)
+    assert built_states == {}
 
 
 def test_start_in_the_liminf_value_one_set_builds_no_product(monkeypatch):
