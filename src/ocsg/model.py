@@ -18,25 +18,32 @@ Text format (UTF-8, line oriented, ``#`` starts a comment):
 exactly where ``reward_location`` says, ``delta=`` exactly in ocssg files.
 ``print_model`` emits this format bit-exactly, probabilities in lowest terms.
 
-These and the other model rules are stated once, in ``validate``;
-``parse_model`` reads tokens and lines and reports a broken rule at its line.
-It reads a text in one pass: tokens are split at whitespace, a syntax
-error's column is computed only when the error is raised, and each distinct
-``p=`` numeral becomes one ``Fraction`` per parse.  Input is validated where
-it enters the program, derived games are not.
+These and the other model rules are stated once, in ``validate``, whose
+rules on a state's successors and probabilities are ``_successor_faults``.
+Input is validated where it enters the program, derived games are not.
 
 A model is compiled once: per state a row (id, owner, reward, edges), each
 edge (target, prob, reward, delta), which ``validate`` and the int
-``Index`` read.  A parsed game holds only its rows and builds its ``State``
-and ``Transition`` objects on their first read, so a solve, a
-termination query or a simulation on a parsed game, which read the
-index, builds none.
+``Index`` read.  ``parse_model`` takes one of two paths, each one pass over
+the text.  A text in ``print_model``'s form that keeps every rule, which is
+every text the printer writes, is compiled straight into the ``Index`` and
+a per-state reward column, with one pattern per flavour for its lines and
+``_successor_faults`` for its states (``_compile_printed``); its rows are
+derived from the index on their first read.  Every other text, and so every
+error, takes the line parser, which reads tokens and lines into the rows,
+splits tokens at whitespace, computes a syntax error's column only when the
+error is raised, makes each distinct ``p=`` numeral one ``Fraction`` per
+parse, and reports a broken rule at its line.  A parsed game builds its
+``State`` and ``Transition`` objects only on their first read, so a solve,
+a termination query or a simulation on it, which read the index, builds
+none.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -48,7 +55,8 @@ REWARD_VALUES = (-1, 0, 1)
 ON_STATES = "states"
 ON_TRANSITIONS = "transitions"
 
-_ID_RE = re.compile(r"[A-Za-z0-9_.@+'\-]+\Z")
+_ID = r"[A-Za-z0-9_.@+'\-]+"
+_ID_RE = re.compile(_ID + r"\Z")
 _TOKEN_RE = re.compile(r"\S+")  # the tokens of str.split(), with their offsets
 _PROB_RE = re.compile(r"(\d+)(?:/(\d+))?")
 _HEADER_KEYS = frozenset({"rewards"})
@@ -222,38 +230,67 @@ class _GameOps:
 
     A game is read through its two compiled forms, each built once:
     ``rows``, which ``validate`` and ``index`` read, and the int ``index``.
-    A game built in code derives its rows from its states; a parsed game
-    holds only rows and builds its ``states`` when they are first read.
+    A game built in code derives its rows from its states.  A parsed game
+    holds no states and builds them from its rows when they are first read:
+    the line parser's game holds its rows, and a game compiled from
+    ``print_model``'s form holds only its index and ``state_rewards``,
+    from which its rows are derived on their first read.
     """
 
     states: tuple[State, ...]
 
     @classmethod
-    def _compiled(cls, rows, **fields):
-        """A game of this type that holds ``rows`` and no states yet."""
+    def _compiled(cls, **fields):
+        """A game of this type that holds ``fields`` and no states yet."""
         game = cls.__new__(cls)
-        vars(game).update(fields, rows=rows)
+        vars(game).update(fields)
         return game
 
     def __getattr__(self, name):
         # Reached only for a missing attribute: a compiled game's states,
         # built from its rows on their first read.
-        rows = vars(self).get("rows") if name == "states" else None
-        if rows is None:
+        if name != "states" or not vars(self).keys() & {"rows", "index"}:
             raise AttributeError(name)
         states = vars(self)["states"] = tuple(
-            State(sid, owner, reward, tuple(Transition(*edge) for edge in edges)) for sid, owner, reward, edges in rows
+            State(sid, owner, reward, tuple(Transition(*edge) for edge in edges))
+            for sid, owner, reward, edges in self.rows
         )
         return states
 
     @cached_property
     def rows(self) -> tuple[tuple, ...]:
         """Per state (id, owner, reward, edges), each edge (target, prob,
-        reward, delta), in game and edge order."""
+        reward, delta), in game and edge order: from the states, or on a
+        game compiled into its index, from the index by the flavour's
+        weight rule (``index``) read backwards."""
+        if "states" in vars(self):
+            return tuple(
+                (s.id, s.owner, s.reward, tuple((t.target, t.prob, t.reward, t.delta) for t in s.transitions))
+                for s in self.states
+            )
+        index = self.index
+        ids = index.ids
+        on_counter = isinstance(self, OcSsg)
+        on_edges = not on_counter and self.reward_location == ON_TRANSITIONS
         return tuple(
-            (s.id, s.owner, s.reward, tuple((t.target, t.prob, t.reward, t.delta) for t in s.transitions))
-            for s in self.states
+            (
+                sid,
+                owner,
+                reward,
+                tuple(
+                    (ids[t], p, w if on_edges else None, w if on_counter else None)
+                    for t, p, w in zip(targets, probs, weights)
+                ),
+            )
+            for sid, owner, reward, targets, probs, weights in zip(
+                ids, index.owner, self.state_rewards, index.succ, index.prob, index.weight
+            )
         )
+
+    @cached_property
+    def state_rewards(self) -> tuple[int | None, ...]:
+        """Per state in game order its reward, None unless rewards sit on states."""
+        return tuple(row[2] for row in self.rows)
 
     @cached_property
     def by_id(self) -> dict[str, State]:
@@ -263,7 +300,8 @@ class _GameOps:
     def index(self) -> Index:
         """This game as an ``Index``, built once from its rows, column by
         column: the weights follow ``step_reward``'s rule per flavour with
-        no call per edge."""
+        no call per edge.  A game compiled from ``print_model``'s form holds
+        its index from the start."""
         rows = self.rows
         ids = tuple(row[0] for row in rows)
         pos = {sid: v for v, sid in enumerate(ids)}
@@ -443,10 +481,39 @@ class SolveResult:
 # Validation
 
 
+def _successor_faults(rand: bool, probs) -> dict[int | None, str]:
+    """The broken rules on one state's successors and their probabilities
+    ``probs`` (in edge order, None where an edge has none), as edge position
+    -> message, position None for the state: at least one successor; at a
+    rand state a positive probability on every edge, summing to 1; at a
+    controlled state none.  ``_violations`` and the compile of
+    ``print_model``'s form both read the rules from here."""
+    if not probs:
+        return {None: "no successor"}
+    if not rand:
+        return {k: "probability on a controlled transition" for k, prob in enumerate(probs) if prob is not None}
+    faults = {}
+    # The sum of the probabilities, num/den over the lcm of their denominators.
+    num, den = 0, 1
+    for k, prob in enumerate(probs):
+        if prob is None:
+            faults[k] = "missing probability"
+        elif prob.numerator <= 0:
+            faults[k] = "positivity violated"
+        else:
+            common = lcm(den, prob.denominator)
+            num = num * (common // den) + prob.numerator * (common // prob.denominator)
+            den = common
+    if not faults and num != den:
+        faults[None] = f"probabilities sum {_clipped_fraction(Fraction(num, den))} != 1"
+    return faults
+
+
 def _violations(game: Ssg | OcSsg):
     """Yield ``(state position, edge position or None, message)`` per broken
     model rule, in a fixed order; a whole-game rule has state position None.
-    The rules read the game's ``rows``."""
+    The rules read the game's ``rows``; those on successors and
+    probabilities are ``_successor_faults``."""
     rows = game.rows
     seen = set()
     for i, row in enumerate(rows):
@@ -459,11 +526,11 @@ def _violations(game: Ssg | OcSsg):
         yield None, None, f"reward location {loc!r} invalid"
 
     for i, (_, owner, state_reward, edges) in enumerate(rows):
-        rand = owner == "rand"
         if owner not in OWNERS:
             yield i, None, f"unknown owner {_quoted(owner)}"
+        faults = _successor_faults(owner == "rand", [edge[1] for edge in edges])
         if not edges:
-            yield i, None, "no successor"
+            yield i, None, faults[None]
         if loc == ON_STATES:
             if state_reward is None:
                 yield i, None, "missing state reward"
@@ -472,26 +539,11 @@ def _violations(game: Ssg | OcSsg):
         elif state_reward is not None:
             yield i, None, "unexpected state reward"
 
-        # The sum of the positive probabilities, num/den over the lcm of
-        # their denominators (num is 0 until there is one).
-        num, den = 0, 1
-        all_positive = True
-        for k, (target, prob, reward, delta) in enumerate(edges):
+        for k, (target, _, reward, delta) in enumerate(edges):
             if target not in seen:
                 yield i, k, f"dangling target {_quoted(target)}"
-            if rand:
-                if prob is None:
-                    all_positive = False
-                    yield i, k, "missing probability"
-                elif prob.numerator <= 0:
-                    all_positive = False
-                    yield i, k, "positivity violated"
-                else:
-                    common = lcm(den, prob.denominator)
-                    num = num * (common // den) + prob.numerator * (common // prob.denominator)
-                    den = common
-            elif prob is not None:
-                yield i, k, "probability on a controlled transition"
+            if k in faults:
+                yield i, k, faults[k]
             if is_oc:
                 if delta is None:
                     yield i, k, "missing delta"
@@ -506,8 +558,8 @@ def _violations(game: Ssg | OcSsg):
                     yield i, k, f"transition reward {reward} outside {{-1,0,1}}"
             elif reward is not None:
                 yield i, k, "unexpected reward"
-        if rand and all_positive and num and num != den:
-            yield i, None, f"probabilities sum {_clipped_fraction(Fraction(num, den))} != 1"
+        if edges and None in faults:
+            yield i, None, faults[None]
 
 
 def _describe(game: Ssg | OcSsg, i: int | None, k: int | None, message: str) -> str:
@@ -616,8 +668,97 @@ def _parse_prob(line, lineno, index, raw):
     return Fraction(num, den)
 
 
+# ``print_model``'s form, per header line: the pattern of one state line,
+# with groups id, owner and reward, and of one trans line, with groups
+# source, target, p= numeral and reward or delta; a group is empty where the
+# flavour has no such attribute.  A line that matches keeps every rule on its
+# attributes: the flavour's reward= or delta= where they belong, spelled -1,
+# 0 or 1, and a p= of two positive ASCII numerals.
+_STATE_LINE = rf"state ({_ID}) owner=(max|min|rand)"
+_TRANS_LINE = rf"trans ({_ID}) -> ({_ID})(?: p=([1-9][0-9]*/[1-9][0-9]*))?"
+_PRINTED = {
+    header: (re.compile(rf"^{state}\n", re.M), re.compile(rf"^{trans}\n", re.M))
+    for header, state, trans in (
+        ("ocssg", _STATE_LINE + "()", _TRANS_LINE + " delta=(-1|0|1)"),
+        ("ssg rewards=states", _STATE_LINE + " reward=(-1|0|1)", _TRANS_LINE + "()"),
+        ("ssg rewards=transitions", _STATE_LINE + "()", _TRANS_LINE + " reward=(-1|0|1)"),
+    )
+}
+
+
+def _compile_printed(text: str) -> Ssg | OcSsg | None:
+    """The game of ``text`` compiled straight into its ``Index`` and
+    ``state_rewards`` if ``text`` is in ``print_model``'s form and keeps
+    every model rule, else None.
+
+    The form: a header line, then one single-spaced state line per state,
+    then the trans lines grouped by source in state order, attributes in the
+    printer's order, each line ended by a newline.  Each line's pattern
+    (``_PRINTED``) checks its attributes; the state ids are distinct, every
+    source and target is declared, and ``_successor_faults`` holds for
+    every state, checked once per distinct owner and run of ``p=`` numerals.
+    """
+    if not text.endswith("\n"):
+        return None
+    header = text[: text.index("\n")]
+    patterns = _PRINTED.get(header)
+    if patterns is None:
+        return None
+    start = len(header) + 1
+    cut = text.find("\ntrans ", start - 1) + 1 or len(text)  # where the first trans line starts
+    rows = patterns[0].findall(text, start, cut)
+    edges = patterns[1].findall(text, cut)
+    # findall skips a line its pattern does not match, so every line matched
+    # iff the matches are as many as the line ends.
+    if len(rows) != text.count("\n", start, cut) or len(edges) != text.count("\n", cut):
+        return None
+    ids, owner, rewards = zip(*rows) if rows else ((),) * 3
+    sources, targets, numerals, units = zip(*edges) if edges else ((),) * 4
+    pos = {sid: v for v, sid in enumerate(ids)}
+    try:
+        source = list(map(pos.__getitem__, sources))
+        succ = tuple(map(pos.__getitem__, targets))
+    except KeyError:  # an undeclared source or target
+        return None
+    try:
+        fractions = {raw: Fraction(*map(int, raw.split("/"))) if raw else None for raw in set(numerals)}
+    except ValueError:  # a numeral with more digits than int() converts
+        return None
+    if len(pos) < len(ids) or source != sorted(source):
+        return None
+    # Per state the slice of the edge columns that holds its edges.
+    bounds = [bisect_left(source, v) for v in range(len(ids) + 1)]
+    spans = list(map(slice, bounds, bounds[1:]))
+    for who, run in set(zip(owner, map(numerals.__getitem__, spans))):
+        if _successor_faults(who == "rand", [fractions[raw] for raw in run]):
+            return None
+    prob = tuple(map(fractions.__getitem__, numerals))
+    state_rewards = tuple(map(_UNITS.get, rewards))
+    if header == "ssg rewards=states":
+        weight = tuple(map(state_rewards.__getitem__, succ))
+    else:
+        weight = tuple(map(_UNITS.__getitem__, units))
+    index = Index(ids, pos, owner, *(tuple(map(column.__getitem__, spans)) for column in (succ, prob, weight)))
+    fields = {"index": index, "state_rewards": state_rewards, "violations": ()}
+    if header == "ocssg":
+        return OcSsg._compiled(**fields)
+    return Ssg._compiled(reward_location=header.partition("=")[2], **fields)
+
+
 def parse_model(text: str) -> Ssg | OcSsg:
     """Parse the text format; raises ModelSyntaxError / ModelSemanticError.
+
+    A text in ``print_model``'s form that keeps every model rule is compiled
+    in one pass straight into the game's ``Index`` (``_compile_printed``);
+    the game holds no rows or states until they are read.  Any other text,
+    and so every error, takes the line parser ``_parse_lines``.
+    """
+    game = _compile_printed(text)
+    return game if game is not None else _parse_lines(text)
+
+
+def _parse_lines(text: str) -> Ssg | OcSsg:
+    """Parse the text format line by line into the game's ``rows``.
 
     One pass over the lines compiles the text into the game's ``rows``; no
     ``State`` is built until the game's ``states`` are read.  Tokens are
@@ -729,7 +870,10 @@ def parse_model(text: str) -> Ssg | OcSsg:
         raise ModelSyntaxError(1, 1, "empty input, expected header ssg|ocssg")
 
     rows = tuple((sid, owner, reward, tuple(edges)) for sid, (owner, reward, edges, _) in declared.items())
-    game = OcSsg._compiled(rows) if header == "ocssg" else Ssg._compiled(rows, reward_location=reward_location)
+    if header == "ocssg":
+        game = OcSsg._compiled(rows=rows)
+    else:
+        game = Ssg._compiled(rows=rows, reward_location=reward_location)
     if game.violations:
         lines = [entry[3] for entry in declared.values()]
         line, _, i, k, message = min(

@@ -183,7 +183,8 @@ class _Compiled:
     sampling is integer-exact.
 
     Edges, weights and probabilities are read from the game's ``index``
-    and the start's reward from its ``rows``, so no ``State`` is built.
+    and the start's reward from its ``state_rewards``, so no ``State`` is
+    built.
     The last strategy given for a player resolves that player's states.
     A start state not in ``game`` and every pure memoryless strategy are
     checked first, so an unknown start, or a strategy with a missing state
@@ -235,7 +236,7 @@ class _Compiled:
                     self.finite.append(None)
         self.start = index.pos[start]
         # The start state's own reward opens the running sum (None unless rewards sit on states).
-        self.opening = game.rows[self.start][2] or 0
+        self.opening = game.state_rewards[self.start] or 0
 
 
 def _run_trial(compiled, rng, steps, j, stop_at_hit, plus_threshold=None):

@@ -35,10 +35,10 @@ from .model import (
 
 # The largest level product, |V|·(|V|+1) nodes, over which a value-1 query
 # or a synthesis with j < |V| is answered.  The threshold fixpoint builds no
-# product, but its choice tables grow like it: ``spoil`` holds |V| entries
-# per Min state on every value-1 query, and Max's bands up to |V|-1 per Max
-# state.  The limit bounds these tables, and keeps the answers and refusals
-# of ``ocsg term`` those of the product it replaced.
+# product, and a decision holds O(|V|) ints, but a synthesis's choice tables
+# grow like it: ``spoil`` holds |V| entries per Min state, and Max's bands
+# up to |V|-1 per Max state.  The limit bounds these tables, and keeps the
+# answers and refusals of ``ocsg term`` those of the product it replaced.
 MAX_LEVEL_NODES = 1_000_000
 
 
@@ -53,17 +53,18 @@ class _Thresholds:
 
     ``top[i]`` is the largest offset from which Max wins at state i (game
     order), and a number above |V| on the liminf=-inf value-1 set W.
+    The choice tables, recorded only for synthesis (else None):
     ``max_choice[i]`` of a Max state i holds its attractor choice at each
     offset 1..top[i] (index offset-1), and ``spoil[i]`` of a Min state its
     spoiling edge at each offset 1..|V|-1 (index offset; 0 where it wins).
     """
 
     top: list[int]
-    max_choice: list[list[int]]
-    spoil: list[list[int]]
+    max_choice: list[list[int]] | None
+    spoil: list[list[int]] | None
 
 
-def _value_one_thresholds(index, safe) -> _Thresholds:
+def _value_one_thresholds(index, safe, *, choices: bool) -> _Thresholds:
     """Almost-sure reach on the level product of the game with ``index``,
     whose liminf=-inf value-1 set W is the bool list ``safe``, without the
     product.
@@ -101,24 +102,25 @@ def _value_one_thresholds(index, safe) -> _Thresholds:
     edges of min(out(t), a(t)+1) - w at Min and rand states and the max at
     Max states, and a becomes out - 1.  It stops when p = a outside W.
 
-    The choices are those of the product's attractors: a Max state keeps,
+    With ``choices`` set, the fixpoint also records the product
+    attractors' choices, which only synthesis reads: a Max state keeps,
     per offset band, the edge that raised p into it in the last round, and
     a Min state the edge by which each offset left the alive set, one that
     leaves the positive attractor where it was blocked and the edge that
-    lowered out where it was pulled.
+    lowered out where it was pulled.  The thresholds do not depend on them.
     """
     owner, succ, weight, preds = index.owner, index.succ, index.weight, index.preds
     n = len(owner)
     far = n + 2  # above every offset: W is never blocked or pulled
     top = [far if s else n for s in safe]
-    spoil = [[0] * n if who == "min" else [] for who in owner]
+    spoil = [[0] * n if who == "min" else [] for who in owner] if choices else None
     while True:
         cap = [min(a, n - 1) for a in top]
-        bands = [[] for _ in owner]
+        bands = [[] for _ in owner] if choices else None
         p = _lift(owner, succ, weight, preds, safe, cap, far, bands)
         if all(s or p[i] >= top[i] for i, s in enumerate(safe)):
             return _Thresholds(top, bands, spoil)
-        for i, who in enumerate(owner):
+        for i, who in enumerate(owner if choices else ()):
             if who == "min" and not safe[i]:
                 for o in range(p[i] + 1, cap[i] + 1):
                     spoil[i][o] = next(k for k, (t, w) in enumerate(zip(succ[i], weight[i])) if p[t] < o + w <= top[t])
@@ -132,8 +134,8 @@ def _lift(owner, succ, weight, preds, safe, cap, far, bands):
     with positive probability, lifted from 0 by relaxing edges.  A state
     whose p rose relaxes the edges into it: a Max or rand predecessor
     rises to what that edge gives, a Min one to the least over its edges.
-    A Max state records in ``bands`` the edge of each rise once per offset
-    it covers."""
+    A Max state records in ``bands``, unless it is None, the edge of each
+    rise once per offset it covers."""
     p = [far if s else 0 for s in safe]
     queue = list(range(len(safe)))
     queued = [True] * len(safe)
@@ -151,7 +153,7 @@ def _lift(owner, succ, weight, preds, safe, cap, far, bands):
                     continue
             if rise > cap[v]:
                 rise = cap[v]
-            if owner[v] == "max":
+            if bands is not None and owner[v] == "max":
                 bands[v] += [k] * (rise - p[v])
             p[v] = rise
             if not queued[v]:
@@ -167,7 +169,8 @@ def _lower(owner, succ, weight, preds, safe, top, out, spoil):
     from the blocked states: a Min or rand predecessor falls to what that
     edge gives, a Max one to the greatest over its edges.  As p <= a,
     out(t) is min(d(t), a(t) + 1) all along.  A Min state records in
-    ``spoil`` the edge of each fall at the offsets it covers."""
+    ``spoil``, unless it is None, the edge of each fall at the offsets it
+    covers."""
     queue = [i for i, s in enumerate(safe) if not s and out[i] <= top[i]]
     queued = [False] * len(out)
     for i in queue:
@@ -186,7 +189,7 @@ def _lower(owner, succ, weight, preds, safe, top, out, spoil):
                 fall = 1
             if fall >= out[v]:
                 continue
-            if owner[v] == "min":
+            if spoil is not None and owner[v] == "min":
                 spoil[v][fall : out[v]] = [k] * (out[v] - fall)
             out[v] = fall
             if not queued[v]:
@@ -213,10 +216,11 @@ def check_query(game: OcSsg, start: str, j: int) -> None:
         raise ValueError(f"unknown state {_quoted(start)}")
 
 
-def _term_pipeline(game: OcSsg, start: str, j: int):
+def _term_pipeline(game: OcSsg, start: str, j: int, choices: bool):
     """The liminf=-inf solve and, for j < |V| with ``start`` outside its
-    value-1 set W, the value-1 thresholds (else None).  A query whose level
-    product is too large is refused before the solve."""
+    value-1 set W, the value-1 thresholds (else None), with their choice
+    tables if ``choices`` is set.  A query whose level product is too large
+    is refused before the solve."""
     check_query(game, start, j)
     index = game.index
     n = len(index.ids)
@@ -228,7 +232,7 @@ def _term_pipeline(game: OcSsg, start: str, j: int):
     w = solve.result.value_one_set
     if j >= n or start in w:
         return solve, None
-    return solve, _value_one_thresholds(index, [sid in w for sid in index.ids])
+    return solve, _value_one_thresholds(index, [sid in w for sid in index.ids], choices=choices)
 
 
 def decide_term_one(game: OcSsg, start: str, j: int) -> TermDecision:
@@ -237,9 +241,10 @@ def decide_term_one(game: OcSsg, start: str, j: int) -> TermDecision:
     For j >= |V| this is exactly the liminf=-inf value-1 question; below
     that it is almost-sure reachability on the level product, read off the
     start's value-1 threshold.  A start in the liminf=-inf value-1 set W
-    has value 1 at every j, so no threshold is computed for it.
+    has value 1 at every j, so no threshold is computed for it.  A
+    decision records no choice table.
     """
-    solve, thresholds = _term_pipeline(game, start, j)
+    solve, thresholds = _term_pipeline(game, start, j, choices=False)
     w = solve.result.value_one_set
     if j >= len(game.index.ids):
         return TermDecision(start in w, "limit", w)
@@ -269,7 +274,7 @@ def synthesize_term_strategies(game: OcSsg, start: str, j: int):
     strategy whose memory is the level index saturating at the window top,
     where it switches to the liminf=-inf witness for Min.
     """
-    solve, thresholds = _term_pipeline(game, start, j)
+    solve, thresholds = _term_pipeline(game, start, j, choices=True)
     w = solve.result.value_one_set
     sigma_liminf = solve.result.witness_max
     pi_liminf = solve.result.witness_min

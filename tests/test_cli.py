@@ -494,6 +494,36 @@ def test_solve_and_term_build_no_state_objects(built_states):
     assert parse_model(FIVE_STATE_TEXT).states and built_states == {"State": 5, "Transition": 7}
 
 
+def test_solve_and_term_on_data_models_build_no_rows(built_states, monkeypatch):
+    # Every data model is in `print_model`'s form, so it is compiled
+    # straight into its index: `solve` and `term` read only that, and
+    # neither the game's rows nor any `State` is built.  The reports are
+    # those of the golden files (the first case of each model).
+    parsed = []
+
+    def spy(text, _parse=cli.parse_model):
+        parsed.append(_parse(text))
+        return parsed[-1]
+
+    monkeypatch.setattr(cli, "parse_model", spy)
+    cases = {}
+    for name in ("golden-solve-reports.txt", "golden-term-reports.txt"):
+        for case, report in _golden(name).items():
+            cases.setdefault(case[0], (case, report))
+    assert set(cases) == {path.name for path in DATA.glob("*.*ssg")}
+    for name, (case, expected) in sorted(cases.items()):
+        if name.endswith(".ocssg"):
+            start = expected.split("state = ", 1)[1].split()[0]
+            argv = ["term", str(DATA / name), "--j", case[2], "--state", start, "--qual", case[1]]
+        else:
+            argv = ["solve", str(DATA / name), "--objective", case[1]]
+        out = io.StringIO()
+        assert run(argv, out) == 0
+        assert out.getvalue() == expected, case
+        assert not vars(parsed[-1]).keys() & {"rows", "states"}, case
+    assert len(parsed) == len(cases) and built_states == {}
+
+
 def test_oversized_level_product_is_one_error_line(tmp_path, monkeypatch, capsys):
     # The five-state fixture unfolds to 30 level-product nodes.
     monkeypatch.setattr(termination, "MAX_LEVEL_NODES", 29)

@@ -8,9 +8,11 @@ characters: a syntax error carries a line and a column, a semantic error
 the line it concerns.  The same mutated texts are fed to
 ``ocsg solve`` and ``ocsg term``, which must answer or exit 2 with one
 ``error = ...`` line and an empty report.  With runs of odd whitespace
-between their tokens, they must also give ``parse_model`` and the
-reference parser of ``grids`` the same game or the same error, and on a
-game the same ``Index`` columns and ``validate`` result.
+between their tokens and other line ends, they must also give
+``parse_model`` and the reference parser of ``grids`` the same game or the
+same error, and on a game the same ``Index`` columns and ``validate``
+result; so must texts in ``print_model``'s form, which ``parse_model``
+compiles straight into the index, and texts just outside that form.
 """
 
 import io
@@ -27,6 +29,7 @@ from ocsg.model import (
     ModelSyntaxError,
     OcSsg,
     Ssg,
+    _compile_printed,
     parse_model,
     validate,
 )
@@ -157,6 +160,53 @@ def test_mutated_models_parse_or_fail_with_a_position(data):
 # Whitespace that may stand between tokens; a vertical tab also ends a line.
 SEPARATORS = ("  ", "\t", "\x0b", "\u3000", " \t ")
 
+# Line ends other than "\n" that `str.splitlines` also splits at.
+LINE_BREAKS = ("\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028")
+
+# One text of each flavour in `print_model`'s form, which `parse_model`
+# compiles in one pass straight into the index.
+PRINTED = (
+    "ocssg\nstate s owner=rand\nstate t owner=max\n"
+    "trans s -> t p=1/2 delta=1\ntrans s -> s p=1/2 delta=-1\ntrans t -> s delta=0\n",
+    "ssg rewards=states\nstate s owner=rand reward=0\nstate t owner=min reward=1\n"
+    "trans s -> t p=1/3\ntrans s -> s p=2/3\ntrans t -> t\ntrans t -> s\n",
+    "ssg rewards=transitions\nstate a owner=max\nstate b owner=rand\n"
+    "trans a -> b reward=1\ntrans a -> a reward=-1\ntrans b -> a p=1/2 reward=0\ntrans b -> b p=1/2 reward=1\n",
+)
+
+# Texts just outside that form, each of which the line parser reads: the
+# printed counter game with other line ends, no final newline, blank
+# lines, p= numerals the printer never writes, attributes out of the
+# printer's order, a reward and a delta on one edge, a state line after
+# trans lines, a duplicate state, a dangling target, probabilities
+# summing to 3/2, trans lines not grouped by source in state order, a
+# comment after one of two edges of a controlled state, and a commented
+# state line of a state with no edge.
+PRINTER_FORM_BOUNDARIES = tuple(PRINTED[0].replace("\n", end) for end in LINE_BREAKS) + (
+    PRINTED[0][:-1],
+    PRINTED[0].replace("\nstate t", "\n\nstate t") + "\n",
+    PRINTED[0].replace("p=1/2 delta=1", "p=3 delta=1"),
+    PRINTED[0].replace("p=1/2 delta=1", "p=1/0 delta=1"),
+    PRINTED[0].replace("p=1/2 delta=1", "p=0/2 delta=1"),
+    PRINTED[0].replace("p=1/2 delta=1", "p=02/04 delta=1"),
+    PRINTED[0].replace("p=1/2 delta=1", "p=\u0661/\u0662 delta=1"),
+    PRINTED[0].replace("p=1/2 delta=1", "delta=1 p=1/2"),
+    PRINTED[1].replace("state s owner=rand reward=0", "state s reward=0 owner=rand"),
+    PRINTED[0].replace("trans t -> s delta=0", "trans t -> s reward=0 delta=0"),
+    PRINTED[0].replace("state t owner=max\n", "").replace("trans t", "state t owner=max\ntrans t"),
+    PRINTED[0].replace("state t owner=max\n", "state t owner=max\nstate s owner=min\n"),
+    PRINTED[0].replace("trans t -> s", "trans t -> u"),
+    PRINTED[0].replace("p=1/2 delta=-1", "p=1/1 delta=-1"),
+    "ocssg\nstate s owner=rand\nstate t owner=max\n"
+    "trans s -> t p=1/2 delta=1\ntrans t -> s delta=0\ntrans s -> s p=1/2 delta=-1\n",
+    "ocssg\nstate s owner=rand\nstate t owner=max\n"
+    "trans t -> s delta=0\ntrans s -> t p=1/2 delta=1\ntrans s -> s p=1/2 delta=-1\n",
+    "ssg rewards=states\nstate a owner=max reward=0\nstate b owner=min reward=1\n"
+    "trans a -> b\ntrans b -> a\ntrans a -> a\n",
+    PRINTED[1].replace("trans t -> s\n", "trans t -> s  # back\n"),
+    PRINTED[0].replace("state t owner=max\n", "state t owner=max\nstate u owner=min  # no edge\n"),
+)
+
 # The seeds, and models that break validation rules (a zero, a missing and
 # an excess probability, a probability on a controlled edge, a dangling
 # target), so that the rules are compared on texts that pass the syntax checks.
@@ -181,7 +231,7 @@ DIFFERENTIAL_SEEDS = SEEDS + (
     "ocssg\nstate s owner=rand\ntrans s -> s p=1/2 delta=1\ntrans q -> s p=1/2 delta=-1\n",
     "ocssg\nstate s owner=rand\ntrans s -> s p=1/2 delta=1\ntrans s -> t p=1/2 delta=0\n"
     "state t owner=max\ntrans t -> s delta=1\n",
-)
+) + PRINTED + PRINTER_FORM_BOUNDARIES
 
 INDEX_COLUMNS = ("ids", "pos", "owner", "succ", "prob", "weight")
 
@@ -207,14 +257,34 @@ def test_parser_agrees_with_the_reference_parser(data):
     else:
         text = data.draw(st.sampled_from(DIFFERENTIAL_SEEDS))
     text = _respaced(data, text)
+    if data.draw(st.booleans()):
+        text = text.replace("\n", data.draw(st.sampled_from(LINE_BREAKS)))
+    _assert_parsers_agree(text)
+
+
+def _assert_parsers_agree(text):
     outcome, reference = _outcome(parse_model, text), _outcome(reference_parse_model, text)
     assert outcome == reference
     if isinstance(outcome, (Ssg, OcSsg)):
-        # The parsed game's index is compiled from its rows, the reference
-        # game's from its states.
+        # The parsed game's index is compiled from the text or from its
+        # rows, the reference game's from its states.
         for column in INDEX_COLUMNS:
             assert getattr(outcome.index, column) == getattr(reference.index, column), column
         assert validate(outcome) == validate(reference) == []
+
+
+def test_printer_form_boundaries_agree_with_the_reference_parser():
+    # The printed texts take the one-pass compile, every boundary text the
+    # line parser; both give the reference parser's game or error.
+    for text in PRINTED:
+        assert _compile_printed(text) is not None, text
+        _assert_parsers_agree(text)
+    errors = 0
+    for text in PRINTER_FORM_BOUNDARIES:
+        assert _compile_printed(text) is None, text
+        _assert_parsers_agree(text)
+        errors += isinstance(_outcome(parse_model, text), tuple)
+    assert errors == 8
 
 
 @settings(max_examples=100, deadline=None)

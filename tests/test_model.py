@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ocsg import model
 from ocsg.model import (
     ModelError,
     ModelSemanticError,
@@ -21,6 +22,7 @@ from ocsg.model import (
     validate,
 )
 
+from conftest import DATA
 from grids import oc_to_reward_ssg, random_games
 
 
@@ -311,6 +313,49 @@ def test_round_trip_large_counter_game():
             if t.prob is not None:
                 assert shared.setdefault(t.prob, t.prob) is t.prob
     assert set(shared) == {Fraction(1, 2), Fraction(1)}
+
+
+def _printed_texts():
+    """``print_model`` of seeded random grid games of each flavour (the
+    counter games take their deltas from the reward of the state each edge
+    enters), and the text of every data model."""
+    texts = []
+    for seed, location in enumerate(("states", "transitions", "states") * 20):
+        game = random_games(1, sizes=(1, 2, 3, 4, 6, 9), seed=seed, reward_location=location)[0]
+        if seed % 3 == 2:
+            game = OcSsg(
+                tuple(
+                    State(s.id, s.owner, transitions=tuple(
+                        Transition(t.target, prob=t.prob, delta=game.state(t.target).reward) for t in s.transitions
+                    ))
+                    for s in game.states
+                )
+            )
+        texts.append(print_model(game))
+    return texts + [path.read_text() for path in sorted(DATA.glob("*.*ssg"))]
+
+
+def test_printer_form_is_compiled_straight_into_the_index(monkeypatch):
+    # `print_model`'s text takes the one-pass compile, whose game has the
+    # line parser's index columns and state rewards, keeps every rule and
+    # prints the text back.
+    compiled = []
+
+    def spy(text, _compile=model._compile_printed):
+        compiled.append(_compile(text))
+        return compiled[-1]
+
+    monkeypatch.setattr(model, "_compile_printed", spy)
+    for text in _printed_texts():
+        compiled.clear()
+        game = parse_model(text)
+        assert len(compiled) == 1 and compiled[0] is game, text
+        lines = model._parse_lines(text)
+        for column in ("ids", "pos", "owner", "succ", "prob", "weight"):
+            assert getattr(game.index, column) == getattr(lines.index, column), (column, text)
+        assert game.state_rewards == lines.state_rewards
+        assert validate(game) == [] and print_model(game) == text
+        assert game == lines and game.rows == lines.rows
 
 
 def test_probabilities_printed_in_lowest_terms():

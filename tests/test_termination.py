@@ -59,8 +59,8 @@ def test_counter_game_solves_like_its_reward_view():
             assert mdp.energy_min_credit(counter, keeper) == mdp.energy_min_credit(rewards, keeper), index
         w = solves[LIMINF_MINUS_INF].result.value_one_set
         safe = [sid in w for sid in counter.index.ids]
-        thresholds = termination._value_one_thresholds(counter.index, safe)
-        assert thresholds == termination._value_one_thresholds(rewards.index, safe), index
+        thresholds = termination._value_one_thresholds(counter.index, safe, choices=True)
+        assert thresholds == termination._value_one_thresholds(rewards.index, safe, choices=True), index
 
 
 # -- level product (the tests/grids.py reference) ------------------------------
@@ -204,7 +204,8 @@ def _assert_thresholds_match(counter, w):
     index = counter.index
     n = len(index.ids)
     safe = [sid in w for sid in index.ids]
-    top = termination._value_one_thresholds(index, safe).top
+    top = termination._value_one_thresholds(index, safe, choices=False).top
+    assert top == termination._value_one_thresholds(index, safe, choices=True).top
     for i, won in enumerate(_reference_winning_offsets(counter, w)):
         assert won == {o for o in range(n + 1) if safe[i] or o <= top[i]}, (index.ids[i], top)
     return n * (n + 1)
@@ -280,6 +281,31 @@ def test_level_branch_builds_no_states_and_runs_no_reach(built_states, monkeypat
                 assert termination.decide_term_one(counter, start, j).branch == "level"
                 termination.synthesize_term_strategies(counter, start, j)
     assert built_states == {}
+
+
+def test_a_decision_records_no_choice_table(monkeypatch):
+    # The level-branch decision reads only the thresholds, so it records
+    # neither Max's bands nor Min's spoiling edges; a synthesis records
+    # both, over the same thresholds.
+    data = Path(__file__).parent / "data"
+    games = [(parse_model(FIVE_STATE_TEXT), "v")]
+    games += [(parse_model((data / f"chance-n8-f{f}.ocssg").read_text()), "c0") for f in (1, 27)]
+    recorded = []
+
+    def spy(*args, _thresholds=termination._value_one_thresholds, **kwargs):
+        recorded.append(_thresholds(*args, **kwargs))
+        return recorded[-1]
+
+    monkeypatch.setattr(termination, "_value_one_thresholds", spy)
+    for counter, start in games:
+        for j in (1, 2):
+            recorded.clear()
+            assert termination.decide_term_one(counter, start, j).branch == "level"
+            termination.synthesize_term_strategies(counter, start, j)
+            decision, synthesis = recorded
+            assert decision.max_choice is None and decision.spoil is None
+            assert synthesis.max_choice is not None and synthesis.spoil is not None
+            assert decision.top == synthesis.top
 
 
 def test_start_in_the_liminf_value_one_set_builds_no_product(monkeypatch):
