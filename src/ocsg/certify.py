@@ -1,0 +1,301 @@
+"""Verification: the reference analyses that ``oracle`` and the tests check
+the solvers with.  No solve calls them and no solver module imports this
+one, so a solve loads none of it.
+
+* Chains keyed by state id, on ``chain``'s int kernels: ``bscc_decompose``,
+  ``strongly_connected_components``, ``stationary_law`` of a checked BSCC,
+  ``potential`` (zero drift), ``analyze_bscc`` (law, mean, potential and
+  the 0/1 class under each limit objective), ``reach_probabilities`` and
+  ``chain_tail_value`` (the probability of hitting a winning BSCC).
+  ``oracle`` evaluates every strategy profile's chain with them.
+* ``solve_linear_system``: a solve with a determinant certificate that
+  every solution denominator divides.
+* ``expected_mean_payoff`` and the paper's Procedure MP (``procedure_mp``,
+  on ``absorbing`` indexes): the cross-check of the mean-payoff solver.
+* ``product_with_strategy``: a counter game under a finite-memory
+  strategy, on which synthesized termination witnesses are checked.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm, prod
+
+from . import chain as chain_mod
+from . import linsolve, mdp
+from .model import LIMIT_KINDS, OWNERS, FiniteMemoryStrategy, Index, Objective, OcSsg, Ssg, State, Transition
+from .model import _quoted, check_valid
+
+_ONE = Fraction(1)
+
+
+def _require_chain(chain: Ssg) -> None:
+    index = chain.index
+    controlled = [sid for sid, who in zip(index.ids, index.owner) if who != "rand"]
+    if controlled:
+        raise ValueError(f"not a chain, controlled states remain: {controlled}")
+
+
+@dataclass(frozen=True)
+class BsccAnalysis:
+    members: frozenset[str]
+    stationary: dict[str, Fraction]
+    mean_payoff: Fraction
+    potential: dict[str, int] | None
+    classification: dict[str, int]
+
+
+def bscc_decompose(chain: Ssg) -> tuple[list[frozenset[str]], frozenset[str]]:
+    """Bottom SCCs plus the transient remainder; together they partition V."""
+    _require_chain(chain)
+    ids = chain.index.ids
+    bottoms = chain_mod.bottom_sccs(chain.index.succ)
+    closed = {v for members in bottoms for v in members}
+    transient = frozenset(sid for v, sid in enumerate(ids) if v not in closed)
+    return [frozenset(ids[v] for v in members) for members in bottoms], transient
+
+
+def strongly_connected_components(game, within=None) -> list[list[str]]:
+    """SCCs of the multigraph, or of the subgraph induced by ``within``, in
+    ``chain.tarjan``'s discovery order."""
+    index = game.index
+    ids = index.ids
+    if within is None:
+        succ, roots = index.succ, range(len(ids))
+    else:
+        inside = [sid in within for sid in ids]
+        succ = [[t for t in targets if inside[t]] if inside[v] else () for v, targets in enumerate(index.succ)]
+        roots = [v for v in range(len(ids)) if inside[v]]
+    return [[ids[v] for v in comp] for comp in chain_mod.tarjan(succ, roots)]
+
+
+def _check_bscc(chain: Ssg, members: frozenset[str]) -> None:
+    index = chain.index
+    for sid in members:
+        if sid not in index.pos:
+            raise ValueError(f"unknown state {sid!r}")
+        for t in index.succ[index.pos[sid]]:
+            if index.ids[t] not in members:
+                raise ValueError(f"{sid}: component is not bottom (edge to {index.ids[t]})")
+    if len(strongly_connected_components(chain, within=members)) != 1:
+        raise ValueError("component is not strongly connected")
+
+
+def stationary_law(chain: Ssg, members: frozenset[str]) -> tuple[dict[str, Fraction], linsolve.Factorization]:
+    """Stationary law of the BSCC ``members`` and the factorization of its
+    system S (``chain.stationary_system``); the law is keyed by state id, in
+    game order."""
+    _require_chain(chain)
+    _check_bscc(chain, members)
+    index = chain.index
+    order = [v for v, sid in enumerate(index.ids) if sid in members]
+    law, system = chain_mod.stationary_system(order, index.succ, index.prob)
+    if any(v <= 0 for v in law):
+        raise ValueError("stationary distribution not positive, component is not a BSCC")
+    return dict(zip((index.ids[v] for v in order), law)), system
+
+
+def analyze_bscc(chain: Ssg, members: frozenset[str]) -> BsccAnalysis:
+    """Stationary law, drift, potential, and 0/1 tail classification of a BSCC."""
+    stationary, _ = stationary_law(chain, members)
+    index = chain.index
+    mean = Fraction(0)
+    for sid, weight in stationary.items():
+        v = index.pos[sid]
+        mean += weight * sum((p * w for p, w in zip(index.prob[v], index.weight[v])), Fraction(0))
+    h = potential(chain, members)
+    classification = {
+        kind: int(chain_mod.class_wins(kind, mean, lambda: h is not None)) for kind in chain_mod.WINNING_SIGNS
+    }
+    return BsccAnalysis(frozenset(members), stationary, mean, h, classification)
+
+
+def potential(game, members) -> dict[str, int] | None:
+    """Potential h with h(v) - h(u) = step reward on every edge u -> v, by
+    state id (``chain.node_potential`` on the game's index, anchored at the
+    first member in game order)."""
+    index = game.index
+    h = chain_mod.node_potential([v for v, sid in enumerate(index.ids) if sid in members], index.succ, index.weight)
+    return None if h is None else {index.ids[v]: x for v, x in h.items()}
+
+
+def reach_probabilities(chain: Ssg, targets) -> dict[str, Fraction]:
+    """Exact hitting probabilities of ``targets`` from every state.
+
+    States that cannot reach the target get 0, target states get 1, and the
+    rest solve the one-step equations (``chain.hitting_rows``) restricted to
+    the can-reach region.
+    """
+    _require_chain(chain)
+    targets = frozenset(targets)
+    unknown = targets - set(chain.ids())
+    if unknown:
+        raise ValueError(f"unknown target states {sorted(unknown)}")
+    index = chain.index
+    nodes = frozenset(index.pos[sid] for sid in targets)
+    can_reach, _ = chain_mod.attractor(index, nodes, OWNERS)
+    values = [Fraction(0)] * len(index.ids)
+    for v in nodes:
+        values[v] = _ONE
+    interior = [v for v, reached in enumerate(can_reach) if reached and v not in nodes]
+    if interior:
+        rows, rhs = chain_mod.hitting_rows(interior, index.succ, index.prob, nodes)
+        for v, x in zip(interior, linsolve.factor(rows).solve(rhs)):
+            values[v] = x
+    return dict(zip(index.ids, values))
+
+
+def chain_tail_value(chain: Ssg, objective: Objective) -> dict[str, Fraction]:
+    """Value of a tail limit objective: probability of hitting a class-1 BSCC."""
+    if objective.kind not in LIMIT_KINDS:
+        raise ValueError(f"not a tail limit objective: {objective.kind}")
+    bsccs, _ = bscc_decompose(chain)
+    winning: set[str] = set()
+    for members in bsccs:
+        if analyze_bscc(chain, members).classification[objective.kind]:
+            winning.update(members)
+    if not winning:
+        return {sid: Fraction(0) for sid in chain.ids()}
+    return reach_probabilities(chain, winning)
+
+
+def solve_linear_system(rows, rhs) -> tuple[list[Fraction], int]:
+    """Solve ``A x = rhs`` exactly, where ``rows[i]`` maps column j to A[i][j]
+    (``linsolve.factor(rows).solve(rhs)``), with a certificate: |det| of the
+    integer matrix obtained by scaling each row, right-hand side included,
+    by the lcm of its denominators.  Every solution denominator divides it.
+
+    Returns ``(x, certificate)``.  Raises ``linsolve.SingularMatrixError``
+    when the system is not uniquely solvable.
+    """
+    if len(rhs) != len(rows):
+        raise ValueError("square system expected")
+    factorization = linsolve.factor(rows)
+    x = factorization.solve(rhs)
+    # E S A = R with det E = prod(a' / g) over the row operations, det S the
+    # product of the row scales, and |det R| the product of the pivots.
+    numerator = prod(abs(row[c]) for c, _, row, _ in factorization.steps)
+    denominator = 1
+    for _, _, _, ops in factorization.steps:
+        for _, a, _, g in ops:
+            numerator *= g
+            denominator *= a
+    for scale, r in zip(factorization.scales, rhs):
+        # The lcm over a row and its right-hand side, over the row's own.
+        numerator *= lcm(scale, r.as_integer_ratio()[1])
+        denominator *= scale
+    certificate, remainder = divmod(numerator, denominator)
+    assert remainder == 0
+    return x, certificate
+
+
+def expected_mean_payoff(game, direction: str = "max"):
+    """Optimal expected mean payoff per state plus a pure memoryless optimiser:
+    Howard's multichain policy iteration (``mdp._policy_iteration``) run to
+    optimality."""
+    mdp._require_one_player(game)
+    index = game.index
+    evaluation, choice = mdp._policy_iteration(index, direction)
+    policy = {v: choice[v] for v, owner in enumerate(index.owner) if owner != "rand"}
+    return dict(zip(index.ids, evaluation.gain)), mdp._strategy(index, policy, direction)
+
+
+def absorbing(index: Index, nodes) -> Index:
+    """``index`` with each of ``nodes`` made a rand node on a weight-0
+    self-loop, which nothing leaves; edges into it are kept as they are,
+    and the other nodes keep the chain steps of ``index``."""
+    owner, succ, prob, weight = list(index.owner), list(index.succ), list(index.prob), list(index.weight)
+    steps = list(index.chain_steps)
+    for v in nodes:
+        sid = index.ids[v]
+        owner[v], succ[v], prob[v], weight[v] = "rand", (v,), (_ONE,), (0,)
+        steps[v] = (((v,), (_ONE,), 0, (sid, ((sid, 1, 1, 0),))),)
+    derived = Index(index.ids, index.pos, tuple(owner), tuple(succ), tuple(prob), tuple(weight))
+    vars(derived)["chain_steps"] = tuple(steps)
+    return derived
+
+
+def procedure_mp(game, start: str):
+    """Decide whether the controller wins Mean>0 almost surely from ``start``.
+
+    Faithful loop: maximise expected mean payoff, stop with No when the gain
+    at ``start`` is not positive, otherwise cut the region that almost surely
+    reaches a positive-drift BSCC of the mean-payoff policy σ_mp, and repeat
+    with the cut made absorbing, until ``start`` is cut.
+
+    Every round runs on the game's index: the nodes cut so far stay in
+    place as weight-0 self-loops (``absorbing``), each standing for the
+    absorbing zero-reward state z of the paper.  The round's policy
+    iteration (``mdp._policy_iteration``) gives the start's gain, and its
+    last evaluation the closed classes and their means.  In a one-player
+    game value-1 reachability is almost-sure reachability, so the new cut
+    is the winning set of ``mdp.almost_sure_reach`` toward the BSCC and the
+    old cut; a target counts no edges, so the cut nodes act as z does.  A
+    controlled node with an edge into the cut could step into it, so it is
+    in the cut itself: a cut severs only rand edges.  The witness keeps
+    σ_mp inside the BSCC and takes the almost-sure reach choice elsewhere
+    in the cut.
+
+    Returns None for No, or the stitched PureMemorylessStrategy.
+    """
+    mdp._require_one_player(game)
+    index = game.index
+    if start not in index.pos:
+        raise ValueError(f"unknown state {_quoted(start)}")
+    if isinstance(game, OcSsg):
+        raise ValueError("reward game expected, translate the counter first")
+
+    ids = index.ids
+    first = index.pos[start]
+    cut: frozenset[int] = frozenset()
+    stitched: dict[int, int] = {}
+    while first not in cut:
+        evaluation, policy = mdp._policy_iteration(absorbing(index, cut), "max")
+        if evaluation.gain[first] <= 0:
+            return None
+        positive = [members for members, mean in zip(evaluation.members, evaluation.means) if mean > 0]
+        if not positive:
+            raise AssertionError("positive gain without a positive-drift BSCC")
+        component = set(min(positive, key=lambda members: min(ids[v] for v in members)))
+        asr = mdp.almost_sure_reach(index, cut | component)
+        for v in asr.winning - cut:
+            if index.owner[v] != "rand":
+                stitched[v] = policy[v] if v in component else asr.max_choice[v]
+        cut = asr.winning
+
+    policy = {v: stitched.get(v, 0) for v, owner in enumerate(index.owner) if owner != "rand"}
+    return mdp._strategy(index, policy, "max")
+
+
+def product_with_strategy(game: OcSsg, strategy: FiniteMemoryStrategy, start: str):
+    """Product of the game with a finite-memory strategy's automaton.
+
+    States owned by the strategy's player keep only the chosen edge; the
+    result is the residual one-player game, with the product start state.
+    Only the reachable part is built.
+    """
+    check_valid(game)
+
+    def pid(state_id, memory):
+        return f"{state_id}@{memory}"
+
+    start_key = (start, strategy.initial_memory)
+    queue = [start_key]
+    seen = {start_key}
+    states = []
+    while queue:
+        sid, memory = queue.pop()
+        s = game.state(sid)
+        indices = [strategy.choose(memory, sid)] if s.owner == strategy.player else range(len(s.transitions))
+        transitions = []
+        for k in indices:
+            t = s.transitions[k]
+            nxt_memory = strategy.next_memory(memory, sid, k)
+            key = (t.target, nxt_memory)
+            if key not in seen:
+                seen.add(key)
+                queue.append(key)
+            transitions.append(Transition(pid(*key), prob=t.prob, delta=t.delta))
+        states.append(State(pid(sid, memory), s.owner, transitions=tuple(transitions)))
+    return OcSsg(tuple(states)), pid(*start_key)

@@ -1,55 +1,28 @@
-"""Exact finite Markov chain analysis: BSCCs, stationary laws, mean payoff,
-the zero-drift degeneracy test, tail-objective classification, and hitting
-probabilities.
+"""Int kernels on graphs and Markov chains, one per question, shared by
+the solvers.
 
-A chain here is a game whose states are all rand.  The weight of a step
-u -> v is ``model.step_reward``: the edge reward, the counter delta, or the
-reward r(v) of the state it arrives at, so cycle sums agree with the run
-prefix sums in every flavour.  Every function reads the chain's ``Index``,
-whose weights follow that rule, so none builds a ``State``.
+Each reads int nodes 0..n-1 with successor lists, and for a chain their
+probabilities and weights, as a ``model.Index`` or a policy's chain holds
+them, so none builds a ``State``: the SCC kernel (``tarjan``) and a
+chain's closed classes (``bottom_sccs``), the attractor (``attractor``),
+the stationary law of a closed class with the factorization of its system
+(``stationary_system``), the potential test (``node_potential``), the
+hitting-probability rows (``hitting_rows``), and the winning mean signs of
+each limit objective with the mean-0 potential rule (``WINNING_SIGNS``,
+read by ``class_wins``).
 
-Each chain question has one int kernel, which these id-keyed reference
-functions and the one-player solver (``mdp``) both call: the potential
-test (``node_potential``), the hitting-probability rows (``hitting_rows``)
-and the winning mean signs with the mean-0 potential rule
-(``WINNING_SIGNS``, read by ``class_wins``).
+The weight of a step u -> v is ``model.step_reward``: the edge reward, the
+counter delta, or the reward r(v) of the state it arrives at, so cycle
+sums agree with the run prefix sums in every flavour.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linsolve
-from .model import LIMIT_KINDS, OWNERS, Objective, Ssg
 
 _ONE = Fraction(1)
-
-
-def _require_chain(chain: Ssg) -> None:
-    index = chain.index
-    controlled = [sid for sid, who in zip(index.ids, index.owner) if who != "rand"]
-    if controlled:
-        raise ValueError(f"not a chain, controlled states remain: {controlled}")
-
-
-@dataclass(frozen=True)
-class BsccAnalysis:
-    members: frozenset[str]
-    stationary: dict[str, Fraction]
-    mean_payoff: Fraction
-    potential: dict[str, int] | None
-    classification: dict[str, int]
-
-
-def bscc_decompose(chain: Ssg) -> tuple[list[frozenset[str]], frozenset[str]]:
-    """Bottom SCCs plus the transient remainder; together they partition V."""
-    _require_chain(chain)
-    ids = chain.index.ids
-    bottoms = bottom_sccs(chain.index.succ)
-    closed = {v for members in bottoms for v in members}
-    transient = frozenset(sid for v, sid in enumerate(ids) if v not in closed)
-    return [frozenset(ids[v] for v in members) for members in bottoms], transient
 
 
 def bottom_sccs(succ) -> list[list[int]]:
@@ -63,20 +36,6 @@ def bottom_sccs(succ) -> list[list[int]]:
     return [
         sorted(comp) for c, comp in enumerate(components) if all(component_of[t] == c for v in comp for t in succ[v])
     ]
-
-
-def strongly_connected_components(game, within=None) -> list[list[str]]:
-    """SCCs of the multigraph, or of the subgraph induced by ``within``, in
-    ``tarjan``'s discovery order."""
-    index = game.index
-    ids = index.ids
-    if within is None:
-        succ, roots = index.succ, range(len(ids))
-    else:
-        inside = [sid in within for sid in ids]
-        succ = [[t for t in targets if inside[t]] if inside[v] else () for v, targets in enumerate(index.succ)]
-        roots = [v for v in range(len(ids)) if inside[v]]
-    return [[ids[v] for v in comp] for comp in tarjan(succ, roots)]
 
 
 def tarjan(succ, roots) -> list[list[int]]:
@@ -179,32 +138,6 @@ def attractor(graph, seeds, any_owners, alive=None, within=None):
     return attracted, choice
 
 
-def _check_bscc(chain: Ssg, members: frozenset[str]) -> None:
-    index = chain.index
-    for sid in members:
-        if sid not in index.pos:
-            raise ValueError(f"unknown state {sid!r}")
-        for t in index.succ[index.pos[sid]]:
-            if index.ids[t] not in members:
-                raise ValueError(f"{sid}: component is not bottom (edge to {index.ids[t]})")
-    if len(strongly_connected_components(chain, within=members)) != 1:
-        raise ValueError("component is not strongly connected")
-
-
-def stationary_law(chain: Ssg, members: frozenset[str]) -> tuple[dict[str, Fraction], linsolve.Factorization]:
-    """Stationary law of the BSCC ``members`` and the factorization of its
-    system S (``stationary_system``); the law is keyed by state id, in game
-    order."""
-    _require_chain(chain)
-    _check_bscc(chain, members)
-    index = chain.index
-    order = [v for v, sid in enumerate(index.ids) if sid in members]
-    law, system = stationary_system(order, index.succ, index.prob)
-    if any(v <= 0 for v in law):
-        raise ValueError("stationary distribution not positive, component is not a BSCC")
-    return dict(zip((index.ids[v] for v in order), law)), system
-
-
 def stationary_system(members, succ, prob) -> tuple[list[Fraction], linsolve.Factorization]:
     """Stationary law of the closed class ``members`` (nodes in game order)
     of the chain whose node v steps to ``succ[v][k]`` with probability
@@ -224,19 +157,6 @@ def stationary_system(members, succ, prob) -> tuple[list[Fraction], linsolve.Fac
                 rows[j][i] = rows[j].get(i, 0) - p
     system = linsolve.factor(rows)
     return system.solve([1] + [0] * (n - 1)), system
-
-
-def analyze_bscc(chain: Ssg, members: frozenset[str]) -> BsccAnalysis:
-    """Stationary law, drift, potential, and 0/1 tail classification of a BSCC."""
-    stationary, _ = stationary_law(chain, members)
-    index = chain.index
-    mean = Fraction(0)
-    for sid, weight in stationary.items():
-        v = index.pos[sid]
-        mean += weight * sum((p * w for p, w in zip(index.prob[v], index.weight[v])), Fraction(0))
-    h = potential(chain, members)
-    classification = {kind: int(class_wins(kind, mean, lambda: h is not None)) for kind in WINNING_SIGNS}
-    return BsccAnalysis(frozenset(members), stationary, mean, h, classification)
 
 
 # Per limit objective: the mean signs with which a closed class wins, and
@@ -266,15 +186,6 @@ def class_wins(kind: str, mean, has_potential) -> bool:
     return sign(mean) in signs
 
 
-def potential(game, members) -> dict[str, int] | None:
-    """Potential h with h(v) - h(u) = step reward on every edge u -> v, by
-    state id (``node_potential`` on the game's index, anchored at the first
-    member in game order)."""
-    index = game.index
-    h = node_potential([v for v, sid in enumerate(index.ids) if sid in members], index.succ, index.weight)
-    return None if h is None else {index.ids[v]: x for v, x in h.items()}
-
-
 def node_potential(members, succ, weights) -> dict[int, int] | None:
     """Potential h with h(t) - h(v) = w on every edge v -> t of weight w,
     node v having successors ``succ[v]`` of weights ``weights[v]``.
@@ -298,32 +209,6 @@ def node_potential(members, succ, weights) -> dict[int, int] | None:
     return h
 
 
-def reach_probabilities(chain: Ssg, targets) -> dict[str, Fraction]:
-    """Exact hitting probabilities of ``targets`` from every state.
-
-    States that cannot reach the target get 0, target states get 1, and the
-    rest solve the one-step equations (``hitting_rows``) restricted to the
-    can-reach region.
-    """
-    _require_chain(chain)
-    targets = frozenset(targets)
-    unknown = targets - set(chain.ids())
-    if unknown:
-        raise ValueError(f"unknown target states {sorted(unknown)}")
-    index = chain.index
-    nodes = frozenset(index.pos[sid] for sid in targets)
-    can_reach, _ = attractor(index, nodes, OWNERS)
-    values = [Fraction(0)] * len(index.ids)
-    for v in nodes:
-        values[v] = _ONE
-    interior = [v for v, reached in enumerate(can_reach) if reached and v not in nodes]
-    if interior:
-        rows, rhs = hitting_rows(interior, index.succ, index.prob, nodes)
-        for v, x in zip(interior, linsolve.factor(rows).solve(rhs)):
-            values[v] = x
-    return dict(zip(index.ids, values))
-
-
 def hitting_rows(interior, succ, prob, targets) -> tuple[list[dict], list[Fraction]]:
     """The hitting-probability equations x(v) - sum_t P(v, t) x(t) =
     P(v, ``targets``) on the nodes ``interior`` (row and column i for
@@ -342,17 +227,3 @@ def hitting_rows(interior, succ, prob, targets) -> tuple[list[dict], list[Fracti
                 j = pos[t]
                 row[j] = row[j] - p if j in row else -p
     return rows, rhs
-
-
-def chain_tail_value(chain: Ssg, objective: Objective) -> dict[str, Fraction]:
-    """Value of a tail limit objective: probability of hitting a class-1 BSCC."""
-    if objective.kind not in LIMIT_KINDS:
-        raise ValueError(f"not a tail limit objective: {objective.kind}")
-    bsccs, _ = bscc_decompose(chain)
-    winning: set[str] = set()
-    for members in bsccs:
-        if analyze_bscc(chain, members).classification[objective.kind]:
-            winning.update(members)
-    if not winning:
-        return {sid: Fraction(0) for sid in chain.ids()}
-    return reach_probabilities(chain, winning)

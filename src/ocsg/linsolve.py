@@ -28,11 +28,6 @@ replayed in reverse.  So one elimination serves any number of right-hand
 sides, and a system and its transpose.  Both carry each entry as an
 integer numerator and denominator in lowest terms and return
 ``Fraction``s.
-
-``solve_linear_system`` is ``factor(rows).solve(rhs)`` plus a certificate:
-|det| of the integer matrix obtained by scaling each row, right-hand side
-included, by the lcm of its denominators.  Every solution denominator
-divides it.
 """
 
 from __future__ import annotations
@@ -40,7 +35,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 
 class SingularMatrixError(ValueError):
@@ -202,31 +197,3 @@ def factor(rows) -> Factorization:
             heapq.heappush(heap, (len(col_rows[j]), j))
         steps.append((c, p, pivot_row, ops))
     return Factorization(n, scales, steps)
-
-
-def solve_linear_system(rows, rhs) -> tuple[list[Fraction], int]:
-    """Solve ``A x = rhs`` exactly, where ``rows[i]`` maps column j to A[i][j].
-
-    Returns ``(x, certificate)`` with the certificate described in the
-    module docstring.  Raises SingularMatrixError when the system is not
-    uniquely solvable.
-    """
-    if len(rhs) != len(rows):
-        raise ValueError("square system expected")
-    factorization = factor(rows)
-    x = factorization.solve(rhs)
-    # E S A = R with det E = prod(a' / g) over the row operations, det S the
-    # product of the row scales, and |det R| the product of the pivots.
-    numerator = prod(abs(row[c]) for c, _, row, _ in factorization.steps)
-    denominator = 1
-    for _, _, _, ops in factorization.steps:
-        for _, a, _, g in ops:
-            numerator *= g
-            denominator *= a
-    for scale, r in zip(factorization.scales, rhs):
-        # The lcm over a row and its right-hand side, over the row's own.
-        numerator *= lcm(scale, r.as_integer_ratio()[1])
-        denominator *= scale
-    certificate, remainder = divmod(numerator, denominator)
-    assert remainder == 0
-    return x, certificate

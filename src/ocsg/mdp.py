@@ -52,11 +52,6 @@ game is built per best response, MEC, round or cut:
   ``chain.class_wins`` (``chain.node_potential`` at mean 0), two backward
   reaches, one step of the chain against the scan's vector, and one
   ``_chain_reach`` solve only when those leave the comparison open.
-* Procedure MP (``procedure_mp``) keeps its cuts on the game's index as
-  weight-0 self-loops (``Index.absorbing``) in place of an absorbing
-  state: each round is one policy iteration, whose last evaluation gives
-  the positive-drift classes, and one almost-sure reach with the cut
-  among the targets.
 
 Inside one ``ssg.solve_limit_ssg`` call, ``COMPONENT_MEMO`` holds a dict
 that memoizes closed classes of induced chains by content
@@ -82,7 +77,7 @@ from functools import cached_property
 
 from . import chain as chain_mod
 from . import linsolve
-from .model import LIMIT_KINDS, OWNERS, Objective, OcSsg, PureMemorylessStrategy, SolveResult, Ssg, _quoted
+from .model import LIMIT_KINDS, OWNERS, Objective, PureMemorylessStrategy, SolveResult, Ssg
 
 INFINITE_CREDIT = math.inf
 
@@ -186,7 +181,7 @@ def _reach(index, targets: frozenset[int], direction: str):
 def _chain_reach(index, choice: list[int], targets: frozenset[int]) -> list[Fraction]:
     """Exact hitting probabilities of ``targets`` in the chain where each
     node takes its chain step ``choice[v]`` (``_policy_chain``), as
-    ``chain.reach_probabilities`` gives them on that chain: 1 on the
+    ``certify.reach_probabilities`` gives them on that chain: 1 on the
     targets, 0 where the targets are out of reach, and one linear solve of
     ``chain.hitting_rows``, rows in node order, on the rest."""
     _, succ, prob, _ = _policy_chain(index, choice)
@@ -222,7 +217,7 @@ def _chain_backward(index, choice: list[int], seeds) -> list[bool]:
 class _ChainValues:
     """The values of a limit objective, by node, in the chain where node v
     of a game's index takes its chain step ``choice[v]``, computed only as
-    far as they are read: ``chain.chain_tail_value`` of that chain, read
+    far as they are read: ``certify.chain_tail_value`` of that chain, read
     off the index.
 
     A closed class (``_closed_classes``, memoized as a best response's
@@ -464,17 +459,6 @@ class _PolicyEvaluation:
         return self._extend(bias, [self._rewards[v] - gain[v] for v in self._transient])
 
 
-def expected_mean_payoff(game, direction: str = "max"):
-    """Optimal expected mean payoff per state plus a pure memoryless optimiser:
-    Howard's multichain policy iteration (``_policy_iteration``) run to
-    optimality."""
-    _require_one_player(game)
-    index = game.index
-    evaluation, choice = _policy_iteration(index, direction)
-    policy = {v: choice[v] for v, owner in enumerate(index.owner) if owner != "rand"}
-    return dict(zip(index.ids, evaluation.gain)), _strategy(index, policy, direction)
-
-
 def _policy_iteration(index, direction: str, stop=None):
     """The last ``_PolicyEvaluation`` and the choice list (node -> chain
     step, 0 at a rand node) of Howard's multichain policy iteration
@@ -622,60 +606,6 @@ def _mecs(index, within=None, allowed=None) -> list[Mec]:
         )
     mecs.sort(key=lambda mec: min(ids[v] for v in mec.members))
     return mecs
-
-
-# ---------------------------------------------------------------------------
-# Procedure MP: almost-sure positive mean payoff
-
-
-def procedure_mp(game, start: str):
-    """Decide whether the controller wins Mean>0 almost surely from ``start``.
-
-    Faithful loop: maximise expected mean payoff, stop with No when the gain
-    at ``start`` is not positive, otherwise cut the region that almost surely
-    reaches a positive-drift BSCC of the mean-payoff policy σ_mp, and repeat
-    with the cut made absorbing, until ``start`` is cut.
-
-    Every round runs on the game's index: the nodes cut so far stay in
-    place as weight-0 self-loops (``Index.absorbing``), each standing for
-    the absorbing zero-reward state z of the paper.  The round's policy
-    iteration gives the start's gain, and its last evaluation the closed
-    classes and their means.  In a one-player game value-1 reachability is
-    almost-sure reachability, so the new cut is the winning set of
-    ``almost_sure_reach`` toward the BSCC and the old cut; a target counts
-    no edges, so the cut nodes act as z does.  A controlled node with an edge
-    into the cut could step into it, so it is in the cut itself: a cut
-    severs only rand edges.  The witness keeps σ_mp inside the BSCC and
-    takes the almost-sure reach choice elsewhere in the cut.
-
-    Returns None for No, or the stitched PureMemorylessStrategy.
-    """
-    _require_one_player(game)
-    index = game.index
-    if start not in index.pos:
-        raise ValueError(f"unknown state {_quoted(start)}")
-    if isinstance(game, OcSsg):
-        raise ValueError("reward game expected, translate the counter first")
-
-    ids = index.ids
-    first = index.pos[start]
-    cut: frozenset[int] = frozenset()
-    stitched: dict[int, int] = {}
-    while first not in cut:
-        evaluation, policy = _policy_iteration(index.absorbing(cut), "max")
-        if evaluation.gain[first] <= 0:
-            return None
-        positive = [members for members, mean in zip(evaluation.members, evaluation.means) if mean > 0]
-        if not positive:
-            raise AssertionError("positive gain without a positive-drift BSCC")
-        component = set(min(positive, key=lambda members: min(ids[v] for v in members)))
-        asr = almost_sure_reach(index, cut | component)
-        for v in asr.winning - cut:
-            if index.owner[v] != "rand":
-                stitched[v] = policy[v] if v in component else asr.max_choice[v]
-        cut = asr.winning
-
-    return _strategy(index, {v: stitched.get(v, 0) for v, owner in enumerate(index.owner) if owner != "rand"}, "max")
 
 
 # ---------------------------------------------------------------------------

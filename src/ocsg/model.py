@@ -62,7 +62,7 @@ _PROB_RE = re.compile(r"(\d+)(?:/(\d+))?")
 _HEADER_KEYS = frozenset({"rewards"})
 _STATE_KEYS = frozenset({"owner", "reward"})
 _TRANS_KEYS = frozenset({"p", "reward", "delta"})
-_UNITS = {"-1": -1, "0": 0, "1": 1}  # the spellings of a reward or delta a plain trans line may use
+_UNITS = {"-1": -1, "0": 0, "1": 1}  # the spellings of a reward or delta the printer writes
 
 
 class ModelError(ValueError):
@@ -121,9 +121,8 @@ class Index:
     A two-player solve derives what each best response reads from the
     game's one index, with no game built: ``fixed`` collapses one player's
     nodes to their choices, and ``restricted`` keeps a node set and some of
-    its edges.  Procedure MP's rounds read ``absorbing``, which turns
-    the nodes cut so far into weight-0 self-loops.  A derived index reuses
-    its parent's chain steps, seeded into its ``chain_steps`` cache.
+    its edges.  A derived index reuses its parent's chain steps, seeded
+    into its ``chain_steps`` cache.
     """
 
     ids: tuple[str, ...]
@@ -179,20 +178,6 @@ class Index:
             prob[v] = (_ONE,)
             weight[v] = (weight[v][k],)
             steps[v] = (steps[v][k],)
-        derived = Index(self.ids, self.pos, tuple(owner), tuple(succ), tuple(prob), tuple(weight))
-        vars(derived)["chain_steps"] = tuple(steps)
-        return derived
-
-    def absorbing(self, nodes) -> "Index":
-        """This index with each of ``nodes`` made a rand node on a weight-0
-        self-loop, which nothing leaves; edges into it are kept as they
-        are, and the other nodes keep this index's chain steps."""
-        owner, succ, prob, weight = list(self.owner), list(self.succ), list(self.prob), list(self.weight)
-        steps = list(self.chain_steps)
-        for v in nodes:
-            sid = self.ids[v]
-            owner[v], succ[v], prob[v], weight[v] = "rand", (v,), (_ONE,), (0,)
-            steps[v] = (((v,), (_ONE,), 0, (sid, ((sid, 1, 1, 0),))),)
         derived = Index(self.ids, self.pos, tuple(owner), tuple(succ), tuple(prob), tuple(weight))
         vars(derived)["chain_steps"] = tuple(steps)
         return derived
@@ -764,13 +749,9 @@ def _parse_lines(text: str) -> Ssg | OcSsg:
     ``State`` is built until the game's ``states`` are read.  Tokens are
     split at whitespace, an error's column is computed only when it is
     raised, and each distinct ``p=`` numeral becomes one ``Fraction``,
-    shared by every edge that writes it.  A plain ``trans`` line (declared
-    source, declared target, distinct attributes, a ``p=`` numeral already
-    read and ``reward=``/``delta=`` spelled -1, 0 or 1) goes straight into
-    the rows; every other line is read attribute by attribute, so every
-    error comes from that code.  A broken model rule is reported at the
-    first line it concerns: the ``trans`` line of an edge, the ``state``
-    line of a state.
+    shared by every edge that writes it.  A broken model rule is reported
+    at the first line it concerns: the ``trans`` line of an edge, the
+    ``state`` line of a state.
     """
     header = None
     reward_location = None
@@ -784,29 +765,6 @@ def _parse_lines(text: str) -> Ssg | OcSsg:
         if not tokens:
             continue
         keyword = tokens[0]
-
-        # A plain trans line goes straight into its source's row; any other
-        # line, and so every error, takes the per-attribute code below.
-        if keyword == "trans" and len(tokens) >= 4 and tokens[2] == "->" and tokens[3] in declared:
-            row = declared.get(tokens[1])
-            if row is not None:
-                prob = reward = delta = None
-                for attr in tokens[4:]:
-                    key, _, raw = attr.partition("=")
-                    if key == "p" and prob is None:
-                        prob = probs.get(raw)
-                        if prob is None:
-                            break
-                    elif key == "reward" and reward is None and raw in _UNITS:
-                        reward = _UNITS[raw]
-                    elif key == "delta" and delta is None and raw in _UNITS:
-                        delta = _UNITS[raw]
-                    else:
-                        break
-                else:
-                    row[2].append((tokens[3], prob, reward, delta))
-                    row[3].append(lineno)
-                    continue
 
         if header is None:
             if keyword == "ssg":

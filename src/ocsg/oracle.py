@@ -4,10 +4,11 @@
 for the limit objectives, where pure memoryless optima exist for both
 players) and evaluates each induced chain exactly; ``enumerate_mean_payoff``
 does the same for the expected mean payoff of a one-player game.  Both use
-only ``chain``, never the solvers they check, and ``check_enumerable`` is
-their one product-size guard.  ``simulate`` and ``estimate_objective`` are a
-seeded Monte Carlo sanity layer: deterministic given the seed, with the
-generator named by ``RNG_ALGORITHM``.
+only ``certify``'s chain analyses, never the solvers they check, and
+``check_enumerable`` is their one product-size guard.  ``simulate`` and
+``estimate_objective`` are a seeded Monte Carlo sanity layer:
+deterministic given the seed, with the generator named by
+``RNG_ALGORITHM``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from . import chain as chain_mod
+from . import certify
 from .model import (
     LIMIT_KINDS,
     FiniteMemoryStrategy,
@@ -63,14 +64,14 @@ def enumerate_solve(game: Ssg, objective: Objective) -> SolveResult:
     if objective.kind not in LIMIT_KINDS:
         raise ValueError(f"not a limit objective: {objective.kind}")
     check_valid(game)
-    return _enumerate(game, lambda chain: chain_mod.chain_tail_value(chain, objective))
+    return _enumerate(game, lambda chain: certify.chain_tail_value(chain, objective))
 
 
 def enumerate_reach(game: Ssg, targets) -> SolveResult:
     """Same exhaustive evaluation for reachability objectives."""
     targets = frozenset(targets)
     check_valid(game)
-    return _enumerate(game, lambda chain: chain_mod.reach_probabilities(chain, targets))
+    return _enumerate(game, lambda chain: certify.reach_probabilities(chain, targets))
 
 
 def _enumerate(game, evaluate) -> SolveResult:
@@ -120,7 +121,7 @@ def enumerate_mean_payoff(game: Ssg, direction: str = "max"):
     Every controlled state is optimised in ``direction`` whatever its owner
     label.  Each policy's gain is the reach-weighted mean payoff of the BSCCs
     of its induced chain.  Returns the gains and a policy attaining them at
-    every state, as ``mdp.expected_mean_payoff`` does.
+    every state, as ``certify.expected_mean_payoff`` does.
     """
     if direction not in ("max", "min"):
         raise ValueError("direction must be max or min")
@@ -133,9 +134,9 @@ def enumerate_mean_payoff(game: Ssg, direction: str = "max"):
         sigma = PureMemorylessStrategy("max", dict(zip(ids, combo)))
         induced = fix_strategies(game, sigma)
         gain = {sid: Fraction(0) for sid in induced.ids()}
-        for members in chain_mod.bscc_decompose(induced)[0]:
-            mean = chain_mod.analyze_bscc(induced, members).mean_payoff
-            for sid, p in chain_mod.reach_probabilities(induced, members).items():
+        for members in certify.bscc_decompose(induced)[0]:
+            mean = certify.analyze_bscc(induced, members).mean_payoff
+            for sid, p in certify.reach_probabilities(induced, members).items():
                 gain[sid] += p * mean
         candidates.append((sigma, gain))
     pick = max if direction == "max" else min

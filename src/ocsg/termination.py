@@ -27,8 +27,6 @@ from .model import (
     FiniteMemoryStrategy,
     OcSsg,
     PureMemorylessStrategy,
-    State,
-    Transition,
     _quoted,
     check_valid,
 )
@@ -363,36 +361,3 @@ def _level_min_strategy(game, thresholds, j, pi_liminf) -> FiniteMemoryStrategy:
                 if nxt != m:
                     update[(m, sid, k)] = nxt
     return FiniteMemoryStrategy("min", memory_states, 0, update, choice)
-
-
-def product_with_strategy(game: OcSsg, strategy: FiniteMemoryStrategy, start: str):
-    """Product of the game with a finite-memory strategy's automaton.
-
-    States owned by the strategy's player keep only the chosen edge; the
-    result is the residual one-player game, with the product start state.
-    Only the reachable part is built.
-    """
-    check_valid(game)
-
-    def pid(state_id, memory):
-        return f"{state_id}@{memory}"
-
-    start_key = (start, strategy.initial_memory)
-    queue = [start_key]
-    seen = {start_key}
-    states = []
-    while queue:
-        sid, memory = queue.pop()
-        s = game.state(sid)
-        indices = [strategy.choose(memory, sid)] if s.owner == strategy.player else range(len(s.transitions))
-        transitions = []
-        for k in indices:
-            t = s.transitions[k]
-            nxt_memory = strategy.next_memory(memory, sid, k)
-            key = (t.target, nxt_memory)
-            if key not in seen:
-                seen.add(key)
-                queue.append(key)
-            transitions.append(Transition(pid(*key), prob=t.prob, delta=t.delta))
-        states.append(State(pid(sid, memory), s.owner, transitions=tuple(transitions)))
-    return OcSsg(tuple(states)), pid(*start_key)

@@ -32,17 +32,17 @@ are checked against; ``named_asr`` and ``named_two_player_asr`` are the int
 forms keyed by state id.
 ``reference_mec_decompose`` (an attractor over the whole game per
 candidate) and ``reference_solve_reachability`` (a chain built by
-``fix_strategies`` and solved by ``chain.reach_probabilities`` per round)
+``fix_strategies`` and solved by ``certify.reach_probabilities`` per round)
 are the game-level MEC decomposition and reachability policy iteration,
 the references the int forms ``ocsg.mdp._mecs`` and ``ocsg.mdp._reach``
 are checked against; ``restrict_to_mec`` is a MEC's sub-MDP as a game,
 and ``named_mec`` an int MEC keyed by state id.  ``induced_chain`` is the
 chain a policy leaves, built by ``fix_strategies``.  ``certified_reach``
-is ``chain.reach_probabilities`` solved with the determinant certificate
+is ``certify.reach_probabilities`` solved with the determinant certificate
 that every value's denominator divides.
 ``reference_procedure_mp`` is Procedure MP as first written, a game built
 per cut by ``remove_states`` with one absorbing state z, the reference the
-index form ``ocsg.mdp.procedure_mp`` is checked against.
+index form ``ocsg.certify.procedure_mp`` is checked against.
 ``reference_energy_min_credit`` is energy lifting capped only at |V|, the
 reference the gap-cut lifting of ``ocsg.mdp.energy_min_credit`` is checked
 against on counter families whose climbs run long.
@@ -62,7 +62,7 @@ from math import lcm, prod
 from pathlib import Path
 
 from ocsg import chain as chain_mod
-from ocsg import linsolve, mdp
+from ocsg import certify, linsolve, mdp
 from ocsg.model import (
     _ID_RE,
     ON_STATES,
@@ -252,11 +252,11 @@ def class_gain_bias(induced, members):
     With the members in game order, the unichain evaluation g + h(s) -
     sum_t P(s, t) h(t) = r(s) with h(first member) = 0 is M x = r for x =
     (g, h without its first entry) and M = [1 | (I - P) without column 0].
-    M^T is the stationary system S of ``chain.stationary_law``, so one
+    M^T is the stationary system S of ``certify.stationary_law``, so one
     factorization gives the law, g and h; the canonical bias is h minus its
     stationary average.
     """
-    stationary, system = chain_mod.stationary_law(induced, members)
+    stationary, system = certify.stationary_law(induced, members)
     rewards = [per_visit_reward(induced, induced.state(sid)) for sid in stationary]
     solution = system.solve_transposed(rewards)
     mean, h = solution[0], [Fraction(0)] + solution[1:]
@@ -267,7 +267,7 @@ def class_gain_bias(induced, members):
 def evaluate_gain_bias(game, policy):
     """Exact gain and canonical bias of a fixed policy (multichain evaluation)."""
     induced = induced_chain(game, policy)
-    bsccs, transient = chain_mod.bscc_decompose(induced)
+    bsccs, transient = certify.bscc_decompose(induced)
     gain: dict[str, Fraction] = {}
     bias: dict[str, Fraction] = {}
     for members in bsccs:
@@ -522,7 +522,7 @@ def reference_mec_decompose(game, within=None):
         candidate -= reference_attractor(game, set(game.ids()) - candidate, ("rand",))[0]
         if not candidate:
             continue
-        comps = chain_mod.strongly_connected_components(game, within=candidate)
+        comps = certify.strongly_connected_components(game, within=candidate)
         if len(comps) == 1 and set(comps[0]) == candidate:
             allowed = {}
             for sid in candidate:
@@ -540,7 +540,7 @@ def reference_mec_decompose(game, within=None):
 
 def reference_solve_reachability(game, targets, direction="max"):
     """Reachability policy iteration that builds each round's chain with
-    ``fix_strategies`` and evaluates it with ``chain.reach_probabilities``:
+    ``fix_strategies`` and evaluates it with ``certify.reach_probabilities``:
     the values and the witness (labelled by the controlled states' owner,
     else by ``direction``)."""
     targets = frozenset(targets)
@@ -556,7 +556,7 @@ def reference_solve_reachability(game, targets, direction="max"):
     player = owners.pop() if len(owners) == 1 else direction
     pick, better = (max, operator.gt) if direction == "max" else (min, operator.lt)
     while True:
-        values = chain_mod.reach_probabilities(induced_chain(game, policy), targets)
+        values = certify.reach_probabilities(induced_chain(game, policy), targets)
         switched = False
         for sid in controlled:
             if sid in targets:
@@ -579,8 +579,8 @@ def induced_chain(game, policy: dict[str, int]) -> Ssg:
 
 def certified_reach(chain, targets):
     """The hitting probabilities of the states ``targets`` in ``chain`` by
-    state id, as ``chain.reach_probabilities`` defines them, from one
-    ``linsolve.solve_linear_system`` of the ``chain.hitting_rows`` system
+    state id, as ``certify.reach_probabilities`` defines them, from one
+    ``certify.solve_linear_system`` of the ``chain.hitting_rows`` system
     on the can-reach region, and that solve's determinant certificate (1
     when nothing is solved)."""
     index = chain.index
@@ -591,7 +591,7 @@ def certified_reach(chain, targets):
     pivot = 1
     if interior:
         rows, rhs = chain_mod.hitting_rows(interior, index.succ, index.prob, nodes)
-        solution, pivot = linsolve.solve_linear_system(rows, rhs)
+        solution, pivot = certify.solve_linear_system(rows, rhs)
         values.update(zip((index.ids[v] for v in interior), solution))
     return values, pivot
 
@@ -630,18 +630,18 @@ def reference_procedure_mp(game, start: str):
     """Procedure MP with a game built per cut: each cut is dropped by
     ``remove_states``, its severed stochastic edges redirected to one
     absorbing zero-reward state z, and each round's positive-drift BSCCs
-    come from the induced chain's ``chain.bscc_decompose`` and
-    ``chain.analyze_bscc``.  None for No, else the stitched witness."""
+    come from the induced chain's ``certify.bscc_decompose`` and
+    ``certify.analyze_bscc``.  None for No, else the stitched witness."""
     current = game
     stitched: dict[str, int] = {}
     z_id = None
     while start in current.by_id:
-        gains, sigma_mp = mdp.expected_mean_payoff(current, "max")
+        gains, sigma_mp = certify.expected_mean_payoff(current, "max")
         if gains[start] <= 0:
             return None
         induced = induced_chain(current, sigma_mp.choice)
-        bsccs, _ = chain_mod.bscc_decompose(induced)
-        positive = [b for b in bsccs if chain_mod.analyze_bscc(induced, b).mean_payoff > 0]
+        bsccs, _ = certify.bscc_decompose(induced)
+        positive = [b for b in bsccs if certify.analyze_bscc(induced, b).mean_payoff > 0]
         if not positive:
             raise AssertionError("positive gain without a positive-drift BSCC")
         component = min(positive, key=min)

@@ -10,8 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from ocsg import chain as chain_mod
-from ocsg import mdp, oracle, ssg, termination
+from ocsg import certify, mdp, oracle, ssg, termination
 from ocsg.model import (
     LIMINF_MINUS_INF,
     LIMINF_PLUS_INF,
@@ -97,7 +96,7 @@ def test_criterion_3_procedure_mp_cross_validation(grid_games):
             game = as_mdp(game)
             region = mdp.quantitative_limit(game, MEAN_GT, "max").value_one_set
             for sid in game.ids():
-                answer = mdp.procedure_mp(game, sid) is not None
+                answer = certify.procedure_mp(game, sid) is not None
                 assert answer == (sid in region), (index, sid)
 
 
@@ -147,7 +146,7 @@ def test_criterion_5_min_memory_fixture(five_state_game):
             sigma, pi = termination.synthesize_term_strategies(five_state_game, "v", j)
             assert sigma is None
             assert pi.memory_size <= 5
-            product, pstart = termination.product_with_strategy(five_state_game, pi, "v")
+            product, pstart = certify.product_with_strategy(five_state_game, pi, "v")
             assert termination.decide_term_one(product, pstart, j).value_one is False
 
 
@@ -171,10 +170,10 @@ def test_criterion_6_condon_reduction_contract():
 def _pivot_checked_values(game, result, objective):
     """Re-evaluate the optimal profile's chain, returning values and pivot."""
     induced = fix_strategies(game, result.witness_max, result.witness_min)
-    bsccs, _ = chain_mod.bscc_decompose(induced)
+    bsccs, _ = certify.bscc_decompose(induced)
     winning = set()
     for members in bsccs:
-        if chain_mod.analyze_bscc(induced, members).classification[objective.kind]:
+        if certify.analyze_bscc(induced, members).classification[objective.kind]:
             winning.update(members)
     return certified_reach(induced, winning)
 

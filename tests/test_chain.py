@@ -6,7 +6,7 @@ import random
 
 from ocsg import chain as chain_mod
 from ocsg import mdp, oracle
-from ocsg.chain import analyze_bscc, bscc_decompose, chain_tail_value, reach_probabilities
+from ocsg.certify import analyze_bscc, bscc_decompose, chain_tail_value, reach_probabilities
 from ocsg.model import (
     LIMINF_MINUS_INF,
     LIMINF_PLUS_INF,
@@ -312,7 +312,7 @@ def test_analyze_bscc_classifies_by_the_table():
 
 def test_chain_reach_is_reach_probabilities_of_the_fixed_chain():
     # ``mdp._chain_reach`` reads the policy's chain off the index, and
-    # ``chain.reach_probabilities`` reads the chain ``fix_strategies``
+    # ``certify.reach_probabilities`` reads the chain ``fix_strategies``
     # builds; both solve the rows of ``chain.hitting_rows``.  Target sets
     # are random, the empty set and targets no node reaches included.
     rng = random.Random(31)

@@ -2,7 +2,7 @@
 
 A best response solves on ``Index.fixed`` of the game's index, and its
 MECs on ``Index.restricted``; Procedure MP's rounds run on
-``Index.absorbing``; ``mdp._mecs`` decomposes on ints and ``mdp._reach``
+``certify.absorbing``; ``mdp._mecs`` decomposes on ints and ``mdp._reach``
 runs reachability rounds on chain steps.  Each is checked against the
 game-level form it replaced: ``fix_strategies``, ``grids.restrict_to_mec``,
 a game with reward-0 self-loops, ``grids.reference_mec_decompose`` and
@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from ocsg import mdp, ssg
+from ocsg import certify, mdp, ssg
 from ocsg.model import (
     LIMIT_OBJECTIVES,
     OcSsg,
@@ -114,7 +114,7 @@ def test_absorbing_index_is_the_self_loop_games_index(game, rng):
     cut = {sid for sid in game.ids() if rng.random() < 0.4}
     loop = {sid: State(sid, "rand", transitions=(Transition(sid, prob=Fraction(1), reward=0),)) for sid in cut}
     absorbed = game.with_states(tuple(loop.get(s.id, s) for s in game.states))
-    assert _content(game.index.absorbing({game.index.pos[sid] for sid in cut})) == _content(absorbed.index)
+    assert _content(certify.absorbing(game.index, {game.index.pos[sid] for sid in cut})) == _content(absorbed.index)
 
 
 def _restriction(game, rng):

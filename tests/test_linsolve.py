@@ -5,7 +5,8 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ocsg.linsolve import SingularMatrixError, factor, solve_linear_system
+from ocsg.certify import solve_linear_system
+from ocsg.linsolve import SingularMatrixError, factor
 
 from grids import fraction_certificate, fraction_factor
 

@@ -5,8 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ocsg import chain as chain_mod
-from ocsg import linsolve, mdp, oracle
+from ocsg import certify, linsolve, mdp, oracle
 from ocsg.model import (
     LIMINF_GT_MINUS_INF,
     LIMINF_MINUS_INF,
@@ -178,7 +177,7 @@ def test_asr_witness_reaches_almost_surely():
                 PureMemorylessStrategy("max", max_choice),
                 PureMemorylessStrategy("min", min_choice),
             )
-            values = chain_mod.reach_probabilities(chain, targets)
+            values = certify.reach_probabilities(chain, targets)
             for sid in result.winning:
                 assert values[sid] == 1
 
@@ -240,7 +239,7 @@ def _policy_by_id(index, choice):
 
 def test_mean_payoff_self_loop():
     game = parse_model("ssg rewards=transitions\nstate s owner=rand\ntrans s -> s p=1/1 reward=1\n")
-    gain, _ = mdp.expected_mean_payoff(game, "max")
+    gain, _ = certify.expected_mean_payoff(game, "max")
     assert gain["s"] == 1
 
 
@@ -250,7 +249,7 @@ def test_mean_payoff_max_picks_positive_loop():
         "trans m -> a reward=0\ntrans m -> b reward=0\n"
         "trans a -> a p=1/1 reward=1\ntrans b -> b p=1/1 reward=-1\n"
     )
-    gain, strategy = mdp.expected_mean_payoff(game, "max")
+    gain, strategy = certify.expected_mean_payoff(game, "max")
     assert gain["m"] == 1
     assert strategy.choice["m"] == 0
 
@@ -264,7 +263,7 @@ def test_mean_payoff_zero_under_both_choices():
     for choice in (0, 1):
         gain = _by_id(game.index, _evaluation(game.index, {"m": choice}).gain)
         assert gain["m"] == 0
-    gain, _ = mdp.expected_mean_payoff(game, "max")
+    gain, _ = certify.expected_mean_payoff(game, "max")
     assert gain["m"] == 0
 
 
@@ -297,7 +296,7 @@ def test_mean_payoff_agrees_with_enumeration():
     for game in games:
         game = as_mdp(game)
         for direction in ("max", "min"):
-            gain, strategy = mdp.expected_mean_payoff(game, direction)
+            gain, strategy = certify.expected_mean_payoff(game, direction)
             ref_gain, _ = oracle.enumerate_mean_payoff(game, direction)
             assert gain == ref_gain
             eval_gain = _by_id(game.index, _evaluation(game.index, strategy.choice).gain)
@@ -311,16 +310,16 @@ def test_mean_payoff_last_evaluation_is_the_returned_policys():
             index = game.index
             evaluation, choice = mdp._policy_iteration(index, direction)
             policy = _policy_by_id(index, choice)
-            gain, strategy = mdp.expected_mean_payoff(game, direction)
+            gain, strategy = certify.expected_mean_payoff(game, direction)
             assert (gain, strategy.choice) == (_by_id(index, evaluation.gain), policy)
             assert (_by_id(index, evaluation.gain), _by_id(index, evaluation.bias)) == evaluate_gain_bias(game, policy)
 
 
 def reference_class_gain_bias(induced, members):
     """Two eliminations per class: the stationary law through
-    ``chain.analyze_bscc``, then the bias system whose first row is the
+    ``certify.analyze_bscc``, then the bias system whose first row is the
     normalisation pi . h = 0 in place of the first state's equation."""
-    analysis = chain_mod.analyze_bscc(induced, members)
+    analysis = certify.analyze_bscc(induced, members)
     order = list(analysis.stationary)
     pos = {sid: i for i, sid in enumerate(order)}
     rows = [{j: analysis.stationary[sid] for j, sid in enumerate(order)}]
@@ -333,7 +332,7 @@ def reference_class_gain_bias(induced, members):
             row[j] = row.get(j, 0) - t.prob
         rows.append(row)
         rhs.append(per_visit_reward(induced, state) - analysis.mean_payoff)
-    solution, _ = linsolve.solve_linear_system(rows, rhs)
+    solution, _ = certify.solve_linear_system(rows, rhs)
     return analysis.mean_payoff, {sid: solution[pos[sid]] for sid in order}
 
 
@@ -358,7 +357,7 @@ def test_class_gain_bias_matches_two_elimination_reference():
     classes = 0
     for game, policy in _policy_cases():
         induced = induced_chain(game, policy)
-        bsccs = chain_mod.bscc_decompose(induced)[0]
+        bsccs = certify.bscc_decompose(induced)[0]
         ids = game.index.ids
         evaluation = _evaluation(game.index, policy)
         assert [frozenset(ids[v] for v in members) for members in evaluation.members] == bsccs
@@ -380,7 +379,7 @@ def test_evaluation_factors_each_matrix_once(monkeypatch):
     monkeypatch.setattr(linsolve, "factor", spy)
     transient_blocks = 0
     for game, policy in _policy_cases():
-        bsccs, transient = chain_mod.bscc_decompose(induced_chain(game, policy))
+        bsccs, transient = certify.bscc_decompose(induced_chain(game, policy))
         sizes.clear()
         evaluation = _evaluation(game.index, policy)
         # One factorization per closed class, one for the transient block
@@ -397,7 +396,7 @@ def test_lazy_evaluation_matches_eager_reference():
     for game, policy in _policy_cases():
         induced = induced_chain(game, policy)
         evaluation = _evaluation(game.index, policy)
-        bsccs = chain_mod.bscc_decompose(induced)[0]
+        bsccs = certify.bscc_decompose(induced)[0]
         assert evaluation.means == [class_gain_bias(induced, members)[0] for members in bsccs]
         gain_bias = (_by_id(game.index, evaluation.gain), _by_id(game.index, evaluation.bias))
         assert gain_bias == evaluate_gain_bias(game, policy)
@@ -441,7 +440,7 @@ def test_policy_bsccs_lie_inside_mecs():
         sizes = [len(game.state(sid).transitions) for sid in controlled]
         for combo in itertools.product(*(range(n) for n in sizes)):
             induced = fix_strategies(game, PureMemorylessStrategy("max", dict(zip(controlled, combo))))
-            bsccs, _ = chain_mod.bscc_decompose(induced)
+            bsccs, _ = certify.bscc_decompose(induced)
             for members in bsccs:
                 assert any(members <= m.members for m in mecs), (members, mecs)
 
@@ -553,7 +552,7 @@ def test_procedure_mp_picks_positive_loop():
             "ssg rewards=transitions\nstate m owner=max\nstate a owner=rand\nstate b owner=rand\n"
             + edges + "trans a -> a p=1/1 reward=1\ntrans b -> b p=1/1 reward=-1\n"
         )
-        strategy = mdp.procedure_mp(game, "m")
+        strategy = certify.procedure_mp(game, "m")
         assert strategy is not None
         assert strategy.choice["m"] == good
 
@@ -561,7 +560,7 @@ def test_procedure_mp_picks_positive_loop():
 def test_procedure_mp_cuts_an_unknown_start():
     game = parse_model("ssg rewards=transitions\nstate m owner=max\ntrans m -> m reward=1\n")
     with pytest.raises(ValueError, match="^unknown state 'xxx") as raised:
-        mdp.procedure_mp(game, "x" * 5000)
+        certify.procedure_mp(game, "x" * 5000)
     assert len(str(raised.value)) < 60
 
 
@@ -569,7 +568,7 @@ def test_procedure_mp_no_when_nonpositive():
     game = parse_model(
         "ssg rewards=transitions\nstate m owner=max\ntrans m -> m reward=0\ntrans m -> m reward=-1\n"
     )
-    assert mdp.procedure_mp(game, "m") is None
+    assert certify.procedure_mp(game, "m") is None
 
 
 def test_procedure_mp_no_for_half_reachable_drift():
@@ -579,8 +578,8 @@ def test_procedure_mp_no_for_half_reachable_drift():
         "trans root -> p p=1/2 reward=0\ntrans root -> d p=1/2 reward=0\n"
         "trans p -> p p=1/1 reward=1\ntrans d -> f p=1/1 reward=0\ntrans f -> d p=1/1 reward=0\n"
     )
-    assert mdp.procedure_mp(game, "root") is None
-    assert mdp.procedure_mp(game, "p") is not None
+    assert certify.procedure_mp(game, "root") is None
+    assert certify.procedure_mp(game, "p") is not None
     values = mdp.quantitative_limit(game, MEAN_GT, "max").values
     assert values["root"] == Fraction(1, 2)
 
@@ -596,7 +595,7 @@ def test_procedure_mp_survives_early_cut_of_one_drift():
         "trans d -> b p=1/4\ntrans d -> a p=3/4\n"
     )
     for sid in game.ids():
-        assert mdp.procedure_mp(game, sid) is not None, sid
+        assert certify.procedure_mp(game, sid) is not None, sid
 
 
 def test_second_cut_reuses_the_absorbing_state():
@@ -629,10 +628,10 @@ def test_procedure_mp_matches_mean_gt_region():
         game = as_mdp(game)
         region = mdp.quantitative_limit(game, MEAN_GT, "max").value_one_set
         for sid in game.ids():
-            witness = mdp.procedure_mp(game, sid)
+            witness = certify.procedure_mp(game, sid)
             assert (witness is not None) == (sid in region), sid
             if witness is not None:
-                assert chain_mod.chain_tail_value(_fix(game, witness), MEAN_GT)[sid] == 1, sid
+                assert certify.chain_tail_value(_fix(game, witness), MEAN_GT)[sid] == 1, sid
 
 
 def test_procedure_mp_matches_the_per_cut_reference():
@@ -647,7 +646,7 @@ def test_procedure_mp_matches_the_per_cut_reference():
             for game in random_games(90, sizes=sizes, seed=seed, reward_location=reward_location):
                 game = as_mdp(game)
                 for sid in game.ids():
-                    witness = mdp.procedure_mp(game, sid)
+                    witness = certify.procedure_mp(game, sid)
                     reference = reference_procedure_mp(game, sid)
                     assert (witness is None) == (reference is None), sid
                     if witness is None:
@@ -655,7 +654,7 @@ def test_procedure_mp_matches_the_per_cut_reference():
                     wins += 1
                     same += witness == reference
                     if witness != reference:
-                        assert chain_mod.chain_tail_value(_fix(game, witness), MEAN_GT)[sid] == 1, sid
+                        assert certify.chain_tail_value(_fix(game, witness), MEAN_GT)[sid] == 1, sid
     assert wins > 1500 and same > 0.99 * wins
 
 
@@ -789,7 +788,7 @@ def _zero_drift_mecs(game):
     for mec in mdp._mecs(game.index):
         named = named_mec(game.index, mec)
         sub, _ = restrict_to_mec(game, named)
-        if mdp._mec_gain(game.index, mec, rule)[0] == 0 and chain_mod.potential(sub, named.members) is None:
+        if mdp._mec_gain(game.index, mec, rule)[0] == 0 and certify.potential(sub, named.members) is None:
             mecs.append(mec)
     return mecs
 
@@ -810,7 +809,7 @@ def test_zero_drift_cores_match_oracle():
         result = mdp.quantitative_limit(game, LIMINF_MINUS_INF, "max")
         assert result.values == oracle.enumerate_solve(game, LIMINF_MINUS_INF).values
         induced = _fix(game, result.witness_max)
-        assert chain_mod.chain_tail_value(induced, LIMINF_MINUS_INF) == result.values
+        assert certify.chain_tail_value(induced, LIMINF_MINUS_INF) == result.values
     assert 0 < cores < checked
 
 
@@ -879,7 +878,7 @@ def test_witness_self_consistency():
             result = mdp.quantitative_limit(game, objective, "max")
             witness = result.witness_max or result.witness_min
             induced = _fix(game, witness)
-            reproduced = chain_mod.chain_tail_value(induced, objective)
+            reproduced = certify.chain_tail_value(induced, objective)
             assert reproduced == result.values, objective.kind
 
 
@@ -890,15 +889,15 @@ def test_one_player_calls_on_a_parsed_game_build_no_states(built_states):
     start = game.ids()[0]
     values = mdp.quantitative_limit(game, MEAN_GT).values
     assert set(mdp.solve_reachability(game, [start], "max").values) == set(values)
-    mdp.expected_mean_payoff(game, "max")
+    certify.expected_mean_payoff(game, "max")
     assert mdp.mec_decompose(game)
     assert len(mdp.energy_min_credit(game)) == len(values)
-    assert (mdp.procedure_mp(game, start) is not None) == (values[start] == 1)
+    assert (certify.procedure_mp(game, start) is not None) == (values[start] == 1)
     sigma = PureMemorylessStrategy("max", dict.fromkeys(game.owner_ids("max"), 0))
     stats = oracle.simulate(game, [sigma], start, steps=50, trials=3, seed=5, j=2)
     assert stats.trials == len(stats.records) == 3
     assert 0 <= oracle.estimate_objective(game, [sigma], MEAN_GT, 5, 50, 3, 5, start) <= 1
     walk = parse_model(FAIR_WALK_TEXT)
-    assert chain_mod.chain_tail_value(walk, LIMINF_MINUS_INF) == {"s": 1}
-    assert chain_mod.reach_probabilities(walk, ["s"]) == {"s": 1}
+    assert certify.chain_tail_value(walk, LIMINF_MINUS_INF) == {"s": 1}
+    assert certify.reach_probabilities(walk, ["s"]) == {"s": 1}
     assert built_states == {}

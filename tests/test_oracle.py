@@ -1,7 +1,6 @@
 import pytest
 
-from ocsg import chain as chain_mod
-from ocsg import oracle
+from ocsg import certify, oracle
 from ocsg.model import (
     LIMINF_MINUS_INF,
     LIMINF_PLUS_INF,
@@ -18,7 +17,7 @@ def test_enumerate_player_free_equals_chain_value():
         "trans a -> b p=1/3 reward=-1\ntrans a -> a p=2/3 reward=1\ntrans b -> b p=1/1 reward=-1\n"
     )
     result = oracle.enumerate_solve(game, LIMINF_MINUS_INF)
-    assert result.values == chain_mod.chain_tail_value(game, LIMINF_MINUS_INF)
+    assert result.values == certify.chain_tail_value(game, LIMINF_MINUS_INF)
 
 
 def test_enumerate_single_choice_game():
@@ -154,7 +153,7 @@ def test_statistical_consistency_against_exact_reachability():
         "trans s -> m p=3/4\ntrans s -> dead p=1/4\ntrans m -> t p=1/4\ntrans m -> s p=3/4\n"
         "trans t -> t p=1/1\ntrans dead -> dead p=1/1\n"
     )
-    exact = chain_mod.reach_probabilities(game, {"t"})["s"]
+    exact = certify.reach_probabilities(game, {"t"})["s"]
     counter = parse_model(
         "ocssg\n"
         "state s owner=rand\nstate m owner=rand\nstate t owner=rand\nstate dead owner=rand\n"

@@ -5,8 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ocsg import chain as chain_mod
-from ocsg import linsolve, mdp, model, oracle, ssg, termination
+from ocsg import certify, linsolve, mdp, model, oracle, ssg, termination
 from ocsg.model import (
     LIMINF_GT_MINUS_INF,
     LIMINF_MINUS_INF,
@@ -70,7 +69,7 @@ def test_player_free_game_equals_chain_tail_value():
         "trans a -> b p=1/2 reward=1\ntrans a -> a p=1/2 reward=-1\ntrans b -> b p=1/1 reward=-1\n"
     )
     solve = ssg.solve_limit_ssg(game, LIMINF_MINUS_INF)
-    assert solve.result.values == chain_mod.chain_tail_value(game, LIMINF_MINUS_INF)
+    assert solve.result.values == certify.chain_tail_value(game, LIMINF_MINUS_INF)
 
 
 def test_condon_fair_coin_limit_values():
@@ -326,7 +325,7 @@ def test_dense_n32_policy_iteration_builds_no_game(monkeypatch):
     # Each policy-iteration round reads the policy's chain off the index:
     # no induced chain, no collapsed strategy and no game-level stationary
     # law.
-    monkeypatch.setattr(chain_mod, "stationary_law", spy("stationary_law", chain_mod.stationary_law))
+    monkeypatch.setattr(certify, "stationary_law", spy("stationary_law", certify.stationary_law))
     monkeypatch.setattr(mdp, "_PolicyEvaluation", spy("round", mdp._PolicyEvaluation))
     subs = [index] + [index.restricted(sorted(mec.members), mec.allowed) for mec in mdp._mecs(index)]
     for sub in subs:
@@ -705,7 +704,7 @@ def _assert_chain_values(game, profile, objective, vectors):
     chain = _chain_values(game, profile, objective)
     sigma = PureMemorylessStrategy("max", {sid: profile[sid] for sid in game.owner_ids("max")})
     tau = PureMemorylessStrategy("min", {sid: profile[sid] for sid in game.owner_ids("min")})
-    expected = chain_mod.chain_tail_value(fix_strategies(game, sigma, tau), objective)
+    expected = certify.chain_tail_value(fix_strategies(game, sigma, tau), objective)
     # A fresh kernel for the order, which has not solved for its values.
     order = _chain_values(game, profile, objective).order
     assert dict(zip(game.ids(), chain.values)) == expected, objective.kind

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ocsg import mdp, ssg, termination
+from ocsg import certify, mdp, ssg, termination
 from ocsg.model import (
     LIMINF_MINUS_INF,
     LIMIT_OBJECTIVES,
@@ -495,7 +495,7 @@ def test_synthesize_max_witness_survives_best_response():
                     assert termination.decide_term_one(residual, start, j).value_one
                 else:
                     assert pi is not None and sigma is None
-                    product, pstart = termination.product_with_strategy(counter, pi, start)
+                    product, pstart = certify.product_with_strategy(counter, pi, start)
                     assert not termination.decide_term_one(product, pstart, j).value_one
 
 
@@ -527,7 +527,7 @@ def test_appendix_min_needs_memory(five_state_game):
         sigma, pi = termination.synthesize_term_strategies(five_state_game, "v", j)
         assert sigma is None
         assert pi.memory_size <= 5
-        product, pstart = termination.product_with_strategy(five_state_game, pi, "v")
+        product, pstart = certify.product_with_strategy(five_state_game, pi, "v")
         assert not termination.decide_term_one(product, pstart, j).value_one
 
 

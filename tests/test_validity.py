@@ -10,7 +10,7 @@ the level-product tests run almost-sure reach on it.
 
 import pytest
 
-from ocsg import termination
+from ocsg import certify, termination
 from ocsg.model import (
     ModelSemanticError,
     OcSsg,
@@ -68,7 +68,7 @@ def test_strategy_products_are_valid(five_state_game):
             for j in (1, 2, len(game.states)):
                 sigma, pi = termination.synthesize_term_strategies(game, start, j)
                 strategy = pi if pi is not None else termination._memoryless_as_finite(sigma)
-                product, pstart = termination.product_with_strategy(game, strategy, start)
+                product, pstart = certify.product_with_strategy(game, strategy, start)
                 assert validate(product) == [] and pstart in product.by_id
                 products += 1
     assert products > 100

@@ -8,7 +8,7 @@ capped worklist ``grids.reference_energy_min_credit`` on counter families
 whose climbs run long.  ``reference_normalization`` (reachability
 policy iteration) and ``reference_mec_consistent`` (a second potential BFS)
 are the reference forms of the normalization check in ``reduce`` and of
-``chain.potential`` on end-component edges.  ``reference_lifting_region``
+``certify.potential`` on end-component edges.  ``reference_lifting_region``
 (energy lifting plus the keeper's credit-preserving edges) is the reference
 form of the end-component rule that ``mdp`` uses for liminf > -inf, and
 ``reference_divergence_core`` (a potential test, then the BSCC around a
@@ -24,7 +24,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ocsg import chain, mdp, reduce
+from ocsg import certify, chain, mdp, reduce
 from ocsg.model import (
     LIMINF_GT_MINUS_INF,
     LIMINF_MINUS_INF,
@@ -345,7 +345,7 @@ def test_potential_matches_mec_bfs(reward_location):
         game = as_mdp(game)
         for mec in mdp.mec_decompose(game):
             consistent = reference_mec_consistent(game, mec)
-            h = chain.potential(restrict_to_mec(game, mec)[0], mec.members)
+            h = certify.potential(restrict_to_mec(game, mec)[0], mec.members)
             assert (h is not None) == consistent, (game, mec)
             seen[consistent] += 1
             if h is not None:
@@ -414,7 +414,7 @@ def reference_divergence_core(game, mec):
         inner, _ = restrict_to_mec(tight, component)
         choice = reference_almost_sure_reach(inner, {x}).max_choice
         induced = fix_strategies(inner, PureMemorylessStrategy("max", choice))
-        bsccs, _ = chain.bscc_decompose(induced)
+        bsccs, _ = certify.bscc_decompose(induced)
         return next(b for b in bsccs if x in b)
     return None
 
@@ -431,7 +431,7 @@ def _wins_almost_surely(game, region, choice, objective=LIMINF_GT_MINUS_INF):
     relabeled = relabel_controlled(game, "max")
     policy = {sid: choice.get(sid, 0) for sid in relabeled.owner_ids("max")}
     induced = fix_strategies(relabeled, PureMemorylessStrategy("max", policy))
-    values = chain.chain_tail_value(induced, objective)
+    values = certify.chain_tail_value(induced, objective)
     return all(values[sid] == 1 for sid in region)
 
 
