@@ -114,8 +114,7 @@ class Factorization:
                 for j, a in row.items():
                     if j != c:
                         common = lcm(den[j], d)
-                        num[j] = num[j] * (common // den[j]) - a * n * (common // d)
-                        den[j] = common
+                        num[j], den[j] = _reduced(num[j] * (common // den[j]) - a * n * (common // d), common)
         for _, p, _, ops in reversed(self.steps):
             n, d = z_num[p], z_den[p]
             for i, a, b, g in ops:

@@ -8,15 +8,17 @@ finds such a pair by alternating single-switch improvement of Min and Max,
 each started from a best response to the other (symmetric strategy
 improvement), and refuses with ``NoCertificate`` only if a Min strategy
 comes back before a pair is found.  Min's descent tests the pair it holds
-before it scans single switches, so a descent from an optimal strategy
-costs two best responses, and within one solve no strategy is evaluated
-twice.  A switch candidate gets its best response only if the chain it
-makes against the held reply's witness passes the vector test; that chain's
-values bound the best response, so the skipped candidates are ones the
-test would reject.  When Min has a single strategy (no Min state has a
-second edge), the solve is one best response: Max's to that strategy,
-which is already a best response to anything.  Nothing here enumerates
-strategies; exhaustive enumeration lives in ``oracle`` as ground truth.
+before it scans single switches, and within one solve no strategy is
+evaluated twice.  The test needs Min's reply only if some reply could
+lower Max's: one rule, ``settled``, certifies Min's strategy on Max's
+reply alone when Min has a single strategy (no Min state has a second
+edge) or that reply is worth 0 at every state.  So a descent from an
+optimal strategy costs one best response when the rule holds and at most
+two otherwise.  A switch candidate gets its best response only if the chain
+it makes against the held reply's witness passes the vector test; that
+chain's values bound the best response, so the skipped candidates are ones
+the test would reject.  Nothing here enumerates strategies; exhaustive
+enumeration lives in ``oracle`` as ground truth.
 """
 
 from __future__ import annotations
@@ -110,18 +112,25 @@ def solve_limit_ssg(game: Ssg, objective: Objective) -> SsgSolve:
     the opponent's states; an opponent without states has the empty
     choice, and a witness that misses a state bounds nothing.
 
-    When Min has a single strategy τ (``_switches`` yields nothing), the
-    call runs one best response, Max's exact best response to τ, and
-    returns its values with σ, its Max witness, and τ.  σ is a best
-    response to τ by construction, and τ, Min's only strategy, is a best
-    response to σ, so the pair is certified and the values are the game's.
-    The loop returns the same result after two more best responses: its
-    check of τ compares Max's values with those of Min's reply to σ, that
-    is the chain of (σ, τ), and equal vectors follow since σ attains Max's
-    optimum; Max's ascent then starts at σ and meets its goal at once.  The
-    mirror case, Max with a single strategy, still runs the loop: a jump to
-    Min's optimal reply would change the Min witness that the descent
-    picks.
+    Min's descent certifies τ on Max's reply alone whenever no Min reply
+    can lower vec, the values of Max's exact best response to τ
+    (``settled``): when Min has a single strategy (``_switches`` yields
+    nothing), or when vec is 0 at every state.  The rule is checked in the
+    descent's stop test and again right after the descent, which then
+    returns vec with σ, the Max witness of that reply, and τ.  σ is a best
+    response to τ by construction.  τ is a best response to σ: in the first
+    case it is Min's only strategy; in the second, values lie in [0, 1], so
+    val(σ′, τ) ≤ vec = 0 makes τ get the least possible value against every
+    σ′.  So the pair is certified, vec is the game's value, and no single
+    switch can lower it.  The loop without the rule returns the same pair
+    after Min's reply to σ, one more best response unless an earlier round
+    memoized it: its check of τ compares vec with that reply's values,
+    which equal vec since τ is a best response to σ and σ attains vec
+    against τ, and Max's ascent then starts at σ, whose reply is memoized,
+    and meets its goal at once.  So the rule changes no value or witness,
+    only the number of best responses.  The mirror case, Max
+    with a single strategy, still runs the loop: a jump to Min's optimal
+    reply would change the Min witness that the descent picks.
 
     Termination: descents, ascents and best responses are deterministic.  A
     descent started from a Min strategy that an earlier round started from
@@ -150,26 +159,29 @@ def _alternate(game, objective):
             replies[key] = best_response(game, PureMemorylessStrategy(player, choice), objective)
         return replies[key]
 
-    def certified(vec, against_tau):
-        return _vector(game, respond("max", against_tau.witness_max.choice).values) == vec
-
     def solved(sigma, tau, against_tau):
         sigma, tau = PureMemorylessStrategy("max", sigma), PureMemorylessStrategy("min", tau)
         return SsgSolve(SolveResult.from_values(against_tau.values, sigma, tau), "improvement")
 
     tau = {sid: 0 for sid in game.owner_ids("min")}
-    if next(_switches(game, "min", tau), None) is None:
-        against_tau = respond("min", tau)
-        return solved(dict(against_tau.witness_max.choice), tau, against_tau)
+    single = next(_switches(game, "min", tau), None) is None
+
+    def settled(vec):
+        """No Min reply can lower ``vec``: Min has one strategy or ``vec`` is 0."""
+        return single or not any(vec)
+
+    def certified(vec, against_tau):
+        return settled(vec) or _vector(game, respond("max", against_tau.witness_max.choice).values) == vec
+
     visited = set()
     while True:
         visited.add(frozenset(tau.items()))
         tau, against_tau = _improve(game, objective, "min", tau, respond, certified)
         visited.add(frozenset(tau.items()))
-        goal = _vector(game, against_tau.values)
-        sigma, against_sigma = _improve(
-            game, objective, "max", dict(against_tau.witness_max.choice), respond, lambda vec, _: vec == goal
-        )
+        goal, sigma = _vector(game, against_tau.values), dict(against_tau.witness_max.choice)
+        if settled(goal):
+            return solved(sigma, tau, against_tau)
+        sigma, against_sigma = _improve(game, objective, "max", sigma, respond, lambda vec, _: vec == goal)
         if _vector(game, against_sigma.values) == goal:
             return solved(sigma, tau, against_tau)
         tau = dict(against_sigma.witness_min.choice)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from ocsg import certify, linsolve, mdp, model, oracle, ssg, termination
+from ocsg import chain as chain_mod
 from ocsg.model import (
     LIMINF_GT_MINUS_INF,
     LIMINF_MINUS_INF,
@@ -255,7 +256,7 @@ def test_dense_n32_evaluation_count(monkeypatch):
     evaluate = mdp._PolicyEvaluation
     monkeypatch.setattr(mdp, "_PolicyEvaluation", lambda *args: evaluations.append(args) or evaluate(*args))
     ssg.solve_limit_ssg(game, LIMINF_MINUS_INF)
-    assert len(evaluations) == 9
+    assert len(evaluations) == 8
 
 
 def test_dense_n32_linear_solve_counts(monkeypatch):
@@ -324,8 +325,9 @@ def test_dense_n32_policy_iteration_builds_no_game(monkeypatch):
 
     # Each policy-iteration round reads the policy's chain off the index:
     # no induced chain, no collapsed strategy and no game-level stationary
-    # law.
-    monkeypatch.setattr(certify, "stationary_law", spy("stationary_law", certify.stationary_law))
+    # law.  Every stationary system is a closed class's, one per class.
+    monkeypatch.setattr(chain_mod, "stationary_system", spy("stationary_system", chain_mod.stationary_system))
+    monkeypatch.setattr(mdp, "_ClosedClass", spy("closed class", mdp._ClosedClass))
     monkeypatch.setattr(mdp, "_PolicyEvaluation", spy("round", mdp._PolicyEvaluation))
     subs = [index] + [index.restricted(sorted(mec.members), mec.allowed) for mec in mdp._mecs(index)]
     for sub in subs:
@@ -333,7 +335,8 @@ def test_dense_n32_policy_iteration_builds_no_game(monkeypatch):
             evaluation, _ = mdp._policy_iteration(sub, direction)
             assert len(evaluation.gain) == len(evaluation.bias) == len(sub.ids)
     assert len(subs) > 1 and calls.count("round") > 2 * len(subs)
-    assert set(calls) == {"round"}
+    assert set(calls) == {"round", "closed class", "stationary_system"}
+    assert calls.count("stationary_system") == calls.count("closed class")
 
 
 def test_dense_n7_f36_matches_oracle():
@@ -552,36 +555,62 @@ ZERO_TAU_OPTIMAL = parse_model(
     "trans c -> c reward=1\ntrans c -> a reward=-1\n"
 )
 
+# Min's first edges are optimal again, but b can only fall: a is worth 0,
+# b and c are worth 1.
+NONZERO_TAU_OPTIMAL = parse_model(
+    "ssg rewards=transitions\n"
+    "state a owner=min\nstate b owner=min\nstate c owner=rand\n"
+    "trans a -> a reward=1\ntrans a -> b reward=-1\n"
+    "trans b -> b reward=-1\ntrans b -> c reward=-1\n"
+    "trans c -> c p=1/1 reward=-1\n"
+)
 
-def test_certified_first_pair_costs_two_best_responses(monkeypatch):
-    # Scanning Min's three switches before testing the pair would cost five.
+
+def test_zero_valued_first_pair_costs_one_best_response(monkeypatch):
+    # Max's reply to Min's first strategy is worth 0 everywhere, so no Min
+    # reply can lower it: the solve skips Min's reply to Max's witness.
     seen = _count_best_responses(monkeypatch)
     solve = ssg.solve_limit_ssg(ZERO_TAU_OPTIMAL, LIMINF_MINUS_INF)
     assert solve.result.values == {"a": 0, "b": 0, "c": 0}
     assert solve.result.witness_min.choice == {"a": 0, "b": 0, "c": 0}
-    assert len(seen) == 2
+    assert [player for player, _ in seen] == ["min"]
+
+
+def test_certified_first_pair_costs_two_best_responses(monkeypatch):
+    # A nonzero value needs Min's reply to certify the pair; scanning Min's
+    # two switches before testing the pair would cost four.
+    seen = _count_best_responses(monkeypatch)
+    solve = ssg.solve_limit_ssg(NONZERO_TAU_OPTIMAL, LIMINF_MINUS_INF)
+    assert solve.result.values == {"a": 0, "b": 1, "c": 1}
+    assert solve.result.witness_min.choice == {"a": 0, "b": 0}
+    assert [player for player, _ in seen] == ["min", "max"]
 
 
 def test_single_min_strategy_solve_runs_one_best_response(monkeypatch):
-    # Min's only strategy is a best response to any Max strategy, so Max's
-    # best response to it ends the solve with a certified pair; Min's reply
-    # to Max's witness, which the solve skips, must give the same values.
+    # Min's only strategy is a best response to any Max strategy, and so is
+    # a Min strategy that Max's best reply holds to 0 everywhere: Max's best
+    # response to it ends the solve with a certified pair.  Min's reply to
+    # Max's witness, which the solve skips, must give the same values.
     seen = _count_best_responses(monkeypatch)
     for game, objective in _one_strategy_sweep():
         seen.clear()
         solve = ssg.solve_limit_ssg(game, objective)
         assert [player for player, _ in seen] == ["min"], objective.kind
         assert ssg.best_response(game, solve.result.witness_max, objective).values == solve.result.values
-    two_player = 0
+    one_reply = two_player = 0
     for game, objective in _dense_sweep():
+        first = PureMemorylessStrategy("min", {sid: 0 for sid in game.owner_ids("min")})
+        settled = _min_has_one_strategy(game) or not any(ssg.best_response(game, first, objective).values.values())
         seen.clear()
-        ssg.solve_limit_ssg(game, objective)
-        if _min_has_one_strategy(game):
+        solve = ssg.solve_limit_ssg(game, objective)
+        if settled:
             assert len(seen) == 1, objective.kind
+            assert ssg.best_response(game, solve.result.witness_max, objective).values == solve.result.values
+            one_reply += 1
         else:
             assert len(seen) >= 2, objective.kind
             two_player += 1
-    assert two_player > 0
+    assert one_reply > 0 and two_player > 0
 
 
 def test_no_strategy_is_evaluated_twice_in_one_solve(monkeypatch):
@@ -812,9 +841,9 @@ def test_bound_without_opponent_states_matches_the_reference(monkeypatch):
 
 
 # Best responses of one solve, counted as ``ssg.best_response`` calls (the
-# memo misses); without the chain bound they were 27 and 349.
+# memo misses); without the chain bound they are 26 and 349.
 BEST_RESPONSE_COUNTS = (
-    ("dense-n32-f7.ssg", LIMINF_MINUS_INF, 5),
+    ("dense-n32-f7.ssg", LIMINF_MINUS_INF, 4),
     ("dense-n96-f3.ssg", Objective("mean-leq"), 30),
 )
 
