@@ -24,8 +24,8 @@ from math import lcm, prod
 
 from . import chain as chain_mod
 from . import linsolve, mdp
-from .model import LIMIT_KINDS, OWNERS, FiniteMemoryStrategy, Index, Objective, OcSsg, Ssg, State, Transition
-from .model import _quoted, check_valid
+from .model import OWNERS, FiniteMemoryStrategy, Index, Objective, OcSsg, Ssg, State, Transition
+from .model import _quoted, check_valid, require_limit
 
 _ONE = Fraction(1)
 
@@ -50,7 +50,8 @@ def bscc_decompose(chain: Ssg) -> tuple[list[frozenset[str]], frozenset[str]]:
     """Bottom SCCs plus the transient remainder; together they partition V."""
     _require_chain(chain)
     ids = chain.index.ids
-    bottoms = chain_mod.bottom_sccs(chain.index.succ)
+    succ = chain.index.succ
+    bottoms = chain_mod.bottom_sccs(succ, range(len(succ)))
     closed = {v for members in bottoms for v in members}
     transient = frozenset(sid for v, sid in enumerate(ids) if v not in closed)
     return [frozenset(ids[v] for v in members) for members in bottoms], transient
@@ -148,8 +149,7 @@ def reach_probabilities(chain: Ssg, targets) -> dict[str, Fraction]:
 
 def chain_tail_value(chain: Ssg, objective: Objective) -> dict[str, Fraction]:
     """Value of a tail limit objective: probability of hitting a class-1 BSCC."""
-    if objective.kind not in LIMIT_KINDS:
-        raise ValueError(f"not a tail limit objective: {objective.kind}")
+    require_limit(objective)
     bsccs, _ = bscc_decompose(chain)
     winning: set[str] = set()
     for members in bsccs:

@@ -25,10 +25,12 @@ from . import linsolve
 _ONE = Fraction(1)
 
 
-def bottom_sccs(succ) -> list[list[int]]:
-    """The bottom SCCs of the graph on nodes 0..len(succ)-1 with successor
-    lists ``succ``, in ``tarjan``'s discovery order, each in node order."""
-    components = tarjan(succ, range(len(succ)))
+def bottom_sccs(succ, roots) -> list[list[int]]:
+    """The bottom SCCs that the nodes ``roots`` reach in the graph on nodes
+    0..len(succ)-1 with successor lists ``succ``, in ``tarjan``'s discovery
+    order from ``roots``, each in node order.  Only the nodes reached are
+    read."""
+    components = tarjan(succ, roots)
     component_of = [0] * len(succ)
     for c, comp in enumerate(components):
         for v in comp:

@@ -46,12 +46,14 @@ game is built per best response, MEC, round or cut:
   and builds the stationary and transient systems from those lists.
 * A reachability round (``_chain_reach``) reads its chain the same way:
   one backward reach and one solve of ``chain.hitting_rows``.
-* A two-player scan bounds a switch candidate by the limit values of the
-  chain it makes with the held reply's witness (``_ChainValues``), read
-  the same way: ``chain.bottom_sccs``, the memoized class means judged by
-  ``chain.class_wins`` (``chain.node_potential`` at mean 0), two backward
-  reaches, one step of the chain against the scan's vector, and one
-  ``_chain_reach`` solve only when those leave the comparison open.
+* A two-player scan bounds a switch candidate that switches node u by the
+  sign of c(u) - vec(u), c the limit values of the chain it makes with the
+  held reply's witness and vec the scan's vector (``_switch_sign``): the
+  closed classes u reaches (``chain.bottom_sccs`` rooted at u), their
+  memoized means judged by ``chain.class_wins`` (``chain.node_potential``
+  at mean 0), and one step from u when they are mixed.  It reads only the
+  nodes u reaches (``_StepField``), and solves nothing but the stationary
+  systems of classes not yet memoized.
 
 Inside one ``ssg.solve_limit_ssg`` call, ``COMPONENT_MEMO`` holds a dict
 that memoizes closed classes of induced chains by content
@@ -69,7 +71,6 @@ variable is None and nothing is cached.
 from __future__ import annotations
 
 import math
-import operator
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,7 +78,7 @@ from functools import cached_property
 
 from . import chain as chain_mod
 from . import linsolve
-from .model import LIMIT_KINDS, OWNERS, Objective, PureMemorylessStrategy, SolveResult, Ssg
+from .model import OWNERS, Objective, PureMemorylessStrategy, SolveResult, Ssg, require_limit
 
 INFINITE_CREDIT = math.inf
 
@@ -185,10 +186,17 @@ def _chain_reach(index, choice: list[int], targets: frozenset[int]) -> list[Frac
     targets, 0 where the targets are out of reach, and one linear solve of
     ``chain.hitting_rows``, rows in node order, on the rest."""
     _, succ, prob, _ = _policy_chain(index, choice)
-    reached = _chain_backward(index, choice, targets)
+    owner, preds = index.owner, index.preds
+    reached = [False] * len(succ)
     values = [Fraction(0)] * len(succ)
     for t in targets:
-        values[t] = Fraction(1)
+        reached[t], values[t] = True, Fraction(1)
+    stack = list(targets)
+    while stack:
+        for v, k in preds[stack.pop()]:
+            if not reached[v] and (owner[v] == "rand" or choice[v] == k):
+                reached[v] = True
+                stack.append(v)
     interior = [v for v, hit in enumerate(reached) if hit and v not in targets]
     if interior:
         rows, rhs = chain_mod.hitting_rows(interior, succ, prob, targets)
@@ -197,96 +205,58 @@ def _chain_reach(index, choice: list[int], targets: frozenset[int]) -> list[Frac
     return values
 
 
-def _chain_backward(index, choice: list[int], seeds) -> list[bool]:
-    """Per node, whether it reaches one of the nodes ``seeds`` in the chain
-    where each node takes its chain step ``choice[v]``."""
-    owner, preds = index.owner, index.preds
-    reached = [False] * len(owner)
-    for t in seeds:
-        reached[t] = True
-    stack = list(seeds)
-    while stack:
-        t = stack.pop()
-        for v, k in preds[t]:
-            if not reached[v] and (owner[v] == "rand" or choice[v] == k):
-                reached[v] = True
-                stack.append(v)
-    return reached
+class _StepField:
+    """Per node v, field ``field`` of its chain step ``choice[v]`` in
+    ``index.chain_steps`` (the whole step for None), read only when indexed:
+    the lists of ``_policy_chain`` for a search that reads few nodes."""
+
+    def __init__(self, index, choice, field=None):
+        self._rows, self._choice, self._field = index.chain_steps, choice, field
+
+    def __len__(self):
+        return len(self._choice)
+
+    def __getitem__(self, v):
+        step = self._rows[v][self._choice[v]]
+        return step if self._field is None else step[self._field]
 
 
-class _ChainValues:
-    """The values of a limit objective, by node, in the chain where node v
-    of a game's index takes its chain step ``choice[v]``, computed only as
-    far as they are read: ``certify.chain_tail_value`` of that chain, read
-    off the index.
+def _switch_sign(index, choice: list[int], u: int, kind: str, vec) -> int:
+    """The sign of c(u) - vec(u), for c the values of the limit objective
+    ``kind`` in the chain C where node v of ``index`` takes its chain step
+    ``choice[v]``, and ``vec`` the values of a chain H that takes C's step
+    at every node but ``u``: the sign of c - vec wherever it is not 0.
 
-    A closed class (``_closed_classes``, memoized as a best response's
-    classes are) wins by ``chain.class_wins``: the sign of its mean and, at
-    mean 0 under the liminf = -inf and liminf > -inf objectives,
-    ``chain.node_potential`` on its edge weights.  ``sure`` comes first,
-    from two backward reaches and no linear solve: per node 0 where no
-    winning class is reachable, 1 where no losing one is, and None where
-    both are, the value then lying strictly between 0 and 1.  ``values``
-    adds one ``_chain_reach`` solve toward the nodes of value 1.  ``order``
-    compares the values with a vector and reads ``values`` only when
-    ``sure`` and one step of the chain leave the comparison open.
+    Each value is the probability of hitting a winning closed class, so c
+    is harmonic in C and vec in H, and d = c - vec is harmonic in C at every
+    node but u.  A node that cannot reach u in C reaches the same nodes in
+    H, so d = 0 there, and the bounded martingale d(X_t), stopped at the
+    first visit to u, gives d(w) = P_w(C reaches u) d(u) at every node w.
+
+    c(u) reads only the closed classes u reaches in C (``_closed_classes``
+    rooted at u, memoized as a best response's are), judged by
+    ``chain.class_wins``, which runs ``chain.node_potential`` only on a
+    mean-0 class under the liminf = -inf and liminf > -inf objectives.
+    c(u) is 1 if they all win and 0 if they all lose.  Otherwise u is
+    transient, its return probability r is below 1, and the step from u
+    gives d(u) = q + r d(u) for q = sum_t P_C(u, t) vec(t) - vec(u), so
+    d(u) has the sign of q.  Nothing is solved but the stationary systems
+    of classes not yet memoized, and only the nodes u reaches are read.
     """
+    owner, weight = index.owner, index.weight
+    steps, succ, prob, rewards = (_StepField(index, choice, field) for field in (None, 0, 1, 2))
 
-    def __init__(self, index, choice: list[int], kind: str):
-        owner, weight = index.owner, index.weight
-        self._steps, succ, prob, rewards = _policy_chain(index, choice)
+    def has_potential(members):
+        weights = {v: weight[v] if owner[v] == "rand" else (weight[v][choice[v]],) for v in members}
+        return chain_mod.node_potential(members, succ, weights) is not None
 
-        def has_potential(members):
-            weights = {v: weight[v] if owner[v] == "rand" else (weight[v][choice[v]],) for v in members}
-            return chain_mod.node_potential(members, succ, weights) is not None
-
-        winning, losing = [], []
-        for members, closed in zip(*_closed_classes(self._steps, succ, prob, rewards)):
-            wins = chain_mod.class_wins(kind, closed.mean, lambda: has_potential(members))
-            (winning if wins else losing).extend(members)
-        self._index, self._choice = index, choice
-        reaches_win = _chain_backward(index, choice, winning)
-        self._reaches_loss = reaches_loss = _chain_backward(index, choice, losing)
-        self.sure = [None if won and lost else int(won) for won, lost in zip(reaches_win, reaches_loss)]
-
-    @cached_property
-    def values(self) -> list[Fraction]:
-        ones = frozenset(v for v, lost in enumerate(self._reaches_loss) if not lost)
-        return _chain_reach(self._index, self._choice, ones)
-
-    def order(self, vec) -> tuple[bool, bool]:
-        """Whether the values c are >= ``vec`` at every node, and whether
-        they are <= ``vec`` at every node, for ``vec`` in [0, 1], decided
-        exactly.
-
-        On the nodes of ``sure`` c is known: a node of value 0 is >= only
-        a 0, one of value 1 is <= only a 1.  On the others, the transient
-        nodes, c is the unique solution of c(v) = sum_t P(v, t) c(t) with c
-        fixed on ``sure``, and the chain leaves them almost surely.  So if
-        ``vec`` is at most c on ``sure`` and vec(v) <= sum_t P(v, t) vec(t)
-        on the rest, c - vec is superharmonic there and nonnegative where
-        the chain ends up, hence c >= vec everywhere (the maximum
-        principle); c = vec exactly when both one-step inequalities are
-        equalities and ``vec`` agrees with ``sure``.  The mirror holds for
-        c <= vec.  Only when neither side follows this way, with ``vec``
-        not excluded on ``sure``, are the values solved for.
-        """
-        sure, steps = self.sure, self._steps
-        at_least = not any(c == 0 and x for c, x in zip(sure, vec))
-        at_most = all(c != 1 or x == 1 for c, x in zip(sure, vec))
-        if not (at_least or at_most):
-            return False, False
-        below = above = True
-        for v, c in enumerate(sure):
-            if c is None:
-                targets, probs = steps[v][:2]
-                step = vec[targets[0]] if len(targets) == 1 else sum(p * vec[t] for t, p in zip(targets, probs))
-                below = below and vec[v] <= step
-                above = above and vec[v] >= step
-        if (at_least and below) or (at_most and above):
-            return at_least and below, at_most and above
-        values = self.values
-        return all(map(operator.ge, values, vec)), all(map(operator.le, values, vec))
+    wins = {
+        chain_mod.class_wins(kind, closed.mean, lambda: has_potential(members))
+        for members, closed in zip(*_closed_classes(steps, succ, prob, rewards, [u]))
+    }
+    if len(wins) == 1:
+        return chain_mod.sign(wins.pop() - vec[u])
+    return chain_mod.sign(sum(p * vec[t] for t, p in zip(succ[u], prob[u])) - vec[u])
 
 
 # ---------------------------------------------------------------------------
@@ -372,17 +342,18 @@ def _policy_chain(index, choice: list[int]):
     return steps, [step[0] for step in steps], [step[1] for step in steps], [step[2] for step in steps]
 
 
-def _closed_classes(steps, succ, prob, rewards):
-    """The closed classes of the chain where node v takes the chain step
-    ``steps[v]``, with its successors, probabilities and per-visit reward
-    in ``succ``, ``prob`` and ``rewards``: its ``chain.bottom_sccs`` (node
-    lists), and each one's ``_ClosedClass``, looked up in and stored to
-    ``COMPONENT_MEMO`` when a solve has set it, keyed on the content keys
-    of its members' steps; callers must not mutate what comes back."""
+def _closed_classes(steps, succ, prob, rewards, roots):
+    """The closed classes that the nodes ``roots`` reach in the chain where
+    node v takes the chain step ``steps[v]``, with its successors,
+    probabilities and per-visit reward in ``succ``, ``prob`` and
+    ``rewards``: its ``chain.bottom_sccs`` (node lists), and each one's
+    ``_ClosedClass``, looked up in and stored to ``COMPONENT_MEMO`` when a
+    solve has set it, keyed on the content keys of its members' steps;
+    callers must not mutate what comes back."""
     memo = COMPONENT_MEMO.get()
     if memo is None:
         memo = {}
-    bottoms = chain_mod.bottom_sccs(succ)
+    bottoms = chain_mod.bottom_sccs(succ, roots)
     classes = []
     for members in bottoms:
         key = tuple(steps[v][3] for v in members)
@@ -411,7 +382,7 @@ class _PolicyEvaluation:
 
     def __init__(self, index, choice: list[int]):
         steps, self._succ, self._prob, self._rewards = _policy_chain(index, choice)
-        self.members, self._classes = _closed_classes(steps, self._succ, self._prob, self._rewards)
+        self.members, self._classes = _closed_classes(steps, self._succ, self._prob, self._rewards, range(len(steps)))
         self.means = [closed.mean for closed in self._classes]
         closed = {v for members in self.members for v in members}
         self._transient = [v for v in range(len(steps)) if v not in closed]
@@ -865,9 +836,7 @@ def _value_one_region(index, objective: Objective):
     where Max wins by staying in it and a choice that stays; W is
     almost-sure reach of them, and contains them.
     """
-    rule = _MEC_RULES.get(objective.kind)
-    if rule is None:
-        raise ValueError(f"unsupported limit tag {objective.kind}")
+    rule = _MEC_RULES[objective.kind]
     cores: dict[int, int] = {}
     targets: set[int] = set()
     for mec in _mecs(index):
@@ -890,8 +859,7 @@ def limit_on_index(index, objective: Objective, direction: str = "max") -> Solve
     ``Index.fixed`` leaves: reachability of the value-1 region (max form),
     complemented for the minimising direction.  The witness is filed under
     the owner of the controlled nodes, or under Max when there are none."""
-    if objective.kind not in LIMIT_KINDS:
-        raise ValueError(f"not a limit objective: {objective.kind}")
+    require_limit(objective)
     if direction == "min":
         comp = limit_on_index(index, objective.complement(), "max")
         values = {sid: 1 - v for sid, v in comp.values.items()}

@@ -432,6 +432,13 @@ class Objective:
         return Objective("term", j=j)
 
 
+def require_limit(objective: Objective) -> None:
+    """Reject an objective that is not a limit objective: the one check of
+    every limit solver's entry."""
+    if objective.kind not in LIMIT_KINDS:
+        raise ValueError(f"not a limit objective: {objective.kind}")
+
+
 LIMINF_MINUS_INF = Objective("liminf-minus-inf")
 LIMINF_PLUS_INF = Objective("liminf-plus-inf")
 LIMINF_GT_MINUS_INF = Objective("liminf-gt-minus-inf")

@@ -21,7 +21,6 @@ from math import lcm
 
 from . import certify
 from .model import (
-    LIMIT_KINDS,
     FiniteMemoryStrategy,
     Objective,
     PureMemorylessStrategy,
@@ -32,6 +31,7 @@ from .model import (
     check_valid,
     fix_strategies,
     relabel_controlled,
+    require_limit,
 )
 
 RNG_ALGORITHM = "mt19937-randrange"
@@ -61,8 +61,7 @@ def check_enumerable(sizes) -> None:
 
 def enumerate_solve(game: Ssg, objective: Objective) -> SolveResult:
     """Statewise sup-inf over all pure memoryless profiles, exact rationals."""
-    if objective.kind not in LIMIT_KINDS:
-        raise ValueError(f"not a limit objective: {objective.kind}")
+    require_limit(objective)
     check_valid(game)
     return _enumerate(game, lambda chain: certify.chain_tail_value(chain, objective))
 

@@ -17,7 +17,10 @@ optimal strategy costs one best response when the rule holds and at most
 two otherwise.  A switch candidate gets its best response only if the chain
 it makes against the held reply's witness passes the vector test; that
 chain's values bound the best response, so the skipped candidates are ones
-the test would reject.  Nothing here enumerates strategies; exhaustive
+the test would reject.  The chain differs from the held pair's at the
+switched state alone, so the test is one sign there
+(``mdp._switch_sign``): no hitting or transient solve, and no state that
+the switched one cannot reach is read.  Nothing here enumerates strategies; exhaustive
 enumeration lives in ``oracle`` as ground truth.
 """
 
@@ -28,14 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import mdp
-from .model import (
-    LIMIT_KINDS,
-    Objective,
-    PureMemorylessStrategy,
-    SolveResult,
-    Ssg,
-    check_valid,
-)
+from .model import Objective, PureMemorylessStrategy, SolveResult, Ssg, check_valid, require_limit
 
 
 class NoCertificate(RuntimeError):
@@ -48,16 +44,11 @@ class SsgSolve:
     method: str
 
 
-def _limit_only(objective: Objective) -> None:
-    if objective.kind not in LIMIT_KINDS:
-        raise ValueError(f"not a limit objective: {objective.kind}")
-
-
 def best_response(game: Ssg, fixed: PureMemorylessStrategy, objective: Objective) -> SolveResult:
     """Exact best response of the other player against ``fixed``, solved on
     the residual index that ``fixed`` leaves of the game's index
     (``model.Index.fixed``); no game is built."""
-    _limit_only(objective)
+    require_limit(objective)
     fixed.validate_for(game)
     residual = game.index.fixed(fixed.choice)
     return mdp.limit_on_index(residual, objective, "max" if fixed.player == "min" else "min")
@@ -95,22 +86,28 @@ def solve_limit_ssg(game: Ssg, objective: Objective) -> SsgSolve:
     iteration may run again, but its classes are not re-evaluated.
 
     A scan spends a best response only on a candidate that its chain bound
-    admits.  Min's exact reply to a Max candidate σ′ has values v′ ≤ val(σ′,
-    τ) at every state for every Min strategy τ, since the reply minimizes
-    over all of them; take for τ the Min witness of the reply the scan
-    holds, and let c = val(σ′, τ), the values of the Markov chain the pair
-    makes.  The vector test accepts σ′ only if v′ ≥ vec and v′ ≠ vec.  Then
-    c ≥ v′ ≥ vec, and c ≠ vec, since c = vec would squeeze v′ to vec.  So if
-    c fails "c ≥ vec and c ≠ vec", v′ fails the test too, and σ′ is
-    skipped.  Min's descent is the mirror case: Max's reply to τ′ has v′ ≥
-    val(σ, τ′) for σ the Max witness of the held reply, and the test asks
-    for v′ ≤ vec and v′ ≠ vec.  The bound is exact, c being compared with
-    vec in Fractions (``mdp._ChainValues.order``), so it skips only
-    candidates the scan would reject: the scan order, the accepted switch, the returned
-    strategies and replies do not change, only the number of best
-    responses does.  The held witness is used only when it fixes exactly
-    the opponent's states; an opponent without states has the empty
-    choice, and a witness that misses a state bounds nothing.
+    admits.  Min's exact reply to a Max candidate σ′, which differs from σ
+    at one state u, has values v′ ≤ val(σ′, τ) at every state for every Min
+    strategy τ, since the reply minimizes over all of them; take for τ the
+    Min witness of the reply the scan holds, and let c = val(σ′, τ), the
+    values of the Markov chain the pair makes.  The vector test accepts σ′
+    only if v′ ≥ vec and v′ ≠ vec.  Then c ≥ v′ ≥ vec, and c ≠ vec, since c
+    = vec would squeeze v′ to vec.  The witness τ attains vec against σ, so
+    vec are the values of the chain that (σ, τ) makes, which takes the
+    same step as c's chain at every state but u.  Then c - vec has the sign
+    of c(u) - vec(u) wherever it is not 0 (``mdp._switch_sign``), and "c ≥
+    vec and c ≠ vec" holds exactly when c(u) > vec(u).  So σ′ is skipped
+    when c(u) ≤ vec(u), and v′ fails the test then too.  Min's descent is
+    the mirror case: Max's reply to τ′ has v′ ≥ val(σ, τ′) for σ the Max
+    witness of the held reply, the test asks for v′ ≤ vec and v′ ≠ vec, and
+    τ′ is skipped when c(u) ≥ vec(u).  The rule needs the held witness to
+    attain vec; every best response's witness does.  The sign is decided
+    in Fractions, so the bound skips only candidates the scan would reject:
+    the scan order, the accepted switch, the returned strategies and
+    replies do not change, only the number of best responses does.  The
+    held witness is used only when it fixes exactly the opponent's states;
+    an opponent without states has the empty choice, and a witness that
+    misses a state bounds nothing.
 
     Min's descent certifies τ on Max's reply alone whenever no Min reply
     can lower vec, the values of Max's exact best response to τ
@@ -140,7 +137,7 @@ def solve_limit_ssg(game: Ssg, objective: Objective) -> SsgSolve:
     at, and Min has finitely many pure memoryless strategies, so the loop
     ends.
     """
-    _limit_only(objective)
+    require_limit(objective)
     check_valid(game)
     scope = mdp.COMPONENT_MEMO.set({})
     try:
@@ -205,13 +202,20 @@ def _improve(game, objective, player, choice, respond, done):
     too, so the scan accepts the same switch.
     """
     better = operator.ge if player == "max" else operator.le
+    ids = game.index.ids
     result = respond(player, choice)
     vec = _vector(game, result.values)
     while not done(vec, result):
         opponent = _opponent_choice(game, player, result)
-        for candidate in _switches(game, player, choice):
-            if opponent is not None and not _may_improve(game, objective, player, {**opponent, **candidate}, vec):
-                continue
+        if opponent is not None:
+            pair = {**opponent, **choice}
+            held = [pair.get(sid, 0) for sid in ids]
+        for u, candidate in _switches(game, player, choice):
+            if opponent is not None:
+                profile = held.copy()
+                profile[u] = candidate[ids[u]]
+                if not _may_improve(game, objective, player, profile, u, vec):
+                    continue
             reply = respond(player, candidate)
             cvec = _vector(game, reply.values)
             if cvec != vec and all(map(better, cvec, vec)):
@@ -232,25 +236,24 @@ def _opponent_choice(game, player, reply):
     return choice if choice.keys() == set(game.owner_ids(opponent)) else None
 
 
-def _may_improve(game, objective, player, profile, vec):
-    """Whether the chain where every controlled state takes its choice in
-    ``profile`` passes the vector test against ``vec``: its values are
-    better for ``player`` than or equal to ``vec`` at every state and
-    differ at one (``mdp._ChainValues.order``)."""
-    index = game.index
-    chain = mdp._ChainValues(index, [profile.get(sid, 0) for sid in index.ids], objective.kind)
-    at_least, at_most = chain.order(vec)
-    return at_least and not at_most if player == "max" else at_most and not at_least
+def _may_improve(game, objective, player, profile, u, vec):
+    """Whether the chain where node v of the game's index takes its chain
+    step ``profile[v]`` passes the vector test against ``vec``, the values
+    of the chain that differs from it at node ``u`` alone: its values are
+    better for ``player`` than ``vec`` at u, and so at least as good at
+    every node (``mdp._switch_sign``)."""
+    return mdp._switch_sign(game.index, profile, u, objective.kind, vec) == (1 if player == "max" else -1)
 
 
 def _switches(game, player, choice):
-    """Every strategy that differs from ``choice`` at one state, in game order."""
+    """Every strategy that differs from ``choice`` at one state, in game
+    order, with the node of the index where it differs."""
     index = game.index
-    for sid, who, targets in zip(index.ids, index.owner, index.succ):
+    for u, (sid, who, targets) in enumerate(zip(index.ids, index.owner, index.succ)):
         if who == player:
             for k in range(len(targets)):
                 if k != choice[sid]:
-                    yield {**choice, sid: k}
+                    yield u, {**choice, sid: k}
 
 
 def check_threshold(p: Fraction, relation: str) -> None:

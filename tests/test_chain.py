@@ -4,6 +4,8 @@ import pytest
 
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from ocsg import chain as chain_mod
 from ocsg import mdp, oracle
 from ocsg.certify import analyze_bscc, bscc_decompose, chain_tail_value, reach_probabilities
@@ -308,6 +310,39 @@ def test_analyze_bscc_classifies_by_the_table():
         analysis = analyze_bscc(chain, frozenset(chain.ids()))
         assert (analysis.mean_payoff, analysis.potential is not None) == (mean, has_potential)
         assert analysis.classification == {kind: int(_paper_rule(kind, mean, has_potential)) for kind in LIMIT_KINDS}
+
+
+GRAPHS = st.integers(1, 10).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(st.integers(0, n - 1), max_size=3), min_size=n, max_size=n),
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=3),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(GRAPHS)
+def test_bottom_sccs_from_roots_are_the_reached_bottom_sccs(graph):
+    # A node lies in a bottom SCC exactly when every node it reaches
+    # reaches it back; its SCC is then the set it reaches.
+    succ, roots = graph
+
+    def reach(sources):
+        seen, stack = set(sources), list(sources)
+        while stack:
+            for t in succ[stack.pop()]:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        return seen
+
+    closure = [reach([v]) for v in range(len(succ))]
+    bottoms = {tuple(sorted(closure[v])) for v in range(len(succ)) if all(v in closure[t] for t in closure[v])}
+    reached = reach(roots)
+    found = chain_mod.bottom_sccs(succ, roots)
+    assert all(comp == sorted(comp) for comp in found)
+    assert sorted(map(tuple, found)) == sorted(comp for comp in bottoms if reached.issuperset(comp))
+    assert len(found) == len(set(map(tuple, found)))
 
 
 def test_chain_reach_is_reach_probabilities_of_the_fixed_chain():

@@ -406,3 +406,25 @@ def test_objective_validation():
     with pytest.raises(ValueError):
         Objective("nonsense")
     assert Objective.term(3).j == 3
+
+
+def test_limit_entries_reject_a_termination_objective():
+    # One check, one message, at every public entry of the limit solvers.
+    from ocsg import certify, mdp, oracle, ssg
+
+    game = parse_model("ssg rewards=transitions\nstate a owner=max\nstate b owner=rand\ntrans a -> b reward=0\n"
+                       "trans a -> a reward=1\ntrans b -> b p=1/1 reward=-1\n")
+    chain = fix_strategies(game, PureMemorylessStrategy("max", {"a": 0}))
+    term = Objective.term(1)
+    entries = (
+        lambda: ssg.solve_limit_ssg(game, term),
+        lambda: ssg.best_response(game, PureMemorylessStrategy("min", {}), term),
+        lambda: mdp.quantitative_limit(game, term),
+        lambda: mdp.limit_on_index(game.index, term),
+        lambda: oracle.enumerate_solve(game, term),
+        lambda: certify.chain_tail_value(chain, term),
+    )
+    for entry in entries:
+        with pytest.raises(ValueError) as raised:
+            entry()
+        assert str(raised.value) == "not a limit objective: term"

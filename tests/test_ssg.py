@@ -636,9 +636,9 @@ def test_one_solve_evaluates_each_end_component_once(monkeypatch):
     analyzed, chains = [], []
     closed_classes, closed_class = mdp._closed_classes, mdp._ClosedClass
 
-    def spy_classes(steps, succ, prob, rewards):
+    def spy_classes(steps, succ, prob, rewards, roots):
         chains.append(steps)
-        return closed_classes(steps, succ, prob, rewards)
+        return closed_classes(steps, succ, prob, rewards, roots)
 
     def spy_analyze(members, succ, prob, rewards):
         # A closed class's content: per member its id, targets,
@@ -721,53 +721,50 @@ def _profiles(game):
         yield dict(zip(controlled, picks))
 
 
-def _chain_values(game, profile, objective):
+class _TailValues(dict):
+    """The exact tail values of the chain that a profile of ``game`` makes
+    (``certify.chain_tail_value``), by node, each profile evaluated once."""
+
+    def __init__(self, game, objective):
+        super().__init__()
+        self.game, self.objective = game, objective
+
+    def __missing__(self, key):
+        profile, game = dict(key), self.game
+        sigma = PureMemorylessStrategy("max", {sid: profile[sid] for sid in game.owner_ids("max")})
+        tau = PureMemorylessStrategy("min", {sid: profile[sid] for sid in game.owner_ids("min")})
+        values = certify.chain_tail_value(fix_strategies(game, sigma, tau), self.objective)
+        self[key] = [values[sid] for sid in game.ids()]
+        return self[key]
+
+
+def _assert_switch_signs(game, profile, tail):
+    # Every single switch of ``profile``: the rule's sign against the held
+    # chain's exact values is the sign of the exact difference at the
+    # switched node, and the difference has that sign or is 0 everywhere.
     index = game.index
-    return mdp._ChainValues(index, [profile.get(sid, 0) for sid in index.ids], objective.kind)
-
-
-def _assert_chain_values(game, profile, objective, vectors):
-    # The kernel against the tail values of the chain fix_strategies
-    # builds, its sure values against those, and its order against each of
-    # ``vectors`` against the order of the exact values.
-    chain = _chain_values(game, profile, objective)
-    sigma = PureMemorylessStrategy("max", {sid: profile[sid] for sid in game.owner_ids("max")})
-    tau = PureMemorylessStrategy("min", {sid: profile[sid] for sid in game.owner_ids("min")})
-    expected = certify.chain_tail_value(fix_strategies(game, sigma, tau), objective)
-    # A fresh kernel for the order, which has not solved for its values.
-    order = _chain_values(game, profile, objective).order
-    assert dict(zip(game.ids(), chain.values)) == expected, objective.kind
-    for sure, value in zip(chain.sure, chain.values):
-        assert (0 < value < 1) if sure is None else value == sure, objective.kind
-    for vec in vectors:
-        exact = (all(map(operator.ge, chain.values, vec)), all(map(operator.le, chain.values, vec)))
-        assert order(vec) == exact, (objective.kind, vec)
-
-
-def _neighbour_vectors(game, profile, objective, rng):
-    """The chain values of every profile that differs from ``profile`` at
-    one state, and a random vector of values in [0, 1]."""
-    vectors = [[rng.choice((0, Fraction(1, 3), Fraction(1, 2), 1)) for _ in game.ids()]]
+    held = tail[frozenset(profile.items())]
     for sid in game.controlled_ids():
-        for k in range(len(game.state(sid).transitions)):
+        u = index.pos[sid]
+        for k in range(len(index.succ[u])):
             if k != profile[sid]:
-                vectors.append(_chain_values(game, {**profile, sid: k}, objective).values)
-    return vectors
+                switched = {**profile, sid: k}
+                values = tail[frozenset(switched.items())]
+                choice = [switched.get(t, 0) for t in index.ids]
+                rule = mdp._switch_sign(index, choice, u, tail.objective.kind, tuple(held))
+                assert rule == chain_mod.sign(values[u] - held[u]), (tail.objective.kind, switched)
+                assert {chain_mod.sign(c - h) for c, h in zip(values, held)} <= {0, rule}, switched
 
 
-def test_chain_values_match_chain_tail_value_on_the_grid():
-    # Every profile of every grid game: the kernel's values, read off the
-    # game's index, are the tail values of the chain fix_strategies builds.
-    import random
-
-    rng = random.Random(2718)
+def test_switch_sign_is_the_sign_of_the_difference_on_the_grid():
     for game in exhaustive_games():
-        for profile in _profiles(game):
-            for objective in LIMIT_OBJECTIVES:
-                _assert_chain_values(game, profile, objective, _neighbour_vectors(game, profile, objective, rng))
+        for objective in LIMIT_OBJECTIVES:
+            tail = _TailValues(game, objective)
+            for profile in _profiles(game):
+                _assert_switch_signs(game, profile, tail)
 
 
-def test_chain_values_match_chain_tail_value_on_dense_games():
+def test_switch_sign_is_the_sign_of_the_difference_on_dense_games():
     import random
 
     rng = random.Random(4242)
@@ -775,10 +772,53 @@ def test_chain_values_match_chain_tail_value_on_dense_games():
     for n in (8, 12, 16):
         for fseed in range(1, 9):
             game = parse_model(dense(n, fseed, None))
-            for _ in range(3):
-                profile = {sid: rng.randrange(len(game.state(sid).transitions)) for sid in game.controlled_ids()}
-                for objective in LIMIT_OBJECTIVES:
-                    _assert_chain_values(game, profile, objective, _neighbour_vectors(game, profile, objective, rng))
+            profiles = [
+                {sid: rng.randrange(len(game.state(sid).transitions)) for sid in game.controlled_ids()}
+                for _ in range(3)
+            ]
+            for objective in LIMIT_OBJECTIVES:
+                tail = _TailValues(game, objective)
+                for profile in profiles:
+                    _assert_switch_signs(game, profile, tail)
+
+
+# Max at u picks a fair ±1 coin loop (mean 0, no potential) or a +1 loop;
+# z <-> y is a mean-0 class with a potential that u cannot reach.
+UNREACHED_ZERO_CLASS = parse_model(
+    "ssg rewards=transitions\n"
+    "state u owner=max\nstate a owner=rand\nstate b owner=rand\nstate z owner=rand\nstate y owner=rand\n"
+    "trans u -> a reward=0\ntrans u -> b reward=0\n"
+    "trans a -> a p=1/2 reward=1\ntrans a -> a p=1/2 reward=-1\ntrans b -> b p=1/1 reward=1\n"
+    "trans z -> y p=1/1 reward=1\ntrans y -> z p=1/1 reward=-1\n"
+)
+
+
+def test_switch_sign_reads_only_the_classes_u_reaches(monkeypatch):
+    # The rule judges the classes that u reaches and no other: no potential
+    # test, stationary system or hitting solve touches z and y.
+    calls = []
+
+    def spy(name, call):
+        def counted(members, *args):
+            calls.append((name, set(members)))
+            return call(members, *args)
+
+        return counted
+
+    monkeypatch.setattr(chain_mod, "node_potential", spy("potential", chain_mod.node_potential))
+    monkeypatch.setattr(chain_mod, "stationary_system", spy("stationary", chain_mod.stationary_system))
+    monkeypatch.setattr(mdp, "_chain_reach", lambda *args: calls.append(("reach", args)))
+    game, index = UNREACHED_ZERO_CLASS, UNREACHED_ZERO_CLASS.index
+    tail = _TailValues(game, LIMINF_MINUS_INF)
+    u, a, b = (index.pos[sid] for sid in "uab")
+    to_a, to_b = tail[frozenset({"u": 0}.items())], tail[frozenset({"u": 1}.items())]
+    assert to_a == [1, 1, 0, 0, 0] and to_b == [0, 1, 0, 0, 0]
+    calls.clear()
+    assert mdp._switch_sign(index, [1, 0, 0, 0, 0], u, LIMINF_MINUS_INF.kind, tuple(to_a)) == -1
+    assert calls == [("stationary", {b})]
+    calls.clear()
+    assert mdp._switch_sign(index, [0, 0, 0, 0, 0], u, LIMINF_MINUS_INF.kind, tuple(to_b)) == 1
+    assert calls == [("stationary", {a}), ("potential", {a})]
 
 
 def test_skipped_candidates_fail_the_vector_test(monkeypatch):
@@ -787,11 +827,12 @@ def test_skipped_candidates_fail_the_vector_test(monkeypatch):
     may_improve = ssg._may_improve
     skipped = []
 
-    def spy(game, objective, player, profile, vec):
-        admitted = may_improve(game, objective, player, profile, vec)
+    def spy(game, objective, player, profile, u, vec):
+        admitted = may_improve(game, objective, player, profile, u, vec)
         if not admitted:
             better = operator.ge if player == "max" else operator.le
-            candidate = PureMemorylessStrategy(player, {sid: profile[sid] for sid in game.owner_ids(player)})
+            pos = game.index.pos
+            candidate = PureMemorylessStrategy(player, {sid: profile[pos[sid]] for sid in game.owner_ids(player)})
             cvec = tuple(ssg.best_response(game, candidate, objective).values[sid] for sid in game.ids())
             assert cvec == vec or not all(map(better, cvec, vec)), objective.kind
             skipped.append(player)
@@ -854,31 +895,3 @@ def test_best_response_counts(monkeypatch):
         seen.clear()
         ssg.solve_limit_ssg(parse_model((DATA / name).read_text()), objective)
         assert len(seen) == count, name
-
-
-# Two transient rand states, each a fair coin between a winning and a
-# losing loop under mean-gt: both are worth 1/2.
-TWO_COINS = parse_model(
-    "ssg rewards=transitions\n"
-    "state a owner=rand\nstate b owner=rand\nstate w owner=rand\nstate l owner=rand\n"
-    "trans a -> w p=1/2 reward=0\ntrans a -> l p=1/2 reward=0\n"
-    "trans b -> w p=1/2 reward=0\ntrans b -> l p=1/2 reward=0\n"
-    "trans w -> w p=1/1 reward=1\ntrans l -> l p=1/1 reward=-1\n"
-)
-
-
-def test_chain_order_solves_only_when_one_step_leaves_it_open():
-    third, half = Fraction(1, 3), Fraction(1, 2)
-    cases = (
-        ((third, third, 1, 0), (True, False), False),
-        ((half, half, 1, 0), (True, True), False),
-        ((half, 1, 1, 0), (False, True), False),
-        ((third, 2 * third, 1, 0), (False, False), True),
-        ((third, third, 0, 0), (True, False), True),
-        ((half, half, 0, 1), (False, False), False),
-    )
-    for vec, order, solved in cases:
-        chain = mdp._ChainValues(TWO_COINS.index, [0, 0, 0, 0], MEAN_GT.kind)
-        assert chain.sure == [None, None, 1, 0]
-        assert chain.order(vec) == order, vec
-        assert ("values" in vars(chain)) == solved, vec
