@@ -11,9 +11,9 @@ hitting-probability rows (``hitting_rows``), and the winning mean signs of
 each limit objective with the mean-0 potential rule (``WINNING_SIGNS``,
 read by ``class_wins``).
 
-The weight of a step u -> v is ``model.step_reward``: the edge reward, the
-counter delta, or the reward r(v) of the state it arrives at, so cycle
-sums agree with the run prefix sums in every flavour.
+The weight of a step u -> v is the one in ``model.Index.weight``: the edge
+reward, the counter delta, or the reward r(v) of the state it arrives at,
+so cycle sums agree with the run prefix sums in every flavour.
 """
 
 from __future__ import annotations

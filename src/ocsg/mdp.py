@@ -51,7 +51,7 @@ game is built per best response, MEC, round or cut:
   held reply's witness and vec the scan's vector (``_switch_sign``): the
   closed classes u reaches (``chain.bottom_sccs`` rooted at u), their
   memoized means judged by ``chain.class_wins`` (``chain.node_potential``
-  at mean 0), and one step from u when they are mixed.  It reads only the
+  at mean 0, its verdict memoized with the class), and one step from u when they are mixed.  It reads only the
   nodes u reaches (``_StepField``), and solves nothing but the stationary
   systems of classes not yet memoized.
 
@@ -59,7 +59,7 @@ Inside one ``ssg.solve_limit_ssg`` call, ``COMPONENT_MEMO`` holds a dict
 that memoizes closed classes of induced chains by content
 (``_closed_classes``): each class's mean, and the factorization of its
 stationary system, from which its canonical bias is computed on the first
-read and kept, keyed on its members' steps in game order, each (id,
+read and kept, and its potential verdict once tested, keyed on its members' steps in game order, each (id,
 ((target id, numerator, denominator, weight), ...)) in strs and ints.  A
 key holds every probability and weight the class's analysis reads, so
 equal keys mean equal results, and a lookup hashes no ``State``,
@@ -236,22 +236,25 @@ def _switch_sign(index, choice: list[int], u: int, kind: str, vec) -> int:
     c(u) reads only the closed classes u reaches in C (``_closed_classes``
     rooted at u, memoized as a best response's are), judged by
     ``chain.class_wins``, which runs ``chain.node_potential`` only on a
-    mean-0 class under the liminf = -inf and liminf > -inf objectives.
-    c(u) is 1 if they all win and 0 if they all lose.  Otherwise u is
-    transient, its return probability r is below 1, and the step from u
-    gives d(u) = q + r d(u) for q = sum_t P_C(u, t) vec(t) - vec(u), so
+    mean-0 class under the liminf = -inf and liminf > -inf objectives, and
+    once per memoized class (``_ClosedClass.potential``).  c(u) is 1 if
+    they all win and 0 if they all lose.  Otherwise u is transient, its
+    return probability r is below 1, and the step from u gives
+    d(u) = q + r d(u) for q = sum_t P_C(u, t) vec(t) - vec(u), so
     d(u) has the sign of q.  Nothing is solved but the stationary systems
     of classes not yet memoized, and only the nodes u reaches are read.
     """
     owner, weight = index.owner, index.weight
     steps, succ, prob, rewards = (_StepField(index, choice, field) for field in (None, 0, 1, 2))
 
-    def has_potential(members):
-        weights = {v: weight[v] if owner[v] == "rand" else (weight[v][choice[v]],) for v in members}
-        return chain_mod.node_potential(members, succ, weights) is not None
+    def has_potential(members, closed):
+        if closed.potential is None:
+            weights = {v: weight[v] if owner[v] == "rand" else (weight[v][choice[v]],) for v in members}
+            closed.potential = chain_mod.node_potential(members, succ, weights) is not None
+        return closed.potential
 
     wins = {
-        chain_mod.class_wins(kind, closed.mean, lambda: has_potential(members))
+        chain_mod.class_wins(kind, closed.mean, lambda: has_potential(members, closed))
         for members, closed in zip(*_closed_classes(steps, succ, prob, rewards, [u]))
     }
     if len(wins) == 1:
@@ -306,9 +309,11 @@ def almost_sure_reach(index, targets) -> AsrResult:
 
 
 class _ClosedClass:
-    """A closed class of an induced chain: its mean payoff, and its
-    canonical bias (stationary average 0, a list in member order) computed
-    on the first read of ``bias`` and kept.
+    """A closed class of an induced chain: its mean payoff, its canonical
+    bias (stationary average 0, a list in member order) computed on the
+    first read of ``bias`` and kept, and ``potential``, whether it has a
+    potential (``chain.node_potential``), None until ``_switch_sign`` first
+    tests it.  The memo key holds every target and weight that test reads.
 
     ``members`` are nodes of the game index in game order; node v steps to
     ``succ[v][k]`` with probability ``prob[v][k]`` and has the per-visit
@@ -326,6 +331,7 @@ class _ClosedClass:
         self.law, self._system = chain_mod.stationary_system(members, succ, prob)
         self._rewards = [rewards[v] for v in members]
         self.mean = sum((w * r for w, r in zip(self.law, self._rewards)), Fraction(0))
+        self.potential: bool | None = None
 
     @cached_property
     def bias(self) -> list[Fraction]:

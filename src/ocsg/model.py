@@ -22,21 +22,21 @@ These and the other model rules are stated once, in ``validate``, whose
 rules on a state's successors and probabilities are ``_successor_faults``.
 Input is validated where it enters the program, derived games are not.
 
-A model is compiled once: per state a row (id, owner, reward, edges), each
-edge (target, prob, reward, delta), which ``validate`` and the int
-``Index`` read.  ``parse_model`` takes one of two paths, each one pass over
-the text.  A text in ``print_model``'s form that keeps every rule, which is
-every text the printer writes, is compiled straight into the ``Index`` and
-a per-state reward column, with one pattern per flavour for its lines and
-``_successor_faults`` for its states (``_compile_printed``); its rows are
-derived from the index on their first read.  Every other text, and so every
-error, takes the line parser, which reads tokens and lines into the rows,
-splits tokens at whitespace, computes a syntax error's column only when the
-error is raised, makes each distinct ``p=`` numeral one ``Fraction`` per
-parse, and reports a broken rule at its line.  A parsed game builds its
-``State`` and ``Transition`` objects only on their first read, so a solve,
-a termination query or a simulation on it, which read the index, builds
-none.
+A game has one per-state form, its ``states``: per state a ``State`` (id,
+owner, reward, transitions), each edge a ``Transition`` (target, prob,
+reward, delta), both named tuples, which ``validate``, the printer and the
+int ``Index`` read.  ``parse_model`` takes one of two paths, each one pass
+over the text.  A text in ``print_model``'s form that keeps every rule,
+which is every text the printer writes, is compiled straight into the
+``Index`` and a per-state reward column, with one pattern per flavour for
+its lines and ``_successor_faults`` for its states (``_compile_printed``);
+its states are derived from the index in one pass on their first read, so
+a solve, a termination query or a simulation on it, which read the index,
+builds none.  Every other text, and so every error, takes the line parser,
+which reads tokens and lines into the states, splits tokens at whitespace,
+computes a syntax error's column only when the error is raised, makes each
+distinct ``p=`` numeral one ``Fraction`` per parse, and reports a broken
+rule at its line.
 """
 
 from __future__ import annotations
@@ -44,10 +44,11 @@ from __future__ import annotations
 import re
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from typing import NamedTuple
 
 OWNERS = ("max", "min", "rand")
 REWARD_VALUES = (-1, 0, 1)
@@ -83,16 +84,14 @@ class ModelSemanticError(ModelError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     target: str
     prob: Fraction | None = None
     reward: int | None = None
     delta: int | None = None
 
 
-@dataclass(frozen=True)
-class State:
+class State(NamedTuple):
     id: str
     owner: str
     reward: int | None = None
@@ -115,8 +114,8 @@ class Index:
     """A game on int nodes 0..n-1 in game order, the form the int fixpoints
     read (``_GameOps.index``): ``ids[v]`` and ``pos`` convert between nodes
     and state ids; per node its owner and, in edge order, the target nodes,
-    probabilities (None on a controlled edge) and ``step_reward`` weights
-    of its edges.
+    probabilities (None on a controlled edge) and weights of its edges, by
+    the rule ``_GameOps.index`` states.
 
     A two-player solve derives what each best response reads from the
     game's one index, with no game built: ``fixed`` collapses one player's
@@ -211,15 +210,13 @@ class Index:
 
 
 class _GameOps:
-    """Shared helpers; subclasses carry a ``states`` tuple.
+    """Shared helpers; subclasses carry a ``states`` tuple, the game's one
+    per-state form, and each builds its int ``index`` once.
 
-    A game is read through its two compiled forms, each built once:
-    ``rows``, which ``validate`` and ``index`` read, and the int ``index``.
-    A game built in code derives its rows from its states.  A parsed game
-    holds no states and builds them from its rows when they are first read:
-    the line parser's game holds its rows, and a game compiled from
-    ``print_model``'s form holds only its index and ``state_rewards``,
-    from which its rows are derived on their first read.
+    A game built in code or by the line parser holds its states.  A game
+    compiled from ``print_model``'s form holds only its index and
+    ``state_rewards``, and derives its states from them on their first
+    read.
     """
 
     states: tuple[State, ...]
@@ -233,37 +230,21 @@ class _GameOps:
 
     def __getattr__(self, name):
         # Reached only for a missing attribute: a compiled game's states,
-        # built from its rows on their first read.
-        if name != "states" or not vars(self).keys() & {"rows", "index"}:
+        # derived from its index on their first read, in one pass, by the
+        # flavour's weight rule (``index``) read backwards.
+        if name != "states" or "index" not in vars(self):
             raise AttributeError(name)
-        states = vars(self)["states"] = tuple(
-            State(sid, owner, reward, tuple(Transition(*edge) for edge in edges))
-            for sid, owner, reward, edges in self.rows
-        )
-        return states
-
-    @cached_property
-    def rows(self) -> tuple[tuple, ...]:
-        """Per state (id, owner, reward, edges), each edge (target, prob,
-        reward, delta), in game and edge order: from the states, or on a
-        game compiled into its index, from the index by the flavour's
-        weight rule (``index``) read backwards."""
-        if "states" in vars(self):
-            return tuple(
-                (s.id, s.owner, s.reward, tuple((t.target, t.prob, t.reward, t.delta) for t in s.transitions))
-                for s in self.states
-            )
         index = self.index
         ids = index.ids
         on_counter = isinstance(self, OcSsg)
         on_edges = not on_counter and self.reward_location == ON_TRANSITIONS
-        return tuple(
-            (
+        states = vars(self)["states"] = tuple(
+            State(
                 sid,
                 owner,
                 reward,
                 tuple(
-                    (ids[t], p, w if on_edges else None, w if on_counter else None)
+                    Transition(ids[t], p, w if on_edges else None, w if on_counter else None)
                     for t, p, w in zip(targets, probs, weights)
                 ),
             )
@@ -271,36 +252,36 @@ class _GameOps:
                 ids, index.owner, self.state_rewards, index.succ, index.prob, index.weight
             )
         )
+        return states
 
     @cached_property
     def state_rewards(self) -> tuple[int | None, ...]:
         """Per state in game order its reward, None unless rewards sit on states."""
-        return tuple(row[2] for row in self.rows)
-
-    @cached_property
-    def by_id(self) -> dict[str, State]:
-        return {s.id: s for s in self.states}
+        return tuple(s.reward for s in self.states)
 
     @cached_property
     def index(self) -> Index:
-        """This game as an ``Index``, built once from its rows, column by
-        column: the weights follow ``step_reward``'s rule per flavour with
-        no call per edge.  A game compiled from ``print_model``'s form holds
-        its index from the start."""
-        rows = self.rows
-        ids = tuple(row[0] for row in rows)
+        """This game as an ``Index``, built once from its states, column by
+        column.  The weight of a step is the counter delta in a counter
+        game, the edge reward in a transition-reward game, and the reward of
+        the state it arrives at in a state-reward game, so prefix sums of a
+        run differ from the state-reward sums only by the initial state's
+        reward, which no limit objective observes.  A game compiled from
+        ``print_model``'s form holds its index from the start."""
+        states = self.states
+        ids = tuple(s.id for s in states)
         pos = {sid: v for v, sid in enumerate(ids)}
         # Per state its edges' columns: targets, probabilities, rewards, deltas.
-        columns = [tuple(zip(*row[3])) or ((),) * 4 for row in rows]
+        columns = [tuple(zip(*s.transitions)) or ((),) * 4 for s in states]
         succ = tuple(tuple(map(pos.__getitem__, column[0])) for column in columns)
         if isinstance(self, OcSsg):
             weight = tuple(column[3] for column in columns)
         elif self.reward_location == ON_TRANSITIONS:
             weight = tuple(column[2] for column in columns)
         else:
-            reward = [row[2] for row in rows]
+            reward = [s.reward for s in states]
             weight = tuple(tuple(map(reward.__getitem__, targets)) for targets in succ)
-        return Index(ids, pos, tuple(row[1] for row in rows), succ, tuple(column[1] for column in columns), weight)
+        return Index(ids, pos, tuple(s.owner for s in states), succ, tuple(column[1] for column in columns), weight)
 
     @cached_property
     def violations(self) -> tuple[str, ...]:
@@ -308,7 +289,7 @@ class _GameOps:
         return tuple(validate(self))
 
     def state(self, state_id: str) -> State:
-        return self.by_id[state_id]
+        return self.states[self.index.pos[state_id]]
 
     def ids(self) -> tuple[str, ...]:
         return self.index.ids
@@ -330,16 +311,10 @@ class Ssg(_GameOps):
     states: tuple[State, ...]
     reward_location: str = ON_STATES
 
-    def with_states(self, states: tuple[State, ...]) -> "Ssg":
-        return Ssg(states=states, reward_location=self.reward_location)
-
 
 @dataclass(frozen=True, eq=True)
 class OcSsg(_GameOps):
     states: tuple[State, ...]
-
-    def with_states(self, states: tuple[State, ...]) -> "OcSsg":
-        return OcSsg(states=states)
 
 
 @dataclass(frozen=True)
@@ -504,20 +479,20 @@ def _successor_faults(rand: bool, probs) -> dict[int | None, str]:
 def _violations(game: Ssg | OcSsg):
     """Yield ``(state position, edge position or None, message)`` per broken
     model rule, in a fixed order; a whole-game rule has state position None.
-    The rules read the game's ``rows``; those on successors and
+    The rules read the game's ``states``; those on successors and
     probabilities are ``_successor_faults``."""
-    rows = game.rows
+    states = game.states
     seen = set()
-    for i, row in enumerate(rows):
-        if row[0] in seen:
+    for i, s in enumerate(states):
+        if s.id in seen:
             yield i, None, "duplicate state id"
-        seen.add(row[0])
+        seen.add(s.id)
     is_oc = isinstance(game, OcSsg)
     loc = None if is_oc else game.reward_location
     if not is_oc and loc not in (ON_STATES, ON_TRANSITIONS):
         yield None, None, f"reward location {loc!r} invalid"
 
-    for i, (_, owner, state_reward, edges) in enumerate(rows):
+    for i, (_, owner, state_reward, edges) in enumerate(states):
         if owner not in OWNERS:
             yield i, None, f"unknown owner {_quoted(owner)}"
         faults = _successor_faults(owner == "rand", [edge[1] for edge in edges])
@@ -558,7 +533,7 @@ def _describe(game: Ssg | OcSsg, i: int | None, k: int | None, message: str) -> 
     """``message`` prefixed with the state (``a: ...``) or edge (``a[k]: ...``) it is about."""
     if i is None:
         return message
-    sid = _clipped(game.rows[i][0])
+    sid = _clipped(game.states[i].id)
     where = sid if k is None else f"{sid}[{k}]"
     return f"{where}: {message}"
 
@@ -698,13 +673,13 @@ def _compile_printed(text: str) -> Ssg | OcSsg | None:
         return None
     start = len(header) + 1
     cut = text.find("\ntrans ", start - 1) + 1 or len(text)  # where the first trans line starts
-    rows = patterns[0].findall(text, start, cut)
+    nodes = patterns[0].findall(text, start, cut)
     edges = patterns[1].findall(text, cut)
     # findall skips a line its pattern does not match, so every line matched
     # iff the matches are as many as the line ends.
-    if len(rows) != text.count("\n", start, cut) or len(edges) != text.count("\n", cut):
+    if len(nodes) != text.count("\n", start, cut) or len(edges) != text.count("\n", cut):
         return None
-    ids, owner, rewards = zip(*rows) if rows else ((),) * 3
+    ids, owner, rewards = zip(*nodes) if nodes else ((),) * 3
     sources, targets, numerals, units = zip(*edges) if edges else ((),) * 4
     pos = {sid: v for v, sid in enumerate(ids)}
     try:
@@ -742,7 +717,7 @@ def parse_model(text: str) -> Ssg | OcSsg:
 
     A text in ``print_model``'s form that keeps every model rule is compiled
     in one pass straight into the game's ``Index`` (``_compile_printed``);
-    the game holds no rows or states until they are read.  Any other text,
+    the game holds no states until they are read.  Any other text,
     and so every error, takes the line parser ``_parse_lines``.
     """
     game = _compile_printed(text)
@@ -750,20 +725,19 @@ def parse_model(text: str) -> Ssg | OcSsg:
 
 
 def _parse_lines(text: str) -> Ssg | OcSsg:
-    """Parse the text format line by line into the game's ``rows``.
+    """Parse the text format line by line into the game's ``states``.
 
-    One pass over the lines compiles the text into the game's ``rows``; no
-    ``State`` is built until the game's ``states`` are read.  Tokens are
-    split at whitespace, an error's column is computed only when it is
-    raised, and each distinct ``p=`` numeral becomes one ``Fraction``,
+    One pass over the lines builds each ``State`` and ``Transition``.
+    Tokens are split at whitespace, an error's column is computed only when
+    it is raised, and each distinct ``p=`` numeral becomes one ``Fraction``,
     shared by every edge that writes it.  A broken model rule is reported
     at the first line it concerns: the ``trans`` line of an edge, the
     ``state`` line of a state.
     """
     header = None
     reward_location = None
-    # id -> owner, reward, its edges (target, prob, reward, delta), its lines
-    declared: dict[str, tuple[str, int | None, list[tuple], list[int]]] = {}
+    # id -> owner, reward, its edges, its lines
+    declared: dict[str, tuple[str, int | None, list[Transition], list[int]]] = {}
     probs: dict[str, Fraction] = {}  # raw p= numeral -> its value
 
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -825,7 +799,7 @@ def _parse_lines(text: str) -> Ssg | OcSsg:
                     prob = probs[raw] = _parse_prob(line, lineno, index, raw)
             reward = _parse_int_reward(line, lineno, *attrs["reward"], "reward") if "reward" in attrs else None
             delta = _parse_int_reward(line, lineno, *attrs["delta"], "delta") if "delta" in attrs else None
-            declared[src][2].append((dst, prob, reward, delta))
+            declared[src][2].append(Transition(dst, prob, reward, delta))
             declared[src][3].append(lineno)
 
         else:
@@ -834,11 +808,8 @@ def _parse_lines(text: str) -> Ssg | OcSsg:
     if header is None:
         raise ModelSyntaxError(1, 1, "empty input, expected header ssg|ocssg")
 
-    rows = tuple((sid, owner, reward, tuple(edges)) for sid, (owner, reward, edges, _) in declared.items())
-    if header == "ocssg":
-        game = OcSsg._compiled(rows=rows)
-    else:
-        game = Ssg._compiled(rows=rows, reward_location=reward_location)
+    states = tuple(State(sid, owner, reward, tuple(edges)) for sid, (owner, reward, edges, _) in declared.items())
+    game = OcSsg(states) if header == "ocssg" else Ssg(states, reward_location)
     if game.violations:
         lines = [entry[3] for entry in declared.values()]
         line, _, i, k, message = min(
@@ -859,12 +830,12 @@ def print_model(game: Ssg | OcSsg) -> str:
         lines.append("ocssg")
     else:
         lines.append(f"ssg rewards={game.reward_location}")
-    for sid, owner, reward, _ in game.rows:
+    for sid, owner, reward, _ in game.states:
         entry = f"state {sid} owner={owner}"
         if reward is not None:
             entry += f" reward={reward}"
         lines.append(entry)
-    for sid, _, _, edges in game.rows:
+    for sid, _, _, edges in game.states:
         for target, prob, reward, delta in edges:
             entry = f"trans {sid} -> {target}"
             if prob is not None:
@@ -896,41 +867,16 @@ def fix_strategies(
         if strat is not None:
             strat.validate_for(game)
             by_player[strat.player] = strat
-    new_states = []
+    states = []
     for s in game.states:
         strat = by_player.get(s.owner)
-        if strat is None:
-            new_states.append(s)
-            continue
-        t = s.transitions[strat.choice[s.id]]
-        collapsed = Transition(t.target, prob=Fraction(1), reward=t.reward, delta=t.delta)
-        new_states.append(State(s.id, "rand", reward=s.reward, transitions=(collapsed,)))
-    return game.with_states(tuple(new_states))
+        if strat is not None:
+            t = s.transitions[strat.choice[s.id]]
+            s = s._replace(owner="rand", transitions=(t._replace(prob=_ONE),))
+        states.append(s)
+    return replace(game, states=tuple(states))
 
 
 def relabel_controlled(game, owner: str):
     """Give every controlled state the same owner label (probabilities kept)."""
-    states = tuple(
-        State(s.id, owner if s.owner != "rand" else "rand", reward=s.reward, transitions=s.transitions)
-        for s in game.states
-    )
-    return game.with_states(states)
-
-
-def step_reward(game: Ssg | OcSsg, source: State, transition: Transition) -> int:
-    """Weight of the step ``source -> transition.target``: the rule that
-    says where a step's weight lives, stated per edge.  The solvers read
-    ``Index.weight``, which ``_GameOps.index`` fills by this rule a column
-    at a time.
-
-    In a counter game it is the counter delta, in a transition-reward game
-    the edge reward, and in a state-reward game the reward of the state the
-    step arrives at.  Prefix sums of a run therefore differ from the
-    state-reward sums only by the initial state's reward, which no limit
-    objective observes.
-    """
-    if isinstance(game, OcSsg):
-        return transition.delta
-    if game.reward_location == ON_TRANSITIONS:
-        return transition.reward
-    return game.state(transition.target).reward
+    return replace(game, states=tuple(s if s.owner == "rand" else s._replace(owner=owner) for s in game.states))

@@ -32,8 +32,8 @@ def _route_dead_sinks(game: Ssg, t: str, t_prime: str) -> Ssg:
             continue
         prob = Fraction(1) if s.owner == "rand" else None
         reward = s.transitions[0].reward if game.reward_location == "transitions" else None
-        states.append(replace(s, transitions=(Transition(t_prime, prob=prob, reward=reward),)))
-    return game.with_states(tuple(states))
+        states.append(s._replace(transitions=(Transition(t_prime, prob=prob, reward=reward),)))
+    return replace(game, states=tuple(states))
 
 
 def _check_normalized(game: Ssg, t: str, t_prime: str) -> None:
@@ -66,7 +66,7 @@ def normalize_reach_instance(game: Ssg, t: str, t_prime: str) -> Ssg:
     if t == t_prime:
         raise ValueError("t and t' must differ")
     for sid in (t, t_prime):
-        if sid not in game.by_id:
+        if sid not in game.index.pos:
             raise ValueError(f"unknown state {_quoted(sid)}")
     routed = _route_dead_sinks(game, t, t_prime)
     _check_normalized(routed, t, t_prime)
@@ -82,7 +82,8 @@ def condon_to_limit(game: Ssg, s: str, t: str, t_prime: str) -> Ssg:
     and liminf=+inf value 1 iff the reach-t' value is > 1/2 (else 0), both
     reach values taken on the normalized instance.
     """
-    if s not in game.by_id:
+    check_valid(game)
+    if s not in game.index.pos:
         raise ValueError(f"unknown state {_quoted(s)}")
     routed = normalize_reach_instance(game, t, t_prime)
 
@@ -92,7 +93,7 @@ def condon_to_limit(game: Ssg, s: str, t: str, t_prime: str) -> Ssg:
             states.append(State(st.id, "max", reward=-1 if st.id == t else 1, transitions=(Transition(s),)))
         else:
             transitions = tuple(Transition(tr.target, prob=tr.prob) for tr in st.transitions)
-            states.append(State(st.id, st.owner, reward=0, transitions=transitions))
+            states.append(st._replace(reward=0, transitions=transitions))
     return Ssg(tuple(states), reward_location="states")
 
 
@@ -106,14 +107,12 @@ def condon_to_termination(game: Ssg, s: str, t: str, t_prime: str, j: int | None
     if j is not None and j < 1:
         raise ValueError("termination requires j >= 1")
     limit_game = condon_to_limit(game, s, t, t_prime)
-    states = []
-    for st in limit_game.states:
-        transitions = tuple(
-            Transition(tr.target, prob=tr.prob, delta=limit_game.state(tr.target).reward)
-            for tr in st.transitions
-        )
-        states.append(State(st.id, st.owner, transitions=transitions))
-    counter_game = OcSsg(tuple(states))
+    reward = {st.id: st.reward for st in limit_game.states}
+    states = tuple(
+        st._replace(reward=None, transitions=tuple(tr._replace(delta=reward[tr.target]) for tr in st.transitions))
+        for st in limit_game.states
+    )
+    counter_game = OcSsg(states)
     if j is None:
         j = len(counter_game.states)
     return counter_game, s, j

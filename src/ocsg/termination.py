@@ -2,7 +2,7 @@
 
 The counter is never materialised: every solver here runs on the counter
 game as parsed and reads the counter change of a step from the game's
-``Index`` (its ``model.step_reward`` weights), so a query builds no
+``Index`` (its weights, the counter deltas), so a query builds no
 ``State``.  Large initial values reduce to the liminf=-inf
 question, small ones to almost-sure reachability on the counter unfolded to
 |V|+1 offsets, the level product.  No product is built: value 1 is

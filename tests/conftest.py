@@ -26,6 +26,21 @@ trans back -> v p=1/2 delta=1
 trans down -> down p=1/1 delta=-1
 """
 
+# A reachability instance whose state lost cannot reach t or u, so the
+# Condon reductions route it to u.
+DEAD_SINK_TEXT = """\
+ssg rewards=states
+state s owner=rand reward=0
+state t owner=rand reward=0
+state u owner=rand reward=0
+state lost owner=rand reward=0
+trans s -> t p=1/2
+trans s -> lost p=1/2
+trans t -> t p=1/1
+trans u -> u p=1/1
+trans lost -> lost p=1/1
+"""
+
 FAIR_WALK_TEXT = """\
 ocssg
 state s owner=rand
@@ -47,13 +62,19 @@ def fair_walk():
 
 @pytest.fixture
 def built_states(monkeypatch):
-    """Counts, by class name, of the ``State`` and ``Transition`` objects
-    built while the test runs."""
+    """Counts, by class name, of the ``State`` and ``Transition`` named
+    tuples built while the test runs, by their constructor or by ``_make``
+    (which ``_replace`` calls)."""
     calls = {}
     for cls in (model.State, model.Transition):
-        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+        def counted_new(klass, *args, _new=cls.__new__, _name=cls.__name__, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
-            _init(self, *args, **kwargs)
+            return _new(klass, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__init__", counted)
+        def counted_make(klass, iterable, _make=cls._make, _name=cls.__name__):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _make(iterable)
+
+        monkeypatch.setattr(cls, "__new__", counted_new)
+        monkeypatch.setattr(cls, "_make", classmethod(counted_make))
     return calls

@@ -56,7 +56,7 @@ import itertools
 import operator
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm, prod
 from pathlib import Path
@@ -82,7 +82,6 @@ from ocsg.model import (
     check_valid,
     fix_strategies,
     relabel_controlled,
-    step_reward,
 )
 
 PROBS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
@@ -240,6 +239,25 @@ def oc_to_reward_ssg(game: OcSsg) -> Ssg:
     return Ssg(states, reward_location=ON_TRANSITIONS)
 
 
+def step_reward(game: Ssg | OcSsg, source: State, transition: Transition) -> int:
+    """Weight of the step ``source -> transition.target``: the rule that
+    says where a step's weight lives, stated per edge.  It is the reference
+    for ``Index.weight``, which ``model._GameOps.index`` fills by this rule
+    a column at a time.
+
+    In a counter game it is the counter delta, in a transition-reward game
+    the edge reward, and in a state-reward game the reward of the state the
+    step arrives at.  Prefix sums of a run therefore differ from the
+    state-reward sums only by the initial state's reward, which no limit
+    objective observes.
+    """
+    if isinstance(game, OcSsg):
+        return transition.delta
+    if game.reward_location == ON_TRANSITIONS:
+        return transition.reward
+    return game.state(transition.target).reward
+
+
 def per_visit_reward(game, state):
     """Expected weight of the step that leaves rand ``state``."""
     return sum((t.prob * step_reward(game, state, t) for t in state.transitions), Fraction(0))
@@ -392,7 +410,7 @@ def restrict_to_mec(game, mec):
         keep = mec.allowed[s.id]
         index_map[s.id] = tuple(keep)
         states.append(State(s.id, s.owner, reward=s.reward, transitions=tuple(s.transitions[k] for k in keep)))
-    return game.with_states(tuple(states)), index_map
+    return replace(game, states=tuple(states)), index_map
 
 
 def named_mec(index, mec):
@@ -573,7 +591,7 @@ def induced_chain(game, policy: dict[str, int]) -> Ssg:
     """The chain left when every controlled state follows ``policy``."""
     split = {"max": {}, "min": {}}
     for sid, k in policy.items():
-        split[game.by_id[sid].owner][sid] = k
+        split[game.state(sid).owner][sid] = k
     return fix_strategies(game, *(PureMemorylessStrategy(player, choice) for player, choice in split.items()))
 
 
@@ -603,7 +621,7 @@ def remove_states(game, cut, z_id):
     z = z_id
     if z is None:
         z = "z"
-        while z in game.by_id:
+        while z in game.index.pos:
             z += "'"
     states = []
     for s in game.states:
@@ -618,12 +636,12 @@ def remove_states(game, cut, z_id):
             s = State(s.id, s.owner, reward=s.reward, transitions=transitions)
             z_id = z
         states.append(s)
-    if z_id is not None and z_id not in game.by_id:
+    if z_id is not None and z_id not in game.index.pos:
         z_reward = 0 if game.reward_location == ON_STATES else None
         zero_reward = 0 if game.reward_location == ON_TRANSITIONS else None
         loop = Transition(z_id, prob=Fraction(1), reward=zero_reward)
         states.append(State(z_id, "rand", reward=z_reward, transitions=(loop,)))
-    return game.with_states(tuple(states)), z_id
+    return replace(game, states=tuple(states)), z_id
 
 
 def reference_procedure_mp(game, start: str):
@@ -635,7 +653,7 @@ def reference_procedure_mp(game, start: str):
     current = game
     stitched: dict[str, int] = {}
     z_id = None
-    while start in current.by_id:
+    while start in current.index.pos:
         gains, sigma_mp = certify.expected_mean_payoff(current, "max")
         if gains[start] <= 0:
             return None

@@ -14,7 +14,8 @@ from ocsg.cli import run
 from ocsg.model import LIMIT_KINDS, Objective, PureMemorylessStrategy, parse_model, print_model
 from ocsg.reduce import condon_to_limit
 
-from conftest import DATA, FIVE_STATE_TEXT
+from conftest import DATA, DEAD_SINK_TEXT, FIVE_STATE_TEXT
+from grids import bench_families
 
 FAIR_COIN_TEXT = """\
 ssg rewards=states
@@ -409,11 +410,11 @@ def test_argparse_errors_cut_long_values(tmp_path, capsys, argv, names):
     assert lengths[0] == lengths[1] < 200
 
 
-def _golden(name):
-    """The reports of a golden file by case, the words after each ``# ``."""
+def _golden(name, marker="# "):
+    """The reports of a golden file by case, the words after each ``marker``."""
     golden = {}
     for line in (DATA / name).read_text().splitlines(keepends=True):
-        if line.startswith("# "):
+        if line.startswith(marker):
             case = tuple(line.split()[1:])
             golden[case] = ""
         else:
@@ -472,10 +473,29 @@ def test_term_reports_match_golden_file():
         assert out.getvalue() == expected, (name, qual, j)
 
 
+def test_reduce_reports_match_golden_file(tmp_path):
+    # `reduce` output of both kinds on the Condon instances of the
+    # ssg-dense pipes (bench/families.py reach_instance(n, f, None) for n
+    # = 4, 6, 8 and f = 1, 2, start q0) and on the dead-sink fixture, whose
+    # state lost is routed to u, pinned byte for byte.  A case starts at
+    # `## `, as condon-term output starts with its `# query` line.
+    reach_instance = bench_families().reach_instance
+    sources = {f"reach-n{n}-f{f}": (reach_instance(n, f, None), "q0") for n in (4, 6, 8) for f in (1, 2)}
+    sources["dead-sink"] = (DEAD_SINK_TEXT, "s")
+    golden = _golden("golden-reduce-reports.txt", "## ")
+    assert len(golden) == 2 * len(sources)
+    for (name, kind), expected in golden.items():
+        text, start = sources[name]
+        path = _write(tmp_path, f"{name}.ssg", text)
+        out = io.StringIO()
+        assert run(["reduce", path, "--kind", kind, "--start", start, "--t", "t", "--tprime", "u"], out) == 0
+        assert out.getvalue() == expected, (name, kind)
+
+
 def test_solve_and_term_build_no_state_objects(built_states):
-    # A parsed game is compiled into rows and its index; `solve` and `term`
-    # read only those, so no `State` or `Transition` is built, and the
-    # reports stay those of the golden files.
+    # A data model is compiled into its index; `solve` and `term` read only
+    # that, so no `State` or `Transition` is built, and the reports stay
+    # those of the golden files.
     solve, term = _golden("golden-solve-reports.txt"), _golden("golden-term-reports.txt")
     cases = [
         (["solve", "mdp-n20-f1.ssg", "--objective", "mean-gt"], solve["mdp-n20-f1.ssg", "mean-gt"]),
@@ -497,7 +517,7 @@ def test_solve_and_term_build_no_state_objects(built_states):
 def test_solve_and_term_on_data_models_build_no_rows(built_states, monkeypatch):
     # Every data model is in `print_model`'s form, so it is compiled
     # straight into its index: `solve` and `term` read only that, and
-    # neither the game's rows nor any `State` is built.  The reports are
+    # neither the game's states nor any `State` is built.  The reports are
     # those of the golden files (the first case of each model).
     parsed = []
 
@@ -520,7 +540,7 @@ def test_solve_and_term_on_data_models_build_no_rows(built_states, monkeypatch):
         out = io.StringIO()
         assert run(argv, out) == 0
         assert out.getvalue() == expected, case
-        assert not vars(parsed[-1]).keys() & {"rows", "states"}, case
+        assert "states" not in vars(parsed[-1]), case
     assert len(parsed) == len(cases) and built_states == {}
 
 

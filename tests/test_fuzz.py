@@ -267,7 +267,7 @@ def _assert_parsers_agree(text):
     assert outcome == reference
     if isinstance(outcome, (Ssg, OcSsg)):
         # The parsed game's index is compiled from the text or from its
-        # rows, the reference game's from its states.
+        # states, the reference game's from its states.
         for column in INDEX_COLUMNS:
             assert getattr(outcome.index, column) == getattr(reference.index, column), column
         assert validate(outcome) == validate(reference) == []

@@ -11,6 +11,7 @@ dense games and random node and edge restrictions.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -25,7 +26,6 @@ from ocsg.model import (
     fix_strategies,
     parse_model,
     relabel_controlled,
-    step_reward,
 )
 
 from grids import (
@@ -35,6 +35,7 @@ from grids import (
     reference_mec_decompose,
     reference_solve_reachability,
     restrict_to_mec,
+    step_reward,
 )
 
 LOCATIONS = st.sampled_from(("states", "transitions"))
@@ -113,7 +114,7 @@ def test_absorbing_index_is_the_self_loop_games_index(game, rng):
         return
     cut = {sid for sid in game.ids() if rng.random() < 0.4}
     loop = {sid: State(sid, "rand", transitions=(Transition(sid, prob=Fraction(1), reward=0),)) for sid in cut}
-    absorbed = game.with_states(tuple(loop.get(s.id, s) for s in game.states))
+    absorbed = replace(game, states=tuple(loop.get(s.id, s) for s in game.states))
     assert _content(certify.absorbing(game.index, {game.index.pos[sid] for sid in cut})) == _content(absorbed.index)
 
 

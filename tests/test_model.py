@@ -355,7 +355,7 @@ def test_printer_form_is_compiled_straight_into_the_index(monkeypatch):
             assert getattr(game.index, column) == getattr(lines.index, column), (column, text)
         assert game.state_rewards == lines.state_rewards
         assert validate(game) == [] and print_model(game) == text
-        assert game == lines and game.rows == lines.rows
+        assert game == lines and game.states == lines.states
 
 
 def test_probabilities_printed_in_lowest_terms():

@@ -11,6 +11,7 @@ from ocsg.reduce import (
     normalize_reach_instance,
 )
 
+from conftest import DEAD_SINK_TEXT
 from grids import random_reach_instances
 
 FAIR_COIN = parse_model(
@@ -63,14 +64,7 @@ def test_one_third_contract():
 
 
 def test_dead_sinks_are_routed():
-    game = parse_model(
-        "ssg rewards=states\n"
-        "state s owner=rand reward=0\nstate t owner=rand reward=0\nstate u owner=rand reward=0\n"
-        "state lost owner=rand reward=0\n"
-        "trans s -> t p=1/2\ntrans s -> lost p=1/2\ntrans t -> t p=1/1\ntrans u -> u p=1/1\n"
-        "trans lost -> lost p=1/1\n"
-    )
-    reduced = condon_to_limit(game, "s", "t", "u")
+    reduced = condon_to_limit(parse_model(DEAD_SINK_TEXT), "s", "t", "u")
     lost = reduced.state("lost")
     assert [tr.target for tr in lost.transitions] == ["u"]
 

@@ -310,7 +310,7 @@ def test_dense_n32_policy_iteration_builds_no_game(monkeypatch):
         memos[id(memo)] = memo
         return closed_classes(*args)
 
-    monkeypatch.setattr(model.Ssg, "with_states", spy("with_states", model.Ssg.with_states))
+    monkeypatch.setattr(model.Ssg, "__init__", spy("Ssg", model.Ssg.__init__))
     monkeypatch.setattr(model, "fix_strategies", spy("fix_strategies", model.fix_strategies))
     monkeypatch.setattr(model, "relabel_controlled", spy("relabel_controlled", model.relabel_controlled))
     monkeypatch.setattr(mdp, "_closed_classes", spy_classes)
@@ -661,6 +661,32 @@ def test_one_solve_evaluates_each_end_component_once(monkeypatch):
         assert len(analyzed) == len(set(analyzed)), objective.kind
         total += len(analyzed)
     assert total > 0
+
+
+def test_one_solve_tests_each_class_potential_once(monkeypatch):
+    # The chain bound of a two-player scan tests a mean-0 closed class for
+    # a potential at most once per solve: the verdict is kept with the
+    # memoized class, whose key holds every target and weight the test
+    # reads.  Without that, dense 64 (f2) tests one class 50 times and
+    # dense 128 (f2) one class 10 times.
+    dense = _dense_family()
+    tested, chains = [], []
+    closed_classes, node_potential = mdp._closed_classes, chain_mod.node_potential
+
+    def spy_classes(steps, succ, prob, rewards, roots):
+        chains.append(steps)
+        return closed_classes(steps, succ, prob, rewards, roots)
+
+    def spy_potential(members, succ, weights):
+        tested.append(tuple(chains[-1][v][3] for v in members))
+        return node_potential(members, succ, weights)
+
+    monkeypatch.setattr(mdp, "_closed_classes", spy_classes)
+    monkeypatch.setattr(chain_mod, "node_potential", spy_potential)
+    for n in (64, 128):
+        tested.clear()
+        ssg.solve_limit_ssg(parse_model(dense(n, 2, None)), LIMINF_GT_MINUS_INF)
+        assert tested and len(tested) == len(set(tested)), n
 
 
 def test_limit_solves_never_lift_energy(monkeypatch, five_state_game):

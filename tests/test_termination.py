@@ -45,7 +45,7 @@ def _as_ocssg(game):
 
 
 def test_counter_game_solves_like_its_reward_view():
-    """Solvers read deltas through ``model.step_reward``, so a counter game
+    """Solvers read deltas from ``Index.weight``, so a counter game
     as parsed and its reward view give the same solve (values, value-1 set,
     both witnesses, method), energy credits and value-1 thresholds, choices
     included."""

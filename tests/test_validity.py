@@ -69,7 +69,7 @@ def test_strategy_products_are_valid(five_state_game):
                 sigma, pi = termination.synthesize_term_strategies(game, start, j)
                 strategy = pi if pi is not None else termination._memoryless_as_finite(sigma)
                 product, pstart = certify.product_with_strategy(game, strategy, start)
-                assert validate(product) == [] and pstart in product.by_id
+                assert validate(product) == [] and pstart in product.index.pos
                 products += 1
     assert products > 100
 

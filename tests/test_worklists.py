@@ -14,8 +14,8 @@ form of the end-component rule that ``mdp`` uses for liminf > -inf, and
 ``reference_divergence_core`` (a potential test, then the BSCC around a
 noisy state of the first tight end component) the reference form of the
 rule for liminf = -inf.  The references read step weights through their
-own ``arrival_weights``, not ``model.step_reward``, so a wrong weight there
-shows up as a disagreement.
+own ``arrival_weights``, not the game's ``Index.weight``, so a wrong weight
+there shows up as a disagreement.
 """
 
 import math
