@@ -30,8 +30,9 @@ the termination-value-0 question.
 
 Everything here runs on an int ``model.Index``; the public
 ``mec_decompose``, ``solve_reachability`` and ``quantitative_limit`` read
-their game's index, and a two-player best response hands
-``limit_on_index`` the residual index that ``Index.fixed`` derives.  No
+their game's index and key their results by state id, and a two-player
+best response hands ``limit_on_index`` the residual index that
+``Index.fixed`` derives and gets node values and a node policy back.  No
 game is built per best response, MEC, round or cut:
 
 * MECs (``_mecs``) prune each candidate once with per-node counters over
@@ -106,10 +107,9 @@ def _strategy(index, policy: dict[int, int], direction: str) -> PureMemorylessSt
 def _one_player_result(index, values: list, policy: dict[int, int], direction: str) -> SolveResult:
     """Values by node and a policy by node as a ``SolveResult`` keyed by
     state id, the witness filed under its player."""
-    ids = index.ids
     witness = _strategy(index, policy, direction)
     return SolveResult.from_values(
-        dict(zip(ids, values)),
+        dict(zip(index.ids, values)),
         witness_max=witness if witness.player == "max" else None,
         witness_min=witness if witness.player == "min" else None,
     )
@@ -130,6 +130,8 @@ def _extreme(direction: str, values):
 def solve_reachability(game: Ssg, targets, direction: str = "max") -> SolveResult:
     """Optimal hitting probabilities by policy iteration with exact evaluation
     (``_reach`` on the game's index)."""
+    if direction not in ("max", "min"):
+        raise ValueError("direction must be max or min")
     _require_one_player(game)
     targets = frozenset(targets)
     missing = targets - set(game.ids())
@@ -376,14 +378,14 @@ class _PolicyEvaluation:
     only as far as they are read, each at most once.
 
     The induced chain is read from an ``Index`` as int successor lists
-    (``_policy_chain``); no game is built.  Its closed classes,
-    ``members`` (node lists), are its ``chain.bottom_sccs``.  ``means``
-    (the closed classes' mean payoffs) come first, from the classes'
-    stationary laws.  ``gain`` adds the transient states: one factorization
-    of I - P_TT, kept.  ``bias`` adds each class's bias and solves the
-    transient bias with that factorization.  A closed class is memoized in
-    ``COMPONENT_MEMO``, bias included, on the content keys of its members'
-    steps.
+    (``_policy_chain``); no game is built.  Its closed classes, ``members``
+    (node lists), are its ``chain.bottom_sccs``.  ``means`` (the closed
+    classes' mean payoffs) come first, from the classes' stationary laws.
+    ``gain`` adds the transient states: one factorization of I - P_TT
+    (``chain.hitting_rows`` with no targets), kept.  ``bias`` adds each
+    class's bias and solves the transient bias with that factorization.  A
+    closed class is memoized in ``COMPONENT_MEMO``, bias included, on the
+    content keys of its members' steps.
     """
 
     def __init__(self, index, choice: list[int]):
@@ -395,14 +397,7 @@ class _PolicyEvaluation:
 
     @cached_property
     def _system(self) -> linsolve.Factorization:
-        pos = {v: i for i, v in enumerate(self._transient)}
-        rows = [{i: 1} for i in range(len(pos))]
-        for i, v in enumerate(self._transient):
-            row = rows[i]
-            for t, p in zip(self._succ[v], self._prob[v]):
-                j = pos.get(t)
-                if j is not None:
-                    row[j] = row.get(j, 0) - p
+        rows, _ = chain_mod.hitting_rows(self._transient, self._succ, self._prob, ())
         return linsolve.factor(rows)
 
     def _extend(self, values: list, rhs) -> list:
@@ -855,23 +850,26 @@ def _value_one_region(index, objective: Objective):
 
 def quantitative_limit(game, objective: Objective, direction: str = "max") -> SolveResult:
     """Exact optimal values of a one-player game (``limit_on_index`` on its
-    index)."""
+    index), keyed by state id.  The witness is filed under the owner of the
+    controlled states, or under Max when there are none."""
+    if direction not in ("max", "min"):
+        raise ValueError("direction must be max or min")
     _require_one_player(game)
-    return limit_on_index(game.index, objective, direction)
+    return _one_player_result(game.index, *limit_on_index(game.index, objective, direction), "max")
 
 
-def limit_on_index(index, objective: Objective, direction: str = "max") -> SolveResult:
+def limit_on_index(index, objective: Objective, direction: str = "max"):
     """Exact optimal values on a one-player index, such as the residual
-    ``Index.fixed`` leaves: reachability of the value-1 region (max form),
-    complemented for the minimising direction.  The witness is filed under
-    the owner of the controlled nodes, or under Max when there are none."""
+    ``Index.fixed`` leaves, in node form: the values by node and an optimal
+    policy (node -> edge) of exactly the controlled nodes.  Reachability of
+    the value-1 region (max form), complemented for the minimising
+    direction."""
     require_limit(objective)
     if direction == "min":
-        comp = limit_on_index(index, objective.complement(), "max")
-        values = {sid: 1 - v for sid, v in comp.values.items()}
-        return SolveResult.from_values(values, comp.witness_max, comp.witness_min)
+        values, policy = limit_on_index(index, objective.complement(), "max")
+        return [1 - v for v in values], policy
 
     winning, region_choice = _value_one_region(index, objective)
     values, policy = _reach(index, winning, "max")
     policy.update(region_choice)
-    return _one_player_result(index, values, policy, "max")
+    return values, policy

@@ -163,15 +163,14 @@ class Index:
                 )
         return tuple(steps)
 
-    def fixed(self, choice: dict[str, int]) -> "Index":
-        """This index with each state of ``choice`` fixed to its edge
-        ``choice[id]``: a rand node with that one edge at probability 1,
+    def fixed(self, choice: dict[int, int]) -> "Index":
+        """This index with each node of ``choice`` fixed to its edge
+        ``choice[v]``: a rand node with that one edge at probability 1,
         whose one chain step is this index's step for the choice, as
         ``fix_strategies`` leaves it."""
         owner, succ, prob, weight = list(self.owner), list(self.succ), list(self.prob), list(self.weight)
         steps = list(self.chain_steps)
-        for sid, k in choice.items():
-            v = self.pos[sid]
+        for v, k in choice.items():
             owner[v] = "rand"
             succ[v] = (succ[v][k],)
             prob[v] = (_ONE,)
@@ -325,6 +324,8 @@ class PureMemorylessStrategy:
     choice: dict[str, int]
 
     def validate_for(self, game: Ssg | OcSsg) -> None:
+        if self.player not in ("max", "min"):
+            raise ValueError(f"strategy player must be max or min, got {self.player!r}")
         index = game.index
         owned = [v for v, who in enumerate(index.owner) if who == self.player]
         if len(owned) != len(self.choice) or any(index.ids[v] not in self.choice for v in owned):
@@ -400,6 +401,7 @@ class Objective:
             raise ValueError(f"{self.kind} objective takes no parameters")
 
     def complement(self) -> "Objective":
+        require_limit(self)
         return Objective(COMPLEMENT_KIND[self.kind])
 
     @staticmethod

@@ -1,27 +1,29 @@
 """Two-player solving of the limit objectives.
 
-Values are pinned down through pure memoryless strategies for both players:
-fixing one side yields a one-player residual index that the ``mdp`` module
-solves exactly, and by pure memoryless determinacy a pair of mutually best
-responses is optimal and certifies the game value.  ``solve_limit_ssg``
-finds such a pair by alternating single-switch improvement of Min and Max,
-each started from a best response to the other (symmetric strategy
-improvement), and refuses with ``NoCertificate`` only if a Min strategy
-comes back before a pair is found.  Min's descent tests the pair it holds
-before it scans single switches, and within one solve no strategy is
-evaluated twice.  The test needs Min's reply only if some reply could
-lower Max's: one rule, ``settled``, certifies Min's strategy on Max's
-reply alone when Min has a single strategy (no Min state has a second
-edge) or that reply is worth 0 at every state.  So a descent from an
-optimal strategy costs one best response when the rule holds and at most
-two otherwise.  A switch candidate gets its best response only if the chain
-it makes against the held reply's witness passes the vector test; that
-chain's values bound the best response, so the skipped candidates are ones
-the test would reject.  The chain differs from the held pair's at the
-switched state alone, so the test is one sign there
-(``mdp._switch_sign``): no hitting or transient solve, and no state that
-the switched one cannot reach is read.  Nothing here enumerates strategies; exhaustive
-enumeration lives in ``oracle`` as ground truth.
+Values are pinned down through pure memoryless strategies for both
+players: fixing one side yields a one-player residual index that the
+``mdp`` module solves exactly, and by pure memoryless determinacy a pair
+of mutually best responses is optimal and certifies the game value.
+``solve_limit_ssg`` finds such a pair by alternating single-switch
+improvement of Min and Max, each started from a best response to the other
+(symmetric strategy improvement), and refuses with ``NoCertificate`` only
+if a Min strategy comes back before a pair is found.  The loop runs on
+tuples by node of the game's index, with state ids only in what it
+returns.  Min's descent tests the pair it holds before it scans single
+switches, and within one solve no strategy is evaluated twice.  The test
+needs Min's reply only if some reply could lower Max's: one rule,
+``settled``, certifies Min's strategy on Max's reply alone when Min has a
+single strategy (no Min state has a second edge) or that reply is worth 0
+at every state.  So a descent from an optimal strategy costs one best
+response when the rule holds and at most two otherwise.  A switch
+candidate gets its best response only if the chain it makes against the
+held reply's witness passes the vector test; that chain's values bound the
+best response, so the skipped candidates are ones the test would reject.
+The chain differs from the held pair's at the switched state alone, so the
+test is one sign there (``mdp._switch_sign``): no hitting or transient
+solve, and no state that the switched one cannot reach is read.  Nothing
+here enumerates strategies; exhaustive enumeration lives in ``oracle`` as
+ground truth.
 """
 
 from __future__ import annotations
@@ -47,15 +49,25 @@ class SsgSolve:
 def best_response(game: Ssg, fixed: PureMemorylessStrategy, objective: Objective) -> SolveResult:
     """Exact best response of the other player against ``fixed``, solved on
     the residual index that ``fixed`` leaves of the game's index
-    (``model.Index.fixed``); no game is built."""
+    (``model.Index.fixed``); no game is built.  The witness is filed under
+    the opponent, or under Max when the opponent owns no state."""
     require_limit(objective)
     fixed.validate_for(game)
-    residual = game.index.fixed(fixed.choice)
-    return mdp.limit_on_index(residual, objective, "max" if fixed.player == "min" else "min")
+    index = game.index
+    residual = index.fixed({index.pos[sid]: k for sid, k in fixed.choice.items()})
+    direction = "max" if fixed.player == "min" else "min"
+    return mdp._one_player_result(residual, *mdp.limit_on_index(residual, objective, direction), "max")
 
 
-def _vector(game, values) -> tuple:
-    return tuple(values[sid] for sid in game.ids())
+def _reply(index, objective, player, choice):
+    """The opponent's exact best response to ``player``'s ``choice`` (edge
+    by node, 0 off ``player``'s nodes): its values and its witness, tuples
+    by node.  The witness is 0 off the opponent's nodes: they are the
+    residual's controlled nodes, and ``mdp.limit_on_index`` returns a
+    policy of exactly those."""
+    owned = {v: k for v, (who, k) in enumerate(zip(index.owner, choice)) if who == player}
+    values, policy = mdp.limit_on_index(index.fixed(owned), objective, "max" if player == "min" else "min")
+    return tuple(values), tuple(policy.get(v, 0) for v in range(len(choice)))
 
 
 def solve_limit_ssg(game: Ssg, objective: Objective) -> SsgSolve:
@@ -66,7 +78,10 @@ def solve_limit_ssg(game: Ssg, objective: Objective) -> SsgSolve:
     vector.  Equal vectors certify the pair: Min's vector bounds the values
     from above and Max's guaranteed vector bounds them from below.
     Otherwise the next round starts Min's descent from Min's best response
-    to Max's strategy.
+    to Max's strategy.  The loop runs on the nodes of the game's index: a
+    strategy is a tuple of edges by node, 0 off its player's nodes, and a
+    best response (``_reply``) a tuple of values and a tuple of witness
+    edges, both by node; state ids appear only in the returned pair.
 
     Min's descent stops early once its τ is certified: at its start and
     after each accepted switch it takes σ, Max's best response to τ, and
@@ -87,14 +102,14 @@ def solve_limit_ssg(game: Ssg, objective: Objective) -> SsgSolve:
 
     A scan spends a best response only on a candidate that its chain bound
     admits.  Min's exact reply to a Max candidate σ′, which differs from σ
-    at one state u, has values v′ ≤ val(σ′, τ) at every state for every Min
+    at one node u, has values v′ ≤ val(σ′, τ) at every node for every Min
     strategy τ, since the reply minimizes over all of them; take for τ the
     Min witness of the reply the scan holds, and let c = val(σ′, τ), the
     values of the Markov chain the pair makes.  The vector test accepts σ′
     only if v′ ≥ vec and v′ ≠ vec.  Then c ≥ v′ ≥ vec, and c ≠ vec, since c
     = vec would squeeze v′ to vec.  The witness τ attains vec against σ, so
     vec are the values of the chain that (σ, τ) makes, which takes the
-    same step as c's chain at every state but u.  Then c - vec has the sign
+    same step as c's chain at every node but u.  Then c - vec has the sign
     of c(u) - vec(u) wherever it is not 0 (``mdp._switch_sign``), and "c ≥
     vec and c ≠ vec" holds exactly when c(u) > vec(u).  So σ′ is skipped
     when c(u) ≤ vec(u), and v′ fails the test then too.  Min's descent is
@@ -104,15 +119,12 @@ def solve_limit_ssg(game: Ssg, objective: Objective) -> SsgSolve:
     attain vec; every best response's witness does.  The sign is decided
     in Fractions, so the bound skips only candidates the scan would reject:
     the scan order, the accepted switch, the returned strategies and
-    replies do not change, only the number of best responses does.  The
-    held witness is used only when it fixes exactly the opponent's states;
-    an opponent without states has the empty choice, and a witness that
-    misses a state bounds nothing.
+    replies do not change, only the number of best responses does.
 
     Min's descent certifies τ on Max's reply alone whenever no Min reply
     can lower vec, the values of Max's exact best response to τ
     (``settled``): when Min has a single strategy (``_switches`` yields
-    nothing), or when vec is 0 at every state.  The rule is checked in the
+    nothing), or when vec is 0 at every node.  The rule is checked in the
     descent's stop test and again right after the descent, which then
     returns vec with σ, the Max witness of that reply, and τ.  σ is a best
     response to τ by construction.  τ is a best response to σ: in the first
@@ -148,53 +160,57 @@ def solve_limit_ssg(game: Ssg, objective: Objective) -> SsgSolve:
 
 def _alternate(game, objective):
     """The alternating loop of ``solve_limit_ssg``."""
+    index = game.index
     replies = {}
 
     def respond(player, choice):
-        key = (player, frozenset(choice.items()))
+        key = (player, choice)
         if key not in replies:
-            replies[key] = best_response(game, PureMemorylessStrategy(player, choice), objective)
+            replies[key] = _reply(index, objective, player, choice)
         return replies[key]
 
-    def solved(sigma, tau, against_tau):
-        sigma, tau = PureMemorylessStrategy("max", sigma), PureMemorylessStrategy("min", tau)
-        return SsgSolve(SolveResult.from_values(against_tau.values, sigma, tau), "improvement")
+    def solved(values, sigma, tau):
+        ids, owner = index.ids, index.owner
+        sigma, tau = (
+            PureMemorylessStrategy(player, {sid: k for sid, who, k in zip(ids, owner, choice) if who == player})
+            for player, choice in (("max", sigma), ("min", tau))
+        )
+        return SsgSolve(SolveResult.from_values(dict(zip(ids, values)), sigma, tau), "improvement")
 
-    tau = {sid: 0 for sid in game.owner_ids("min")}
-    single = next(_switches(game, "min", tau), None) is None
+    tau = (0,) * len(index.ids)
+    single = next(_switches(index, "min", tau), None) is None
 
     def settled(vec):
         """No Min reply can lower ``vec``: Min has one strategy or ``vec`` is 0."""
         return single or not any(vec)
 
-    def certified(vec, against_tau):
-        return settled(vec) or _vector(game, respond("max", against_tau.witness_max.choice).values) == vec
+    def certified(vec, sigma):
+        return settled(vec) or respond("max", sigma)[0] == vec
 
     visited = set()
     while True:
-        visited.add(frozenset(tau.items()))
-        tau, against_tau = _improve(game, objective, "min", tau, respond, certified)
-        visited.add(frozenset(tau.items()))
-        goal, sigma = _vector(game, against_tau.values), dict(against_tau.witness_max.choice)
+        visited.add(tau)
+        tau, goal, sigma = _improve(index, objective, "min", tau, respond, certified)
+        visited.add(tau)
         if settled(goal):
-            return solved(sigma, tau, against_tau)
-        sigma, against_sigma = _improve(game, objective, "max", sigma, respond, lambda vec, _: vec == goal)
-        if _vector(game, against_sigma.values) == goal:
-            return solved(sigma, tau, against_tau)
-        tau = dict(against_sigma.witness_min.choice)
-        if frozenset(tau.items()) in visited:
+            return solved(goal, sigma, tau)
+        sigma, vec, reply_tau = _improve(index, objective, "max", sigma, respond, lambda vec, _: vec == goal)
+        if vec == goal:
+            return solved(goal, sigma, tau)
+        tau = reply_tau
+        if tau in visited:
             raise NoCertificate("alternating improvement revisited a Min strategy without a certified pair")
 
 
-def _improve(game, objective, player, choice, respond, done):
+def _improve(index, objective, player, choice, respond, done):
     """Single-switch improvement of ``player``'s pure memoryless ``choice``.
 
     A strategy is scored by the values of the opponent's exact best response
-    to it, ``respond(player, choice)``.  The first switch that moves that
-    vector in ``player``'s favour at some state and against it at none is
-    taken, and the scan starts over; it ends when no switch improves or
-    ``done(vector, reply)`` holds for the current choice.  Returns the final
-    choice and the best response to it.
+    to it, ``respond(player, choice)`` (values, witness).  The first switch
+    that moves that vector in ``player``'s favour at some node and against
+    it at none is taken, and the scan starts over; it ends when no switch
+    improves or ``done(values, witness)`` holds for the current choice.
+    Returns the final choice and its reply's values and witness.
 
     A candidate gets its best response only if the chain it makes against
     the current reply's witness passes the same vector test
@@ -202,58 +218,41 @@ def _improve(game, objective, player, choice, respond, done):
     too, so the scan accepts the same switch.
     """
     better = operator.ge if player == "max" else operator.le
-    ids = game.index.ids
-    result = respond(player, choice)
-    vec = _vector(game, result.values)
-    while not done(vec, result):
-        opponent = _opponent_choice(game, player, result)
-        if opponent is not None:
-            pair = {**opponent, **choice}
-            held = [pair.get(sid, 0) for sid in ids]
-        for u, candidate in _switches(game, player, choice):
-            if opponent is not None:
-                profile = held.copy()
-                profile[u] = candidate[ids[u]]
-                if not _may_improve(game, objective, player, profile, u, vec):
-                    continue
-            reply = respond(player, candidate)
-            cvec = _vector(game, reply.values)
+    vec, witness = respond(player, choice)
+    while not done(vec, witness):
+        # Each tuple is 0 off its owner's nodes, so the sum is the pair.
+        held = list(map(operator.add, choice, witness))
+        for u, candidate in _switches(index, player, choice):
+            profile = held.copy()
+            profile[u] = candidate[u]
+            if not _may_improve(index, objective, player, profile, u, vec):
+                continue
+            cvec, cwitness = respond(player, candidate)
             if cvec != vec and all(map(better, cvec, vec)):
-                choice, result, vec = candidate, reply, cvec
+                choice, vec, witness = candidate, cvec, cwitness
                 break
         else:
             break
-    return choice, result
+    return choice, vec, witness
 
 
-def _opponent_choice(game, player, reply):
-    """The choice of ``reply``'s witness for ``player``'s opponent, empty
-    when that witness is missing, or None unless it covers exactly the
-    opponent's states."""
-    opponent = "min" if player == "max" else "max"
-    witness = reply.witness_min if opponent == "min" else reply.witness_max
-    choice = {} if witness is None else witness.choice
-    return choice if choice.keys() == set(game.owner_ids(opponent)) else None
-
-
-def _may_improve(game, objective, player, profile, u, vec):
-    """Whether the chain where node v of the game's index takes its chain
-    step ``profile[v]`` passes the vector test against ``vec``, the values
-    of the chain that differs from it at node ``u`` alone: its values are
+def _may_improve(index, objective, player, profile, u, vec):
+    """Whether the chain where node v of ``index`` takes its chain step
+    ``profile[v]`` passes the vector test against ``vec``, the values of
+    the chain that differs from it at node ``u`` alone: its values are
     better for ``player`` than ``vec`` at u, and so at least as good at
     every node (``mdp._switch_sign``)."""
-    return mdp._switch_sign(game.index, profile, u, objective.kind, vec) == (1 if player == "max" else -1)
+    return mdp._switch_sign(index, profile, u, objective.kind, vec) == (1 if player == "max" else -1)
 
 
-def _switches(game, player, choice):
-    """Every strategy that differs from ``choice`` at one state, in game
-    order, with the node of the index where it differs."""
-    index = game.index
-    for u, (sid, who, targets) in enumerate(zip(index.ids, index.owner, index.succ)):
+def _switches(index, player, choice):
+    """Every strategy that differs from ``choice`` at one node, in node
+    order, with the node where it differs."""
+    for u, (who, targets) in enumerate(zip(index.owner, index.succ)):
         if who == player:
             for k in range(len(targets)):
-                if k != choice[sid]:
-                    yield u, {**choice, sid: k}
+                if k != choice[u]:
+                    yield u, choice[:u] + (k,) + choice[u + 1 :]
 
 
 def check_threshold(p: Fraction, relation: str) -> None:

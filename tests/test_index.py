@@ -91,7 +91,8 @@ def test_fixed_index_is_the_residual_games_index(game, rng):
     for player in ("max", "min"):
         choice = {sid: rng.randrange(len(game.state(sid).transitions)) for sid in game.owner_ids(player)}
         residual = fix_strategies(game, PureMemorylessStrategy(player, choice))
-        assert _content(game.index.fixed(choice)) == _content(residual.index)
+        nodes = {game.index.pos[sid]: k for sid, k in choice.items()}
+        assert _content(game.index.fixed(nodes)) == _content(residual.index)
 
 
 @settings(max_examples=150, deadline=None)

@@ -100,6 +100,29 @@ def test_reach_min_avoids_via_cycle():
     assert result.values["b"] == 0
 
 
+# The controller at a and b can move on to the target t, worth 0, or loop
+# between a and b, worth 1 a step.
+LOOP_OR_TARGET = parse_model(
+    "ssg rewards=states\n"
+    "state a owner=max reward=1\nstate b owner=max reward=1\nstate t owner=rand reward=0\n"
+    "trans a -> t\ntrans a -> b\ntrans b -> a\ntrans b -> t\ntrans t -> t p=1/1\n"
+)
+
+
+def test_one_player_entries_reject_an_unknown_direction():
+    # An unknown direction is refused, not read as minimising without the
+    # avoiding start (reach 1 where the min value is 0) or as maximising.
+    assert mdp.solve_reachability(LOOP_OR_TARGET, {"t"}, "min").values == {"a": 0, "b": 0, "t": 1}
+    assert mdp.solve_reachability(LOOP_OR_TARGET, {"t"}, "max").values == {"a": 1, "b": 1, "t": 1}
+    assert mdp.quantitative_limit(LOOP_OR_TARGET, MEAN_GT, "min").values == {"a": 0, "b": 0, "t": 0}
+    assert mdp.quantitative_limit(LOOP_OR_TARGET, MEAN_GT, "max").values == {"a": 1, "b": 1, "t": 0}
+    for direction in ("MIN", "Min", "maximum", ""):
+        with pytest.raises(ValueError, match="^direction must be max or min$"):
+            mdp.solve_reachability(LOOP_OR_TARGET, {"t"}, direction)
+        with pytest.raises(ValueError, match="^direction must be max or min$"):
+            mdp.quantitative_limit(LOOP_OR_TARGET, MEAN_GT, direction)
+
+
 def test_reach_agrees_with_oracle_on_random_mdps():
     rng = random.Random(31)
     for game in random_games(25, sizes=(3, 4), seed=314):
@@ -212,7 +235,8 @@ def test_asr_reads_only_rand_vs_controlled(game, rng):
     player = rng.choice(("max", "min"))
     fixed = {sid: rng.randrange(len(game.state(sid).transitions)) for sid in game.owner_ids(player)}
     residual = fix_strategies(game, **{f"{player}_strategy": PureMemorylessStrategy(player, fixed)})
-    for index, view in ((game.index, game), (game.index.fixed(fixed), residual)):
+    nodes = {game.index.pos[sid]: k for sid, k in fixed.items()}
+    for index, view in ((game.index, game), (game.index.fixed(nodes), residual)):
         relabeled = relabel_controlled(view, "max")
         got = named_asr(index, targets)
         assert got == named_asr(relabeled.index, targets)

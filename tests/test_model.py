@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ocsg import model
 from ocsg.model import (
+    LIMINF_MINUS_INF,
     ModelError,
     ModelSemanticError,
     ModelSyntaxError,
@@ -428,3 +429,23 @@ def test_limit_entries_reject_a_termination_objective():
         with pytest.raises(ValueError) as raised:
             entry()
         assert str(raised.value) == "not a limit objective: term"
+    # The complement is a limit-objective notion too: the same check.
+    with pytest.raises(ValueError, match="^not a limit objective: term$"):
+        term.complement()
+
+
+def test_strategy_player_must_be_max_or_min():
+    # A misspelt player fixes no state: without the check a best response
+    # would solve the two-player index as one player's game.
+    from ocsg import ssg
+
+    game = parse_model("ssg rewards=transitions\nstate a owner=max\nstate b owner=min\n"
+                       "trans a -> b reward=0\ntrans a -> a reward=1\ntrans b -> a reward=-1\ntrans b -> b reward=0\n")
+    for player in ("Max", "MIN", "rand", ""):
+        strategy = PureMemorylessStrategy(player, {})
+        with pytest.raises(ValueError, match="^strategy player must be max or min"):
+            strategy.validate_for(game)
+        with pytest.raises(ValueError, match="^strategy player must be max or min"):
+            ssg.best_response(game, strategy, LIMINF_MINUS_INF)
+        with pytest.raises(ValueError, match="^strategy player must be max or min"):
+            fix_strategies(game, strategy)

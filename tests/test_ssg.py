@@ -408,9 +408,9 @@ FIRST_EDGE_LOSES = parse_model(
 )
 
 
-def _first_edges(game, objective, player, choice, respond, done):
-    choice = {sid: 0 for sid in game.owner_ids(player)}
-    return choice, respond(player, choice)
+def _first_edges(index, objective, player, choice, respond, done):
+    choice = (0,) * len(index.ids)
+    return (choice, *respond(player, choice))
 
 
 def test_revisited_min_strategy_raises_no_certificate(monkeypatch):
@@ -534,15 +534,16 @@ def test_solve_matches_reference_loop():
 
 
 def _count_best_responses(monkeypatch):
-    """Wrap ``ssg.best_response``; returns the list of (player, choice) keys it saw."""
+    """Wrap ``ssg._reply``, which a solve calls once per memo miss; returns
+    the list of (player, choice) keys it saw."""
     seen = []
-    respond = ssg.best_response
+    reply = ssg._reply
 
-    def counting(game, fixed, objective):
-        seen.append((fixed.player, frozenset(fixed.choice.items())))
-        return respond(game, fixed, objective)
+    def counting(index, objective, player, choice):
+        seen.append((player, choice))
+        return reply(index, objective, player, choice)
 
-    monkeypatch.setattr(ssg, "best_response", counting)
+    monkeypatch.setattr(ssg, "_reply", counting)
     return seen
 
 
@@ -853,11 +854,12 @@ def test_skipped_candidates_fail_the_vector_test(monkeypatch):
     may_improve = ssg._may_improve
     skipped = []
 
-    def spy(game, objective, player, profile, u, vec):
-        admitted = may_improve(game, objective, player, profile, u, vec)
+    def spy(index, objective, player, profile, u, vec):
+        admitted = may_improve(index, objective, player, profile, u, vec)
         if not admitted:
+            # ``game`` is the solve's game, bound by the loop below.
             better = operator.ge if player == "max" else operator.le
-            pos = game.index.pos
+            pos = index.pos
             candidate = PureMemorylessStrategy(player, {sid: profile[pos[sid]] for sid in game.owner_ids(player)})
             cvec = tuple(ssg.best_response(game, candidate, objective).values[sid] for sid in game.ids())
             assert cvec == vec or not all(map(better, cvec, vec)), objective.kind
@@ -870,23 +872,57 @@ def test_skipped_candidates_fail_the_vector_test(monkeypatch):
     assert {"max", "min"} <= set(skipped)
 
 
-def _reply(witness_max=None, witness_min=None):
-    return SolveResult.from_values({}, witness_max, witness_min)
+def _reply_cases():
+    """Every grid game under one objective in turn, and dense games n
+    8/12/16, each also with every controlled state given to one player,
+    under every objective."""
+    for i, game in enumerate(exhaustive_games()):
+        yield game, [LIMIT_OBJECTIVES[i % len(LIMIT_OBJECTIVES)]]
+    dense = _dense_family()
+    for game in (parse_model(dense(n, fseed, None)) for n in (8, 12, 16) for fseed in (1, 2, 3)):
+        for variant in (game, relabel_controlled(game, "max"), relabel_controlled(game, "min")):
+            yield variant, LIMIT_OBJECTIVES
 
 
-def test_opponent_choice_covers_every_opponent_state():
-    # The bound reads the reply's witness for the opponent only when it
-    # fixes every opponent state; a missing witness is the empty choice of
-    # an opponent without states.
-    max_only = relabel_controlled(UNCERTIFIED_IMPROVEMENT, "max")
-    assert ssg._opponent_choice(max_only, "max", _reply()) == {}
-    assert ssg._opponent_choice(max_only, "min", _reply()) is None
-    partial = PureMemorylessStrategy("max", {"a": 0, "b": 1})
-    assert ssg._opponent_choice(max_only, "min", _reply(witness_max=partial)) is None
-    full = PureMemorylessStrategy("max", {"a": 0, "b": 1, "c": 0})
-    assert ssg._opponent_choice(max_only, "min", _reply(witness_max=full)) == full.choice
-    extra = PureMemorylessStrategy("min", {"a": 0, "z": 0})
-    assert ssg._opponent_choice(UNCERTIFIED_IMPROVEMENT, "max", _reply(witness_min=extra)) is None
+def test_reply_witness_is_an_edge_at_exactly_the_opponents_nodes():
+    # The chain bound pairs a strategy with the held reply's witness by
+    # adding the two tuples: the witness must hold a valid edge at every
+    # node of the opponent and 0 at every other node, also when one side
+    # owns none.
+    import random
+
+    rng = random.Random(37)
+    ownerless = 0
+    for game, objectives in _reply_cases():
+        index = game.index
+        for player, opponent in (("max", "min"), ("min", "max")):
+            ownerless += opponent not in index.owner
+            choices = [(0,) * len(index.ids)]
+            choices.append(tuple(rng.randrange(len(t)) if who == player else 0 for who, t in zip(index.owner, index.succ)))
+            for choice, objective in itertools.product(choices, objectives):
+                values, witness = ssg._reply(index, objective, player, choice)
+                assert len(values) == len(witness) == len(index.ids)
+                for who, targets, k in zip(index.owner, index.succ, witness):
+                    assert 0 <= k < len(targets) if who == opponent else k == 0, (objective.kind, player)
+    assert ownerless > 0
+
+
+def test_one_solve_builds_one_result_and_validates_nothing(monkeypatch):
+    # The loop keeps its strategies and replies by node: the returned pair
+    # is the one ``SolveResult`` of a solve, and no strategy is validated.
+    results, validated = [], []
+    init, validate_for = SolveResult.__init__, PureMemorylessStrategy.validate_for
+    monkeypatch.setattr(SolveResult, "__init__", lambda self, *args: results.append(args) or init(self, *args))
+    monkeypatch.setattr(
+        PureMemorylessStrategy, "validate_for", lambda self, game: validated.append(self) or validate_for(self, game)
+    )
+    cases = [(parse_model((DATA / name).read_text()), objective) for name, objective, _ in BEST_RESPONSE_COUNTS]
+    cases += [(UNCERTIFIED_IMPROVEMENT, objective) for objective in LIMIT_OBJECTIVES]
+    for game, objective in cases:
+        results.clear()
+        solve = ssg.solve_limit_ssg(game, objective)
+        assert len(results) == 1 and results[0][0] is solve.result.values, objective.kind
+        assert validated == [], objective.kind
 
 
 def test_bound_without_opponent_states_matches_the_reference(monkeypatch):
@@ -907,7 +943,7 @@ def test_bound_without_opponent_states_matches_the_reference(monkeypatch):
     assert profiles
 
 
-# Best responses of one solve, counted as ``ssg.best_response`` calls (the
+# Best responses of one solve, counted as ``ssg._reply`` calls (the
 # memo misses); without the chain bound they are 26 and 349.
 BEST_RESPONSE_COUNTS = (
     ("dense-n32-f7.ssg", LIMINF_MINUS_INF, 4),
