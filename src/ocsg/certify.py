@@ -91,7 +91,8 @@ def stationary_law(chain: Ssg, members: frozenset[str]) -> tuple[dict[str, Fract
     _check_bscc(chain, members)
     index = chain.index
     order = [v for v, sid in enumerate(index.ids) if sid in members]
-    law, system = chain_mod.stationary_system(order, index.succ, index.prob)
+    system = chain_mod.stationary_system(order, index.succ, index.prob)
+    law = system.solve([1] + [0] * (len(order) - 1))
     if any(v <= 0 for v in law):
         raise ValueError("stationary distribution not positive, component is not a BSCC")
     return dict(zip((index.ids[v] for v in order), law)), system
@@ -203,17 +204,12 @@ def expected_mean_payoff(game, direction: str = "max"):
 
 def absorbing(index: Index, nodes) -> Index:
     """``index`` with each of ``nodes`` made a rand node on a weight-0
-    self-loop, which nothing leaves; edges into it are kept as they are,
-    and the other nodes keep the chain steps of ``index``."""
+    self-loop, which nothing leaves; edges into it are kept, and so is the
+    numbering.  Visit rewards are computed afresh on their first read."""
     owner, succ, prob, weight = list(index.owner), list(index.succ), list(index.prob), list(index.weight)
-    steps = list(index.chain_steps)
     for v in nodes:
-        sid = index.ids[v]
         owner[v], succ[v], prob[v], weight[v] = "rand", (v,), (_ONE,), (0,)
-        steps[v] = (((v,), (_ONE,), 0, (sid, ((sid, 1, 1, 0),))),)
-    derived = Index(index.ids, index.pos, tuple(owner), tuple(succ), tuple(prob), tuple(weight))
-    vars(derived)["chain_steps"] = tuple(steps)
-    return derived
+    return Index(index.ids, index.pos, tuple(owner), tuple(succ), tuple(prob), tuple(weight))
 
 
 def procedure_mp(game, start: str):

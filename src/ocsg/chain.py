@@ -5,7 +5,7 @@ Each reads int nodes 0..n-1 with successor lists, and for a chain their
 probabilities and weights, as a ``model.Index`` or a policy's chain holds
 them, so none builds a ``State``: the SCC kernel (``tarjan``) and a
 chain's closed classes (``bottom_sccs``), the attractor (``attractor``),
-the stationary law of a closed class with the factorization of its system
+the factorization of a closed class's stationary system
 (``stationary_system``), the potential test (``node_potential``), the
 hitting-probability rows (``hitting_rows``), and the winning mean signs of
 each limit objective with the mean-0 potential rule (``WINNING_SIGNS``,
@@ -140,14 +140,15 @@ def attractor(graph, seeds, any_owners, alive=None, within=None):
     return attracted, choice
 
 
-def stationary_system(members, succ, prob) -> tuple[list[Fraction], linsolve.Factorization]:
-    """Stationary law of the closed class ``members`` (nodes in game order)
-    of the chain whose node v steps to ``succ[v][k]`` with probability
-    ``prob[v][k]``, and the factorization of its system S.
+def stationary_system(members, succ, prob) -> linsolve.Factorization:
+    """The factorization of the stationary system S of the closed class
+    ``members`` (nodes in game order) of the chain whose node v steps to
+    ``succ[v][k]`` with probability ``prob[v][k]``.
 
     S holds the balance equations over the members, with the first
     replaced by normalisation: row 0 is all ones and row j > 0 has column i
-    equal to [i == j] - P(i, j).
+    equal to [i == j] - P(i, j).  The stationary law solves S x = e_0, and
+    S^T is the unichain evaluation matrix (``mdp._ClosedClass``).
     """
     pos = {v: i for i, v in enumerate(members)}
     n = len(members)
@@ -157,8 +158,7 @@ def stationary_system(members, succ, prob) -> tuple[list[Fraction], linsolve.Fac
             j = pos[t]
             if j:
                 rows[j][i] = rows[j].get(i, 0) - p
-    system = linsolve.factor(rows)
-    return system.solve([1] + [0] * (n - 1)), system
+    return linsolve.factor(rows)
 
 
 # Per limit objective: the mean signs with which a closed class wins, and

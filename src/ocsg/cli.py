@@ -147,6 +147,8 @@ def _cmd_reduce(args, out) -> int:
     if isinstance(game, OcSsg):
         raise CliError("reduce expects a reward game (a reachability instance)")
     if args.kind == "condon-limit":
+        if args.j is not None:
+            raise CliError("--j applies only to --kind condon-term")
         transformed = reduce_mod.condon_to_limit(game, args.start, args.t, args.tprime)
         out.write(print_model(transformed))
     else:
@@ -175,6 +177,10 @@ def _parse_choices(pairs, game, player) -> PureMemorylessStrategy | None:
     return PureMemorylessStrategy(player, choice)
 
 
+# The objectives whose finite proxy reads ``--threshold-b`` (default 50).
+_THRESHOLD_PROXIES = ("liminf-minus-inf", "liminf-plus-inf")
+
+
 def _cmd_simulate(args, out) -> int:
     if args.seed is None:
         raise CliError("simulate requires an explicit --seed")
@@ -184,11 +190,16 @@ def _cmd_simulate(args, out) -> int:
         _parse_choices(args.min_choice, game, "min"),
     )
     _check_state(game, args.state)
+    if args.threshold_b is not None and args.objective not in _THRESHOLD_PROXIES:
+        raise CliError(f"--threshold-b applies only to --objective {' or '.join(_THRESHOLD_PROXIES)}")
     report = [("rng", oracle.RNG_ALGORITHM), ("seed", args.seed), ("trials", args.trials), ("steps", args.steps)]
     if args.objective:
+        if args.j is not None and args.objective != "term":
+            raise CliError("--j applies only to --objective term or to a run without --objective")
         objective = Objective.term(args.j) if args.objective == "term" else _objective(args.objective)
+        threshold = 50 if args.threshold_b is None else args.threshold_b
         freq = oracle.estimate_objective(
-            game, strategies, objective, args.threshold_b, args.steps, args.trials, args.seed, args.state
+            game, strategies, objective, threshold, args.steps, args.trials, args.seed, args.state
         )
         report += [("proxy", objective.kind), ("frequency", _fmt(freq))]
     else:
@@ -256,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--j", type=int)
     p.add_argument("--objective")
-    p.add_argument("--threshold-b", type=int, default=50)
+    p.add_argument("--threshold-b", type=int)
     p.add_argument("--max-choice", action="append")
     p.add_argument("--min-choice", action="append")
     p.set_defaults(func=_cmd_simulate)

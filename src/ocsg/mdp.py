@@ -41,10 +41,12 @@ game is built per best response, MEC, round or cut:
   index.  They read only rand vs controlled, and so does almost-sure
   reach (``almost_sure_reach``), so the value-1 region hands every
   controlled node to Max without relabelling.
-* A MEC's policy iteration runs on its sub-index (``Index.restricted``).
-  Each round reads its policy's chain as int successor lists from the
-  chain steps (``_policy_chain``), splits it with ``chain.bottom_sccs``
-  and builds the stationary and transient systems from those lists.
+* A MEC's policy iteration runs in place on its members and allowed
+  edges, with no sub-index.  Each round reads its policy's chain as int
+  successor lists straight from the index's columns (``_policy_chain``; a
+  rand node's reward is its ``Index.visit_reward``), splits it with
+  ``chain.bottom_sccs`` and builds the stationary and transient systems
+  from those lists.
 * A reachability round (``_chain_reach``) reads its chain the same way:
   one backward reach and one solve of ``chain.hitting_rows``.
 * A two-player scan bounds a switch candidate that switches node u by the
@@ -57,16 +59,17 @@ game is built per best response, MEC, round or cut:
   systems of classes not yet memoized.
 
 Inside one ``ssg.solve_limit_ssg`` call, ``COMPONENT_MEMO`` holds a dict
-that memoizes closed classes of induced chains by content
-(``_closed_classes``): each class's mean, and the factorization of its
-stationary system, from which its canonical bias is computed on the first
-read and kept, and its potential verdict once tested, keyed on its members' steps in game order, each (id,
-((target id, numerator, denominator, weight), ...)) in strs and ints.  A
-key holds every probability and weight the class's analysis reads, so
-equal keys mean equal results, and a lookup hashes no ``State``,
-``Transition`` or ``Fraction``.  A MEC's gain policy iteration may run
-again, but its rounds find their classes there.  Outside a solve the
-variable is None and nothing is cached.
+that memoizes closed classes of induced chains (``_closed_classes``):
+each class's mean, its stationary factorization and unshifted bias, from
+which its canonical bias is computed on the first read and kept, and its
+potential verdict once tested.  The key is a tuple of ints over the
+members in game order: a rand node with several edges by its node, a
+one-edge step by (node, target, weight).  It is exact because every index
+of one solve numbers its nodes as the game's index does (``Index.fixed``
+keeps the numbering and nothing renumbers), so a rand node keeps its edges
+and a key holds every probability and weight the analysis reads.  A MEC's
+gain policy iteration may run again, but its rounds find their classes
+there.  Outside a solve the variable is None and nothing is cached.
 """
 
 from __future__ import annotations
@@ -76,12 +79,14 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from types import SimpleNamespace
 
 from . import chain as chain_mod
 from . import linsolve
 from .model import OWNERS, Objective, PureMemorylessStrategy, SolveResult, Ssg, require_limit
 
 INFINITE_CREDIT = math.inf
+_CERTAIN = (Fraction(1),)  # the probabilities of a one-edge step
 
 COMPONENT_MEMO: ContextVar[dict | None] = ContextVar("COMPONENT_MEMO", default=None)
 
@@ -183,11 +188,11 @@ def _reach(index, targets: frozenset[int], direction: str):
 
 def _chain_reach(index, choice: list[int], targets: frozenset[int]) -> list[Fraction]:
     """Exact hitting probabilities of ``targets`` in the chain where each
-    node takes its chain step ``choice[v]`` (``_policy_chain``), as
+    controlled node v takes its edge ``choice[v]`` (``_policy_chain``), as
     ``certify.reach_probabilities`` gives them on that chain: 1 on the
     targets, 0 where the targets are out of reach, and one linear solve of
     ``chain.hitting_rows``, rows in node order, on the rest."""
-    _, succ, prob, _ = _policy_chain(index, choice)
+    succ, prob, _ = _policy_chain(index, choice, range(len(choice)))
     owner, preds = index.owner, index.preds
     reached = [False] * len(succ)
     values = [Fraction(0)] * len(succ)
@@ -208,26 +213,35 @@ def _chain_reach(index, choice: list[int], targets: frozenset[int]) -> list[Frac
 
 
 class _StepField:
-    """Per node v, field ``field`` of its chain step ``choice[v]`` in
-    ``index.chain_steps`` (the whole step for None), read only when indexed:
-    the lists of ``_policy_chain`` for a search that reads few nodes."""
+    """Per node v, field ``field`` of its step in the chain where a
+    controlled node v takes its edge ``choice[v]`` and a rand node its own
+    edges: its successors (0), their probabilities (1) or its per-visit
+    reward (2), read only when indexed: the lists of ``_policy_chain`` for
+    a search that reads few nodes."""
 
-    def __init__(self, index, choice, field=None):
-        self._rows, self._choice, self._field = index.chain_steps, choice, field
+    def __init__(self, index, choice, field):
+        self._index, self._choice, self._field = index, choice, field
+        self._rand = (index.succ, index.prob, index.visit_reward)[field]
 
     def __len__(self):
         return len(self._choice)
 
     def __getitem__(self, v):
-        step = self._rows[v][self._choice[v]]
-        return step if self._field is None else step[self._field]
+        index = self._index
+        if index.owner[v] == "rand":
+            return self._rand[v]
+        if self._field == 1:
+            return _CERTAIN
+        k = self._choice[v]
+        return (index.succ[v][k],) if self._field == 0 else index.weight[v][k]
 
 
 def _switch_sign(index, choice: list[int], u: int, kind: str, vec) -> int:
     """The sign of c(u) - vec(u), for c the values of the limit objective
-    ``kind`` in the chain C where node v of ``index`` takes its chain step
-    ``choice[v]``, and ``vec`` the values of a chain H that takes C's step
-    at every node but ``u``: the sign of c - vec wherever it is not 0.
+    ``kind`` in the chain C where each controlled node v of ``index`` takes
+    its edge ``choice[v]``, and ``vec`` the values of a chain H that takes
+    C's step at every node but ``u``: the sign of c - vec wherever it is
+    not 0.
 
     Each value is the probability of hitting a winning closed class, so c
     is harmonic in C and vec in H, and d = c - vec is harmonic in C at every
@@ -247,7 +261,7 @@ def _switch_sign(index, choice: list[int], u: int, kind: str, vec) -> int:
     of classes not yet memoized, and only the nodes u reaches are read.
     """
     owner, weight = index.owner, index.weight
-    steps, succ, prob, rewards = (_StepField(index, choice, field) for field in (None, 0, 1, 2))
+    succ, prob, rewards = (_StepField(index, choice, field) for field in range(3))
 
     def has_potential(members, closed):
         if closed.potential is None:
@@ -257,7 +271,7 @@ def _switch_sign(index, choice: list[int], u: int, kind: str, vec) -> int:
 
     wins = {
         chain_mod.class_wins(kind, closed.mean, lambda: has_potential(members, closed))
-        for members, closed in zip(*_closed_classes(steps, succ, prob, rewards, [u]))
+        for members, closed in zip(*_closed_classes(succ, prob, rewards, [u]))
     }
     if len(wins) == 1:
         return chain_mod.sign(wins.pop() - vec[u])
@@ -319,52 +333,60 @@ class _ClosedClass:
 
     ``members`` are nodes of the game index in game order; node v steps to
     ``succ[v][k]`` with probability ``prob[v][k]`` and has the per-visit
-    reward ``rewards[v]``.  ``law`` is the stationary law in member order,
-    and the mean the stationary average of the per-visit rewards.  The
-    unichain evaluation g + h(s) - sum_t P(s, t) h(t) = r(s) with h(first
-    member) = 0 is M x = r for x = (g, h without its first entry) and M =
-    [1 | (I - P) without column 0].  M^T is the stationary system S of
-    ``chain.stationary_system``, so the bias reuses the law's
-    factorization: h from ``solve_transposed``, shifted by its stationary
-    average.
+    reward ``rewards[v]``.  The unichain evaluation g + h(s) - sum_t P(s,
+    t) h(t) = r(s) with h(first member) = 0 is M x = r for x = (g, h
+    without its first entry) and M = [1 | (I - P) without column 0].  M^T
+    is the stationary system S of ``chain.stationary_system``, so one
+    ``solve_transposed`` on its factorization gives the mean g and h, and h
+    is kept.  The bias shifts h by its stationary average; the stationary
+    law, S x = e_0, is solved only then.
     """
 
     def __init__(self, members, succ, prob, rewards):
-        self.law, self._system = chain_mod.stationary_system(members, succ, prob)
-        self._rewards = [rewards[v] for v in members]
-        self.mean = sum((w * r for w, r in zip(self.law, self._rewards)), Fraction(0))
+        self._system = chain_mod.stationary_system(members, succ, prob)
+        solution = self._system.solve_transposed([rewards[v] for v in members])
+        self.mean, self._h = solution[0], [Fraction(0)] + solution[1:]
         self.potential: bool | None = None
 
     @cached_property
     def bias(self) -> list[Fraction]:
-        h = [Fraction(0)] + self._system.solve_transposed(self._rewards)[1:]
-        shift = sum((w * v for w, v in zip(self.law, h)), Fraction(0))
-        return [v - shift for v in h]
+        law = self._system.solve([1] + [0] * (len(self._h) - 1))
+        shift = sum((w * v for w, v in zip(law, self._h)), Fraction(0))
+        return [v - shift for v in self._h]
 
 
-def _policy_chain(index, choice: list[int]):
-    """The chain where node v of ``index`` takes its chain step
-    ``choice[v]`` (``Index.chain_steps``): per node that step, and its
-    successors, probabilities and per-visit reward, as lists."""
-    steps = [options[k] for options, k in zip(index.chain_steps, choice)]
-    return steps, [step[0] for step in steps], [step[1] for step in steps], [step[2] for step in steps]
+def _policy_chain(index, choice: list[int], nodes):
+    """The chain where a controlled node v of ``index`` takes its edge
+    ``choice[v]`` and a rand node its own edges: per node its successors,
+    their probabilities and its per-visit reward, as lists by node of
+    ``index``, read from its columns (``Index.visit_reward`` at a rand
+    node).  Only the nodes ``nodes`` are set; off them the lists hold the
+    index's own columns."""
+    succ, prob, rewards = list(index.succ), list(index.prob), list(index.visit_reward)
+    owner, weight = index.owner, index.weight
+    for v in nodes:
+        if owner[v] != "rand":
+            k = choice[v]
+            succ[v], prob[v], rewards[v] = (succ[v][k],), _CERTAIN, weight[v][k]
+    return succ, prob, rewards
 
 
-def _closed_classes(steps, succ, prob, rewards, roots):
-    """The closed classes that the nodes ``roots`` reach in the chain where
-    node v takes the chain step ``steps[v]``, with its successors,
-    probabilities and per-visit reward in ``succ``, ``prob`` and
-    ``rewards``: its ``chain.bottom_sccs`` (node lists), and each one's
-    ``_ClosedClass``, looked up in and stored to ``COMPONENT_MEMO`` when a
-    solve has set it, keyed on the content keys of its members' steps;
-    callers must not mutate what comes back."""
+def _closed_classes(succ, prob, rewards, roots):
+    """The closed classes that the nodes ``roots`` reach in the chain whose
+    node v has the successors ``succ[v]``, probabilities ``prob[v]`` and
+    per-visit reward ``rewards[v]``: its ``chain.bottom_sccs`` (node lists),
+    and each one's ``_ClosedClass``, looked up in and stored to
+    ``COMPONENT_MEMO`` when a solve has set it.  The key holds ints only:
+    per member v, v itself if it steps to several nodes (a rand node, whose
+    edges every index of the solve keeps), else (v, target, weight); callers
+    must not mutate what comes back."""
     memo = COMPONENT_MEMO.get()
     if memo is None:
         memo = {}
     bottoms = chain_mod.bottom_sccs(succ, roots)
     classes = []
     for members in bottoms:
-        key = tuple(steps[v][3] for v in members)
+        key = tuple(v if len(succ[v]) > 1 else (v, succ[v][0], rewards[v]) for v in members)
         closed = memo.get(key)
         if closed is None:
             closed = memo[key] = _ClosedClass(members, succ, prob, rewards)
@@ -373,27 +395,30 @@ def _closed_classes(steps, succ, prob, rewards, roots):
 
 
 class _PolicyEvaluation:
-    """The gain and canonical bias, by node, of the policy where node v
-    takes its chain step ``choice[v]`` (multichain evaluation), computed
-    only as far as they are read, each at most once.
+    """The gain and canonical bias, by node, of the policy where each
+    controlled node v of ``members`` (default: every node) takes its edge
+    ``choice[v]`` (multichain evaluation), computed only as far as they
+    are read, each at most once; None off ``members``, which the policy
+    must keep closed.
 
-    The induced chain is read from an ``Index`` as int successor lists
-    (``_policy_chain``); no game is built.  Its closed classes, ``members``
-    (node lists), are its ``chain.bottom_sccs``.  ``means`` (the closed
-    classes' mean payoffs) come first, from the classes' stationary laws.
-    ``gain`` adds the transient states: one factorization of I - P_TT
-    (``chain.hitting_rows`` with no targets), kept.  ``bias`` adds each
-    class's bias and solves the transient bias with that factorization.  A
-    closed class is memoized in ``COMPONENT_MEMO``, bias included, on the
-    content keys of its members' steps.
+    The induced chain is read from the ``Index`` columns as int successor
+    lists (``_policy_chain``); no game or index is built.  Its closed
+    classes, ``members`` (node lists), are its ``chain.bottom_sccs``.
+    ``means`` (the closed classes' mean payoffs) come first, one transposed
+    solve per class (``_ClosedClass``).  ``gain`` adds the transient
+    states: one factorization of I - P_TT (``chain.hitting_rows`` with no
+    targets), kept.  ``bias`` adds each class's bias and solves the
+    transient bias with that factorization.  A closed class is memoized in
+    ``COMPONENT_MEMO``, bias included, keyed by node (``_closed_classes``).
     """
 
-    def __init__(self, index, choice: list[int]):
-        steps, self._succ, self._prob, self._rewards = _policy_chain(index, choice)
-        self.members, self._classes = _closed_classes(steps, self._succ, self._prob, self._rewards, range(len(steps)))
+    def __init__(self, index, choice: list[int], members=None):
+        members = range(len(choice)) if members is None else members
+        self._succ, self._prob, self._rewards = _policy_chain(index, choice, members)
+        self.members, self._classes = _closed_classes(self._succ, self._prob, self._rewards, members)
         self.means = [closed.mean for closed in self._classes]
-        closed = {v for members in self.members for v in members}
-        self._transient = [v for v in range(len(steps)) if v not in closed]
+        closed = {v for nodes in self.members for v in nodes}
+        self._transient = [v for v in members if v not in closed]
 
     @cached_property
     def _system(self) -> linsolve.Factorization:
@@ -431,54 +456,61 @@ class _PolicyEvaluation:
         return self._extend(bias, [self._rewards[v] - gain[v] for v in self._transient])
 
 
-def _policy_iteration(index, direction: str, stop=None):
-    """The last ``_PolicyEvaluation`` and the choice list (node -> chain
-    step, 0 at a rand node) of Howard's multichain policy iteration
-    (Puterman 1994, section 9.2) from the greedy one-step policy.
+def _policy_iteration(index, direction: str, stop=None, members=None, allowed=None):
+    """The last ``_PolicyEvaluation`` and the choice list (node -> edge, 0
+    at a rand node and off ``members``) of Howard's multichain policy
+    iteration (Puterman 1994, section 9.2) from the greedy one-step policy,
+    on the nodes ``members`` (in node order) of ``index``, each using only
+    its edges ``allowed[v]`` (in edge order), such as a MEC's, or on the
+    whole index.
 
-    The loop starts each controlled node on its first edge of extreme step
-    weight (the largest when maximising, the smallest when minimising), so
-    a node whose edges all weigh the same starts on edge 0.  Each round
-    switches to an edge of strictly better gain, and only when none exists
-    to a gain-tied edge of strictly better reward plus canonical bias.
-    Switching is conservative (the current edge stays unless a strictly
-    better one exists), so no policy repeats; a repeat raises
-    AssertionError.  Termination (finitely many policies, none repeated)
-    and optimality at a policy with no improving switch hold from any
-    start, so the start decides only how many rounds run and which optimal
-    or winning policy comes back.  The loop returns at the first policy
-    with no improving switch, or earlier at the first evaluated policy
-    whose closed-class means satisfy ``stop``.  A round reads the gain only
-    when it does not stop, and the bias only when no gain switch exists.
-    The rounds read ``index``.
+    The loop starts each controlled node on its first allowed edge of
+    extreme step weight (the largest when maximising, the smallest when
+    minimising), so a node whose edges all weigh the same starts on its
+    first.  Each round switches to an edge of strictly better gain, and
+    only when none exists to a gain-tied edge of strictly better reward
+    plus canonical bias.  Switching is conservative (the current edge stays
+    unless a strictly better one exists), so no policy repeats; a repeat
+    raises AssertionError.  Termination (finitely many policies, none
+    repeated) and optimality at a policy with no improving switch hold from
+    any start, so the start decides only how many rounds run and which
+    optimal or winning policy comes back.  The loop returns at the first
+    policy with no improving switch, or earlier at the first evaluated
+    policy whose closed-class means satisfy ``stop``.  A round reads the
+    gain only when it does not stop, and the bias only when no gain switch
+    exists.  The rounds read the columns of ``index``, whose numbering
+    they keep.
     """
     succ, weight = index.succ, index.weight
-    controlled = [v for v, owner in enumerate(index.owner) if owner != "rand"]
+    if members is None:
+        members, allowed = range(len(succ)), [range(len(targets)) for targets in succ]
+    controlled = [v for v in members if index.owner[v] != "rand"]
     choice = [0] * len(succ)
     for v in controlled:
-        choice[v] = weight[v].index(_extreme(direction, weight[v]))
+        weights = [weight[v][k] for k in allowed[v]]
+        choice[v] = allowed[v][weights.index(_extreme(direction, weights))]
     seen = set()
     while True:
-        key = tuple(choice)
+        key = tuple(map(choice.__getitem__, controlled))
         if key in seen:
             raise AssertionError("mean-payoff policy iteration revisited a policy")
         seen.add(key)
-        evaluation = _PolicyEvaluation(index, choice)
+        evaluation = _PolicyEvaluation(index, choice, members)
         if stop is not None and stop(evaluation.means):
             return evaluation, choice
         gain = evaluation.gain
         switched = False
         for v in controlled:
-            qs_gain = [gain[t] for t in succ[v]]
+            qs_gain = [gain[succ[v][k]] for k in allowed[v]]
             best_gain = _extreme(direction, qs_gain)
             if _better(direction, best_gain, gain[v]):
-                choice[v] = qs_gain.index(best_gain)
+                choice[v] = allowed[v][qs_gain.index(best_gain)]
                 switched = True
         if switched:
             continue
         bias = evaluation.bias
         for v in controlled:
-            qs_bias = {k: w + bias[t] for k, (t, w) in enumerate(zip(succ[v], weight[v])) if gain[t] == gain[v]}
+            qs_bias = {k: weight[v][k] + bias[t] for k in allowed[v] if gain[t := succ[v][k]] == gain[v]}
             best = _extreme(direction, qs_bias.values())
             if _better(direction, best, gain[v] + bias[v]):
                 choice[v] = next(k for k, q in qs_bias.items() if q == best)
@@ -686,10 +718,10 @@ def energy_min_credit(game, keeper: str = "max") -> dict[str, int | float]:
 # Qualitative and quantitative limit objectives
 
 
-def _sub_gain(sub, rule):
-    """Gain policy iteration on the end-component sub-index ``sub`` in the
-    rule's direction: a gain, the policy's choice list and its bias, by
-    node of ``sub``.
+def _mec_gain(index, mec: Mec, rule):
+    """Gain policy iteration on the MEC's members and allowed edges inside
+    ``index`` in the rule's direction: a gain, the choice (controlled
+    member -> edge) and the bias (a list by node, None off the MEC).
 
     It stops at the first policy whose closed classes all have a mean of
     winning sign, and returns the least favourable of those means and no
@@ -707,29 +739,21 @@ def _sub_gain(sub, rule):
     def wins(means):
         return all(chain_mod.sign(m) in winning_signs for m in means)
 
-    evaluation, policy = _policy_iteration(sub, direction, wins)
+    members = sorted(mec.members)
+    evaluation, choice = _policy_iteration(index, direction, wins, members, mec.allowed)
+    edges = {v: choice[v] for v in members if index.owner[v] != "rand"}
     least = min if direction == "max" else max
     if wins(evaluation.means):
-        return least(evaluation.means), policy, None
-    values = set(evaluation.gain)
+        return least(evaluation.means), edges, None
+    values = {evaluation.gain[v] for v in members}
     if len(values) != 1:
         raise AssertionError("gain not constant on an end component")
-    return least(values), policy, evaluation.bias
-
-
-def _mec_gain(index, mec: Mec, rule):
-    """``_sub_gain`` on the MEC's sub-index (``Index.restricted``), with the
-    choice (controlled node -> edge) and the bias (node -> value) on the
-    index's nodes and edges."""
-    members = sorted(mec.members)
-    gain, choice, bias = _sub_gain(index.restricted(members, mec.allowed), rule)
-    edges = {v: mec.allowed[v][k] for v, k in zip(members, choice) if index.owner[v] != "rand"}
-    return gain, edges, None if bias is None else dict(zip(members, bias))
+    return least(values), edges, evaluation.bias
 
 
 def _tight_part(index, mec: Mec, bias):
-    """The allowed edges of the MEC's tight sub-MDP under the bias h (keyed
-    by node) of a gain-0 optimiser, and its noisy rand nodes.
+    """The allowed edges of the MEC's tight sub-MDP under the bias h (by
+    node) of a gain-0 optimiser, and its noisy rand nodes.
 
     The slack r(s,k) + h(target) - h(s) is >= 0 (min) or <= 0 (max) on every
     controlled edge and averages 0 at rand states.  The tight sub-MDP keeps
@@ -752,8 +776,8 @@ def _tight_part(index, mec: Mec, bias):
 def _noisy_components(index, members, allowed, noisy):
     """The end components C of the min-gain tight sub-MDP (``members`` with
     the edges ``allowed``) that hold a noisy state, each with the choice of
-    the positive attractor toward x = min(C & noisy) by state id inside C:
-    liminf = -inf almost surely on C.
+    the positive attractor toward x = min(C & noisy) by state id inside C,
+    over C's allowed edges: liminf = -inf almost surely on C.
 
     The attractor pulls in all of C, and C is closed under the choice, so x
     is reached almost surely and lies in a BSCC B.  B has mean 0: its
@@ -772,10 +796,10 @@ def _noisy_components(index, members, allowed, noisy):
         x = min(component.members & noisy, key=index.ids.__getitem__, default=None)
         if x is not None:
             core |= component.members
-            nodes = sorted(component.members)
-            sub = index.restricted(nodes, component.allowed)
-            _, pulled = chain_mod.attractor(sub, (nodes.index(x),), OWNERS)
-            choice.update({nodes[v]: component.allowed[nodes[v]][k] for v, k in pulled.items()})
+            inside, edges = component.members, component.allowed
+            preds = {t: [(v, k) for v, k in index.preds[t] if v in inside and k in edges[v]] for t in inside}
+            graph = SimpleNamespace(owner=index.owner, succ=index.succ, preds=preds)
+            choice.update(chain_mod.attractor(graph, (x,), OWNERS)[1])
     return core, choice
 
 

@@ -101,14 +101,6 @@ class State(NamedTuple):
 _ONE = Fraction(1)
 
 
-def _expected(edges) -> Fraction:
-    """The expected weight of a rand step whose edges are ``edges`` (target
-    id, numerator, denominator, weight): the sum of p * w, added up in
-    integers over the lcm of the denominators and reduced once."""
-    den = lcm(*(q for _, _, q, _ in edges))
-    return Fraction(sum(p * (den // q) * w for _, p, q, w in edges), den)
-
-
 @dataclass(frozen=True, eq=False)
 class Index:
     """A game on int nodes 0..n-1 in game order, the form the int fixpoints
@@ -118,10 +110,10 @@ class Index:
     the rule ``_GameOps.index`` states.
 
     A two-player solve derives what each best response reads from the
-    game's one index, with no game built: ``fixed`` collapses one player's
-    nodes to their choices, and ``restricted`` keeps a node set and some of
-    its edges.  A derived index reuses its parent's chain steps, seeded
-    into its ``chain_steps`` cache.
+    game's one index with ``fixed``, which collapses one player's nodes to
+    their choices and keeps the node numbering, with no game built.
+    ``visit_reward`` is computed once per game index and copied by
+    ``fixed``.
     """
 
     ids: tuple[str, ...]
@@ -142,69 +134,42 @@ class Index:
         return preds
 
     @cached_property
-    def chain_steps(self) -> tuple[tuple[tuple, ...], ...]:
-        """Per node and choice, the node's step in the chain where it makes
-        that choice (as ``fix_strategies`` leaves it): (targets,
-        probabilities, expected weight, content key).  A rand node
-        has one choice, its own edges; edge k of a controlled node is a step
-        to its target with probability 1.  The key, (id, ((target id,
-        numerator, denominator, weight), ...)), holds every number the step
-        has, in strs and ints.
-        """
-        ids = self.ids
-        steps = []
-        for v, (sid, targets, probs, weights) in enumerate(zip(ids, self.succ, self.prob, self.weight)):
-            if self.owner[v] == "rand":
-                key = (sid, tuple((ids[t], p.numerator, p.denominator, w) for t, p, w in zip(targets, probs, weights)))
-                steps.append(((targets, probs, _expected(key[1]), key),))
+    def visit_reward(self) -> tuple[Fraction | int | None, ...]:
+        """Per node the expected weight of a step from it, the reward of one
+        visit in any chain: at a rand node the sum of p * w over its edges,
+        added up in integers over the lcm of the denominators and reduced
+        once, the int weight itself on a one-edge node; None at a controlled
+        node, whose reward is the weight of the edge it takes."""
+        rewards = []
+        for who, probs, weights in zip(self.owner, self.prob, self.weight):
+            if who != "rand":
+                rewards.append(None)
+            elif len(weights) == 1:
+                rewards.append(weights[0])
             else:
-                steps.append(
-                    tuple(((t,), (_ONE,), w, (sid, ((ids[t], 1, 1, w),))) for t, w in zip(targets, weights))
-                )
-        return tuple(steps)
+                ratios = [p.as_integer_ratio() for p in probs]
+                den = lcm(*[d for _, d in ratios])
+                num = sum([n * (den // d) * w for (n, d), w in zip(ratios, weights)])
+                rewards.append(Fraction(num, den))
+        return tuple(rewards)
 
     def fixed(self, choice: dict[int, int]) -> "Index":
         """This index with each node of ``choice`` fixed to its edge
-        ``choice[v]``: a rand node with that one edge at probability 1,
-        whose one chain step is this index's step for the choice, as
-        ``fix_strategies`` leaves it."""
+        ``choice[v]``: a rand node with that one edge at probability 1 and
+        that edge's weight as its visit reward, as ``fix_strategies`` leaves
+        it; the index itself when ``choice`` is empty."""
+        if not choice:
+            return self
         owner, succ, prob, weight = list(self.owner), list(self.succ), list(self.prob), list(self.weight)
-        steps = list(self.chain_steps)
+        rewards = list(self.visit_reward)
         for v, k in choice.items():
             owner[v] = "rand"
             succ[v] = (succ[v][k],)
             prob[v] = (_ONE,)
             weight[v] = (weight[v][k],)
-            steps[v] = (steps[v][k],)
+            rewards[v] = weight[v][0]
         derived = Index(self.ids, self.pos, tuple(owner), tuple(succ), tuple(prob), tuple(weight))
-        vars(derived)["chain_steps"] = tuple(steps)
-        return derived
-
-    def restricted(self, members, allowed) -> "Index":
-        """The index on ``members`` (nodes in node order, renumbered from 0)
-        in which node v keeps the edges ``allowed[v]``, in edge order; a
-        rand node must keep all of them, and every kept edge must enter a
-        member.  Chain steps are this index's, with targets renumbered."""
-        local = {v: i for i, v in enumerate(members)}
-        ids = tuple(self.ids[v] for v in members)
-        succ, prob, weight, steps = [], [], [], []
-        for v in members:
-            edges = allowed[v]
-            succ.append(tuple(local[self.succ[v][k]] for k in edges))
-            prob.append(tuple(self.prob[v][k] for k in edges))
-            weight.append(tuple(self.weight[v][k] for k in edges))
-            options = self.chain_steps[v]
-            chosen = options if self.owner[v] == "rand" else [options[k] for k in edges]
-            steps.append(tuple((tuple(local[t] for t in step[0]),) + step[1:] for step in chosen))
-        derived = Index(
-            ids,
-            {sid: i for i, sid in enumerate(ids)},
-            tuple(self.owner[v] for v in members),
-            tuple(succ),
-            tuple(prob),
-            tuple(weight),
-        )
-        vars(derived)["chain_steps"] = tuple(steps)
+        vars(derived)["visit_reward"] = tuple(rewards)
         return derived
 
 

@@ -97,8 +97,9 @@ def solve_limit_ssg(game: Ssg, objective: Objective) -> SsgSolve:
     fresh dict and resets it on return or raise, so best responses to
     strategies that share a closed class of an induced chain evaluate it
     once: its mean payoff, with its bias computed on the first read (keyed
-    on its members' chain steps, in strs and ints).  A MEC's gain policy
-    iteration may run again, but its classes are not re-evaluated.
+    by node in ints, exact since every index of the call keeps the game's
+    numbering).  A MEC's gain policy iteration may run again, but its
+    classes are not re-evaluated.
 
     A scan spends a best response only on a candidate that its chain bound
     admits.  Min's exact reply to a Max candidate σ′, which differs from σ
@@ -237,11 +238,11 @@ def _improve(index, objective, player, choice, respond, done):
 
 
 def _may_improve(index, objective, player, profile, u, vec):
-    """Whether the chain where node v of ``index`` takes its chain step
-    ``profile[v]`` passes the vector test against ``vec``, the values of
-    the chain that differs from it at node ``u`` alone: its values are
-    better for ``player`` than ``vec`` at u, and so at least as good at
-    every node (``mdp._switch_sign``)."""
+    """Whether the chain where each controlled node v of ``index`` takes
+    its edge ``profile[v]`` passes the vector test against ``vec``, the
+    values of the chain that differs from it at node ``u`` alone: its
+    values are better for ``player`` than ``vec`` at u, and so at least as
+    good at every node (``mdp._switch_sign``)."""
     return mdp._switch_sign(index, profile, u, objective.kind, vec) == (1 if player == "max" else -1)
 
 

@@ -36,7 +36,9 @@ candidate) and ``reference_solve_reachability`` (a chain built by
 are the game-level MEC decomposition and reachability policy iteration,
 the references the int forms ``ocsg.mdp._mecs`` and ``ocsg.mdp._reach``
 are checked against; ``restrict_to_mec`` is a MEC's sub-MDP as a game,
-and ``named_mec`` an int MEC keyed by state id.  ``induced_chain`` is the
+``restricted`` its sub-index, renumbered from 0 (the reference the
+in-place MEC policy iteration of ``ocsg.mdp`` is checked against), and
+``named_mec`` an int MEC keyed by state id.  ``induced_chain`` is the
 chain a policy leaves, built by ``fix_strategies``.  ``certified_reach``
 is ``certify.reach_probabilities`` solved with the determinant certificate
 that every value's denominator divides.
@@ -68,6 +70,7 @@ from ocsg.model import (
     ON_STATES,
     ON_TRANSITIONS,
     REWARD_VALUES,
+    Index,
     ModelSemanticError,
     ModelSyntaxError,
     OcSsg,
@@ -327,14 +330,15 @@ def evaluate_gain_bias(game, policy):
 
 
 def eager_sub_gain(sub, rule, log=None):
-    """``mdp._sub_gain`` with every round evaluated in full by
-    ``evaluate_gain_bias`` and stopped once every state's gain has a
-    winning sign: the least favourable gain, the policy, and the bias (None
-    when it stopped).  It starts, as ``mdp._policy_iteration`` does, from
-    each controlled state's first edge of extreme step weight.  ``log``
-    receives (policy, gain, bias, reads) per round, ``reads`` naming what
-    the round used past its class means: nothing when it stops, the gain
-    when it switches on gain, else also the bias."""
+    """``mdp._mec_gain`` on the sub-MDP game ``sub``, with every round
+    evaluated in full by ``evaluate_gain_bias`` and stopped once every
+    state's gain has a winning sign: the least favourable gain, the policy,
+    and the bias (None when it stopped).  It starts, as
+    ``mdp._policy_iteration`` does, from each controlled state's first edge
+    of extreme step weight.  ``log`` receives (policy, gain, bias, reads)
+    per round, ``reads`` naming what the round used past its class means:
+    nothing when it stops, the gain when it switches on gain, else also the
+    bias."""
     direction, winning_signs, _ = rule
     pick, least, better = (max, min, operator.gt) if direction == "max" else (min, max, operator.lt)
     controlled = sub.controlled_ids()
@@ -411,6 +415,21 @@ def restrict_to_mec(game, mec):
         index_map[s.id] = tuple(keep)
         states.append(State(s.id, s.owner, reward=s.reward, transitions=tuple(s.transitions[k] for k in keep)))
     return replace(game, states=tuple(states)), index_map
+
+
+def restricted(index, members, allowed) -> Index:
+    """The index on ``members`` (nodes in node order, renumbered from 0)
+    in which node v keeps the edges ``allowed[v]``, in edge order; a rand
+    node must keep all of them, and every kept edge must enter a member."""
+    local = {v: i for i, v in enumerate(members)}
+    ids = tuple(index.ids[v] for v in members)
+    columns = [
+        tuple(tuple(column[v][k] for k in allowed[v]) for v in members)
+        for column in (index.succ, index.prob, index.weight)
+    ]
+    succ = tuple(tuple(map(local.__getitem__, targets)) for targets in columns[0])
+    owner = tuple(index.owner[v] for v in members)
+    return Index(ids, {sid: i for i, sid in enumerate(ids)}, owner, succ, columns[1], columns[2])
 
 
 def named_mec(index, mec):

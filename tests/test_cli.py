@@ -280,7 +280,7 @@ def test_bad_arguments_fail_before_solving_or_reporting(tmp_path, monkeypatch, c
         (simulate + ["--objective", "par"], "unknown objective 'par', expected one of " + ", ".join(LIMIT_KINDS)),
         (simulate + ["--objective", "term"], "term objective requires j >= 1"),
         (simulate + ["--objective", "mean-leq"], "no finite proxy for objective mean-leq"),
-        (simulate + ["--objective", "mean-gt", "--threshold-b", "0"], "threshold must be positive"),
+        (simulate + ["--objective", "liminf-plus-inf", "--threshold-b", "0"], "threshold must be positive"),
         (simulate + ["--trials", "0"], "simulation requires at least one trial"),
         (simulate + ["--trials", "0", "--objective", "mean-gt"], "estimation requires at least one trial"),
         (simulate + ["--steps", "0"], "simulation requires at least one step"),
@@ -298,6 +298,51 @@ def test_bad_arguments_fail_before_solving_or_reporting(tmp_path, monkeypatch, c
         assert run(argv, out) == 2, argv
         assert out.getvalue() == "", argv
         assert capsys.readouterr().err == f"error = {message}\n", argv
+
+
+def test_options_that_do_not_apply_are_refused(tmp_path, capsys):
+    # An option the command would drop is an input error: one error line,
+    # nothing on stdout, exit 2, before any report line.
+    reach = _write(tmp_path, "reach-n6.ssg", bench_families().reach_instance(6, 1, None))
+    dense, counter = str(DATA / "dense-n7-f36.ssg"), str(DATA / "dcounter-n24-f7.ocssg")
+    condon = ["reduce", reach, "--start", "q0", "--t", "t", "--tprime", "u"]
+    simulate = ["simulate", dense, "--state", "s0", "--steps", "10", "--trials", "2", "--seed", "1"]
+    on_counter = ["simulate", counter, "--state", "s0", "--steps", "10", "--trials", "2", "--seed", "1"]
+    threshold_b = "--threshold-b applies only to --objective liminf-minus-inf or liminf-plus-inf"
+    cases = [
+        (condon + ["--kind", "condon-limit", "--j", "5"], "--j applies only to --kind condon-term"),
+        (simulate + ["--objective", "liminf-minus-inf", "--j", "4"],
+         "--j applies only to --objective term or to a run without --objective"),
+        (simulate + ["--objective", "mean-gt", "--j", "4"],
+         "--j applies only to --objective term or to a run without --objective"),
+        (simulate + ["--threshold-b", "7"], threshold_b),
+        (simulate + ["--objective", "mean-gt", "--threshold-b", "7"], threshold_b),
+        (on_counter + ["--objective", "term", "--j", "2", "--threshold-b", "7"], threshold_b),
+        (on_counter + ["--j", "2", "--threshold-b", "7"], threshold_b),
+    ]
+    for argv, message in cases:
+        out = io.StringIO()
+        assert run(argv, out) == 2, argv
+        assert out.getvalue() == "", argv
+        assert capsys.readouterr().err == f"error = {message}\n", argv
+
+    # The forms where each option applies still answer; a proxy that reads
+    # the threshold defaults to 50.
+    valid = [
+        condon + ["--kind", "condon-term", "--j", "5"],
+        on_counter + ["--j", "2"],
+        on_counter + ["--objective", "term", "--j", "2"],
+        simulate + ["--objective", "liminf-minus-inf", "--threshold-b", "7"],
+        simulate + ["--objective", "liminf-plus-inf"],
+    ]
+    for argv in valid:
+        out = io.StringIO()
+        assert run(argv, out) == 0, argv
+        assert out.getvalue() and capsys.readouterr().err == "", argv
+    outs = [io.StringIO(), io.StringIO()]
+    run(simulate + ["--objective", "liminf-plus-inf"], outs[0])
+    run(simulate + ["--objective", "liminf-plus-inf", "--threshold-b", "50"], outs[1])
+    assert outs[0].getvalue() == outs[1].getvalue()
 
 
 def test_parser_is_built_once(tmp_path, monkeypatch):

@@ -1,11 +1,13 @@
 """Indexes derived from one game's index against the games they replace.
 
 A best response solves on ``Index.fixed`` of the game's index, and its
-MECs on ``Index.restricted``; Procedure MP's rounds run on
-``certify.absorbing``; ``mdp._mecs`` decomposes on ints and ``mdp._reach``
-runs reachability rounds on chain steps.  Each is checked against the
-game-level form it replaced: ``fix_strategies``, ``grids.restrict_to_mec``,
-a game with reward-0 self-loops, ``grids.reference_mec_decompose`` and
+MECs in place on that index; ``grids.restricted``, a MEC's sub-index, is
+the reference the in-place MEC policy iteration is checked against.
+Procedure MP's rounds run on ``certify.absorbing``; ``mdp._mecs``
+decomposes on ints and ``mdp._reach`` runs reachability rounds on the
+index's columns.  Each is checked against the game-level form it
+replaced: ``fix_strategies``, ``grids.restrict_to_mec``, a game with
+reward-0 self-loops, ``grids.reference_mec_decompose`` and
 ``grids.reference_solve_reachability``, on random one-player games, seeded
 dense games and random node and edge restrictions.
 """
@@ -31,10 +33,12 @@ from ocsg.model import (
 from grids import (
     bench_families,
     named_mec,
+    per_visit_reward,
     random_game,
     reference_mec_decompose,
     reference_solve_reachability,
     restrict_to_mec,
+    restricted,
     step_reward,
 )
 
@@ -50,7 +54,7 @@ def _dense(n, fseed):
 
 
 def _content(index):
-    return index.ids, index.pos, index.owner, index.succ, index.prob, index.weight, index.chain_steps
+    return index.ids, index.pos, index.owner, index.succ, index.prob, index.weight, index.visit_reward
 
 
 def _games():
@@ -74,15 +78,18 @@ def _counter_view(game):
 def test_index_columns_follow_step_reward(game, counter):
     # The index reads weights a column at a time and sums a rand step's
     # expected weight in integers: the same numbers as ``step_reward`` and
-    # a ``Fraction`` sum.
+    # a ``Fraction`` sum, an int on a one-edge node and None at a
+    # controlled node.
     if counter:
         game = _counter_view(game)
     index = game.index
     assert index.weight == tuple(tuple(step_reward(game, s, t) for t in s.transitions) for s in game.states)
-    for s, options in zip(game.states, index.chain_steps):
-        if s.owner == "rand":
-            expected = sum((t.prob * step_reward(game, s, t) for t in s.transitions), Fraction(0))
-            assert type(options[0][2]) is Fraction and options[0][2] == expected
+    for s, reward in zip(game.states, index.visit_reward):
+        if s.owner != "rand":
+            assert reward is None
+        else:
+            assert reward == per_visit_reward(game, s)
+            assert type(reward) is (int if len(s.transitions) == 1 else Fraction)
 
 
 @settings(max_examples=150, deadline=None)
@@ -102,7 +109,7 @@ def test_restricted_index_is_the_mec_games_index(game, owner):
     index = game.index
     for mec in mdp._mecs(index):
         sub, _ = restrict_to_mec(game, named_mec(index, mec))
-        assert _content(index.restricted(sorted(mec.members), mec.allowed)) == _content(sub.index)
+        assert _content(restricted(index, sorted(mec.members), mec.allowed)) == _content(sub.index)
 
 
 @settings(max_examples=150, deadline=None)

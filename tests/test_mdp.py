@@ -41,6 +41,7 @@ from grids import (
     reference_procedure_mp,
     remove_states,
     restrict_to_mec,
+    restricted,
 )
 
 
@@ -303,9 +304,9 @@ def test_policy_iteration_starts_on_the_first_edge_of_extreme_weight(monkeypatch
     )
     starts, evaluate = [], mdp._PolicyEvaluation
 
-    def spy(index, choice):
+    def spy(index, choice, members=None):
         starts.append(_policy_by_id(index, choice))
-        return evaluate(index, choice)
+        return evaluate(index, choice, members)
 
     monkeypatch.setattr(mdp, "_PolicyEvaluation", spy)
     for direction, start in (("max", {"m": 1, "n": 0}), ("min", {"m": 2, "n": 0})):
@@ -528,39 +529,72 @@ def test_early_stopped_mecs_win_at_every_state():
 
 
 def test_sub_gain_matches_eager_stop_on_all_gains(monkeypatch):
+    # A MEC's gain policy iteration runs in place, on its members and
+    # allowed edges in the game's index.  The same loop on the MEC's
+    # sub-index (``grids.restricted``, the MEC as a whole index) and the
+    # eager loop on its sub-MDP game must visit the same policies in the
+    # same order and return the same result, mapped back by node.
     lazy, rounds, stopped = mdp._PolicyEvaluation, [], 0
 
-    def spy(index, choice):
-        rounds.append((_policy_by_id(index, choice), lazy(index, choice)))
+    def spy(index, choice, members=None):
+        rounds.append((list(choice), lazy(index, choice, members)))
         return rounds[-1][1]
 
     monkeypatch.setattr(mdp, "_PolicyEvaluation", spy)
     for game in _mec_cases():
         game = as_mdp(game)
-        for mec in mdp._mecs(game.index):
-            # The lazy loop runs on the MEC's sub-index, the eager one on its
-            # sub-MDP game.
-            sub, _ = restrict_to_mec(game, named_mec(game.index, mec))
-            sub_index = game.index.restricted(sorted(mec.members), mec.allowed)
+        index = game.index
+        for mec in mdp._mecs(index):
+            sub, _ = restrict_to_mec(game, named_mec(index, mec))
+            members = sorted(mec.members)
+            sub_index = restricted(index, members, mec.allowed)
+            edges = {i: tuple(range(len(targets))) for i, targets in enumerate(sub_index.succ)}
+            whole = mdp.Mec(frozenset(range(len(members))), edges)
             for kind, rule in mdp._MEC_RULES.items():
                 eager_rounds = []
                 eager = eager_sub_gain(sub, rule, eager_rounds)
                 rounds.clear()
-                least, choice, optimal_bias = mdp._sub_gain(sub_index, rule)
-                result = (least, _policy_by_id(sub_index, choice), optimal_bias and _by_id(sub_index, optimal_bias))
+                in_place = mdp._mec_gain(index, mec, rule)
+                in_place_rounds = rounds[:]
+                rounds.clear()
+                least, choice, optimal_bias = mdp._mec_gain(sub_index, whole, rule)
+                result = (least, _policy_by_id(sub_index, [choice.get(v, 0) for v in range(len(members))]),
+                          optimal_bias and _by_id(sub_index, optimal_bias))
                 assert result == eager, (sub, kind)
-                # Both visit the same policies in the same order.  Each lazy
-                # round's class means equal the eager gains, and it computes
-                # the gain and the bias only where the round uses them, equal
-                # to the eager ones.
-                assert [policy for policy, _ in rounds] == [entry[0] for entry in eager_rounds]
-                for (_, gain, bias, reads), (_, evaluation) in zip(eager_rounds, rounds):
+                # In place: the same gain, the choice through the MEC's
+                # allowed edges, and the bias at the members, None elsewhere.
+                assert in_place[:2] == (least, {members[v]: mec.allowed[members[v]][k] for v, k in choice.items()})
+                if optimal_bias is None:
+                    assert in_place[2] is None
+                else:
+                    assert [in_place[2][v] for v in members] == optimal_bias
+                    assert all(h is None for v, h in enumerate(in_place[2]) if v not in mec.members)
+                # All three visit the same policies in the same order.  Each
+                # lazy round's class means equal the eager gains, and it
+                # computes the gain and the bias only where the round uses
+                # them, equal to the eager ones; in place, each class, gain
+                # and bias is the sub-index round's at the same node.
+                assert len(in_place_rounds) == len(rounds) == len(eager_rounds)
+                for (policy, gain, bias, reads), (sub_choice, evaluation), (choice_in, evaluation_in) in zip(
+                    eager_rounds, rounds, in_place_rounds
+                ):
+                    assert _policy_by_id(sub_index, sub_choice) == policy
+                    assert [mec.allowed[v].index(choice_in[v]) for v in members if index.owner[v] != "rand"] == [
+                        k for v, k in enumerate(sub_choice) if sub_index.owner[v] != "rand"
+                    ]
                     classes = zip(evaluation.members, evaluation._classes)
-                    assert all(gain[sub_index.ids[v]] == c.mean for members, c in classes for v in members)
+                    assert all(gain[sub_index.ids[v]] == c.mean for nodes, c in classes for v in nodes)
+                    assert evaluation_in.members == [[members[v] for v in nodes] for nodes in evaluation.members]
+                    assert evaluation_in.means == evaluation.means
                     computed = {name for name in ("gain", "bias") if name in vars(evaluation)}
                     assert computed == reads
+                    assert {name for name in ("gain", "bias") if name in vars(evaluation_in)} == reads
                     assert "gain" not in computed or _by_id(sub_index, evaluation.gain) == gain
                     assert "bias" not in computed or _by_id(sub_index, evaluation.bias) == bias
+                    for name in computed:
+                        local, placed = getattr(evaluation, name), getattr(evaluation_in, name)
+                        assert [placed[v] for v in members] == local
+                        assert all(x is None for v, x in enumerate(placed) if v not in mec.members)
                 stopped += result[2] is None
     assert stopped > 10000
 

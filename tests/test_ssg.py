@@ -262,7 +262,9 @@ def test_dense_n32_evaluation_count(monkeypatch):
 def test_dense_n32_linear_solve_counts(monkeypatch):
     # A round that stops reads only its closed-class means, and one that
     # switches on gain reads no bias; evaluating every round in full, the
-    # same solve runs 22 factorizations, 30 solves and 6 transposed solves.
+    # same solve runs 22 factorizations.  Each new closed class takes one
+    # transposed solve for its mean (14), and a solve serves each transient
+    # gain or bias and each bias read's stationary law (12).
     game = parse_model((DATA / "dense-n32-f7.ssg").read_text())
     counts = {"factor": 0, "solve": 0, "solve_transposed": 0}
     factor, solve, solve_transposed = linsolve.factor, linsolve.Factorization.solve, linsolve.Factorization.solve_transposed
@@ -278,7 +280,7 @@ def test_dense_n32_linear_solve_counts(monkeypatch):
     monkeypatch.setattr(linsolve.Factorization, "solve", spy("solve", solve))
     monkeypatch.setattr(linsolve.Factorization, "solve_transposed", spy("solve_transposed", solve_transposed))
     ssg.solve_limit_ssg(game, LIMINF_MINUS_INF)
-    assert counts == {"factor": 18, "solve": 22, "solve_transposed": 4}
+    assert counts == {"factor": 18, "solve": 12, "solve_transposed": 14}
 
 
 def _walk(key):
@@ -291,7 +293,7 @@ def _walk(key):
 def test_dense_n32_policy_iteration_builds_no_game(monkeypatch):
     # A solve compiles the game once: best responses, MECs and rounds read
     # indexes derived from its index, so no game is built.  The memo holds
-    # closed classes only, each keyed on a tuple of strs and ints.
+    # closed classes only, each keyed on a tuple of ints.
     game = parse_model((DATA / "dense-n32-f7.ssg").read_text())
     index = relabel_controlled(game, "max").index
     calls, memos = [], {}
@@ -321,20 +323,24 @@ def test_dense_n32_policy_iteration_builds_no_game(monkeypatch):
     assert len(memos) == len(LIMIT_OBJECTIVES) and None not in memos.values()
     keys = [key for memo in memos.values() for key in memo]
     assert keys and all(type(closed) is mdp._ClosedClass for memo in memos.values() for closed in memo.values())
-    assert set().union(*map(_walk, keys)) == {str, int}
+    assert set().union(*map(_walk, keys)) == {int}
 
-    # Each policy-iteration round reads the policy's chain off the index:
-    # no induced chain, no collapsed strategy and no game-level stationary
-    # law.  Every stationary system is a closed class's, one per class.
+    # Each policy-iteration round reads the policy's chain off the index,
+    # on the whole index or in place on a MEC: no induced chain, no
+    # collapsed strategy, no index and no game-level stationary law.
+    # Every stationary system is a closed class's, one per class.
     monkeypatch.setattr(chain_mod, "stationary_system", spy("stationary_system", chain_mod.stationary_system))
     monkeypatch.setattr(mdp, "_ClosedClass", spy("closed class", mdp._ClosedClass))
     monkeypatch.setattr(mdp, "_PolicyEvaluation", spy("round", mdp._PolicyEvaluation))
-    subs = [index] + [index.restricted(sorted(mec.members), mec.allowed) for mec in mdp._mecs(index)]
-    for sub in subs:
+    monkeypatch.setattr(model.Index, "__init__", spy("Index", model.Index.__init__))
+    parts = [(None, None)] + [(sorted(mec.members), mec.allowed) for mec in mdp._mecs(index)]
+    for members, allowed in parts:
         for direction in ("max", "min"):
-            evaluation, _ = mdp._policy_iteration(sub, direction)
-            assert len(evaluation.gain) == len(evaluation.bias) == len(sub.ids)
-    assert len(subs) > 1 and calls.count("round") > 2 * len(subs)
+            evaluation, _ = mdp._policy_iteration(index, direction, None, members, allowed)
+            inside = range(len(index.ids)) if members is None else members
+            assert None not in [evaluation.gain[v] for v in inside] + [evaluation.bias[v] for v in inside]
+            assert len(evaluation.gain) == len(evaluation.bias) == len(index.ids)
+    assert len(parts) > 1 and calls.count("round") > 2 * len(parts)
     assert set(calls) == {"round", "closed class", "stationary_system"}
     assert calls.count("stationary_system") == calls.count("closed class")
 
@@ -634,26 +640,16 @@ def test_memo_does_not_outlive_a_solve(monkeypatch):
 
 
 def test_one_solve_evaluates_each_end_component_once(monkeypatch):
-    analyzed, chains = [], []
-    closed_classes, closed_class = mdp._closed_classes, mdp._ClosedClass
-
-    def spy_classes(steps, succ, prob, rewards, roots):
-        chains.append(steps)
-        return closed_classes(steps, succ, prob, rewards, roots)
+    analyzed = []
+    closed_class = mdp._ClosedClass
 
     def spy_analyze(members, succ, prob, rewards):
-        # A closed class's content: per member its id, targets,
+        # A closed class's content: per member its node, targets,
         # probabilities and per-visit reward, all its evaluation reads.
-        # A node's id is the first field of its chain step's content key.
-        steps = chains[-1]
-
-        def sid(v):
-            return steps[v][3][0]
-
-        analyzed.append(tuple((sid(v), tuple(map(sid, succ[v])), prob[v], rewards[v]) for v in members))
+        # Every index of a solve numbers its nodes as the game's does.
+        analyzed.append(tuple((v, tuple(succ[v]), tuple(prob[v]), rewards[v]) for v in members))
         return closed_class(members, succ, prob, rewards)
 
-    monkeypatch.setattr(mdp, "_closed_classes", spy_classes)
     monkeypatch.setattr(mdp, "_ClosedClass", spy_analyze)
     total = 0
     for game, objective in _dense_sweep():
@@ -671,23 +667,56 @@ def test_one_solve_tests_each_class_potential_once(monkeypatch):
     # reads.  Without that, dense 64 (f2) tests one class 50 times and
     # dense 128 (f2) one class 10 times.
     dense = _dense_family()
-    tested, chains = [], []
-    closed_classes, node_potential = mdp._closed_classes, chain_mod.node_potential
-
-    def spy_classes(steps, succ, prob, rewards, roots):
-        chains.append(steps)
-        return closed_classes(steps, succ, prob, rewards, roots)
+    tested = []
+    node_potential = chain_mod.node_potential
 
     def spy_potential(members, succ, weights):
-        tested.append(tuple(chains[-1][v][3] for v in members))
+        # Per member its node, targets and weights, all the test reads.
+        tested.append(tuple((v, tuple(succ[v]), tuple(weights[v])) for v in members))
         return node_potential(members, succ, weights)
 
-    monkeypatch.setattr(mdp, "_closed_classes", spy_classes)
     monkeypatch.setattr(chain_mod, "node_potential", spy_potential)
     for n in (64, 128):
         tested.clear()
         ssg.solve_limit_ssg(parse_model(dense(n, 2, None)), LIMINF_GT_MINUS_INF)
         assert tested and len(tested) == len(set(tested)), n
+
+
+def test_one_solve_builds_one_index_per_best_response(monkeypatch):
+    # A best response (a ``_reply`` memo miss) solves on the one residual
+    # index that ``Index.fixed`` derives, and on the game's index itself
+    # when the fixed player owns no node; no index is built per MEC or
+    # round, so a solve of a game where Min owns no node builds none.
+    built, replies = [], []
+    init, reply = model.Index.__init__, ssg._reply
+
+    def spy_init(self, *args):
+        built.append(len(replies))
+        init(self, *args)
+
+    def spy_reply(index, objective, player, choice):
+        replies.append(player in index.owner)
+        return reply(index, objective, player, choice)
+
+    games = [game for game, objective in _dense_sweep() if objective is LIMIT_OBJECTIVES[0]]
+    games += [game for game, objective in _one_strategy_sweep() if objective is LIMIT_OBJECTIVES[0]]
+    games.append(parse_model((DATA / "dense-n32-f7.ssg").read_text()))
+    monkeypatch.setattr(model.Index, "__init__", spy_init)
+    monkeypatch.setattr(ssg, "_reply", spy_reply)
+    one_player = 0
+    for game in games:
+        game.index.preds  # compiled before the solve
+        for objective in LIMIT_OBJECTIVES:
+            built.clear()
+            replies.clear()
+            ssg.solve_limit_ssg(game, objective)
+            # One index per reply whose fixed player owns a node, built
+            # within that reply.
+            assert built == [i + 1 for i, owns in enumerate(replies) if owns], objective.kind
+            if not game.owner_ids("min"):
+                assert built == [], objective.kind
+                one_player += 1
+    assert one_player >= 16 * len(LIMIT_OBJECTIVES)
 
 
 def test_limit_solves_never_lift_energy(monkeypatch, five_state_game):
@@ -713,13 +742,13 @@ def test_limit_solves_never_lift_energy(monkeypatch, five_state_game):
 
 def test_component_memo_lives_only_inside_a_solve(monkeypatch):
     memos = []
-    sub_gain = mdp._sub_gain
+    mec_gain = mdp._mec_gain
 
     def spy(*args):
         memos.append(mdp.COMPONENT_MEMO.get())
-        return sub_gain(*args)
+        return mec_gain(*args)
 
-    monkeypatch.setattr(mdp, "_sub_gain", spy)
+    monkeypatch.setattr(mdp, "_mec_gain", spy)
     assert mdp.COMPONENT_MEMO.get() is None
     ssg.solve_limit_ssg(FIRST_EDGE_LOSES, MEAN_GT)
     assert memos and all(type(memo) is dict and memo is memos[0] for memo in memos)
