@@ -14,7 +14,6 @@ import argparse
 import functools
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from . import oracle, ssg, termination
 from . import reduce as reduce_mod
@@ -51,8 +50,12 @@ def _fmt(value: Fraction) -> str:
 
 def _read_model(path: str):
     try:
-        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as file:
+                text = file.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read model: {exc}") from None
     return parse_model(text)
 
@@ -177,10 +180,6 @@ def _parse_choices(pairs, game, player) -> PureMemorylessStrategy | None:
     return PureMemorylessStrategy(player, choice)
 
 
-# The objectives whose finite proxy reads ``--threshold-b`` (default 50).
-_THRESHOLD_PROXIES = ("liminf-minus-inf", "liminf-plus-inf")
-
-
 def _cmd_simulate(args, out) -> int:
     if args.seed is None:
         raise CliError("simulate requires an explicit --seed")
@@ -190,14 +189,17 @@ def _cmd_simulate(args, out) -> int:
         _parse_choices(args.min_choice, game, "min"),
     )
     _check_state(game, args.state)
-    if args.threshold_b is not None and args.objective not in _THRESHOLD_PROXIES:
-        raise CliError(f"--threshold-b applies only to --objective {' or '.join(_THRESHOLD_PROXIES)}")
+    if args.threshold_b is not None and args.objective not in oracle.THRESHOLD_PROXIES:
+        raise CliError(f"--threshold-b applies only to --objective {' or '.join(oracle.THRESHOLD_PROXIES)}")
     report = [("rng", oracle.RNG_ALGORITHM), ("seed", args.seed), ("trials", args.trials), ("steps", args.steps)]
     if args.objective:
         if args.j is not None and args.objective != "term":
             raise CliError("--j applies only to --objective term or to a run without --objective")
         objective = Objective.term(args.j) if args.objective == "term" else _objective(args.objective)
-        threshold = 50 if args.threshold_b is None else args.threshold_b
+        # A threshold proxy reads ``--threshold-b``, 50 by default; no other reads one.
+        threshold = None
+        if objective.kind in oracle.THRESHOLD_PROXIES:
+            threshold = 50 if args.threshold_b is None else args.threshold_b
         freq = oracle.estimate_objective(
             game, strategies, objective, threshold, args.steps, args.trials, args.seed, args.state
         )
@@ -227,13 +229,18 @@ def _cmd_oracle(args, out) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: ``parse_args`` leaves it as it
-    is and returns a fresh namespace."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's own parser by name, built
+    once per process: ``parse_args`` leaves them as they are and returns a
+    fresh namespace.  ``run`` hands a command line that names a subcommand
+    to that subcommand's parser, which reads it in one pass; the top-level
+    parser reads only the others (no command, an unknown one, ``-h``),
+    each ending in its usage error or help."""
     parser = _Parser(prog="ocsg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    p = sub.add_parser("solve", help="exact values and witnesses for a limit objective")
+    p = commands["solve"] = sub.add_parser("solve", help="exact values and witnesses for a limit objective")
     p.add_argument("model", help="model file path, or - for stdin")
     p.add_argument("--objective", required=True)
     p.add_argument("--state")
@@ -242,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exit-status", action="store_true")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("term", help="qualitative termination decisions")
+    p = commands["term"] = sub.add_parser("term", help="qualitative termination decisions")
     p.add_argument("model")
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--state", required=True)
@@ -250,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exit-status", action="store_true")
     p.set_defaults(func=_cmd_term)
 
-    p = sub.add_parser("reduce", help="hardness reductions from reachability")
+    p = commands["reduce"] = sub.add_parser("reduce", help="hardness reductions from reachability")
     p.add_argument("model")
     p.add_argument("--kind", choices=("condon-limit", "condon-term"), required=True)
     p.add_argument("--start", required=True)
@@ -259,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int)
     p.set_defaults(func=_cmd_reduce)
 
-    p = sub.add_parser("simulate", help="seeded Monte Carlo statistics")
+    p = commands["simulate"] = sub.add_parser("simulate", help="seeded Monte Carlo statistics")
     p.add_argument("model")
     p.add_argument("--state", required=True)
     p.add_argument("--steps", type=int, required=True)
@@ -272,19 +279,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-choice", action="append")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("oracle", help="exhaustive strategy enumeration")
+    p = commands["oracle"] = sub.add_parser("oracle", help="exhaustive strategy enumeration")
     p.add_argument("model")
     p.add_argument("--objective", required=True)
     p.add_argument("--state")
     p.set_defaults(func=_cmd_oracle)
 
-    return parser
+    return parser, commands
 
 
 def run(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        parser, commands = _build_parser()
+        command = commands.get(argv[0]) if argv else None
+        args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
         return args.func(args, out)
     except (CliError, ModelError, oracle.EnumerationTooLarge, ssg.NoCertificate, ValueError) as exc:
         print(f"error = {exc}", file=sys.stderr)

@@ -48,7 +48,8 @@ game is built per best response, MEC, round or cut:
   ``chain.bottom_sccs`` and builds the stationary and transient systems
   from those lists.
 * A reachability round (``_chain_reach``) reads its chain the same way:
-  one backward reach and one solve of ``chain.hitting_rows``.
+  one backward reach and one solve of ``chain.hitting_rows``.  None runs
+  when the targets are no node or every node (``_reach``).
 * A two-player scan bounds a switch candidate that switches node u by the
   sign of c(u) - vec(u), c the limit values of the chain it makes with the
   held reply's witness and vec the scan's vector (``_switch_sign``): the
@@ -60,14 +61,15 @@ game is built per best response, MEC, round or cut:
 
 Inside one ``ssg.solve_limit_ssg`` call, ``COMPONENT_MEMO`` holds a dict
 that memoizes closed classes of induced chains (``_closed_classes``):
-each class's mean, its stationary factorization and unshifted bias, from
-which its canonical bias is computed on the first read and kept, and its
-potential verdict once tested.  The key is a tuple of ints over the
-members in game order: a rand node with several edges by its node, a
-one-edge step by (node, target, weight).  It is exact because every index
-of one solve numbers its nodes as the game's index does (``Index.fixed``
-keeps the numbering and nothing renumbers), so a rand node keeps its edges
-and a key holds every probability and weight the analysis reads.  A MEC's
+each class's mean, its stationary factorization (none for a cycle, whose
+uniform law gives it in closed form) and unshifted bias, from which its
+canonical bias is computed on the first read and kept, and its potential
+verdict once tested.  The key is a tuple of ints over the members in game
+order: a rand node with several edges by its node, a one-edge step by
+(node, target, weight).  It is exact because every index of one solve
+numbers its nodes as the game's index does (``Index.fixed`` keeps the
+numbering and nothing renumbers), so a rand node keeps its edges and a key
+holds every probability and weight the analysis reads.  A MEC's
 gain policy iteration may run again, but its rounds find their classes
 there.  Outside a solve the variable is None and nothing is cached.
 """
@@ -156,11 +158,16 @@ def _reach(index, targets: frozenset[int], direction: str):
     is accepted only on strict improvement, and the loop stops at a policy
     with no improving switch.  It starts from every first edge; minimising,
     a node that can avoid the targets starts on an edge that keeps
-    avoiding them.
+    avoiding them.  With no target, or every node a target, that start is
+    every first edge, every value is 0 or 1, and the constant vector
+    admits no strictly better switch, so the start comes back with no
+    round run.
     """
     succ = index.succ
     controlled = [v for v, owner in enumerate(index.owner) if owner != "rand"]
     choice = [0] * len(succ)
+    if not targets or len(targets) == len(succ):
+        return [Fraction(1 if targets else 0)] * len(succ), dict.fromkeys(controlled, 0)
     if direction == "min":
         reaching, _ = chain_mod.attractor(index, targets, ("rand",))
         for v in controlled:
@@ -340,18 +347,37 @@ class _ClosedClass:
     ``solve_transposed`` on its factorization gives the mean g and h, and h
     is kept.  The bias shifts h by its stationary average; the stationary
     law, S x = e_0, is solved only then.
+
+    A class whose every member has one step is a cycle, and is evaluated
+    in closed form with nothing factored: its law is uniform, so g is the
+    plain average of the rewards and the bias shifts h by its plain
+    average, and the evaluation at v reads h(t) = h(v) + g - r(v) for the
+    step v -> t, so h follows the cycle from the first member.
     """
 
     def __init__(self, members, succ, prob, rewards):
+        self.potential: bool | None = None
+        if all(len(succ[v]) == 1 for v in members):
+            self._system = None
+            self.mean = Fraction(sum(rewards[v] for v in members), len(members))
+            h = {members[0]: Fraction(0)}
+            v = members[0]
+            while (t := succ[v][0]) not in h:
+                h[t] = h[v] + self.mean - rewards[v]
+                v = t
+            self._h = [h[v] for v in members]
+            return
         self._system = chain_mod.stationary_system(members, succ, prob)
         solution = self._system.solve_transposed([rewards[v] for v in members])
         self.mean, self._h = solution[0], [Fraction(0)] + solution[1:]
-        self.potential: bool | None = None
 
     @cached_property
     def bias(self) -> list[Fraction]:
-        law = self._system.solve([1] + [0] * (len(self._h) - 1))
-        shift = sum((w * v for w, v in zip(law, self._h)), Fraction(0))
+        if self._system is None:
+            shift = Fraction(sum(self._h), len(self._h))
+        else:
+            law = self._system.solve([1] + [0] * (len(self._h) - 1))
+            shift = sum((w * v for w, v in zip(law, self._h)), Fraction(0))
         return [v - shift for v in self._h]
 
 
@@ -405,11 +431,12 @@ class _PolicyEvaluation:
     lists (``_policy_chain``); no game or index is built.  Its closed
     classes, ``members`` (node lists), are its ``chain.bottom_sccs``.
     ``means`` (the closed classes' mean payoffs) come first, one transposed
-    solve per class (``_ClosedClass``).  ``gain`` adds the transient
-    states: one factorization of I - P_TT (``chain.hitting_rows`` with no
-    targets), kept.  ``bias`` adds each class's bias and solves the
-    transient bias with that factorization.  A closed class is memoized in
-    ``COMPONENT_MEMO``, bias included, keyed by node (``_closed_classes``).
+    solve per class that is not a cycle (``_ClosedClass``).  ``gain`` adds
+    the transient states: one factorization of I - P_TT
+    (``chain.hitting_rows`` with no targets), kept.  ``bias`` adds each
+    class's bias and solves the transient bias with that factorization.  A
+    closed class is memoized in ``COMPONENT_MEMO``, bias included, keyed by
+    node (``_closed_classes``).
     """
 
     def __init__(self, index, choice: list[int], members=None):

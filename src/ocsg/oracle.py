@@ -319,25 +319,35 @@ def simulate(game, strategies, start: str, steps: int, trials: int, seed: int,
     return SimulationStats(trials, records, termination)
 
 
-def estimate_objective(game, strategies, objective: Objective, threshold: int,
+# The objectives whose finite proxy reads a threshold.
+THRESHOLD_PROXIES = ("liminf-minus-inf", "liminf-plus-inf")
+
+
+def estimate_objective(game, strategies, objective: Objective, threshold: int | None,
                        steps: int, trials: int, seed: int, start: str) -> Fraction:
     """Empirical frequency of a finite proxy for the objective.
 
     liminf-minus-inf: the running sum dips below -threshold; liminf-plus-inf:
     the sum exceeds +threshold and stays above it for the rest of the
     horizon; mean-gt: the final average is positive; term: the sum hits -j.
+    ``threshold`` is required, and positive, exactly for the two proxies
+    that read it (``THRESHOLD_PROXIES``), and must be None for the others.
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    if objective.kind in THRESHOLD_PROXIES:
+        if threshold is None or threshold <= 0:
+            raise ValueError("threshold must be positive")
+    elif threshold is not None:
+        raise ValueError(f"threshold applies only to {' or '.join(THRESHOLD_PROXIES)}")
     _check_run("estimation", seed, trials, steps)
     rng = random.Random(seed)
     compiled = _Compiled(game, strategies, start)
     # Per proxy: the hit level j, the stay-above level, and what counts as
     # a success.  Unit increments never skip a value, so dipping below -B is
     # exactly hitting -(B+1); a trial stops at its hit.
+    dip = None if threshold is None else threshold + 1
     proxies = {
         "term": (objective.j, None, lambda record, _: record.hit_time is not None),
-        "liminf-minus-inf": (threshold + 1, None, lambda record, _: record.hit_time is not None),
+        "liminf-minus-inf": (dip, None, lambda record, _: record.hit_time is not None),
         "liminf-plus-inf": (None, threshold, lambda _, stays_above: stays_above),
         "mean-gt": (None, None, lambda record, _: record.final_mean > 0),
     }

@@ -362,6 +362,74 @@ def test_parser_is_built_once(tmp_path, monkeypatch):
     assert outs[1].getvalue() == outs[0].getvalue()
 
 
+def test_a_command_line_is_read_by_its_subcommand_parser_alone(tmp_path, monkeypatch, capsys):
+    # A line that names a subcommand is read once, by that subcommand's
+    # parser; the top-level parser reads only a line with no command, an
+    # unknown one or -h.
+    parser, commands = cli._build_parser()
+    parsers = []
+    parse_args = cli._Parser.parse_args
+
+    def spy(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_args", spy)
+    coin = _write(tmp_path, "coin.ssg", FAIR_COIN_TEXT)
+    appendix = _write(tmp_path, "appendix.ocssg", FIVE_STATE_TEXT)
+    lines = {
+        "solve": ["solve", coin, "--objective", "mean-gt"],
+        "term": ["term", appendix, "--j", "1", "--state", "v"],
+        "reduce": ["reduce", coin, "--kind", "condon-limit", "--start", "s", "--t", "t", "--tprime", "u"],
+        "simulate": ["simulate", coin, "--state", "s", "--steps", "5", "--trials", "2", "--seed", "1"],
+        "oracle": ["oracle", coin, "--objective", "mean-gt"],
+    }
+    assert set(lines) == set(commands)
+    for name, argv in lines.items():
+        parsers.clear()
+        assert run(argv, io.StringIO()) == 0, name
+        assert parsers == [commands[name]], name
+    assert capsys.readouterr().err == ""
+
+    for argv in ([], ["bogus", coin]):
+        parsers.clear()
+        out = io.StringIO()
+        assert run(argv, out) == 2
+        assert parsers == [parser] and out.getvalue() == ""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        if argv:
+            # The choice list is quoted differently across Python versions.
+            assert err.startswith("error = argument command: invalid choice: 'bogus'"), err
+        else:
+            assert err == "error = the following arguments are required: command\n"
+    parsers.clear()
+    with pytest.raises(SystemExit) as exited:
+        run(["-h"], io.StringIO())
+    assert exited.value.code == 0 and parsers == [parser]
+    assert "{solve,term,reduce,simulate,oracle}" in capsys.readouterr().out
+
+
+def test_unreadable_models_are_one_error_line(tmp_path, monkeypatch, capsys):
+    # A missing file, a directory and text that is not UTF-8, in a file or
+    # on stdin, each end in one `cannot read model` line and no report.
+    latin = tmp_path / "latin.ssg"
+    latin.write_bytes(FAIR_COIN_TEXT.encode() + b"# caf\xe9\n")
+    cases = [
+        (str(tmp_path / "missing.ssg"), "No such file or directory"),
+        (str(tmp_path), "Is a directory"),
+        (str(latin), "'utf-8' codec can't decode byte 0xe9"),
+        ("-", "'utf-8' codec can't decode byte 0xff"),
+    ]
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"ssg rewards=states\n\xff\n"), encoding="utf-8"))
+    for path, reason in cases:
+        out = io.StringIO()
+        assert run(["solve", path, "--objective", "mean-gt"], out) == 2, path
+        err = capsys.readouterr().err
+        assert err.startswith("error = cannot read model: ") and err.count("\n") == 1, err
+        assert reason in err and out.getvalue() == "", err
+
+
 DASHED_TEXT = """\
 ssg rewards=states
 state -a owner=rand reward=1

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ocsg import certify, linsolve, mdp, oracle
+from ocsg import certify, linsolve, mdp, oracle, ssg
+from ocsg import chain as chain_mod
 from ocsg.model import (
     LIMINF_GT_MINUS_INF,
     LIMINF_MINUS_INF,
@@ -39,10 +40,26 @@ from grids import (
     random_games,
     reference_almost_sure_reach,
     reference_procedure_mp,
+    reference_solve_reachability,
     remove_states,
     restrict_to_mec,
     restricted,
 )
+
+
+def test_decided_reach_runs_no_round(monkeypatch):
+    # With no target, or every node a target, every value is 0 or 1 and
+    # the start choice, every first edge, comes back with no round run.
+    monkeypatch.setattr(mdp, "_chain_reach", lambda *args: pytest.fail("a reachability round ran"))
+    for game in exhaustive_games():
+        index = game.index
+        start = {v: 0 for v, owner in enumerate(index.owner) if owner != "rand"}
+        for direction in ("max", "min"):
+            for targets in ((), game.ids()):
+                values, policy = mdp._reach(index, frozenset(map(index.pos.__getitem__, targets)), direction)
+                expected, witness = reference_solve_reachability(game, targets, direction)
+                assert dict(zip(index.ids, values)) == expected
+                assert policy == start == {index.pos[sid]: k for sid, k in witness.choice.items()}
 
 
 def _fix(game, strategy):
@@ -402,19 +419,26 @@ def test_evaluation_factors_each_matrix_once(monkeypatch):
         return factor(rows)
 
     monkeypatch.setattr(linsolve, "factor", spy)
-    transient_blocks = 0
+    transient_blocks, cycles = 0, 0
     for game, policy in _policy_cases():
-        bsccs, transient = certify.bscc_decompose(induced_chain(game, policy))
+        induced = induced_chain(game, policy)
+        bsccs, transient = certify.bscc_decompose(induced)
         sizes.clear()
         evaluation = _evaluation(game.index, policy)
-        # One factorization per closed class, one for the transient block
-        # when the gain is read, and none more for the bias.
-        assert sizes == [len(members) for members in bsccs]
-        expected = [len(members) for members in bsccs] + ([len(transient)] if transient else [])
+        # One factorization per closed class that is not a cycle (a cycle,
+        # every member with one step, is evaluated in closed form), one for
+        # the transient block when the gain is read, and none more for the
+        # bias.
+        factored = [
+            len(members) for members in bsccs if any(len(induced.state(sid).transitions) > 1 for sid in members)
+        ]
+        assert sizes == factored
+        expected = factored + ([len(transient)] if transient else [])
         assert len(evaluation.gain) == len(game.states) and sizes == expected
         assert len(evaluation.bias) == len(game.states) and sizes == expected
         transient_blocks += bool(transient)
-    assert transient_blocks > 2000
+        cycles += len(bsccs) - len(factored)
+    assert transient_blocks > 2000 and cycles > 2000
 
 
 def test_lazy_evaluation_matches_eager_reference():
@@ -425,6 +449,66 @@ def test_lazy_evaluation_matches_eager_reference():
         assert evaluation.means == [class_gain_bias(induced, members)[0] for members in bsccs]
         gain_bias = (_by_id(game.index, evaluation.gain), _by_id(game.index, evaluation.bias))
         assert gain_bias == evaluate_gain_bias(game, policy)
+
+
+def _cycle_chain(steps):
+    """A transition-reward chain of the cycle ``steps`` (node -> (targets,
+    per-visit reward)), its states named by node in node order."""
+    states = tuple(
+        State(str(v), "rand", transitions=(Transition(str(targets[0]), Fraction(1), reward),))
+        for v, (targets, reward) in steps.items()
+    )
+    return Ssg(states, reward_location="transitions")
+
+
+def test_cycle_classes_take_the_closed_form(monkeypatch):
+    # A closed class whose every member has one step is a cycle: its mean,
+    # h and bias come in closed form, equal to the factored evaluation's,
+    # and it builds no stationary system.  The classes are every one that
+    # the two-player solve meets on the grid games and small dense games,
+    # under every objective, and three built by hand.
+    systems, built = [], []
+    stationary_system, closed_class = chain_mod.stationary_system, mdp._ClosedClass
+
+    def spy_class(members, succ, prob, rewards):
+        before = len(systems)
+        closed = closed_class(members, succ, prob, rewards)
+        built.append(({v: (tuple(succ[v]), rewards[v]) for v in members}, closed, len(systems) - before))
+        return closed
+
+    monkeypatch.setattr(chain_mod, "stationary_system", lambda *args: systems.append(args) or stationary_system(*args))
+    monkeypatch.setattr(mdp, "_ClosedClass", spy_class)
+    dense = bench_families().dense
+    games = exhaustive_games() + [parse_model(dense(n, f, None)) for n in range(8, 17) for f in (1, 2, 3)]
+    for game in games:
+        for objective in LIMIT_OBJECTIVES:
+            ssg.solve_limit_ssg(game, objective)
+    # A self-loop, a cycle through a one-edge rand node, and a cycle with
+    # Fraction rewards against node order.
+    mdp._ClosedClass([0], [(0,)], [(1,)], [-1])
+    through_rand = parse_model(
+        "ssg rewards=transitions\nstate m owner=max\nstate r owner=rand\n"
+        "trans m -> r reward=1\ntrans m -> m reward=-1\ntrans r -> m p=1/1 reward=-1\n"
+    ).index
+    mdp._closed_classes(*mdp._policy_chain(through_rand, [0, 0], range(2)), [0])
+    thirds = [Fraction(1, 3), Fraction(-2, 5), Fraction(7, 2)]
+    mdp._ClosedClass([0, 1, 2], [(2,), (0,), (1,)], [(1,)] * 3, thirds)
+    monkeypatch.undo()
+
+    cycles = 0
+    for steps, closed, factored in built:
+        if any(len(targets) > 1 for targets, _ in steps.values()):
+            assert factored == 1
+            continue
+        cycles += 1
+        assert factored == 0
+        mean, bias = class_gain_bias(_cycle_chain(steps), frozenset(map(str, steps)))
+        bias = [bias[str(v)] for v in steps]
+        assert closed.mean == mean
+        assert closed._h == [b - bias[0] for b in bias]
+        assert closed.bias == bias
+    assert cycles > 500 and cycles < len(built)
+    assert [len(steps) for steps, _, _ in built[-3:]] == [1, 2, 3]
 
 
 # -- MECs ---------------------------------------------------------------------
@@ -954,7 +1038,7 @@ def test_one_player_calls_on_a_parsed_game_build_no_states(built_states):
     sigma = PureMemorylessStrategy("max", dict.fromkeys(game.owner_ids("max"), 0))
     stats = oracle.simulate(game, [sigma], start, steps=50, trials=3, seed=5, j=2)
     assert stats.trials == len(stats.records) == 3
-    assert 0 <= oracle.estimate_objective(game, [sigma], MEAN_GT, 5, 50, 3, 5, start) <= 1
+    assert 0 <= oracle.estimate_objective(game, [sigma], MEAN_GT, None, 50, 3, 5, start) <= 1
     walk = parse_model(FAIR_WALK_TEXT)
     assert certify.chain_tail_value(walk, LIMINF_MINUS_INF) == {"s": 1}
     assert certify.reach_probabilities(walk, ["s"]) == {"s": 1}

@@ -80,7 +80,7 @@ def test_unknown_start_is_a_typed_error(fair_walk):
             oracle.simulate(fair_walk, (), start, 10, 10, seed=1)
         assert str(raised.value) == message
         with pytest.raises(ValueError) as raised:
-            oracle.estimate_objective(fair_walk, (), Objective.term(1), 1, 10, 10, 1, start)
+            oracle.estimate_objective(fair_walk, (), Objective.term(1), None, 10, 10, 1, start)
         assert str(raised.value) == message
 
 
@@ -95,7 +95,7 @@ def test_estimate_term_proxy_matches_simulation():
     game = parse_model(
         "ocssg\nstate s owner=rand\ntrans s -> s p=1/2 delta=1\ntrans s -> s p=1/2 delta=-1\n"
     )
-    freq = oracle.estimate_objective(game, (), Objective.term(1), 10, 2_000, 500, 17, "s")
+    freq = oracle.estimate_objective(game, (), Objective.term(1), None, 2_000, 500, 17, "s")
     stats = oracle.simulate(game, (), "s", 2_000, 500, seed=17, j=1, stop_at_termination=True)
     assert freq == stats.termination_frequency
 
@@ -122,6 +122,23 @@ def test_estimate_minus_proxy_on_drift():
     game = parse_model("ssg rewards=transitions\nstate s owner=rand\ntrans s -> s p=1/1 reward=-1\n")
     freq = oracle.estimate_objective(game, (), LIMINF_MINUS_INF, 50, 2_000, 200, 7, "s")
     assert freq == 1
+
+
+def test_threshold_is_read_only_by_the_threshold_proxies():
+    # The term and mean-gt proxies read no threshold, so none may be given;
+    # the two threshold proxies need a positive one.
+    game = parse_model("ssg rewards=transitions\nstate s owner=rand\ntrans s -> s p=1/1 reward=1\n")
+    for objective in (Objective.term(1), MEAN_GT):
+        for threshold in (0, 50):
+            with pytest.raises(ValueError) as raised:
+                oracle.estimate_objective(game, (), objective, threshold, 10, 10, 1, "s")
+            assert str(raised.value) == "threshold applies only to liminf-minus-inf or liminf-plus-inf"
+        assert oracle.estimate_objective(game, (), objective, None, 10, 10, 1, "s") in (0, 1)
+    for objective in (LIMINF_MINUS_INF, LIMINF_PLUS_INF):
+        for threshold in (None, 0, -1):
+            with pytest.raises(ValueError) as raised:
+                oracle.estimate_objective(game, (), objective, threshold, 10, 10, 1, "s")
+            assert str(raised.value) == "threshold must be positive"
 
 
 def test_estimate_bounded_cycle_never_dips():

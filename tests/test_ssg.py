@@ -262,11 +262,18 @@ def test_dense_n32_evaluation_count(monkeypatch):
 def test_dense_n32_linear_solve_counts(monkeypatch):
     # A round that stops reads only its closed-class means, and one that
     # switches on gain reads no bias; evaluating every round in full, the
-    # same solve runs 22 factorizations.  Each new closed class takes one
-    # transposed solve for its mean (14), and a solve serves each transient
-    # gain or bias and each bias read's stationary law (12).
+    # same solve runs 22 factorizations.  Of the 14 new closed classes, the
+    # 6 cycles are evaluated in closed form and each of the other 8 takes
+    # one transposed solve for its mean; a solve serves each transient gain
+    # or bias and each bias read's stationary law of a non-cycle class (9).
     game = parse_model((DATA / "dense-n32-f7.ssg").read_text())
     counts = {"factor": 0, "solve": 0, "solve_transposed": 0}
+    cycles = []
+    closed_class = mdp._ClosedClass
+
+    def spy_class(members, succ, *args):
+        cycles.append(all(len(succ[v]) == 1 for v in members))
+        return closed_class(members, succ, *args)
     factor, solve, solve_transposed = linsolve.factor, linsolve.Factorization.solve, linsolve.Factorization.solve_transposed
 
     def spy(name, call):
@@ -279,8 +286,10 @@ def test_dense_n32_linear_solve_counts(monkeypatch):
     monkeypatch.setattr(linsolve, "factor", spy("factor", factor))
     monkeypatch.setattr(linsolve.Factorization, "solve", spy("solve", solve))
     monkeypatch.setattr(linsolve.Factorization, "solve_transposed", spy("solve_transposed", solve_transposed))
+    monkeypatch.setattr(mdp, "_ClosedClass", spy_class)
     ssg.solve_limit_ssg(game, LIMINF_MINUS_INF)
-    assert counts == {"factor": 18, "solve": 12, "solve_transposed": 14}
+    assert (len(cycles), cycles.count(True)) == (14, 6)
+    assert counts == {"factor": 12, "solve": 9, "solve_transposed": 8}
 
 
 def _walk(key):
@@ -305,17 +314,26 @@ def test_dense_n32_policy_iteration_builds_no_game(monkeypatch):
 
         return counted
 
-    closed_classes = mdp._closed_classes
+    closed_classes, closed_class = mdp._closed_classes, mdp._ClosedClass
 
     def spy_classes(*args):
         memo = mdp.COMPONENT_MEMO.get()
         memos[id(memo)] = memo
         return closed_classes(*args)
 
+    systems, cycles = [], []
+
+    def spy_class(members, succ, *args):
+        calls.append("closed class")
+        cycles.append(all(len(succ[v]) == 1 for v in members))
+        return closed_class(members, succ, *args)
+
     monkeypatch.setattr(model.Ssg, "__init__", spy("Ssg", model.Ssg.__init__))
     monkeypatch.setattr(model, "fix_strategies", spy("fix_strategies", model.fix_strategies))
     monkeypatch.setattr(model, "relabel_controlled", spy("relabel_controlled", model.relabel_controlled))
     monkeypatch.setattr(mdp, "_closed_classes", spy_classes)
+    stationary_system = chain_mod.stationary_system
+    monkeypatch.setattr(chain_mod, "stationary_system", lambda *args: systems.append(args) or stationary_system(*args))
     for objective in LIMIT_OBJECTIVES:
         ssg.solve_limit_ssg(game, objective)
     assert calls == []
@@ -324,13 +342,18 @@ def test_dense_n32_policy_iteration_builds_no_game(monkeypatch):
     keys = [key for memo in memos.values() for key in memo]
     assert keys and all(type(closed) is mdp._ClosedClass for memo in memos.values() for closed in memo.values())
     assert set().union(*map(_walk, keys)) == {int}
+    # A key holds a bare node exactly at a member with several steps, so
+    # the classes without one are the cycles, which factor nothing.
+    non_cycles = sum(any(type(part) is int for part in key) for key in keys)
+    assert 0 < non_cycles < len(keys) and len(systems) == non_cycles
 
     # Each policy-iteration round reads the policy's chain off the index,
     # on the whole index or in place on a MEC: no induced chain, no
     # collapsed strategy, no index and no game-level stationary law.
-    # Every stationary system is a closed class's, one per class.
-    monkeypatch.setattr(chain_mod, "stationary_system", spy("stationary_system", chain_mod.stationary_system))
-    monkeypatch.setattr(mdp, "_ClosedClass", spy("closed class", mdp._ClosedClass))
+    # Every stationary system is a closed class's, one per class that is
+    # not a cycle.
+    monkeypatch.setattr(chain_mod, "stationary_system", spy("stationary_system", stationary_system))
+    monkeypatch.setattr(mdp, "_ClosedClass", spy_class)
     monkeypatch.setattr(mdp, "_PolicyEvaluation", spy("round", mdp._PolicyEvaluation))
     monkeypatch.setattr(model.Index, "__init__", spy("Index", model.Index.__init__))
     parts = [(None, None)] + [(sorted(mec.members), mec.allowed) for mec in mdp._mecs(index)]
@@ -341,8 +364,9 @@ def test_dense_n32_policy_iteration_builds_no_game(monkeypatch):
             assert None not in [evaluation.gain[v] for v in inside] + [evaluation.bias[v] for v in inside]
             assert len(evaluation.gain) == len(evaluation.bias) == len(index.ids)
     assert len(parts) > 1 and calls.count("round") > 2 * len(parts)
-    assert set(calls) == {"round", "closed class", "stationary_system"}
-    assert calls.count("stationary_system") == calls.count("closed class")
+    assert set(calls) - {"stationary_system"} == {"round", "closed class"}
+    assert calls.count("stationary_system") == cycles.count(False)
+    assert calls.count("closed class") == len(cycles)
 
 
 def test_dense_n7_f36_matches_oracle():
@@ -850,8 +874,9 @@ UNREACHED_ZERO_CLASS = parse_model(
 
 
 def test_switch_sign_reads_only_the_classes_u_reaches(monkeypatch):
-    # The rule judges the classes that u reaches and no other: no potential
-    # test, stationary system or hitting solve touches z and y.
+    # The rule judges the classes that u reaches and no other: no closed
+    # class, potential test, stationary system or hitting solve touches z
+    # and y.
     calls = []
 
     def spy(name, call):
@@ -863,6 +888,7 @@ def test_switch_sign_reads_only_the_classes_u_reaches(monkeypatch):
 
     monkeypatch.setattr(chain_mod, "node_potential", spy("potential", chain_mod.node_potential))
     monkeypatch.setattr(chain_mod, "stationary_system", spy("stationary", chain_mod.stationary_system))
+    monkeypatch.setattr(mdp, "_ClosedClass", spy("class", mdp._ClosedClass))
     monkeypatch.setattr(mdp, "_chain_reach", lambda *args: calls.append(("reach", args)))
     game, index = UNREACHED_ZERO_CLASS, UNREACHED_ZERO_CLASS.index
     tail = _TailValues(game, LIMINF_MINUS_INF)
@@ -871,10 +897,11 @@ def test_switch_sign_reads_only_the_classes_u_reaches(monkeypatch):
     assert to_a == [1, 1, 0, 0, 0] and to_b == [0, 1, 0, 0, 0]
     calls.clear()
     assert mdp._switch_sign(index, [1, 0, 0, 0, 0], u, LIMINF_MINUS_INF.kind, tuple(to_a)) == -1
-    assert calls == [("stationary", {b})]
+    # b's self-loop is a cycle, evaluated with no stationary system.
+    assert calls == [("class", {b})]
     calls.clear()
     assert mdp._switch_sign(index, [0, 0, 0, 0, 0], u, LIMINF_MINUS_INF.kind, tuple(to_b)) == 1
-    assert calls == [("stationary", {a}), ("potential", {a})]
+    assert calls == [("class", {a}), ("stationary", {a}), ("potential", {a})]
 
 
 def test_skipped_candidates_fail_the_vector_test(monkeypatch):
