@@ -6,7 +6,8 @@ probabilities and weights, as a ``model.Index`` or a policy's chain holds
 them, so none builds a ``State``: the SCC kernel (``tarjan``) and a
 chain's closed classes (``bottom_sccs``), the attractor (``attractor``),
 the factorization of a closed class's stationary system
-(``stationary_system``), the potential test (``node_potential``), the
+(``stationary_system``, built once per class for its mean and h, and again
+only for the law when several classes share a chain), the potential test (``node_potential``), the
 hitting-probability rows (``hitting_rows``), and the winning mean signs of
 each limit objective with the mean-0 potential rule (``WINNING_SIGNS``,
 read by ``class_wins``).
@@ -148,7 +149,10 @@ def stationary_system(members, succ, prob) -> linsolve.Factorization:
     S holds the balance equations over the members, with the first
     replaced by normalisation: row 0 is all ones and row j > 0 has column i
     equal to [i == j] - P(i, j).  The stationary law solves S x = e_0, and
-    S^T is the unichain evaluation matrix (``mdp._ClosedClass``).
+    S^T is the unichain evaluation matrix: ``mdp._ClosedClass`` solves it
+    once for the mean and the unshifted bias and keeps no factorization,
+    and factors S again only for a bias read on a chain with several
+    closed classes, to solve the law.
     """
     pos = {v: i for i, v in enumerate(members)}
     n = len(members)

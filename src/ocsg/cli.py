@@ -49,9 +49,14 @@ def _fmt(value: Fraction) -> str:
 
 
 def _read_model(path: str):
+    """The model in the file ``path``, or on stdin for ``-``, as strict
+    UTF-8: stdin's bytes are decoded here, not by its locale's error
+    handler (``surrogateescape`` under the C locale); a stream with no byte
+    buffer is read as text."""
     try:
         if path == "-":
-            text = sys.stdin.read()
+            raw = getattr(sys.stdin, "buffer", None)
+            text = sys.stdin.read() if raw is None else raw.read().decode("utf-8")
         else:
             with open(path, encoding="utf-8") as file:
                 text = file.read()

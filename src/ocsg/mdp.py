@@ -61,11 +61,13 @@ game is built per best response, MEC, round or cut:
 
 Inside one ``ssg.solve_limit_ssg`` call, ``COMPONENT_MEMO`` holds a dict
 that memoizes closed classes of induced chains (``_closed_classes``):
-each class's mean, its stationary factorization (none for a cycle, whose
-uniform law gives it in closed form) and unshifted bias, from which its
-canonical bias is computed on the first read and kept, and its potential
-verdict once tested.  The key is a tuple of ints over the members in game
-order: a rand node with several edges by its node, a one-edge step by
+each class's mean and unshifted bias h from one transposed solve (none
+for a cycle, evaluated in closed form), its potential verdict once
+tested, and its canonical bias once a chain with several closed classes
+reads it.  It keeps no factorization: a one-class evaluation reads h
+itself (``_PolicyEvaluation``), and only a several-class bias read
+factors the class's stationary system again, once per class.  The key is
+a tuple of ints over the members in game order: a rand node with several edges by its node, a one-edge step by
 (node, target, weight).  It is exact because every index of one solve
 numbers its nodes as the game's index does (``Index.fixed`` keeps the
 numbering and nothing renumbers), so a rand node keeps its edges and a key
@@ -332,11 +334,13 @@ def almost_sure_reach(index, targets) -> AsrResult:
 
 
 class _ClosedClass:
-    """A closed class of an induced chain: its mean payoff, its canonical
-    bias (stationary average 0, a list in member order) computed on the
-    first read of ``bias`` and kept, and ``potential``, whether it has a
-    potential (``chain.node_potential``), None until ``_switch_sign`` first
-    tests it.  The memo key holds every target and weight that test reads.
+    """A closed class of an induced chain: its mean payoff ``mean``, its
+    unshifted bias ``h`` (a list in member order, 0 at the first member)
+    and ``potential``, whether it has a potential
+    (``chain.node_potential``), None until ``_switch_sign`` first tests it.
+    The memo key holds every target and weight that test reads.  The
+    canonical bias is computed by ``bias`` on its first call and kept; no
+    factorization is.
 
     ``members`` are nodes of the game index in game order; node v steps to
     ``succ[v][k]`` with probability ``prob[v][k]`` and has the per-visit
@@ -344,41 +348,44 @@ class _ClosedClass:
     t) h(t) = r(s) with h(first member) = 0 is M x = r for x = (g, h
     without its first entry) and M = [1 | (I - P) without column 0].  M^T
     is the stationary system S of ``chain.stationary_system``, so one
-    ``solve_transposed`` on its factorization gives the mean g and h, and h
-    is kept.  The bias shifts h by its stationary average; the stationary
-    law, S x = e_0, is solved only then.
+    ``solve_transposed`` on its factorization gives the mean g and h.
 
     A class whose every member has one step is a cycle, and is evaluated
     in closed form with nothing factored: its law is uniform, so g is the
-    plain average of the rewards and the bias shifts h by its plain
-    average, and the evaluation at v reads h(t) = h(v) + g - r(v) for the
-    step v -> t, so h follows the cycle from the first member.
+    plain average of the rewards, and the evaluation at v reads h(t) = h(v)
+    + g - r(v) for the step v -> t, so h follows the cycle from the first
+    member.
     """
 
     def __init__(self, members, succ, prob, rewards):
         self.potential: bool | None = None
+        self._bias = None
         if all(len(succ[v]) == 1 for v in members):
-            self._system = None
             self.mean = Fraction(sum(rewards[v] for v in members), len(members))
             h = {members[0]: Fraction(0)}
             v = members[0]
             while (t := succ[v][0]) not in h:
                 h[t] = h[v] + self.mean - rewards[v]
                 v = t
-            self._h = [h[v] for v in members]
+            self.h = [h[v] for v in members]
             return
-        self._system = chain_mod.stationary_system(members, succ, prob)
-        solution = self._system.solve_transposed([rewards[v] for v in members])
-        self.mean, self._h = solution[0], [Fraction(0)] + solution[1:]
+        solution = chain_mod.stationary_system(members, succ, prob).solve_transposed([rewards[v] for v in members])
+        self.mean, self.h = solution[0], [Fraction(0)] + solution[1:]
 
-    @cached_property
-    def bias(self) -> list[Fraction]:
-        if self._system is None:
-            shift = Fraction(sum(self._h), len(self._h))
-        else:
-            law = self._system.solve([1] + [0] * (len(self._h) - 1))
-            shift = sum((w * v for w, v in zip(law, self._h)), Fraction(0))
-        return [v - shift for v in self._h]
+    def bias(self, members, succ, prob) -> list[Fraction]:
+        """The canonical bias (stationary average 0, in member order) of the
+        class ``members`` of the chain ``succ``, ``prob`` that it was built
+        from, computed on the first call and kept: h shifted by its
+        stationary average, the plain one for a cycle, else the law's, S x =
+        e_0 solved on a fresh factorization of S."""
+        if self._bias is None:
+            if all(len(succ[v]) == 1 for v in members):
+                shift = Fraction(sum(self.h), len(self.h))
+            else:
+                law = chain_mod.stationary_system(members, succ, prob).solve([1] + [0] * (len(self.h) - 1))
+                shift = sum((w * v for w, v in zip(law, self.h)), Fraction(0))
+            self._bias = [v - shift for v in self.h]
+        return self._bias
 
 
 def _policy_chain(index, choice: list[int], nodes):
@@ -421,8 +428,8 @@ def _closed_classes(succ, prob, rewards, roots):
 
 
 class _PolicyEvaluation:
-    """The gain and canonical bias, by node, of the policy where each
-    controlled node v of ``members`` (default: every node) takes its edge
+    """The gain and a bias, by node, of the policy where each controlled
+    node v of ``members`` (default: every node) takes its edge
     ``choice[v]`` (multichain evaluation), computed only as far as they
     are read, each at most once; None off ``members``, which the policy
     must keep closed.
@@ -434,9 +441,25 @@ class _PolicyEvaluation:
     solve per class that is not a cycle (``_ClosedClass``).  ``gain`` adds
     the transient states: one factorization of I - P_TT
     (``chain.hitting_rows`` with no targets), kept.  ``bias`` adds each
-    class's bias and solves the transient bias with that factorization.  A
-    closed class is memoized in ``COMPONENT_MEMO``, bias included, keyed by
-    node (``_closed_classes``).
+    class's values and solves the transient bias with that factorization.
+    A closed class is memoized in ``COMPONENT_MEMO``, keyed by node
+    (``_closed_classes``).
+
+    With several closed classes the class values are the canonical bias
+    (``_ClosedClass.bias``, one law solve per class that is not a cycle).
+    With one, they are the class's h, and the result is the canonical bias
+    b plus one constant c at every node, so no law is solved.  On the
+    class, b = h - c for c = pi.h, pi the class's stationary law.  On the
+    transient nodes, b solves x = r - g + P_TT x + P_TC b_C, and since each
+    row of P sums to 1, x + c solves the same system with h_C = b_C + c in
+    place of b_C, which is what the extension solves, so the transient
+    values differ by c too.  Every reader compares the bias at two nodes of
+    the chain: Howard's bias test ``w + b(t)`` against ``g(v) + b(v)``
+    among gain-tied edges (``_policy_iteration``), and the tight test ``w +
+    b(t) = b(v)`` (``_tight_part``).  A common constant cancels in both, so
+    every decision and witness is the canonical bias's.  With several
+    classes an edge may join classes whose constants differ, so each class
+    is shifted by its own.
     """
 
     def __init__(self, index, choice: list[int], members=None):
@@ -476,8 +499,10 @@ class _PolicyEvaluation:
     @cached_property
     def bias(self) -> list[Fraction]:
         bias = [None] * len(self._succ)
+        one = len(self._classes) == 1
         for members, closed in zip(self.members, self._classes):
-            for v, h in zip(members, closed.bias):
+            values = closed.h if one else closed.bias(members, self._succ, self._prob)
+            for v, h in zip(members, values):
                 bias[v] = h
         gain = self.gain
         return self._extend(bias, [self._rewards[v] - gain[v] for v in self._transient])
@@ -496,9 +521,10 @@ def _policy_iteration(index, direction: str, stop=None, members=None, allowed=No
     minimising), so a node whose edges all weigh the same starts on its
     first.  Each round switches to an edge of strictly better gain, and
     only when none exists to a gain-tied edge of strictly better reward
-    plus canonical bias.  Switching is conservative (the current edge stays
-    unless a strictly better one exists), so no policy repeats; a repeat
-    raises AssertionError.  Termination (finitely many policies, none
+    plus bias (``_PolicyEvaluation.bias``, the canonical one up to a
+    constant that cancels in the test).  Switching is conservative (the
+    current edge stays unless a strictly better one exists), so no policy
+    repeats; a repeat raises AssertionError.  Termination (finitely many policies, none
     repeated) and optimality at a policy with no improving switch hold from
     any start, so the start decides only how many rounds run and which
     optimal or winning policy comes back.  The loop returns at the first
@@ -780,7 +806,9 @@ def _mec_gain(index, mec: Mec, rule):
 
 def _tight_part(index, mec: Mec, bias):
     """The allowed edges of the MEC's tight sub-MDP under the bias h (by
-    node) of a gain-0 optimiser, and its noisy rand nodes.
+    node) of a gain-0 optimiser, and its noisy rand nodes.  h may be the
+    canonical bias plus a constant (``_PolicyEvaluation.bias``), which
+    cancels in every slack.
 
     The slack r(s,k) + h(target) - h(s) is >= 0 (min) or <= 0 (max) on every
     controlled edge and averages 0 at rand states.  The tight sub-MDP keeps

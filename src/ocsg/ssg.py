@@ -96,7 +96,8 @@ def solve_limit_ssg(game: Ssg, objective: Objective) -> SsgSolve:
     per MEC or per round.  The call also sets ``mdp.COMPONENT_MEMO`` to a
     fresh dict and resets it on return or raise, so best responses to
     strategies that share a closed class of an induced chain evaluate it
-    once: its mean payoff, with its bias computed on the first read (keyed
+    once: its mean payoff and unshifted bias, with its canonical bias
+    computed on the first read that needs it, and no factorization (keyed
     by node in ints, exact since every index of the call keeps the game's
     numbering).  A MEC's gain policy iteration may run again, but its
     classes are not re-evaluated.

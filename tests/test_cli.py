@@ -430,6 +430,36 @@ def test_unreadable_models_are_one_error_line(tmp_path, monkeypatch, capsys):
         assert reason in err and out.getvalue() == "", err
 
 
+BAD_BYTES_MODEL = b"ssg rewards=states\n\xff\n"
+
+
+def test_stdin_bytes_are_strict_utf8(monkeypatch, capsys):
+    # A stdin whose own error handler would let the byte through as a lone
+    # surrogate (the C locale's `surrogateescape`) still gets the file's
+    # `cannot read model` line: its bytes are decoded as strict UTF-8.
+    stdin = io.TextIOWrapper(io.BytesIO(BAD_BYTES_MODEL), encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    out = io.StringIO()
+    assert run(["solve", "-", "--objective", "mean-gt"], out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error = cannot read model: 'utf-8' codec can't decode byte 0xff") and err.count("\n") == 1, err
+    assert out.getvalue() == ""
+
+
+def test_stdin_bytes_are_strict_utf8_without_a_locale():
+    # The same bytes piped to `python -m ocsg.cli` with no locale set.
+    src = str(Path(cli.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in ("LANG", "LC_ALL", "LC_CTYPE", "PYTHONIOENCODING")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "ocsg.cli", "solve", "-", "--objective", "mean-gt"],
+        input=BAD_BYTES_MODEL, capture_output=True, env=env, check=False, timeout=120,
+    )
+    err = done.stderr.decode()
+    assert (done.returncode, done.stdout) == (2, b""), err
+    assert err.startswith("error = cannot read model: 'utf-8' codec can't decode byte 0xff") and err.count("\n") == 1, err
+
+
 DASHED_TEXT = """\
 ssg rewards=states
 state -a owner=rand reward=1

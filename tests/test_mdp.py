@@ -279,6 +279,18 @@ def _policy_by_id(index, choice):
     return {sid: k for sid, owner, k in zip(index.ids, index.owner, choice) if owner != "rand"}
 
 
+def _bias_shift(index, evaluation, canonical):
+    """The one constant by which ``evaluation.bias`` exceeds the canonical
+    bias ``canonical`` (keyed by state id) at every node of the evaluation,
+    transient ones included: any constant when its chain has one closed
+    class, 0 when it has several."""
+    shifts = {b - canonical[sid] for sid, b in zip(index.ids, evaluation.bias) if b is not None}
+    assert len(shifts) == 1, shifts
+    shift = shifts.pop()
+    assert len(evaluation.members) == 1 or shift == 0, shift
+    return shift
+
+
 def test_mean_payoff_self_loop():
     game = parse_model("ssg rewards=transitions\nstate s owner=rand\ntrans s -> s p=1/1 reward=1\n")
     gain, _ = certify.expected_mean_payoff(game, "max")
@@ -354,7 +366,9 @@ def test_mean_payoff_last_evaluation_is_the_returned_policys():
             policy = _policy_by_id(index, choice)
             gain, strategy = certify.expected_mean_payoff(game, direction)
             assert (gain, strategy.choice) == (_by_id(index, evaluation.gain), policy)
-            assert (_by_id(index, evaluation.gain), _by_id(index, evaluation.bias)) == evaluate_gain_bias(game, policy)
+            reference_gain, canonical = evaluate_gain_bias(game, policy)
+            assert _by_id(index, evaluation.gain) == reference_gain
+            _bias_shift(index, evaluation, canonical)
 
 
 def reference_class_gain_bias(induced, members):
@@ -404,41 +418,54 @@ def test_class_gain_bias_matches_two_elimination_reference():
         evaluation = _evaluation(game.index, policy)
         assert [frozenset(ids[v] for v in members) for members in evaluation.members] == bsccs
         for nodes, members, closed in zip(evaluation.members, bsccs, evaluation._classes):
-            bias = {ids[v]: h for v, h in zip(nodes, closed.bias)}
+            bias = {ids[v]: h for v, h in zip(nodes, closed.bias(nodes, evaluation._succ, evaluation._prob))}
             assert (closed.mean, bias) == reference_class_gain_bias(induced, members)
             classes += 1
     assert classes > 5000
 
 
 def test_evaluation_factors_each_matrix_once(monkeypatch):
-    sizes = []
-    factor = linsolve.factor
+    sizes, solves = [], []
+    factor, solve = linsolve.factor, linsolve.Factorization.solve
 
     def spy(rows):
         sizes.append(len(rows))
         return factor(rows)
 
     monkeypatch.setattr(linsolve, "factor", spy)
-    transient_blocks, cycles = 0, 0
+    monkeypatch.setattr(linsolve.Factorization, "solve", lambda *args: solves.append(args) or solve(*args))
+    transient_blocks, cycles, several = 0, 0, 0
     for game, policy in _policy_cases():
         induced = induced_chain(game, policy)
         bsccs, transient = certify.bscc_decompose(induced)
         sizes.clear()
         evaluation = _evaluation(game.index, policy)
         # One factorization per closed class that is not a cycle (a cycle,
-        # every member with one step, is evaluated in closed form), one for
-        # the transient block when the gain is read, and none more for the
-        # bias.
+        # every member with one step, is evaluated in closed form) and one
+        # for the transient block when the gain is read.  The bias reads
+        # h with one class, so it factors nothing more; with several, it
+        # factors each class that is not a cycle once more, for its law.
         factored = [
             len(members) for members in bsccs if any(len(induced.state(sid).transitions) > 1 for sid in members)
         ]
         assert sizes == factored
         expected = factored + ([len(transient)] if transient else [])
         assert len(evaluation.gain) == len(game.states) and sizes == expected
-        assert len(evaluation.bias) == len(game.states) and sizes == expected
+        solves.clear()
+        assert len(evaluation.bias) == len(game.states)
+        if len(bsccs) > 1:
+            expected += factored
+            several += 1
+        assert sizes == expected
+        assert len(solves) == bool(transient) + (len(factored) if len(bsccs) > 1 else 0)
+        if len(bsccs) > 1:
+            # Each class keeps its shifted list, so a second read factors nothing.
+            for nodes, closed in zip(evaluation.members, evaluation._classes):
+                closed.bias(nodes, evaluation._succ, evaluation._prob)
+            assert sizes == expected
         transient_blocks += bool(transient)
         cycles += len(bsccs) - len(factored)
-    assert transient_blocks > 2000 and cycles > 2000
+    assert transient_blocks > 2000 and cycles > 2000 and several > 800
 
 
 def test_lazy_evaluation_matches_eager_reference():
@@ -447,8 +474,26 @@ def test_lazy_evaluation_matches_eager_reference():
         evaluation = _evaluation(game.index, policy)
         bsccs = certify.bscc_decompose(induced)[0]
         assert evaluation.means == [class_gain_bias(induced, members)[0] for members in bsccs]
-        gain_bias = (_by_id(game.index, evaluation.gain), _by_id(game.index, evaluation.bias))
-        assert gain_bias == evaluate_gain_bias(game, policy)
+        gain, canonical = evaluate_gain_bias(game, policy)
+        assert _by_id(game.index, evaluation.gain) == gain
+        _bias_shift(game.index, evaluation, canonical)
+
+
+def test_one_class_bias_is_canonical_plus_the_law_average_of_h():
+    # With one closed class the bias is its h extended to the transient
+    # nodes: the canonical bias plus pi . h at every node.  With several,
+    # it is the canonical bias.
+    counts = [0, 0]
+    for game, policy in _policy_cases():
+        induced = induced_chain(game, policy)
+        evaluation = _evaluation(game.index, policy)
+        shift = _bias_shift(game.index, evaluation, evaluate_gain_bias(game, policy)[1])
+        if len(evaluation.members) == 1:
+            law, _ = certify.stationary_law(induced, certify.bscc_decompose(induced)[0][0])
+            h = dict(zip(evaluation.members[0], evaluation._classes[0].h))
+            assert shift == sum(p * h[game.index.pos[sid]] for sid, p in law.items())
+        counts[len(evaluation.members) > 1] += 1
+    assert min(counts) > 800
 
 
 def _cycle_chain(steps):
@@ -493,7 +538,7 @@ def test_cycle_classes_take_the_closed_form(monkeypatch):
     mdp._closed_classes(*mdp._policy_chain(through_rand, [0, 0], range(2)), [0])
     thirds = [Fraction(1, 3), Fraction(-2, 5), Fraction(7, 2)]
     mdp._ClosedClass([0, 1, 2], [(2,), (0,), (1,)], [(1,)] * 3, thirds)
-    monkeypatch.undo()
+    monkeypatch.setattr(mdp, "_ClosedClass", closed_class)
 
     cycles = 0
     for steps, closed, factored in built:
@@ -505,8 +550,11 @@ def test_cycle_classes_take_the_closed_form(monkeypatch):
         mean, bias = class_gain_bias(_cycle_chain(steps), frozenset(map(str, steps)))
         bias = [bias[str(v)] for v in steps]
         assert closed.mean == mean
-        assert closed._h == [b - bias[0] for b in bias]
-        assert closed.bias == bias
+        assert closed.h == [b - bias[0] for b in bias]
+        before = len(systems)
+        members = list(steps)
+        assert closed.bias(members, {v: targets for v, (targets, _) in steps.items()}, dict.fromkeys(members, (1,))) == bias
+        assert len(systems) == before
     assert cycles > 500 and cycles < len(built)
     assert [len(steps) for steps, _, _ in built[-3:]] == [1, 2, 3]
 
@@ -642,9 +690,14 @@ def test_sub_gain_matches_eager_stop_on_all_gains(monkeypatch):
                 in_place_rounds = rounds[:]
                 rounds.clear()
                 least, choice, optimal_bias = mdp._mec_gain(sub_index, whole, rule)
-                result = (least, _policy_by_id(sub_index, [choice.get(v, 0) for v in range(len(members))]),
-                          optimal_bias and _by_id(sub_index, optimal_bias))
-                assert result == eager, (sub, kind)
+                result = (least, _policy_by_id(sub_index, [choice.get(v, 0) for v in range(len(members))]))
+                assert result == eager[:2], (sub, kind)
+                # The bias is the last round's, the eager one up to its
+                # one-class constant.
+                assert (optimal_bias is None) == (eager[2] is None)
+                if optimal_bias is not None:
+                    assert optimal_bias is rounds[-1][1].bias
+                    _bias_shift(sub_index, rounds[-1][1], eager[2])
                 # In place: the same gain, the choice through the MEC's
                 # allowed edges, and the bias at the members, None elsewhere.
                 assert in_place[:2] == (least, {members[v]: mec.allowed[members[v]][k] for v, k in choice.items()})
@@ -674,12 +727,13 @@ def test_sub_gain_matches_eager_stop_on_all_gains(monkeypatch):
                     assert computed == reads
                     assert {name for name in ("gain", "bias") if name in vars(evaluation_in)} == reads
                     assert "gain" not in computed or _by_id(sub_index, evaluation.gain) == gain
-                    assert "bias" not in computed or _by_id(sub_index, evaluation.bias) == bias
+                    if "bias" in computed:
+                        _bias_shift(sub_index, evaluation, bias)
                     for name in computed:
                         local, placed = getattr(evaluation, name), getattr(evaluation_in, name)
                         assert [placed[v] for v in members] == local
                         assert all(x is None for v, x in enumerate(placed) if v not in mec.members)
-                stopped += result[2] is None
+                stopped += optimal_bias is None
     assert stopped > 10000
 
 

@@ -264,8 +264,9 @@ def test_dense_n32_linear_solve_counts(monkeypatch):
     # switches on gain reads no bias; evaluating every round in full, the
     # same solve runs 22 factorizations.  Of the 14 new closed classes, the
     # 6 cycles are evaluated in closed form and each of the other 8 takes
-    # one transposed solve for its mean; a solve serves each transient gain
-    # or bias and each bias read's stationary law of a non-cycle class (9).
+    # one transposed solve for its mean and h; a solve serves each transient
+    # gain or bias (8).  Every bias read is of a chain with one closed
+    # class, which reads h, so no stationary law is solved.
     game = parse_model((DATA / "dense-n32-f7.ssg").read_text())
     counts = {"factor": 0, "solve": 0, "solve_transposed": 0}
     cycles = []
@@ -289,7 +290,7 @@ def test_dense_n32_linear_solve_counts(monkeypatch):
     monkeypatch.setattr(mdp, "_ClosedClass", spy_class)
     ssg.solve_limit_ssg(game, LIMINF_MINUS_INF)
     assert (len(cycles), cycles.count(True)) == (14, 6)
-    assert counts == {"factor": 12, "solve": 9, "solve_transposed": 8}
+    assert counts == {"factor": 12, "solve": 8, "solve_transposed": 8}
 
 
 def _walk(key):
@@ -297,6 +298,45 @@ def _walk(key):
     if type(key) is tuple:
         return set().union(*map(_walk, key)) if key else set()
     return {type(key)}
+
+
+def _holds(value, kind, seen):
+    """Whether ``value`` is a ``kind`` or holds one in its attributes,
+    lists, tuples or dicts, searched depth first."""
+    if isinstance(value, kind):
+        return True
+    if id(value) in seen:
+        return False
+    seen.add(id(value))
+    if isinstance(value, dict):
+        parts = [*value.keys(), *value.values()]
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        parts = value
+    else:
+        parts = getattr(value, "__dict__", {}).values()
+    return any(_holds(part, kind, seen) for part in parts)
+
+
+def test_component_memo_keeps_no_factorization(monkeypatch):
+    # A memoized class keeps its mean, h and potential verdict; the
+    # factorization of its stationary system is dropped once h is solved.
+    dense, memos = bench_families().dense, {}
+    closed_classes = mdp._closed_classes
+
+    def spy_classes(*args):
+        memo = mdp.COMPONENT_MEMO.get()
+        memos[id(memo)] = memo
+        return closed_classes(*args)
+
+    monkeypatch.setattr(mdp, "_closed_classes", spy_classes)
+    for n in (16, 24, 32):
+        for f in (1, 2, 3):
+            game = parse_model(dense(n, f, None))
+            for objective in LIMIT_OBJECTIVES:
+                ssg.solve_limit_ssg(game, objective)
+    classes = [closed for memo in memos.values() for closed in memo.values()]
+    assert len(memos) == 9 * len(LIMIT_OBJECTIVES) and len(classes) > 100
+    assert not any(_holds(closed, linsolve.Factorization, set()) for closed in classes)
 
 
 def test_dense_n32_policy_iteration_builds_no_game(monkeypatch):
