@@ -2,15 +2,16 @@
 the solvers.
 
 Each reads int nodes 0..n-1 with successor lists, and for a chain their
-probabilities and weights, as a ``model.Index`` or a policy's chain holds
-them, so none builds a ``State``: the SCC kernel (``tarjan``) and a
-chain's closed classes (``bottom_sccs``), the attractor (``attractor``),
-the factorization of a closed class's stationary system
+probabilities and weights, as a ``model.Index`` holds them or as
+``Index.steps`` gives them for a policy's chain (the one statement of a
+fixed node's step), so none builds a ``State``: the SCC kernel
+(``tarjan``) and a chain's closed classes (``bottom_sccs``), the attractor
+(``attractor``), the factorization of a closed class's stationary system
 (``stationary_system``, built once per class for its mean and h, and again
-only for the law when several classes share a chain), the potential test (``node_potential``), the
-hitting-probability rows (``hitting_rows``), and the winning mean signs of
-each limit objective with the mean-0 potential rule (``WINNING_SIGNS``,
-read by ``class_wins``).
+only for the law when several classes share a chain), the potential test
+(``node_potential``), the hitting-probability rows (``hitting_rows``), and
+the winning mean signs of each limit objective with the mean-0 potential
+rule (``WINNING_SIGNS``, read by ``class_wins``).
 
 The weight of a step u -> v is the one in ``model.Index.weight``: the edge
 reward, the counter delta, or the reward r(v) of the state it arrives at,

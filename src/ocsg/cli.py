@@ -114,12 +114,16 @@ def _cmd_solve(args, out) -> int:
         if not args.state:
             raise CliError("--threshold requires --state")
         p = _threshold(args.threshold)
-        ssg.check_threshold(p, args.relation)
+        relation = args.relation or "ge"
+        ssg.check_threshold(p, relation)
+    elif args.relation is not None or args.exit_status:
+        flag = "--relation" if args.relation is not None else "--exit-status"
+        raise CliError(f"{flag} applies only with --threshold")
     solve = ssg.solve_limit_ssg(game, objective)
     report = _solution(game, objective, solve.method, solve.result, args.state)
     decision = True
     if args.threshold is not None:
-        decision = ssg.threshold_holds(solve.result.values[args.state], p, args.relation)
+        decision = ssg.threshold_holds(solve.result.values[args.state], p, relation)
         report.append(("decision", "true" if decision else "false"))
     _write_report(out, report)
     return 1 if args.exit_status and not decision else 0
@@ -250,7 +254,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--objective", required=True)
     p.add_argument("--state")
     p.add_argument("--threshold")
-    p.add_argument("--relation", choices=("gt", "ge"), default="ge")
+    p.add_argument("--relation", choices=("gt", "ge"))
     p.add_argument("--exit-status", action="store_true")
     p.set_defaults(func=_cmd_solve)
 

@@ -1,8 +1,9 @@
 """One-player solvers on the game graph.
 
 All operations optimise every controlled state in the requested direction;
-inputs are expected to be one-player models (a residual of ``fix_strategies``
-or a game whose controlled states belong to a single player).
+inputs are expected to be one-player models (the residual index that
+``Index.fixed`` leaves, its fixed nodes on the steps ``Index.steps`` gives
+them, or a game whose controlled states belong to a single player).
 
 Probabilities, values, and gains are exact Fractions throughout; policy
 iteration terminates because every accepted switch strictly improves an
@@ -13,20 +14,20 @@ one rule table (``_MEC_RULES``, derived from ``chain.WINNING_SIGNS``) read
 by one function (``_mec_part``): the sign of each MEC's optimal gain, and
 at gain 0 one part of its tight sub-MDP, the end components with a noisy
 rand state (liminf = -inf) or those without one (liminf > -inf); then
-almost-sure reach of the states they win.  Every gain policy iteration (``_policy_iteration``) starts from
-the greedy one-step policy, each controlled state on its first edge of
-extreme step weight; Howard's iteration terminates and is optimal from any
-start, so the start only saves rounds.  A MEC's gain policy iteration
-stops at the first policy whose closed classes all have a mean of winning
-sign, which then wins the whole MEC (every state's gain is a convex
-combination of class means); only a MEC that no policy wins is solved to
-optimality, so a gain-0 MEC gets the optimal bias.  Each round evaluates
-its policy only as far as it reads
-(``_PolicyEvaluation``): class means first, the transient gain when it
-does not stop, the bias when no gain switch exists.  No potential test
-runs on this path (only the chains that bound a two-player scan's
-candidates test one), and energy lifting (``energy_min_credit``) serves only
-the termination-value-0 question.
+almost-sure reach of the states they win.  Every gain policy iteration
+(``_policy_iteration``) starts from the greedy one-step policy, each
+controlled state on its first edge of extreme step weight; Howard's
+iteration terminates and is optimal from any start, so the start only saves
+rounds.  A MEC's gain policy iteration stops at the first policy whose
+closed classes all have a mean of winning sign, which then wins the whole
+MEC (every state's gain is a convex combination of class means); only a MEC
+that no policy wins is solved to optimality, so a gain-0 MEC gets the
+optimal bias.  Each round evaluates its policy only as far as it reads
+(``_PolicyEvaluation``): class means first, the transient gain when it does
+not stop, the bias when no gain switch exists.  No potential test runs on
+this path (only the chains that bound a two-player scan's candidates test
+one), and energy lifting (``energy_min_credit``) serves only the
+termination-value-0 question.
 
 Everything here runs on an int ``model.Index``; the public
 ``mec_decompose``, ``solve_reachability`` and ``quantitative_limit`` read
@@ -43,21 +44,22 @@ game is built per best response, MEC, round or cut:
   controlled node to Max without relabelling.
 * A MEC's policy iteration runs in place on its members and allowed
   edges, with no sub-index.  Each round reads its policy's chain as int
-  successor lists straight from the index's columns (``_policy_chain``; a
-  rand node's reward is its ``Index.visit_reward``), splits it with
-  ``chain.bottom_sccs`` and builds the stationary and transient systems
-  from those lists.
+  lists by node from ``Index.steps``, the one statement of a fixed
+  node's step (a rand node's reward is its ``Index.visit_reward``),
+  splits it with ``chain.bottom_sccs`` and builds the stationary and
+  transient systems from those lists.
 * A reachability round (``_chain_reach``) reads its chain the same way:
   one backward reach and one solve of ``chain.hitting_rows``.  None runs
   when the targets are no node or every node (``_reach``).
 * A two-player scan bounds a switch candidate that switches node u by the
   sign of c(u) - vec(u), c the limit values of the chain it makes with the
   held reply's witness and vec the scan's vector (``_switch_sign``): the
-  closed classes u reaches (``chain.bottom_sccs`` rooted at u), their
-  memoized means judged by ``chain.class_wins`` (``chain.node_potential``
-  at mean 0, its verdict memoized with the class), and one step from u when they are mixed.  It reads only the
-  nodes u reaches (``_StepField``), and solves nothing but the stationary
-  systems of classes not yet memoized.
+  closed classes u reaches (``chain.bottom_sccs`` rooted at u, on the
+  chain ``Index.steps`` gives), their memoized means judged by
+  ``chain.class_wins`` (``chain.node_potential`` on that chain's weights
+  at mean 0, its verdict memoized with the class), and one step from u
+  when they are mixed.  It analyses only the nodes u reaches, and solves
+  nothing but the stationary systems of classes not yet memoized.
 
 Inside one ``ssg.solve_limit_ssg`` call, ``COMPONENT_MEMO`` holds a dict
 that memoizes closed classes of induced chains (``_closed_classes``):
@@ -67,13 +69,14 @@ tested, and its canonical bias once a chain with several closed classes
 reads it.  It keeps no factorization: a one-class evaluation reads h
 itself (``_PolicyEvaluation``), and only a several-class bias read
 factors the class's stationary system again, once per class.  The key is
-a tuple of ints over the members in game order: a rand node with several edges by its node, a one-edge step by
-(node, target, weight).  It is exact because every index of one solve
-numbers its nodes as the game's index does (``Index.fixed`` keeps the
-numbering and nothing renumbers), so a rand node keeps its edges and a key
-holds every probability and weight the analysis reads.  A MEC's
-gain policy iteration may run again, but its rounds find their classes
-there.  Outside a solve the variable is None and nothing is cached.
+a tuple of ints over the members in game order: a rand node with several
+edges by its node, a one-edge step by (node, target, weight).  It is exact
+because every index of one solve numbers its nodes as the game's index
+does (``Index.fixed`` keeps the numbering and nothing renumbers), so a
+rand node keeps its edges and a key holds every probability and weight
+the analysis reads.  A MEC's gain policy iteration may run again, but its
+rounds find their classes there.  Outside a solve the variable is None and
+nothing is cached.
 """
 
 from __future__ import annotations
@@ -90,7 +93,6 @@ from . import linsolve
 from .model import OWNERS, Objective, PureMemorylessStrategy, SolveResult, Ssg, require_limit
 
 INFINITE_CREDIT = math.inf
-_CERTAIN = (Fraction(1),)  # the probabilities of a one-edge step
 
 COMPONENT_MEMO: ContextVar[dict | None] = ContextVar("COMPONENT_MEMO", default=None)
 
@@ -197,12 +199,12 @@ def _reach(index, targets: frozenset[int], direction: str):
 
 def _chain_reach(index, choice: list[int], targets: frozenset[int]) -> list[Fraction]:
     """Exact hitting probabilities of ``targets`` in the chain where each
-    controlled node v takes its edge ``choice[v]`` (``_policy_chain``), as
+    controlled node v takes its edge ``choice[v]`` (``Index.steps``), as
     ``certify.reach_probabilities`` gives them on that chain: 1 on the
     targets, 0 where the targets are out of reach, and one linear solve of
     ``chain.hitting_rows``, rows in node order, on the rest."""
-    succ, prob, _ = _policy_chain(index, choice, range(len(choice)))
     owner, preds = index.owner, index.preds
+    succ, prob, _, _ = index.steps({v: k for v, k in enumerate(choice) if owner[v] != "rand"})
     reached = [False] * len(succ)
     values = [Fraction(0)] * len(succ)
     for t in targets:
@@ -219,30 +221,6 @@ def _chain_reach(index, choice: list[int], targets: frozenset[int]) -> list[Frac
         for v, x in zip(interior, linsolve.factor(rows).solve(rhs)):
             values[v] = x
     return values
-
-
-class _StepField:
-    """Per node v, field ``field`` of its step in the chain where a
-    controlled node v takes its edge ``choice[v]`` and a rand node its own
-    edges: its successors (0), their probabilities (1) or its per-visit
-    reward (2), read only when indexed: the lists of ``_policy_chain`` for
-    a search that reads few nodes."""
-
-    def __init__(self, index, choice, field):
-        self._index, self._choice, self._field = index, choice, field
-        self._rand = (index.succ, index.prob, index.visit_reward)[field]
-
-    def __len__(self):
-        return len(self._choice)
-
-    def __getitem__(self, v):
-        index = self._index
-        if index.owner[v] == "rand":
-            return self._rand[v]
-        if self._field == 1:
-            return _CERTAIN
-        k = self._choice[v]
-        return (index.succ[v][k],) if self._field == 0 else index.weight[v][k]
 
 
 def _switch_sign(index, choice: list[int], u: int, kind: str, vec) -> int:
@@ -266,15 +244,16 @@ def _switch_sign(index, choice: list[int], u: int, kind: str, vec) -> int:
     they all win and 0 if they all lose.  Otherwise u is transient, its
     return probability r is below 1, and the step from u gives
     d(u) = q + r d(u) for q = sum_t P_C(u, t) vec(t) - vec(u), so
-    d(u) has the sign of q.  Nothing is solved but the stationary systems
-    of classes not yet memoized, and only the nodes u reaches are read.
+    d(u) has the sign of q.  The chain is ``Index.steps`` of the choice,
+    and a class's potential test reads its weights there.  Nothing is
+    solved but the stationary systems of classes not yet memoized, and
+    only the nodes u reaches are analysed.
     """
-    owner, weight = index.owner, index.weight
-    succ, prob, rewards = (_StepField(index, choice, field) for field in range(3))
+    owner = index.owner
+    succ, prob, weights, rewards = index.steps({v: k for v, k in enumerate(choice) if owner[v] != "rand"})
 
     def has_potential(members, closed):
         if closed.potential is None:
-            weights = {v: weight[v] if owner[v] == "rand" else (weight[v][choice[v]],) for v in members}
             closed.potential = chain_mod.node_potential(members, succ, weights) is not None
         return closed.potential
 
@@ -388,22 +367,6 @@ class _ClosedClass:
         return self._bias
 
 
-def _policy_chain(index, choice: list[int], nodes):
-    """The chain where a controlled node v of ``index`` takes its edge
-    ``choice[v]`` and a rand node its own edges: per node its successors,
-    their probabilities and its per-visit reward, as lists by node of
-    ``index``, read from its columns (``Index.visit_reward`` at a rand
-    node).  Only the nodes ``nodes`` are set; off them the lists hold the
-    index's own columns."""
-    succ, prob, rewards = list(index.succ), list(index.prob), list(index.visit_reward)
-    owner, weight = index.owner, index.weight
-    for v in nodes:
-        if owner[v] != "rand":
-            k = choice[v]
-            succ[v], prob[v], rewards[v] = (succ[v][k],), _CERTAIN, weight[v][k]
-    return succ, prob, rewards
-
-
 def _closed_classes(succ, prob, rewards, roots):
     """The closed classes that the nodes ``roots`` reach in the chain whose
     node v has the successors ``succ[v]``, probabilities ``prob[v]`` and
@@ -434,8 +397,8 @@ class _PolicyEvaluation:
     are read, each at most once; None off ``members``, which the policy
     must keep closed.
 
-    The induced chain is read from the ``Index`` columns as int successor
-    lists (``_policy_chain``); no game or index is built.  Its closed
+    The induced chain is ``Index.steps`` of the choice on ``members``, int
+    lists by node; no game or index is built.  Its closed
     classes, ``members`` (node lists), are its ``chain.bottom_sccs``.
     ``means`` (the closed classes' mean payoffs) come first, one transposed
     solve per class that is not a cycle (``_ClosedClass``).  ``gain`` adds
@@ -464,7 +427,8 @@ class _PolicyEvaluation:
 
     def __init__(self, index, choice: list[int], members=None):
         members = range(len(choice)) if members is None else members
-        self._succ, self._prob, self._rewards = _policy_chain(index, choice, members)
+        owner = index.owner
+        self._succ, self._prob, _, self._rewards = index.steps({v: choice[v] for v in members if owner[v] != "rand"})
         self.members, self._classes = _closed_classes(self._succ, self._prob, self._rewards, members)
         self.means = [closed.mean for closed in self._classes]
         closed = {v for nodes in self.members for v in nodes}

@@ -111,8 +111,8 @@ class Index:
 
     A two-player solve derives what each best response reads from the
     game's one index with ``fixed``, which collapses one player's nodes to
-    their choices and keeps the node numbering, with no game built.
-    ``visit_reward`` is computed once per game index and copied by
+    their choices (``steps``) and keeps the node numbering, with no game
+    built.  ``visit_reward`` is computed once per game index and copied by
     ``fixed``.
     """
 
@@ -153,21 +153,34 @@ class Index:
                 rewards.append(Fraction(num, den))
         return tuple(rewards)
 
+    def steps(self, choice: dict[int, int]):
+        """The step of every node once each node v of ``choice`` takes its
+        edge ``choice[v]``: per node its successors, their probabilities,
+        its edge weights and its per-visit reward, four lists by node.  A
+        node of ``choice`` steps to ``succ[v][k]`` with probability 1 and
+        weight ``weight[v][k]``, which is also its visit reward; every other
+        node keeps its columns (``visit_reward`` None at a controlled one).
+        The one statement of that rule: ``fixed`` and every policy chain of
+        ``mdp`` read it."""
+        succ, prob, weight, rewards = list(self.succ), list(self.prob), list(self.weight), list(self.visit_reward)
+        certain = (_ONE,)
+        for v, k in choice.items():
+            w = rewards[v] = weight[v][k]
+            succ[v] = (succ[v][k],)
+            prob[v] = certain
+            weight[v] = (w,)
+        return succ, prob, weight, rewards
+
     def fixed(self, choice: dict[int, int]) -> "Index":
         """This index with each node of ``choice`` fixed to its edge
-        ``choice[v]``: a rand node with that one edge at probability 1 and
-        that edge's weight as its visit reward, as ``fix_strategies`` leaves
-        it; the index itself when ``choice`` is empty."""
+        ``choice[v]`` (``steps``) and relabelled rand, as ``fix_strategies``
+        leaves it; the index itself when ``choice`` is empty."""
         if not choice:
             return self
-        owner, succ, prob, weight = list(self.owner), list(self.succ), list(self.prob), list(self.weight)
-        rewards = list(self.visit_reward)
-        for v, k in choice.items():
+        succ, prob, weight, rewards = self.steps(choice)
+        owner = list(self.owner)
+        for v in choice:
             owner[v] = "rand"
-            succ[v] = (succ[v][k],)
-            prob[v] = (_ONE,)
-            weight[v] = (weight[v][k],)
-            rewards[v] = weight[v][0]
         derived = Index(self.ids, self.pos, tuple(owner), tuple(succ), tuple(prob), tuple(weight))
         vars(derived)["visit_reward"] = tuple(rewards)
         return derived

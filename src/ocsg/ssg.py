@@ -21,7 +21,7 @@ held reply's witness passes the vector test; that chain's values bound the
 best response, so the skipped candidates are ones the test would reject.
 The chain differs from the held pair's at the switched state alone, so the
 test is one sign there (``mdp._switch_sign``): no hitting or transient
-solve, and no state that the switched one cannot reach is read.  Nothing
+solve, and no state that the switched one cannot reach is analysed.  Nothing
 here enumerates strategies; exhaustive enumeration lives in ``oracle`` as
 ground truth.
 """

@@ -12,6 +12,10 @@ is the same unfolding as an int ``Graph`` for
 toward the targets, Min spoils), and that pair is the reference the
 per-state value-1 thresholds of ``ocsg.termination`` are checked against
 at every state and offset.
+``renumber``, ``swap_edges`` and ``swap_owners`` rebuild a game with the
+same ids in another node order, with each state's edges reversed, or with
+Max and Min swapped, for checks that an answer does not depend on the
+numbering.
 ``reference_parse_model`` is the model parser as first written, token
 columns and all, the reference the one-pass ``ocsg.model.parse_model`` is
 checked against.  ``class_gain_bias`` and ``evaluate_gain_bias`` are the
@@ -177,6 +181,27 @@ def random_games(count: int, sizes=(4, 5), seed: int = 20110419, reward_location
 def as_mdp(game: Ssg) -> Ssg:
     """Hand every controlled state to Max, turning the game into an MDP."""
     return relabel_controlled(game, "max")
+
+
+def renumber(game, order):
+    """The game with its states listed in ``order``, a permutation of the
+    state positions: the same game, ids and edges under another node
+    numbering."""
+    states = game.states
+    return replace(game, states=tuple(states[i] for i in order))
+
+
+def swap_edges(game):
+    """The game with each state's edges in reverse order: the same game
+    under another edge numbering, so every choice index changes."""
+    return replace(game, states=tuple(s._replace(transitions=s.transitions[::-1]) for s in game.states))
+
+
+def swap_owners(game):
+    """The game with the owners Max and Min swapped.  Its value of a limit
+    objective is 1 minus the game's value of the complement objective."""
+    swap = {"max": "min", "min": "max", "rand": "rand"}
+    return replace(game, states=tuple(s._replace(owner=swap[s.owner]) for s in game.states))
 
 
 def random_reach_instance(rng: random.Random, n: int) -> tuple[Ssg, str, str, str]:

@@ -319,6 +319,8 @@ def test_options_that_do_not_apply_are_refused(tmp_path, capsys):
         (simulate + ["--objective", "mean-gt", "--threshold-b", "7"], threshold_b),
         (on_counter + ["--objective", "term", "--j", "2", "--threshold-b", "7"], threshold_b),
         (on_counter + ["--j", "2", "--threshold-b", "7"], threshold_b),
+        (["solve", dense, "--objective", "mean-gt", "--relation", "gt"], "--relation applies only with --threshold"),
+        (["solve", dense, "--objective", "mean-gt", "--exit-status"], "--exit-status applies only with --threshold"),
     ]
     for argv, message in cases:
         out = io.StringIO()
@@ -334,6 +336,8 @@ def test_options_that_do_not_apply_are_refused(tmp_path, capsys):
         on_counter + ["--objective", "term", "--j", "2"],
         simulate + ["--objective", "liminf-minus-inf", "--threshold-b", "7"],
         simulate + ["--objective", "liminf-plus-inf"],
+        ["solve", dense, "--objective", "mean-gt", "--state", "s0", "--threshold", "0", "--relation", "gt"],
+        ["solve", dense, "--objective", "mean-gt", "--state", "s0", "--threshold", "0", "--exit-status"],
     ]
     for argv in valid:
         out = io.StringIO()
@@ -343,6 +347,12 @@ def test_options_that_do_not_apply_are_refused(tmp_path, capsys):
     run(simulate + ["--objective", "liminf-plus-inf"], outs[0])
     run(simulate + ["--objective", "liminf-plus-inf", "--threshold-b", "50"], outs[1])
     assert outs[0].getvalue() == outs[1].getvalue()
+    # ``--relation`` defaults to ge where the threshold is read.
+    threshold = ["solve", dense, "--objective", "mean-gt", "--state", "s0", "--threshold", "0"]
+    outs = [io.StringIO(), io.StringIO()]
+    run(threshold, outs[0])
+    run(threshold + ["--relation", "ge"], outs[1])
+    assert outs[0].getvalue() == outs[1].getvalue() and "decision = true\n" in outs[0].getvalue()
 
 
 def test_parser_is_built_once(tmp_path, monkeypatch):
@@ -568,11 +578,12 @@ def _golden(name, marker="# "):
 def test_solve_reports_match_golden_file():
     # Full reports (values, value1, method, witness lines) of the dense
     # fixtures and of the one-player mdp-n20-f1 under every limit objective,
-    # and of dense-n96-f3 under mean-leq (30 best responses), pinned byte
+    # of dense-n96-f3 under mean-leq (30 best responses), and of the
+    # 18-state refusal under the three objectives it answers, pinned byte
     # for byte: a change that only speeds the solver up leaves them as they
     # are.
     golden = _golden("golden-solve-reports.txt")
-    assert len(golden) == 4 * len(LIMIT_KINDS) + 1
+    assert len(golden) == 4 * len(LIMIT_KINDS) + 1 + 3
     for (name, kind), expected in golden.items():
         out = io.StringIO()
         assert run(["solve", str(DATA / name), "--objective", kind], out) == 0

@@ -1,7 +1,8 @@
 """Indexes derived from one game's index against the games they replace.
 
-A best response solves on ``Index.fixed`` of the game's index, and its
-MECs in place on that index; ``grids.restricted``, a MEC's sub-index, is
+A best response solves on ``Index.fixed`` of the game's index, every
+policy chain reads ``Index.steps``, and a best response's MECs run in
+place on that index; ``grids.restricted``, a MEC's sub-index, is
 the reference the in-place MEC policy iteration is checked against.
 Procedure MP's rounds run on ``certify.absorbing``; ``mdp._mecs``
 decomposes on ints and ``mdp._reach`` runs reachability rounds on the
@@ -95,11 +96,22 @@ def test_index_columns_follow_step_reward(game, counter):
 @settings(max_examples=150, deadline=None)
 @given(_games(), st.randoms(use_true_random=False))
 def test_fixed_index_is_the_residual_games_index(game, rng):
-    for player in ("max", "min"):
-        choice = {sid: rng.randrange(len(game.state(sid).transitions)) for sid in game.owner_ids(player)}
-        residual = fix_strategies(game, PureMemorylessStrategy(player, choice))
-        nodes = {game.index.pos[sid]: k for sid, k in choice.items()}
+    # One player fixed leaves a one-player residual, both a chain; either
+    # way ``Index.steps`` gives the residual's step columns, and ``fixed``
+    # is those steps with the fixed nodes relabelled rand.
+    strategies = {
+        player: PureMemorylessStrategy(
+            player, {sid: rng.randrange(len(game.state(sid).transitions)) for sid in game.owner_ids(player)}
+        )
+        for player in ("max", "min")
+    }
+    for players in (("max",), ("min",), ("max", "min")):
+        residual = fix_strategies(game, *(strategies[player] for player in players))
+        nodes = {game.index.pos[sid]: k for player in players for sid, k in strategies[player].choice.items()}
         assert _content(game.index.fixed(nodes)) == _content(residual.index)
+        columns = (residual.index.succ, residual.index.prob, residual.index.weight, residual.index.visit_reward)
+        assert game.index.steps(nodes) == tuple(map(list, columns))
+        assert residual.is_chain() or len(players) == 1
 
 
 @settings(max_examples=150, deadline=None)

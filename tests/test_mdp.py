@@ -535,7 +535,8 @@ def test_cycle_classes_take_the_closed_form(monkeypatch):
         "ssg rewards=transitions\nstate m owner=max\nstate r owner=rand\n"
         "trans m -> r reward=1\ntrans m -> m reward=-1\ntrans r -> m p=1/1 reward=-1\n"
     ).index
-    mdp._closed_classes(*mdp._policy_chain(through_rand, [0, 0], range(2)), [0])
+    succ, prob, _, rewards = through_rand.steps({0: 0})
+    mdp._closed_classes(succ, prob, rewards, [0])
     thirds = [Fraction(1, 3), Fraction(-2, 5), Fraction(7, 2)]
     mdp._ClosedClass([0, 1, 2], [(2,), (0,), (1,)], [(1,)] * 3, thirds)
     monkeypatch.setattr(mdp, "_ClosedClass", closed_class)
