@@ -52,9 +52,11 @@ def _read_model(path: str):
     """The model in the file ``path``, or on stdin for ``-``, as strict
     UTF-8: stdin's bytes are decoded here, not by its locale's error
     handler (``surrogateescape`` under the C locale); a stream with no byte
-    buffer is read as text."""
+    buffer is read as text, and a closed stdin (None) is unreadable."""
     try:
         if path == "-":
+            if sys.stdin is None:
+                raise OSError("stdin is closed")
             raw = getattr(sys.stdin, "buffer", None)
             text = sys.stdin.read() if raw is None else raw.read().decode("utf-8")
         else:
@@ -173,10 +175,9 @@ def _cmd_reduce(args, out) -> int:
 
 
 def _parse_choices(pairs, game, player) -> PureMemorylessStrategy | None:
-    owned = list(game.owner_ids(player))
-    if not owned:
-        return None
-    choice = {sid: 0 for sid in owned}
+    """``player``'s strategy, edge 0 where ``pairs`` name none; None when
+    the player owns no state.  Every pair is checked either way."""
+    choice = dict.fromkeys(game.owner_ids(player), 0)
     for raw in pairs or ():
         sid, _, idx = raw.partition("=")
         try:
@@ -186,7 +187,7 @@ def _parse_choices(pairs, game, player) -> PureMemorylessStrategy | None:
         if sid not in choice:
             raise CliError(f"{_quoted(sid)} is not a {player} state")
         choice[sid] = index
-    return PureMemorylessStrategy(player, choice)
+    return PureMemorylessStrategy(player, choice) if choice else None
 
 
 def _cmd_simulate(args, out) -> int:

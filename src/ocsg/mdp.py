@@ -98,9 +98,7 @@ COMPONENT_MEMO: ContextVar[dict | None] = ContextVar("COMPONENT_MEMO", default=N
 
 
 def _require_one_player(game) -> None:
-    index = game.index
-    owners = {who for who, targets in zip(index.owner, index.succ) if who != "rand" and len(targets) > 1}
-    if len(owners) > 1:
+    if len(game.index.choosers) > 1:
         raise ValueError("one-player model expected, both players still have choices")
 
 

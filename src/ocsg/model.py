@@ -113,7 +113,7 @@ class Index:
     game's one index with ``fixed``, which collapses one player's nodes to
     their choices (``steps``) and keeps the node numbering, with no game
     built.  ``visit_reward`` is computed once per game index and copied by
-    ``fixed``.
+    ``fixed``.  ``choosers`` is the one test of which players have a choice.
     """
 
     ids: tuple[str, ...]
@@ -132,6 +132,12 @@ class Index:
             for k, t in enumerate(targets):
                 preds[t].append((v, k))
         return preds
+
+    @cached_property
+    def choosers(self) -> frozenset[str]:
+        """The players with a choice: the owners of a controlled node with a
+        second edge.  A player not among them has a single strategy."""
+        return frozenset(who for who, targets in zip(self.owner, self.succ) if who != "rand" and len(targets) > 1)
 
     @cached_property
     def visit_reward(self) -> tuple[Fraction | int | None, ...]:

@@ -7,23 +7,23 @@ of mutually best responses is optimal and certifies the game value.
 ``solve_limit_ssg`` finds such a pair by alternating single-switch
 improvement of Min and Max, each started from a best response to the other
 (symmetric strategy improvement), and refuses with ``NoCertificate`` only
-if a Min strategy comes back before a pair is found.  The loop runs on
-tuples by node of the game's index, with state ids only in what it
-returns.  Min's descent tests the pair it holds before it scans single
-switches, and within one solve no strategy is evaluated twice.  The test
-needs Min's reply only if some reply could lower Max's: one rule,
-``settled``, certifies Min's strategy on Max's reply alone when Min has a
-single strategy (no Min state has a second edge) or that reply is worth 0
-at every state.  So a descent from an optimal strategy costs one best
-response when the rule holds and at most two otherwise.  A switch
-candidate gets its best response only if the chain it makes against the
-held reply's witness passes the vector test; that chain's values bound the
-best response, so the skipped candidates are ones the test would reject.
-The chain differs from the held pair's at the switched state alone, so the
-test is one sign there (``mdp._switch_sign``): no hitting or transient
-solve, and no state that the switched one cannot reach is analysed.  Nothing
-here enumerates strategies; exhaustive enumeration lives in ``oracle`` as
-ground truth.
+if a Min strategy comes back before a pair is found.  The loop runs only
+when both players have a choice: where one has a single strategy
+(``Index.choosers``), the other's best response to it is a certified
+pair.  It runs on tuples by node of the game's index, with state ids only
+in what it returns.  Min's descent tests the pair it holds before it scans
+single switches, and within one solve no strategy is evaluated twice.  The
+test needs Min's reply only if some reply could lower Max's: one rule,
+``settled``, certifies Min's strategy on Max's reply alone when that reply
+is worth 0 at every state, so a descent from an optimal strategy costs one
+best response then and at most two otherwise.  A switch candidate gets its
+best response only if the chain it makes against the held reply's witness
+passes the vector test; that chain's values bound the best response, so
+the skipped candidates are ones the test would reject.  The chain differs
+from the held pair's at the switched state alone, so the test is one sign
+there (``mdp._switch_sign``): no hitting or transient solve, and no state
+that the switched one cannot reach is analysed.  Nothing here enumerates
+strategies; exhaustive enumeration lives in ``oracle`` as ground truth.
 """
 
 from __future__ import annotations
@@ -96,11 +96,8 @@ def solve_limit_ssg(game: Ssg, objective: Objective) -> SsgSolve:
     per MEC or per round.  The call also sets ``mdp.COMPONENT_MEMO`` to a
     fresh dict and resets it on return or raise, so best responses to
     strategies that share a closed class of an induced chain evaluate it
-    once: its mean payoff and unshifted bias, with its canonical bias
-    computed on the first read that needs it, and no factorization (keyed
-    by node in ints, exact since every index of the call keeps the game's
-    numbering).  A MEC's gain policy iteration may run again, but its
-    classes are not re-evaluated.
+    once (``mdp`` states what the memo keeps); a MEC's gain policy
+    iteration may run again, but its classes are not re-evaluated.
 
     A scan spends a best response only on a candidate that its chain bound
     admits.  Min's exact reply to a Max candidate σ′, which differs from σ
@@ -123,25 +120,27 @@ def solve_limit_ssg(game: Ssg, objective: Objective) -> SsgSolve:
     the scan order, the accepted switch, the returned strategies and
     replies do not change, only the number of best responses does.
 
-    Min's descent certifies τ on Max's reply alone whenever no Min reply
-    can lower vec, the values of Max's exact best response to τ
-    (``settled``): when Min has a single strategy (``_switches`` yields
-    nothing), or when vec is 0 at every node.  The rule is checked in the
-    descent's stop test and again right after the descent, which then
-    returns vec with σ, the Max witness of that reply, and τ.  σ is a best
-    response to τ by construction.  τ is a best response to σ: in the first
-    case it is Min's only strategy; in the second, values lie in [0, 1], so
-    val(σ′, τ) ≤ vec = 0 makes τ get the least possible value against every
-    σ′.  So the pair is certified, vec is the game's value, and no single
-    switch can lower it.  The loop without the rule returns the same pair
-    after Min's reply to σ, one more best response unless an earlier round
-    memoized it: its check of τ compares vec with that reply's values,
-    which equal vec since τ is a best response to σ and σ attains vec
+    A player not in ``Index.choosers`` has a single strategy, edge 0 at
+    every node, and the solve is the other's exact reply to it, one
+    ``_reply``, Min checked first.  The pair is certified: the reply is a
+    best response by construction, and a player's only strategy is a best
+    response to anything.  Where Min has a single strategy (a chain too),
+    the loop would return the same pair after the same best response; where
+    only Max has one, its descent could end at another Min witness of the
+    same values.
+
+    Min's descent certifies τ on Max's reply alone when vec, the values of
+    Max's exact best response to τ, is 0 at every node (``settled``).  The
+    rule is checked in the descent's stop test and again right after the
+    descent, which then returns vec with σ, the Max witness of that reply,
+    and τ.  σ is a best response to τ by construction, and τ is one to σ:
+    values lie in [0, 1], so val(σ′, τ) ≤ vec = 0 makes τ get the least
+    possible value against every σ′.  So the pair is certified.  The loop
+    without the rule returns the same pair after Min's reply to σ, one
+    more best response unless an earlier round memoized it: that reply's
+    values equal vec, since τ is a best response to σ and σ attains vec
     against τ, and Max's ascent then starts at σ, whose reply is memoized,
-    and meets its goal at once.  So the rule changes no value or witness,
-    only the number of best responses.  The mirror case, Max
-    with a single strategy, still runs the loop: a jump to Min's optimal
-    reply would change the Min witness that the descent picks.
+    and meets its goal at once.  So the rule changes no value or witness.
 
     Termination: descents, ascents and best responses are deterministic.  A
     descent started from a Min strategy that an earlier round started from
@@ -180,11 +179,14 @@ def _alternate(game, objective):
         return SsgSolve(SolveResult.from_values(dict(zip(ids, values)), sigma, tau), "improvement")
 
     tau = (0,) * len(index.ids)
-    single = next(_switches(index, "min", tau), None) is None
+    for player in ("min", "max"):
+        if player not in index.choosers:  # ``tau`` is the player's one strategy
+            values, reply = _reply(index, objective, player, tau)
+            sigma, tau = (reply, tau) if player == "min" else (tau, reply)
+            return solved(values, sigma, tau)
 
-    def settled(vec):
-        """No Min reply can lower ``vec``: Min has one strategy or ``vec`` is 0."""
-        return single or not any(vec)
+    def settled(vec):  # no Min reply can lower ``vec``: it is 0 at every node
+        return not any(vec)
 
     def certified(vec, sigma):
         return settled(vec) or respond("max", sigma)[0] == vec
@@ -214,10 +216,8 @@ def _improve(index, objective, player, choice, respond, done):
     improves or ``done(values, witness)`` holds for the current choice.
     Returns the final choice and its reply's values and witness.
 
-    A candidate gets its best response only if the chain it makes against
-    the current reply's witness passes the same vector test
-    (``_may_improve``); one that fails it would fail with its best response
-    too, so the scan accepts the same switch.
+    A candidate gets its best response only if ``_may_improve`` admits it,
+    as it does every candidate whose best response passes the test.
     """
     better = operator.ge if player == "max" else operator.le
     vec, witness = respond(player, choice)

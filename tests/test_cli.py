@@ -288,6 +288,10 @@ def test_bad_arguments_fail_before_solving_or_reporting(tmp_path, monkeypatch, c
         (simulate + ["--min-choice", "v=7"], "invalid transition index 7 at v"),
         (simulate + ["--min-choice", "v=-1", "--objective", "mean-gt"], "invalid transition index -1 at v"),
         (simulate + ["--min-choice", "v=x"], "bad choice 'v=x', expected state=index"),
+        # The game has no Max state; a Max choice is checked all the same.
+        (simulate + ["--max-choice", "v=1"], "'v' is not a max state"),
+        (simulate + ["--max-choice", "zz=3"], "'zz' is not a max state"),
+        (simulate + ["--min-choice", "zz=3"], "'zz' is not a min state"),
         (simulate + ["--j", "0"], "simulation requires j >= 1"),
         (simulate + ["--j", "-2"], "simulation requires j >= 1"),
         (condon_term + ["--j", "0"], "termination requires j >= 1"),
@@ -422,17 +426,20 @@ def test_a_command_line_is_read_by_its_subcommand_parser_alone(tmp_path, monkeyp
 
 def test_unreadable_models_are_one_error_line(tmp_path, monkeypatch, capsys):
     # A missing file, a directory and text that is not UTF-8, in a file or
-    # on stdin, each end in one `cannot read model` line and no report.
+    # on stdin, and a closed stdin (``sys.stdin`` is None when descriptor 0
+    # is closed), each end in one `cannot read model` line and no report.
     latin = tmp_path / "latin.ssg"
     latin.write_bytes(FAIR_COIN_TEXT.encode() + b"# caf\xe9\n")
+    bad_stdin = io.TextIOWrapper(io.BytesIO(b"ssg rewards=states\n\xff\n"), encoding="utf-8")
     cases = [
-        (str(tmp_path / "missing.ssg"), "No such file or directory"),
-        (str(tmp_path), "Is a directory"),
-        (str(latin), "'utf-8' codec can't decode byte 0xe9"),
-        ("-", "'utf-8' codec can't decode byte 0xff"),
+        (str(tmp_path / "missing.ssg"), None, "No such file or directory"),
+        (str(tmp_path), None, "Is a directory"),
+        (str(latin), None, "'utf-8' codec can't decode byte 0xe9"),
+        ("-", bad_stdin, "'utf-8' codec can't decode byte 0xff"),
+        ("-", None, "stdin is closed"),
     ]
-    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"ssg rewards=states\n\xff\n"), encoding="utf-8"))
-    for path, reason in cases:
+    for path, stdin, reason in cases:
+        monkeypatch.setattr(sys, "stdin", stdin)
         out = io.StringIO()
         assert run(["solve", path, "--objective", "mean-gt"], out) == 2, path
         err = capsys.readouterr().err

@@ -67,11 +67,15 @@ VARIANTS = st.sampled_from(("renumber", "swap_edges", "swap_owners"))
 
 
 def _answer(game, objective):
-    """The values and value-1 set of the solve, or None if it refuses."""
+    """The values and value-1 set of the solve, or None if it refuses.  An
+    answer's pair must be certified: the best response to each witness
+    gives the returned values."""
     try:
         result = ssg.solve_limit_ssg(game, objective).result
     except ssg.NoCertificate:
         return None
+    for witness in (result.witness_max, result.witness_min):
+        assert ssg.best_response(game, witness, objective).values == result.values, (witness.player, objective.kind)
     return result.values, result.value_one_set
 
 

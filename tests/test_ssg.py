@@ -526,11 +526,20 @@ def _reference_improve(game, objective, player, choice, goal=None):
 def reference_solve(game, objective):
     """``solve_limit_ssg`` without the early certificate and the per-solve memos.
 
-    Min's descent scans every single switch until none improves, and every
-    strategy and every end component is evaluated afresh each time the scan
-    reaches it.
+    A game where one player has a single strategy, Min checked first, is
+    the other player's best response to it.  Otherwise Min's descent scans
+    every single switch until none improves, and every strategy and every
+    end component is evaluated afresh each time the scan reaches it.
     """
     assert mdp.COMPONENT_MEMO.get() is None
+    for player, other in (("min", "max"), ("max", "min")):
+        if _has_one_strategy(game, player):
+            fixed = {sid: 0 for sid in game.owner_ids(player)}
+            reply = ssg.best_response(game, PureMemorylessStrategy(player, fixed), objective)
+            witness = getattr(reply, f"witness_{other}")
+            pair = {player: fixed, other: dict(witness.choice) if witness else {}}
+            sigma, tau = (PureMemorylessStrategy(who, pair[who]) for who in ("max", "min"))
+            return ssg.SsgSolve(SolveResult.from_values(reply.values, sigma, tau), "improvement")
     tau = {sid: 0 for sid in game.owner_ids("min")}
     visited = set()
     while True:
@@ -556,27 +565,33 @@ def _dense_sweep():
                 yield game, objective
 
 
-def _min_has_one_strategy(game):
-    return all(len(game.state(sid).transitions) == 1 for sid in game.owner_ids("min"))
+def _has_one_strategy(game, player):
+    return all(len(game.state(sid).transitions) == 1 for sid in game.owner_ids(player))
 
 
-def _first_min_edges(game):
-    """``game`` with every Min state cut down to its first edge."""
+def _first_edges_of(game, player):
+    """``game`` with every state of ``player`` cut down to its first edge."""
     states = tuple(
-        State(s.id, s.owner, reward=s.reward, transitions=s.transitions[:1]) if s.owner == "min" else s
+        State(s.id, s.owner, reward=s.reward, transitions=s.transitions[:1]) if s.owner == player else s
         for s in game.states
     )
     return Ssg(states, reward_location=game.reward_location)
 
 
 def _one_strategy_sweep():
-    """Games in which Min has a single strategy, under every objective."""
+    """Games in which one player has a single strategy, under every
+    objective: Min's (dense MDPs, a ruin chain, a dense game cut to Min's
+    first edges), then Max's alone (dense games with every controlled
+    state Min's, a dense game cut to Max's first edges)."""
     families = bench_families()
     games = [parse_model(families.dense_mdp(n, fseed, None)) for n in (8, 12, 16, 24) for fseed in range(1, 5)]
     games.append(parse_model(families.ruin(12, None)))
-    games.append(_first_min_edges(parse_model(families.dense(12, 1, None))))
+    games.append(_first_edges_of(parse_model(families.dense(12, 1, None)), "min"))
+    dense = [parse_model(families.dense(n, fseed, None)) for n in (8, 12, 16) for fseed in (1, 2)]
+    games += [relabel_controlled(game, "min") for game in dense]
+    games.append(_first_edges_of(parse_model(families.dense(12, 1, None)), "max"))
     for game in games:
-        assert _min_has_one_strategy(game)
+        assert _has_one_strategy(game, "min") or _has_one_strategy(game, "max")
         yield from ((game, objective) for objective in LIMIT_OBJECTIVES)
 
 
@@ -617,24 +632,35 @@ def _count_best_responses(monkeypatch):
     return seen
 
 
-# Min's first edges (self-loops with reward +1) are optimal: value 0 everywhere.
-ZERO_TAU_OPTIMAL = parse_model(
+def _with_max_state(game, *edges):
+    """``game`` with one more state, ``m``, Max's, and its edges
+    (target, reward)."""
+    transitions = tuple(Transition(target, None, reward, None) for target, reward in edges)
+    return Ssg(game.states + (State("m", "max", None, transitions),), reward_location=game.reward_location)
+
+
+# Min's first edges (self-loops with reward +1) are optimal: value 0
+# everywhere.  Max's state m loops at +1 or enters a, worth 0 either way.
+ZERO_TAU_OPTIMAL_MIN_ONLY = parse_model(
     "ssg rewards=transitions\n"
     "state a owner=min\nstate b owner=min\nstate c owner=min\n"
     "trans a -> a reward=1\ntrans a -> b reward=-1\n"
     "trans b -> b reward=1\ntrans b -> c reward=-1\n"
     "trans c -> c reward=1\ntrans c -> a reward=-1\n"
 )
+ZERO_TAU_OPTIMAL = _with_max_state(ZERO_TAU_OPTIMAL_MIN_ONLY, ("m", 1), ("a", 1))
 
 # Min's first edges are optimal again, but b can only fall: a is worth 0,
-# b and c are worth 1.
-NONZERO_TAU_OPTIMAL = parse_model(
+# b and c are worth 1.  Max's state m loops at +1 (worth 0) or enters b,
+# so it is worth 1.
+NONZERO_TAU_OPTIMAL_MIN_ONLY = parse_model(
     "ssg rewards=transitions\n"
     "state a owner=min\nstate b owner=min\nstate c owner=rand\n"
     "trans a -> a reward=1\ntrans a -> b reward=-1\n"
     "trans b -> b reward=-1\ntrans b -> c reward=-1\n"
     "trans c -> c p=1/1 reward=-1\n"
 )
+NONZERO_TAU_OPTIMAL = _with_max_state(NONZERO_TAU_OPTIMAL_MIN_ONLY, ("m", 1), ("b", -1))
 
 
 def test_zero_valued_first_pair_costs_one_best_response(monkeypatch):
@@ -642,9 +668,15 @@ def test_zero_valued_first_pair_costs_one_best_response(monkeypatch):
     # reply can lower it: the solve skips Min's reply to Max's witness.
     seen = _count_best_responses(monkeypatch)
     solve = ssg.solve_limit_ssg(ZERO_TAU_OPTIMAL, LIMINF_MINUS_INF)
-    assert solve.result.values == {"a": 0, "b": 0, "c": 0}
+    assert solve.result.values == {"a": 0, "b": 0, "c": 0, "m": 0}
     assert solve.result.witness_min.choice == {"a": 0, "b": 0, "c": 0}
     assert [player for player, _ in seen] == ["min"]
+    # Without m, Max has a single strategy: the solve is Min's reply to it.
+    seen.clear()
+    solve = ssg.solve_limit_ssg(ZERO_TAU_OPTIMAL_MIN_ONLY, LIMINF_MINUS_INF)
+    assert solve.result.values == {"a": 0, "b": 0, "c": 0}
+    assert [player for player, _ in seen] == ["max"]
+    _assert_certified(ZERO_TAU_OPTIMAL_MIN_ONLY, solve, LIMINF_MINUS_INF)
 
 
 def test_certified_first_pair_costs_two_best_responses(monkeypatch):
@@ -652,36 +684,58 @@ def test_certified_first_pair_costs_two_best_responses(monkeypatch):
     # two switches before testing the pair would cost four.
     seen = _count_best_responses(monkeypatch)
     solve = ssg.solve_limit_ssg(NONZERO_TAU_OPTIMAL, LIMINF_MINUS_INF)
-    assert solve.result.values == {"a": 0, "b": 1, "c": 1}
+    assert solve.result.values == {"a": 0, "b": 1, "c": 1, "m": 1}
     assert solve.result.witness_min.choice == {"a": 0, "b": 0}
     assert [player for player, _ in seen] == ["min", "max"]
+    # Without m, Max has a single strategy: the solve is Min's reply to it.
+    seen.clear()
+    solve = ssg.solve_limit_ssg(NONZERO_TAU_OPTIMAL_MIN_ONLY, LIMINF_MINUS_INF)
+    assert solve.result.values == {"a": 0, "b": 1, "c": 1}
+    assert [player for player, _ in seen] == ["max"]
+    _assert_certified(NONZERO_TAU_OPTIMAL_MIN_ONLY, solve, LIMINF_MINUS_INF)
 
 
 def test_single_min_strategy_solve_runs_one_best_response(monkeypatch):
-    # Min's only strategy is a best response to any Max strategy, and so is
-    # a Min strategy that Max's best reply holds to 0 everywhere: Max's best
-    # response to it ends the solve with a certified pair.  Min's reply to
-    # Max's witness, which the solve skips, must give the same values.
+    # A player's only strategy is a best response to any strategy of the
+    # other, so the other's best response to it ends the solve with a
+    # certified pair, Min's single strategy checked first.  So does a Min
+    # strategy that Max's best reply holds to 0 everywhere.  The reply the
+    # solve skips must give the same values.
     seen = _count_best_responses(monkeypatch)
+    lone = set()
     for game, objective in _one_strategy_sweep():
+        fixed = "min" if _has_one_strategy(game, "min") else "max"
+        lone.add(fixed)
         seen.clear()
         solve = ssg.solve_limit_ssg(game, objective)
-        assert [player for player, _ in seen] == ["min"], objective.kind
-        assert ssg.best_response(game, solve.result.witness_max, objective).values == solve.result.values
+        assert [player for player, _ in seen] == [fixed], objective.kind
+        _assert_certified(game, solve, objective)
+    assert lone == {"min", "max"}
     one_reply = two_player = 0
     for game, objective in _dense_sweep():
         first = PureMemorylessStrategy("min", {sid: 0 for sid in game.owner_ids("min")})
-        settled = _min_has_one_strategy(game) or not any(ssg.best_response(game, first, objective).values.values())
+        settled = _has_one_strategy(game, "min") or _has_one_strategy(game, "max")
+        settled = settled or not any(ssg.best_response(game, first, objective).values.values())
         seen.clear()
         solve = ssg.solve_limit_ssg(game, objective)
         if settled:
             assert len(seen) == 1, objective.kind
-            assert ssg.best_response(game, solve.result.witness_max, objective).values == solve.result.values
+            _assert_certified(game, solve, objective)
             one_reply += 1
         else:
             assert len(seen) >= 2, objective.kind
             two_player += 1
     assert one_reply > 0 and two_player > 0
+
+
+def test_one_player_counter_game_is_one_best_response(monkeypatch):
+    # Only Min and chance move in the balanced drift counter game: its
+    # liminf = -inf solve is Min's one best response, the one-player solve.
+    game = parse_model((DATA / "dbalanced-n200-f1.ocssg").read_text())
+    seen = _count_best_responses(monkeypatch)
+    solve = ssg.solve_limit_ssg(game, LIMINF_MINUS_INF)
+    assert [player for player, _ in seen] == ["max"]
+    assert solve.result.values == mdp.quantitative_limit(game, LIMINF_MINUS_INF, "min").values
 
 
 def test_no_strategy_is_evaluated_twice_in_one_solve(monkeypatch):
@@ -1021,22 +1075,22 @@ def test_one_solve_builds_one_result_and_validates_nothing(monkeypatch):
         assert validated == [], objective.kind
 
 
-def test_bound_without_opponent_states_matches_the_reference(monkeypatch):
-    # With every controlled state Min's, Max has no state: Min's descent
-    # bounds its candidates with Max's empty choice, and the solve is the
-    # reference loop's.
-    profiles = []
-    may_improve = ssg._may_improve
-    monkeypatch.setattr(ssg, "_may_improve", lambda *args: profiles.append(args[3]) or may_improve(*args))
+def test_game_without_opponent_states_is_one_best_response(monkeypatch):
+    # With every controlled state Min's, Max has no state and so a single
+    # strategy: the solve is Min's one best response to it, with the
+    # oracle's values and a certified pair, and no candidate is bounded.
+    seen = _count_best_responses(monkeypatch)
+    monkeypatch.setattr(ssg, "_may_improve", lambda *args: pytest.fail("a candidate was bounded"))
     games = [UNCERTIFIED_IMPROVEMENT] + random_games(8, sizes=(3, 4), seed=50505)
     games.append(parse_model(_dense_family()(12, 1, None)))
     for game in (relabel_controlled(game, "min") for game in games):
         for objective in LIMIT_OBJECTIVES:
+            seen.clear()
             solve = ssg.solve_limit_ssg(game, objective)
-            reference = reference_solve(game, objective)
-            assert solve == reference, objective.kind
+            assert len(seen) == 1, objective.kind
             assert solve.result.values == oracle.enumerate_solve(game, objective).values, objective.kind
-    assert profiles
+            _assert_certified(game, solve, objective)
+            assert solve == reference_solve(game, objective), objective.kind
 
 
 # Best responses of one solve, counted as ``ssg._reply`` calls (the
