@@ -6,7 +6,8 @@ probabilities and weights, as a ``model.Index`` holds them or as
 ``Index.steps`` gives them for a policy's chain (the one statement of a
 fixed node's step), so none builds a ``State``: the SCC kernel
 (``tarjan``) and a chain's closed classes (``bottom_sccs``), the attractor
-(``attractor``), the factorization of a closed class's stationary system
+(``attractor``, grown only on the nodes ``within`` over the edges
+``allowed``), the factorization of a closed class's stationary system
 (``stationary_system``, built once per class for its mean and h, and again
 only for the law when several classes share a chain), the potential test
 (``node_potential``), the hitting-probability rows (``hitting_rows``), and
@@ -92,19 +93,19 @@ def tarjan(succ, roots) -> list[list[int]]:
     return components
 
 
-def attractor(graph, seeds, any_owners, alive=None, within=None):
+def attractor(graph, seeds, any_owners, within=None, allowed=None):
     """Least superset W of the nodes ``seeds`` closed under attraction, on
     an int graph: per node its owner, successors and (source, edge)
     predecessors, as a ``model.Index`` holds them.
 
-    Only nodes of ``within`` (a bool list, default ``alive``) join W, and a
-    node counts only its edges that enter ``alive`` nodes (a bool list,
-    default every node).  A node whose owner is in ``any_owners`` joins
-    once one of its edges enters W; any other node joins once all of its
-    counted edges do, and it must have at least one.  Returns (W as a bool
-    list, choice), where ``choice`` maps each controlled ``any_owners``
-    node outside ``seeds`` to the edge that pulled it in; that edge leads
-    to a node that joined earlier.
+    Two restrictions, both default everything: only nodes of ``within`` (a
+    bool list) join W, and a node v counts only its edges ``allowed[v]``
+    (edge indices).  A node whose owner is in ``any_owners`` joins once one
+    of its counted edges enters W; any other node joins once all of them
+    do, and it must have at least one.  Returns (W as a bool list, choice),
+    where ``choice`` maps each controlled ``any_owners`` node outside
+    ``seeds`` to the edge that pulled it in; that edge leads to a node that
+    joined earlier.
 
     A worklist over the predecessors with a count of counted edges still
     outside W per node, taken on the node's first visit: O(|V| + |E|).
@@ -114,17 +115,17 @@ def attractor(graph, seeds, any_owners, alive=None, within=None):
     owner, succ, preds = graph.owner, graph.succ, graph.preds
     n = len(succ)
     if within is None:
-        within = alive if alive is not None else [True] * n
+        within = [True] * n
     attracted = [False] * n
-    for v in seeds:
+    queue = sorted(set(seeds))
+    for v in queue:
         attracted[v] = True
-    queue = [v for v in range(n) if attracted[v]]
     outside = [-1] * n
     choice: dict[int, int] = {}
     while queue:
         target = queue.pop()
         for v, k in preds[target]:
-            if attracted[v] or not within[v]:
+            if attracted[v] or not within[v] or allowed is not None and k not in allowed[v]:
                 continue
             who = owner[v]
             if who in any_owners:
@@ -133,7 +134,7 @@ def attractor(graph, seeds, any_owners, alive=None, within=None):
             else:
                 left = outside[v]
                 if left < 0:
-                    left = len(succ[v]) if alive is None else sum(alive[t] for t in succ[v])
+                    left = len(succ[v] if allowed is None else allowed[v])
                 outside[v] = left = left - 1
                 if left:
                     continue

@@ -199,13 +199,15 @@ def _cmd_simulate(args, out) -> int:
         _parse_choices(args.min_choice, game, "min"),
     )
     _check_state(game, args.state)
+    objective = None
+    if args.objective:
+        objective = Objective.term(args.j) if args.objective == "term" else _objective(args.objective)
     if args.threshold_b is not None and args.objective not in oracle.THRESHOLD_PROXIES:
         raise CliError(f"--threshold-b applies only to --objective {' or '.join(oracle.THRESHOLD_PROXIES)}")
     report = [("rng", oracle.RNG_ALGORITHM), ("seed", args.seed), ("trials", args.trials), ("steps", args.steps)]
-    if args.objective:
-        if args.j is not None and args.objective != "term":
+    if objective is not None:
+        if args.j is not None and objective.kind != "term":
             raise CliError("--j applies only to --objective term or to a run without --objective")
-        objective = Objective.term(args.j) if args.objective == "term" else _objective(args.objective)
         # A threshold proxy reads ``--threshold-b``, 50 by default; no other reads one.
         threshold = None
         if objective.kind in oracle.THRESHOLD_PROXIES:

@@ -36,11 +36,13 @@ best response hands ``limit_on_index`` the residual index that
 ``Index.fixed`` derives and gets node values and a node policy back.  No
 game is built per best response, MEC, round or cut:
 
-* MECs (``_mecs``) prune each candidate once with per-node counters over
-  the predecessor lists and split it with one ``chain.tarjan``; an
-  allowed-edge restriction lets the tight parts decompose on the same
-  index.  They read only rand vs controlled, and so does almost-sure
-  reach (``almost_sure_reach``), so the value-1 region hands every
+* MECs (``_mecs``) remove from each candidate the attractor of the
+  targets its allowed edges leave it for, one ``chain.attractor`` on the
+  candidate's nodes and allowed edges, and split the rest with one
+  ``chain.tarjan``; the tight parts decompose on the same index with
+  their allowed edges.  They read only rand vs controlled, and so does
+  almost-sure reach (``almost_sure_reach``, alternating
+  ``chain.attractor`` calls), so the value-1 region hands every
   controlled node to Max without relabelling.
 * A MEC's policy iteration runs in place on its members and allowed
   edges, with no sub-index.  Each round reads its policy's chain as int
@@ -49,8 +51,9 @@ game is built per best response, MEC, round or cut:
   splits it with ``chain.bottom_sccs`` and builds the stationary and
   transient systems from those lists.
 * A reachability round (``_chain_reach``) reads its chain the same way:
-  one backward reach and one solve of ``chain.hitting_rows``.  None runs
-  when the targets are no node or every node (``_reach``).
+  one ``chain.attractor`` of the targets over the policy's edges and one
+  solve of ``chain.hitting_rows``.  None runs when the targets are no
+  node or every node (``_reach``).
 * A two-player scan bounds a switch candidate that switches node u by the
   sign of c(u) - vec(u), c the limit values of the chain it makes with the
   held reply's witness and vec the scan's vector (``_switch_sign``): the
@@ -86,7 +89,6 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from types import SimpleNamespace
 
 from . import chain as chain_mod
 from . import linsolve
@@ -199,20 +201,16 @@ def _chain_reach(index, choice: list[int], targets: frozenset[int]) -> list[Frac
     """Exact hitting probabilities of ``targets`` in the chain where each
     controlled node v takes its edge ``choice[v]`` (``Index.steps``), as
     ``certify.reach_probabilities`` gives them on that chain: 1 on the
-    targets, 0 where the targets are out of reach, and one linear solve of
-    ``chain.hitting_rows``, rows in node order, on the rest."""
-    owner, preds = index.owner, index.preds
+    targets, 0 outside their attractor over the chain's edges
+    (``chain.attractor``), and one linear solve of ``chain.hitting_rows``,
+    rows in node order, on the rest."""
+    owner = index.owner
     succ, prob, _, _ = index.steps({v: k for v, k in enumerate(choice) if owner[v] != "rand"})
-    reached = [False] * len(succ)
+    allowed = [(k,) if who != "rand" else range(len(edges)) for who, k, edges in zip(owner, choice, succ)]
+    reached, _ = chain_mod.attractor(index, targets, OWNERS, allowed=allowed)
     values = [Fraction(0)] * len(succ)
     for t in targets:
-        reached[t], values[t] = True, Fraction(1)
-    stack = list(targets)
-    while stack:
-        for v, k in preds[stack.pop()]:
-            if not reached[v] and (owner[v] == "rand" or choice[v] == k):
-                reached[v] = True
-                stack.append(v)
+        values[t] = Fraction(1)
     interior = [v for v, hit in enumerate(reached) if hit and v not in targets]
     if interior:
         rows, rhs = chain_mod.hitting_rows(interior, succ, prob, targets)
@@ -282,13 +280,14 @@ def almost_sure_reach(index, targets) -> AsrResult:
 
     Like ``_mecs`` it reads only rand vs controlled: every controlled node
     works toward the targets.  Repeatedly delete the region from which the
-    targets cannot be reached with positive probability, together with its
-    attractor (a rand node with an edge into it, a controlled node with all
-    of its edges), until stable.  Target nodes are treated as absorbing:
-    they count no edges and never join that attractor.  Every node counts
-    only its edges into the surviving region, and the choices follow the
-    edges that pulled the controlled nodes into the final positive
-    attractor.  A dead end that is not a target loses.
+    targets cannot be reached with positive probability (outside their
+    ``chain.attractor`` within the surviving region), together with its
+    attractor, until stable: a rand node joins it by one edge into it, a
+    controlled node once all of its edges into the surviving region (the
+    ``allowed`` ones) enter it.  Target nodes are treated as absorbing:
+    they are not ``within`` that attractor.  The choices follow the edges
+    that pulled the controlled nodes into the final positive attractor.  A
+    dead end that is not a target loses.
     """
     n = len(index.succ)
     target = [False] * n
@@ -297,12 +296,13 @@ def almost_sure_reach(index, targets) -> AsrResult:
     alive = [True] * n
     while True:
         seeds = [v for v in range(n) if target[v] and alive[v]]
-        pos, choice = chain_mod.attractor(index, seeds, OWNERS, alive)
+        pos, choice = chain_mod.attractor(index, seeds, OWNERS, within=alive)
         blocked = [v for v in range(n) if alive[v] and not pos[v]]
         if not blocked:
             return AsrResult(frozenset(v for v in range(n) if alive[v]), choice)
         within = [live and not hit for live, hit in zip(alive, target)]
-        doomed, _ = chain_mod.attractor(index, blocked, ("rand",), alive, within)
+        into_alive = [[k for k, t in enumerate(targets) if alive[t]] for targets in index.succ]
+        doomed, _ = chain_mod.attractor(index, blocked, ("rand",), within=within, allowed=into_alive)
         alive = [live and not gone for live, gone in zip(alive, doomed)]
 
 
@@ -566,16 +566,16 @@ def _mecs(index, within=None, allowed=None) -> list[Mec]:
     of a one-player index, counting only the edges ``allowed[v]`` of each
     node (default: all), sorted by their least member id.
 
-    Each candidate is pruned once with per-node counters over the
-    predecessor lists: a rand node goes once one of its edges leaves, a
-    controlled node once none of them stays.  A survivor set that is one
-    SCC (``chain.tarjan``) is an end component; otherwise each of its SCCs
-    is a candidate.  Only rand vs controlled is read.  A MEC's allowed
-    edges are, in edge order, every edge of a rand member and the edges of
-    a controlled member that stay in it.
+    Each candidate loses one ``chain.attractor`` inside it over the
+    allowed edges, seeded with the targets those edges leave it for and the
+    nodes with no allowed edge: a rand node goes once one of its edges
+    leaves, a controlled node once none of them stays.  A survivor set that
+    is one SCC (``chain.tarjan``) is an end component; otherwise each of
+    its SCCs is a candidate.  Only rand vs controlled is read.  A MEC's
+    allowed edges are, in edge order, the allowed edges of a member that
+    stay in it, all of them at a rand member.
     """
-    succ, preds, ids = index.succ, index.preds, index.ids
-    rand = [owner == "rand" for owner in index.owner]
+    succ, ids = index.succ, index.ids
     n = len(succ)
     if allowed is None:
         allowed = [range(len(targets)) for targets in succ]
@@ -586,42 +586,21 @@ def _mecs(index, within=None, allowed=None) -> list[Mec]:
         inside = [False] * n
         for v in candidate:
             inside[v] = True
-        staying = {}
-        gone = []
-        for v in candidate:
-            count = sum(inside[succ[v][k]] for k in allowed[v])
-            if count < len(allowed[v]) if rand[v] else not count:
-                gone.append(v)
-            else:
-                staying[v] = count
-        for v in gone:
-            inside[v] = False
-        while gone:
-            u = gone.pop()
-            for v, k in preds[u]:
-                if not inside[v] or k not in allowed[v]:
-                    continue
-                if not rand[v]:
-                    staying[v] -= 1
-                    if staying[v]:
-                        continue
-                inside[v] = False
-                gone.append(v)
-        survivors = sorted(v for v in candidate if inside[v])
+        exits = [t for v in candidate for k in allowed[v] if not inside[t := succ[v][k]]]
+        exits += [v for v in candidate if not allowed[v]]
+        gone, _ = chain_mod.attractor(index, exits, ("rand",), within=inside, allowed=allowed)
+        survivors = sorted(v for v in candidate if not gone[v])
         if not survivors:
             continue
         inner = [()] * n
         for v in survivors:
-            inner[v] = [t for k in allowed[v] if inside[t := succ[v][k]]]
+            inner[v] = [t for k in allowed[v] if not gone[t := succ[v][k]]]
         components = chain_mod.tarjan(inner, survivors)
         if len(components) > 1:
             queue.extend(components)
             continue
         mecs.append(
-            Mec(
-                frozenset(survivors),
-                {v: tuple(k for k in allowed[v] if rand[v] or inside[succ[v][k]]) for v in survivors},
-            )
+            Mec(frozenset(survivors), {v: tuple(k for k in allowed[v] if not gone[succ[v][k]]) for v in survivors})
         )
     mecs.sort(key=lambda mec: min(ids[v] for v in mec.members))
     return mecs
@@ -793,8 +772,9 @@ def _tight_part(index, mec: Mec, bias):
 def _noisy_components(index, members, allowed, noisy):
     """The end components C of the min-gain tight sub-MDP (``members`` with
     the edges ``allowed``) that hold a noisy state, each with the choice of
-    the positive attractor toward x = min(C & noisy) by state id inside C,
-    over C's allowed edges: liminf = -inf almost surely on C.
+    the positive attractor toward x = min(C & noisy) by state id
+    (``chain.attractor`` within C over C's allowed edges): liminf = -inf
+    almost surely on C.
 
     The attractor pulls in all of C, and C is closed under the choice, so x
     is reached almost surely and lies in a BSCC B.  B has mean 0: its
@@ -813,10 +793,8 @@ def _noisy_components(index, members, allowed, noisy):
         x = min(component.members & noisy, key=index.ids.__getitem__, default=None)
         if x is not None:
             core |= component.members
-            inside, edges = component.members, component.allowed
-            preds = {t: [(v, k) for v, k in index.preds[t] if v in inside and k in edges[v]] for t in inside}
-            graph = SimpleNamespace(owner=index.owner, succ=index.succ, preds=preds)
-            choice.update(chain_mod.attractor(graph, (x,), OWNERS)[1])
+            inside = [v in component.members for v in range(len(index.succ))]
+            choice.update(chain_mod.attractor(index, (x,), OWNERS, within=inside, allowed=component.allowed)[1])
     return core, choice
 
 

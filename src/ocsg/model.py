@@ -14,6 +14,7 @@ Text format (UTF-8, line oriented, ``#`` starts a comment):
     state <id> owner=max|min|rand [reward=<-1|0|1>]
     trans <src> -> <dst> [p=<num>/<den>] [reward=<-1|0|1>] [delta=<-1|0|1>]
 
+An id is one or more of the characters ``A-Za-z0-9_.@+'-``.
 ``p=`` is required exactly for transitions leaving a rand state, ``reward=``
 exactly where ``reward_location`` says, ``delta=`` exactly in ocssg files.
 ``print_model`` emits this format bit-exactly, probabilities in lowest terms.
@@ -470,6 +471,8 @@ def _violations(game: Ssg | OcSsg):
     states = game.states
     seen = set()
     for i, s in enumerate(states):
+        if not isinstance(s.id, str) or not _ID_RE.match(s.id):
+            yield i, None, f"invalid state id {_quoted(str(s.id))}"
         if s.id in seen:
             yield i, None, "duplicate state id"
         seen.add(s.id)
@@ -519,7 +522,7 @@ def _describe(game: Ssg | OcSsg, i: int | None, k: int | None, message: str) -> 
     """``message`` prefixed with the state (``a: ...``) or edge (``a[k]: ...``) it is about."""
     if i is None:
         return message
-    sid = _clipped(game.states[i].id)
+    sid = _clipped(str(game.states[i].id))
     where = sid if k is None else f"{sid}[{k}]"
     return f"{where}: {message}"
 

@@ -813,7 +813,8 @@ def two_player_almost_sure_reach(graph, targets) -> TwoPlayerAsr:
 
     while True:
         seeds = [v for v in range(n) if target[v] and alive[v]]
-        pos, max_choice = chain_mod.attractor(graph, seeds, ("max", "rand"), alive)
+        into_alive = [[k for k, t in enumerate(targets) if alive[t]] for targets in succ]
+        pos, max_choice = chain_mod.attractor(graph, seeds, ("max", "rand"), within=alive, allowed=into_alive)
         blocked = [v for v in range(n) if alive[v] and not pos[v]]
         if not blocked:
             break
@@ -824,7 +825,7 @@ def two_player_almost_sure_reach(graph, targets) -> TwoPlayerAsr:
                 if k is not None:
                     spoil[v] = k
         within = [live and not hit for live, hit in zip(alive, target)]
-        doomed, pulled = chain_mod.attractor(graph, blocked, ("min", "rand"), alive, within)
+        doomed, pulled = chain_mod.attractor(graph, blocked, ("min", "rand"), within=within, allowed=into_alive)
         for v, k in pulled.items():
             spoil.setdefault(v, k)
         alive = [live and not gone for live, gone in zip(alive, doomed)]

@@ -313,6 +313,7 @@ def test_options_that_do_not_apply_are_refused(tmp_path, capsys):
     simulate = ["simulate", dense, "--state", "s0", "--steps", "10", "--trials", "2", "--seed", "1"]
     on_counter = ["simulate", counter, "--state", "s0", "--steps", "10", "--trials", "2", "--seed", "1"]
     threshold_b = "--threshold-b applies only to --objective liminf-minus-inf or liminf-plus-inf"
+    bogus = f"unknown objective 'bogus', expected one of {', '.join(LIMIT_KINDS)}"
     cases = [
         (condon + ["--kind", "condon-limit", "--j", "5"], "--j applies only to --kind condon-term"),
         (simulate + ["--objective", "liminf-minus-inf", "--j", "4"],
@@ -323,6 +324,9 @@ def test_options_that_do_not_apply_are_refused(tmp_path, capsys):
         (simulate + ["--objective", "mean-gt", "--threshold-b", "7"], threshold_b),
         (on_counter + ["--objective", "term", "--j", "2", "--threshold-b", "7"], threshold_b),
         (on_counter + ["--j", "2", "--threshold-b", "7"], threshold_b),
+        # The objective's name is read before any option is judged against it.
+        (simulate + ["--objective", "bogus", "--threshold-b", "3"], bogus),
+        (simulate + ["--objective", "bogus", "--j", "2"], bogus),
         (["solve", dense, "--objective", "mean-gt", "--relation", "gt"], "--relation applies only with --threshold"),
         (["solve", dense, "--objective", "mean-gt", "--exit-status"], "--exit-status applies only with --threshold"),
     ]

@@ -243,6 +243,37 @@ def test_validate_zero_probability_edge():
     assert any("positivity" in v for v in validate(game))
 
 
+def test_validate_reports_an_id_the_format_cannot_hold():
+    game = Ssg((State("a b", "max", transitions=(Transition("a b", reward=0),)),), "transitions")
+    assert validate(game) == ["a b: invalid state id 'a b'"]
+    with pytest.raises(ModelSyntaxError):
+        parse_model(print_model(game))
+    # An id that is not a string is reported too, not raised on.
+    game = Ssg((State(1, "max", transitions=(Transition(1, reward=0),)),), "transitions")
+    assert validate(game) == ["1: invalid state id '1'"]
+
+
+_ID_CHARS = "a1_.@+'-"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(alphabet=_ID_CHARS + " #=>\t", max_size=3), min_size=1, max_size=4), st.randoms())
+def test_every_valid_game_prints_text_that_parses_back(ids, rng):
+    # Ids drawn from the format's characters and a few it cannot hold: an
+    # id outside the format is reported, and a game that validates prints
+    # a text that parses back equal.
+    states = tuple(
+        State(sid, rng.choice(("max", "min")), transitions=(Transition(rng.choice(ids), reward=rng.choice((-1, 0, 1))),))
+        for sid in ids
+    )
+    game = Ssg(states, "transitions")
+    bad = {sid for sid in ids if not sid or set(sid) - set(_ID_CHARS)}
+    violations = validate(game)
+    assert {sid for sid in ids if any(v.endswith(f"invalid state id {sid!r}") for v in violations)} == bad
+    if not violations:
+        assert parse_model(print_model(game)) == game
+
+
 def test_validate_well_formed_empty(five_state_game):
     assert validate(five_state_game) == []
 

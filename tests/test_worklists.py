@@ -2,7 +2,7 @@
 
 ``sweep_attractor`` and ``sweep_energy`` visit every state per pass until a
 pass changes nothing; they are the reference forms of ``chain.attractor``
-(run here on the game's index, or on its graph cut to the allowed edges)
+(run here on the game's index with its ``within`` and ``allowed`` masks)
 and ``mdp.energy_min_credit``; the lifting is also checked against the
 capped worklist ``grids.reference_energy_min_credit`` on counter families
 whose climbs run long.  ``reference_normalization`` (reachability
@@ -39,7 +39,6 @@ from ocsg.model import (
 )
 
 from grids import (
-    Graph,
     as_mdp,
     bench_families,
     exhaustive_games,
@@ -122,24 +121,14 @@ def _random_query(rng, game):
 
 
 def masked_attractor(game, seeds, sides, within=None, allowed=None):
-    """``chain.attractor`` on the game's index cut to the ``allowed`` edges
-    (keyed by state id) and joined only inside ``within``, keyed by state
-    id, its choices in the game's edge indices."""
+    """``chain.attractor`` on the game's index, joined only inside
+    ``within`` and counting only the ``allowed`` edges (both keyed by state
+    id), keyed by state id."""
     index = game.index
     ids, pos = index.ids, index.pos
-    graph = index
-    if allowed is not None:
-        kept = [tuple(allowed[sid]) for sid in ids]
-        succ = [[targets[k] for k in edges] for targets, edges in zip(index.succ, kept)]
-        preds = [[] for _ in ids]
-        for v, targets in enumerate(succ):
-            for k, t in enumerate(targets):
-                preds[t].append((v, k))
-        graph = Graph(index.owner, succ, preds)
     inside = None if within is None else [sid in within for sid in ids]
-    won, choice = chain.attractor(graph, [pos[sid] for sid in seeds], sides, within=inside)
-    if allowed is not None:
-        choice = {v: kept[v][k] for v, k in choice.items()}
+    kept = None if allowed is None else [allowed[sid] for sid in ids]
+    won, choice = chain.attractor(index, [pos[sid] for sid in seeds], sides, within=inside, allowed=kept)
     return {ids[v] for v, hit in enumerate(won) if hit}, {ids[v]: k for v, k in choice.items()}
 
 
@@ -190,24 +179,24 @@ GAMES = st.builds(_random, st.integers(0, 10**6), st.integers(1, 9), st.sampled_
 @settings(max_examples=300, deadline=None)
 @given(GAMES, st.sampled_from(SIDES), st.randoms(use_true_random=False))
 def test_attractor_matches_reference_with_masks(game, sides, rng):
-    # ``within``/``allowed`` masks: the int attractor on the index cut to
+    # ``within``/``allowed`` masks: the int attractor on the index with
     # the allowed edges gives the reference's set and choices.
     seeds, within, allowed = _random_query(rng, game)
     assert masked_attractor(game, seeds, sides, within, allowed) == reference_attractor(
         game, seeds, sides, within, allowed
     )
-    # ``alive`` (and ``within`` inside it): a node counts its edges into
-    # alive nodes, the reference's ``allowed`` cut to them.
+    # The edges into alive nodes, as almost-sure reach cuts them, with
+    # ``within`` the alive nodes or a part of them.
     index = game.index
     alive = [rng.random() < 0.8 for _ in index.ids]
     inside = [live and rng.random() < 0.8 for live in alive]
     seeds = [v for v in range(len(alive)) if inside[v] and rng.random() < 0.3]
     ids = index.ids
-    cut = {sid: [k for k, t in enumerate(targets) if alive[t]] for sid, targets in zip(ids, index.succ)}
-    for within in (None, inside):
-        won, choice = chain.attractor(index, seeds, sides, alive, within)
-        named_within = {sid for sid, hit in zip(ids, alive if within is None else inside) if hit}
-        expected = reference_attractor(game, {ids[v] for v in seeds}, sides, named_within, cut)
+    cut = [[k for k, t in enumerate(targets) if alive[t]] for targets in index.succ]
+    for within in (alive, inside):
+        won, choice = chain.attractor(index, seeds, sides, within=within, allowed=cut)
+        named_within = {sid for sid, hit in zip(ids, within) if hit}
+        expected = reference_attractor(game, {ids[v] for v in seeds}, sides, named_within, dict(zip(ids, cut)))
         assert ({ids[v] for v, hit in enumerate(won) if hit}, {ids[v]: k for v, k in choice.items()}) == expected
 
 
