@@ -36,14 +36,17 @@ best response hands ``limit_on_index`` the residual index that
 ``Index.fixed`` derives and gets node values and a node policy back.  No
 game is built per best response, MEC, round or cut:
 
-* MECs (``_mecs``) remove from each candidate the attractor of the
-  targets its allowed edges leave it for, one ``chain.attractor`` on the
-  candidate's nodes and allowed edges, and split the rest with one
-  ``chain.tarjan``; the tight parts decompose on the same index with
-  their allowed edges.  They read only rand vs controlled, and so does
+* MECs (``_mecs``) refine strongly connected candidates only, the SCCs
+  that one ``chain.tarjan`` finds over the allowed edges inside a node
+  set, kept with several nodes or an allowed self-loop.  A candidate that
+  no allowed edge leaves, or that loses no node to the attractor of the
+  targets those edges reach (one ``chain.attractor`` on its nodes and
+  allowed edges), is a MEC; the survivors of one that loses some are
+  split again.  The tight parts decompose on the same index with their
+  allowed edges.  They read only rand vs controlled, and so does
   almost-sure reach (``almost_sure_reach``, alternating
-  ``chain.attractor`` calls), so the value-1 region hands every
-  controlled node to Max without relabelling.
+  ``chain.attractor`` calls, none with no target), so the value-1 region
+  hands every controlled node to Max without relabelling.
 * A MEC's policy iteration runs in place on its members and allowed
   edges, with no sub-index.  Each round reads its policy's chain as int
   lists by node from ``Index.steps``, the one statement of a fixed
@@ -181,8 +184,11 @@ def _reach(index, targets: frozenset[int], direction: str):
     limit = 1
     for v in controlled:
         limit *= len(succ[v])
+    allowed = [range(len(edges)) for edges in succ]
     for _ in range(limit + 1):
-        values = _chain_reach(index, choice, targets)
+        for v in controlled:
+            allowed[v] = (choice[v],)
+        values = _chain_reach(index, choice, targets, allowed)
         switched = False
         for v in controlled:
             if v in targets:
@@ -197,16 +203,17 @@ def _reach(index, targets: frozenset[int], direction: str):
     raise AssertionError("policy iteration failed to terminate")
 
 
-def _chain_reach(index, choice: list[int], targets: frozenset[int]) -> list[Fraction]:
+def _chain_reach(index, choice: list[int], targets: frozenset[int], allowed) -> list[Fraction]:
     """Exact hitting probabilities of ``targets`` in the chain where each
     controlled node v takes its edge ``choice[v]`` (``Index.steps``), as
     ``certify.reach_probabilities`` gives them on that chain: 1 on the
     targets, 0 outside their attractor over the chain's edges
     (``chain.attractor``), and one linear solve of ``chain.hitting_rows``,
-    rows in node order, on the rest."""
+    rows in node order, on the rest.  ``allowed`` holds those edges by node,
+    ``(choice[v],)`` at a controlled node and all of them at a rand node;
+    ``_reach`` builds it once and resets its controlled entries each round."""
     owner = index.owner
     succ, prob, _, _ = index.steps({v: k for v, k in enumerate(choice) if owner[v] != "rand"})
-    allowed = [(k,) if who != "rand" else range(len(edges)) for who, k, edges in zip(owner, choice, succ)]
     reached, _ = chain_mod.attractor(index, targets, OWNERS, allowed=allowed)
     values = [Fraction(0)] * len(succ)
     for t in targets:
@@ -287,8 +294,11 @@ def almost_sure_reach(index, targets) -> AsrResult:
     ``allowed`` ones) enter it.  Target nodes are treated as absorbing:
     they are not ``within`` that attractor.  The choices follow the edges
     that pulled the controlled nodes into the final positive attractor.  A
-    dead end that is not a target loses.
+    dead end that is not a target loses.  With no target nothing is
+    reached, and the empty set comes back with no attractor run.
     """
+    if not targets:
+        return AsrResult(frozenset(), {})
     n = len(index.succ)
     target = [False] * n
     for v in targets:
@@ -550,11 +560,18 @@ class Mec:
 
 def mec_decompose(game, within=None) -> list[Mec]:
     """Maximal end components of the game, or of the sub-MDP that the start
-    set ``within`` induces (``_mecs`` on the game's index)."""
+    set ``within`` induces (``_mecs`` on the game's index).  An id of
+    ``within`` that is no state of the game raises ValueError."""
     _require_one_player(game)
     index = game.index
     ids = index.ids
-    nodes = None if within is None else [v for v, sid in enumerate(ids) if sid in within]
+    nodes = None
+    if within is not None:
+        within = frozenset(within)
+        missing = within - index.pos.keys()
+        if missing:
+            raise ValueError(f"unknown states {sorted(missing)}")
+        nodes = [v for v, sid in enumerate(ids) if sid in within]
     return [
         Mec(frozenset(ids[v] for v in mec.members), {ids[v]: edges for v, edges in mec.allowed.items()})
         for mec in _mecs(index, nodes)
@@ -566,42 +583,58 @@ def _mecs(index, within=None, allowed=None) -> list[Mec]:
     of a one-player index, counting only the edges ``allowed[v]`` of each
     node (default: all), sorted by their least member id.
 
-    Each candidate loses one ``chain.attractor`` inside it over the
-    allowed edges, seeded with the targets those edges leave it for and the
-    nodes with no allowed edge: a rand node goes once one of its edges
-    leaves, a controlled node once none of them stays.  A survivor set that
-    is one SCC (``chain.tarjan``) is an end component; otherwise each of
-    its SCCs is a candidate.  Only rand vs controlled is read.  A MEC's
-    allowed edges are, in edge order, the allowed edges of a member that
-    stay in it, all of them at a rand member.
+    Every candidate is strongly connected: ``split`` cuts a node set into
+    its SCCs over the allowed edges that stay in it (one ``chain.tarjan``)
+    and keeps those that can hold an end component, with several nodes or
+    one node with an allowed edge to itself.  The queue starts with the
+    split of ``within``.  A candidate with no allowed edge leaving it is a
+    MEC.  Otherwise it loses one ``chain.attractor`` of the targets of
+    those edges, inside it over the allowed edges.  A candidate that loses
+    no node is a MEC, and the survivors of one that loses some are split
+    again.  Only rand vs controlled is read.  A MEC's allowed edges are, in
+    edge order, the allowed edges of a member that stay in it, all of them
+    at a rand member.
+
+    Each skip is sound.  A one-node SCC without an allowed self-loop has
+    no allowed edge that stays in it, so it is in no end component; the
+    attractor of its exits would remove it too, a rand node by any edge
+    that leaves and a controlled node once none of its edges stays.  A
+    candidate that loses no node is an end component: each rand member's
+    edges all stay (one that left would pull it out), each controlled
+    member has an edge that stays, and the set is strongly connected over
+    the edges that stay, so ``tarjan`` would find it as one component
+    again.
     """
     succ, ids = index.succ, index.ids
     n = len(succ)
     if allowed is None:
         allowed = [range(len(targets)) for targets in succ]
+
+    def split(nodes):
+        inside = [False] * n
+        for v in nodes:
+            inside[v] = True
+        inner = [()] * n
+        for v in nodes:
+            inner[v] = [t for k in allowed[v] if inside[t := succ[v][k]]]
+        return [c for c in chain_mod.tarjan(inner, nodes) if len(c) > 1 or c[0] in inner[c[0]]]
+
     mecs = []
-    queue = [range(n) if within is None else within]
+    queue = split(range(n) if within is None else within)
     while queue:
         candidate = queue.pop()
         inside = [False] * n
         for v in candidate:
             inside[v] = True
         exits = [t for v in candidate for k in allowed[v] if not inside[t := succ[v][k]]]
-        exits += [v for v in candidate if not allowed[v]]
-        gone, _ = chain_mod.attractor(index, exits, ("rand",), within=inside, allowed=allowed)
-        survivors = sorted(v for v in candidate if not gone[v])
-        if not survivors:
-            continue
-        inner = [()] * n
-        for v in survivors:
-            inner[v] = [t for k in allowed[v] if not gone[t := succ[v][k]]]
-        components = chain_mod.tarjan(inner, survivors)
-        if len(components) > 1:
-            queue.extend(components)
-            continue
-        mecs.append(
-            Mec(frozenset(survivors), {v: tuple(k for k in allowed[v] if not gone[succ[v][k]]) for v in survivors})
-        )
+        if exits:
+            gone, _ = chain_mod.attractor(index, exits, ("rand",), within=inside, allowed=allowed)
+            survivors = [v for v in candidate if not gone[v]]
+            if len(survivors) < len(candidate):
+                queue.extend(split(survivors))
+                continue
+        members = sorted(candidate)
+        mecs.append(Mec(frozenset(members), {v: tuple(k for k in allowed[v] if inside[succ[v][k]]) for v in members}))
     mecs.sort(key=lambda mec: min(ids[v] for v in mec.members))
     return mecs
 

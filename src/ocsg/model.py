@@ -463,6 +463,17 @@ def _successor_faults(rand: bool, probs) -> dict[int | None, str]:
     return faults
 
 
+def _weight_fault(what: str, value) -> str | None:
+    """Why ``value`` is no weight, or None for an int in {-1,0,1}.  A bool
+    or a float equal to one is refused too: the printer would write a token
+    the parser rejects, and exact sums would turn into floats."""
+    if type(value) is not int:
+        return f"{what} {value!r} is not an int"
+    if value not in REWARD_VALUES:
+        return f"{what} {value} outside {{-1,0,1}}"
+    return None
+
+
 def _violations(game: Ssg | OcSsg):
     """Yield ``(state position, edge position or None, message)`` per broken
     model rule, in a fixed order; a whole-game rule has state position None.
@@ -490,28 +501,28 @@ def _violations(game: Ssg | OcSsg):
         if loc == ON_STATES:
             if state_reward is None:
                 yield i, None, "missing state reward"
-            elif state_reward not in REWARD_VALUES:
-                yield i, None, f"state reward {state_reward} outside {{-1,0,1}}"
+            elif fault := _weight_fault("state reward", state_reward):
+                yield i, None, fault
         elif state_reward is not None:
             yield i, None, "unexpected state reward"
 
         for k, (target, _, reward, delta) in enumerate(edges):
             if target not in seen:
-                yield i, k, f"dangling target {_quoted(target)}"
+                yield i, k, f"dangling target {_quoted(str(target))}"
             if k in faults:
                 yield i, k, faults[k]
             if is_oc:
                 if delta is None:
                     yield i, k, "missing delta"
-                elif delta not in REWARD_VALUES:
-                    yield i, k, f"delta {delta} outside {{-1,0,1}}"
+                elif fault := _weight_fault("delta", delta):
+                    yield i, k, fault
             elif delta is not None:
                 yield i, k, "unexpected delta"
             if loc == ON_TRANSITIONS:
                 if reward is None:
                     yield i, k, "missing transition reward"
-                elif reward not in REWARD_VALUES:
-                    yield i, k, f"transition reward {reward} outside {{-1,0,1}}"
+                elif fault := _weight_fault("transition reward", reward):
+                    yield i, k, fault
             elif reward is not None:
                 yield i, k, "unexpected reward"
         if edges and None in faults:

@@ -361,9 +361,12 @@ def test_chain_reach_is_reach_probabilities_of_the_fixed_chain():
                 for v in controlled:
                     choice[v] = rng.randrange(len(index.succ[v]))
                 targets = frozenset(v for v in range(len(index.ids)) if rng.random() < 0.3)
+                allowed = [range(len(edges)) for edges in index.succ]
+                for v in controlled:
+                    allowed[v] = (choice[v],)
                 chain = induced_chain(game, {index.ids[v]: choice[v] for v in controlled})
                 expected = reach_probabilities(chain, {index.ids[v] for v in targets})
-                assert dict(zip(index.ids, mdp._chain_reach(index, choice, targets))) == expected
+                assert dict(zip(index.ids, mdp._chain_reach(index, choice, targets, allowed))) == expected
                 fractional += any(0 < x < 1 for x in expected.values())
                 out_of_reach += any(x == 0 for x in expected.values())
                 empty += not targets

@@ -172,6 +172,28 @@ def test_int_mecs_match_the_iterated_attractor(game, owner, rng):
 
 @settings(max_examples=200, deadline=None)
 @given(_games(), st.sampled_from(("max", "min")), st.randoms(use_true_random=False))
+def test_int_mecs_leave_out_nodes_with_no_allowed_edge(game, owner, rng):
+    # A node whose allowed edges are none is in no end component: the MECs
+    # on a start set are those on the set without such nodes, and the
+    # reference's there.
+    game = relabel_controlled(game, owner)
+    index = game.index
+    within, allowed = _restriction(game, rng)
+    bare = {sid for sid in within if rng.random() < 0.3}
+    kept, index_map = restrict_to_mec(game, mdp.Mec(frozenset(game.ids()), allowed))
+    expected = [
+        mdp.Mec(mec.members, {sid: tuple(index_map[sid][k] for k in edges) for sid, edges in mec.allowed.items()})
+        for mec in reference_mec_decompose(kept, within - bare)
+    ]
+    nodes = {index.pos[sid] for sid in within}
+    by_node = {index.pos[sid]: () if sid in bare else edges for sid, edges in allowed.items()}
+    found = mdp._mecs(index, nodes, by_node)
+    assert found == mdp._mecs(index, nodes - {index.pos[sid] for sid in bare}, by_node)
+    assert [named_mec(index, mec) for mec in found] == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(_games(), st.sampled_from(("max", "min")), st.randoms(use_true_random=False))
 def test_int_reachability_matches_per_round_chains(game, owner, rng):
     game = relabel_controlled(game, owner)
     targets = {sid for sid in game.ids() if rng.random() < 0.3}

@@ -13,6 +13,7 @@ from ocsg.model import (
     LIMINF_PLUS_INF,
     LIMIT_OBJECTIVES,
     MEAN_GT,
+    MEAN_LEQ,
     PureMemorylessStrategy,
     Ssg,
     State,
@@ -39,6 +40,7 @@ from grids import (
     random_game,
     random_games,
     reference_almost_sure_reach,
+    reference_mec_decompose,
     reference_procedure_mp,
     reference_solve_reachability,
     remove_states,
@@ -586,6 +588,134 @@ def test_mec_appendix_example(five_state_game):
     game = oc_to_reward_ssg(five_state_game)
     mecs = mdp.mec_decompose(game)
     assert [m.members for m in mecs] == [frozenset({"down"}), frozenset({"up"})]
+
+
+def test_mec_decompose_refuses_unknown_ids():
+    game = parse_model((DATA / "mdp-n20-f1.ssg").read_text())
+    with pytest.raises(ValueError, match=r"^unknown states \['nope'\]$"):
+        mdp.mec_decompose(game, {"nope"})
+    with pytest.raises(ValueError, match=r"^unknown states \['a', 'b'\]$"):
+        mdp.mec_decompose(game, ["s0", "b", "a"])
+    assert mdp.mec_decompose(game, ["s0", "s1"]) == mdp.mec_decompose(game, {"s1", "s0"})
+
+
+# One-node SCCs only: c1 (Max) has a self-loop and an edge out, c2 (Max)
+# only an edge out, r2 (rand) a self-loop and an edge out, r3 (rand) only
+# a self-loop.  c1 and r3 are MECs; r2 leaks and c2 has no edge that stays.
+ONE_NODE_SCCS = parse_model(
+    "ssg rewards=transitions\n"
+    "state c1 owner=max\nstate c2 owner=max\nstate r2 owner=rand\nstate r3 owner=rand\n"
+    "trans c1 -> c1 reward=0\ntrans c1 -> c2 reward=0\ntrans c2 -> r2 reward=1\n"
+    "trans r2 -> r2 p=1/2 reward=0\ntrans r2 -> r3 p=1/2 reward=0\ntrans r3 -> r3 p=1/1 reward=-1\n"
+)
+
+
+def test_mec_one_node_components():
+    game, index = ONE_NODE_SCCS, ONE_NODE_SCCS.index
+    c1, c2, r2, r3 = (index.pos[sid] for sid in ("c1", "c2", "r2", "r3"))
+    expected = [mdp.Mec(frozenset({"c1"}), {"c1": (0,)}), mdp.Mec(frozenset({"r3"}), {"r3": (0,)})]
+    assert mdp.mec_decompose(game) == expected == reference_mec_decompose(game)
+    # Without its self-loop among the allowed edges, c1 is in no MEC.
+    allowed = [range(len(edges)) for edges in index.succ]
+    allowed[c1] = (1,)
+    assert [named_mec(index, mec) for mec in mdp._mecs(index, None, allowed)] == expected[1:]
+    # The same game with Min owning the controlled nodes, and each node alone.
+    assert mdp.mec_decompose(relabel_controlled(game, "min")) == expected
+    for v, mecs in ((c1, expected[:1]), (c2, []), (r2, []), (r3, expected[1:])):
+        assert [named_mec(index, mec) for mec in mdp._mecs(index, [v])] == mecs
+
+
+def _strongly_connected(succ, members, allowed):
+    """Whether ``members`` can hold an end component as ``mdp._mecs`` asks
+    of a candidate: strongly connected over the edges ``allowed[v]`` that
+    stay in it, with two nodes or more or one node on an allowed edge to
+    itself."""
+    edges = {v: {succ[v][k] for k in allowed[v]} & members for v in members}
+    if len(members) == 1:
+        (v,) = members
+        return v in edges[v]
+    back = {v: {u for u in members if v in edges[u]} for v in members}
+
+    def reached(step):
+        start = min(members)
+        seen, stack = {start}, [start]
+        while stack:
+            for t in step[stack.pop()] - seen:
+                seen.add(t)
+                stack.append(t)
+        return seen
+
+    return reached(edges) == members == reached(back)
+
+
+def _spy_mec_kernels(monkeypatch):
+    """Count ``mdp._mecs`` calls and the ``chain.attractor`` and
+    ``chain.tarjan`` calls made inside one; every such attractor call must
+    have a seed and run within a set ``_strongly_connected`` accepts."""
+    counts = {"mecs": 0, "attractors": 0, "tarjans": 0}
+    depth = []
+    mecs, attractor, tarjan = mdp._mecs, chain_mod.attractor, chain_mod.tarjan
+
+    def counted_mecs(*args, **kwargs):
+        counts["mecs"] += 1
+        depth.append(True)
+        try:
+            return mecs(*args, **kwargs)
+        finally:
+            depth.pop()
+
+    def checked_attractor(graph, seeds, any_owners, within=None, allowed=None):
+        if depth:
+            counts["attractors"] += 1
+            assert seeds
+            assert _strongly_connected(graph.succ, {v for v, keep in enumerate(within) if keep}, allowed)
+        return attractor(graph, seeds, any_owners, within=within, allowed=allowed)
+
+    def counted_tarjan(succ, roots):
+        counts["tarjans"] += bool(depth)
+        return tarjan(succ, roots)
+
+    monkeypatch.setattr(mdp, "_mecs", counted_mecs)
+    monkeypatch.setattr(chain_mod, "attractor", checked_attractor)
+    monkeypatch.setattr(chain_mod, "tarjan", counted_tarjan)
+    return counts
+
+
+def test_mec_attractors_run_on_strongly_connected_candidates(monkeypatch):
+    counts = _spy_mec_kernels(monkeypatch)
+    rng = random.Random(4401)
+    for game in itertools.chain(exhaustive_games(), random_games(200, sizes=(3, 5, 8), seed=4401), [ONE_NODE_SCCS]):
+        game = relabel_controlled(game, rng.choice(("max", "min")))
+        index = game.index
+        assert mdp.mec_decompose(game) == reference_mec_decompose(game)
+        allowed = [tuple(k for k in range(len(edges)) if rng.random() < 0.7) for edges in index.succ]
+        nodes = [v for v in range(len(index.succ)) if rng.random() < 0.8]
+        mdp._mecs(index, nodes, allowed)
+    for name, objective in (("dense-n32-f7.ssg", LIMINF_MINUS_INF), ("mdp-n20-f1.ssg", MEAN_GT)):
+        ssg.solve_limit_ssg(parse_model((DATA / name).read_text()), objective)
+    assert counts["attractors"] > 100, counts
+
+
+# ``mdp._mecs`` calls of one solve, and the ``chain.attractor`` and
+# ``chain.tarjan`` calls made inside them; with a candidate per SCC of
+# every size and a second ``tarjan`` per kept candidate they were 1,334
+# attractors and 184 tarjans.
+MEC_KERNEL_COUNTS = (("dense-n96-f3.ssg", MEAN_LEQ, {"mecs": 30, "attractors": 202, "tarjans": 149}),)
+
+
+def test_mec_kernel_counts(monkeypatch):
+    counts = _spy_mec_kernels(monkeypatch)
+    for name, objective, expected in MEC_KERNEL_COUNTS:
+        counts.update(dict.fromkeys(counts, 0))
+        ssg.solve_limit_ssg(parse_model((DATA / name).read_text()), objective)
+        assert counts == expected, name
+
+
+def test_asr_of_no_target_runs_no_attractor(monkeypatch):
+    monkeypatch.setattr(chain_mod, "attractor", lambda *args, **kwargs: pytest.fail("an attractor ran"))
+    for game in (ONE_NODE_SCCS, parse_model((DATA / "mdp-n20-f1.ssg").read_text())):
+        for targets in ((), set(), frozenset()):
+            assert mdp.almost_sure_reach(game.index, targets) == mdp.AsrResult(frozenset(), {})
 
 
 def test_policy_bsccs_lie_inside_mecs():

@@ -251,25 +251,48 @@ def test_validate_reports_an_id_the_format_cannot_hold():
     # An id that is not a string is reported too, not raised on.
     game = Ssg((State(1, "max", transitions=(Transition(1, reward=0),)),), "transitions")
     assert validate(game) == ["1: invalid state id '1'"]
+    # So is a target that is not a string.
+    game = Ssg((State("a", "max", transitions=(Transition(1, reward=0),)),), "transitions")
+    assert validate(game) == ["a[0]: dangling target '1'"]
 
 
 _ID_CHARS = "a1_.@+'-"
 
 
+# Weights equal to one of -1, 0, 1 that are not ints.
+_NOT_INT_WEIGHTS = (1.0, 0.0, True, False)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.text(alphabet=_ID_CHARS + " #=>\t", max_size=3), min_size=1, max_size=4), st.randoms())
-def test_every_valid_game_prints_text_that_parses_back(ids, rng):
-    # Ids drawn from the format's characters and a few it cannot hold: an
-    # id outside the format is reported, and a game that validates prints
-    # a text that parses back equal.
+@given(
+    st.lists(st.text(alphabet=_ID_CHARS + " #=>\t", max_size=3), min_size=1, max_size=4),
+    st.sampled_from(("states", "transitions", "ocssg")),
+    st.randoms(),
+)
+def test_every_valid_game_prints_text_that_parses_back(ids, form, rng):
+    # Ids drawn from the format's characters and a few it cannot hold, and
+    # weights (state reward, transition reward or delta) drawn from -1, 0,
+    # 1 and values equal to them that are not ints: an id outside the
+    # format and a weight that is not an int are reported, and a game that
+    # validates prints a text that parses back equal.
+    def weight(where):
+        return rng.choice((-1, 0, 1) + _NOT_INT_WEIGHTS) if form == where else None
+
     states = tuple(
-        State(sid, rng.choice(("max", "min")), transitions=(Transition(rng.choice(ids), reward=rng.choice((-1, 0, 1))),))
+        State(
+            sid,
+            rng.choice(("max", "min")),
+            reward=weight("states"),
+            transitions=(Transition(rng.choice(ids), reward=weight("transitions"), delta=weight("ocssg")),),
+        )
         for sid in ids
     )
-    game = Ssg(states, "transitions")
+    game = OcSsg(states) if form == "ocssg" else Ssg(states, form)
     bad = {sid for sid in ids if not sid or set(sid) - set(_ID_CHARS)}
     violations = validate(game)
     assert {sid for sid in ids if any(v.endswith(f"invalid state id {sid!r}") for v in violations)} == bad
+    weights = [w for s in states for w in (s.reward, s.transitions[0].reward, s.transitions[0].delta) if w is not None]
+    assert sum(v.endswith("is not an int") for v in violations) == sum(type(w) is not int for w in weights)
     if not violations:
         assert parse_model(print_model(game)) == game
 
