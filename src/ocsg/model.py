@@ -320,7 +320,7 @@ class PureMemorylessStrategy:
             raise ValueError(f"strategy domain mismatch: missing {_sample(missing)}, extra {_sample(extra)}")
         for v in owned:
             k = self.choice[index.ids[v]]
-            if not 0 <= k < len(index.succ[v]):
+            if type(k) is not int or not 0 <= k < len(index.succ[v]):
                 raise ValueError(f"invalid transition index {k} at {_clipped(index.ids[v])}")
 
 
@@ -371,6 +371,15 @@ COMPLEMENT_KIND = {
 _ALL_KINDS = LIMIT_KINDS + ("term",)
 
 
+def check_counter_start(j, what: str) -> None:
+    """Reject an initial counter ``j`` that is missing, not an int (a bool
+    included) or below 1; ``what`` names the check in the message."""
+    if j is not None and type(j) is not int:
+        raise ValueError(f"{what} requires an int j, got {j!r}")
+    if j is None or j < 1:
+        raise ValueError(f"{what} requires j >= 1")
+
+
 @dataclass(frozen=True)
 class Objective:
     kind: str
@@ -380,8 +389,7 @@ class Objective:
         if self.kind not in _ALL_KINDS:
             raise ValueError(f"unknown objective kind {self.kind!r}")
         if self.kind == "term":
-            if self.j is None or self.j < 1:
-                raise ValueError("term objective requires j >= 1")
+            check_counter_start(self.j, "term objective")
         elif self.j is not None:
             raise ValueError(f"{self.kind} objective takes no parameters")
 

@@ -28,6 +28,7 @@ from .model import (
     Ssg,
     _clipped,
     _quoted,
+    check_counter_start,
     check_valid,
     fix_strategies,
     relabel_controlled,
@@ -308,8 +309,8 @@ def simulate(game, strategies, start: str, steps: int, trials: int, seed: int,
     ends at that hit and its record covers the truncated trajectory.
     """
     _check_run("simulation", seed, trials, steps)
-    if j is not None and j < 1:
-        raise ValueError("simulation requires j >= 1")
+    if j is not None:
+        check_counter_start(j, "simulation")
     rng = random.Random(seed)
     compiled = _Compiled(game, strategies, start)
     records = tuple(_run_trial(compiled, rng, steps, j, stop_at_termination)[0] for _ in range(trials))

@@ -14,7 +14,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from .chain import attractor
-from .model import OWNERS, OcSsg, Ssg, State, Transition, _quoted, check_valid
+from .model import OWNERS, OcSsg, Ssg, State, Transition, _quoted, check_counter_start, check_valid
 
 
 class NormalizationError(ValueError):
@@ -104,8 +104,8 @@ def condon_to_termination(game: Ssg, s: str, t: str, t_prime: str, j: int | None
     j = |V| the termination value is 1 exactly when the reach-t value is
     >= 1/2.
     """
-    if j is not None and j < 1:
-        raise ValueError("termination requires j >= 1")
+    if j is not None:
+        check_counter_start(j, "termination")
     limit_game = condon_to_limit(game, s, t, t_prime)
     reward = {st.id: st.reward for st in limit_game.states}
     states = tuple(

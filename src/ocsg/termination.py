@@ -10,11 +10,12 @@ downward closed in the offset, so almost-sure reach on the product comes
 out of a fixpoint on one threshold per state of the base game
 (``_value_one_thresholds``).  A start in the liminf=-inf value-1 set wins
 at every j, so no fixpoint runs for it.  A query whose product would have
-more than ``MAX_LEVEL_NODES`` nodes is refused before any solve.
-Witness synthesis collapses the threshold fixpoint's choices back onto the
-control states: Max gets a memoryless counter-oblivious strategy, Min a
-strategy whose memory is the saturated level index (at most |V| memory
-states).
+more than ``MAX_LEVEL_NODES`` nodes is refused before any solve.  One
+worklist relaxation serves both passes of each round of the fixpoint,
+the doomed pass on reflected offsets.  Witness synthesis collapses its
+choices back onto the control states: Max gets a memoryless
+counter-oblivious strategy, Min a strategy whose memory is the saturated
+level index (at most |V| memory states).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .model import (
     OcSsg,
     PureMemorylessStrategy,
     _quoted,
+    check_counter_start,
     check_valid,
 )
 
@@ -91,14 +93,22 @@ def _value_one_thresholds(index, safe, *, choices: bool) -> _Thresholds:
       enters it or a removed node iff o >= min(d(t), a(t) + 1) - w.
 
     Behind this is that steps are +-1: a play shifted down by one offset
-    meets 0 no later and the top no sooner.  So each round is two worklist
-    liftings over the base game's edges, as in ``mdp.energy_min_credit``
-    (Brim, Chaloupka, Doyen, Gentilini, Raskin 2011): p rises from 0 to
-    the least fixpoint of min(a(i), |V|-1, F), F the max over edges of
-    p(t) - w at Max and rand states and the min at Min states; then
-    out = p + 1 falls to the greatest fixpoint of max(1, G), G the min over
-    edges of min(out(t), a(t)+1) - w at Min and rand states and the max at
-    Max states, and a becomes out - 1.  It stops when p = a outside W.
+    meets 0 no later and the top no sooner.  So each round runs one
+    worklist relaxation over the base game's edges, ``_relax`` (as in
+    ``mdp.energy_min_credit``; Brim, Chaloupka, Doyen, Gentilini, Raskin
+    2011), twice.  First p rises from 0 to the least fixpoint of
+    min(a(i), |V|-1, F), F the max over edges of p(t) - w at Max and rand
+    states and the min at Min states.  Then out = p + 1 falls to the
+    greatest fixpoint of max(1, G), G the min over edges of
+    min(out(t), a(t)+1) - w at Min and rand states and the max at Max
+    states.  Reflected, r = |V|+3 - out, that is the same relaxation on
+    negated weights: r rises to the least fixpoint of min(|V|+2, |V|+3 - G),
+    the cap |V|+2 being the floor out >= 1, and Max takes the min, its max
+    over out(t) - w being a min over r(t) + w (r, unlike -out, stays a
+    small nonnegative int).  A W state sits at r = 0, its cap, so it never
+    moves, and 0 is more than one step below every other r, so no Max
+    state with an edge into W rises.  Then a becomes out - 1.  It stops
+    when p = a outside W.
 
     With ``choices`` set, the fixpoint also records the product
     attractors' choices, which only synthesis reads: a Max state keeps,
@@ -112,88 +122,68 @@ def _value_one_thresholds(index, safe, *, choices: bool) -> _Thresholds:
     far = n + 2  # above every offset: W is never blocked or pulled
     top = [far if s else n for s in safe]
     spoil = [[0] * n if who == "min" else [] for who in owner] if choices else None
+    positive_min = [who == "min" for who in owner]
+    doomed_min = [who == "max" for who in owner]
+    negated = [[-w for w in ws] for ws in weight]
+    doomed_cap = [0 if s else far for s in safe]
+
+    def band(v, k, old, new):
+        if owner[v] == "max":
+            bands[v] += [k] * (new - old)
+
+    def spoiled(v, k, old, new):
+        if owner[v] == "min":
+            spoil[v][far + 1 - new : far + 1 - old] = [k] * (new - old)
+
     while True:
         cap = [min(a, n - 1) for a in top]
         bands = [[] for _ in owner] if choices else None
-        p = _lift(owner, succ, weight, preds, safe, cap, far, bands)
+        p = [far if s else 0 for s in safe]
+        _relax(succ, weight, preds, positive_min, p, cap, list(range(n)), band if choices else None)
         if all(s or p[i] >= top[i] for i, s in enumerate(safe)):
             return _Thresholds(top, bands, spoil)
         for i, who in enumerate(owner if choices else ()):
             if who == "min" and not safe[i]:
                 for o in range(p[i] + 1, cap[i] + 1):
                     spoil[i][o] = next(k for k, (t, w) in enumerate(zip(succ[i], weight[i])) if p[t] < o + w <= top[t])
-        out = _lower(owner, succ, weight, preds, safe, top, [v + 1 for v in p], spoil)
-        top = [a if s else d - 1 for a, s, d in zip(top, safe, out)]
+        blocked = [i for i, s in enumerate(safe) if not s and p[i] < top[i]]
+        doomed = [far - v for v in p]
+        _relax(succ, negated, preds, doomed_min, doomed, doomed_cap, blocked, spoiled if choices else None)
+        top = [a if s else far - d for a, s, d in zip(top, safe, doomed)]
 
 
-def _lift(owner, succ, weight, preds, safe, cap, far, bands):
-    """Max's positive attractor to the targets: per state outside ``safe``
-    the largest offset p(i) <= cap[i] from which Max reaches offset 0 or W
-    with positive probability, lifted from 0 by relaxing edges.  A state
-    whose p rose relaxes the edges into it: a Max or rand predecessor
-    rises to what that edge gives, a Min one to the least over its edges.
-    A Max state records in ``bands``, unless it is None, the edge of each
-    rise once per offset it covers."""
-    p = [far if s else 0 for s in safe]
-    queue = list(range(len(safe)))
-    queued = [True] * len(safe)
+def _relax(succ, weight, preds, takes_min, value, cap, queue, record):
+    """Raise ``value`` in place to the least fixpoint at or above it of
+    min(cap(v), F(v)), F(v) the min over v's edges k of value(succ[v][k]) -
+    weight[v][k] where ``takes_min[v]`` and the max otherwise, by relaxing
+    edges from the nodes in ``queue``: a node whose value rose relaxes the
+    edges into it, so a max node rises to what that edge gives and a min
+    node to the least over its edges.  A node at its cap never moves.
+    Each rise of node v by edge k from old to new is passed to
+    ``record(v, k, old, new)`` unless ``record`` is None."""
+    queued = [False] * len(value)
+    for v in queue:
+        queued[v] = True
     while queue:
         t = queue.pop()
         queued[t] = False
-        reached = p[t]
+        reached = value[t]
         for v, k in preds[t]:
             rise = reached - weight[v][k]
-            if rise <= p[v] or p[v] >= cap[v]:
+            if rise <= value[v] or value[v] >= cap[v]:
                 continue
-            if owner[v] == "min":
-                rise = min(p[u] - w for u, w in zip(succ[v], weight[v]))
-                if rise <= p[v]:
+            if takes_min[v]:
+                rise = min(value[u] - w for u, w in zip(succ[v], weight[v]))
+                if rise <= value[v]:
                     continue
             if rise > cap[v]:
                 rise = cap[v]
-            if bands is not None and owner[v] == "max":
-                bands[v] += [k] * (rise - p[v])
-            p[v] = rise
+            if record is not None:
+                record(v, k, value[v], rise)
+            value[v] = rise
             if not queued[v]:
                 queued[v] = True
                 queue.append(v)
-    return p
-
-
-def _lower(owner, succ, weight, preds, safe, top, out, spoil):
-    """The doomed set: lower ``out``, one above the positive attractor's
-    threshold p, to the least offset from which Min and rand pull the play
-    into the blocked offsets or out of the alive ones, by relaxing edges
-    from the blocked states: a Min or rand predecessor falls to what that
-    edge gives, a Max one to the greatest over its edges.  As p <= a,
-    out(t) is min(d(t), a(t) + 1) all along.  A Min state records in
-    ``spoil``, unless it is None, the edge of each fall at the offsets it
-    covers."""
-    queue = [i for i, s in enumerate(safe) if not s and out[i] <= top[i]]
-    queued = [False] * len(out)
-    for i in queue:
-        queued[i] = True
-    while queue:
-        t = queue.pop()
-        queued[t] = False
-        low = out[t]
-        for v, k in preds[t]:
-            fall = low - weight[v][k]
-            if fall >= out[v] or safe[v]:
-                continue
-            if owner[v] == "max":
-                fall = max(out[u] - w for u, w in zip(succ[v], weight[v]))
-            if fall < 1:
-                fall = 1
-            if fall >= out[v]:
-                continue
-            if spoil is not None and owner[v] == "min":
-                spoil[v][fall : out[v]] = [k] * (out[v] - fall)
-            out[v] = fall
-            if not queued[v]:
-                queued[v] = True
-                queue.append(v)
-    return out
 
 
 @dataclass(frozen=True)
@@ -205,11 +195,10 @@ class TermDecision:
 
 
 def check_query(game: OcSsg, start: str, j: int) -> None:
-    """Reject a termination query on an invalid game, with j < 1, or with a
-    start state not in ``game``."""
+    """Reject a termination query on an invalid game, with j not an int
+    >= 1, or with a start state not in ``game``."""
     check_valid(game)
-    if j < 1:
-        raise ValueError("termination requires j >= 1")
+    check_counter_start(j, "termination")
     if start not in game.index.pos:
         raise ValueError(f"unknown state {_quoted(start)}")
 

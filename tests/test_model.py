@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ocsg import model
 from ocsg.model import (
     LIMINF_MINUS_INF,
+    MEAN_GT,
     ModelError,
     ModelSemanticError,
     ModelSyntaxError,
@@ -463,6 +465,12 @@ def test_objective_validation():
     assert Objective.term(3).j == 3
 
 
+@pytest.mark.parametrize("j", [1.5, True, "2"])
+def test_term_objective_requires_an_int_j(j):
+    with pytest.raises(ValueError, match=f"^term objective requires an int j, got {re.escape(repr(j))}$"):
+        Objective.term(j)
+
+
 def test_limit_entries_reject_a_termination_objective():
     # One check, one message, at every public entry of the limit solvers.
     from ocsg import certify, mdp, oracle, ssg
@@ -486,6 +494,23 @@ def test_limit_entries_reject_a_termination_objective():
     # The complement is a limit-objective notion too: the same check.
     with pytest.raises(ValueError, match="^not a limit objective: term$"):
         term.complement()
+
+
+@pytest.mark.parametrize("k", [1.0, True], ids=["float", "bool"])
+def test_strategy_edge_index_must_be_an_int(k):
+    # 1.0 and True compare equal to an edge index, but a float cannot index
+    # the edge tuples and a bool would silently act as edge 1.
+    from ocsg import ssg
+
+    game = parse_model((DATA / "dense-n7-f36.ssg").read_text())
+    strategy = PureMemorylessStrategy("max", {sid: k for sid in game.owner_ids("max")})
+    message = f"^invalid transition index {k} at {game.owner_ids('max')[0]}$"
+    with pytest.raises(ValueError, match=message):
+        strategy.validate_for(game)
+    with pytest.raises(ValueError, match=message):
+        ssg.best_response(game, strategy, MEAN_GT)
+    with pytest.raises(ValueError, match=message):
+        fix_strategies(game, strategy)
 
 
 def test_strategy_player_must_be_max_or_min():

@@ -55,6 +55,13 @@ def test_simulate_requires_seed(fair_walk):
         oracle.simulate(fair_walk, (), "s", 10, 10, seed=None)
 
 
+@pytest.mark.parametrize("j", [1.5, True])
+def test_simulate_requires_an_int_j(fair_walk, j):
+    # At j = 1.5 the running sum never hits -j, so termination would read 0.
+    with pytest.raises(ValueError, match=f"^simulation requires an int j, got {j}$"):
+        oracle.simulate(fair_walk, (), "s", 10, 10, seed=1, j=j)
+
+
 def test_simulate_needs_a_strategy_for_every_controlled_state(five_state_game):
     with pytest.raises(ValueError, match="^v: no strategy resolves this state$"):
         oracle.simulate(five_state_game, (), "v", 10, 10, seed=1)

@@ -85,6 +85,12 @@ def test_termination_reduction_fair_coin():
     assert termination.decide_term_one(counter, start, j).value_one is True
 
 
+@pytest.mark.parametrize("j", [1.5, True])
+def test_termination_reduction_requires_an_int_j(j):
+    with pytest.raises(ValueError, match=f"^termination requires an int j, got {j}$"):
+        condon_to_termination(FAIR_COIN, "s", "t", "u", j)
+
+
 def test_termination_reduction_one_third():
     counter, start, j = condon_to_termination(THIRD, "s", "t", "u")
     assert termination.decide_term_one(counter, start, j).value_one is False

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -456,6 +457,15 @@ def test_truncated_termination_monotone_in_j():
 # -- strategy synthesis --------------------------------------------------------
 
 
+@pytest.mark.parametrize("j", [1.5, True])
+def test_termination_requires_an_int_j(j):
+    # 1.5 would be answered by the thresholds and True read as j = 1.
+    game = parse_model((Path(__file__).parent / "data" / "chance-n8-f1.ocssg").read_text())
+    for entry in (termination.decide_term_one, termination.decide_term_zero, termination.synthesize_term_strategies):
+        with pytest.raises(ValueError, match=f"^termination requires an int j, got {j}$"):
+            entry(game, "c0", j)
+
+
 def test_synthesize_rejects_unknown_start(fair_walk):
     for j in (1, 2):
         with pytest.raises(ValueError, match="unknown state"):
@@ -548,3 +558,30 @@ def test_dense_counter_n24_terminates_with_value_one():
     # test_ssg read as a counter game.
     game = parse_model((Path(__file__).parent / "data" / "dcounter-n24-f7.ocssg").read_text())
     assert termination.decide_term_one(game, "s0", 2).value_one
+
+
+def _synth_lines():
+    """One line per synthesis case: chance counters with n in {8, 16, 30, 40}
+    and f 1-6, dense counters with n in {8, 16, 24} and f 1-4, the first three
+    states of each, j in {1, 2, 3, n // 2}.  A line names the case, the player
+    that gets a witness, and the SHA-256 prefix of the witness's repr."""
+    families = bench_families()
+    texts = [(f"chance-n{n}-f{f}", families.chance_counter(n, f, None)) for n in (8, 16, 30, 40) for f in range(1, 7)]
+    texts += [(f"dense-n{n}-f{f}", families.dense_counter(n, f, None)) for n in (8, 16, 24) for f in range(1, 5)]
+    for name, text in texts:
+        game = parse_model(text)
+        n = len(game.states)
+        for start in game.ids()[:3]:
+            for j in sorted({1, 2, 3, n // 2}):
+                sigma, pi = termination.synthesize_term_strategies(game, start, j)
+                witness = sigma if pi is None else pi
+                digest = hashlib.sha256(repr(witness).encode()).hexdigest()[:16]
+                yield f"{name} {start} j={j} {witness.player} {digest}"
+
+
+def test_synthesized_witnesses_match_golden_file():
+    # Pins the choice tables that only synthesis reads: Max's attractor
+    # bands and Min's spoiling edges, through the strategies built on them.
+    golden = (Path(__file__).parent / "data" / "golden-synth-strategies.txt").read_text().splitlines()
+    assert len(golden) > 400 and {line.split()[3] for line in golden} == {"max", "min"}
+    assert list(_synth_lines()) == golden
