@@ -657,8 +657,9 @@ def energy_min_credit(game, keeper: str = "max") -> dict[str, int | float]:
     credits is not positive is idle, skipped when popped, until such a
     rise reaches it.  Lifting is monotone, so this reaches the least
     fixpoint.  The lifts read the successor, weight and predecessor lists
-    of the game's ``index``.  Weights in {-1,0,+1} cap finite credits at
-    |V|, larger demands are infinite.
+    of the game's ``index``, the predecessors only once a state rises.
+    Weights in {-1,0,+1} cap finite credits at |V|, larger demands are
+    infinite.
 
     A climb ends at the first gap in the finite credits, far below the
     cap.  Lemma: freeze some states at credits <= θ or at infinity and
@@ -696,7 +697,7 @@ def energy_min_credit(game, keeper: str = "max") -> dict[str, int | float]:
     if keeper not in ("max", "min"):
         raise ValueError("keeper must be max or min")
     index = game.index
-    ids, succ, weight, preds = index.ids, index.succ, index.weight, index.preds
+    ids, succ, weight = index.ids, index.succ, index.weight
     keeps = [owner == keeper for owner in index.owner]
     cutoff = len(ids)
     credit: list[int | float] = [0] * cutoff
@@ -730,6 +731,7 @@ def energy_min_credit(game, keeper: str = "max") -> dict[str, int | float]:
                 for above in level[old + 1 :]:
                     risen += above
                 del level[old:]
+        preds = index.preds  # built at the first rise: an all-idle game needs none
         for u in risen:
             credit[u] = need
             for pred, k in preds[u]:

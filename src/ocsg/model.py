@@ -44,12 +44,13 @@ from __future__ import annotations
 
 import re
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import NamedTuple
+from operator import itemgetter
+from typing import NamedTuple, Sequence
 
 OWNERS = ("max", "min", "rand")
 REWARD_VALUES = (-1, 0, 1)
@@ -326,28 +327,37 @@ class PureMemorylessStrategy:
 
 @dataclass(frozen=True)
 class FiniteMemoryStrategy:
-    """Strategy driven by a finite automaton that reads the edges of the run.
+    """Strategy whose memory is a counter saturated to lo..hi.
 
-    ``update`` maps (memory, source state, transition index) to the next
-    memory; ``choice`` maps (memory, owned state) to a transition index.
-    Reported memory size is ``len(memory_states)``.
+    Edge k of state s adds ``delta[s][k]`` to the memory, clamped to lo..hi,
+    and hi absorbs.  ``bands[s]`` of an owned state s holds its choices as
+    runs (first memory, edge) by increasing first, the first at lo.  A
+    memoryless strategy is one band per state with lo = hi.
     """
 
     player: str
-    memory_states: tuple
-    initial_memory: object
-    update: dict
-    choice: dict
+    lo: int
+    hi: int
+    initial_memory: int
+    delta: dict[str, tuple[int, ...]]
+    bands: dict[str, tuple[tuple[int, int], ...]]
 
     @property
     def memory_size(self) -> int:
-        return len(self.memory_states)
+        return self.hi - self.lo + 1
 
-    def next_memory(self, memory, source: str, index: int):
-        return self.update.get((memory, source, index), memory)
+    def next_memory(self, memory: int, source: str, index: int) -> int:
+        if memory == self.hi:
+            return memory
+        return min(max(memory + self.delta[source][index], self.lo), self.hi)
 
-    def choose(self, memory, state_id: str) -> int:
-        return self.choice[(memory, state_id)]
+    def choose(self, memory: int, state_id: str) -> int:
+        return band_edge(self.bands[state_id], memory)
+
+
+def band_edge(bands: Sequence[tuple[int, int]], at: int) -> int:
+    """The edge of the last band (first, edge) of ``bands`` that starts at or below ``at``."""
+    return bands[bisect_right(bands, at, key=itemgetter(0)) - 1][1]
 
 
 LIMIT_KINDS = (

@@ -14,8 +14,9 @@ more than ``MAX_LEVEL_NODES`` nodes is refused before any solve.  One
 worklist relaxation serves both passes of each round of the fixpoint,
 the doomed pass on reflected offsets.  Witness synthesis collapses its
 choices back onto the control states: Max gets a memoryless
-counter-oblivious strategy, Min a strategy whose memory is the saturated
-level index (at most |V| memory states).
+counter-oblivious strategy, Min one whose memory is the saturated level
+index (|V| values) and whose choices are bands, runs of memory values that
+take one edge: O(|V| + |E| + bands) entries.
 """
 
 from __future__ import annotations
@@ -29,16 +30,16 @@ from .model import (
     OcSsg,
     PureMemorylessStrategy,
     _quoted,
+    band_edge,
     check_counter_start,
     check_valid,
 )
 
 # The largest level product, |V|·(|V|+1) nodes, over which a value-1 query
 # or a synthesis with j < |V| is answered.  The threshold fixpoint builds no
-# product, and a decision holds O(|V|) ints, but a synthesis's choice tables
-# grow like it: ``spoil`` holds |V| entries per Min state, and Max's bands
-# up to |V|-1 per Max state.  The limit bounds these tables, and keeps the
-# answers and refusals of ``ocsg term`` those of the product it replaced.
+# product: a decision holds O(|V|) ints, and a synthesis adds bands and the
+# spoiling table, |V| entries per Min state.  The limit keeps the answers
+# and refusals of ``ocsg term`` those of the product it replaced.
 MAX_LEVEL_NODES = 1_000_000
 
 
@@ -54,13 +55,14 @@ class _Thresholds:
     ``top[i]`` is the largest offset from which Max wins at state i (game
     order), and a number above |V| on the liminf=-inf value-1 set W.
     The choice tables, recorded only for synthesis (else None):
-    ``max_choice[i]`` of a Max state i holds its attractor choice at each
-    offset 1..top[i] (index offset-1), and ``spoil[i]`` of a Min state its
-    spoiling edge at each offset 1..|V|-1 (index offset; 0 where it wins).
+    ``max_choice[i]`` of a Max state i holds its attractor choices over
+    offsets 1..top[i] as bands (first offset, edge), read by ``band_edge``,
+    and ``spoil[i]`` of a Min state its spoiling edge at each offset
+    1..|V|-1 (index offset; 0 where it wins).
     """
 
     top: list[int]
-    max_choice: list[list[int]] | None
+    max_choice: list[list[tuple[int, int]]] | None
     spoil: list[list[int]] | None
 
 
@@ -128,8 +130,8 @@ def _value_one_thresholds(index, safe, *, choices: bool) -> _Thresholds:
     doomed_cap = [0 if s else far for s in safe]
 
     def band(v, k, old, new):
-        if owner[v] == "max":
-            bands[v] += [k] * (new - old)
+        if owner[v] == "max" and (not bands[v] or bands[v][-1][1] != k):
+            bands[v].append((old + 1, k))
 
     def spoiled(v, k, old, new):
         if owner[v] == "min":
@@ -259,7 +261,7 @@ def synthesize_term_strategies(game: OcSsg, start: str, j: int):
     every other Max state reachable in the level product adopts its
     attractor choice at its highest reachable offset.  Value < 1: a Min
     strategy whose memory is the level index saturating at the window top,
-    where it switches to the liminf=-inf witness for Min.
+    where it switches to the liminf=-inf witness for Min (alone if j >= |V|).
     """
     solve, thresholds = _term_pipeline(game, start, j, choices=True)
     w = solve.result.value_one_set
@@ -268,16 +270,10 @@ def synthesize_term_strategies(game: OcSsg, start: str, j: int):
     if j >= len(game.index.ids):
         if start in w:
             return sigma_liminf, None
-        return None, _memoryless_as_finite(pi_liminf)
+        return None, FiniteMemoryStrategy("min", 0, 0, 0, {}, {sid: ((0, k),) for sid, k in pi_liminf.choice.items()})
     if thresholds is None or j <= thresholds.top[game.index.pos[start]]:
         return _collapse_max_strategy(game, thresholds, start, j, w, sigma_liminf), None
     return None, _level_min_strategy(game, thresholds, j, pi_liminf)
-
-
-def _memoryless_as_finite(strategy: PureMemorylessStrategy) -> FiniteMemoryStrategy:
-    memory = ("-",)
-    choice = {("-", sid): k for sid, k in strategy.choice.items()}
-    return FiniteMemoryStrategy(strategy.player, memory, "-", {}, choice)
 
 
 def _collapse_max_strategy(game, thresholds, start, j, safe, sigma_liminf) -> PureMemorylessStrategy:
@@ -292,7 +288,7 @@ def _collapse_max_strategy(game, thresholds, start, j, safe, sigma_liminf) -> Pu
         if sid in safe:
             choice[sid] = sigma_liminf.choice[sid]
         elif i in top:
-            choice[sid] = thresholds.max_choice[i][top[i] - 1]
+            choice[sid] = band_edge(thresholds.max_choice[i], top[i])
         else:
             choice[sid] = 0
     return PureMemorylessStrategy("max", choice)
@@ -315,7 +311,7 @@ def _highest_reached(index, thresholds, entry: int, j: int) -> dict[int, int]:
         if o == 0 or top[i] > n:
             continue
         highest[i] = max(highest.get(i, o), o)
-        edges = (max_choice[i][o - 1],) if owner[i] == "max" else range(len(succ[i]))
+        edges = (band_edge(max_choice[i], o),) if owner[i] == "max" else range(len(succ[i]))
         for k in edges:
             reached = (succ[i][k], o + weight[i][k])
             if reached[1] <= top[reached[0]] and reached not in seen:
@@ -327,26 +323,13 @@ def _highest_reached(index, thresholds, entry: int, j: int) -> dict[int, int]:
 def _level_min_strategy(game, thresholds, j, pi_liminf) -> FiniteMemoryStrategy:
     """Memory = saturated level index in [-j+1, |V|-j]; spoil below, liminf at top."""
     index = game.index
-    width = len(index.ids) + 1
-    lo = -j + 1
-    hi = width - 1 - j
-    memory_states = tuple(range(lo, hi + 1))
-    choice = {}
+    lo = 1 - j
+    bands = {}
     for i, (sid, who) in enumerate(zip(index.ids, index.owner)):
-        if who != "min":
-            continue
-        for m in memory_states:
-            if m == hi:
-                choice[(m, sid)] = pi_liminf.choice[sid]
-            else:
-                choice[(m, sid)] = thresholds.spoil[i][m + j]
-    update = {}
-    for sid, weights in zip(index.ids, index.weight):
-        for k, w in enumerate(weights):
-            for m in memory_states:
-                if m == hi:
-                    continue
-                nxt = min(max(m + w, lo), hi)
-                if nxt != m:
-                    update[(m, sid, k)] = nxt
-    return FiniteMemoryStrategy("min", memory_states, 0, update, choice)
+        if who == "min":
+            runs = []
+            for m, k in enumerate(thresholds.spoil[i][1:] + [pi_liminf.choice[sid]], lo):
+                if not runs or runs[-1][1] != k:
+                    runs.append((m, k))
+            bands[sid] = tuple(runs)
+    return FiniteMemoryStrategy("min", lo, len(index.ids) - j, 0, dict(zip(index.ids, index.weight)), bands)

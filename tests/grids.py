@@ -267,6 +267,17 @@ def oc_to_reward_ssg(game: OcSsg) -> Ssg:
     return Ssg(states, reward_location=ON_TRANSITIONS)
 
 
+def arrival_counter_view(game: Ssg) -> OcSsg:
+    """A reward game (rewards on states) read as a counter game: each edge's
+    delta is the reward of the state it arrives at."""
+    return OcSsg(tuple(
+        State(s.id, s.owner, transitions=tuple(
+            Transition(t.target, prob=t.prob, delta=game.state(t.target).reward) for t in s.transitions
+        ))
+        for s in game.states
+    ))
+
+
 def step_reward(game: Ssg | OcSsg, source: State, transition: Transition) -> int:
     """Weight of the step ``source -> transition.target``: the rule that
     says where a step's weight lives, stated per edge.  It is the reference

@@ -1038,6 +1038,18 @@ def test_energy_monotone_in_added_edges():
         assert adversary_credit[sid] >= base_credit[sid]
 
 
+def test_energy_reads_predecessors_only_once_a_state_rises():
+    # No delta of the positive drift counter is negative, so every state is
+    # idle: no credit rises and no predecessor list is needed.
+    idle = parse_model(bench_families().drift_counter(50, 1, None, balanced=False))
+    for keeper in ("max", "min"):
+        assert set(mdp.energy_min_credit(idle, keeper).values()) == {0}
+    assert "preds" not in vars(idle.index)
+    rising = parse_model(bench_families().drift_counter(50, 1, None, balanced=True))
+    assert max(mdp.energy_min_credit(rising, "min").values()) > 0
+    assert "preds" in vars(rising.index)
+
+
 def test_energy_finite_credits_bounded():
     for game in random_games(25, sizes=(4, 5), seed=112, reward_location="transitions"):
         credit = mdp.energy_min_credit(game, "max")

@@ -6,7 +6,9 @@ game under another numbering may take another path, and may refuse with
 another value.  ``grids.renumber``, ``grids.swap_edges`` and
 ``grids.swap_owners`` rebuild a game with the same ids, so values compare
 by id; under the owner swap the value of the complement objective is
-1 minus the game's value.
+1 minus the game's value.  A counter game's termination decisions,
+value 1 and value 0, must not change under ``renumber`` either, at any
+start and initial counter.
 
 ``dense-n18-f199-shuffled.ssg`` is the smallest refusal found: bench
 ``families._dense(18, 199)`` with ids ``s<v>``, its state and trans lines
@@ -20,11 +22,11 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from ocsg import ssg
+from ocsg import ssg, termination
 from ocsg.model import LIMIT_OBJECTIVES, parse_model
 
 from conftest import DATA
-from grids import bench_families, exhaustive_games, renumber, swap_edges, swap_owners
+from grids import arrival_counter_view, bench_families, exhaustive_games, renumber, swap_edges, swap_owners
 
 REFUSAL = "alternating improvement revisited a Min strategy without a certified pair"
 
@@ -96,3 +98,36 @@ def test_values_do_not_depend_on_the_numbering(game, objective, variant, data):
             other = values, frozenset(sid for sid, value in values.items() if value == 1)
     if answer is not None and other is not None:
         assert other == answer
+
+
+def _term_answers(game):
+    """Per start and 1 <= j <= |V|+1 the value-1 decision (None where the
+    liminf solve refuses) and the value-0 answer."""
+    answers = {}
+    for start in game.ids():
+        for j in range(1, len(game.states) + 2):
+            try:
+                one = termination.decide_term_one(game, start, j)
+            except ssg.NoCertificate:
+                one = None
+            answers[start, j] = one, termination.decide_term_zero(game, start, j)
+    return answers
+
+
+COUNTERS = st.one_of(
+    st.sampled_from(GRID).map(arrival_counter_view),
+    st.builds(lambda n, f: parse_model(bench_families().dense_counter(n, f, None)), st.integers(2, 6), st.integers(1, 400)),
+    st.builds(lambda n, f: parse_model(bench_families().chance_counter(n, f, None)), st.integers(4, 6), st.integers(1, 400)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(COUNTERS, st.data())
+def test_termination_does_not_depend_on_the_numbering(game, data):
+    order = data.draw(st.permutations(range(len(game.ids()))), label="order")
+    answers, others = _term_answers(game), _term_answers(renumber(game, order))
+    for key, (one, zero) in answers.items():
+        other_one, other_zero = others[key]
+        assert other_zero == zero, key
+        if one is not None and other_one is not None:
+            assert other_one == one, key

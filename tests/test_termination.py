@@ -11,16 +11,14 @@ from ocsg import certify, mdp, ssg, termination
 from ocsg.model import (
     LIMINF_MINUS_INF,
     LIMIT_OBJECTIVES,
-    OcSsg,
     PureMemorylessStrategy,
-    State,
-    Transition,
     fix_strategies,
     parse_model,
 )
 
 from conftest import FIVE_STATE_TEXT
 from grids import (
+    arrival_counter_view,
     bench_families,
     build_level_game,
     exhaustive_games,
@@ -34,24 +32,13 @@ from grids import (
 )
 
 
-def _as_ocssg(game):
-    """Reward game (on states) -> counter game with arrival deltas."""
-    states = []
-    for s in game.states:
-        transitions = tuple(
-            Transition(t.target, prob=t.prob, delta=game.state(t.target).reward) for t in s.transitions
-        )
-        states.append(State(s.id, s.owner, transitions=transitions))
-    return OcSsg(tuple(states))
-
-
 def test_counter_game_solves_like_its_reward_view():
     """Solvers read deltas from ``Index.weight``, so a counter game
     as parsed and its reward view give the same solve (values, value-1 set,
     both witnesses, method), energy credits and value-1 thresholds, choices
     included."""
     for index, game in enumerate(exhaustive_games()):
-        counter = _as_ocssg(game)
+        counter = arrival_counter_view(game)
         rewards = oc_to_reward_ssg(counter)
         solves = {objective: ssg.solve_limit_ssg(counter, objective) for objective in LIMIT_OBJECTIVES}
         for objective, solve in solves.items():
@@ -144,7 +131,7 @@ def test_level_product_matches_reference_level_game():
     games = exhaustive_games() + random_games(60, sizes=(3, 4, 5), seed=1515)
     compared = 0
     for index, game in enumerate(games):
-        counter = _as_ocssg(game)
+        counter = arrival_counter_view(game)
         w = ssg.solve_limit_ssg(counter, LIMINF_MINUS_INF).result.value_one_set
         graph, targets = level_product(counter, w)
         asr = two_player_almost_sure_reach(graph, targets)
@@ -156,7 +143,7 @@ def test_level_product_matches_reference_level_game():
 
 
 def _random_counter(seed, n):
-    return _as_ocssg(random_game(random.Random(seed), n))
+    return arrival_counter_view(random_game(random.Random(seed), n))
 
 
 @settings(max_examples=150, deadline=None)
@@ -177,7 +164,7 @@ def test_start_in_w_has_value_one_on_the_full_product():
     # at every j <= |V|.
     checked = 0
     for game in exhaustive_games():
-        counter = _as_ocssg(game)
+        counter = arrival_counter_view(game)
         n = len(counter.states)
         w = ssg.solve_limit_ssg(counter, LIMINF_MINUS_INF).result.value_one_set
         for j in range(1, n + 1):
@@ -217,7 +204,7 @@ def test_thresholds_match_the_product_on_the_grid():
     rng = random.Random(2828)
     compared = 0
     for game in exhaustive_games() + random_games(60, sizes=(4, 5, 6), seed=2929):
-        counter = _as_ocssg(game)
+        counter = arrival_counter_view(game)
         w = ssg.solve_limit_ssg(counter, LIMINF_MINUS_INF).result.value_one_set
         for safe in (w, frozenset(), frozenset(sid for sid in counter.ids() if rng.random() < 0.3)):
             compared += _assert_thresholds_match(counter, safe)
@@ -249,7 +236,7 @@ def test_value_one_is_downward_closed():
     # In the reference product each state's winning offsets are 0..a(i),
     # and decide_term_one's answer never turns true as j grows.
     for game in random_games(40, sizes=(3, 4, 5), seed=3131):
-        counter = _as_ocssg(game)
+        counter = arrival_counter_view(game)
         w = ssg.solve_limit_ssg(counter, LIMINF_MINUS_INF).result.value_one_set
         for offsets in _reference_winning_offsets(counter, w):
             assert offsets == set(range(len(offsets))), offsets
@@ -398,7 +385,7 @@ def test_term_zero_min_picks_up_loop():
 def test_zero_and_one_never_both():
     rng = random.Random(6)
     for game in random_games(20, sizes=(3, 4), seed=55):
-        counter = _as_ocssg(game)
+        counter = arrival_counter_view(game)
         start = rng.choice(counter.ids())
         for j in (1, 2, len(counter.states)):
             one = termination.decide_term_one(counter, start, j).value_one
@@ -408,7 +395,7 @@ def test_zero_and_one_never_both():
 
 def test_limit_branch_agrees_with_widened_level_branch():
     for game in random_games(15, sizes=(3,), seed=66):
-        counter = _as_ocssg(game)
+        counter = arrival_counter_view(game)
         j = len(counter.states)
         rewards = oc_to_reward_ssg(counter)
         w = ssg.solve_limit_ssg(rewards, LIMINF_MINUS_INF).result.value_one_set
@@ -443,7 +430,7 @@ def test_truncated_termination_monotone_in_j():
 
     rng = random.Random(8)
     for game in random_games(8, sizes=(3,), seed=77):
-        counter = _as_ocssg(game)
+        counter = arrival_counter_view(game)
         chain = fix_strategies(
             counter,
             PureMemorylessStrategy("max", {sid: 0 for sid in counter.owner_ids("max")}),
@@ -494,7 +481,7 @@ def test_synthesize_max_commits_to_down_branch():
 
 def test_synthesize_max_witness_survives_best_response():
     for game in random_games(12, sizes=(3,), seed=88):
-        counter = _as_ocssg(game)
+        counter = arrival_counter_view(game)
         for start in counter.ids():
             for j in (1, 2):
                 decision = termination.decide_term_one(counter, start, j)
@@ -543,7 +530,7 @@ def test_appendix_min_needs_memory(five_state_game):
 
 def test_min_witness_memory_bound():
     for game in random_games(10, sizes=(4,), seed=101):
-        counter = _as_ocssg(game)
+        counter = arrival_counter_view(game)
         start = counter.ids()[0]
         for j in (1, 2, 3):
             decision = termination.decide_term_one(counter, start, j)
@@ -551,6 +538,63 @@ def test_min_witness_memory_bound():
                 continue
             _, pi = termination.synthesize_term_strategies(counter, start, j)
             assert pi.memory_size <= len(counter.states)
+
+
+def _level_min_witnesses():
+    """(game, start, j, pi) for every level-branch Min witness of random and
+    chance counter games, j < |V|."""
+    games = [arrival_counter_view(game) for game in random_games(30, sizes=(4, 5), seed=4606)]
+    games += [parse_model(bench_families().chance_counter(n, f, None)) for n in (6, 8, 10) for f in range(1, 6)]
+    for game in games:
+        for start in game.ids():
+            for j in range(1, len(game.states)):
+                _, pi = termination.synthesize_term_strategies(game, start, j)
+                if pi is not None:
+                    yield game, start, j, pi
+
+
+def test_min_witness_memory_is_the_clamped_counter():
+    checked = 0
+    for game, _, j, pi in _level_min_witnesses():
+        lo, hi = 1 - j, len(game.states) - j
+        assert (pi.lo, pi.hi, pi.initial_memory, pi.memory_size) == (lo, hi, 0, len(game.states))
+        for s in game.states:
+            for k, t in enumerate(s.transitions):
+                for m in range(lo, hi + 1):
+                    expected = hi if m == hi else min(max(m + t.delta, lo), hi)
+                    assert pi.next_memory(m, s.id, k) == expected
+        checked += 1
+    assert checked > 100
+
+
+def test_min_witness_bands_are_the_spoiling_table():
+    # Below the top memory Min spoils at offset m + j; at the top it plays
+    # its liminf witness.  Bands are maximal runs starting at lo, and so are
+    # Max's attractor bands.
+    checked = 0
+    for game, start, j, pi in _level_min_witnesses():
+        solve, thresholds = termination._term_pipeline(game, start, j, choices=True)
+        index = game.index
+        for i, (sid, who) in enumerate(zip(index.ids, index.owner)):
+            runs = pi.bands[sid] if who == "min" else thresholds.max_choice[i] if who == "max" else ()
+            firsts = [first for first, _ in runs]
+            assert firsts == sorted(set(firsts)) and all(a[1] != b[1] for a, b in zip(runs, runs[1:]))
+            if who != "min":
+                continue
+            assert firsts[0] == pi.lo
+            for m in range(pi.lo, pi.hi + 1):
+                spoiling = thresholds.spoil[i][m + j] if m < pi.hi else solve.result.witness_min.choice[sid]
+                assert pi.choose(m, sid) == spoiling
+        checked += 1
+    assert checked > 100
+
+
+def test_chance_300_min_witness_is_linear_in_the_game():
+    game = parse_model(bench_families().chance_counter(300, 1, None))
+    sigma, pi = termination.synthesize_term_strategies(game, "c0", 2)
+    assert sigma is None and pi.memory_size == 300
+    assert len(pi.delta) == 300 and sum(map(len, pi.delta.values())) == sum(len(s.transitions) for s in game.states)
+    assert sum(map(len, pi.bands.values())) == 5
 
 
 def test_dense_counter_n24_terminates_with_value_one():
@@ -575,13 +619,35 @@ def _synth_lines():
             for j in sorted({1, 2, 3, n // 2}):
                 sigma, pi = termination.synthesize_term_strategies(game, start, j)
                 witness = sigma if pi is None else pi
-                digest = hashlib.sha256(repr(witness).encode()).hexdigest()[:16]
+                text = repr(sigma) if pi is None else _automaton_repr(game, pi)
+                digest = hashlib.sha256(text.encode()).hexdigest()[:16]
                 yield f"{name} {start} j={j} {witness.player} {digest}"
+
+
+def _automaton_repr(game, pi):
+    """The repr of ``pi`` in the general automaton form the golden file was
+    written from: its memory states lo..hi, its initial memory, an update
+    entry (memory, state, edge) -> next memory wherever the memory moves,
+    and a choice entry (memory, owned state) -> edge, read off through
+    ``next_memory`` and ``choose`` in game order."""
+    memory = tuple(range(pi.lo, pi.hi + 1))
+    update = {}
+    for s in game.states:
+        for k in range(len(s.transitions)):
+            for m in memory:
+                if (nxt := pi.next_memory(m, s.id, k)) != m:
+                    update[(m, s.id, k)] = nxt
+    choice = {(m, sid): pi.choose(m, sid) for sid in game.owner_ids(pi.player) for m in memory}
+    return (
+        f"FiniteMemoryStrategy(player={pi.player!r}, memory_states={memory!r}, "
+        f"initial_memory={pi.initial_memory!r}, update={update!r}, choice={choice!r})"
+    )
 
 
 def test_synthesized_witnesses_match_golden_file():
     # Pins the choice tables that only synthesis reads: Max's attractor
     # bands and Min's spoiling edges, through the strategies built on them.
+    # A Min witness is hashed in its expanded automaton form.
     golden = (Path(__file__).parent / "data" / "golden-synth-strategies.txt").read_text().splitlines()
     assert len(golden) > 400 and {line.split()[3] for line in golden} == {"max", "min"}
     assert list(_synth_lines()) == golden

@@ -12,8 +12,8 @@ import pytest
 
 from ocsg import certify, termination
 from ocsg.model import (
+    FiniteMemoryStrategy,
     ModelSemanticError,
-    OcSsg,
     PureMemorylessStrategy,
     Ssg,
     State,
@@ -25,25 +25,14 @@ from ocsg.model import (
 )
 from ocsg.reduce import condon_to_limit, condon_to_termination
 
-from grids import build_level_game, exhaustive_games, oc_to_reward_ssg, random_games, random_reach_instances
-
-
-def _arrival_counter_view(game):
-    return OcSsg(
-        tuple(
-            State(s.id, s.owner, transitions=tuple(
-                Transition(t.target, prob=t.prob, delta=game.state(t.target).reward) for t in s.transitions
-            ))
-            for s in game.states
-        )
-    )
+from grids import arrival_counter_view, build_level_game, exhaustive_games, oc_to_reward_ssg, random_games, random_reach_instances
 
 
 def test_level_games_of_grid_counter_games_are_valid():
     games = exhaustive_games(3) + random_games(200, sizes=(4, 5), seed=987654321)
     built = 0
     for game in games:
-        rewards = oc_to_reward_ssg(_arrival_counter_view(game))
+        rewards = oc_to_reward_ssg(arrival_counter_view(game))
         assert validate(rewards) == []
         w = frozenset(rewards.ids()[:1])
         for j in range(1, len(rewards.states)):
@@ -63,11 +52,13 @@ def test_condon_outputs_are_valid(seed):
 
 def test_strategy_products_are_valid(five_state_game):
     products = 0
-    for game in [_arrival_counter_view(g) for g in random_games(12, sizes=(3, 4), seed=88)] + [five_state_game]:
+    for game in [arrival_counter_view(g) for g in random_games(12, sizes=(3, 4), seed=88)] + [five_state_game]:
         for start in game.ids():
             for j in (1, 2, len(game.states)):
                 sigma, pi = termination.synthesize_term_strategies(game, start, j)
-                strategy = pi if pi is not None else termination._memoryless_as_finite(sigma)
+                strategy = pi
+                if pi is None:  # memoryless: one band per state, lo = hi
+                    strategy = FiniteMemoryStrategy("max", 0, 0, 0, {}, {sid: ((0, k),) for sid, k in sigma.choice.items()})
                 product, pstart = certify.product_with_strategy(game, strategy, start)
                 assert validate(product) == [] and pstart in product.index.pos
                 products += 1
