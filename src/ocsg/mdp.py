@@ -653,10 +653,11 @@ def energy_min_credit(game, keeper: str = "max") -> dict[str, int | float]:
     max(0, c(t) - w) of its edges, so a rise of c(t) can lift a
     predecessor only through an edge whose new demand c(t) - w exceeds the
     predecessor's credit; only such predecessors are queued again.  Every
-    state starts queued in index order, but one whose demand from all-zero
-    credits is not positive is idle, skipped when popped, until such a
-    rise reaches it.  Lifting is monotone, so this reaches the least
-    fixpoint.  The lifts read the successor, weight and predecessor lists
+    state starts queued successors first (``Index.sinks_last``), but one
+    whose demand from all-zero credits is not positive is idle, skipped
+    when popped, until such a rise reaches it; a game of idle states only
+    builds neither the order nor the predecessors.  Lifting is monotone,
+    so this reaches the least fixpoint.  The lifts read the successor, weight and predecessor lists
     of the game's ``index``, the predecessors only once a state rises.
     Weights in {-1,0,+1} cap finite credits at |V|, larger demands are
     infinite.
@@ -682,15 +683,18 @@ def energy_min_credit(game, keeper: str = "max") -> dict[str, int | float]:
     a bound from the number of states above θ would have to count every
     one of them, and could be afforded only at a new largest credit.
 
-    Cost: the states at each finite credit are kept as sets, so a lift
-    does O(1) more than its edges, and a state is swept to infinity once,
-    so the rule adds O(lifts + |V| + |E|) in all.  The LIFO worklist makes
-    Θ(|V|²) lifts on a staircase (v_k -> v_{k-1} of weight -1) listed
-    bottom first, lifting each state by one per round: a 4,000-state one
-    takes 8.9 s that way and 11 ms listed top first (2-vCPU Xeon, Python
-    3.11).  A FIFO queue only swaps which listing is slow (10.2 s top
-    first) and slows the lifting on ``drift_counter(1000, 1, None,
-    balanced=True)`` from 6.0 to 7.3 ms, so the pop order stays.
+    Cost: each credit rises by integer steps to at most |V| before it
+    turns infinite, and a rise reads the edges into its state, so those
+    reads number O(|V|·|E|).  A pop reads the popped state's own edges,
+    and a state is queued at most once per rise of a successor, so the
+    worst case is O(|V|·Σ deg(v)²), which is O(|V|·|E|) at bounded
+    out-degree.  The states at each finite credit are kept as sets, so a
+    lift does O(1) more than its edges, and a state is swept to infinity
+    once, so the rule adds O(lifts + |V| + |E|) in all.  Successors first,
+    an acyclic stretch pops and lifts each state once in any listing: a
+    4,000-state staircase (v_k -> v_{k-1} of weight -1) lifts in about
+    10 ms listed either way, where index order took 9.2 s listed bottom
+    first (2-vCPU Xeon, Python 3.11).
     Only the termination-value-0 question (``termination.decide_term_zero``)
     needs it; the limit objectives are decided from end components.
     """
@@ -702,10 +706,10 @@ def energy_min_credit(game, keeper: str = "max") -> dict[str, int | float]:
     cutoff = len(ids)
     credit: list[int | float] = [0] * cutoff
     level = [set(range(cutoff))]  # the states at each finite credit 0..top
-    queue = list(range(cutoff))
-    queued = [True] * cutoff
     # Idle: no demand from all-zero credits and no rise through an edge yet.
     idle = [(max(ws) if keeps[i] else min(ws)) >= 0 for i, ws in enumerate(weight)]
+    queue = [] if all(idle) else list(index.sinks_last)
+    queued = [True] * cutoff
     while queue:
         i = queue.pop()
         queued[i] = False

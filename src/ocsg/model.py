@@ -52,6 +52,8 @@ from math import lcm
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
+from . import chain
+
 OWNERS = ("max", "min", "rand")
 REWARD_VALUES = (-1, 0, 1)
 
@@ -134,6 +136,17 @@ class Index:
             for k, t in enumerate(targets):
                 preds[t].append((v, k))
         return preds
+
+    @cached_property
+    def sinks_last(self) -> list[int]:
+        """Every node, each strongly connected component before the ones it
+        reaches: ``chain.tarjan``'s sinks-first order, flattened and
+        reversed.  A worklist that pops from the end of this list takes
+        successors first, the order in which both counter fixpoints
+        (``termination._relax``, ``mdp.energy_min_credit``) are seeded."""
+        order = [v for comp in chain.tarjan(self.succ, range(len(self.ids))) for v in comp]
+        order.reverse()
+        return order
 
     @cached_property
     def choosers(self) -> frozenset[str]:

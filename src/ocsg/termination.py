@@ -9,14 +9,13 @@ question, small ones to almost-sure reachability on the counter unfolded to
 downward closed in the offset, so almost-sure reach on the product comes
 out of a fixpoint on one threshold per state of the base game
 (``_value_one_thresholds``).  A start in the liminf=-inf value-1 set wins
-at every j, so no fixpoint runs for it.  A query whose product would have
-more than ``MAX_LEVEL_NODES`` nodes is refused before any solve.  One
-worklist relaxation serves both passes of each round of the fixpoint,
-the doomed pass on reflected offsets.  Witness synthesis collapses its
-choices back onto the control states: Max gets a memoryless
-counter-oblivious strategy, Min one whose memory is the saturated level
-index (|V| values) and whose choices are bands, runs of memory values that
-take one edge: O(|V| + |E| + bands) entries.
+at every j, so no fixpoint runs for it.  One worklist relaxation, seeded
+successors first, serves both passes of each round of the fixpoint, the
+doomed pass on reflected offsets, and no query is refused for its size.
+Witness synthesis collapses its choices back onto the control states:
+Max gets a memoryless counter-oblivious strategy, Min one whose memory is
+the saturated level index (|V| values) and whose choices are bands, runs
+of memory values that take one edge: O(|V| + |E| + bands) entries.
 """
 
 from __future__ import annotations
@@ -34,19 +33,6 @@ from .model import (
     check_counter_start,
     check_valid,
 )
-
-# The largest level product, |V|·(|V|+1) nodes, over which a value-1 query
-# or a synthesis with j < |V| is answered.  The threshold fixpoint builds no
-# product: a decision holds O(|V|) ints, and a synthesis adds bands and the
-# spoiling table, |V| entries per Min state.  The limit keeps the answers
-# and refusals of ``ocsg term`` those of the product it replaced.
-MAX_LEVEL_NODES = 1_000_000
-
-
-class LevelProductTooLarge(ValueError):
-    """A value-1 query or synthesis with j < |V| whose level product would
-    exceed ``MAX_LEVEL_NODES`` nodes."""
-
 
 @dataclass(frozen=True)
 class _Thresholds:
@@ -112,6 +98,15 @@ def _value_one_thresholds(index, safe, *, choices: bool) -> _Thresholds:
     state with an edge into W rises.  Then a becomes out - 1.  It stops
     when p = a outside W.
 
+    Rounds: each round but the last removes its blocked product nodes
+    from the alive set, at least one, so there are at most |V|·(|V|+1) + 1
+    rounds; no smaller bound is proved.  On the
+    bench term-counter instances (seeds 0-1) a fixpoint takes 1 or 2
+    rounds, on ``chance_counter(999 or 2000, 1, None)`` 2 and on
+    ``dense_counter(999, 1, None)`` 3, and on 3,247 random and exhaustive
+    counter games of 1-20 states at most 3.  Both passes are seeded from
+    ``Index.sinks_last``, successors first.
+
     With ``choices`` set, the fixpoint also records the product
     attractors' choices, which only synthesis reads: a Max state keeps,
     per offset band, the edge that raised p into it in the last round, and
@@ -119,7 +114,7 @@ def _value_one_thresholds(index, safe, *, choices: bool) -> _Thresholds:
     leaves the positive attractor where it was blocked and the edge that
     lowered out where it was pulled.  The thresholds do not depend on them.
     """
-    owner, succ, weight, preds = index.owner, index.succ, index.weight, index.preds
+    owner, succ, weight, preds, order = index.owner, index.succ, index.weight, index.preds, index.sinks_last
     n = len(owner)
     far = n + 2  # above every offset: W is never blocked or pulled
     top = [far if s else n for s in safe]
@@ -141,14 +136,14 @@ def _value_one_thresholds(index, safe, *, choices: bool) -> _Thresholds:
         cap = [min(a, n - 1) for a in top]
         bands = [[] for _ in owner] if choices else None
         p = [far if s else 0 for s in safe]
-        _relax(succ, weight, preds, positive_min, p, cap, list(range(n)), band if choices else None)
+        _relax(succ, weight, preds, positive_min, p, cap, list(order), band if choices else None)
         if all(s or p[i] >= top[i] for i, s in enumerate(safe)):
             return _Thresholds(top, bands, spoil)
         for i, who in enumerate(owner if choices else ()):
             if who == "min" and not safe[i]:
                 for o in range(p[i] + 1, cap[i] + 1):
                     spoil[i][o] = next(k for k, (t, w) in enumerate(zip(succ[i], weight[i])) if p[t] < o + w <= top[t])
-        blocked = [i for i, s in enumerate(safe) if not s and p[i] < top[i]]
+        blocked = [i for i in order if not safe[i] and p[i] < top[i]]
         doomed = [far - v for v in p]
         _relax(succ, negated, preds, doomed_min, doomed, doomed_cap, blocked, spoiled if choices else None)
         top = [a if s else far - d for a, s, d in zip(top, safe, doomed)]
@@ -162,7 +157,16 @@ def _relax(succ, weight, preds, takes_min, value, cap, queue, record):
     edges into it, so a max node rises to what that edge gives and a min
     node to the least over its edges.  A node at its cap never moves.
     Each rise of node v by edge k from old to new is passed to
-    ``record(v, k, old, new)`` unless ``record`` is None."""
+    ``record(v, k, old, new)`` unless ``record`` is None.
+
+    Cost: each value rises by integer steps to a cap of at most |V| + 2,
+    and a node is queued once per rise, so the relaxations of edges into
+    risen nodes number O(|V|·|E|).  A min node whose edge passes the first
+    test rereads its own edges, so the worst case is O(|V|·Σ deg(v)²),
+    which is O(|V|·|E|) at bounded out-degree.  Seeded with
+    ``Index.sinks_last`` (successors pop first), an acyclic stretch pops
+    each node once, after its successors, and relaxes each edge once, in
+    any listing of the game; only cycles climb."""
     queued = [False] * len(value)
     for v in queue:
         queued[v] = True
@@ -208,18 +212,14 @@ def check_query(game: OcSsg, start: str, j: int) -> None:
 def _term_pipeline(game: OcSsg, start: str, j: int, choices: bool):
     """The liminf=-inf solve and, for j < |V| with ``start`` outside its
     value-1 set W, the value-1 thresholds (else None), with their choice
-    tables if ``choices`` is set.  A query whose level product is too large
-    is refused before the solve."""
+    tables if ``choices`` is set.  Every size is answered: the thresholds
+    hold O(|V|) ints, and each pass of their fixpoint is one ``_relax``
+    call, whose cost that docstring bounds."""
     check_query(game, start, j)
     index = game.index
-    n = len(index.ids)
-    if j < n and n * (n + 1) > MAX_LEVEL_NODES:
-        raise LevelProductTooLarge(
-            f"level product too large: {n} states unfold to {n * (n + 1)} nodes, over {MAX_LEVEL_NODES}"
-        )
     solve = ssg.solve_limit_ssg(game, LIMINF_MINUS_INF)
     w = solve.result.value_one_set
-    if j >= n or start in w:
+    if j >= len(index.ids) or start in w:
         return solve, None
     return solve, _value_one_thresholds(index, [sid in w for sid in index.ids], choices=choices)
 

@@ -709,13 +709,10 @@ def test_solve_and_term_on_data_models_build_no_rows(built_states, monkeypatch):
     assert len(parsed) == len(cases) and built_states == {}
 
 
-def test_oversized_level_product_is_one_error_line(tmp_path, monkeypatch, capsys):
-    # The five-state fixture unfolds to 30 level-product nodes.
-    monkeypatch.setattr(termination, "MAX_LEVEL_NODES", 29)
-    path = _write(tmp_path, "appendix.ocssg", FIVE_STATE_TEXT)
+def test_large_value_one_query_answers(tmp_path):
+    # 1000 states: a level product of 1,001,000 nodes, answered by one
+    # threshold per state.
+    path = _write(tmp_path, "dbalanced-n1000.ocssg", bench_families().drift_counter(1000, 1, None, balanced=True))
     out = io.StringIO()
-    assert run(["term", path, "--j", "2", "--state", "v"], out) == 2
-    assert capsys.readouterr().err == "error = level product too large: 5 states unfold to 30 nodes, over 29\n"
-    assert out.getvalue() == ""
-    for argv in (["--j", "5"], ["--j", "2", "--qual", "zero"]):
-        assert run(["term", path, "--state", "v", *argv], io.StringIO()) == 0
+    assert run(["term", path, "--j", "1", "--state", "d0"], out) == 0
+    assert "value1 = false" in _lines(out) and "branch = level" in _lines(out)

@@ -15,7 +15,10 @@ form of the end-component rule that ``mdp`` uses for liminf > -inf, and
 noisy state of the first tight end component) the reference form of the
 rule for liminf = -inf.  The references read step weights through their
 own ``arrival_weights``, not the game's ``Index.weight``, so a wrong weight
-there shows up as a disagreement.
+there shows up as a disagreement.  The last tests check the seed order of
+the two counter worklists, ``termination._relax`` and
+``mdp.energy_min_credit``: successors first, an acyclic game pops each
+node once in any listing.
 """
 
 import math
@@ -24,11 +27,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ocsg import certify, chain, mdp, reduce
+from ocsg import certify, chain, mdp, reduce, termination
 from ocsg.model import (
     LIMINF_GT_MINUS_INF,
     LIMINF_MINUS_INF,
     LIMINF_PLUS_INF,
+    OWNERS,
     OcSsg,
     PureMemorylessStrategy,
     State,
@@ -48,6 +52,7 @@ from grids import (
     reference_almost_sure_reach,
     reference_attractor,
     reference_energy_min_credit,
+    renumber,
     restrict_to_mec,
 )
 
@@ -466,3 +471,99 @@ def test_divergence_region_matches_reference_cores():
         assert region == reference_almost_sure_reach(relabeled, cores).winning, game
         assert _wins_almost_surely(game, region, choice, LIMINF_MINUS_INF), game
     assert noisy_fired > 0
+
+
+# -- successors-first seeding of the counter fixpoints --------------------------
+
+
+def staircase(n, loop, top_first):
+    """All Max, v_k -> v_{k-1} with delta -1 and a self-loop of delta
+    ``loop`` on v_0, listed v_{n-1} first or v_0 first."""
+    order = range(n - 1, -1, -1) if top_first else range(n)
+    lines = ["ocssg", *(f"state v{k} owner=max" for k in order), f"trans v0 -> v0 delta={loop}"]
+    lines += [f"trans v{k} -> v{k - 1} delta=-1" for k in order if k]
+    return parse_model("\n".join(lines) + "\n")
+
+
+def random_acyclic_counter_game(rng, n):
+    """A counter game on s0..s{n-1} whose only cycle is a self-loop of delta
+    0 or +1 on s0: every other state steps to one to three lower states."""
+    lines = ["ocssg"]
+    lines += [f"state s{i} owner={'max' if i == 0 else rng.choice(OWNERS)}" for i in range(n)]
+    lines.append(f"trans s0 -> s0 delta={rng.choice((0, 1))}")
+    for i in range(1, n):
+        targets = rng.sample(range(i), min(i, rng.randint(1, 3)))
+        rand = lines[1 + i].endswith("rand")
+        for t in targets:
+            prob = f" p=1/{len(targets)}" if rand else ""
+            lines.append(f"trans s{i} -> s{t}{prob} delta={rng.choice((-1, 0, 1))}")
+    return parse_model("\n".join(lines) + "\n")
+
+
+class CountingQueue(list):
+    """A worklist that counts the pops of each node."""
+
+    def __init__(self, nodes, n):
+        super().__init__(nodes)
+        self.pops = [0] * n
+
+    def pop(self):
+        v = super().pop()
+        self.pops[v] += 1
+        return v
+
+
+def relax_positive(index):
+    """``termination._relax`` as the first pass of the threshold fixpoint
+    runs it from all-zero values under the cap |V|-1, seeded successors
+    first: the values by state id, the pops per node and the (node, edge)
+    of every rise."""
+    n = len(index.ids)
+    value, rises = [0] * n, []
+    queue = CountingQueue(index.sinks_last, n)
+    takes_min = [who == "min" for who in index.owner]
+    termination._relax(
+        index.succ, index.weight, index.preds, takes_min, value, [n - 1] * n, queue, lambda v, k, old, new: rises.append((v, k))
+    )
+    return dict(zip(index.ids, value)), queue.pops, rises
+
+
+@pytest.mark.parametrize("top_first", [False, True])
+def test_relax_raises_each_staircase_node_once(top_first):
+    n = 300
+    values, pops, rises = relax_positive(staircase(n, 1, top_first).index)
+    assert values == {f"v{k}": k for k in range(n)}
+    assert max(pops) == 1
+    assert len(rises) == len({v for v, _ in rises}) == n - 1
+
+
+def test_relax_pops_each_node_once_on_acyclic_games():
+    # Successors first, an acyclic game pops every node once and relaxes
+    # every edge once, so no edge raises its source twice, in any listing.
+    rng = random.Random(2011)
+    for _ in range(60):
+        game = random_acyclic_counter_game(rng, rng.randint(2, 40))
+        expected = None
+        for _ in range(3):
+            listed = renumber(game, rng.sample(range(len(game.states)), len(game.states)))
+            values, pops, rises = relax_positive(listed.index)
+            assert max(pops) == 1 and len(rises) == len(set(rises)), listed
+            assert expected is None or values == expected
+            expected = values
+
+
+@pytest.mark.parametrize("top_first", [False, True])
+def test_energy_lifting_on_staircase_is_listing_free(top_first):
+    game = staircase(300, 0, top_first)
+    assert mdp.energy_min_credit(game, "min") == {f"v{k}": k for k in range(300)}
+
+
+def test_energy_credits_agree_in_every_listing():
+    rng = random.Random(1994)
+    for _ in range(60):
+        game = random_acyclic_counter_game(rng, rng.randint(2, 40))
+        for keeper in ("max", "min"):
+            expected = mdp.energy_min_credit(game, keeper)
+            for _ in range(3):
+                listed = renumber(game, rng.sample(range(len(game.states)), len(game.states)))
+                assert mdp.energy_min_credit(listed, keeper) == expected
