@@ -26,28 +26,28 @@ Input is validated where it enters the program, derived games are not.
 A game has one per-state form, its ``states``: per state a ``State`` (id,
 owner, reward, transitions), each edge a ``Transition`` (target, prob,
 reward, delta), both named tuples, which ``validate``, the printer and the
-int ``Index`` read.  ``parse_model`` takes one of two paths, each one pass
-over the text.  A text in ``print_model``'s form that keeps every rule,
-which is every text the printer writes, is compiled straight into the
-``Index`` and a per-state reward column, with one pattern per flavour for
-its lines and ``_successor_faults`` for its states (``_compile_printed``);
-its states are derived from the index in one pass on their first read, so
-a solve, a termination query or a simulation on it, which read the index,
-builds none.  Every other text, and so every error, takes the line parser,
-which reads tokens and lines into the states, splits tokens at whitespace,
-computes a syntax error's column only when the error is raised, makes each
-distinct ``p=`` numeral one ``Fraction`` per parse, and reports a broken
-rule at its line.
+int ``Index`` read.  ``parse_model`` is one pass over the lines that
+compiles every text straight into the ``Index`` and a per-state reward
+column.  It splits a line at whitespace once and reads each distinct
+attribute spelling token by token once; it checks the rules on successors
+and probabilities with ``_successor_faults``, once per distinct owner and
+run of ``p=`` numerals, and makes each distinct numeral one ``Fraction``.
+A parsed game's states are derived from its index in one pass on their
+first read, so a solve, a termination query or a simulation on it, which
+read the index, builds none.  A syntax error's column is computed only
+when the error is raised, and only a text that breaks a model rule builds
+its states, to report the rule at its line.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import lcm
 from operator import itemgetter
 from typing import NamedTuple, Sequence
@@ -60,14 +60,12 @@ REWARD_VALUES = (-1, 0, 1)
 ON_STATES = "states"
 ON_TRANSITIONS = "transitions"
 
-_ID = r"[A-Za-z0-9_.@+'\-]+"
-_ID_RE = re.compile(_ID + r"\Z")
+_ID_RE = re.compile(r"[A-Za-z0-9_.@+'\-]+\Z")
 _TOKEN_RE = re.compile(r"\S+")  # the tokens of str.split(), with their offsets
 _PROB_RE = re.compile(r"(\d+)(?:/(\d+))?")
 _HEADER_KEYS = frozenset({"rewards"})
 _STATE_KEYS = frozenset({"owner", "reward"})
 _TRANS_KEYS = frozenset({"p", "reward", "delta"})
-_UNITS = {"-1": -1, "0": 0, "1": 1}  # the spellings of a reward or delta the printer writes
 
 
 class ModelError(ValueError):
@@ -211,10 +209,9 @@ class _GameOps:
     """Shared helpers; subclasses carry a ``states`` tuple, the game's one
     per-state form, and each builds its int ``index`` once.
 
-    A game built in code or by the line parser holds its states.  A game
-    compiled from ``print_model``'s form holds only its index and
-    ``state_rewards``, and derives its states from them on their first
-    read.
+    A game built in code holds its states.  A parsed game holds only its
+    index and ``state_rewards``, and derives its states from them on their
+    first read.
     """
 
     states: tuple[State, ...]
@@ -264,8 +261,8 @@ class _GameOps:
         game, the edge reward in a transition-reward game, and the reward of
         the state it arrives at in a state-reward game, so prefix sums of a
         run differ from the state-reward sums only by the initial state's
-        reward, which no limit objective observes.  A game compiled from
-        ``print_model``'s form holds its index from the start."""
+        reward, which no limit objective observes.  A parsed game holds its
+        index from the start."""
         states = self.states
         ids = tuple(s.id for s in states)
         pos = {sid: v for v, sid in enumerate(ids)}
@@ -471,8 +468,8 @@ def _successor_faults(rand: bool, probs) -> dict[int | None, str]:
     ``probs`` (in edge order, None where an edge has none), as edge position
     -> message, position None for the state: at least one successor; at a
     rand state a positive probability on every edge, summing to 1; at a
-    controlled state none.  ``_violations`` and the compile of
-    ``print_model``'s form both read the rules from here."""
+    controlled state none.  ``_violations`` and ``parse_model`` both read
+    the rules from here."""
     if not probs:
         return {None: "no successor"}
     if not rand:
@@ -666,189 +663,175 @@ def _parse_prob(line, lineno, index, raw):
     return Fraction(num, den)
 
 
-# ``print_model``'s form, per header line: the pattern of one state line,
-# with groups id, owner and reward, and of one trans line, with groups
-# source, target, p= numeral and reward or delta; a group is empty where the
-# flavour has no such attribute.  A line that matches keeps every rule on its
-# attributes: the flavour's reward= or delta= where they belong, spelled -1,
-# 0 or 1, and a p= of two positive ASCII numerals.
-_STATE_LINE = rf"state ({_ID}) owner=(max|min|rand)"
-_TRANS_LINE = rf"trans ({_ID}) -> ({_ID})(?: p=([1-9][0-9]*/[1-9][0-9]*))?"
-_PRINTED = {
-    header: (re.compile(rf"^{state}\n", re.M), re.compile(rf"^{trans}\n", re.M))
-    for header, state, trans in (
-        ("ocssg", _STATE_LINE + "()", _TRANS_LINE + " delta=(-1|0|1)"),
-        ("ssg rewards=states", _STATE_LINE + " reward=(-1|0|1)", _TRANS_LINE + "()"),
-        ("ssg rewards=transitions", _STATE_LINE + "()", _TRANS_LINE + " reward=(-1|0|1)"),
-    )
-}
+def _state_line(line, lineno, pos) -> tuple[str, int | None]:
+    """The owner and reward of a state line, read token by token; raises
+    the line's first error, with ``pos`` the states declared before it."""
+    tokens = line.split()
+    if len(tokens) < 2:
+        raise _syntax_error(line, lineno, 0, "expected state id")
+    sid = tokens[1]
+    if not _ID_RE.match(sid):
+        raise _syntax_error(line, lineno, 1, f"invalid state id {_quoted(sid)}")
+    attrs = _parse_attrs(line, lineno, tokens, 2, _STATE_KEYS)
+    if "owner" not in attrs:
+        raise _syntax_error(line, lineno, 1, "state line requires owner=max|min|rand")
+    index, owner = attrs["owner"]
+    if owner not in OWNERS:
+        raise _syntax_error(line, lineno, index, f"expected owner max|min|rand, found {_quoted(owner)}")
+    if sid in pos:
+        raise ModelSemanticError(f"{_clipped(sid)}: duplicate state id", lineno)
+    reward = _parse_int_reward(line, lineno, *attrs["reward"], "reward") if "reward" in attrs else None
+    return owner, reward
 
 
-def _compile_printed(text: str) -> Ssg | OcSsg | None:
-    """The game of ``text`` compiled straight into its ``Index`` and
-    ``state_rewards`` if ``text`` is in ``print_model``'s form and keeps
-    every model rule, else None.
-
-    The form: a header line, then one single-spaced state line per state,
-    then the trans lines grouped by source in state order, attributes in the
-    printer's order, each line ended by a newline.  Each line's pattern
-    (``_PRINTED``) checks its attributes; the state ids are distinct, every
-    source and target is declared, and ``_successor_faults`` holds for
-    every state, checked once per distinct owner and run of ``p=`` numerals.
-    """
-    if not text.endswith("\n"):
-        return None
-    header = text[: text.index("\n")]
-    patterns = _PRINTED.get(header)
-    if patterns is None:
-        return None
-    start = len(header) + 1
-    cut = text.find("\ntrans ", start - 1) + 1 or len(text)  # where the first trans line starts
-    nodes = patterns[0].findall(text, start, cut)
-    edges = patterns[1].findall(text, cut)
-    # findall skips a line its pattern does not match, so every line matched
-    # iff the matches are as many as the line ends.
-    if len(nodes) != text.count("\n", start, cut) or len(edges) != text.count("\n", cut):
-        return None
-    ids, owner, rewards = zip(*nodes) if nodes else ((),) * 3
-    sources, targets, numerals, units = zip(*edges) if edges else ((),) * 4
-    pos = {sid: v for v, sid in enumerate(ids)}
-    try:
-        source = list(map(pos.__getitem__, sources))
-        succ = tuple(map(pos.__getitem__, targets))
-    except KeyError:  # an undeclared source or target
-        return None
-    try:
-        fractions = {raw: Fraction(*map(int, raw.split("/"))) if raw else None for raw in set(numerals)}
-    except ValueError:  # a numeral with more digits than int() converts
-        return None
-    if len(pos) < len(ids) or source != sorted(source):
-        return None
-    # Per state the slice of the edge columns that holds its edges.
-    bounds = [bisect_left(source, v) for v in range(len(ids) + 1)]
-    spans = list(map(slice, bounds, bounds[1:]))
-    for who, run in set(zip(owner, map(numerals.__getitem__, spans))):
-        if _successor_faults(who == "rand", [fractions[raw] for raw in run]):
-            return None
-    prob = tuple(map(fractions.__getitem__, numerals))
-    state_rewards = tuple(map(_UNITS.get, rewards))
-    if header == "ssg rewards=states":
-        weight = tuple(map(state_rewards.__getitem__, succ))
-    else:
-        weight = tuple(map(_UNITS.__getitem__, units))
-    index = Index(ids, pos, owner, *(tuple(map(column.__getitem__, spans)) for column in (succ, prob, weight)))
-    fields = {"index": index, "state_rewards": state_rewards, "violations": ()}
-    if header == "ocssg":
-        return OcSsg._compiled(**fields)
-    return Ssg._compiled(reward_location=header.partition("=")[2], **fields)
+def _trans_line(line, lineno, pos, probs) -> tuple[str | None, int | None, int | None]:
+    """The ``p=`` numeral, reward and delta of a trans line, read token by
+    token; raises the line's first error, with ``pos`` the states declared
+    before it.  A numeral not in ``probs`` yet is put there with its value."""
+    tokens = line.split()
+    if len(tokens) < 4 or tokens[2] != "->":
+        raise _syntax_error(line, lineno, 2 if len(tokens) > 2 else 0, "expected trans <src> -> <dst>")
+    dst = tokens[3]
+    if not _ID_RE.match(dst):
+        raise _syntax_error(line, lineno, 3, f"invalid target id {_quoted(dst)}")
+    attrs = _parse_attrs(line, lineno, tokens, 4, _TRANS_KEYS)
+    if tokens[1] not in pos:
+        raise ModelSemanticError(f"transition from undeclared state {_quoted(tokens[1])}", lineno)
+    numeral = None
+    if "p" in attrs:
+        index, numeral = attrs["p"]
+        if numeral not in probs:
+            probs[numeral] = _parse_prob(line, lineno, index, numeral)
+    reward = _parse_int_reward(line, lineno, *attrs["reward"], "reward") if "reward" in attrs else None
+    delta = _parse_int_reward(line, lineno, *attrs["delta"], "delta") if "delta" in attrs else None
+    return numeral, reward, delta
 
 
 def parse_model(text: str) -> Ssg | OcSsg:
     """Parse the text format; raises ModelSyntaxError / ModelSemanticError.
 
-    A text in ``print_model``'s form that keeps every model rule is compiled
-    in one pass straight into the game's ``Index`` (``_compile_printed``);
-    the game holds no states until they are read.  Any other text,
-    and so every error, takes the line parser ``_parse_lines``.
+    One pass over the lines emits the game's ``Index`` columns and
+    ``state_rewards``; the game holds no states until they are read.  Each
+    line is split at whitespace once.  The attributes of a line (its text
+    after the ids) are read token by token, and checked against the
+    flavour, only the first time they are spelled so (``_state_line``,
+    ``_trans_line``); a later line spelled alike needs only its ids
+    checked.  A syntax error, or a rule that one line breaks (a duplicate
+    id, a value out of range, an undeclared source), is raised at its line
+    as the line is read.  The rules on successors and probabilities
+    (``_successor_faults``) are checked once per distinct owner and run of
+    ``p=`` numerals, and a dangling target is a miss in the id map.  Only a
+    text that breaks one of these rules builds its states, and
+    ``_violations`` reports the rule at the first line it concerns: the
+    ``trans`` line of an edge, the ``state`` line of a state.
     """
-    game = _compile_printed(text)
-    return game if game is not None else _parse_lines(text)
-
-
-def _parse_lines(text: str) -> Ssg | OcSsg:
-    """Parse the text format line by line into the game's ``states``.
-
-    One pass over the lines builds each ``State`` and ``Transition``.
-    Tokens are split at whitespace, an error's column is computed only when
-    it is raised, and each distinct ``p=`` numeral becomes one ``Fraction``,
-    shared by every edge that writes it.  A broken model rule is reported
-    at the first line it concerns: the ``trans`` line of an edge, the
-    ``state`` line of a state.
-    """
-    header = None
-    reward_location = None
-    # id -> owner, reward, its edges, its lines
-    declared: dict[str, tuple[str, int | None, list[Transition], list[int]]] = {}
-    probs: dict[str, Fraction] = {}  # raw p= numeral -> its value
-
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0]
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, line in lines:
+        line = line.split("#", 1)[0]
         tokens = line.split()
-        if not tokens:
+        if tokens:
+            break
+    else:
+        raise ModelSyntaxError(1, 1, "empty input, expected header ssg|ocssg")
+    header, reward_location = tokens[0], None
+    if header == "ssg":
+        attrs = _parse_attrs(line, lineno, tokens, 1, _HEADER_KEYS)
+        if "rewards" not in attrs:
+            raise _syntax_error(line, lineno, 0, "ssg header requires rewards=states|transitions")
+        index, reward_location = attrs["rewards"]
+        if reward_location not in (ON_STATES, ON_TRANSITIONS):
+            raise _syntax_error(line, lineno, index, f"expected states|transitions, found {_quoted(reward_location)}")
+    elif header != "ocssg":
+        raise _syntax_error(line, lineno, 0, f"expected header ssg|ocssg, found {_quoted(header)}")
+    elif len(tokens) > 1:
+        raise _syntax_error(line, lineno, 1, "ocssg header takes no attributes")
+    on_counter, on_edges, on_states = header == "ocssg", reward_location == ON_TRANSITIONS, reward_location == ON_STATES
+
+    ids, pos, owner, state_rewards, state_lines = [], {}, [], [], []  # per state, in line order
+    sources, targets, tails, edge_lines = [], [], [], []  # per edge, in line order
+    # Each attribute spelling read so far -> what it says: a state line's
+    # tokens after the id -> (owner, reward), a trans line's text after the
+    # target -> (p= numeral, reward, delta).
+    state_tails: dict[tuple[str, ...], tuple[str, int | None]] = {}
+    trans_tails: dict[str, tuple[str | None, int | None, int | None]] = {}
+    probs: dict[str | None, Fraction | None] = {None: None}  # each p= numeral read -> its value
+    broken = False  # a model rule is broken
+
+    for lineno, line in lines:
+        if "#" in line:
+            line = line[: line.index("#")]
+        parts = line.split(None, 4)
+        if not parts:
             continue
-        keyword = tokens[0]
-
-        if header is None:
-            if keyword == "ssg":
-                attrs = _parse_attrs(line, lineno, tokens, 1, _HEADER_KEYS)
-                if "rewards" not in attrs:
-                    raise _syntax_error(line, lineno, 0, "ssg header requires rewards=states|transitions")
-                index, raw = attrs["rewards"]
-                if raw not in (ON_STATES, ON_TRANSITIONS):
-                    raise _syntax_error(line, lineno, index, f"expected states|transitions, found {_quoted(raw)}")
-                reward_location = raw
-            elif keyword == "ocssg":
-                if len(tokens) > 1:
-                    raise _syntax_error(line, lineno, 1, "ocssg header takes no attributes")
-            else:
-                raise _syntax_error(line, lineno, 0, f"expected header ssg|ocssg, found {_quoted(keyword)}")
-            header = keyword
-            continue
-
-        if keyword == "state":
-            if len(tokens) < 2:
-                raise _syntax_error(line, lineno, 0, "expected state id")
-            sid = tokens[1]
-            if not _ID_RE.match(sid):
-                raise _syntax_error(line, lineno, 1, f"invalid state id {_quoted(sid)}")
-            attrs = _parse_attrs(line, lineno, tokens, 2, _STATE_KEYS)
-            if "owner" not in attrs:
-                raise _syntax_error(line, lineno, 1, "state line requires owner=max|min|rand")
-            index, owner = attrs["owner"]
-            if owner not in OWNERS:
-                raise _syntax_error(line, lineno, index, f"expected owner max|min|rand, found {_quoted(owner)}")
-            if sid in declared:
-                raise ModelSemanticError(f"{_clipped(sid)}: duplicate state id", lineno)
-            reward = _parse_int_reward(line, lineno, *attrs["reward"], "reward") if "reward" in attrs else None
-            declared[sid] = (owner, reward, [], [lineno])  # the state line, then one per transition
-
-        elif keyword == "trans":
-            if len(tokens) < 4 or tokens[2] != "->":
-                raise _syntax_error(line, lineno, 2 if len(tokens) > 2 else 0, "expected trans <src> -> <dst>")
-            src = tokens[1]
-            dst = tokens[3]
-            if not _ID_RE.match(dst):
-                raise _syntax_error(line, lineno, 3, f"invalid target id {_quoted(dst)}")
-            attrs = _parse_attrs(line, lineno, tokens, 4, _TRANS_KEYS)
-            if src not in declared:
-                raise ModelSemanticError(f"transition from undeclared state {_quoted(src)}", lineno)
-            prob = None
-            if "p" in attrs:
-                index, raw = attrs["p"]
-                prob = probs.get(raw)
-                if prob is None:
-                    prob = probs[raw] = _parse_prob(line, lineno, index, raw)
-            reward = _parse_int_reward(line, lineno, *attrs["reward"], "reward") if "reward" in attrs else None
-            delta = _parse_int_reward(line, lineno, *attrs["delta"], "delta") if "delta" in attrs else None
-            declared[src][2].append(Transition(dst, prob, reward, delta))
-            declared[src][3].append(lineno)
-
+        keyword = parts[0]
+        if keyword == "trans":
+            tail = parts[4] if len(parts) == 5 else ""
+            if (
+                tail not in trans_tails
+                or len(parts) < 4
+                or parts[2] != "->"
+                or parts[1] not in pos
+                or (parts[3] not in pos and not _ID_RE.match(parts[3]))
+            ):
+                _, reward, delta = trans_tails[tail] = _trans_line(line, lineno, pos, probs)
+                broken |= (reward is not None) != on_edges or (delta is not None) != on_counter
+            sources.append(pos[parts[1]])
+            targets.append(parts[3])
+            tails.append(tail)
+            edge_lines.append(lineno)
+        elif keyword == "state":
+            key = tuple(parts[2:])
+            sid = parts[1] if len(parts) > 1 else ""
+            attrs = state_tails.get(key)
+            if attrs is None or sid in pos or not _ID_RE.match(sid):
+                attrs = state_tails[key] = _state_line(line, lineno, pos)
+                broken |= (attrs[1] is not None) != on_states
+            pos[sid] = len(ids)
+            ids.append(sid)
+            owner.append(attrs[0])
+            state_rewards.append(attrs[1])
+            state_lines.append(lineno)
         else:
             raise _syntax_error(line, lineno, 0, f"expected state|trans, found {_quoted(keyword)}")
 
-    if header is None:
-        raise ModelSyntaxError(1, 1, "empty input, expected header ssg|ocssg")
-
-    states = tuple(State(sid, owner, reward, tuple(edges)) for sid, (owner, reward, edges, _) in declared.items())
-    game = OcSsg(states) if header == "ocssg" else Ssg(states, reward_location)
-    if game.violations:
-        lines = [entry[3] for entry in declared.values()]
+    if sources != sorted(sources):
+        # The edges grouped by source in state order, each source's in line order.
+        order = sorted(range(len(sources)), key=sources.__getitem__)
+        sources, targets, tails, edge_lines = ([c[e] for e in order] for c in (sources, targets, tails, edge_lines))
+    bounds = [0] * (len(ids) + 1)
+    for v in sources:
+        bounds[v + 1] += 1
+    bounds = list(accumulate(bounds))
+    spans = list(map(slice, bounds, bounds[1:]))  # per state, where its edges are
+    try:
+        succ = tuple(map(pos.__getitem__, targets))
+    except KeyError:  # a dangling target
+        broken = True
+    # Per edge its p= numeral, reward and delta; the probabilities of each
+    # distinct run of numerals checked once per owner.
+    numerals, rewards, deltas = zip(*map(trans_tails.__getitem__, tails)) if tails else ((),) * 3
+    runs = map(numerals.__getitem__, spans)
+    for who, run in set(zip(owner, runs)):
+        broken = broken or bool(_successor_faults(who == "rand", tuple(map(probs.__getitem__, run))))
+    prob = tuple(map(probs.__getitem__, numerals))
+    if broken:
+        edges = list(map(Transition, targets, prob, rewards, deltas))
+        states = tuple(map(State, ids, owner, state_rewards, map(tuple, map(edges.__getitem__, spans))))
+        game = OcSsg(states) if on_counter else Ssg(states, reward_location)
         line, _, i, k, message = min(
-            (lines[i][0 if k is None else k + 1], order, i, k, message)
-            for order, (i, k, message) in enumerate(_violations(game))
+            (state_lines[i] if k is None else edge_lines[bounds[i] + k], rank, i, k, message)
+            for rank, (i, k, message) in enumerate(_violations(game))
         )
         raise ModelSemanticError(_describe(game, i, k, message), line)
-    return game
+
+    state_rewards = tuple(state_rewards)
+    weight = tuple(map(state_rewards.__getitem__, succ)) if on_states else deltas if on_counter else rewards
+    columns = (tuple(map(column.__getitem__, spans)) for column in (succ, prob, weight))
+    index = Index(tuple(ids), pos, tuple(owner), *columns)
+    fields = {"index": index, "state_rewards": state_rewards, "violations": ()}
+    if on_counter:
+        return OcSsg._compiled(**fields)
+    return Ssg._compiled(reward_location=reward_location, **fields)
 
 
 def _fmt_prob(p: Fraction) -> str:

@@ -184,8 +184,8 @@ class _Compiled:
     sampling is integer-exact.
 
     Edges, weights and probabilities are read from the game's ``index``
-    and the start's reward from its ``state_rewards``, so a game compiled
-    from ``print_model``'s form derives no ``states``.  The last strategy
+    and the start's reward from its ``state_rewards``, so a parsed game
+    derives no ``states``.  The last strategy
     given for a player resolves that player's states.
     A start state not in ``game`` and every pure memoryless strategy are
     checked first, so an unknown start, or a strategy with a missing state

@@ -17,7 +17,7 @@ same ids in another node order, with each state's edges reversed, or with
 Max and Min swapped, for checks that an answer does not depend on the
 numbering.
 ``reference_parse_model`` is the model parser as first written, token
-columns and all, the reference the one-pass ``ocsg.model.parse_model`` is
+columns and all, the reference the single ``ocsg.model.parse_model`` is
 checked against.  ``class_gain_bias`` and ``evaluate_gain_bias`` are the
 eager policy evaluation, every closed-class mean and bias and the whole
 transient gain and bias solved up front, the reference the lazy
@@ -995,7 +995,8 @@ def reference_parse_model(text: str) -> Ssg | OcSsg:
     """``ocsg.model.parse_model`` as first written: a regex scan that keeps
     every token's column, a fresh ``Fraction`` per ``p=`` token, and
     ``_reference_violations`` for the model rules.  The differential parser
-    test holds the one-pass parser to it on every error and every game."""
+    tests hold ``parse_model`` to it on every error and on every game's
+    index columns and state rewards."""
     header = None
     reward_location = None
     declared: dict[str, tuple[str, int | None, list[int]]] = {}  # id -> owner, reward, its lines

@@ -11,14 +11,16 @@ the line it concerns.  The same mutated texts are fed to
 between their tokens and other line ends, they must also give
 ``parse_model`` and the reference parser of ``grids`` the same game or the
 same error, and on a game the same ``Index`` columns and ``validate``
-result; so must texts in ``print_model``'s form, which ``parse_model``
-compiles straight into the index, and texts just outside that form.
+result; so must texts in ``print_model``'s form, texts just outside that
+form, every data model and one printed text of each bench family, the
+last two also spelled with tabs, ``\r\n`` line ends and comments.
 """
 
 import io
 import re
 from contextlib import redirect_stderr
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ocsg.cli import run
@@ -29,13 +31,13 @@ from ocsg.model import (
     ModelSyntaxError,
     OcSsg,
     Ssg,
-    _compile_printed,
     parse_model,
+    print_model,
     validate,
 )
 
-from conftest import FAIR_WALK_TEXT, FIVE_STATE_TEXT
-from grids import reference_parse_model
+from conftest import DATA, FAIR_WALK_TEXT, FIVE_STATE_TEXT
+from grids import bench_families, reference_parse_model
 
 SEEDS = (
     FIVE_STATE_TEXT,
@@ -163,8 +165,7 @@ SEPARATORS = ("  ", "\t", "\x0b", "\u3000", " \t ")
 # Line ends other than "\n" that `str.splitlines` also splits at.
 LINE_BREAKS = ("\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028")
 
-# One text of each flavour in `print_model`'s form, which `parse_model`
-# compiles in one pass straight into the index.
+# One text of each flavour in `print_model`'s form.
 PRINTED = (
     "ocssg\nstate s owner=rand\nstate t owner=max\n"
     "trans s -> t p=1/2 delta=1\ntrans s -> s p=1/2 delta=-1\ntrans t -> s delta=0\n",
@@ -174,14 +175,13 @@ PRINTED = (
     "trans a -> b reward=1\ntrans a -> a reward=-1\ntrans b -> a p=1/2 reward=0\ntrans b -> b p=1/2 reward=1\n",
 )
 
-# Texts just outside that form, each of which the line parser reads: the
-# printed counter game with other line ends, no final newline, blank
-# lines, p= numerals the printer never writes, attributes out of the
-# printer's order, a reward and a delta on one edge, a state line after
-# trans lines, a duplicate state, a dangling target, probabilities
-# summing to 3/2, trans lines not grouped by source in state order, a
-# comment after one of two edges of a controlled state, and a commented
-# state line of a state with no edge.
+# Texts just outside that form: the printed counter game with other line
+# ends, no final newline, blank lines, p= numerals the printer never
+# writes, attributes out of the printer's order, a reward and a delta on
+# one edge, a state line after trans lines, a duplicate state, a dangling
+# target, probabilities summing to 3/2, trans lines not grouped by source
+# in state order, a comment after one of two edges of a controlled state,
+# and a commented state line of a state with no edge.
 PRINTER_FORM_BOUNDARIES = tuple(PRINTED[0].replace("\n", end) for end in LINE_BREAKS) + (
     PRINTED[0][:-1],
     PRINTED[0].replace("\nstate t", "\n\nstate t") + "\n",
@@ -266,25 +266,62 @@ def _assert_parsers_agree(text):
     outcome, reference = _outcome(parse_model, text), _outcome(reference_parse_model, text)
     assert outcome == reference
     if isinstance(outcome, (Ssg, OcSsg)):
-        # The parsed game's index is compiled from the text or from its
-        # states, the reference game's from its states.
+        # The parsed game's index is compiled from the text, the reference
+        # game's from its states.
         for column in INDEX_COLUMNS:
             assert getattr(outcome.index, column) == getattr(reference.index, column), column
         assert validate(outcome) == validate(reference) == []
 
 
 def test_printer_form_boundaries_agree_with_the_reference_parser():
-    # The printed texts take the one-pass compile, every boundary text the
-    # line parser; both give the reference parser's game or error.
-    for text in PRINTED:
-        assert _compile_printed(text) is not None, text
-        _assert_parsers_agree(text)
+    # The printed texts and the texts just outside their form give the
+    # reference parser's game or error; a game holds no states until they
+    # are read, and its print parses back to it, the printed texts' print
+    # being the text itself.
     errors = 0
-    for text in PRINTER_FORM_BOUNDARIES:
-        assert _compile_printed(text) is None, text
+    for text in PRINTED + PRINTER_FORM_BOUNDARIES:
+        outcome = _outcome(parse_model, text)
+        if isinstance(outcome, tuple):
+            errors += 1
+        else:
+            assert "states" not in vars(outcome), text
+            printed = print_model(outcome)
+            assert printed == text or text not in PRINTED
+            assert parse_model(printed) == outcome
         _assert_parsers_agree(text)
-        errors += isinstance(_outcome(parse_model, text), tuple)
     assert errors == 8
+
+
+def _respelled(text):
+    """``text`` with its tokens tab-separated, ``\r\n`` line ends and a
+    comment ending every line."""
+    return "".join("\t".join(line.split()) + "\t# c\r\n" for line in text.splitlines())
+
+
+def _fixed_texts():
+    """Every data model and one printed text of each bench family (n <= 200)."""
+    families = bench_families()
+    return [path.read_text() for path in sorted(DATA.glob("*.*ssg"))] + [
+        families.dense(12, 1, None),
+        families.dense_mdp(20, 1, None),
+        families.dense_counter(24, 7, None),
+        families.ring(6, None),
+        families.ruin(100, None),
+        families.chance_counter(20, 1, None),
+        families.drift_counter(200, 1, None, balanced=False),
+        families.drift_counter(200, 1, None, balanced=True),
+        families.reach_instance(8, 1, None),
+    ]
+
+
+@pytest.mark.parametrize("respell", (False, True), ids=("printed", "respelled"))
+def test_fixed_texts_agree_with_the_reference_parser(respell):
+    for text in _fixed_texts():
+        if respell:
+            text = _respelled(text)
+        _assert_parsers_agree(text)
+        outcome, reference = parse_model(text), reference_parse_model(text)
+        assert outcome.state_rewards == reference.state_rewards, text[:40]
 
 
 @settings(max_examples=100, deadline=None)

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ocsg import model
 from ocsg.model import (
     LIMINF_MINUS_INF,
     MEAN_GT,
@@ -26,7 +25,7 @@ from ocsg.model import (
 )
 
 from conftest import DATA
-from grids import oc_to_reward_ssg, random_games
+from grids import oc_to_reward_ssg, random_games, reference_parse_model
 
 
 def test_parse_minimal_ssg():
@@ -392,27 +391,19 @@ def _printed_texts():
     return texts + [path.read_text() for path in sorted(DATA.glob("*.*ssg"))]
 
 
-def test_printer_form_is_compiled_straight_into_the_index(monkeypatch):
-    # `print_model`'s text takes the one-pass compile, whose game has the
-    # line parser's index columns and state rewards, keeps every rule and
-    # prints the text back.
-    compiled = []
-
-    def spy(text, _compile=model._compile_printed):
-        compiled.append(_compile(text))
-        return compiled[-1]
-
-    monkeypatch.setattr(model, "_compile_printed", spy)
+def test_printer_form_is_compiled_straight_into_the_index():
+    # `print_model`'s text is compiled straight into the index: the game
+    # holds no states until they are read, has the reference parser's index
+    # columns and state rewards, keeps every rule and prints the text back.
     for text in _printed_texts():
-        compiled.clear()
         game = parse_model(text)
-        assert len(compiled) == 1 and compiled[0] is game, text
-        lines = model._parse_lines(text)
+        assert "states" not in vars(game), text
+        reference = reference_parse_model(text)
         for column in ("ids", "pos", "owner", "succ", "prob", "weight"):
-            assert getattr(game.index, column) == getattr(lines.index, column), (column, text)
-        assert game.state_rewards == lines.state_rewards
+            assert getattr(game.index, column) == getattr(reference.index, column), (column, text)
+        assert game.state_rewards == reference.state_rewards
         assert validate(game) == [] and print_model(game) == text
-        assert game == lines and game.states == lines.states
+        assert game == reference and game.states == reference.states
 
 
 def test_probabilities_printed_in_lowest_terms():
