@@ -8,10 +8,6 @@ one, so a solve loads none of it.
   the 0/1 class under each limit objective), ``reach_probabilities`` and
   ``chain_tail_value`` (the probability of hitting a winning BSCC).
   ``oracle`` evaluates every strategy profile's chain with them.
-* ``solve_linear_system``: a solve with a determinant certificate that
-  every solution denominator divides.
-* ``expected_mean_payoff`` and the paper's Procedure MP (``procedure_mp``,
-  on ``absorbing`` indexes): the cross-check of the mean-payoff solver.
 * ``product_with_strategy``: a counter game under a finite-memory
   strategy, on which synthesized termination witnesses are checked.
 """
@@ -20,11 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
 
 from . import chain as chain_mod
-from . import linsolve, mdp
-from .model import OWNERS, FiniteMemoryStrategy, Index, Objective, OcSsg, Ssg, State, Transition
+from . import linsolve
+from .model import OWNERS, FiniteMemoryStrategy, Objective, OcSsg, Ssg, State, Transition
 from .model import _quoted, check_valid, require_limit
 
 _ONE = Fraction(1)
@@ -161,117 +156,18 @@ def chain_tail_value(chain: Ssg, objective: Objective) -> dict[str, Fraction]:
     return reach_probabilities(chain, winning)
 
 
-def solve_linear_system(rows, rhs) -> tuple[list[Fraction], int]:
-    """Solve ``A x = rhs`` exactly, where ``rows[i]`` maps column j to A[i][j]
-    (``linsolve.factor(rows).solve(rhs)``), with a certificate: |det| of the
-    integer matrix obtained by scaling each row, right-hand side included,
-    by the lcm of its denominators.  Every solution denominator divides it.
-
-    Returns ``(x, certificate)``.  Raises ``linsolve.SingularMatrixError``
-    when the system is not uniquely solvable.
-    """
-    if len(rhs) != len(rows):
-        raise ValueError("square system expected")
-    factorization = linsolve.factor(rows)
-    x = factorization.solve(rhs)
-    # E S A = R with det E = prod(a' / g) over the row operations, det S the
-    # product of the row scales, and |det R| the product of the pivots.
-    numerator = prod(abs(row[c]) for c, _, row, _ in factorization.steps)
-    denominator = 1
-    for _, _, _, ops in factorization.steps:
-        for _, a, _, g in ops:
-            numerator *= g
-            denominator *= a
-    for scale, r in zip(factorization.scales, rhs):
-        # The lcm over a row and its right-hand side, over the row's own.
-        numerator *= lcm(scale, r.as_integer_ratio()[1])
-        denominator *= scale
-    certificate, remainder = divmod(numerator, denominator)
-    assert remainder == 0
-    return x, certificate
-
-
-def expected_mean_payoff(game, direction: str = "max"):
-    """Optimal expected mean payoff per state plus a pure memoryless optimiser:
-    Howard's multichain policy iteration (``mdp._policy_iteration``) run to
-    optimality."""
-    mdp._require_one_player(game)
-    index = game.index
-    evaluation, choice = mdp._policy_iteration(index, direction)
-    policy = {v: choice[v] for v, owner in enumerate(index.owner) if owner != "rand"}
-    return dict(zip(index.ids, evaluation.gain)), mdp._strategy(index, policy, direction)
-
-
-def absorbing(index: Index, nodes) -> Index:
-    """``index`` with each of ``nodes`` made a rand node on a weight-0
-    self-loop, which nothing leaves; edges into it are kept, and so is the
-    numbering.  Visit rewards are computed afresh on their first read."""
-    owner, succ, prob, weight = list(index.owner), list(index.succ), list(index.prob), list(index.weight)
-    for v in nodes:
-        owner[v], succ[v], prob[v], weight[v] = "rand", (v,), (_ONE,), (0,)
-    return Index(index.ids, index.pos, tuple(owner), tuple(succ), tuple(prob), tuple(weight))
-
-
-def procedure_mp(game, start: str):
-    """Decide whether the controller wins Mean>0 almost surely from ``start``.
-
-    Faithful loop: maximise expected mean payoff, stop with No when the gain
-    at ``start`` is not positive, otherwise cut the region that almost surely
-    reaches a positive-drift BSCC of the mean-payoff policy σ_mp, and repeat
-    with the cut made absorbing, until ``start`` is cut.
-
-    Every round runs on the game's index: the nodes cut so far stay in
-    place as weight-0 self-loops (``absorbing``), each standing for the
-    absorbing zero-reward state z of the paper.  The round's policy
-    iteration (``mdp._policy_iteration``) gives the start's gain, and its
-    last evaluation the closed classes and their means.  In a one-player
-    game value-1 reachability is almost-sure reachability, so the new cut
-    is the winning set of ``mdp.almost_sure_reach`` toward the BSCC and the
-    old cut; a target counts no edges, so the cut nodes act as z does.  A
-    controlled node with an edge into the cut could step into it, so it is
-    in the cut itself: a cut severs only rand edges.  The witness keeps
-    σ_mp inside the BSCC and takes the almost-sure reach choice elsewhere
-    in the cut.
-
-    Returns None for No, or the stitched PureMemorylessStrategy.
-    """
-    mdp._require_one_player(game)
-    index = game.index
-    if start not in index.pos:
-        raise ValueError(f"unknown state {_quoted(start)}")
-    if isinstance(game, OcSsg):
-        raise ValueError("reward game expected, translate the counter first")
-
-    ids = index.ids
-    first = index.pos[start]
-    cut: frozenset[int] = frozenset()
-    stitched: dict[int, int] = {}
-    while first not in cut:
-        evaluation, policy = mdp._policy_iteration(absorbing(index, cut), "max")
-        if evaluation.gain[first] <= 0:
-            return None
-        positive = [members for members, mean in zip(evaluation.members, evaluation.means) if mean > 0]
-        if not positive:
-            raise AssertionError("positive gain without a positive-drift BSCC")
-        component = set(min(positive, key=lambda members: min(ids[v] for v in members)))
-        asr = mdp.almost_sure_reach(index, cut | component)
-        for v in asr.winning - cut:
-            if index.owner[v] != "rand":
-                stitched[v] = policy[v] if v in component else asr.max_choice[v]
-        cut = asr.winning
-
-    policy = {v: stitched.get(v, 0) for v, owner in enumerate(index.owner) if owner != "rand"}
-    return mdp._strategy(index, policy, "max")
-
-
 def product_with_strategy(game: OcSsg, strategy: FiniteMemoryStrategy, start: str):
     """Product of the game with a finite-memory strategy's automaton.
 
     States owned by the strategy's player keep only the chosen edge; the
     result is the residual one-player game, with the product start state.
-    Only the reachable part is built.
+    Only the reachable part is built.  The strategy is checked against the
+    game first (``validate_for``), and an unknown start is refused.
     """
     check_valid(game)
+    strategy.validate_for(game)
+    if start not in game.index.pos:
+        raise ValueError(f"unknown state {_quoted(start)}")
 
     def pid(state_id, memory):
         return f"{state_id}@{memory}"

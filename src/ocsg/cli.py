@@ -24,6 +24,7 @@ from .model import (
     OcSsg,
     PureMemorylessStrategy,
     _clipped,
+    _fmt_fraction,
     _quoted,
     parse_model,
     print_model,
@@ -42,10 +43,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise CliError(" ".join(_clipped(token) for token in message.split()))
-
-
-def _fmt(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
 
 
 def _read_model(path: str):
@@ -98,7 +95,7 @@ def _solution(game, objective, method, result, state) -> list[tuple]:
     witnesses, as report pairs."""
     values, ones = result.values, result.value_one_set
     report = [("objective", objective.kind), ("method", method)]
-    report += [(sid, _fmt(values[sid])) for sid in ([state] if state else game.ids())]
+    report += [(sid, _fmt_fraction(values[sid])) for sid in ([state] if state else game.ids())]
     report.append(("value1", ",".join(sid for sid in game.ids() if sid in ones)))
     for label, strategy in (("max", result.witness_max), ("min", result.witness_min)):
         if strategy is not None:
@@ -215,16 +212,16 @@ def _cmd_simulate(args, out) -> int:
         freq = oracle.estimate_objective(
             game, strategies, objective, threshold, args.steps, args.trials, args.seed, args.state
         )
-        report += [("proxy", objective.kind), ("frequency", _fmt(freq))]
+        report += [("proxy", objective.kind), ("frequency", _fmt_fraction(freq))]
     else:
         stats = oracle.simulate(game, strategies, args.state, args.steps, args.trials, args.seed, j=args.j)
         if stats.termination_frequency is not None:
-            report.append(("terminated", _fmt(stats.termination_frequency)))
+            report.append(("terminated", _fmt_fraction(stats.termination_frequency)))
         mean = sum((r.final_mean for r in stats.records), Fraction(0)) / stats.trials
         report += [
             ("min_prefix_sum.min", min(r.min_prefix_sum for r in stats.records)),
             ("max_prefix_sum.max", max(r.max_prefix_sum for r in stats.records)),
-            ("mean_payoff.avg", _fmt(mean)),
+            ("mean_payoff.avg", _fmt_fraction(mean)),
         ]
     _write_report(out, report)
     return 0

@@ -364,6 +364,32 @@ class FiniteMemoryStrategy:
     def choose(self, memory: int, state_id: str) -> int:
         return band_edge(self.bands[state_id], memory)
 
+    def validate_for(self, game: Ssg | OcSsg) -> None:
+        """Check what ``choose`` and ``next_memory`` read: the bands of every
+        owned state and, unless lo = hi, a delta entry per edge of every state."""
+        if self.player not in ("max", "min"):
+            raise ValueError(f"strategy player must be max or min, got {self.player!r}")
+        if not self.lo <= self.initial_memory <= self.hi:
+            raise ValueError(f"initial memory {self.initial_memory} outside {self.lo}..{self.hi}")
+        index = game.index
+        owned = [v for v, who in enumerate(index.owner) if who == self.player]
+        missing = [index.ids[v] for v in owned if index.ids[v] not in self.bands]
+        if missing:
+            raise ValueError(f"strategy bands missing {_sample(missing)}")
+        for v in owned:
+            sid = _clipped(index.ids[v])
+            bands = self.bands[index.ids[v]]
+            firsts = [first for first, _ in bands]
+            if firsts[:1] != [self.lo] or firsts[-1] > self.hi or any(a >= b for a, b in zip(firsts, firsts[1:])):
+                raise ValueError(f"bands at {sid} must start at {self.lo} and rise strictly to at most {self.hi}")
+            for _, k in bands:
+                if type(k) is not int or not 0 <= k < len(index.succ[v]):
+                    raise ValueError(f"invalid transition index {k} at {sid}")
+        if self.lo < self.hi:
+            bad = [sid for sid, targets in zip(index.ids, index.succ) if len(self.delta.get(sid, ())) != len(targets)]
+            if bad:
+                raise ValueError(f"memory deltas missing or not one per edge at {_sample(bad)}")
+
 
 def band_edge(bands: Sequence[tuple[int, int]], at: int) -> int:
     """The edge of the last band (first, edge) of ``bands`` that starts at or below ``at``."""
@@ -834,8 +860,8 @@ def parse_model(text: str) -> Ssg | OcSsg:
     return Ssg._compiled(reward_location=reward_location, **fields)
 
 
-def _fmt_prob(p: Fraction) -> str:
-    return f"{p.numerator}/{p.denominator}"
+def _fmt_fraction(value: Fraction) -> str:
+    return f"{value.numerator}/{value.denominator}"
 
 
 def print_model(game: Ssg | OcSsg) -> str:
@@ -853,7 +879,7 @@ def print_model(game: Ssg | OcSsg) -> str:
         for target, prob, reward, delta in edges:
             entry = f"trans {sid} -> {target}"
             if prob is not None:
-                entry += f" p={_fmt_prob(prob)}"
+                entry += f" p={_fmt_fraction(prob)}"
             if reward is not None:
                 entry += f" reward={reward}"
             if delta is not None:

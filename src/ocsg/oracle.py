@@ -121,7 +121,7 @@ def enumerate_mean_payoff(game: Ssg, direction: str = "max"):
     Every controlled state is optimised in ``direction`` whatever its owner
     label.  Each policy's gain is the reach-weighted mean payoff of the BSCCs
     of its induced chain.  Returns the gains and a policy attaining them at
-    every state, as ``certify.expected_mean_payoff`` does.
+    every state.
     """
     if direction not in ("max", "min"):
         raise ValueError("direction must be max or min")
@@ -187,9 +187,10 @@ class _Compiled:
     and the start's reward from its ``state_rewards``, so a parsed game
     derives no ``states``.  The last strategy
     given for a player resolves that player's states.
-    A start state not in ``game`` and every pure memoryless strategy are
-    checked first, so an unknown start, or a strategy with a missing state
-    or an edge index out of range, is rejected before any trial.
+    A start state not in ``game`` and every strategy (``validate_for``) are
+    checked first, so an unknown start, or a strategy with a missing state,
+    an edge index out of range or, with memory, a bad band or memory delta,
+    is rejected before any trial.
     """
 
     def __init__(self, game, strategies, start: str):
@@ -202,7 +203,7 @@ class _Compiled:
             if strat is not None:
                 by_player[strat.player] = strat
         for strat in by_player.values():
-            if isinstance(strat, PureMemorylessStrategy):
+            if strat is not None:
                 strat.validate_for(game)
         self.ids = index.ids
         self.edges: list[list[tuple[int, int]]] = [

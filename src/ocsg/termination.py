@@ -34,6 +34,7 @@ from .model import (
     check_valid,
 )
 
+
 @dataclass(frozen=True)
 class _Thresholds:
     """Almost-sure reach on the level product, one threshold per state.

@@ -23,10 +23,11 @@ eager policy evaluation, every closed-class mean and bias and the whole
 transient gain and bias solved up front, the reference the lazy
 ``ocsg.mdp._PolicyEvaluation`` is checked against; ``eager_sub_gain`` is
 the MEC gain policy iteration on it, stopped on every state's gain.
-``fraction_factor`` and ``fraction_certificate`` are the Markowitz
-elimination and determinant certificate of ``ocsg.linsolve`` done in
-``Fraction`` arithmetic, the reference its integer elimination is checked
-against.
+``fraction_factor`` is the Markowitz elimination of ``ocsg.linsolve``
+done in ``Fraction`` arithmetic, the reference its integer elimination is
+checked against, and ``fraction_certificate`` the determinant certificate
+of a system: |det| of the matrix with each row, right-hand side included,
+scaled to integers, which every solution denominator divides.
 ``reference_attractor`` and ``reference_almost_sure_reach`` are the
 attractor and two-player almost-sure reach on sets and dicts keyed by
 state id, with ``within``/``allowed`` masks, the references the int forms
@@ -44,11 +45,13 @@ are checked against; ``restrict_to_mec`` is a MEC's sub-MDP as a game,
 in-place MEC policy iteration of ``ocsg.mdp`` is checked against), and
 ``named_mec`` an int MEC keyed by state id.  ``induced_chain`` is the
 chain a policy leaves, built by ``fix_strategies``.  ``certified_reach``
-is ``certify.reach_probabilities`` solved with the determinant certificate
-that every value's denominator divides.
-``reference_procedure_mp`` is Procedure MP as first written, a game built
-per cut by ``remove_states`` with one absorbing state z, the reference the
-index form ``ocsg.certify.procedure_mp`` is checked against.
+is ``certify.reach_probabilities`` solved by ``linsolve.factor``, with the
+``fraction_certificate`` that every value's denominator divides.
+``expected_mean_payoff`` is the optimal mean payoff of a one-player game
+and its policy, from ``ocsg.mdp``'s policy iteration run to optimality.
+``reference_procedure_mp`` is the paper's Procedure MP on it, a game built
+per cut by ``remove_states`` with one absorbing state z, the cross-check
+of the value-1 set that ``ocsg.mdp`` gives the mean-payoff objectives.
 ``reference_energy_min_credit`` is energy lifting capped only at |V|, the
 reference the gap-cut lifting of ``ocsg.mdp.energy_min_credit`` is checked
 against on counter families whose climbs run long.
@@ -653,9 +656,9 @@ def induced_chain(game, policy: dict[str, int]) -> Ssg:
 def certified_reach(chain, targets):
     """The hitting probabilities of the states ``targets`` in ``chain`` by
     state id, as ``certify.reach_probabilities`` defines them, from one
-    ``certify.solve_linear_system`` of the ``chain.hitting_rows`` system
-    on the can-reach region, and that solve's determinant certificate (1
-    when nothing is solved)."""
+    ``linsolve.factor`` of the ``chain.hitting_rows`` system on the
+    can-reach region, and that system's ``fraction_certificate`` (1 when
+    nothing is solved)."""
     index = chain.index
     nodes = frozenset(index.pos[sid] for sid in targets)
     reached, _ = chain_mod.attractor(index, nodes, OWNERS)
@@ -664,7 +667,8 @@ def certified_reach(chain, targets):
     pivot = 1
     if interior:
         rows, rhs = chain_mod.hitting_rows(interior, index.succ, index.prob, nodes)
-        solution, pivot = certify.solve_linear_system(rows, rhs)
+        solution = linsolve.factor(rows).solve(rhs)
+        pivot = fraction_certificate(rows, rhs)
         values.update(zip((index.ids[v] for v in interior), solution))
     return values, pivot
 
@@ -699,17 +703,32 @@ def remove_states(game, cut, z_id):
     return replace(game, states=tuple(states)), z_id
 
 
+def expected_mean_payoff(game, direction: str = "max"):
+    """Optimal expected mean payoff per state of a one-player game and a
+    pure memoryless optimiser: ``mdp._policy_iteration`` run to optimality."""
+    mdp._require_one_player(game)
+    index = game.index
+    evaluation, choice = mdp._policy_iteration(index, direction)
+    policy = {v: choice[v] for v, owner in enumerate(index.owner) if owner != "rand"}
+    return dict(zip(index.ids, evaluation.gain)), mdp._strategy(index, policy, direction)
+
+
 def reference_procedure_mp(game, start: str):
-    """Procedure MP with a game built per cut: each cut is dropped by
-    ``remove_states``, its severed stochastic edges redirected to one
-    absorbing zero-reward state z, and each round's positive-drift BSCCs
-    come from the induced chain's ``certify.bscc_decompose`` and
-    ``certify.analyze_bscc``.  None for No, else the stitched witness."""
+    """The paper's Procedure MP: does the controller win Mean>0 almost
+    surely from ``start``?  Each round maximises the expected mean payoff
+    (``expected_mean_payoff``) and answers No when the gain at ``start``
+    is not positive.  Otherwise it cuts the almost-sure reach region of a
+    positive-drift BSCC of the mean-payoff policy, found by the induced
+    chain's ``certify.bscc_decompose`` and ``certify.analyze_bscc``.  The
+    cut is dropped by ``remove_states``, its severed stochastic edges
+    redirected to one absorbing zero-reward state z, until ``start`` is
+    cut.  None for No, else the stitched witness: the mean-payoff choice
+    inside the BSCC and the almost-sure reach choice elsewhere in a cut."""
     current = game
     stitched: dict[str, int] = {}
     z_id = None
     while start in current.index.pos:
-        gains, sigma_mp = certify.expected_mean_payoff(current, "max")
+        gains, sigma_mp = expected_mean_payoff(current, "max")
         if gains[start] <= 0:
             return None
         induced = induced_chain(current, sigma_mp.choice)
@@ -1163,9 +1182,10 @@ def fraction_factor(rows) -> FractionFactorization:
 
 
 def fraction_certificate(rows, rhs) -> int:
-    """|product of the ``fraction_factor`` pivots| times the product over
-    the rows of the lcm of the row's and its right-hand side's
-    denominators: ``solve_linear_system``'s certificate."""
+    """The determinant certificate of ``rows`` x = ``rhs``: |product of the
+    ``fraction_factor`` pivots| times the product over the rows of the lcm
+    of the row's and its right-hand side's denominators.  Raises
+    ``linsolve.SingularMatrixError`` on a singular matrix."""
     scale = prod(
         lcm(Fraction(r).denominator, *(Fraction(a).denominator for a in row.values())) for row, r in zip(rows, rhs)
     )

@@ -35,6 +35,7 @@ from grids import (
     random_games,
     random_reach_instances,
     reference_almost_sure_reach,
+    reference_procedure_mp,
 )
 
 RANDOM_SEED = 987654321
@@ -96,8 +97,10 @@ def test_criterion_3_procedure_mp_cross_validation(grid_games):
             game = as_mdp(game)
             region = mdp.quantitative_limit(game, MEAN_GT, "max").value_one_set
             for sid in game.ids():
-                answer = certify.procedure_mp(game, sid) is not None
-                assert answer == (sid in region), (index, sid)
+                witness = reference_procedure_mp(game, sid)
+                assert (witness is not None) == (sid in region), (index, sid)
+                if witness is not None:
+                    assert certify.chain_tail_value(fix_strategies(game, witness), MEAN_GT)[sid] == 1, (index, sid)
 
 
 def _arrival_counter_view(game):

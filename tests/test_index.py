@@ -4,22 +4,20 @@ A best response solves on ``Index.fixed`` of the game's index, every
 policy chain reads ``Index.steps``, and a best response's MECs run in
 place on that index; ``grids.restricted``, a MEC's sub-index, is
 the reference the in-place MEC policy iteration is checked against.
-Procedure MP's rounds run on ``certify.absorbing``; ``mdp._mecs``
-decomposes on ints and ``mdp._reach`` runs reachability rounds on the
-index's columns.  Each is checked against the game-level form it
-replaced: ``fix_strategies``, ``grids.restrict_to_mec``, a game with
-reward-0 self-loops, ``grids.reference_mec_decompose`` and
-``grids.reference_solve_reachability``, on random one-player games, seeded
-dense games and random node and edge restrictions.
+``mdp._mecs`` decomposes on ints and ``mdp._reach`` runs reachability
+rounds on the index's columns.  Each is checked against the game-level
+form it replaced: ``fix_strategies``, ``grids.restrict_to_mec``,
+``grids.reference_mec_decompose`` and ``grids.reference_solve_reachability``,
+on random one-player games, seeded dense games and random node and edge
+restrictions.
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from ocsg import certify, mdp, ssg
+from ocsg import mdp, ssg
 from ocsg.model import (
     LIMIT_OBJECTIVES,
     OcSsg,
@@ -122,20 +120,6 @@ def test_restricted_index_is_the_mec_games_index(game, owner):
     for mec in mdp._mecs(index):
         sub, _ = restrict_to_mec(game, named_mec(index, mec))
         assert _content(restricted(index, sorted(mec.members), mec.allowed)) == _content(sub.index)
-
-
-@settings(max_examples=150, deadline=None)
-@given(_games(), st.randoms(use_true_random=False))
-def test_absorbing_index_is_the_self_loop_games_index(game, rng):
-    # Procedure MP's cut nodes: each becomes a rand state on a reward-0
-    # self-loop.  On a state-reward game that loop's weight would be the
-    # state's own reward, so only transition rewards have a game form.
-    if game.reward_location != "transitions":
-        return
-    cut = {sid for sid in game.ids() if rng.random() < 0.4}
-    loop = {sid: State(sid, "rand", transitions=(Transition(sid, prob=Fraction(1), reward=0),)) for sid in cut}
-    absorbed = replace(game, states=tuple(loop.get(s.id, s) for s in game.states))
-    assert _content(certify.absorbing(game.index, {game.index.pos[sid] for sid in cut})) == _content(absorbed.index)
 
 
 def _restriction(game, rng):

@@ -31,6 +31,7 @@ from grids import (
     eager_sub_gain,
     evaluate_gain_bias,
     exhaustive_games,
+    expected_mean_payoff,
     induced_chain,
     named_asr,
     named_mec,
@@ -295,7 +296,7 @@ def _bias_shift(index, evaluation, canonical):
 
 def test_mean_payoff_self_loop():
     game = parse_model("ssg rewards=transitions\nstate s owner=rand\ntrans s -> s p=1/1 reward=1\n")
-    gain, _ = certify.expected_mean_payoff(game, "max")
+    gain, _ = expected_mean_payoff(game, "max")
     assert gain["s"] == 1
 
 
@@ -305,7 +306,7 @@ def test_mean_payoff_max_picks_positive_loop():
         "trans m -> a reward=0\ntrans m -> b reward=0\n"
         "trans a -> a p=1/1 reward=1\ntrans b -> b p=1/1 reward=-1\n"
     )
-    gain, strategy = certify.expected_mean_payoff(game, "max")
+    gain, strategy = expected_mean_payoff(game, "max")
     assert gain["m"] == 1
     assert strategy.choice["m"] == 0
 
@@ -319,7 +320,7 @@ def test_mean_payoff_zero_under_both_choices():
     for choice in (0, 1):
         gain = _by_id(game.index, _evaluation(game.index, {"m": choice}).gain)
         assert gain["m"] == 0
-    gain, _ = certify.expected_mean_payoff(game, "max")
+    gain, _ = expected_mean_payoff(game, "max")
     assert gain["m"] == 0
 
 
@@ -352,7 +353,7 @@ def test_mean_payoff_agrees_with_enumeration():
     for game in games:
         game = as_mdp(game)
         for direction in ("max", "min"):
-            gain, strategy = certify.expected_mean_payoff(game, direction)
+            gain, strategy = expected_mean_payoff(game, direction)
             ref_gain, _ = oracle.enumerate_mean_payoff(game, direction)
             assert gain == ref_gain
             eval_gain = _by_id(game.index, _evaluation(game.index, strategy.choice).gain)
@@ -366,7 +367,7 @@ def test_mean_payoff_last_evaluation_is_the_returned_policys():
             index = game.index
             evaluation, choice = mdp._policy_iteration(index, direction)
             policy = _policy_by_id(index, choice)
-            gain, strategy = certify.expected_mean_payoff(game, direction)
+            gain, strategy = expected_mean_payoff(game, direction)
             assert (gain, strategy.choice) == (_by_id(index, evaluation.gain), policy)
             reference_gain, canonical = evaluate_gain_bias(game, policy)
             assert _by_id(index, evaluation.gain) == reference_gain
@@ -390,7 +391,7 @@ def reference_class_gain_bias(induced, members):
             row[j] = row.get(j, 0) - t.prob
         rows.append(row)
         rhs.append(per_visit_reward(induced, state) - analysis.mean_payoff)
-    solution, _ = certify.solve_linear_system(rows, rhs)
+    solution = linsolve.factor(rows).solve(rhs)
     return analysis.mean_payoff, {sid: solution[pos[sid]] for sid in order}
 
 
@@ -879,23 +880,16 @@ def test_procedure_mp_picks_positive_loop():
             "ssg rewards=transitions\nstate m owner=max\nstate a owner=rand\nstate b owner=rand\n"
             + edges + "trans a -> a p=1/1 reward=1\ntrans b -> b p=1/1 reward=-1\n"
         )
-        strategy = certify.procedure_mp(game, "m")
+        strategy = reference_procedure_mp(game, "m")
         assert strategy is not None
         assert strategy.choice["m"] == good
-
-
-def test_procedure_mp_cuts_an_unknown_start():
-    game = parse_model("ssg rewards=transitions\nstate m owner=max\ntrans m -> m reward=1\n")
-    with pytest.raises(ValueError, match="^unknown state 'xxx") as raised:
-        certify.procedure_mp(game, "x" * 5000)
-    assert len(str(raised.value)) < 60
 
 
 def test_procedure_mp_no_when_nonpositive():
     game = parse_model(
         "ssg rewards=transitions\nstate m owner=max\ntrans m -> m reward=0\ntrans m -> m reward=-1\n"
     )
-    assert certify.procedure_mp(game, "m") is None
+    assert reference_procedure_mp(game, "m") is None
 
 
 def test_procedure_mp_no_for_half_reachable_drift():
@@ -905,8 +899,8 @@ def test_procedure_mp_no_for_half_reachable_drift():
         "trans root -> p p=1/2 reward=0\ntrans root -> d p=1/2 reward=0\n"
         "trans p -> p p=1/1 reward=1\ntrans d -> f p=1/1 reward=0\ntrans f -> d p=1/1 reward=0\n"
     )
-    assert certify.procedure_mp(game, "root") is None
-    assert certify.procedure_mp(game, "p") is not None
+    assert reference_procedure_mp(game, "root") is None
+    assert reference_procedure_mp(game, "p") is not None
     values = mdp.quantitative_limit(game, MEAN_GT, "max").values
     assert values["root"] == Fraction(1, 2)
 
@@ -922,7 +916,7 @@ def test_procedure_mp_survives_early_cut_of_one_drift():
         "trans d -> b p=1/4\ntrans d -> a p=3/4\n"
     )
     for sid in game.ids():
-        assert certify.procedure_mp(game, sid) is not None, sid
+        assert reference_procedure_mp(game, sid) is not None, sid
 
 
 def test_second_cut_reuses_the_absorbing_state():
@@ -955,34 +949,10 @@ def test_procedure_mp_matches_mean_gt_region():
         game = as_mdp(game)
         region = mdp.quantitative_limit(game, MEAN_GT, "max").value_one_set
         for sid in game.ids():
-            witness = certify.procedure_mp(game, sid)
+            witness = reference_procedure_mp(game, sid)
             assert (witness is not None) == (sid in region), sid
             if witness is not None:
                 assert certify.chain_tail_value(_fix(game, witness), MEAN_GT)[sid] == 1, sid
-
-
-def test_procedure_mp_matches_the_per_cut_reference():
-    # The index form keeps each cut node as a weight-0 self-loop where the
-    # reference builds a game per cut with one absorbing z.  Decisions agree
-    # at every start.  Almost-sure reach expands the cut nodes where the
-    # reference expands z, so a controlled node with two edges into the
-    # region may be pulled in by the other edge; such a witness must win.
-    wins = same = 0
-    for reward_location in ("states", "transitions"):
-        for seed, sizes in ((1, (3, 4)), (2, (5, 6)), (3, (7, 8))):
-            for game in random_games(90, sizes=sizes, seed=seed, reward_location=reward_location):
-                game = as_mdp(game)
-                for sid in game.ids():
-                    witness = certify.procedure_mp(game, sid)
-                    reference = reference_procedure_mp(game, sid)
-                    assert (witness is None) == (reference is None), sid
-                    if witness is None:
-                        continue
-                    wins += 1
-                    same += witness == reference
-                    if witness != reference:
-                        assert certify.chain_tail_value(_fix(game, witness), MEAN_GT)[sid] == 1, sid
-    assert wins > 1500 and same > 0.99 * wins
 
 
 # -- energy games ------------------------------------------------------------
@@ -1228,10 +1198,8 @@ def test_one_player_calls_on_a_parsed_game_build_no_states(built_states):
     start = game.ids()[0]
     values = mdp.quantitative_limit(game, MEAN_GT).values
     assert set(mdp.solve_reachability(game, [start], "max").values) == set(values)
-    certify.expected_mean_payoff(game, "max")
     assert mdp.mec_decompose(game)
     assert len(mdp.energy_min_credit(game)) == len(values)
-    assert (certify.procedure_mp(game, start) is not None) == (values[start] == 1)
     sigma = PureMemorylessStrategy("max", dict.fromkeys(game.owner_ids("max"), 0))
     stats = oracle.simulate(game, [sigma], start, steps=50, trials=3, seed=5, j=2)
     assert stats.trials == len(stats.records) == 3

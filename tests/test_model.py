@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ocsg import certify, oracle
 from ocsg.model import (
     LIMINF_MINUS_INF,
     MEAN_GT,
+    FiniteMemoryStrategy,
     ModelError,
     ModelSemanticError,
     ModelSyntaxError,
@@ -519,3 +521,75 @@ def test_strategy_player_must_be_max_or_min():
             ssg.best_response(game, strategy, LIMINF_MINUS_INF)
         with pytest.raises(ValueError, match="^strategy player must be max or min"):
             fix_strategies(game, strategy)
+
+
+# A 2-state counter game: Max at a, Min at b, two edges each.
+_MEMORY_GAME_TEXT = (
+    "ocssg\nstate a owner=max\nstate b owner=min\n"
+    "trans a -> b delta=-1\ntrans a -> a delta=1\ntrans b -> a delta=0\ntrans b -> b delta=1\n"
+)
+_DELTA = {"a": (-1, 1), "b": (0, 1)}
+_BANDS = {"b": ((0, 0), (1, 1))}
+
+
+def _memory_strategy(**fields):
+    base = {"player": "min", "lo": 0, "hi": 2, "initial_memory": 0, "delta": _DELTA, "bands": _BANDS}
+    return FiniteMemoryStrategy(**{**base, **fields})
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"player": "x"}, "strategy player must be max or min, got 'x'"),
+        ({"initial_memory": 9}, "initial memory 9 outside 0..2"),
+        ({"initial_memory": -1}, "initial memory -1 outside 0..2"),
+        ({"bands": {}}, "strategy bands missing 1 [b]"),
+        ({"bands": {"b": ()}}, "bands at b must start at 0 and rise strictly to at most 2"),
+        ({"bands": {"b": ((1, 0),)}}, "bands at b must start at 0 and rise strictly to at most 2"),
+        ({"bands": {"b": ((0, 0), (0, 1))}}, "bands at b must start at 0 and rise strictly to at most 2"),
+        ({"bands": {"b": ((0, 0), (3, 1))}}, "bands at b must start at 0 and rise strictly to at most 2"),
+        ({"bands": {"b": ((0, 7),)}}, "invalid transition index 7 at b"),
+        ({"bands": {"b": ((0, 0), (1, True))}}, "invalid transition index True at b"),
+        ({"delta": {"a": (-1, 1)}}, "memory deltas missing or not one per edge at 1 [b]"),
+        ({"delta": {"a": (-1,), "b": (0, 1)}}, "memory deltas missing or not one per edge at 1 [a]"),
+    ],
+    ids=[
+        "player", "memory-above", "memory-below", "no-band", "empty-bands", "first-above-lo",
+        "not-rising", "above-hi", "edge-out-of-range", "bool-edge", "no-delta", "short-delta",
+    ],
+)
+def test_finite_memory_strategy_is_checked_before_use(fields, message):
+    # Unchecked, these raise a bare KeyError or IndexError mid-play, or, for
+    # a memory outside lo..hi or a first band above lo, play a wrong edge.
+    game = parse_model(_MEMORY_GAME_TEXT)
+    strategy = _memory_strategy(**fields)
+    sigma = PureMemorylessStrategy("max", {"a": 0})
+    for check in (
+        lambda: strategy.validate_for(game),
+        lambda: oracle.simulate(game, [sigma, strategy], "a", 5, 2, seed=1),
+        lambda: certify.product_with_strategy(game, strategy, "a"),
+    ):
+        with pytest.raises(ValueError) as raised:
+            check()
+        assert str(raised.value) == message
+
+
+def test_finite_memory_strategy_checks_pass_a_well_formed_one():
+    game = parse_model(_MEMORY_GAME_TEXT)
+    # The memoryless form (lo = hi) reads no delta.
+    memoryless = _memory_strategy(lo=1, hi=1, initial_memory=1, delta={}, bands={"b": ((1, 0),)})
+    for strategy in (_memory_strategy(), memoryless):
+        strategy.validate_for(game)
+        oracle.simulate(game, [PureMemorylessStrategy("max", {"a": 0}), strategy], "a", 5, 2, seed=1)
+        product, start = certify.product_with_strategy(game, strategy, "a")
+        assert start in product.ids()
+    # Extra bands or deltas are never read, so they pass.
+    _memory_strategy(bands={**_BANDS, "a": ((0, 0),)}, delta={**_DELTA, "z": ()}).validate_for(game)
+
+
+def test_product_with_strategy_refuses_an_unknown_start():
+    game = parse_model(_MEMORY_GAME_TEXT)
+    for start, message in (("nowhere", "unknown state 'nowhere'"), ("x" * 5000, f"unknown state {'x' * 20!r}...")):
+        with pytest.raises(ValueError) as raised:
+            certify.product_with_strategy(game, _memory_strategy(), start)
+        assert str(raised.value) == message

@@ -580,7 +580,8 @@ def _synth_lines():
     """One line per synthesis case: chance counters with n in {8, 16, 30, 40}
     and f 1-6, dense counters with n in {8, 16, 24} and f 1-4, the first three
     states of each, j in {1, 2, 3, n // 2}.  A line names the case, the player
-    that gets a witness, and the SHA-256 prefix of the witness's repr."""
+    that gets a witness, and the SHA-256 prefix of the witness's repr.  Each
+    witness must pass its ``validate_for`` on the game."""
     families = bench_families()
     texts = [(f"chance-n{n}-f{f}", families.chance_counter(n, f, None)) for n in (8, 16, 30, 40) for f in range(1, 7)]
     texts += [(f"dense-n{n}-f{f}", families.dense_counter(n, f, None)) for n in (8, 16, 24) for f in range(1, 5)]
@@ -591,6 +592,7 @@ def _synth_lines():
             for j in sorted({1, 2, 3, n // 2}):
                 sigma, pi = termination.synthesize_term_strategies(game, start, j)
                 witness = sigma if pi is None else pi
+                witness.validate_for(game)
                 text = repr(sigma) if pi is None else _automaton_repr(game, pi)
                 digest = hashlib.sha256(text.encode()).hexdigest()[:16]
                 yield f"{name} {start} j={j} {witness.player} {digest}"
