@@ -137,8 +137,8 @@ def reach_probabilities(chain: Ssg, targets) -> dict[str, Fraction]:
         values[v] = _ONE
     interior = [v for v, reached in enumerate(can_reach) if reached and v not in nodes]
     if interior:
-        rows, rhs = chain_mod.hitting_rows(interior, index.succ, index.prob, nodes)
-        for v, x in zip(interior, linsolve.factor(rows).solve(rhs)):
+        rows, scales, rhs = chain_mod.hitting_rows(interior, index.succ, index.prob, nodes)
+        for v, x in zip(interior, linsolve.factor(rows, scales).solve(rhs)):
             values[v] = x
     return dict(zip(index.ids, values))
 

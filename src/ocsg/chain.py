@@ -14,6 +14,12 @@ only for the law when several classes share a chain), the potential test
 the winning mean signs of each limit objective with the mean-0 potential
 rule (``WINNING_SIGNS``, read by ``class_wins``).
 
+The two chain systems are built as integer rows with their row scales
+(``_integer_row``), from each probability's ``as_integer_ratio()``, and go
+to the one elimination loop of ``linsolve.factor`` as they are: no
+``Fraction`` entry is made between a chain's probabilities and its
+elimination (only the hitting right-hand side is summed in ``Fraction``s).
+
 The weight of a step u -> v is the one in ``model.Index.weight``: the edge
 reward, the counter delta, or the reward r(v) of the state it arrives at,
 so cycle sums agree with the run prefix sums in every flavour.
@@ -22,10 +28,11 @@ so cycle sums agree with the run prefix sums in every flavour.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import linsolve
 
-_ONE = Fraction(1)
+_ZERO = Fraction(0)
 
 
 def bottom_sccs(succ, roots) -> list[list[int]]:
@@ -150,21 +157,44 @@ def stationary_system(members, succ, prob) -> linsolve.Factorization:
 
     S holds the balance equations over the members, with the first
     replaced by normalisation: row 0 is all ones and row j > 0 has column i
-    equal to [i == j] - P(i, j).  The stationary law solves S x = e_0, and
-    S^T is the unichain evaluation matrix: ``mdp._ClosedClass`` solves it
-    once for the mean and the unshifted bias and keeps no factorization,
-    and factors S again only for a bias read on a chain with several
-    closed classes, to solve the law.
+    equal to [i == j] - P(i, j).  The rows go to ``linsolve.factor`` as
+    integer rows with their scales (``_integer_row``).  The stationary law
+    solves S x = e_0, and S^T is the unichain evaluation matrix:
+    ``mdp._ClosedClass`` solves it once for the mean and the unshifted bias
+    and keeps no factorization, and factors S again only for a bias read on
+    a chain with several closed classes, to solve the law.
     """
     pos = {v: i for i, v in enumerate(members)}
     n = len(members)
-    rows = [dict.fromkeys(range(n), 1)] + [{i: 1} for i in range(1, n)]
+    into: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for i, v in enumerate(members):
         for t, p in zip(succ[v], prob[v]):
             j = pos[t]
             if j:
-                rows[j][i] = rows[j].get(i, 0) - p
-    return linsolve.factor(rows)
+                into[j].append((i, *p.as_integer_ratio()))
+    rows, scales = [dict.fromkeys(range(n), 1)], [1]
+    for j in range(1, n):
+        row, scale = _integer_row(j, into[j])
+        rows.append(row)
+        scales.append(scale)
+    return linsolve.factor(rows, scales)
+
+
+def _integer_row(j: int, terms) -> tuple[dict[int, int], int]:
+    """The row with 1 in column j minus p = num/den in column i for each
+    (i, num, den) of ``terms`` (num/den in lowest terms), as an integer row
+    and its scale: the row times the lcm of the reduced denominators of its
+    nonzero entries.  That is the lcm of the dens unless two terms share a
+    column or one is in column j (parallel edges, a self-loop), which can
+    cancel a denominator or an entry."""
+    den = lcm(*[d for _, _, d in terms])
+    row = {j: den}
+    for i, num, d in terms:
+        row[i] = row.get(i, 0) - num * (den // d)
+    if len(row) <= len(terms):
+        g = gcd(den, *row.values())
+        return {i: a // g for i, a in row.items() if a}, den // g
+    return row, den
 
 
 # Per limit objective: the mean signs with which a closed class wins, and
@@ -181,7 +211,9 @@ WINNING_SIGNS = {
 
 
 def sign(x) -> int:
-    return (x > 0) - (x < 0)
+    """The sign of an int or ``Fraction``, read from its numerator."""
+    n = x.numerator
+    return (n > 0) - (n < 0)
 
 
 def class_wins(kind: str, mean, has_potential) -> bool:
@@ -217,21 +249,26 @@ def node_potential(members, succ, weights) -> dict[int, int] | None:
     return h
 
 
-def hitting_rows(interior, succ, prob, targets) -> tuple[list[dict], list[Fraction]]:
+def hitting_rows(interior, succ, prob, targets) -> tuple[list[dict[int, int]], list[int], list[Fraction]]:
     """The hitting-probability equations x(v) - sum_t P(v, t) x(t) =
     P(v, ``targets``) on the nodes ``interior`` (row and column i for
     ``interior[i]``), node v stepping to ``succ[v][k]`` with probability
     ``prob[v][k]``; a node neither a target nor interior has value 0.  The
-    one builder of these rows: the caller picks the interior and solves."""
+    rows come as integer rows with their scales (``_integer_row``), for
+    ``linsolve.factor(rows, scales)``, and the right-hand side as
+    ``Fraction``s.  The one builder of these rows: the caller picks the
+    interior and solves."""
     pos = {v: i for i, v in enumerate(interior)}
-    rows = [{i: _ONE} for i in range(len(interior))]
-    rhs = [Fraction(0)] * len(interior)
+    rows, scales = [], []
+    rhs = [_ZERO] * len(interior)
     for i, v in enumerate(interior):
-        row = rows[i]
+        terms = []
         for t, p in zip(succ[v], prob[v]):
             if t in targets:
                 rhs[i] += p
             elif t in pos:
-                j = pos[t]
-                row[j] = row[j] - p if j in row else -p
-    return rows, rhs
+                terms.append((pos[t], *p.as_integer_ratio()))
+        row, scale = _integer_row(i, terms)
+        rows.append(row)
+        scales.append(scale)
+    return rows, scales, rhs

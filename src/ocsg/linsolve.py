@@ -1,11 +1,16 @@
 """Exact sparse linear solving by integer elimination with Markowitz pivots.
 
 A system is given as rows, one ``dict`` per equation mapping a column to
-its nonzero coefficient (an int or a ``Fraction``).  ``factor`` scales each
-row to integers by the lcm of its denominators and eliminates the matrix
-once: it picks the live column with the fewest nonzeros and, within it, the
-row with the fewest nonzeros, and eliminates that column from the other
-live rows only.  Singleton columns go first, so a block-triangular system
+its nonzero coefficient, in one of two forms.  ``factor(rows)`` takes int
+or ``Fraction`` coefficients and scales each row to integers by the lcm of
+its denominators.  ``factor(rows, scales)`` takes the integer rows and
+their row scales directly: the chain systems (``chain.stationary_system``
+and ``chain.hitting_rows``) arrive that way, built from the probabilities'
+integer ratios with no ``Fraction``, and convert nothing here.  Both
+forms run the one elimination loop, which eliminates the matrix once: it
+picks the live column with the fewest nonzeros and, within it, the row
+with the fewest nonzeros, and eliminates that column from the other live
+rows only.  Singleton columns go first, so a block-triangular system
 (a transient chain) needs almost no elimination, and fill-in stays local.
 
 A step is row-local integer arithmetic: with pivot a in row p and entry b
@@ -130,61 +135,65 @@ class Factorization:
         return [Fraction(n * s, d) for n, d, s in zip(z_num, z_den, self.scales)]
 
 
-def factor(rows) -> Factorization:
+def factor(rows, scales=None) -> Factorization:
     """Eliminate the square matrix whose ``rows[i]`` maps column j to A[i][j].
 
-    ``rows`` is not modified.  Raises SingularMatrixError when the matrix
-    is singular.
+    Without ``scales``, the entries are ints or ``Fraction``s and ``rows``
+    is not modified.  With ``scales``, ``rows[i]`` is already row i times
+    the integer ``scales[i]``, the lcm of the reduced denominators of its
+    nonzero entries: int entries, no zeros, columns in 0..n-1, as the
+    ``chain`` builders make them, eliminated in place.  Both run the one
+    elimination loop and give the same ``Factorization``.  Raises
+    SingularMatrixError when the matrix is singular.
     """
     n = len(rows)
-    live: list[dict[int, int]] = []
-    scales: list[int] = []
+    live, scales = _integer_rows(rows) if scales is None else (rows, scales)
     col_rows: list[set[int]] = [set() for _ in range(n)]
-    for i, row in enumerate(rows):
-        ratios = {j: a.as_integer_ratio() for j, a in row.items() if a}
-        if ratios and not (min(ratios) >= 0 and max(ratios) < n):
-            raise ValueError("square system expected")
-        scale = lcm(*(d for _, d in ratios.values()))
-        live.append({j: num * (scale // d) for j, (num, d) in ratios.items()})
-        scales.append(scale)
-        for j in ratios:
+    for i, row in enumerate(live):
+        for j in row:
             col_rows[j].add(i)
 
     heap = [(len(col_rows[j]), j) for j in range(n)]
     heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
     done = [False] * n
     steps = []
     while heap:
-        count, c = heapq.heappop(heap)
+        count, c = heappop(heap)
         if done[c] or count != len(col_rows[c]):
             continue  # stale entry: the column was eliminated or its count changed
         if not count:
             raise SingularMatrixError(f"no pivot in column {c}")
         done[c] = True
-        p = min(col_rows[c], key=lambda i: (len(live[i]), i))
+        rows_c = col_rows[c]
+        if count == 1:
+            (p,) = rows_c
+        else:
+            p = min([(len(live[i]), i) for i in rows_c])[1]
         pivot_row = live[p]
         pivot = pivot_row[c]
         for j in pivot_row:
             col_rows[j].discard(p)
-        rest = [(j, a) for j, a in pivot_row.items() if j != c]
+        rest = [(j, e) for j, e in pivot_row.items() if j != c]
         ops = []
-        for i in col_rows[c]:
+        for i in rows_c:
             row = live[i]
             b = row.pop(c)
             k = gcd(pivot, b)
+            if pivot < 0:
+                k = -k
             a, b = pivot // k, b // k
-            if a < 0:
-                a, b = -a, -b
             if a != 1:
                 for j in row:
                     row[j] *= a
             for j, e in rest:
-                v = row.get(j, 0) - b * e
-                if v:
-                    if j not in row:
-                        col_rows[j].add(i)
-                    row[j] = v
-                elif j in row:
+                x = row.get(j)
+                if x is None:
+                    row[j] = -b * e
+                    col_rows[j].add(i)
+                elif x := x - b * e:
+                    row[j] = x
+                else:
                     del row[j]
                     col_rows[j].discard(i)
             g = gcd(*row.values()) or 1  # an emptied row leaves the matrix singular
@@ -193,6 +202,23 @@ def factor(rows) -> Factorization:
                     row[j] //= g
             ops.append((i, a, b, g))
         for j, _ in rest:
-            heapq.heappush(heap, (len(col_rows[j]), j))
+            heappush(heap, (len(col_rows[j]), j))
         steps.append((c, p, pivot_row, ops))
     return Factorization(n, scales, steps)
+
+
+def _integer_rows(rows) -> tuple[list[dict[int, int]], list[int]]:
+    """Each row of int or ``Fraction`` entries times the lcm of its
+    entries' denominators, zeros dropped, and those lcms.  Raises
+    ValueError on a column outside 0..n-1."""
+    n = len(rows)
+    live = []
+    scales = []
+    for row in rows:
+        ratios = {j: a.as_integer_ratio() for j, a in row.items() if a}
+        if ratios and not (min(ratios) >= 0 and max(ratios) < n):
+            raise ValueError("square system expected")
+        scale = lcm(*(d for _, d in ratios.values()))
+        live.append({j: num * (scale // d) for j, (num, d) in ratios.items()})
+        scales.append(scale)
+    return live, scales

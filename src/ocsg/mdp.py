@@ -220,8 +220,8 @@ def _chain_reach(index, choice: list[int], targets: frozenset[int], allowed) -> 
         values[t] = Fraction(1)
     interior = [v for v, hit in enumerate(reached) if hit and v not in targets]
     if interior:
-        rows, rhs = chain_mod.hitting_rows(interior, succ, prob, targets)
-        for v, x in zip(interior, linsolve.factor(rows).solve(rhs)):
+        rows, scales, rhs = chain_mod.hitting_rows(interior, succ, prob, targets)
+        for v, x in zip(interior, linsolve.factor(rows, scales).solve(rhs)):
             values[v] = x
     return values
 
@@ -444,8 +444,8 @@ class _PolicyEvaluation:
 
     @cached_property
     def _system(self) -> linsolve.Factorization:
-        rows, _ = chain_mod.hitting_rows(self._transient, self._succ, self._prob, ())
-        return linsolve.factor(rows)
+        rows, scales, _ = chain_mod.hitting_rows(self._transient, self._succ, self._prob, ())
+        return linsolve.factor(rows, scales)
 
     def _extend(self, values: list, rhs) -> list:
         """``values`` on the closed classes (None elsewhere) extended to the

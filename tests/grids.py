@@ -28,6 +28,10 @@ done in ``Fraction`` arithmetic, the reference its integer elimination is
 checked against, and ``fraction_certificate`` the determinant certificate
 of a system: |det| of the matrix with each row, right-hand side included,
 scaled to integers, which every solution denominator divides.
+``reference_stationary_rows`` and ``reference_hitting_rows`` build the
+systems of ``ocsg.chain.stationary_system`` and ``ocsg.chain.hitting_rows``
+as ``Fraction`` rows, the references their integer rows are checked
+against.
 ``reference_attractor`` and ``reference_almost_sure_reach`` are the
 attractor and two-player almost-sure reach on sets and dicts keyed by
 state id, with ``within``/``allowed`` masks, the references the int forms
@@ -656,7 +660,7 @@ def induced_chain(game, policy: dict[str, int]) -> Ssg:
 def certified_reach(chain, targets):
     """The hitting probabilities of the states ``targets`` in ``chain`` by
     state id, as ``certify.reach_probabilities`` defines them, from one
-    ``linsolve.factor`` of the ``chain.hitting_rows`` system on the
+    ``linsolve.factor`` of the ``reference_hitting_rows`` system on the
     can-reach region, and that system's ``fraction_certificate`` (1 when
     nothing is solved)."""
     index = chain.index
@@ -666,11 +670,43 @@ def certified_reach(chain, targets):
     values = {sid: Fraction(int(v in nodes)) for v, sid in enumerate(index.ids)}
     pivot = 1
     if interior:
-        rows, rhs = chain_mod.hitting_rows(interior, index.succ, index.prob, nodes)
+        rows, rhs = reference_hitting_rows(interior, index.succ, index.prob, nodes)
         solution = linsolve.factor(rows).solve(rhs)
         pivot = fraction_certificate(rows, rhs)
         values.update(zip((index.ids[v] for v in interior), solution))
     return values, pivot
+
+
+def reference_stationary_rows(members, succ, prob) -> list[dict]:
+    """The rows of ``chain.stationary_system`` in ``Fraction``s: row 0 all
+    ones, row j > 0 with column i equal to [i == j] - P(i, j)."""
+    pos = {v: i for i, v in enumerate(members)}
+    n = len(members)
+    rows = [dict.fromkeys(range(n), 1)] + [{i: 1} for i in range(1, n)]
+    for i, v in enumerate(members):
+        for t, p in zip(succ[v], prob[v]):
+            j = pos[t]
+            if j:
+                rows[j][i] = rows[j].get(i, 0) - p
+    return rows
+
+
+def reference_hitting_rows(interior, succ, prob, targets) -> tuple[list[dict], list[Fraction]]:
+    """The rows and right-hand side of ``chain.hitting_rows`` in
+    ``Fraction``s: x(v) - sum_t P(v, t) x(t) = P(v, ``targets``) on the
+    nodes ``interior``."""
+    pos = {v: i for i, v in enumerate(interior)}
+    rows = [{i: Fraction(1)} for i in range(len(interior))]
+    rhs = [Fraction(0)] * len(interior)
+    for i, v in enumerate(interior):
+        row = rows[i]
+        for t, p in zip(succ[v], prob[v]):
+            if t in targets:
+                rhs[i] += p
+            elif t in pos:
+                j = pos[t]
+                row[j] = row[j] - p if j in row else -p
+    return rows, rhs
 
 
 def remove_states(game, cut, z_id):
@@ -723,7 +759,10 @@ def reference_procedure_mp(game, start: str):
     cut is dropped by ``remove_states``, its severed stochastic edges
     redirected to one absorbing zero-reward state z, until ``start`` is
     cut.  None for No, else the stitched witness: the mean-payoff choice
-    inside the BSCC and the almost-sure reach choice elsewhere in a cut."""
+    inside the BSCC and the almost-sure reach choice elsewhere in a cut.
+    Raises ValueError when ``start`` is not a state of ``game``."""
+    if start not in game.index.pos:
+        raise ValueError(f"unknown state {_quoted(start)}")
     current = game
     stitched: dict[str, int] = {}
     z_id = None

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -7,7 +8,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from ocsg import chain as chain_mod
-from ocsg import mdp, oracle
+from ocsg import linsolve, mdp, oracle
 from ocsg.certify import analyze_bscc, bscc_decompose, chain_tail_value, reach_probabilities
 from ocsg.model import (
     LIMINF_MINUS_INF,
@@ -18,7 +19,15 @@ from ocsg.model import (
     parse_model,
 )
 
-from grids import certified_reach, induced_chain, oc_to_reward_ssg, random_games
+from grids import (
+    bench_families,
+    certified_reach,
+    induced_chain,
+    oc_to_reward_ssg,
+    random_games,
+    reference_hitting_rows,
+    reference_stationary_rows,
+)
 
 
 def _chain(text):
@@ -371,3 +380,75 @@ def test_chain_reach_is_reach_probabilities_of_the_fixed_chain():
                 out_of_reach += any(x == 0 for x in expected.values())
                 empty += not targets
     assert min(fractional, out_of_reach, empty) >= 10, (fractional, out_of_reach, empty)
+
+
+CANCELLING = _chain(
+    "ssg rewards=transitions\nstate a owner=rand\nstate b owner=rand\nstate c owner=rand\n"
+    "trans a -> b p=1/2 reward=1\ntrans a -> b p=1/2 reward=-1\n"
+    "trans b -> b p=1/2 reward=0\ntrans b -> c p=1/2 reward=1\n"
+    "trans c -> c p=1/4 reward=0\ntrans c -> c p=1/4 reward=1\ntrans c -> a p=1/2 reward=-1\n"
+)
+
+
+def _policy_chains():
+    """(succ, prob) of the chains that random policies leave in grid games
+    and in small ``bench/families`` chance and dense counters, and of
+    ``CANCELLING`` (a node with both 1/2 edges into one target, a 1/2
+    self-loop, two 1/4 self-loops)."""
+    families = bench_families()
+    games = [CANCELLING]
+    games += random_games(60, sizes=(3, 4, 5, 6), seed=4099, reward_location="transitions")
+    games += [parse_model(families.chance_counter(n, fseed, None)) for n in (4, 9) for fseed in (1, 2)]
+    games += [parse_model(families.dense_counter(n, fseed, None)) for n in (8, 16) for fseed in (1, 2)]
+    rng = random.Random(53)
+    for game in games:
+        index = game.index
+        for _ in range(3):
+            choice = {v: rng.randrange(len(index.succ[v])) for v, who in enumerate(index.owner) if who != "rand"}
+            succ, prob, _, _ = index.steps(choice)
+            yield succ, prob
+
+
+def _factor_or_error(*args):
+    try:
+        return linsolve.factor(*args)
+    except linsolve.SingularMatrixError as error:
+        return str(error)
+
+
+def test_stationary_system_factors_the_fraction_rows():
+    # The integer rows give the Factorization of the Fraction rows, over
+    # every closed class of each chain; some rows cancel a denominator.
+    classes = cancelled = 0
+    for succ, prob in _policy_chains():
+        for members in chain_mod.bottom_sccs(succ, range(len(succ))):
+            factorization = chain_mod.stationary_system(members, succ, prob)
+            assert factorization == linsolve.factor(reference_stationary_rows(members, succ, prob))
+            classes += len(members) > 1
+            for j, scale in enumerate(factorization.scales[1:], 1):
+                into = [p for v in members for t, p in zip(succ[v], prob[v]) if t == members[j]]
+                cancelled += scale < lcm(*(Fraction(p).denominator for p in into))
+    assert classes >= 100 and cancelled >= 3, (classes, cancelled)
+
+
+def test_hitting_rows_are_the_fraction_rows_scaled():
+    # Each integer row is its Fraction row times its scale, the lcm of that
+    # row's reduced denominators, and factors the same (singular included).
+    rng = random.Random(59)
+    systems = singular = 0
+    for succ, prob in _policy_chains():
+        nodes = range(len(succ))
+        targets = frozenset(v for v in nodes if rng.random() < 0.3)
+        interior = [v for v in nodes if v not in targets and rng.random() < 0.8]
+        rows, scales, rhs = chain_mod.hitting_rows(interior, succ, prob, targets)
+        expected_rows, expected_rhs = reference_hitting_rows(interior, succ, prob, targets)
+        assert rhs == expected_rhs
+        for row, scale, expected in zip(rows, scales, expected_rows):
+            expected = {j: a for j, a in expected.items() if a}
+            assert scale == lcm(*(Fraction(a).denominator for a in expected.values()))
+            assert row == {j: a * scale for j, a in expected.items()}
+        factorization = _factor_or_error(rows, scales)
+        assert factorization == _factor_or_error(expected_rows)
+        systems += 1
+        singular += isinstance(factorization, str)
+    assert systems - singular >= 50 and singular >= 5, (systems, singular)

@@ -270,3 +270,58 @@ def test_integer_elimination_matches_fraction_reference(system):
     for rhs in rhs_list:
         assert factorization.solve(rhs) == reference.solve(rhs)
         assert factorization.solve_transposed(rhs) == reference.solve_transposed(rhs)
+
+
+def _scaled(rows):
+    """Each row times the lcm of its nonzero entries' reduced denominators,
+    as ints, and those lcms: the integer rows ``factor`` takes with scales."""
+    scales = [lcm(*(Fraction(a).denominator for a in row.values() if a)) for row in rows]
+    return [{j: int(a * s) for j, a in row.items() if a} for row, s in zip(rows, scales)], scales
+
+
+def _factor_or_error(*args):
+    try:
+        return factor(*args)
+    except SingularMatrixError as error:
+        return str(error)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(sparse_systems().map(lambda system: system[0]), mixed_systems().map(lambda system: system[0])))
+def test_integer_rows_with_scales_factor_as_their_fractions(rows):
+    # Random sparse systems over mixed denominators, singular ones included:
+    # the same Factorization, or the same SingularMatrixError.
+    copy = [dict(row) for row in rows]
+    assert _factor_or_error(*_scaled(rows)) == _factor_or_error(rows)
+    assert rows == copy
+
+
+def test_integer_rows_whose_entries_cancel_keep_the_reduced_scale():
+    # Stationary-style rows: a node with both 1/2 edges into one target
+    # (-1/2 - 1/2 = -1), a 1/2 self-loop (1 - 1/2), and a pair of 1/4
+    # self-loops (1 - 1/4 - 1/4 = 1/2), whose denominators shrink once the
+    # entries are summed.
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    rows = [
+        {0: 1, 1: 1, 2: 1},
+        {0: -half - half, 1: 1 - half},
+        {1: -half, 2: 1 - quarter - quarter},
+    ]
+    integer_rows, scales = _scaled(rows)
+    assert integer_rows == [{0: 1, 1: 1, 2: 1}, {0: -2, 1: 1}, {1: -1, 2: 1}]
+    assert scales == [1, 2, 2]
+    assert factor(integer_rows, scales) == factor(rows)
+
+
+def test_singular_integer_rows_raise_the_fraction_error():
+    for rows in (
+        [{0: 1, 1: 1}, {0: 2, 1: 2}],
+        [{0: Fraction(1, 2), 1: Fraction(1, 3)}, {0: Fraction(3, 2), 1: 1}],
+        [{0: 1}, {0: Fraction(-1, 2)}],
+        [{}, {1: 1}],
+    ):
+        with pytest.raises(SingularMatrixError) as expected:
+            factor(rows)
+        with pytest.raises(SingularMatrixError) as raised:
+            factor(*_scaled(rows))
+        assert str(raised.value) == str(expected.value)

@@ -431,9 +431,9 @@ def test_evaluation_factors_each_matrix_once(monkeypatch):
     sizes, solves = [], []
     factor, solve = linsolve.factor, linsolve.Factorization.solve
 
-    def spy(rows):
+    def spy(rows, *scales):
         sizes.append(len(rows))
-        return factor(rows)
+        return factor(rows, *scales)
 
     monkeypatch.setattr(linsolve, "factor", spy)
     monkeypatch.setattr(linsolve.Factorization, "solve", lambda *args: solves.append(args) or solve(*args))
@@ -890,6 +890,16 @@ def test_procedure_mp_no_when_nonpositive():
         "ssg rewards=transitions\nstate m owner=max\ntrans m -> m reward=0\ntrans m -> m reward=-1\n"
     )
     assert reference_procedure_mp(game, "m") is None
+
+
+def test_procedure_mp_refuses_an_unknown_start():
+    game = parse_model("ssg rewards=transitions\nstate m owner=max\ntrans m -> m reward=0\n")
+    assert reference_procedure_mp(game, "m") is None
+    with pytest.raises(ValueError, match="^unknown state 'nowhere'"):
+        reference_procedure_mp(game, "nowhere")
+    with pytest.raises(ValueError, match="^unknown state 'xxx") as raised:
+        reference_procedure_mp(game, "x" * 5000)
+    assert len(str(raised.value)) < 60
 
 
 def test_procedure_mp_no_for_half_reachable_drift():
