@@ -206,10 +206,10 @@ def _reach(index, targets: frozenset[int], direction: str):
 def _chain_reach(index, choice: list[int], targets: frozenset[int], allowed) -> list[Fraction]:
     """Exact hitting probabilities of ``targets`` in the chain where each
     controlled node v takes its edge ``choice[v]`` (``Index.steps``), as
-    ``certify.reach_probabilities`` gives them on that chain: 1 on the
-    targets, 0 outside their attractor over the chain's edges
-    (``chain.attractor``), and one linear solve of ``chain.hitting_rows``,
-    rows in node order, on the rest.  ``allowed`` holds those edges by node,
+    ``certify.chain_values`` gives them with ``targets``: 1 on the targets,
+    0 outside their attractor over the chain's edges (``chain.attractor``),
+    and one linear solve of ``chain.hitting_rows``, rows in node order, on
+    the rest.  ``allowed`` holds those edges by node,
     ``(choice[v],)`` at a controlled node and all of them at a rand node;
     ``_reach`` builds it once and resets its controlled entries each round."""
     owner = index.owner

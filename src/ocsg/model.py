@@ -915,8 +915,3 @@ def fix_strategies(
             s = s._replace(owner="rand", transitions=(t._replace(prob=_ONE),))
         states.append(s)
     return replace(game, states=tuple(states))
-
-
-def relabel_controlled(game, owner: str):
-    """Give every controlled state the same owner label (probabilities kept)."""
-    return replace(game, states=tuple(s if s.owner == "rand" else s._replace(owner=owner) for s in game.states))

@@ -2,14 +2,15 @@
 
 ``enumerate_solve`` walks every pure memoryless strategy profile (complete
 for the limit objectives, where pure memoryless optima exist for both
-players) and evaluates each induced chain exactly; ``enumerate_mean_payoff``
-does the same for the expected mean payoff of a one-player game.  Both use
-only ``certify``'s chain analyses, never the solvers they check, and
-``check_enumerable`` is their one product-size guard.  ``simulate`` and
-``estimate_objective`` are a seeded Monte Carlo sanity layer:
-deterministic given the seed, with the generator named by
-``RNG_ALGORITHM``.
-"""
+players) and evaluates each induced chain exactly; ``enumerate_reach``
+does the same for reachability and ``enumerate_mean_payoff`` for the
+expected mean payoff of a one-player game.  A profile is a choice of edge
+by node of the game's own index, and ``certify.chain_values`` evaluates
+its chain there, so no game is built per profile and no solver they check
+is called.  ``check_enumerable`` is their one product-size guard.
+``simulate`` and ``estimate_objective`` are a seeded Monte Carlo sanity
+layer: deterministic given the seed, with the generator named by
+``RNG_ALGORITHM``."""
 
 from __future__ import annotations
 
@@ -30,8 +31,6 @@ from .model import (
     _quoted,
     check_counter_start,
     check_valid,
-    fix_strategies,
-    relabel_controlled,
     require_limit,
 )
 
@@ -44,11 +43,11 @@ class EnumerationTooLarge(RuntimeError):
     pass
 
 
-def player_profiles(game, owner: str) -> tuple[list[str], list[int]]:
-    """The ``owner`` states in game order and their edge counts."""
-    ids = list(game.owner_ids(owner))
-    sizes = [len(game.state(sid).transitions) for sid in ids]
-    return ids, sizes
+def player_profiles(index, owners) -> tuple[list[int], list[int]]:
+    """The nodes of ``index`` owned by one of ``owners``, in node order, and
+    their edge counts."""
+    nodes = [v for v, who in enumerate(index.owner) if who in owners]
+    return nodes, [len(index.succ[v]) for v in nodes]
 
 
 def check_enumerable(sizes) -> None:
@@ -60,90 +59,88 @@ def check_enumerable(sizes) -> None:
             raise EnumerationTooLarge(f"profile space exceeds {ENUMERATION_GUARD}")
 
 
+def _strategy(index, player: str, nodes, combo) -> PureMemorylessStrategy:
+    return PureMemorylessStrategy(player, {index.ids[v]: k for v, k in zip(nodes, combo)})
+
+
 def enumerate_solve(game: Ssg, objective: Objective) -> SolveResult:
     """Statewise sup-inf over all pure memoryless profiles, exact rationals."""
     require_limit(objective)
     check_valid(game)
-    return _enumerate(game, lambda chain: certify.chain_tail_value(chain, objective))
+    index = game.index
+    return _enumerate(index, lambda choice: certify.chain_values(index, choice, objective))
 
 
 def enumerate_reach(game: Ssg, targets) -> SolveResult:
     """Same exhaustive evaluation for reachability objectives."""
     targets = frozenset(targets)
     check_valid(game)
-    return _enumerate(game, lambda chain: certify.reach_probabilities(chain, targets))
+    index = game.index
+    unknown = targets - index.pos.keys()
+    if unknown:
+        raise ValueError(f"unknown target states {sorted(unknown)}")
+    nodes = frozenset(index.pos[sid] for sid in targets)
+    return _enumerate(index, lambda choice: certify.chain_values(index, choice, targets=nodes))
 
 
-def _enumerate(game, evaluate) -> SolveResult:
-    max_ids, max_sizes = player_profiles(game, "max")
-    min_ids, min_sizes = player_profiles(game, "min")
+def _enumerate(index, evaluate) -> SolveResult:
+    """The statewise sup-inf of ``evaluate(choice)`` (values by node) over
+    every profile, choices keyed by node, Max's and Min's nodes in node
+    order, and the first Max and the first Min profile in
+    ``itertools.product`` order that attain it."""
+    max_nodes, max_sizes = player_profiles(index, ("max",))
+    min_nodes, min_sizes = player_profiles(index, ("min",))
     check_enumerable(max_sizes + min_sizes)
-    order = game.ids()
+    max_combos = list(itertools.product(*map(range, max_sizes)))
+    min_combos = list(itertools.product(*map(range, min_sizes)))
 
-    rows = []  # per Max profile: (choices, statewise floor over Min profiles)
-    min_combos = list(itertools.product(*(range(n) for n in min_sizes)))
-    max_combos = list(itertools.product(*(range(n) for n in max_sizes)))
-    table = {}
+    table = []  # per Max profile, the value vector of each Min profile
     for mc in max_combos:
-        sigma = PureMemorylessStrategy("max", dict(zip(max_ids, mc)))
+        choice = dict(zip(max_nodes, mc))
         vectors = []
         for nc in min_combos:
-            pi = PureMemorylessStrategy("min", dict(zip(min_ids, nc)))
-            values = evaluate(fix_strategies(game, sigma, pi))
-            vec = tuple(values[sid] for sid in order)
-            vectors.append(vec)
-            table[(mc, nc)] = vec
-        floor = tuple(min(v[i] for v in vectors) for i in range(len(order)))
-        rows.append((mc, floor))
+            choice.update(zip(min_nodes, nc))
+            vectors.append(tuple(evaluate(choice)))
+        table.append(vectors)
+    floors = [tuple(map(min, zip(*vectors))) for vectors in table]
+    value_vec = tuple(map(max, zip(*floors)))
 
-    value_vec = tuple(max(floor[i] for _, floor in rows) for i in range(len(order)))
-    values = {sid: value_vec[i] for i, sid in enumerate(order)}
-
-    witness_max = None
-    for mc, floor in rows:
+    witness_max = witness_min = None
+    for mc, floor in zip(max_combos, floors):
         if floor == value_vec:
-            witness_max = PureMemorylessStrategy("max", dict(zip(max_ids, mc)))
+            witness_max = _strategy(index, "max", max_nodes, mc)
             break
-    witness_min = None
-    for nc in min_combos:
-        ceiling = tuple(max(table[(mc, nc)][i] for mc in max_combos) for i in range(len(order)))
-        if ceiling == value_vec:
-            witness_min = PureMemorylessStrategy("min", dict(zip(min_ids, nc)))
+    for i, nc in enumerate(min_combos):
+        if tuple(map(max, zip(*(vectors[i] for vectors in table)))) == value_vec:
+            witness_min = _strategy(index, "min", min_nodes, nc)
             break
     if witness_max is None or witness_min is None:
         raise AssertionError("no statewise optimal memoryless profile found")
-    return SolveResult.from_values(values, witness_max, witness_min)
+    return SolveResult.from_values(dict(zip(index.ids, value_vec)), witness_max, witness_min)
 
 
 def enumerate_mean_payoff(game: Ssg, direction: str = "max"):
     """Statewise optimal expected mean payoff of a one-player game.
 
     Every controlled state is optimised in ``direction`` whatever its owner
-    label.  Each policy's gain is the reach-weighted mean payoff of the BSCCs
-    of its induced chain.  Returns the gains and a policy attaining them at
-    every state.
+    label.  Each policy's gain (``certify.chain_values`` with no objective)
+    is the reach-weighted mean payoff of the closed classes of its chain.
+    Returns the gains by state id and the first policy in
+    ``itertools.product`` order that attains them at every state, labelled
+    Max.
     """
     if direction not in ("max", "min"):
         raise ValueError("direction must be max or min")
     check_valid(game)
-    game = relabel_controlled(game, "max")
-    ids, sizes = player_profiles(game, "max")
+    index = game.index
+    nodes, sizes = player_profiles(index, ("max", "min"))
     check_enumerable(sizes)
-    candidates = []
-    for combo in itertools.product(*(range(n) for n in sizes)):
-        sigma = PureMemorylessStrategy("max", dict(zip(ids, combo)))
-        induced = fix_strategies(game, sigma)
-        gain = {sid: Fraction(0) for sid in induced.ids()}
-        for members in certify.bscc_decompose(induced)[0]:
-            mean = certify.analyze_bscc(induced, members).mean_payoff
-            for sid, p in certify.reach_probabilities(induced, members).items():
-                gain[sid] += p * mean
-        candidates.append((sigma, gain))
-    pick = max if direction == "max" else min
-    best = {sid: pick(gain[sid] for _, gain in candidates) for sid in game.ids()}
-    for sigma, gain in candidates:
+    combos = list(itertools.product(*map(range, sizes)))
+    gains = [certify.chain_values(index, dict(zip(nodes, combo))) for combo in combos]
+    best = list(map(max if direction == "max" else min, zip(*gains)))
+    for combo, gain in zip(combos, gains):
         if gain == best:
-            return gain, sigma
+            return dict(zip(index.ids, gain)), _strategy(index, "max", nodes, combo)
     raise AssertionError("no statewise optimal mean-payoff policy found")
 
 

@@ -41,15 +41,20 @@ are checked against; ``named_asr`` and ``named_two_player_asr`` are the int
 forms keyed by state id.
 ``reference_mec_decompose`` (an attractor over the whole game per
 candidate) and ``reference_solve_reachability`` (a chain built by
-``fix_strategies`` and solved by ``certify.reach_probabilities`` per round)
+``fix_strategies`` and solved by ``named_chain_values`` per round)
 are the game-level MEC decomposition and reachability policy iteration,
 the references the int forms ``ocsg.mdp._mecs`` and ``ocsg.mdp._reach``
 are checked against; ``restrict_to_mec`` is a MEC's sub-MDP as a game,
 ``restricted`` its sub-index, renumbered from 0 (the reference the
 in-place MEC policy iteration of ``ocsg.mdp`` is checked against), and
 ``named_mec`` an int MEC keyed by state id.  ``induced_chain`` is the
-chain a policy leaves, built by ``fix_strategies``.  ``certified_reach``
-is ``certify.reach_probabilities`` solved by ``linsolve.factor``, with the
+chain a policy leaves, built by ``fix_strategies``; ``named_chain_values``
+is ``certify.chain_values`` of such a chain keyed by state id,
+``named_classes`` its closed classes, ``class_law`` a class's
+stationary law and ``class_potential`` the potential of a game that is one
+closed class, and ``relabel_controlled`` hands every controlled state to
+one owner label.  ``certified_reach`` is the hitting probabilities of
+``certify.chain_values`` solved by ``linsolve.factor``, with the
 ``fraction_certificate`` that every value's denominator divides.
 ``expected_mean_payoff`` is the optimal mean payoff of a one-player game
 and its policy, from ``ocsg.mdp``'s policy iteration run to optimality.
@@ -95,7 +100,6 @@ from ocsg.model import (
     _quoted,
     check_valid,
     fix_strategies,
-    relabel_controlled,
 )
 
 PROBS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
@@ -316,11 +320,11 @@ def class_gain_bias(induced, members):
     With the members in game order, the unichain evaluation g + h(s) -
     sum_t P(s, t) h(t) = r(s) with h(first member) = 0 is M x = r for x =
     (g, h without its first entry) and M = [1 | (I - P) without column 0].
-    M^T is the stationary system S of ``certify.stationary_law``, so one
-    factorization gives the law, g and h; the canonical bias is h minus its
-    stationary average.
+    M^T is the stationary system S of ``class_law``, so one factorization
+    gives the law, g and h; the canonical bias is h minus its stationary
+    average.
     """
-    stationary, system = certify.stationary_law(induced, members)
+    stationary, system = class_law(induced, members)
     rewards = [per_visit_reward(induced, induced.state(sid)) for sid in stationary]
     solution = system.solve_transposed(rewards)
     mean, h = solution[0], [Fraction(0)] + solution[1:]
@@ -331,7 +335,7 @@ def class_gain_bias(induced, members):
 def evaluate_gain_bias(game, policy):
     """Exact gain and canonical bias of a fixed policy (multichain evaluation)."""
     induced = induced_chain(game, policy)
-    bsccs, transient = certify.bscc_decompose(induced)
+    bsccs, transient = named_classes(induced)
     gain: dict[str, Fraction] = {}
     bias: dict[str, Fraction] = {}
     for members in bsccs:
@@ -595,6 +599,7 @@ def reference_mec_decompose(game, within=None):
     loses its attractor toward the states outside it (a rand state with an
     edge out, a controlled state with every edge out), then splits into
     its SCCs until one SCC is all that is left."""
+    index = game.index
     mecs = []
     queue = [frozenset(game.ids() if within is None else within)]
     while queue:
@@ -602,8 +607,11 @@ def reference_mec_decompose(game, within=None):
         candidate -= reference_attractor(game, set(game.ids()) - candidate, ("rand",))[0]
         if not candidate:
             continue
-        comps = certify.strongly_connected_components(game, within=candidate)
-        if len(comps) == 1 and set(comps[0]) == candidate:
+        inside = [sid in candidate for sid in index.ids]
+        succ = [[t for t in targets if inside[t]] for targets in index.succ]
+        roots = [v for v in range(len(succ)) if inside[v]]
+        comps = [{index.ids[v] for v in comp} for comp in chain_mod.tarjan(succ, roots)]
+        if len(comps) == 1 and comps[0] == candidate:
             allowed = {}
             for sid in candidate:
                 s = game.state(sid)
@@ -620,7 +628,7 @@ def reference_mec_decompose(game, within=None):
 
 def reference_solve_reachability(game, targets, direction="max"):
     """Reachability policy iteration that builds each round's chain with
-    ``fix_strategies`` and evaluates it with ``certify.reach_probabilities``:
+    ``fix_strategies`` and evaluates it with ``named_chain_values``:
     the values and the witness (labelled by the controlled states' owner,
     else by ``direction``)."""
     targets = frozenset(targets)
@@ -636,7 +644,7 @@ def reference_solve_reachability(game, targets, direction="max"):
     player = owners.pop() if len(owners) == 1 else direction
     pick, better = (max, operator.gt) if direction == "max" else (min, operator.lt)
     while True:
-        values = certify.reach_probabilities(induced_chain(game, policy), targets)
+        values = named_chain_values(induced_chain(game, policy), targets=targets)
         switched = False
         for sid in controlled:
             if sid in targets:
@@ -649,6 +657,49 @@ def reference_solve_reachability(game, targets, direction="max"):
             return values, PureMemorylessStrategy(player, dict(policy))
 
 
+def relabel_controlled(game, owner: str):
+    """Give every controlled state the same owner label (probabilities kept)."""
+    return replace(game, states=tuple(s if s.owner == "rand" else s._replace(owner=owner) for s in game.states))
+
+
+def named_chain_values(chain, objective=None, targets=None) -> dict[str, Fraction]:
+    """``certify.chain_values`` of ``chain``, a game whose every state is
+    rand, keyed by state id, with ``targets`` by state id: the hitting
+    probabilities of ``targets``, the probabilities of a limit
+    ``objective``, or with neither the expected mean payoff."""
+    index = chain.index
+    nodes = None if targets is None else frozenset(index.pos[sid] for sid in targets)
+    return dict(zip(index.ids, certify.chain_values(index, {}, objective, nodes)))
+
+
+def named_classes(chain) -> tuple[list[frozenset[str]], frozenset[str]]:
+    """The closed classes of ``chain`` (``chain.bottom_sccs`` from every
+    node) by state id, and the states in none."""
+    index = chain.index
+    bottoms = chain_mod.bottom_sccs(index.succ, range(len(index.ids)))
+    classes = [frozenset(index.ids[v] for v in members) for members in bottoms]
+    return classes, frozenset(index.ids).difference(*classes)
+
+
+def class_law(chain, members) -> tuple[dict[str, Fraction], linsolve.Factorization]:
+    """The stationary law of the closed class ``members`` of ``chain`` by
+    state id in game order, and the factorization of its system S
+    (``chain.stationary_system``), which the law solves with S x = e_0."""
+    index = chain.index
+    order = sorted(index.pos[sid] for sid in members)
+    system = chain_mod.stationary_system(order, index.succ, index.prob)
+    law = system.solve([1] + [0] * (len(order) - 1))
+    return dict(zip((index.ids[v] for v in order), law)), system
+
+
+def class_potential(game) -> dict[int, int] | None:
+    """``chain.node_potential`` of ``game`` by node, over every state and
+    edge, for a game that is one closed class (a chain's class, a MEC's
+    sub-MDP)."""
+    index = game.index
+    return chain_mod.node_potential(range(len(index.ids)), index.succ, index.weight)
+
+
 def induced_chain(game, policy: dict[str, int]) -> Ssg:
     """The chain left when every controlled state follows ``policy``."""
     split = {"max": {}, "min": {}}
@@ -659,7 +710,7 @@ def induced_chain(game, policy: dict[str, int]) -> Ssg:
 
 def certified_reach(chain, targets):
     """The hitting probabilities of the states ``targets`` in ``chain`` by
-    state id, as ``certify.reach_probabilities`` defines them, from one
+    state id, as ``certify.chain_values`` defines them, from one
     ``linsolve.factor`` of the ``reference_hitting_rows`` system on the
     can-reach region, and that system's ``fraction_certificate`` (1 when
     nothing is solved)."""
@@ -755,7 +806,7 @@ def reference_procedure_mp(game, start: str):
     (``expected_mean_payoff``) and answers No when the gain at ``start``
     is not positive.  Otherwise it cuts the almost-sure reach region of a
     positive-drift BSCC of the mean-payoff policy, found by the induced
-    chain's ``certify.bscc_decompose`` and ``certify.analyze_bscc``.  The
+    chain's ``named_classes`` and means (``named_chain_values``).  The
     cut is dropped by ``remove_states``, its severed stochastic edges
     redirected to one absorbing zero-reward state z, until ``start`` is
     cut.  None for No, else the stitched witness: the mean-payoff choice
@@ -771,8 +822,9 @@ def reference_procedure_mp(game, start: str):
         if gains[start] <= 0:
             return None
         induced = induced_chain(current, sigma_mp.choice)
-        bsccs, _ = certify.bscc_decompose(induced)
-        positive = [b for b in bsccs if certify.analyze_bscc(induced, b).mean_payoff > 0]
+        bsccs, _ = named_classes(induced)
+        means = named_chain_values(induced)
+        positive = [b for b in bsccs if means[min(b)] > 0]
         if not positive:
             raise AssertionError("positive gain without a positive-drift BSCC")
         component = min(positive, key=min)

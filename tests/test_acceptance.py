@@ -31,6 +31,8 @@ from grids import (
     certified_reach,
     exhaustive_games,
     level_id,
+    named_chain_values,
+    named_classes,
     oc_to_reward_ssg,
     random_games,
     random_reach_instances,
@@ -100,7 +102,7 @@ def test_criterion_3_procedure_mp_cross_validation(grid_games):
                 witness = reference_procedure_mp(game, sid)
                 assert (witness is not None) == (sid in region), (index, sid)
                 if witness is not None:
-                    assert certify.chain_tail_value(fix_strategies(game, witness), MEAN_GT)[sid] == 1, (index, sid)
+                    assert named_chain_values(fix_strategies(game, witness), MEAN_GT)[sid] == 1, (index, sid)
 
 
 def _arrival_counter_view(game):
@@ -173,11 +175,8 @@ def test_criterion_6_condon_reduction_contract():
 def _pivot_checked_values(game, result, objective):
     """Re-evaluate the optimal profile's chain, returning values and pivot."""
     induced = fix_strategies(game, result.witness_max, result.witness_min)
-    bsccs, _ = certify.bscc_decompose(induced)
-    winning = set()
-    for members in bsccs:
-        if certify.analyze_bscc(induced, members).classification[objective.kind]:
-            winning.update(members)
+    values = named_chain_values(induced, objective)
+    winning = set().union(*(members for members in named_classes(induced)[0] if values[min(members)] == 1))
     return certified_reach(induced, winning)
 
 

@@ -1,19 +1,17 @@
 from fractions import Fraction
 from math import lcm
 
-import pytest
-
 import random
 
 from hypothesis import given, settings, strategies as st
 
 from ocsg import chain as chain_mod
 from ocsg import linsolve, mdp, oracle
-from ocsg.certify import analyze_bscc, bscc_decompose, chain_tail_value, reach_probabilities
 from ocsg.model import (
     LIMINF_MINUS_INF,
     LIMINF_PLUS_INF,
     LIMIT_KINDS,
+    Objective,
     PureMemorylessStrategy,
     fix_strategies,
     parse_model,
@@ -22,7 +20,11 @@ from ocsg.model import (
 from grids import (
     bench_families,
     certified_reach,
+    class_law,
+    class_potential,
     induced_chain,
+    named_chain_values,
+    named_classes,
     oc_to_reward_ssg,
     random_games,
     reference_hitting_rows,
@@ -47,8 +49,13 @@ TWO_CYCLE = _chain(
 )
 
 
+def _classification(chain, sid):
+    """Per limit objective, its probability from ``sid`` in ``chain``."""
+    return {kind: named_chain_values(chain, Objective(kind))[sid] for kind in LIMIT_KINDS}
+
+
 def test_bscc_single_self_loop():
-    bsccs, transient = bscc_decompose(SELF_LOOP)
+    bsccs, transient = named_classes(SELF_LOOP)
     assert bsccs == [frozenset({"s"})]
     assert transient == frozenset()
 
@@ -59,40 +66,40 @@ def test_bscc_cycle_plus_transient():
         "state t owner=rand reward=0\nstate a owner=rand reward=0\nstate b owner=rand reward=0\n"
         "trans t -> a p=1/1\ntrans a -> b p=1/1\ntrans b -> a p=1/1\n"
     )
-    bsccs, transient = bscc_decompose(game)
+    bsccs, transient = named_classes(game)
     assert bsccs == [frozenset({"a", "b"})]
     assert transient == frozenset({"t"})
 
 
 def test_bscc_appendix_under_always_low(five_state_game):
     chain = fix_strategies(oc_to_reward_ssg(five_state_game), min_strategy=PureMemorylessStrategy("min", {"v": 1}))
-    bsccs, transient = bscc_decompose(chain)
+    bsccs, transient = named_classes(chain)
     assert sorted(map(sorted, bsccs)) == [["down"], ["up"]]
     assert transient == frozenset({"v", "low", "back"})
 
 
 def test_analyze_positive_self_loop():
-    analysis = analyze_bscc(SELF_LOOP, frozenset({"s"}))
-    assert analysis.mean_payoff == 1
-    assert analysis.classification["liminf-plus-inf"] == 1
-    assert analysis.classification["mean-gt"] == 1
-    assert analysis.classification["liminf-minus-inf"] == 0
+    assert named_chain_values(SELF_LOOP) == {"s": 1}
+    classification = _classification(SELF_LOOP, "s")
+    assert classification["liminf-plus-inf"] == 1
+    assert classification["mean-gt"] == 1
+    assert classification["liminf-minus-inf"] == 0
 
 
 def test_analyze_deterministic_two_cycle():
-    analysis = analyze_bscc(TWO_CYCLE, frozenset({"a", "b"}))
-    assert analysis.mean_payoff == 0
-    assert analysis.potential == {"a": 0, "b": 1}
-    assert analysis.classification["liminf-minus-inf"] == 0
-    assert analysis.classification["liminf-gt-minus-inf"] == 1
+    assert named_chain_values(TWO_CYCLE) == {"a": 0, "b": 0}
+    assert class_potential(TWO_CYCLE) == {0: 0, 1: 1}
+    classification = _classification(TWO_CYCLE, "a")
+    assert classification["liminf-minus-inf"] == 0
+    assert classification["liminf-gt-minus-inf"] == 1
 
 
 def test_analyze_fair_walk_degenerate():
-    analysis = analyze_bscc(FAIR_LOOP, frozenset({"s"}))
-    assert analysis.mean_payoff == 0
-    assert analysis.potential is None
-    assert analysis.classification["liminf-minus-inf"] == 1
-    assert analysis.classification["liminf-plus-inf"] == 0
+    assert named_chain_values(FAIR_LOOP) == {"s": 0}
+    assert class_potential(FAIR_LOOP) is None
+    classification = _classification(FAIR_LOOP, "s")
+    assert classification["liminf-minus-inf"] == 1
+    assert classification["liminf-plus-inf"] == 0
 
 
 def test_fair_walk_dip_frequency_matches_reflection_value():
@@ -132,11 +139,11 @@ def test_stationary_positive_and_normalised():
         "state a owner=rand reward=1\nstate b owner=rand reward=-1\nstate c owner=rand reward=0\n"
         "trans a -> b p=1/4\ntrans a -> c p=3/4\ntrans b -> a p=1/1\ntrans c -> a p=1/2\ntrans c -> c p=1/2\n"
     )
-    analysis = analyze_bscc(game, frozenset({"a", "b", "c"}))
-    assert sum(analysis.stationary.values()) == 1
-    assert all(v > 0 for v in analysis.stationary.values())
-    expected = sum(analysis.stationary[s.id] * s.reward for s in game.states)
-    assert analysis.mean_payoff == expected
+    law, _ = class_law(game, {"a", "b", "c"})
+    assert sum(law.values()) == 1
+    assert all(v > 0 for v in law.values())
+    expected = sum(law[s.id] * s.reward for s in game.states)
+    assert named_chain_values(game) == dict.fromkeys("abc", expected)
 
 
 def test_branching_zero_drift_consistent_chain():
@@ -149,10 +156,9 @@ def test_branching_zero_drift_consistent_chain():
         "trans y -> z p=1/2 reward=-1\ntrans y -> x p=1/2 reward=-1\n"
         "trans z -> x p=1/1 reward=0\n"
     )
-    analysis = analyze_bscc(game, frozenset({"x", "y", "z"}))
-    assert analysis.mean_payoff == 0
-    assert analysis.potential == {"x": 0, "y": 1, "z": 0}
-    assert analysis.classification["liminf-gt-minus-inf"] == 1
+    assert named_chain_values(game) == dict.fromkeys("xyz", 0)
+    assert class_potential(game) == {0: 0, 1: 1, 2: 0}
+    assert _classification(game, "x")["liminf-gt-minus-inf"] == 1
     counter = parse_model(
         "ocssg\nstate x owner=rand\nstate y owner=rand\nstate z owner=rand\n"
         "trans x -> y p=1/1 delta=1\n"
@@ -173,27 +179,19 @@ def test_classification_complementarity():
         )
         for game in random_games(15, sizes=(3, 4), seed=2024)
     ]
+    # Complementary objectives have complementary probabilities at every
+    # state, closed classes and transient states alike.
     for game in fixed + random_chains:
-        bsccs, _ = bscc_decompose(game)
-        for members in bsccs:
-            c = analyze_bscc(game, members).classification
+        for sid in game.ids():
+            c = _classification(game, sid)
             assert c["liminf-minus-inf"] + c["liminf-gt-minus-inf"] == 1
             assert c["liminf-plus-inf"] + c["liminf-lt-plus-inf"] == 1
             assert c["mean-gt"] + c["mean-leq"] == 1
             assert c["mean-gt"] == c["liminf-plus-inf"]
 
 
-def test_analyze_rejects_non_bottom_set():
-    game = _chain(
-        "ssg rewards=states\nstate a owner=rand reward=0\nstate b owner=rand reward=0\n"
-        "trans a -> b p=1/1\ntrans b -> b p=1/1\n"
-    )
-    with pytest.raises(ValueError):
-        analyze_bscc(game, frozenset({"a"}))
-
-
 def test_reach_all_states_target():
-    values = reach_probabilities(TWO_CYCLE, {"a", "b"})
+    values = named_chain_values(TWO_CYCLE, targets={"a", "b"})
     assert values == {"a": 1, "b": 1}
 
 
@@ -203,7 +201,7 @@ def test_reach_coin():
         "state s owner=rand reward=0\nstate t owner=rand reward=0\nstate dead owner=rand reward=0\n"
         "trans s -> t p=1/2\ntrans s -> dead p=1/2\ntrans t -> t p=1/1\ntrans dead -> dead p=1/1\n"
     )
-    assert reach_probabilities(game, {"t"})["s"] == Fraction(1, 2)
+    assert named_chain_values(game, targets={"t"})["s"] == Fraction(1, 2)
 
 
 def test_reach_self_loop_third():
@@ -213,7 +211,7 @@ def test_reach_self_loop_third():
         "trans s -> s p=1/3\ntrans s -> t p=1/3\ntrans s -> dead p=1/3\n"
         "trans t -> t p=1/1\ntrans dead -> dead p=1/1\n"
     )
-    assert reach_probabilities(game, {"t"})["s"] == Fraction(1, 2)
+    assert named_chain_values(game, targets={"t"})["s"] == Fraction(1, 2)
 
 
 def test_reach_satisfies_one_step_equations():
@@ -224,7 +222,7 @@ def test_reach_satisfies_one_step_equations():
         "trans s -> m p=3/4\ntrans s -> dead p=1/4\ntrans m -> t p=1/4\ntrans m -> s p=3/4\n"
         "trans t -> t p=1/1\ntrans dead -> dead p=1/1\n"
     )
-    values = reach_probabilities(game, {"t"})
+    values = named_chain_values(game, targets={"t"})
     for s in game.states:
         if s.id == "t" or values[s.id] == 0:
             continue
@@ -232,7 +230,7 @@ def test_reach_satisfies_one_step_equations():
 
 
 def test_chain_tail_value_sure_winner():
-    assert chain_tail_value(SELF_LOOP, LIMINF_PLUS_INF) == {"s": 1}
+    assert named_chain_values(SELF_LOOP, LIMINF_PLUS_INF) == {"s": 1}
 
 
 def test_chain_tail_value_coin_between_drifts():
@@ -242,13 +240,13 @@ def test_chain_tail_value_coin_between_drifts():
         "trans root -> up p=1/2 reward=0\ntrans root -> downs p=1/2 reward=0\n"
         "trans up -> up p=1/1 reward=1\ntrans downs -> downs p=1/1 reward=-1\n"
     )
-    assert chain_tail_value(game, LIMINF_PLUS_INF)["root"] == Fraction(1, 2)
-    assert chain_tail_value(game, LIMINF_MINUS_INF)["root"] == Fraction(1, 2)
+    assert named_chain_values(game, LIMINF_PLUS_INF)["root"] == Fraction(1, 2)
+    assert named_chain_values(game, LIMINF_MINUS_INF)["root"] == Fraction(1, 2)
 
 
 def test_chain_tail_value_appendix_always_low(five_state_game):
     chain = fix_strategies(oc_to_reward_ssg(five_state_game), min_strategy=PureMemorylessStrategy("min", {"v": 1}))
-    values = chain_tail_value(chain, LIMINF_MINUS_INF)
+    values = named_chain_values(chain, LIMINF_MINUS_INF)
     assert values["v"] == 0
     assert values["down"] == 1
     assert values["back"] == Fraction(1, 2)
@@ -265,7 +263,7 @@ def test_birth_death_walk_of_400_states():
         lines += [f"trans w{i} -> w{i - 1} p=1/2 reward=0", f"trans w{i} -> w{i + 1} p=1/2 reward=0"]
     walk = parse_model("\n".join(lines) + "\n")
     values, pivot = certified_reach(walk, {f"w{n - 1}"})
-    assert values == reach_probabilities(walk, {f"w{n - 1}"}) == {f"w{i}": Fraction(i, n - 1) for i in range(n)}
+    assert values == named_chain_values(walk, targets={f"w{n - 1}"}) == {f"w{i}": Fraction(i, n - 1) for i in range(n)}
     for value in values.values():
         assert pivot % value.denominator == 0
 
@@ -316,9 +314,9 @@ def test_analyze_bscc_classifies_by_the_table():
         (FAIR_LOOP, 0, False),
     ]
     for chain, mean, has_potential in cases:
-        analysis = analyze_bscc(chain, frozenset(chain.ids()))
-        assert (analysis.mean_payoff, analysis.potential is not None) == (mean, has_potential)
-        assert analysis.classification == {kind: int(_paper_rule(kind, mean, has_potential)) for kind in LIMIT_KINDS}
+        first = chain.ids()[0]
+        assert (named_chain_values(chain)[first], class_potential(chain) is not None) == (mean, has_potential)
+        assert _classification(chain, first) == {kind: int(_paper_rule(kind, mean, has_potential)) for kind in LIMIT_KINDS}
 
 
 GRAPHS = st.integers(1, 10).flatmap(
@@ -356,7 +354,7 @@ def test_bottom_sccs_from_roots_are_the_reached_bottom_sccs(graph):
 
 def test_chain_reach_is_reach_probabilities_of_the_fixed_chain():
     # ``mdp._chain_reach`` reads the policy's chain off the index, and
-    # ``certify.reach_probabilities`` reads the chain ``fix_strategies``
+    # ``certify.chain_values`` here reads the chain ``fix_strategies``
     # builds; both solve the rows of ``chain.hitting_rows``.  Target sets
     # are random, the empty set and targets no node reaches included.
     rng = random.Random(31)
@@ -374,7 +372,7 @@ def test_chain_reach_is_reach_probabilities_of_the_fixed_chain():
                 for v in controlled:
                     allowed[v] = (choice[v],)
                 chain = induced_chain(game, {index.ids[v]: choice[v] for v in controlled})
-                expected = reach_probabilities(chain, {index.ids[v] for v in targets})
+                expected = named_chain_values(chain, targets={index.ids[v] for v in targets})
                 assert dict(zip(index.ids, mdp._chain_reach(index, choice, targets, allowed))) == expected
                 fractional += any(0 < x < 1 for x in expected.values())
                 out_of_reach += any(x == 0 for x in expected.values())

@@ -26,7 +26,6 @@ from ocsg.model import (
     Transition,
     fix_strategies,
     parse_model,
-    relabel_controlled,
 )
 
 from grids import (
@@ -36,6 +35,7 @@ from grids import (
     random_game,
     reference_mec_decompose,
     reference_solve_reachability,
+    relabel_controlled,
     restrict_to_mec,
     restricted,
     step_reward,

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ocsg import certify, linsolve, mdp, oracle, ssg
+from ocsg import linsolve, mdp, oracle, ssg
 from ocsg import chain as chain_mod
 from ocsg.model import (
     LIMINF_GT_MINUS_INF,
@@ -20,7 +20,6 @@ from ocsg.model import (
     Transition,
     fix_strategies,
     parse_model,
-    relabel_controlled,
 )
 
 from conftest import DATA, FAIR_WALK_TEXT
@@ -28,12 +27,16 @@ from grids import (
     as_mdp,
     bench_families,
     class_gain_bias,
+    class_law,
+    class_potential,
     eager_sub_gain,
     evaluate_gain_bias,
     exhaustive_games,
     expected_mean_payoff,
     induced_chain,
     named_asr,
+    named_chain_values,
+    named_classes,
     named_mec,
     named_two_player_asr,
     oc_to_reward_ssg,
@@ -44,6 +47,7 @@ from grids import (
     reference_mec_decompose,
     reference_procedure_mp,
     reference_solve_reachability,
+    relabel_controlled,
     remove_states,
     restrict_to_mec,
     restricted,
@@ -151,15 +155,9 @@ def test_reach_agrees_with_oracle_on_random_mdps():
         targets = {rng.choice(game.ids())}
         for direction in ("max", "min"):
             result = mdp.solve_reachability(game, targets, direction)
-            relabeled = game if direction == "max" else _relabel(game, "min")
+            relabeled = game if direction == "max" else relabel_controlled(game, "min")
             reference = oracle.enumerate_reach(relabeled, targets)
             assert result.values == reference.values
-
-
-def _relabel(game, owner):
-    from ocsg.model import relabel_controlled
-
-    return relabel_controlled(game, owner)
 
 
 # -- almost_sure_reach -------------------------------------------------------
@@ -221,7 +219,7 @@ def test_asr_witness_reaches_almost_surely():
                 PureMemorylessStrategy("max", max_choice),
                 PureMemorylessStrategy("min", min_choice),
             )
-            values = certify.reach_probabilities(chain, targets)
+            values = named_chain_values(chain, targets=targets)
             for sid in result.winning:
                 assert values[sid] == 1
 
@@ -375,13 +373,14 @@ def test_mean_payoff_last_evaluation_is_the_returned_policys():
 
 
 def reference_class_gain_bias(induced, members):
-    """Two eliminations per class: the stationary law through
-    ``certify.analyze_bscc``, then the bias system whose first row is the
-    normalisation pi . h = 0 in place of the first state's equation."""
-    analysis = certify.analyze_bscc(induced, members)
-    order = list(analysis.stationary)
+    """Two eliminations per class: the stationary law (``class_law``), then
+    the bias system whose first row is the normalisation pi . h = 0 in
+    place of the first state's equation."""
+    law, _ = class_law(induced, members)
+    order = list(law)
+    mean = sum(law[sid] * per_visit_reward(induced, induced.state(sid)) for sid in order)
     pos = {sid: i for i, sid in enumerate(order)}
-    rows = [{j: analysis.stationary[sid] for j, sid in enumerate(order)}]
+    rows = [{j: law[sid] for j, sid in enumerate(order)}]
     rhs = [Fraction(0)]
     for i, sid in enumerate(order[1:], 1):
         state = induced.state(sid)
@@ -390,9 +389,9 @@ def reference_class_gain_bias(induced, members):
             j = pos[t.target]
             row[j] = row.get(j, 0) - t.prob
         rows.append(row)
-        rhs.append(per_visit_reward(induced, state) - analysis.mean_payoff)
+        rhs.append(per_visit_reward(induced, state) - mean)
     solution = linsolve.factor(rows).solve(rhs)
-    return analysis.mean_payoff, {sid: solution[pos[sid]] for sid in order}
+    return mean, {sid: solution[pos[sid]] for sid in order}
 
 
 def _policy_cases():
@@ -416,7 +415,7 @@ def test_class_gain_bias_matches_two_elimination_reference():
     classes = 0
     for game, policy in _policy_cases():
         induced = induced_chain(game, policy)
-        bsccs = certify.bscc_decompose(induced)[0]
+        bsccs = named_classes(induced)[0]
         ids = game.index.ids
         evaluation = _evaluation(game.index, policy)
         assert [frozenset(ids[v] for v in members) for members in evaluation.members] == bsccs
@@ -440,7 +439,7 @@ def test_evaluation_factors_each_matrix_once(monkeypatch):
     transient_blocks, cycles, several = 0, 0, 0
     for game, policy in _policy_cases():
         induced = induced_chain(game, policy)
-        bsccs, transient = certify.bscc_decompose(induced)
+        bsccs, transient = named_classes(induced)
         sizes.clear()
         evaluation = _evaluation(game.index, policy)
         # One factorization per closed class that is not a cycle (a cycle,
@@ -475,7 +474,7 @@ def test_lazy_evaluation_matches_eager_reference():
     for game, policy in _policy_cases():
         induced = induced_chain(game, policy)
         evaluation = _evaluation(game.index, policy)
-        bsccs = certify.bscc_decompose(induced)[0]
+        bsccs = named_classes(induced)[0]
         assert evaluation.means == [class_gain_bias(induced, members)[0] for members in bsccs]
         gain, canonical = evaluate_gain_bias(game, policy)
         assert _by_id(game.index, evaluation.gain) == gain
@@ -492,7 +491,7 @@ def test_one_class_bias_is_canonical_plus_the_law_average_of_h():
         evaluation = _evaluation(game.index, policy)
         shift = _bias_shift(game.index, evaluation, evaluate_gain_bias(game, policy)[1])
         if len(evaluation.members) == 1:
-            law, _ = certify.stationary_law(induced, certify.bscc_decompose(induced)[0][0])
+            law, _ = class_law(induced, named_classes(induced)[0][0])
             h = dict(zip(evaluation.members[0], evaluation._classes[0].h))
             assert shift == sum(p * h[game.index.pos[sid]] for sid, p in law.items())
         counts[len(evaluation.members) > 1] += 1
@@ -729,7 +728,7 @@ def test_policy_bsccs_lie_inside_mecs():
         sizes = [len(game.state(sid).transitions) for sid in controlled]
         for combo in itertools.product(*(range(n) for n in sizes)):
             induced = fix_strategies(game, PureMemorylessStrategy("max", dict(zip(controlled, combo))))
-            bsccs, _ = certify.bscc_decompose(induced)
+            bsccs, _ = named_classes(induced)
             for members in bsccs:
                 assert any(members <= m.members for m in mecs), (members, mecs)
 
@@ -962,7 +961,7 @@ def test_procedure_mp_matches_mean_gt_region():
             witness = reference_procedure_mp(game, sid)
             assert (witness is not None) == (sid in region), sid
             if witness is not None:
-                assert certify.chain_tail_value(_fix(game, witness), MEAN_GT)[sid] == 1, sid
+                assert named_chain_values(_fix(game, witness), MEAN_GT)[sid] == 1, sid
 
 
 # -- energy games ------------------------------------------------------------
@@ -1107,7 +1106,7 @@ def _zero_drift_mecs(game):
     for mec in mdp._mecs(game.index):
         named = named_mec(game.index, mec)
         sub, _ = restrict_to_mec(game, named)
-        if mdp._mec_gain(game.index, mec, rule)[0] == 0 and certify.potential(sub, named.members) is None:
+        if mdp._mec_gain(game.index, mec, rule)[0] == 0 and class_potential(sub) is None:
             mecs.append(mec)
     return mecs
 
@@ -1128,7 +1127,7 @@ def test_zero_drift_cores_match_oracle():
         result = mdp.quantitative_limit(game, LIMINF_MINUS_INF, "max")
         assert result.values == oracle.enumerate_solve(game, LIMINF_MINUS_INF).values
         induced = _fix(game, result.witness_max)
-        assert certify.chain_tail_value(induced, LIMINF_MINUS_INF) == result.values
+        assert named_chain_values(induced, LIMINF_MINUS_INF) == result.values
     assert 0 < cores < checked
 
 
@@ -1197,7 +1196,7 @@ def test_witness_self_consistency():
             result = mdp.quantitative_limit(game, objective, "max")
             witness = result.witness_max or result.witness_min
             induced = _fix(game, witness)
-            reproduced = certify.chain_tail_value(induced, objective)
+            reproduced = named_chain_values(induced, objective)
             assert reproduced == result.values, objective.kind
 
 
@@ -1215,6 +1214,6 @@ def test_one_player_calls_on_a_parsed_game_build_no_states(built_states):
     assert stats.trials == len(stats.records) == 3
     assert 0 <= oracle.estimate_objective(game, [sigma], MEAN_GT, None, 50, 3, 5, start) <= 1
     walk = parse_model(FAIR_WALK_TEXT)
-    assert certify.chain_tail_value(walk, LIMINF_MINUS_INF) == {"s": 1}
-    assert certify.reach_probabilities(walk, ["s"]) == {"s": 1}
+    assert named_chain_values(walk, LIMINF_MINUS_INF) == {"s": 1}
+    assert named_chain_values(walk, targets=["s"]) == {"s": 1}
     assert built_states == {}

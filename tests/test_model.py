@@ -470,7 +470,6 @@ def test_limit_entries_reject_a_termination_objective():
 
     game = parse_model("ssg rewards=transitions\nstate a owner=max\nstate b owner=rand\ntrans a -> b reward=0\n"
                        "trans a -> a reward=1\ntrans b -> b p=1/1 reward=-1\n")
-    chain = fix_strategies(game, PureMemorylessStrategy("max", {"a": 0}))
     term = Objective.term(1)
     entries = (
         lambda: ssg.solve_limit_ssg(game, term),
@@ -478,7 +477,7 @@ def test_limit_entries_reject_a_termination_objective():
         lambda: mdp.quantitative_limit(game, term),
         lambda: mdp.limit_on_index(game.index, term),
         lambda: oracle.enumerate_solve(game, term),
-        lambda: certify.chain_tail_value(chain, term),
+        lambda: certify.chain_values(game.index, {0: 0}, term),
     )
     for entry in entries:
         with pytest.raises(ValueError) as raised:

@@ -1,14 +1,21 @@
+from pathlib import Path
+
 import pytest
 
-from ocsg import certify, oracle
+from ocsg import certify, model, oracle
 from ocsg.model import (
     LIMINF_MINUS_INF,
     LIMINF_PLUS_INF,
+    LIMIT_OBJECTIVES,
     MEAN_GT,
     Objective,
     PureMemorylessStrategy,
     parse_model,
 )
+
+from grids import named_chain_values
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_enumerate_player_free_equals_chain_value():
@@ -17,7 +24,59 @@ def test_enumerate_player_free_equals_chain_value():
         "trans a -> b p=1/3 reward=-1\ntrans a -> a p=2/3 reward=1\ntrans b -> b p=1/1 reward=-1\n"
     )
     result = oracle.enumerate_solve(game, LIMINF_MINUS_INF)
-    assert result.values == certify.chain_tail_value(game, LIMINF_MINUS_INF)
+    assert result.values == named_chain_values(game, LIMINF_MINUS_INF)
+
+
+def test_enumerations_build_no_game_per_profile(monkeypatch, built_states):
+    # Each profile is evaluated on the game's own index (``Index.steps``):
+    # no game, strategy collapse or state is built, and a parsed game
+    # derives no states.
+    game = parse_model((DATA / "dense-n7-f36.ssg").read_text())
+    one_player = parse_model((DATA / "mdp-n20-f1.ssg").read_text())
+    calls = []
+
+    def spy(name, call):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return call(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(model.Ssg, "__init__", spy("Ssg", model.Ssg.__init__))
+    monkeypatch.setattr(model, "fix_strategies", spy("fix_strategies", model.fix_strategies))
+    monkeypatch.setattr(certify, "chain_values", spy("chain_values", certify.chain_values))
+    for objective in LIMIT_OBJECTIVES:
+        oracle.enumerate_solve(game, objective)
+    oracle.enumerate_reach(game, {game.ids()[0]})
+    for direction in ("max", "min"):
+        oracle.enumerate_mean_payoff(one_player, direction)
+    assert set(calls) == {"chain_values"} and len(calls) > 100
+    assert built_states == {}
+    assert "states" not in vars(game) and "states" not in vars(one_player)
+
+
+def test_enumerate_reach_refuses_an_unknown_target():
+    game = parse_model(
+        "ssg rewards=transitions\nstate m owner=max\nstate s owner=rand\n"
+        "trans m -> s reward=1\ntrans s -> m p=1/1 reward=-1\n"
+    )
+    with pytest.raises(ValueError) as raised:
+        oracle.enumerate_reach(game, {"nowhere"})
+    assert str(raised.value) == "unknown target states ['nowhere']"
+
+
+def test_chain_values_refuse_a_controlled_node_without_a_choice():
+    game = parse_model(
+        "ssg rewards=transitions\nstate m owner=max\nstate n owner=min\nstate s owner=rand\n"
+        "trans m -> s reward=1\ntrans n -> s reward=0\ntrans s -> m p=1/1 reward=-1\n"
+    )
+    index = game.index
+    with pytest.raises(ValueError) as raised:
+        certify.chain_values(index, {1: 0}, MEAN_GT)
+    assert str(raised.value) == "not a chain, controlled states remain: ['m']"
+    with pytest.raises(ValueError, match=r"^not a chain, controlled states remain: \['m', 'n'\]$"):
+        certify.chain_values(index, {}, targets={2})
+    assert certify.chain_values(index, {0: 0, 1: 0}, targets={2}) == [1, 1, 1]
 
 
 def test_enumerate_single_choice_game():
@@ -177,7 +236,7 @@ def test_statistical_consistency_against_exact_reachability():
         "trans s -> m p=3/4\ntrans s -> dead p=1/4\ntrans m -> t p=1/4\ntrans m -> s p=3/4\n"
         "trans t -> t p=1/1\ntrans dead -> dead p=1/1\n"
     )
-    exact = certify.reach_probabilities(game, {"t"})["s"]
+    exact = named_chain_values(game, targets={"t"})["s"]
     counter = parse_model(
         "ocssg\n"
         "state s owner=rand\nstate m owner=rand\nstate t owner=rand\nstate dead owner=rand\n"

@@ -21,11 +21,12 @@ from ocsg.model import (
     Transition,
     fix_strategies,
     parse_model,
-    relabel_controlled,
 )
 from ocsg.reduce import condon_to_limit
 
-from grids import bench_families, exhaustive_games, oc_to_reward_ssg, random_games
+import grids
+from grids import bench_families, exhaustive_games, named_chain_values, oc_to_reward_ssg, random_games
+from grids import relabel_controlled
 
 FAIR_COIN_CONDON = parse_model(
     "ssg rewards=states\n"
@@ -70,7 +71,7 @@ def test_player_free_game_equals_chain_tail_value():
         "trans a -> b p=1/2 reward=1\ntrans a -> a p=1/2 reward=-1\ntrans b -> b p=1/1 reward=-1\n"
     )
     solve = ssg.solve_limit_ssg(game, LIMINF_MINUS_INF)
-    assert solve.result.values == certify.chain_tail_value(game, LIMINF_MINUS_INF)
+    assert solve.result.values == named_chain_values(game, LIMINF_MINUS_INF)
 
 
 def test_condon_fair_coin_limit_values():
@@ -370,7 +371,7 @@ def test_dense_n32_policy_iteration_builds_no_game(monkeypatch):
 
     monkeypatch.setattr(model.Ssg, "__init__", spy("Ssg", model.Ssg.__init__))
     monkeypatch.setattr(model, "fix_strategies", spy("fix_strategies", model.fix_strategies))
-    monkeypatch.setattr(model, "relabel_controlled", spy("relabel_controlled", model.relabel_controlled))
+    monkeypatch.setattr(grids, "relabel_controlled", spy("relabel_controlled", grids.relabel_controlled))
     monkeypatch.setattr(mdp, "_closed_classes", spy_classes)
     stationary_system = chain_mod.stationary_system
     monkeypatch.setattr(chain_mod, "stationary_system", lambda *args: systems.append(args) or stationary_system(*args))
@@ -897,18 +898,15 @@ def _profiles(game):
 
 class _TailValues(dict):
     """The exact tail values of the chain that a profile of ``game`` makes
-    (``certify.chain_tail_value``), by node, each profile evaluated once."""
+    (``certify.chain_values``), by node, each profile evaluated once."""
 
     def __init__(self, game, objective):
         super().__init__()
         self.game, self.objective = game, objective
 
     def __missing__(self, key):
-        profile, game = dict(key), self.game
-        sigma = PureMemorylessStrategy("max", {sid: profile[sid] for sid in game.owner_ids("max")})
-        tau = PureMemorylessStrategy("min", {sid: profile[sid] for sid in game.owner_ids("min")})
-        values = certify.chain_tail_value(fix_strategies(game, sigma, tau), self.objective)
-        self[key] = [values[sid] for sid in game.ids()]
+        index = self.game.index
+        self[key] = certify.chain_values(index, {index.pos[sid]: k for sid, k in key}, self.objective)
         return self[key]
 
 

@@ -1,11 +1,12 @@
 """Games the program builds from a valid game are valid without a re-check.
 
-``condon_to_limit``, ``condon_to_termination``, ``product_with_strategy``,
-``fix_strategies`` and ``relabel_controlled`` do not validate what they
-build, nor does any solver that receives it, and a game's violations are
-computed once and cached; these tests hold the builders to that.  The
-reference level game of ``grids.build_level_game`` is held to it too, since
-the level-product tests run almost-sure reach on it.
+``condon_to_limit``, ``condon_to_termination``, ``product_with_strategy``
+and ``fix_strategies`` do not validate what they build, nor does any solver
+that receives it, and a game's violations are computed once and cached;
+these tests hold the builders to that.  The reference level game of
+``grids.build_level_game`` and the relabelled games of
+``grids.relabel_controlled`` are held to it too, since the tests solve
+them.
 """
 
 import pytest
@@ -20,12 +21,12 @@ from ocsg.model import (
     Transition,
     check_valid,
     fix_strategies,
-    relabel_controlled,
     validate,
 )
 from ocsg.reduce import condon_to_limit, condon_to_termination
 
 from grids import arrival_counter_view, build_level_game, exhaustive_games, oc_to_reward_ssg, random_games, random_reach_instances
+from grids import relabel_controlled
 
 
 def test_level_games_of_grid_counter_games_are_valid():

@@ -8,7 +8,7 @@ capped worklist ``grids.reference_energy_min_credit`` on counter families
 whose climbs run long.  ``reference_normalization`` (reachability
 policy iteration) and ``reference_mec_consistent`` (a second potential BFS)
 are the reference forms of the normalization check in ``reduce`` and of
-``certify.potential`` on end-component edges.  ``reference_lifting_region``
+``chain.node_potential`` on end-component edges.  ``reference_lifting_region``
 (energy lifting plus the keeper's credit-preserving edges) is the reference
 form of the end-component rule that ``mdp`` uses for liminf > -inf, and
 ``reference_divergence_core`` (a potential test, then the BSCC around a
@@ -27,7 +27,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ocsg import certify, chain, mdp, reduce, termination
+from ocsg import chain, mdp, reduce, termination
 from ocsg.model import (
     LIMINF_GT_MINUS_INF,
     LIMINF_MINUS_INF,
@@ -39,19 +39,22 @@ from ocsg.model import (
     Transition,
     fix_strategies,
     parse_model,
-    relabel_controlled,
 )
 
 from grids import (
     as_mdp,
     bench_families,
+    class_potential,
     exhaustive_games,
+    named_chain_values,
+    named_classes,
     named_mec,
     random_game,
     random_games,
     reference_almost_sure_reach,
     reference_attractor,
     reference_energy_min_credit,
+    relabel_controlled,
     renumber,
     restrict_to_mec,
 )
@@ -339,11 +342,11 @@ def test_potential_matches_mec_bfs(reward_location):
         game = as_mdp(game)
         for mec in mdp.mec_decompose(game):
             consistent = reference_mec_consistent(game, mec)
-            h = certify.potential(restrict_to_mec(game, mec)[0], mec.members)
+            h = class_potential(restrict_to_mec(game, mec)[0])
             assert (h is not None) == consistent, (game, mec)
             seen[consistent] += 1
             if h is not None:
-                assert set(h) == mec.members
+                assert set(h) == set(range(len(mec.members)))
     assert min(seen.values()) >= 100
 
 
@@ -408,7 +411,7 @@ def reference_divergence_core(game, mec):
         inner, _ = restrict_to_mec(tight, component)
         choice = reference_almost_sure_reach(inner, {x}).max_choice
         induced = fix_strategies(inner, PureMemorylessStrategy("max", choice))
-        bsccs, _ = certify.bscc_decompose(induced)
+        bsccs, _ = named_classes(induced)
         return next(b for b in bsccs if x in b)
     return None
 
@@ -425,7 +428,7 @@ def _wins_almost_surely(game, region, choice, objective=LIMINF_GT_MINUS_INF):
     relabeled = relabel_controlled(game, "max")
     policy = {sid: choice.get(sid, 0) for sid in relabeled.owner_ids("max")}
     induced = fix_strategies(relabeled, PureMemorylessStrategy("max", policy))
-    values = certify.chain_tail_value(induced, objective)
+    values = named_chain_values(induced, objective)
     return all(values[sid] == 1 for sid in region)
 
 
